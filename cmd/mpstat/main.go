@@ -256,8 +256,8 @@ func main() {
 			cs.AllgatherGatherBcast, cs.AllgatherRing,
 			cs.BcastBinomial, cs.BcastPipelined, cs.BytesMoved, cs.MaxSegsInFlight)
 		if ts, ok := r.TransportStats(); ok {
-			fmt.Printf("  wire: frames(out/in)=%d/%d bytes(out/in)=%dB/%dB ringCompactions=%d\n",
-				ts.FramesSent, ts.FramesRecvd, ts.BytesSent, ts.BytesRecvd, ts.RingCompactions)
+			fmt.Printf("  wire: frames(out/in)=%d/%d bytes(out/in)=%dB/%dB\n",
+				ts.FramesSent, ts.FramesRecvd, ts.BytesSent, ts.BytesRecvd)
 			fmt.Printf("  sock: dialRetries=%d bootstrapRetries=%d poisoned=%d retired=%d\n",
 				ts.DialRetries, ts.BootstrapRetries, ts.PoisonedConns, ts.PeersRetired)
 		}

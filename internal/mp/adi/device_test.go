@@ -99,6 +99,20 @@ func TestUnexpectedEagerThenRecv(t *testing.T) {
 	if d1.Stats.Unexpected != 1 {
 		t.Fatalf("Unexpected = %d", d1.Stats.Unexpected)
 	}
+	// The channel recycles its payload copy once the message is
+	// parked; later traffic of the same size overwrites that slab and
+	// must not reach the parked bytes.
+	for i := 0; i < 4; i++ {
+		other := make([]byte, 16)
+		rreq, err := d1.Irecv(SliceBuf(other), 0, 10, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d0.Isend(SliceBuf([]byte("XXXXXXXXXXXX")), 1, 10, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		waitBoth(t, d1, d0, rreq)
+	}
 	buf := make([]byte, 32)
 	rreq, err := d1.Irecv(SliceBuf(buf), 0, 9, 0)
 	if err != nil {

@@ -94,6 +94,14 @@ type Sink interface {
 // Channel moves packets between the ranks of one process group.
 // Implementations must preserve per-(source,destination) FIFO order —
 // the device's matching semantics depend on non-overtaking delivery.
+//
+// An endpoint is used by one goroutine at a time: Send, Poll and
+// Close are never called concurrently on the same Channel (the sink's
+// Done may call Send from inside Poll). The device guarantees this by
+// making every call under its own lock, whichever goroutine — the
+// rank, its GC hook or a progress engine — drives it; implementations
+// rely on it and keep their per-endpoint state unsynchronised. Only a
+// StatsSource's TransportStats may be called from any goroutine.
 type Channel interface {
 	// Rank and Size describe this endpoint's place in the group.
 	Rank() int
@@ -148,7 +156,6 @@ type TransportStats struct {
 	FramesRecvd      uint64 // packets delivered to the sink
 	BytesSent        uint64 // payload bytes pushed to peers
 	BytesRecvd       uint64 // payload bytes delivered to the sink
-	RingCompactions  uint64 // shm ring prefix compactions (shm only)
 	DialRetries      uint64 // re-dials after a failed connection attempt
 	BootstrapRetries uint64 // full rendezvous-exchange retries
 	PoisonedConns    uint64 // connections killed after a partial frame

@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -8,101 +9,137 @@ import (
 )
 
 // The shm channel: in-process "shared memory" transport. Each ordered
-// rank pair owns a mutex-protected frame ring, the software analogue
-// of MPICH2's shm channel queues. Payloads are copied into the ring
-// on send and out of the ring into the sink-designated buffer on
-// poll — the two-copy discipline of a real shared-memory channel.
+// rank pair owns a lock-free single-producer/single-consumer frame
+// queue, the software analogue of MPICH2's shm channel queues.
+// Payloads are copied into a pooled slab on send and out of it into
+// the sink-designated buffer on poll — the two-copy discipline of a
+// real shared-memory channel, without a per-frame allocation.
 
+// shmFrame is one queued packet. slab is nil for an empty payload;
+// otherwise its first hdr.Size bytes are the payload copy.
 type shmFrame struct {
-	hdr     Header
-	payload []byte
+	hdr  Header
+	slab *[]byte
 }
 
-// shmRing is a FIFO for one (sender, receiver) pair. Pops advance a
-// head index in O(1); popped slots are zeroed immediately so their
-// payloads are collectable, and the slice itself is compacted once
-// the dead prefix dominates, so a long-lived ring cannot pin an
-// unbounded backing array.
-type shmRing struct {
-	mu     sync.Mutex //motorlint:lockorder 30 channel
-	frames []shmFrame
-	head   int
-	closed bool
+// slabs recycles payload copies by power-of-two size class: class k
+// holds buffers of capacity 1<<k. The sender takes a slab, the
+// receiver returns it after the copy-out, so a steady exchange reuses
+// the same few buffers instead of allocating one per frame.
+var slabs [bits.UintSize]sync.Pool
 
-	// compactions counts prefix compactions; atomic so the receiving
-	// channel's TransportStats can read it without taking mu.
-	compactions atomic.Uint64
-}
+// slabClass is the class of an n-byte payload, n > 0.
+func slabClass(n int) int { return bits.Len(uint(n - 1)) }
 
-func (r *shmRing) push(f shmFrame) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return ErrClosed
+// copyToSlab returns a pooled copy of payload (nil if it is empty).
+func copyToSlab(payload []byte) *[]byte {
+	if len(payload) == 0 {
+		return nil
 	}
-	r.frames = append(r.frames, f)
-	return nil
+	k := slabClass(len(payload))
+	s, _ := slabs[k].Get().(*[]byte)
+	if s == nil {
+		b := make([]byte, 1<<k)
+		s = &b
+	}
+	copy(*s, payload)
+	return s
+}
+
+// deliver hands one frame to the sink and recycles its slab. The slab
+// goes back only after the copy-out: the sink never keeps a reference
+// to it, so the next sender may overwrite it at once.
+func (f shmFrame) deliver(sink Sink) {
+	dst := sink.Deliver(f.hdr)
+	if f.slab != nil {
+		if dst != nil {
+			copy(dst, (*f.slab)[:f.hdr.Size])
+		}
+		slabs[slabClass(int(f.hdr.Size))].Put(f.slab)
+	}
+	sink.Done(f.hdr)
+}
+
+// shmSegSlots is the number of frames per queue segment.
+const shmSegSlots = 64
+
+type shmSeg struct {
+	slots [shmSegSlots]shmFrame
+	next  *shmSeg // set by the producer before it publishes the last slot
+}
+
+// shmRing is an unbounded FIFO for one (sender, receiver) pair: a
+// linked list of fixed-size segments with exactly one producer and
+// one consumer goroutine at a time. The producer writes a slot and
+// then publishes it by storing tail; the consumer compares its
+// private head with tail, so an empty poll is one atomic load. The
+// consumer zeroes each popped slot and drops a segment when it leaves
+// it; nothing links back to a consumed segment, so a drained burst is
+// collectable however deep it was. Producer and consumer state sit on
+// separate cache lines.
+type shmRing struct {
+	tail    atomic.Uint64 // frames published; producer stores, consumer loads
+	tailSeg *shmSeg       // producer only
+	_       [48]byte
+
+	head    uint64  // frames popped; consumer only
+	headSeg *shmSeg // consumer only
+	_       [48]byte
+}
+
+func newShmRing() *shmRing {
+	seg := new(shmSeg)
+	return &shmRing{tailSeg: seg, headSeg: seg}
+}
+
+func (r *shmRing) push(f shmFrame) {
+	t := r.tail.Load()
+	seg, i := r.tailSeg, t%shmSegSlots
+	seg.slots[i] = f
+	if i == shmSegSlots-1 {
+		seg.next = new(shmSeg)
+		r.tailSeg = seg.next
+	}
+	r.tail.Store(t + 1)
 }
 
 func (r *shmRing) pop() (shmFrame, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.head == len(r.frames) {
+	if r.head == r.tail.Load() {
 		return shmFrame{}, false
 	}
-	f := r.frames[r.head]
-	r.frames[r.head] = shmFrame{}
-	r.head++
-	if r.head == len(r.frames) {
-		// Drained: reuse the backing array from the start.
-		r.frames = r.frames[:0]
-		r.head = 0
-	} else if r.head >= 32 && r.head > len(r.frames)/2 {
-		// Mostly-dead prefix: one O(live) compaction reclaims it.
-		n := copy(r.frames, r.frames[r.head:])
-		clear(r.frames[n:])
-		r.frames = r.frames[:n]
-		r.head = 0
-		r.compactions.Add(1)
+	seg, i := r.headSeg, r.head%shmSegSlots
+	f := seg.slots[i]
+	seg.slots[i] = shmFrame{}
+	if i == shmSegSlots-1 {
+		r.headSeg = seg.next
 	}
+	r.head++
 	return f, true
 }
 
-func (r *shmRing) close() {
-	r.mu.Lock()
-	r.closed = true
-	r.frames = nil
-	r.head = 0
-	r.mu.Unlock()
-}
-
 // ShmFabric is the shared substrate connecting n in-process ranks.
+// Its mutex guards only the ring table, which an endpoint consults
+// the first time it meets a peer; frames never touch it.
 type ShmFabric struct {
-	mu    sync.Mutex //motorlint:lockorder 30 channel
-	size  int
+	size  atomic.Int64
+	mu    sync.Mutex          //motorlint:lockorder 30 channel
 	rings map[[2]int]*shmRing // [from,to]
 }
 
 // NewShmFabric creates the substrate for an n-rank world.
 func NewShmFabric(n int) *ShmFabric {
-	return &ShmFabric{size: n, rings: make(map[[2]int]*shmRing)}
+	f := &ShmFabric{rings: make(map[[2]int]*shmRing)}
+	f.size.Store(int64(n))
+	return f
 }
 
 // Size returns the current number of ranks in the fabric.
-func (f *ShmFabric) Size() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.size
-}
+func (f *ShmFabric) Size() int { return int(f.size.Load()) }
 
 // Grow adds n ranks to the fabric (dynamic process management) and
 // returns the first new rank id.
 func (f *ShmFabric) Grow(n int) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	first := f.size
-	f.size += n
-	return first
+	return int(f.size.Add(int64(n))) - n
 }
 
 func (f *ShmFabric) ring(from, to int) *shmRing {
@@ -111,7 +148,7 @@ func (f *ShmFabric) ring(from, to int) *shmRing {
 	key := [2]int{from, to}
 	r, ok := f.rings[key]
 	if !ok {
-		r = &shmRing{}
+		r = newShmRing()
 		f.rings[key] = r
 	}
 	return r
@@ -122,11 +159,14 @@ func (f *ShmFabric) Endpoint(rank int) *ShmChannel {
 	return &ShmChannel{fabric: f, rank: rank}
 }
 
-// ShmChannel is one rank's view of a ShmFabric.
+// ShmChannel is one rank's view of a ShmFabric. It caches the rings
+// to and from every peer it has seen; attach extends the cache when
+// the fabric has grown.
 type ShmChannel struct {
-	fabric *ShmFabric
-	rank   int
-	closed bool
+	fabric  *ShmFabric
+	rank    int
+	closed  bool
+	in, out []*shmRing // by peer rank; nil at the endpoint's own rank
 
 	stats struct {
 		framesSent  atomic.Uint64
@@ -141,23 +181,25 @@ var (
 	_ StatsSource = (*ShmChannel)(nil)
 )
 
-// TransportStats implements StatsSource. Ring compactions are charged
-// to the receiving rank (pops drive compaction).
+// attach caches the rings of peers [len(c.in), n).
+func (c *ShmChannel) attach(n int) {
+	for peer := len(c.in); peer < n; peer++ {
+		var in, out *shmRing
+		if peer != c.rank {
+			in, out = c.fabric.ring(peer, c.rank), c.fabric.ring(c.rank, peer)
+		}
+		c.in, c.out = append(c.in, in), append(c.out, out)
+	}
+}
+
+// TransportStats implements StatsSource.
 func (c *ShmChannel) TransportStats() TransportStats {
-	st := TransportStats{
+	return TransportStats{
 		FramesSent:  c.stats.framesSent.Load(),
 		FramesRecvd: c.stats.framesRecvd.Load(),
 		BytesSent:   c.stats.bytesSent.Load(),
 		BytesRecvd:  c.stats.bytesRecvd.Load(),
 	}
-	n := c.fabric.Size()
-	for from := 0; from < n; from++ {
-		if from == c.rank {
-			continue
-		}
-		st.RingCompactions += c.fabric.ring(from, c.rank).compactions.Load()
-	}
-	return st
 }
 
 // Rank implements Channel.
@@ -166,22 +208,21 @@ func (c *ShmChannel) Rank() int { return c.rank }
 // Size implements Channel.
 func (c *ShmChannel) Size() int { return c.fabric.Size() }
 
-// Send implements Channel: copy the payload into the pair ring.
+// Send implements Channel: copy the payload into a slab and queue it
+// on the pair ring. Self-sends are the device's business (it delivers
+// them locally), as on the sock channel.
 func (c *ShmChannel) Send(dest int, hdr Header, payload []byte) error {
 	if c.closed {
 		return ErrClosed
 	}
-	if dest < 0 || dest >= c.fabric.Size() {
+	if dest >= len(c.out) {
+		c.attach(c.fabric.Size())
+	}
+	if dest < 0 || dest >= len(c.out) || dest == c.rank {
 		return ErrRank
 	}
 	hdr.Size = uint32(len(payload))
-	f := shmFrame{hdr: hdr}
-	if len(payload) > 0 {
-		f.payload = append([]byte(nil), payload...)
-	}
-	if err := c.fabric.ring(c.rank, dest).push(f); err != nil {
-		return err
-	}
+	c.out[dest].push(shmFrame{hdr: hdr, slab: copyToSlab(payload)})
 	c.stats.framesSent.Add(1)
 	c.stats.bytesSent.Add(uint64(len(payload)))
 	if tr := obs.Active(); tr != nil {
@@ -196,24 +237,21 @@ func (c *ShmChannel) Poll(sink Sink) (bool, error) {
 	if c.closed {
 		return false, ErrClosed
 	}
-	n := c.fabric.Size()
-	for from := 0; from < n; from++ {
-		if from == c.rank {
+	if n := c.fabric.Size(); n > len(c.in) {
+		c.attach(n)
+	}
+	for _, ring := range c.in {
+		if ring == nil {
 			continue
 		}
-		ring := c.fabric.ring(from, c.rank)
 		if f, ok := ring.pop(); ok {
 			c.stats.framesRecvd.Add(1)
-			c.stats.bytesRecvd.Add(uint64(len(f.payload)))
+			c.stats.bytesRecvd.Add(uint64(f.hdr.Size))
 			if tr := obs.Active(); tr != nil {
 				tr.Instant(c.rank, obs.KFrame,
-					uint64(obs.FrameIn), uint64(f.hdr.Type), uint64(f.hdr.Source), uint64(len(f.payload)))
+					uint64(obs.FrameIn), uint64(f.hdr.Type), uint64(f.hdr.Source), uint64(f.hdr.Size))
 			}
-			dst := sink.Deliver(f.hdr)
-			if len(f.payload) > 0 && dst != nil {
-				copy(dst, f.payload)
-			}
-			sink.Done(f.hdr)
+			f.deliver(sink)
 			return true, nil
 		}
 	}
@@ -229,7 +267,7 @@ func (c *ShmChannel) Close() error {
 // LoopChannel is a single-rank channel (self-sends only); useful for
 // one-rank worlds and unit tests of the device layer.
 type LoopChannel struct {
-	ring shmRing
+	ring *shmRing
 }
 
 var _ Channel = (*LoopChannel)(nil)
@@ -245,26 +283,24 @@ func (c *LoopChannel) Send(dest int, hdr Header, payload []byte) error {
 	if dest != 0 {
 		return ErrRank
 	}
-	hdr.Size = uint32(len(payload))
-	f := shmFrame{hdr: hdr}
-	if len(payload) > 0 {
-		f.payload = append([]byte(nil), payload...)
+	if c.ring == nil {
+		c.ring = newShmRing()
 	}
-	return c.ring.push(f)
+	hdr.Size = uint32(len(payload))
+	c.ring.push(shmFrame{hdr: hdr, slab: copyToSlab(payload)})
+	return nil
 }
 
 // Poll implements Channel.
 func (c *LoopChannel) Poll(sink Sink) (bool, error) {
-	f, ok := c.ring.pop()
-	if !ok {
+	if c.ring == nil {
 		return false, nil
 	}
-	dst := sink.Deliver(f.hdr)
-	if len(f.payload) > 0 && dst != nil {
-		copy(dst, f.payload)
+	f, ok := c.ring.pop()
+	if ok {
+		f.deliver(sink)
 	}
-	sink.Done(f.hdr)
-	return true, nil
+	return ok, nil
 }
 
 // Close implements Channel.

@@ -1,151 +1,236 @@
 package channel
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"runtime"
 	"testing"
 	"time"
 )
 
-// Regression tests for the shmRing pop path. The seed implementation
-// memmoved the whole remaining queue on every pop (frames =
-// frames[1:] via copy), turning an n-frame burst into O(n²) bytes of
-// memmove. The fix advances a head index in O(1) and compacts only
-// when the dead prefix dominates.
+// Tests of the shm channel's SPSC segment queue and its payload slabs.
 
 func ringFrame(i int) shmFrame {
-	return shmFrame{hdr: Header{Tag: int32(i)}, payload: []byte{byte(i)}}
+	return shmFrame{hdr: Header{Tag: int32(i), Size: 1}, slab: &[]byte{byte(i)}}
 }
 
 // TestShmRingFIFO checks ordering and emptiness across interleaved
-// push/pop bursts, including through the compaction triggers.
+// push/pop bursts that cross segment boundaries in both roles.
 func TestShmRingFIFO(t *testing.T) {
-	r := &shmRing{}
+	r := newShmRing()
 	next, expect := 0, 0
 	pushN := func(n int) {
 		for i := 0; i < n; i++ {
-			if err := r.push(ringFrame(next)); err != nil {
-				t.Fatal(err)
-			}
+			r.push(ringFrame(next))
 			next++
 		}
 	}
 	popN := func(n int) {
+		t.Helper()
 		for i := 0; i < n; i++ {
 			f, ok := r.pop()
 			if !ok {
 				t.Fatalf("pop %d: ring empty, want frame %d", expect, expect)
 			}
-			if int(f.hdr.Tag) != expect {
-				t.Fatalf("pop out of order: got %d want %d", f.hdr.Tag, expect)
+			if int(f.hdr.Tag) != expect || (*f.slab)[0] != byte(expect) {
+				t.Fatalf("pop out of order: got tag %d payload %d, want %d", f.hdr.Tag, (*f.slab)[0], expect)
 			}
 			expect++
 		}
 	}
-	pushN(100)
-	popN(40) // past the head>=32 compaction threshold
-	pushN(10)
-	popN(70) // drain completely
+	for _, burst := range [][2]int{
+		{shmSegSlots - 1, shmSegSlots - 1}, // stop one short of the boundary
+		{1, 1},                             // exactly the last slot of segment 0
+		{3*shmSegSlots + 5, 40},            // producer three segments ahead
+		{10, 2*shmSegSlots + 7},            // consumer crosses two boundaries
+		{shmSegSlots, 0},
+	} {
+		pushN(burst[0])
+		popN(burst[1])
+	}
+	popN(next - expect) // drain completely
+	if next != expect {
+		t.Fatalf("accounting: pushed %d popped %d", next, expect)
+	}
 	if f, ok := r.pop(); ok {
 		t.Fatalf("pop on empty ring returned frame %d", f.hdr.Tag)
 	}
 	pushN(5)
 	popN(5)
-	if next != expect {
-		t.Fatalf("accounting: pushed %d popped %d", next, expect)
-	}
 }
 
-// TestShmRingReclaimsMemory checks the two reclamation guarantees:
-// popped slots are zeroed immediately (payloads collectable), and the
-// backing slice never keeps an unbounded dead prefix.
-func TestShmRingReclaimsMemory(t *testing.T) {
-	r := &shmRing{}
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := r.push(ringFrame(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n-1; i++ {
-		r.pop()
-		r.mu.Lock()
-		// Every slot behind head must be zeroed so the payload is
-		// collectable even before compaction runs.
-		for j := 0; j < r.head; j++ {
-			if r.frames[j].payload != nil {
-				r.mu.Unlock()
-				t.Fatalf("after %d pops: slot %d still holds its payload", i+1, j)
-			}
-		}
-		// The dead prefix is bounded: compaction keeps head under
-		// max(32, live+1).
-		if r.head >= 32 && r.head > len(r.frames)-r.head+1 {
-			head, live := r.head, len(r.frames)-r.head
-			r.mu.Unlock()
-			t.Fatalf("after %d pops: dead prefix %d dominates %d live frames", i+1, head, live)
-		}
-		r.mu.Unlock()
-	}
-	r.pop()
-	r.mu.Lock()
-	if len(r.frames) != 0 || r.head != 0 {
-		t.Fatalf("drained ring not reset: len=%d head=%d", len(r.frames), r.head)
-	}
-	r.mu.Unlock()
-}
+// TestShmRingBurstReclaimed queues a 10 000-frame eager burst before
+// the first poll, then drains it: every popped slot is zeroed at
+// once, consumer and producer end on the same single segment, and the
+// consumed segments are unreachable, so the collector takes them.
+func TestShmRingBurstReclaimed(t *testing.T) {
+	r := newShmRing()
+	const n = 10_000
+	first := r.headSeg
+	collected := make(chan struct{})
+	runtime.SetFinalizer(first, func(*shmSeg) { close(collected) })
+	first = nil
 
-// TestShmRingBurstLinear is the timing regression: a large burst must
-// drain in roughly linear time. On the pre-fix O(n²) pop, 120k queued
-// frames memmove ~7e9 frame slots (hundreds of GB); even a fast
-// machine takes minutes. The generous 10s guard only trips on a
-// complexity regression, not on a slow CI box.
-func TestShmRingBurstLinear(t *testing.T) {
-	if testing.Short() {
-		t.Skip("burst timing test skipped in -short mode")
-	}
-	r := &shmRing{}
-	const n = 120_000
-	start := time.Now()
 	for i := 0; i < n; i++ {
-		if err := r.push(shmFrame{hdr: Header{Tag: int32(i)}}); err != nil {
-			t.Fatal(err)
-		}
+		r.push(ringFrame(i))
 	}
 	for i := 0; i < n; i++ {
+		seg, slot := r.headSeg, r.head%shmSegSlots
 		f, ok := r.pop()
 		if !ok || int(f.hdr.Tag) != i {
 			t.Fatalf("pop %d: ok=%v tag=%d", i, ok, f.hdr.Tag)
 		}
+		if seg.slots[slot] != (shmFrame{}) {
+			t.Fatalf("pop %d: slot still holds its frame", i)
+		}
 	}
-	if d := time.Since(start); d > 10*time.Second {
-		t.Fatalf("burst of %d frames took %v: pop is super-linear again", n, d)
+	if r.headSeg != r.tailSeg || r.headSeg.next != nil {
+		t.Fatal("drained ring still spans more than one segment")
+	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("first segment still reachable after the ring was drained")
+}
+
+// TestShmRingConcurrent runs one producer and one consumer goroutine
+// against each other. Every frame carries a checksum of its own
+// payload, so a slot read before it was fully published, a frame
+// delivered twice or out of order, or a slab recycled while still
+// queued shows up as a mismatch (and as a report under -race).
+func TestShmRingConcurrent(t *testing.T) {
+	n := 200_000
+	if testing.Short() {
+		n = 20_000
+	}
+	r := newShmRing()
+	go func() {
+		buf := make([]byte, 256)
+		for i := 0; i < n; i++ {
+			p := buf[:8+i%200]
+			binary.LittleEndian.PutUint64(p, uint64(i))
+			for j := 8; j < len(p); j++ {
+				p[j] = byte(i + j)
+			}
+			r.push(shmFrame{
+				hdr:  Header{Tag: int32(i), Size: uint32(len(p)), ReqA: uint64(crc32.ChecksumIEEE(p))},
+				slab: copyToSlab(p),
+			})
+			if i%1000 == 0 {
+				runtime.Gosched() // let the consumer catch up and run dry
+			}
+		}
+	}()
+	sink := &collectSink{}
+	for i := 0; i < n; {
+		f, ok := r.pop()
+		if !ok {
+			runtime.Gosched()
+			continue
+		}
+		f.deliver(sink)
+		got := sink.payloads[0]
+		if int(f.hdr.Tag) != i || len(got) != 8+i%200 || uint64(crc32.ChecksumIEEE(got)) != f.hdr.ReqA {
+			t.Fatalf("frame %d: tag %d, %d bytes, checksum mismatch=%v",
+				i, f.hdr.Tag, len(got), uint64(crc32.ChecksumIEEE(got)) != f.hdr.ReqA)
+		}
+		sink.hdrs, sink.payloads = sink.hdrs[:0], sink.payloads[:0]
+		i++
+	}
+	if _, ok := r.pop(); ok {
+		t.Fatal("frames left after the last one")
 	}
 }
 
-// BenchmarkShmRingBurst measures queue-then-drain cost per frame at
-// increasing burst depths. Pre-fix this went quadratic with depth;
-// post-fix the per-frame cost is flat.
-func BenchmarkShmRingBurst(b *testing.B) {
-	for _, depth := range []int{16, 256, 4096} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			r := &shmRing{}
-			f := shmFrame{hdr: Header{Tag: 7}}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < depth; j++ {
-					if err := r.push(f); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for j := 0; j < depth; j++ {
-					if _, ok := r.pop(); !ok {
-						b.Fatal("ring empty mid-drain")
-					}
-				}
+// TestShmSlabRecycling alternates 1 MiB and 8 B frames in both
+// directions of a pair. Slabs are reused across frames (and across
+// the two directions), so each delivered payload is checked in full:
+// a frame must never see a previous frame's bytes, neither inside its
+// own length nor as a longer tail.
+func TestShmSlabRecycling(t *testing.T) {
+	f := NewShmFabric(2)
+	ep := []*ShmChannel{f.Endpoint(0), f.Endpoint(1)}
+	big := make([]byte, 1<<20)
+	sink := &collectSink{}
+	for round := 0; round < 12; round++ {
+		from := round % 2
+		for i := range big {
+			big[i] = byte(round + i)
+		}
+		small := bytes.Repeat([]byte{byte(0xA0 + round)}, 8)
+		odd := bytes.Repeat([]byte{byte(0x50 + round)}, 1<<20-round-1) // same class as big, shorter
+		for _, p := range [][]byte{big, small, odd, small} {
+			if err := ep[from].Send(1-from, Header{Type: PktEager, Source: int32(from)}, p); err != nil {
+				t.Fatal(err)
 			}
-			b.SetBytes(0)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*depth), "ns/frame")
-		})
+		}
+		// The sender may reuse its buffer as soon as Send returns.
+		clear(big)
+		sink.hdrs, sink.payloads = nil, nil
+		drain(t, ep[1-from], sink, 4)
+		for i := range big {
+			big[i] = byte(round + i)
+		}
+		for i, want := range [][]byte{big, small, odd, small} {
+			if !bytes.Equal(sink.payloads[i], want) {
+				t.Fatalf("round %d frame %d: %d bytes delivered, want %d, content differs",
+					round, i, len(sink.payloads[i]), len(want))
+			}
+		}
+	}
+	s0, s1 := ep[0].TransportStats(), ep[1].TransportStats()
+	if s0.FramesSent != 24 || s1.FramesRecvd != 24 || s0.BytesSent != s1.BytesRecvd || s1.BytesSent != s0.BytesRecvd {
+		t.Errorf("stats %+v / %+v", s0, s1)
+	}
+}
+
+// TestShmStatsReadOnly: reading stats must not create rings (it once
+// did, under the fabric lock, from the telemetry goroutine).
+func TestShmStatsReadOnly(t *testing.T) {
+	f := NewShmFabric(4)
+	ep := f.Endpoint(0)
+	ep.TransportStats()
+	if len(f.rings) != 0 || len(ep.in) != 0 {
+		t.Fatalf("stats read created %d rings, cached %d", len(f.rings), len(ep.in))
+	}
+}
+
+// TestShmEndpointsDiscoverGrowth: endpoints that already cached their
+// rings must reach ranks added by a later Grow, in both directions.
+func TestShmEndpointsDiscoverGrowth(t *testing.T) {
+	f := NewShmFabric(2)
+	a, b := f.Endpoint(0), f.Endpoint(1)
+	sink := &collectSink{}
+	if err := a.Send(1, Header{Type: PktEager}, []byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, b, sink, 1)
+	if err := a.Send(2, Header{Type: PktEager}, nil); err != ErrRank {
+		t.Fatalf("send past the fabric: %v", err)
+	}
+	first := f.Grow(2)
+	c := f.Endpoint(first + 1)
+	if err := a.Send(first+1, Header{Type: PktEager, Source: 0}, []byte("old to new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send(1, Header{Type: PktEager, Source: int32(first + 1)}, []byte("new to old")); err != nil {
+		t.Fatal(err)
+	}
+	sink = &collectSink{}
+	drain(t, c, sink, 1)
+	drain(t, b, sink, 1)
+	if string(sink.payloads[0]) != "old to new" || string(sink.payloads[1]) != "new to old" {
+		t.Fatalf("payloads %q", sink.payloads)
+	}
+	if err := a.Send(0, Header{Type: PktEager}, nil); err != ErrRank {
+		t.Fatalf("self-send: %v", err)
 	}
 }
 
@@ -154,20 +239,46 @@ func BenchmarkShmRingBurst(b *testing.B) {
 // sender but a backlog persists.
 func BenchmarkShmRingSteady(b *testing.B) {
 	const backlog = 64
-	r := &shmRing{}
+	r := newShmRing()
 	f := shmFrame{hdr: Header{Tag: 7}}
 	for j := 0; j < backlog; j++ {
-		if err := r.push(f); err != nil {
-			b.Fatal(err)
-		}
+		r.push(f)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := r.push(f); err != nil {
-			b.Fatal(err)
-		}
+		r.push(f)
 		if _, ok := r.pop(); !ok {
 			b.Fatal("ring empty")
 		}
 	}
 }
+
+// BenchmarkShmPingPong is one goroutine bouncing a payload between
+// the two endpoints of a pair: the channel's own per-frame cost
+// (slab, queue, copy-out) without a second thread.
+func BenchmarkShmPingPong(b *testing.B) {
+	for _, size := range []int{8, 128 << 10} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			f := NewShmFabric(2)
+			ep := []*ShmChannel{f.Endpoint(0), f.Endpoint(1)}
+			payload := make([]byte, size)
+			sink := &fixedSink{buf: make([]byte, size)}
+			b.ReportAllocs()
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				from := i % 2
+				if err := ep[from].Send(1-from, Header{Type: PktEager}, payload); err != nil {
+					b.Fatal(err)
+				}
+				if ok, _ := ep[1-from].Poll(sink); !ok {
+					b.Fatal("nothing delivered")
+				}
+			}
+		})
+	}
+}
+
+type fixedSink struct{ buf []byte }
+
+func (s *fixedSink) Deliver(hdr Header) []byte { return s.buf[:hdr.Size] }
+func (s *fixedSink) Done(Header)               {}

@@ -519,3 +519,52 @@ func TestSpawn(t *testing.T) {
 		return nil
 	})
 }
+
+// TestSpawnAfterTraffic spawns once the parents' endpoints have
+// cached their rings: they must discover the children to send to them
+// and to hear from them, and the children must reach every parent.
+func TestSpawnAfterTraffic(t *testing.T) {
+	run(t, ChannelShm, 2, func(w *World) error {
+		me := w.Comm.Rank()
+		buf := make([]byte, 1)
+		for i := 0; i < 100; i++ {
+			// 1-byte sends are eager: they complete locally.
+			if err := w.Comm.Send([]byte{byte(i)}, 1-me, 1); err != nil {
+				return err
+			}
+			if _, err := w.Comm.Recv(buf, 1-me, 1); err != nil {
+				return err
+			}
+		}
+		merged, err := w.Spawn(2, func(child *World, merged *Comm) error {
+			// Echo one byte from each parent back to it, plus our rank.
+			for parent := 0; parent < 2; parent++ {
+				b := make([]byte, 1)
+				if _, err := merged.Recv(b, parent, 5); err != nil {
+					return err
+				}
+				if err := merged.Send([]byte{b[0] + byte(merged.Rank())}, parent, 6); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		for child := 2; child < 4; child++ {
+			if err := merged.Send([]byte{byte(10 * me)}, child, 5); err != nil {
+				return err
+			}
+		}
+		for child := 2; child < 4; child++ {
+			if _, err := merged.Recv(buf, child, 6); err != nil {
+				return err
+			}
+			if int(buf[0]) != 10*me+child {
+				return fmt.Errorf("parent %d: child %d echoed %d", me, child, buf[0])
+			}
+		}
+		return nil
+	})
+}

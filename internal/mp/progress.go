@@ -49,15 +49,20 @@ type ProgressOptions struct {
 
 	// Interval bounds how long the free-running loop parks when idle
 	// and no doorbell rings: incoming traffic from peers fires no local
-	// wake, so the loop must re-poll on its own. Default 100µs.
+	// wake, so the loop must re-poll on its own. Default 100µs
+	// requested; see DefaultProgressInterval for what is delivered.
 	Interval time.Duration
 
 	// Lane is the obs lane (world rank) for KProgress spans.
 	Lane int
 }
 
-// DefaultProgressInterval is the idle re-poll period of a
-// free-running progress loop.
+// DefaultProgressInterval is the idle re-poll period a free-running
+// progress loop asks its timer for. It is a lower bound, not what an
+// idle loop gets: on Linux the Go runtime parks an idle P with about
+// millisecond granularity, and the benchmark's pp-async workload
+// (whose op is exactly this re-poll) measures ≈1.1 ms per op. Known
+// open issue; the wait path is unchanged here.
 const DefaultProgressInterval = 100 * time.Microsecond
 
 // ProgressStats counts progress-engine activity. All fields are

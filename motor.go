@@ -389,18 +389,23 @@ func Run(cfg Config, body func(r *Rank) error) error {
 	errc := make(chan error, cfg.Ranks)
 	for _, w := range worlds {
 		go func(w *mp.World) {
-			defer w.Close()
-			r := newRank(w, cfg)
-			// Live /metrics sees every rank: the registry suffixes
-			// same-named groups (engine#1, ...) per rank.
-			r.engine.RegisterStats(reg)
-			// LIFO teardown: the main thread ends first (releasing the
-			// execution token), then the progress engine stops (its gated
-			// loop needs the token to finish a pass), then the world
-			// closes.
-			defer r.engine.Close()
-			defer r.thread.End()
-			errc <- body(r)
+			// The rank reports only after its teardown: until then its
+			// progress engine still emits trace events, and the trace
+			// is exported once every rank has reported.
+			errc <- func() error {
+				defer w.Close()
+				r := newRank(w, cfg)
+				// Live /metrics sees every rank: the registry suffixes
+				// same-named groups (engine#1, ...) per rank.
+				r.engine.RegisterStats(reg)
+				// LIFO teardown: the main thread ends first (releasing the
+				// execution token), then the progress engine stops (its gated
+				// loop needs the token to finish a pass), then the world
+				// closes.
+				defer r.engine.Close()
+				defer r.thread.End()
+				return body(r)
+			}()
 		}(w)
 	}
 	var first error

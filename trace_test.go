@@ -212,6 +212,42 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStressTracedAsyncTeardown is the regression for Run exporting
+// the trace while the ranks' progress goroutines were still emitting
+// events: a rank used to report before its deferred teardown stopped
+// its engine. Under -race (stress tier) the old order is a data race
+// between the export and the engine's spans; in any build the file
+// must be complete JSON.
+func TestStressTracedAsyncTeardown(t *testing.T) {
+	for i := 0; i < 5; i++ {
+		path := filepath.Join(t.TempDir(), "trace.json")
+		run(t, motor.Config{Ranks: 2, AsyncProgress: true, Trace: path}, func(r *motor.Rank) error {
+			buf, err := r.NewInt32Array(make([]int32, 4))
+			if err != nil {
+				return err
+			}
+			peer := 1 - r.ID()
+			if r.ID() == 0 {
+				if err := r.Send(buf, peer, 3); err != nil {
+					return err
+				}
+			}
+			_, err = r.Recv(buf, peer, 3)
+			if err == nil && r.ID() == 1 {
+				err = r.Send(buf, peer, 3)
+			}
+			return err
+		})
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(data) {
+			t.Fatalf("run %d: exported trace is not valid JSON (%d bytes)", i, len(data))
+		}
+	}
+}
+
 // TestJoinTraceExport checks the multi-process tracing path: a Join
 // with Config.Trace set exports a per-process trace file at close (the
 // per-rank input layout cmd/mtrace stitches), and the merge pass
