@@ -73,34 +73,6 @@ func BenchmarkFigure10(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectives sweeps the collective algorithms at
-// representative sizes either side of the selector's crossover points
-// on a 4-rank world (full sweep: cmd/benchfig -coll, committed
-// results: BENCH_coll.json). Each operation's seed-shaped baseline
-// (reducebcast / gatherbcast / binomial) runs alongside the new
-// algorithms so the large-message win stays visible in `go test
-// -bench`.
-func BenchmarkCollectives(b *testing.B) {
-	const ranks = 4
-	sizes := []int{1024, 65536, 262144}
-	for _, spec := range bench.CollSweepSpecs() {
-		if spec.Algo == "auto" {
-			continue // the forced pairs are the comparison that matters here
-		}
-		for _, size := range sizes {
-			spec, size := spec, size
-			b.Run(fmt.Sprintf("%s/%s/%dB", spec.Op, spec.Algo, size), func(b *testing.B) {
-				us, err := bench.RunCollN(spec, ranks, size, b.N)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(us*1000, "ns/iter")
-				b.ReportMetric(0, "ns/op")
-			})
-		}
-	}
-}
-
 // BenchmarkAblationPinPolicy (A1) isolates the paper's pinning policy
 // against wrapper-style always-pin on otherwise identical Motor
 // stacks.

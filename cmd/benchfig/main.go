@@ -8,14 +8,6 @@
 //	benchfig -ablate visited   # A2: linear vs hashed visited structure
 //	benchfig -ablate eager     # A5: eager/rendezvous threshold sweep
 //	benchfig -ablate policy    # §7.4 decision counters under GC pressure
-//	benchfig -coll             # collective algorithm size sweep
-//	benchfig -coll -collranks 8 -json   # machine-readable (BENCH_coll.json)
-//	benchfig -oo               # OO transport sweep: v1 buffer vs chunked stream
-//	benchfig -oo -json         # machine-readable (BENCH_oo.json)
-//	benchfig -interp           # interpreter quickening: baseline vs quickened dispatch
-//	benchfig -interp -json     # machine-readable (BENCH_interp.json)
-//	benchfig -gc               # GC pauses at a production live heap: serial vs modern collector
-//	benchfig -gc -json         # machine-readable (BENCH_gc.json)
 //	benchfig -quick            # smaller protocol for smoke runs
 //
 // Absolute numbers reflect this machine, not the paper's 2006
@@ -35,17 +27,10 @@ import (
 
 func main() {
 	fig := flag.Int("fig", 0, "figure to regenerate: 9 or 10")
-	ablate := flag.String("ablate", "", "ablation to run: pin or visited")
+	ablate := flag.String("ablate", "", "ablation to run: pin, policy, visited or eager")
 	quick := flag.Bool("quick", false, "reduced protocol for smoke runs")
 	stats := flag.Bool("stats", false, "print the derived statistics (figure 9)")
 	channel := flag.String("channel", "shm", "transport: shm or sock")
-	coll := flag.Bool("coll", false, "run the collective algorithm size sweep")
-	collRanks := flag.Int("collranks", 4, "rank count for -coll")
-	oo := flag.Bool("oo", false, "run the OO transport sweep (v1 buffer vs chunked stream)")
-	async := flag.Bool("async", false, "run the async-progress overlap benchmark (inline vs background engine)")
-	interp := flag.Bool("interp", false, "run the interpreter quickening benchmark (baseline vs quickened dispatch)")
-	gcbench := flag.Bool("gc", false, "run the GC pause benchmark (serial vs modern collector at a production live heap)")
-	jsonOut := flag.Bool("json", false, "emit -coll/-oo/-async/-interp results as JSON")
 	flag.Parse()
 
 	proto := bench.PaperProtocol()
@@ -63,78 +48,6 @@ func main() {
 	}
 
 	switch {
-	case *interp:
-		cfg := bench.InterpGrid()
-		if *quick {
-			cfg = bench.InterpQuickGrid()
-		}
-		rep, err := bench.RunInterpBench(cfg)
-		fatal(err)
-		if *jsonOut {
-			out, err := bench.MarshalInterpReport(rep)
-			fatal(err)
-			fmt.Println(string(out))
-			return
-		}
-		fmt.Print(bench.FormatInterpTable(rep))
-	case *gcbench:
-		cfg := bench.GCGrid()
-		if *quick {
-			cfg = bench.GCQuickGrid()
-		}
-		rep, err := bench.RunGCBench(cfg)
-		fatal(err)
-		if *jsonOut {
-			out, err := bench.MarshalGCReport(rep)
-			fatal(err)
-			fmt.Println(string(out))
-			return
-		}
-		fmt.Print(bench.FormatGCTable(rep))
-	case *async:
-		cfg := bench.AsyncGrid()
-		if *quick {
-			cfg = bench.AsyncQuickGrid()
-		}
-		rep, err := bench.RunAsyncOverlap(cfg)
-		fatal(err)
-		if *jsonOut {
-			out, err := bench.MarshalAsyncReport(rep)
-			fatal(err)
-			fmt.Println(string(out))
-			return
-		}
-		fmt.Print(bench.FormatAsyncTable(rep))
-	case *oo:
-		ooProto := bench.OOProtocol()
-		ooProto.Channel = proto.Channel
-		grid := bench.OOGrid()
-		if *quick {
-			ooProto.Repeats, ooProto.Timed = 1, 3
-			grid = bench.OOQuickGrid()
-		}
-		rep, err := bench.RunOOSweep(ooProto, grid)
-		fatal(err)
-		if *jsonOut {
-			out, err := bench.MarshalOOReport(rep)
-			fatal(err)
-			fmt.Println(string(out))
-			return
-		}
-		fmt.Print(bench.FormatOOTable(rep))
-	case *coll:
-		series, err := bench.CollSweep(proto, *collRanks, bench.CollSizes())
-		fatal(err)
-		if *jsonOut {
-			rep := bench.BuildCollReport(proto, *collRanks, series)
-			out, err := bench.MarshalCollReport(rep)
-			fatal(err)
-			fmt.Println(string(out))
-			return
-		}
-		fmt.Print(bench.FormatTable(
-			fmt.Sprintf("Collective algorithm sweep, %d ranks (microseconds per iteration)", *collRanks),
-			"bytes", series))
 	case *fig == 9:
 		series, err := bench.Fig9(proto, bench.Fig9Sizes())
 		fatal(err)

@@ -113,7 +113,8 @@ func main() {
 				fmt.Println("quicken: off")
 			}
 		}
-		peer := (r.ID() + 1) % r.Size()
+		// Ranks pair off (0-1, 2-3, ...): each pair runs its own exchange.
+		peer := r.ID() ^ 1
 		if !*coll && r.Size()%2 != 0 {
 			return fmt.Errorf("mpstat needs an even rank count")
 		}

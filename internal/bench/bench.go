@@ -110,86 +110,14 @@ type PingImpl struct {
 	New  func(w *mp.World) (pingRank, error)
 }
 
-// RunPing measures one implementation across sizes.
+// RunPing measures one implementation across sizes: a one-worker
+// RunPingSet, so every ping-pong number comes from the same timed loop.
 func RunPing(impl PingImpl, proto Protocol, sizes []int) (Series, error) {
-	worlds, err := mp.NewLocalWorlds(proto.Channel, 2, proto.EagerMax)
+	set, err := RunPingSet([]PingImpl{impl}, proto, sizes)
 	if err != nil {
 		return Series{}, err
 	}
-	type res struct {
-		points []Point
-		err    error
-	}
-	results := make(chan res, 2)
-	for _, w := range worlds {
-		go func(w *mp.World) {
-			defer w.Close()
-			points, err := pingRankLoop(impl, w, proto, sizes)
-			results <- res{points, err}
-		}(w)
-	}
-	var series Series
-	series.Impl = impl.Name
-	var firstErr error
-	for i := 0; i < 2; i++ {
-		r := <-results
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		if r.points != nil {
-			series.Points = r.points
-		}
-	}
-	return series, firstErr
-}
-
-func pingRankLoop(impl PingImpl, w *mp.World, proto Protocol, sizes []int) ([]Point, error) {
-	pr, err := impl.New(w)
-	if err != nil {
-		return nil, fmt.Errorf("%s rank %d: %w", impl.Name, w.Rank(), err)
-	}
-	defer pr.Close()
-	me := w.Rank()
-	peer := 1 - me
-	var points []Point
-	for _, size := range sizes {
-		if err := pr.SetSize(size); err != nil {
-			return nil, fmt.Errorf("%s size %d: %w", impl.Name, size, err)
-		}
-		reps := make([]float64, 0, proto.Repeats)
-		for rep := 0; rep < proto.Repeats; rep++ {
-			iters := proto.Warmup + proto.Timed
-			var t0 time.Time
-			for i := 0; i < iters; i++ {
-				if i == proto.Warmup {
-					t0 = time.Now()
-				}
-				if me == 0 {
-					if err := pr.Send(peer, 0); err != nil {
-						return nil, fmt.Errorf("%s size %d send: %w", impl.Name, size, err)
-					}
-					if err := pr.Recv(peer, 0); err != nil {
-						return nil, fmt.Errorf("%s size %d recv: %w", impl.Name, size, err)
-					}
-				} else {
-					if err := pr.Recv(peer, 0); err != nil {
-						return nil, fmt.Errorf("%s size %d recv: %w", impl.Name, size, err)
-					}
-					if err := pr.Send(peer, 0); err != nil {
-						return nil, fmt.Errorf("%s size %d send: %w", impl.Name, size, err)
-					}
-				}
-			}
-			reps = append(reps, float64(time.Since(t0).Nanoseconds())/1e3/float64(proto.Timed))
-		}
-		if me == 0 {
-			points = append(points, Point{X: size, Us: median(reps)})
-		}
-	}
-	if me == 0 {
-		return points, nil
-	}
-	return nil, nil
+	return set[0], nil
 }
 
 // objRank is one rank's state for the object-transport ping-pong

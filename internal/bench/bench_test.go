@@ -2,9 +2,11 @@ package bench
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"motor/internal/baseline/pinvoke"
+	"motor/internal/mp"
 	"motor/internal/serial"
 )
 
@@ -116,6 +118,66 @@ func TestAblationsQuick(t *testing.T) {
 	}
 	if len(a2) != 2 {
 		t.Errorf("A2 series: %+v", a2)
+	}
+}
+
+// RunPing, RunPingN and ablation A5 are one-implementation calls of
+// RunPingSet: they must report the same (impl, size) point a
+// one-element set does, hand proto.EagerMax to the world, and A5's
+// per-threshold series names must survive.
+func TestSinglePingIsOneElementSet(t *testing.T) {
+	const size = 256
+	us, err := RunPingN(NativeImpl(), size, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if us <= 0 {
+		t.Errorf("RunPingN: non-positive time %f", us)
+	}
+
+	var eagerMax atomic.Int64
+	probe := NativeImpl()
+	newNative := probe.New
+	probe.New = func(w *mp.World) (pingRank, error) {
+		eagerMax.Store(int64(w.Comm.EagerMax()))
+		return newNative(w)
+	}
+	proto := Quick()
+	proto.EagerMax = 1 << 10
+	set, err := RunPingSet([]PingImpl{probe}, proto, []int{size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set) != 1 {
+		t.Fatalf("one-element set: %+v", set)
+	}
+	if got := eagerMax.Swap(0); got != 1<<10 {
+		t.Errorf("RunPingSet built its world with EagerMax %d, want %d", got, 1<<10)
+	}
+	one, err := RunPing(probe, proto, []int{size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eagerMax.Load(); got != 1<<10 {
+		t.Errorf("RunPing built its world with EagerMax %d, want %d", got, 1<<10)
+	}
+	for _, s := range []Series{set[0], one} {
+		if s.Impl != probe.Name || len(s.Points) != 1 || s.Points[0].X != size || s.Points[0].Us <= 0 {
+			t.Errorf("series: %+v", s)
+		}
+	}
+
+	a5, err := AblationEagerThreshold(Quick(), []int{size}, []int{1 << 10, 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a5) != 2 || a5[0].Impl != "eager<=1KiB" || a5[1].Impl != "eager<=8KiB" {
+		t.Fatalf("A5 series: %+v", a5)
+	}
+	for _, s := range a5 {
+		if len(s.Points) != 1 || s.Points[0].X != size || s.Points[0].Us <= 0 {
+			t.Errorf("A5 %s: %+v", s.Impl, s.Points)
+		}
 	}
 }
 

@@ -243,12 +243,17 @@ func TestChaosResetDuringRendezvousCTS(t *testing.T) {
 	}
 }
 
-// normalizeEvents strips the peer addresses (ephemeral ports differ
-// between runs) so event logs from two runs are comparable.
+// normalizeEvents strips what legitimately differs between two runs
+// of a live sock world so their event logs are comparable: the peer
+// addresses (ephemeral ports) and Seq, the injector's global op
+// counter, which also counts the poll loop's deadline reads and so
+// depends on kernel segmentation and scheduling. The contract is the
+// per-rule sequence: rule, kind, op and Occurrence.
 func normalizeEvents(evs []fault.Event) []fault.Event {
 	out := append([]fault.Event(nil), evs...)
 	for i := range out {
 		out[i].Peer = ""
+		out[i].Seq = 0
 	}
 	return out
 }

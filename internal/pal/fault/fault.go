@@ -138,10 +138,16 @@ type Plan struct {
 	Rules []Rule
 }
 
-// Event records one injected fault, in injection order.
+// Event records one injected fault, in injection order. The
+// reproducibility contract is per rule: Rule, Op, Kind and Occurrence
+// repeat for a given plan and seed.
 type Event struct {
-	Seq        uint64 // global operation sequence number at injection
-	Rule       int    // index of the firing rule in the plan
+	// Seq is the injector's global operation count at injection. It
+	// counts every intercepted operation, reads included, and a live
+	// transport's read count is timing-dependent: diagnostic only, not
+	// comparable between runs.
+	Seq        uint64
+	Rule       int // index of the firing rule in the plan
 	Op         Op
 	Kind       Kind
 	Peer       string

@@ -3,8 +3,8 @@
 #
 #   tier 1 (default): build + full test suite — the repo's gate.
 #   tier 2 (-race):   vet + race-enabled tests over the whole tree.
-#   tier 3 (bench):   opt-in sweeps -> BENCH_coll.json + BENCH_oo.json
-#                     + BENCH_async.json.
+#   tier 3 (bench):   opt-in: the repo's one benchmark, every
+#                     workload untraced then traced (benchmark/README.md).
 #   stress tier:      race-enabled concurrency stress/chaos/progress
 #                     tests with GORACE=halt_on_error=1 — the async
 #                     progress engine's acceptance gate.
@@ -29,8 +29,8 @@
 #                     merge round-trip through cmd/mtrace.
 #   gc tier:          the collector gate (docs/GC.md) — the serial vs
 #                     modern differential parity suite and cond-pin
-#                     race regression under -race, a bounded heap-ops
-#                     fuzz smoke, and the quick GC pause benchmark.
+#                     race regression under -race, and a bounded
+#                     heap-ops fuzz smoke.
 #
 # Usage: scripts/verify.sh [quick|race|stress|all|bench|vet|lint|quicken|obs|gc]
 #   quick   tier 1 with -short (chaos sweeps skipped; < ~30s)
@@ -39,9 +39,8 @@
 #           injection, deterministic-harness property/replay tests,
 #           registry snapshot races — all under -race
 #   all     tier 1 then tier 2 then vet (default)
-#   bench   tier 1 quick, then the collective, OO and async-progress
-#           benchmark sweeps (scripts/bench_coll.sh, scripts/bench_oo.sh,
-#           scripts/bench_async.sh); opt-in because timing-sensitive
+#   bench   tier 1 quick, then `go run ./benchmark`; opt-in because
+#           timing-sensitive and minutes long
 #   vet     static checks only: go vet + motor -mode check examples/
 #   lint    motorlint tier only: build cmd/motorlint, run the suite
 #           over ./..., fail on unignored findings
@@ -50,7 +49,7 @@
 #   obs     obs tier only: telemetry smoke, watchdog-on-injected-stall,
 #           merge round-trip, flight-recorder budget
 #   gc      gc tier only: parity + race regression under -race, fuzz
-#           smoke, quick pause benchmark
+#           smoke
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -73,12 +72,8 @@ tier2() {
 }
 
 tier3() {
-	echo "== tier 3: collective benchmark sweep"
-	sh scripts/bench_coll.sh "${BENCH_COLL_RANKS:-4}"
-	echo "== tier 3: OO transport sweep"
-	sh scripts/bench_oo.sh
-	echo "== tier 3: async progress overlap"
-	sh scripts/bench_async.sh
+	echo "== tier 3: go run ./benchmark"
+	go run ./benchmark
 }
 
 # Stress tier: the concurrency acceptance gate for the async progress
@@ -162,7 +157,7 @@ tier_obs() {
 	echo "== obs: watchdog + stitching + parity + flight-recorder tests"
 	go test -count=1 -run 'TestWatchdog|TestStitch|TestMetricsTextJSONParity|TestFlight|TestCycleFlight|TestTelemetryEndpoint|TestMerge' \
 		./internal/obs/ ./internal/mp/
-	go test -count=1 -run 'TestFlightRecorderOverhead|TestJoinTraceExport|TestTraceRoundTrip' .
+	go test -count=1 -tags obsbudget -run 'TestFlightRecorderOverhead|TestJoinTraceExport|TestTraceRoundTrip' .
 
 	dir=$(mktemp -d /tmp/motor-obs.XXXXXX)
 	trap 'rm -rf "$dir"' EXIT
@@ -268,9 +263,8 @@ tier_obs() {
 # stats, and cond-pin decisions; the race regression forces a cond-pin
 # to complete mid-mark from a parked thread; the fuzz smoke replays
 # byte-coded heap-op sequences with invariant checks after every
-# collection (short minimize budget so the smoke stays bounded); and
-# the quick pause benchmark must keep the serial/modern p99 ordering
-# (the committed BENCH_gc.json carries the full-grid >=4x gate).
+# collection (short minimize budget so the smoke stays bounded). Pause
+# times are guarded by the benchmark's gc-churn workload.
 tier_gc() {
 	echo "== gc: differential parity + cond-pin race regression (-race)"
 	GORACE=halt_on_error=1 go test -race -timeout 600s -count=1 \
@@ -279,8 +273,6 @@ tier_gc() {
 	echo "== gc: heap-ops fuzz smoke"
 	go test -count=1 -run FuzzHeapOps -fuzz FuzzHeapOps \
 		-fuzztime 30s -fuzzminimizetime 5s ./internal/vm/
-	echo "== gc: quick pause benchmark"
-	sh scripts/bench_gc.sh quick
 }
 
 # Trace smoke: a traced mpstat run must produce a loadable Chrome
