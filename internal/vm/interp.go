@@ -75,6 +75,13 @@ func (f *callFrame) trap(kind, detail string) *Trap {
 	return &Trap{Kind: kind, Detail: detail, Method: f.method.FullName(), PC: f.pc}
 }
 
+// nonArrayTrap is raised when ldlen/ldelem/stelem meets a class
+// instance that reached it through an untyped slot (a global): its
+// header's length word is 0 and its data is not element storage.
+func (f *callFrame) nonArrayTrap(op string, mt *MethodTable) *Trap {
+	return f.trap("type mismatch", op+" on non-array "+mt.String())
+}
+
 // Call executes a method to completion on this thread and returns its
 // result (zero Value for void methods).
 func (t *Thread) Call(m *Method, args ...Value) (Value, error) {
@@ -442,6 +449,9 @@ func (t *Thread) run(base int) (result Value, err error) {
 			if !arr.IsRef || arr.Bits == 0 {
 				return Value{}, fr.trap("null reference", "ldlen")
 			}
+			if mt := h.MT(arr.Ref()); mt.Kind != TKArray {
+				return Value{}, fr.nonArrayTrap("ldlen", mt)
+			}
 			fr.push(IntValue(int64(h.Length(arr.Ref()))))
 
 		case OpLdElem:
@@ -451,8 +461,11 @@ func (t *Thread) run(base int) (result Value, err error) {
 				return Value{}, fr.trap("null reference", "ldelem")
 			}
 			mt := h.MT(arr.Ref())
-			bits := h.GetElem(arr.Ref(), int(i))
-			fr.push(elemValue(mt.Elem, bits))
+			if mt.Kind != TKArray {
+				return Value{}, fr.nonArrayTrap("ldelem", mt)
+			}
+			h.boundsCheck(arr.Ref(), int(i))
+			fr.push(h.loadElem(h.elemOff(arr.Ref(), mt, int(i)), mt.Elem))
 		case OpStElem:
 			val := fr.pop()
 			i := fr.pop().Int()
@@ -461,10 +474,17 @@ func (t *Thread) run(base int) (result Value, err error) {
 				return Value{}, fr.trap("null reference", "stelem")
 			}
 			mt := h.MT(arr.Ref())
+			if mt.Kind != TKArray {
+				return Value{}, fr.nonArrayTrap("stelem", mt)
+			}
 			if mt.Elem == KindRef && !val.IsRef {
 				return Value{}, fr.trap("type mismatch", "storing scalar into reference array")
 			}
-			h.SetElem(arr.Ref(), int(i), storeBits(mt.Elem, val))
+			h.boundsCheck(arr.Ref(), int(i))
+			h.storeElem(h.elemOff(arr.Ref(), mt, int(i)), mt.Elem, val)
+			if mt.Elem == KindRef {
+				h.recordWrite(arr.Ref(), Ref(val.Bits))
+			}
 
 		case OpLdFld:
 			slot := int(u16(code, operandAt))
@@ -477,12 +497,7 @@ func (t *Thread) run(base int) (result Value, err error) {
 				return Value{}, fr.trap("bad field slot", fmt.Sprintf("%d on %s", slot, mt))
 			}
 			f := &mt.Fields[slot]
-			bits, isRef := h.GetField(obj.Ref(), f)
-			if isRef {
-				fr.push(RefValue(Ref(bits)))
-			} else {
-				fr.push(elemValue(f.Kind(), bits))
-			}
+			fr.push(h.loadElem(h.fieldOff(obj.Ref(), f), f.Kind()))
 		case OpStFld:
 			val := fr.pop()
 			obj := fr.pop()
@@ -498,7 +513,7 @@ func (t *Thread) run(base int) (result Value, err error) {
 			if f.IsRef() && !val.IsRef {
 				return Value{}, fr.trap("type mismatch", "storing scalar into reference field "+f.Name)
 			}
-			h.SetField(obj.Ref(), f, storeBits(f.Kind(), val))
+			h.storeField(obj.Ref(), f, val)
 
 		case OpLdSFld:
 			fr.push(t.vm.GetGlobal(int(u16(code, operandAt))))
@@ -524,30 +539,6 @@ func (t *Thread) run(base int) (result Value, err error) {
 		}
 	}
 	return result, nil
-}
-
-// elemValue widens a raw loaded value of kind k into a stack Value.
-func elemValue(k Kind, bits uint64) Value {
-	switch k {
-	case KindRef:
-		return RefValue(Ref(bits))
-	case KindFloat32:
-		return FloatValue(float64(f32FromBits(uint32(bits))))
-	case KindFloat64:
-		return Value{Bits: bits}
-	default:
-		return Value{Bits: bits}
-	}
-}
-
-// storeBits narrows a stack Value for storage as kind k.
-func storeBits(k Kind, v Value) uint64 {
-	switch k {
-	case KindFloat32:
-		return uint64(f32Bits(float32(v.Float())))
-	default:
-		return v.Bits
-	}
 }
 
 func u16(code []byte, at int) uint16 { return binary.LittleEndian.Uint16(code[at:]) }

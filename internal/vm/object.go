@@ -76,12 +76,12 @@ func (h *Heap) fieldOff(ref Ref, f *FieldDesc) uint32 {
 // GetScalar reads a scalar field as raw uint64 bits (sign-extended
 // for signed kinds, IEEE bits for floats).
 func (h *Heap) GetScalar(ref Ref, f *FieldDesc) uint64 {
-	return h.loadKind(h.fieldOff(ref, f), f.Kind())
+	return h.loadElem(h.fieldOff(ref, f), rawKind(f.Kind())).Bits
 }
 
 // SetScalar writes a scalar field from raw bits.
 func (h *Heap) SetScalar(ref Ref, f *FieldDesc, bits uint64) {
-	h.storeKind(h.fieldOff(ref, f), f.Kind(), bits)
+	h.storeElem(h.fieldOff(ref, f), rawKind(f.Kind()), Value{Bits: bits})
 }
 
 // GetRef reads a reference field.
@@ -98,10 +98,7 @@ func (h *Heap) SetRef(ref Ref, f *FieldDesc, val Ref) {
 
 // GetField reads any field as (bits, isRef).
 func (h *Heap) GetField(ref Ref, f *FieldDesc) (uint64, bool) {
-	if f.IsRef() {
-		return uint64(h.GetRef(ref, f)), true
-	}
-	return h.GetScalar(ref, f), false
+	return h.GetScalar(ref, f), f.IsRef()
 }
 
 // SetField writes any field from (bits, isRef form implied by f).
@@ -111,6 +108,15 @@ func (h *Heap) SetField(ref Ref, f *FieldDesc, bits uint64) {
 		return
 	}
 	h.SetScalar(ref, f, bits)
+}
+
+// storeField is stfld: it narrows a stack Value into field f and
+// applies the write barrier to reference fields.
+func (h *Heap) storeField(ref Ref, f *FieldDesc, v Value) {
+	h.storeElem(h.fieldOff(ref, f), f.Kind(), v)
+	if f.IsRef() {
+		h.recordWrite(ref, Ref(v.Bits))
+	}
 }
 
 // --- array element access ------------------------------------------------
@@ -123,7 +129,7 @@ func (h *Heap) elemOff(ref Ref, mt *MethodTable, i int) uint32 {
 func (h *Heap) GetElem(ref Ref, i int) uint64 {
 	mt := h.MT(ref)
 	h.boundsCheck(ref, i)
-	return h.loadKind(h.elemOff(ref, mt, i), mt.Elem)
+	return h.loadElem(h.elemOff(ref, mt, i), rawKind(mt.Elem)).Bits
 }
 
 // SetElem writes element i of an array from raw bits, applying the
@@ -131,7 +137,7 @@ func (h *Heap) GetElem(ref Ref, i int) uint64 {
 func (h *Heap) SetElem(ref Ref, i int, bits uint64) {
 	mt := h.MT(ref)
 	h.boundsCheck(ref, i)
-	h.storeKind(h.elemOff(ref, mt, i), mt.Elem, bits)
+	h.storeElem(h.elemOff(ref, mt, i), rawKind(mt.Elem), Value{Bits: bits})
 	if mt.Elem == KindRef {
 		h.recordWrite(ref, Ref(bits))
 	}
@@ -163,44 +169,66 @@ func (e *BoundsError) Error() string {
 	return fmt.Sprintf("vm: index %d out of range (length %d) on object %#x", e.Index, e.Length, e.Ref)
 }
 
-// --- scalar load/store by kind -------------------------------------------
+// --- load/store by kind ----------------------------------------------------
 
-func (h *Heap) loadKind(off uint32, k Kind) uint64 {
+// loadElem reads the slot of kind k at arena offset off as a stack
+// Value: integers extended to 64 bits by their signedness, float32
+// widened to float64, references tagged. It is the one load switch
+// behind the element and field instructions of both dispatch engines.
+func (h *Heap) loadElem(off uint32, k Kind) Value {
+	m := h.mem[off:]
 	switch k {
-	case KindBool, KindUint8:
-		return uint64(h.mem[off])
-	case KindInt8:
-		return uint64(int64(int8(h.mem[off])))
-	case KindUint16, KindChar:
-		return uint64(binary.LittleEndian.Uint16(h.mem[off:]))
-	case KindInt16:
-		return uint64(int64(int16(binary.LittleEndian.Uint16(h.mem[off:]))))
-	case KindUint32, KindRef:
-		return uint64(binary.LittleEndian.Uint32(h.mem[off:]))
-	case KindInt32:
-		return uint64(int64(int32(binary.LittleEndian.Uint32(h.mem[off:]))))
 	case KindInt64, KindUint64, KindFloat64:
-		return binary.LittleEndian.Uint64(h.mem[off:])
+		return Value{Bits: binary.LittleEndian.Uint64(m)}
+	case KindInt32:
+		return IntValue(int64(int32(binary.LittleEndian.Uint32(m))))
+	case KindUint32:
+		return Value{Bits: uint64(binary.LittleEndian.Uint32(m))}
+	case KindRef:
+		return RefValue(Ref(binary.LittleEndian.Uint32(m)))
 	case KindFloat32:
-		return uint64(binary.LittleEndian.Uint32(h.mem[off:]))
+		return FloatValue(float64(f32FromBits(binary.LittleEndian.Uint32(m))))
+	case KindBool, KindUint8:
+		return Value{Bits: uint64(m[0])}
+	case KindInt8:
+		return IntValue(int64(int8(m[0])))
+	case KindUint16, KindChar:
+		return Value{Bits: uint64(binary.LittleEndian.Uint16(m))}
+	case KindInt16:
+		return IntValue(int64(int16(binary.LittleEndian.Uint16(m))))
 	default:
 		panic(fmt.Sprintf("vm: load of kind %s", k))
 	}
 }
 
-func (h *Heap) storeKind(off uint32, k Kind, bits uint64) {
+// storeElem narrows v to kind k and writes it at off (no write
+// barrier: callers storing a KindRef slot apply recordWrite).
+func (h *Heap) storeElem(off uint32, k Kind, v Value) {
+	m := h.mem[off:]
 	switch k {
-	case KindBool, KindInt8, KindUint8:
-		h.mem[off] = byte(bits)
-	case KindInt16, KindUint16, KindChar:
-		binary.LittleEndian.PutUint16(h.mem[off:], uint16(bits))
-	case KindInt32, KindUint32, KindRef, KindFloat32:
-		binary.LittleEndian.PutUint32(h.mem[off:], uint32(bits))
 	case KindInt64, KindUint64, KindFloat64:
-		binary.LittleEndian.PutUint64(h.mem[off:], bits)
+		binary.LittleEndian.PutUint64(m, v.Bits)
+	case KindInt32, KindUint32, KindRef:
+		binary.LittleEndian.PutUint32(m, uint32(v.Bits))
+	case KindFloat32:
+		binary.LittleEndian.PutUint32(m, f32Bits(float32(v.Float())))
+	case KindBool, KindInt8, KindUint8:
+		m[0] = byte(v.Bits)
+	case KindInt16, KindUint16, KindChar:
+		binary.LittleEndian.PutUint16(m, uint16(v.Bits))
 	default:
 		panic(fmt.Sprintf("vm: store of kind %s", k))
 	}
+}
+
+// rawKind is the kind under which the raw-bits accessors (GetElem,
+// GetScalar, ...) move a slot: its own, except that float32 travels as
+// its unwidened IEEE single bits.
+func rawKind(k Kind) Kind {
+	if k == KindFloat32 {
+		return KindUint32
+	}
+	return k
 }
 
 // Float64Bits helpers for interpreter and tests.

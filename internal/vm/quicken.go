@@ -19,10 +19,10 @@ import (
 //
 // Soundness note: non-exact static ref types from the verifier are
 // upper bounds only and are NOT trusted for layout decisions; baked
-// field descriptors, baked array layouts and devirtualized calls
-// require an exact type fact (Method.Facts), which flows only from
-// allocation sites. Everything else keeps the baseline's dynamic
-// method-table consultation.
+// field descriptors and devirtualized calls require an exact type fact
+// (Method.Facts), which flows only from allocation sites. Element sites
+// never bake: their layout cache is checked against the receiver's
+// header on every access and an exact fact merely pre-seeds it.
 
 // quickBody is a method's quickened instruction stream. Branch targets
 // are indices into insts; every qinst records the bytecode offset(s)
@@ -33,9 +33,9 @@ type quickBody struct {
 }
 
 // qOp enumerates quickened operations. The set mirrors Op plus fused
-// superinstructions (qCmpBr, qIncLoc, qLdLocFld*, qLdArgCall) and
-// specialized forms (qCallExact, qLdFldD/qStFldD, qLdElemK/qStElemK)
-// that bake verifier-proven exact-type facts.
+// superinstructions (qCmpBr, qIncLoc, qLdLocFld*, qLdArgCall,
+// qLdElemAt) and specialized forms (qCallExact, qLdFldD/qStFldD) that
+// bake verifier-proven exact-type facts.
 type qOp uint8
 
 const (
@@ -100,10 +100,9 @@ const (
 	qNewMD  // mt = multidim array type (rank from mt)
 
 	qLdLen
-	qLdElem    // dynamic: element kind from the receiver's method table
-	qLdElemK   // mt = exact array type (layout baked)
-	qStElem    // dynamic; full store checks
-	qStElemK   // mt = exact array type; b = 1 when the store is verifier-checked
+	qLdElem    // element layout from the site cache (ekey/ekind/esize)
+	qLdElemAt  // fused {ldloc|ldarg|ldsfld} a; ldloc b; [{ldloc t|ldc.i4 C}; add|sub;] ldelem
+	qStElem    // cached layout likewise; b = 1 when the store is verifier-checked
 	qLdFld     // dynamic: a = field slot
 	qLdFldD    // fld = baked descriptor (exact receiver)
 	qLdLocFld  // fused ldloc a; ldfld b (dynamic)
@@ -128,7 +127,19 @@ type qinst struct {
 	// line, not the fusion head's.
 	pc, pc2 int32
 	imm     uint64 // immediate constant bits
-	back    bool   // branch whose target precedes it: GC poll + step charge
+
+	// Element-layout cache of an ldelem/stelem site: type index of the
+	// rank-1 array type last seen here (freeSentinel when empty), its
+	// element kind and size. Keyed on the header's type index, never on
+	// an address, so a moving collection cannot stale it. Filled by
+	// elemLayout; mutated under the execution token, like cmt/cimpl.
+	ekey  uint32
+	ekind Kind
+	esize uint8
+
+	src  Op   // qLdElemAt: the head that names the array a — OpLdLoc, OpLdArg or OpLdSFld
+	k    int8 // qLdElemAt: index = locals[b] + imm + k*locals[t], k in {0, +1, -1}
+	back bool // branch whose target precedes it: GC poll + step charge
 
 	m   *Method
 	mt  *MethodTable
@@ -139,6 +150,21 @@ type qinst struct {
 	// because the VM's execution token serializes managed dispatch.
 	cmt   *MethodTable
 	cimpl *Method
+}
+
+// elemLayout is the miss half of an element access: it resolves mt's
+// element layout and, for rank-1 arrays, refills the site's cache with
+// it; ok is false when mt is not an array type, so nothing else is ever
+// cached. Fed an exact-type fact at quicken time it pre-seeds the cache.
+func (q *qinst) elemLayout(mt *MethodTable) (k Kind, size, base uint32, ok bool) {
+	if mt.Kind != TKArray {
+		return 0, 0, 0, false
+	}
+	k, size, base = mt.Elem, uint32(mt.ElemSize()), arrayDataOff(mt)
+	if base == HeaderSize {
+		q.ekey, q.ekind, q.esize = uint32(mt.Index), k, uint8(size)
+	}
+	return k, size, base, true
 }
 
 // QuickenInfo summarizes one method's quickening for stats.
@@ -223,6 +249,15 @@ func (v *VM) QuickenMethod(m *Method) (QuickenInfo, error) {
 		}
 		return 0
 	}
+	// elemSite starts an element site's cache: empty (no object header
+	// carries freeSentinel), or pre-seeded from an exact array fact. pc2
+	// is the ldelem/stelem's own offset.
+	elemSite := func(q *qinst, pc int) {
+		q.ekey, q.pc2 = freeSentinel, int32(pc)
+		if mt := factExact(pc); mt != nil {
+			q.elemLayout(mt)
+		}
+	}
 	// A raw instruction may be absorbed into a superinstruction only if
 	// no branch lands on it (its offset would have no quickened index).
 	free := func(j int) bool { return j < len(raw) && !targets[raw[j].pc] }
@@ -283,6 +318,33 @@ func (v *VM) QuickenMethod(m *Method) (QuickenInfo, error) {
 				})
 				info.Fused++
 				i += 2
+				continue
+			}
+		}
+
+		// {ldloc A|ldarg A|ldsfld G}; ldloc I; [{ldloc K|ldc.i4 C}; {add|sub};] ldelem  →  qLdElemAt
+		if (r.op == OpLdLoc || r.op == OpLdArg || r.op == OpLdSFld) && free(i+1) && raw[i+1].op == OpLdLoc {
+			q := qinst{op: qLdElemAt, src: r.op, a: int32(r.arg), b: int32(raw[i+1].arg), pc: int32(r.pc)}
+			j := i + 2
+			if free(j) && free(j+1) && (raw[j].op == OpLdcI4 || raw[j].op == OpLdLoc) &&
+				(raw[j+1].op == OpAdd || raw[j+1].op == OpSub) {
+				// int64 wrap-around makes i-C and i+(-C), i-K and i+(-1)*K the same sum.
+				sign := int8(1)
+				if raw[j+1].op == OpSub {
+					sign = -1
+				}
+				if raw[j].op == OpLdcI4 {
+					q.imm = uint64(int64(sign) * int64(raw[j].imm))
+				} else {
+					q.k, q.t = sign, int32(raw[j].arg)
+				}
+				j += 2
+			}
+			if free(j) && raw[j].op == OpLdElem {
+				elemSite(&q, raw[j].pc)
+				insts = append(insts, q)
+				info.Fused++
+				i = j + 1
 				continue
 			}
 		}
@@ -407,14 +469,10 @@ func (v *VM) QuickenMethod(m *Method) (QuickenInfo, error) {
 			q.op = qLdLen
 		case OpLdElem:
 			q.op = qLdElem
-			if mt := factExact(r.pc); mt != nil && mt.Kind == TKArray {
-				q.op, q.mt = qLdElemK, mt
-			}
+			elemSite(&q, r.pc)
 		case OpStElem:
-			q.op = qStElem
-			if mt := factExact(r.pc); mt != nil && mt.Kind == TKArray {
-				q.op, q.mt, q.b = qStElemK, mt, storeChecked(r.pc)
-			}
+			q.op, q.b = qStElem, storeChecked(r.pc)
+			elemSite(&q, r.pc)
 		case OpLdFld:
 			q.op, q.a = qLdFld, int32(r.arg)
 			if mt := factExact(r.pc); mt != nil && mt.Kind == TKClass && r.arg < len(mt.Fields) {

@@ -294,3 +294,35 @@ func TestQuickenDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestQuickenNonArrayTraps is the regression case for a class instance
+// reaching ldlen/ldelem/stelem through an untyped slot (a global, which
+// the verifier types vAny): its header's length word is 0, so ldlen
+// used to answer 0 and ldelem to blame the index. Both engines now trap
+// a type mismatch naming the instruction and the class, at its pc.
+func TestQuickenNonArrayTraps(t *testing.T) {
+	v := testVM()
+	pt := pointClass(v)
+	g := v.AddGlobal("nonarray.obj")
+	stash := func(b *CodeBuilder) *CodeBuilder { return b.NewObj(pt).StSFld(g).LdcI4(0).StLoc(0) }
+	for _, c := range []struct {
+		name   string
+		op     Op
+		detail string
+		body   func(*CodeBuilder) *CodeBuilder
+	}{
+		{"ldlen", OpLdLen, "ldlen on non-array Point",
+			func(b *CodeBuilder) *CodeBuilder { return b.LdSFld(g).Op(OpLdLen) }},
+		{"ldelem", OpLdElem, "ldelem on non-array Point",
+			func(b *CodeBuilder) *CodeBuilder { return b.LdSFld(g).LdcI4(0).Op(OpLdElem) }},
+		{"ldelem_fused", OpLdElem, "ldelem on non-array Point",
+			func(b *CodeBuilder) *CodeBuilder { return b.LdSFld(g).LdLoc(0).Op(OpLdElem) }},
+		{"stelem", OpStElem, "stelem on non-array Point",
+			func(b *CodeBuilder) *CodeBuilder { return b.LdSFld(g).LdcI4(0).LdcI4(1).Op(OpStElem).LdcI4(0) }},
+	} {
+		m := v.AddMethod(nil, c.body(stash(NewCodeBuilder())).RetVal().Build("nonarray_"+c.name, 0, 1, true))
+		mustQuicken(t, v, m)
+		_, err := callBoth(t, v, m)
+		wantTrap(t, err, "type mismatch", c.detail, opPC(t, m, c.op, 0))
+	}
+}

@@ -1,6 +1,9 @@
 package vm
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // The quickened dispatch loop. runQuick executes one frame's quickened
 // body; run() (interp.go) remains the driver, so mixed stacks — a
@@ -385,53 +388,78 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 				fr.pc = int(q.pc)
 				return Value{}, false, false, fr.trap("null reference", "ldlen")
 			}
+			if mt := h.MT(arr.Ref()); mt.Kind != TKArray {
+				fr.stack = stack
+				fr.pc = int(q.pc)
+				return Value{}, false, false, fr.nonArrayTrap("ldlen", mt)
+			}
 			stack = append(stack, IntValue(int64(h.Length(arr.Ref()))))
 
-		case qLdElem, qLdElemK:
-			n := len(stack)
-			i := stack[n-1].Int()
-			arr := stack[n-2]
-			stack = stack[:n-2]
+		case qLdElem, qLdElemAt, qStElem:
+			// One element access for all three forms: gather operands, resolve
+			// the layout through the site cache, bounds-check, load or store.
+			var arr, val Value
+			var i int64
+			switch q.op {
+			case qLdElemAt:
+				switch q.src {
+				case OpLdLoc:
+					arr = locals[q.a]
+				case OpLdArg:
+					arr = args[q.a]
+				default:
+					arr = t.vm.GetGlobal(int(q.a))
+				}
+				i = locals[q.b].Int() + int64(q.imm) + int64(q.k)*locals[q.t].Int()
+			case qLdElem:
+				n := len(stack)
+				arr, i = stack[n-2], stack[n-1].Int()
+				stack = stack[:n-2]
+			default:
+				n := len(stack)
+				arr, i, val = stack[n-3], stack[n-2].Int(), stack[n-1]
+				stack = stack[:n-3]
+			}
 			if !arr.IsRef || arr.Bits == 0 {
 				fr.stack = stack
-				fr.pc = int(q.pc)
-				return Value{}, false, false, fr.trap("null reference", "ldelem")
+				fr.pc = int(q.pc2) // the element instruction faults, not the fusion head
+				return Value{}, false, false, fr.trap("null reference", elemOpName[q.op])
 			}
-			fr.stack = stack
-			fr.pc = int(q.pc) // bounds panic unwinds to run()'s recover
-			mt := q.mt
-			if q.op == qLdElem {
-				mt = h.MT(arr.Ref())
+			ref := uint32(arr.Bits)
+			hdr := h.mem[ref : ref+HeaderSize]
+			n := binary.LittleEndian.Uint32(hdr[hdrLength:])
+			kind, size, base := q.ekind, uint32(q.esize), uint32(HeaderSize)
+			if binary.LittleEndian.Uint32(hdr[hdrMT:]) != q.ekey {
+				mt := h.MT(Ref(ref))
+				var isArray bool
+				if kind, size, base, isArray = q.elemLayout(mt); !isArray {
+					fr.stack = stack
+					fr.pc = int(q.pc2)
+					return Value{}, false, false, fr.nonArrayTrap(elemOpName[q.op], mt)
+				}
 			}
-			h.boundsCheck(arr.Ref(), int(i))
-			bits := h.loadKind(h.elemOff(arr.Ref(), mt, int(i)), mt.Elem)
-			stack = append(stack, elemValue(mt.Elem, bits))
-		case qStElem, qStElemK:
-			n := len(stack)
-			val := stack[n-1]
-			i := stack[n-2].Int()
-			arr := stack[n-3]
-			stack = stack[:n-3]
-			if !arr.IsRef || arr.Bits == 0 {
+			if q.op == qStElem && q.b == 0 && kind == KindRef && !val.IsRef {
 				fr.stack = stack
-				fr.pc = int(q.pc)
-				return Value{}, false, false, fr.trap("null reference", "stelem")
-			}
-			mt := q.mt
-			if q.op == qStElem {
-				mt = h.MT(arr.Ref())
-			}
-			if q.b == 0 && mt.Elem == KindRef && !val.IsRef {
-				fr.stack = stack
-				fr.pc = int(q.pc)
+				fr.pc = int(q.pc2)
 				return Value{}, false, false, fr.trap("type mismatch", "storing scalar into reference array")
 			}
-			fr.stack = stack
-			fr.pc = int(q.pc)
-			h.boundsCheck(arr.Ref(), int(i))
-			h.storeKind(h.elemOff(arr.Ref(), mt, int(i)), mt.Elem, storeBits(mt.Elem, val))
-			if mt.Elem == KindRef {
-				h.recordWrite(arr.Ref(), Ref(val.Bits))
+			if uint64(i) >= uint64(n) {
+				fr.stack = stack
+				fr.pc = int(q.pc2) // the panic unwinds to run()'s recover
+				panic(&BoundsError{Ref: Ref(ref), Index: int(i), Length: int(n)})
+			}
+			off := ref + base + uint32(i)*size
+			if q.op != qStElem {
+				if size == 8 { // int64, uint64, float64: the slot is the stack form
+					stack = append(stack, Value{Bits: binary.LittleEndian.Uint64(h.mem[off:])})
+				} else {
+					stack = append(stack, h.loadElem(off, kind))
+				}
+				break
+			}
+			h.storeElem(off, kind, val)
+			if kind == KindRef {
+				h.recordWrite(Ref(ref), Ref(val.Bits))
 			}
 
 		case qLdFld, qLdFldD:
@@ -452,11 +480,7 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 				}
 				f = &mt.Fields[q.a]
 			}
-			if f.IsRef() {
-				stack = append(stack, RefValue(h.GetRef(obj.Ref(), f)))
-			} else {
-				stack = append(stack, elemValue(f.Kind(), h.GetScalar(obj.Ref(), f)))
-			}
+			stack = append(stack, h.loadElem(h.fieldOff(obj.Ref(), f), f.Kind()))
 		case qLdLocFld, qLdLocFldD:
 			obj := locals[q.a]
 			if !obj.IsRef || obj.Bits == 0 {
@@ -474,11 +498,7 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 				}
 				f = &mt.Fields[q.b]
 			}
-			if f.IsRef() {
-				stack = append(stack, RefValue(h.GetRef(obj.Ref(), f)))
-			} else {
-				stack = append(stack, elemValue(f.Kind(), h.GetScalar(obj.Ref(), f)))
-			}
+			stack = append(stack, h.loadElem(h.fieldOff(obj.Ref(), f), f.Kind()))
 		case qStFld, qStFldD:
 			n := len(stack)
 			val := stack[n-1]
@@ -504,7 +524,7 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 				fr.pc = int(q.pc)
 				return Value{}, false, false, fr.trap("type mismatch", "storing scalar into reference field "+f.Name)
 			}
-			h.SetField(obj.Ref(), f, storeBits(f.Kind(), val))
+			h.storeField(obj.Ref(), f, val)
 
 		case qLdSFld:
 			stack = append(stack, t.vm.GetGlobal(int(q.a)))
@@ -522,6 +542,9 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 	// Fell off the end: void return, as in the baseline loop.
 	return Value{}, false, true, nil
 }
+
+// elemOpName is the source instruction an element-site trap names.
+var elemOpName = [...]string{qLdElem: "ldelem", qLdElemAt: "ldelem", qStElem: "stelem"}
 
 // qpushCall is the shared managed-call tail of the quickened loop:
 // depth check, step-budget charge, frame push and the GC poll — in

@@ -18,7 +18,9 @@
 #   quicken tier:     every masm module under examples/ run under both
 #                     dispatch engines (quickened and -noquicken
 #                     baseline) — both must succeed, and the examples
-#                     self-check their payloads — plus the differential
+#                     self-check their payloads — the valid corpus's
+#                     jacobi array kernel under both engines, which must
+#                     print the same checksum, plus the differential
 #                     property suites, which demand bit-identical
 #                     value/stdout/trap behaviour on deterministic
 #                     programs. The quickening pass's behavioural gate.
@@ -44,8 +46,8 @@
 #   vet     static checks only: go vet + motor -mode check examples/
 #   lint    motorlint tier only: build cmd/motorlint, run the suite
 #           over ./..., fail on unignored findings
-#   quicken quicken tier only: examples under both engines + the
-#           quickening differential tests
+#   quicken quicken tier only: examples and the jacobi array kernel
+#           under both engines + the quickening differential tests
 #   obs     obs tier only: telemetry smoke, watchdog-on-injected-stall,
 #           merge round-trip, flight-recorder budget
 #   gc      gc tier only: parity + race regression under -race, fuzz
@@ -127,7 +129,9 @@ tier_lint() {
 # (docs/QUICKEN.md). Every example module must run to success under
 # both engines (the examples self-check payload integrity and exit
 # nonzero on corruption; their stdout embeds wall-clock timings, so
-# byte comparison is left to the deterministic suites). Then the
+# byte comparison is left to the deterministic suites). The one array
+# kernel, testdata/valid/jacobi.masm, is deterministic and prints its
+# checksum, so its two runs are compared byte for byte. Then the
 # differential property suites — randomized programs + the verifier's
 # valid corpus, both engines compared on value/stdout/trap identity.
 tier_quicken() {
@@ -139,6 +143,18 @@ tier_quicken() {
 		echo "-- $m (-noquicken baseline)"
 		go run ./cmd/motor -np 2 -noquicken "$m"
 	done
+	# jacobi's main returns the checksum bits (the Go differential suite
+	# compares them), which cmd/motor turns into a nonzero exit status:
+	# only the printed checksum is judged here, and it must be present.
+	jacobi=internal/vm/bcverify/testdata/valid/jacobi.masm
+	echo "-- $jacobi (quickened vs -noquicken baseline)"
+	quick=$(go run ./cmd/motor -np 1 "$jacobi" 2>/dev/null || true)
+	base=$(go run ./cmd/motor -np 1 -noquicken "$jacobi" 2>/dev/null || true)
+	if [ -z "$quick" ] || [ "$quick" != "$base" ]; then
+		echo "quicken: $jacobi: quickened printed '$quick', baseline '$base'" >&2
+		exit 1
+	fi
+	echo "   checksum $quick under both engines"
 	echo "== quicken: differential property suites"
 	go test -count=1 -run 'TestQuicken|TestFused|TestConvF2I' \
 		./internal/vm/ ./internal/vm/bcverify/
