@@ -103,7 +103,7 @@ func BenchmarkAblationVisited(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					var err error
-					buf, err = serial.Serialize(v.Heap, head, serial.Options{Visited: mode.m}, buf[:0])
+					buf, err = serial.SerializeStream(v.Heap, head, serial.Options{Visited: mode.m}, buf[:0])
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -246,7 +246,7 @@ func BenchmarkSerializers(b *testing.B) {
 		})
 	}
 	run("Motor", func(v *vm.VM, head vm.Ref) (int, error) {
-		data, err := serial.Serialize(v.Heap, head, serial.Options{}, nil)
+		data, err := serial.SerializeStream(v.Heap, head, serial.Options{}, nil)
 		return len(data), err
 	})
 	run("CLI/SSCLI", func(v *vm.VM, head vm.Ref) (int, error) {

@@ -282,8 +282,7 @@ func (m *motorOORank) Build(elements, totalBytes int) error {
 }
 
 func (m *motorOORank) Probe() error {
-	data, err := serial.Serialize(m.v.Heap, m.v.Handles.Get(m.head), serial.Options{}, nil)
-	_ = data
+	_, err := serial.SerializeStream(m.v.Heap, m.v.Handles.Get(m.head), serial.Options{}, nil)
 	return err
 }
 

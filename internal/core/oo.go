@@ -18,13 +18,13 @@ import (
 // — unlike the regular operations — no pinning is ever needed: the
 // transport only touches native memory (§7.4).
 //
-// Since the v2 stream format (serial/stream.go) the representation is
+// The representation is a chunked stream (serial/stream.go) and is
 // never materialized whole: the sender pipelines — Isend of chunk k
 // overlaps serialization of chunk k+1, with the polling-wait / GC-poll
 // discipline preserved between chunks — and the receiver sizes its
-// buffer per chunk from the probe, so the v1 8-byte size prefix (and
-// its unbounded trust in the wire-claimed size) is gone. Every chunk
-// claim is capped against MaxOOMessage before any allocation.
+// buffer per chunk from the probe, never trusting a whole-message size
+// claim. Every chunk claim is capped against MaxOOMessage before any
+// allocation.
 //
 // Point-to-point streams run the type-table cache: repeated sends of
 // the same class shapes to the same peer transmit 5-byte table
@@ -33,7 +33,7 @@ import (
 // documents the epoch protocol). A sender that emitted at least one
 // table reference therefore waits for the receiver's single ACK/NACK
 // control packet — symmetric ref-bearing OSends between two ranks can
-// deadlock, exactly like v1's symmetric rendezvous sends.
+// deadlock, exactly like symmetric blocking rendezvous sends.
 //
 // The OO message categories travel in reserved tag spaces above
 // MaxUserTag (mp/oo.go), so interleaved OO operations on one comm

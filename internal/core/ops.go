@@ -105,7 +105,7 @@ func (e *Engine) waitBlocking(t *vm.Thread, c *mp.Comm, obj vm.Ref, req *mp.Requ
 	// Watchdog heartbeat for the §7.4 polling-wait. A parked thread
 	// (progress-engine mode) stops pulsing, but the watchdog keys on
 	// wait-entry age, so a lost completion still trips it.
-	obs.BeatEnter(e.lane, op, -1)
+	obs.BeatEnter(e.lane, op, req.Peer())
 	defer obs.BeatExit(e.lane)
 	for {
 		done, st, err = c.Test(req)

@@ -25,8 +25,8 @@ func (e *Engine) opBegin(op obs.OpCode, bytes, peer int) *obs.Tracer {
 }
 
 // opEnd closes a blocking operation's span and feeds the blocking-op
-// latency histogram. A zero duration means the flight recorder
-// sampled the span out — no sample, not a zero-latency op.
+// latency histogram. A zero duration means the span overflowed the
+// lane stack — no sample, not a zero-latency op.
 func (e *Engine) opEnd(tr *obs.Tracer) {
 	if tr != nil {
 		if d := tr.End(e.lane); d > 0 {

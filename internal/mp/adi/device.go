@@ -138,6 +138,10 @@ func (r *Request) Err() error { return r.err }
 // Status returns the receive status (valid once Done).
 func (r *Request) Status() Status { return r.status }
 
+// Peer returns the world rank the request waits on: the destination of
+// a send, the source of a receive (AnySource for a wildcard receive).
+func (r *Request) Peer() int { return r.peer }
+
 // unexpected holds an arrived-but-unmatched message.
 type unexpected struct {
 	hdr     channel.Header
@@ -270,14 +274,9 @@ func (d *Device) newRequest(kind reqKind, buf Buffer, peer, tag int, ctx int32) 
 	d.nextID++
 	req := &Request{id: d.nextID, kind: kind, buf: buf, peer: peer, tag: tag, ctx: ctx}
 	if tr := obs.Active(); tr != nil {
-		// SpanIDFor returns 0 when the flight recorder samples this
-		// request out; the zero also suppresses the completion-time
-		// Span emit, so an elided request costs no clock reads.
-		if id := tr.SpanIDFor(d.rank, obs.KADIReq); id != 0 {
-			req.traceSpan = id
-			req.traceParent = tr.Current(d.rank)
-			req.traceStart = tr.Now()
-		}
+		req.traceSpan = tr.NewSpanID()
+		req.traceParent = tr.Current(d.rank)
+		req.traceStart = tr.Now()
 	}
 	return req
 }

@@ -65,6 +65,10 @@ func (r *Request) Status() Status { return r.comm.status(r.inner.Status()) }
 // Err returns the request's terminal error (valid once Done).
 func (r *Request) Err() error { return r.inner.Err() }
 
+// Peer returns the world rank (not the communicator rank) the request
+// waits on — the numbering the stall watchdog reports — or AnySource.
+func (r *Request) Peer() int { return r.inner.Peer() }
+
 // Comm is a communicator: an isolated context over an ordered group
 // of world ranks.
 type Comm struct {

@@ -29,10 +29,8 @@ import (
 
 // flightOptions is the fixed shape of the always-on ring: small
 // enough that an idle world costs nothing to keep, deep enough to
-// hold the last few thousand events per shard at dump time. SampleN 1
-// keeps armed windows at full fidelity; the duty cycle, not per-event
-// elision, enforces the budget.
-var flightOptions = Options{Shards: 4, ShardSize: 1 << 12, Flight: true, SampleN: 1}
+// hold the last few thousand events per shard at dump time.
+var flightOptions = Options{Shards: 4, ShardSize: 1 << 12, Flight: true}
 
 // flightRec is the process flight recorder, armed or not. FlightDump
 // reads it instead of Active so a recorder sitting in a duty-cycle

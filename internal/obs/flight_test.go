@@ -91,76 +91,6 @@ func TestCycleFlight(t *testing.T) {
 	waitState(nil, "quiescence after retirement")
 }
 
-// TestFlightSampling checks the flight ring's sampling: 1-in-N for
-// high-frequency spans AND instants (they share the lane tick), while
-// rare diagnostic kinds are always kept.
-func TestFlightSampling(t *testing.T) {
-	tr := NewTracer(Options{Shards: 1, Flight: true, SampleN: 4})
-	for i := 0; i < 100; i++ { // lane ticks 1..100: 25 kept
-		tr.Begin(0, KOp, uint64(OpSend))
-		tr.End(0)
-	}
-	for i := 0; i < 10; i++ { // lane ticks 101..110: 104, 108 kept
-		tr.Instant(0, KEdge, uint64(EdgeSend), PackCorr(0, 1, uint32(i+1)))
-	}
-	for i := 0; i < 10; i++ { // not a sampled kind: all kept, no ticks
-		tr.Begin(0, KColl, uint64(OpBarrier))
-		tr.End(0)
-	}
-	for i := 0; i < 10; i++ { // rare diagnostic instant: all kept
-		tr.Instant(0, KCondPin, 1, uint64(i))
-	}
-	var ops, edges, colls, pins int
-	for _, ev := range tr.Events() {
-		switch ev.Kind {
-		case KOp:
-			ops++
-		case KEdge:
-			edges++
-		case KColl:
-			colls++
-		case KCondPin:
-			pins++
-		}
-	}
-	if ops != 25 {
-		t.Fatalf("sampled KOp spans = %d, want 25 (1 in 4 of 100)", ops)
-	}
-	if edges != 2 {
-		t.Fatalf("sampled KEdge instants = %d, want 2 (lane ticks 104 and 108)", edges)
-	}
-	if colls != 10 {
-		t.Fatalf("KColl spans = %d, want all 10 kept (not a sampled kind)", colls)
-	}
-	if pins != 10 {
-		t.Fatalf("KCondPin instants = %d, want all 10 kept (rare diagnostic)", pins)
-	}
-	// Elisions are credited in batches of SampleN-1 on each kept
-	// event: 25 kept spans and 2 kept instants have completed their
-	// periods → 27*3; the two partial instant periods trail.
-	if got := tr.StatsSnapshot().SampledSpans; got != 81 {
-		t.Fatalf("SampledSpans = %d, want 81 (27 completed periods x 3)", got)
-	}
-	// A sampled-out span reads no clock: End reports 0, which callers
-	// treat as "no histogram sample".
-	tr.Begin(0, KOp, uint64(OpSend))
-	if d := tr.End(0); d != 0 {
-		t.Fatalf("sampled-out span returned duration %d, want 0", d)
-	}
-
-	// Async spans pre-sample at id allocation on the lane tick: one of
-	// any SampleN consecutive allocations survives.
-	var kept int
-	for i := 0; i < 4; i++ {
-		if tr.SpanIDFor(0, KADIReq) != 0 {
-			kept++
-		}
-	}
-	if kept != 1 {
-		t.Fatalf("SpanIDFor kept %d of 4 async spans, want 1", kept)
-	}
-}
-
 func TestFlightDump(t *testing.T) {
 	if Active() != nil {
 		t.Fatal("tracer already active at test start")
@@ -175,8 +105,7 @@ func TestFlightDump(t *testing.T) {
 	}
 
 	f := StartFlight()
-	// Edges are sampled in flight mode; emit a full sampling period so
-	// at least one survives into the dump.
+	// A handful of edges for the dump to carry.
 	for i := 1; i <= 16; i++ {
 		f.Instant(0, KEdge, uint64(EdgeSend), PackCorr(0, 1, uint32(i)), 0, 8)
 	}

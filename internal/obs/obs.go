@@ -223,7 +223,6 @@ type openSpan struct {
 	id     uint64
 	parent uint64
 	kind   Kind
-	skip   bool // flight-mode sampling elided this span's emit
 	ts     int64
 	args   [4]uint64
 }
@@ -235,14 +234,7 @@ type lane struct {
 	stack    [spanDepth]openSpan
 	depth    int
 	overflow int
-	tick     uint32 // flight-mode sampling counter (spans + instants)
-	// sampled counts this lane's flight-elided events. Per-lane, and
-	// credited in sampleN-1 batches on the kept event (which already
-	// pays for a clock read and a ring write), so the elided fast path
-	// performs no atomic at all. The count trails by up to one partial
-	// sampling period per lane.
-	sampled atomic.Uint64
-	_       [28]byte // keep lanes off each other's cache lines
+	_        [48]byte // keep lanes off each other's cache lines
 }
 
 const shardSize = 1 << 14 // default events per shard (power of two)
@@ -263,14 +255,9 @@ type Tracer struct {
 	spanID atomic.Uint64
 	lanes  []lane
 
-	// Flight mode: the always-on second ring. Smaller shards, and
-	// high-frequency spans and instants are emitted 1-in-sampleN
-	// (low-frequency events — GC, collectives, conditional-pin
-	// resolutions — are always kept). sampleN is a power of two so the
-	// per-event decision is a mask, not a divide.
-	flight     bool
-	sampleN    uint32
-	sampleMask uint32 // sampleN - 1
+	// flight marks the always-on second ring (flight.go): smaller
+	// shards, duty-cycle armed, displaced by a full session.
+	flight bool
 
 	hists [HistCount]Histogram
 }
@@ -283,13 +270,8 @@ type Options struct {
 	// ShardSize is the events-per-shard ring capacity (rounded up to
 	// a power of two; default 16Ki).
 	ShardSize int
-	// Flight marks the tracer as a flight recorder: high-frequency
-	// spans and instants are sampled 1-in-SampleN; rare diagnostic
-	// events are always kept.
+	// Flight marks the tracer as a flight recorder (flight.go).
 	Flight bool
-	// SampleN is the flight-mode sampling period (rounded up to a
-	// power of two; default 16).
-	SampleN int
 }
 
 // NewTracer builds a tracer without publishing it; use Start to make
@@ -311,23 +293,13 @@ func NewTracer(opts Options) *Tracer {
 	for sz < size {
 		sz <<= 1
 	}
-	sampleN := opts.SampleN
-	if sampleN <= 0 {
-		sampleN = 16
-	}
-	sn := 1
-	for sn < sampleN {
-		sn <<= 1
-	}
 	t := &Tracer{
-		start:      time.Now(),
-		shards:     make([]*shard, p),
-		mask:       uint64(p - 1),
-		size:       uint64(sz),
-		flight:     opts.Flight,
-		sampleN:    uint32(sn),
-		sampleMask: uint32(sn - 1),
-		lanes:      make([]lane, maxLanes),
+		start:  time.Now(),
+		shards: make([]*shard, p),
+		mask:   uint64(p - 1),
+		size:   uint64(sz),
+		flight: opts.Flight,
+		lanes:  make([]lane, maxLanes),
 	}
 	for i := range t.shards {
 		t.shards[i] = &shard{buf: make([]Event, sz)}
@@ -336,33 +308,8 @@ func NewTracer(opts Options) *Tracer {
 }
 
 // Flight reports whether this tracer is the always-on flight
-// recorder (sampled spans) rather than a full trace session.
+// recorder rather than a full trace session.
 func (t *Tracer) Flight() bool { return t.flight }
-
-// sampledKind reports whether a span kind is subject to flight-mode
-// sampling. High-frequency per-message spans are sampled; collection
-// and collective spans are rare and diagnostic gold, so they are
-// always kept.
-func sampledKind(k Kind) bool {
-	switch k {
-	case KOp, KWait, KADIReq, KCollStep, KChunk, KSerial:
-		return true
-	}
-	return false
-}
-
-// sampledInstant reports whether an instant kind is subject to
-// flight-mode sampling. Per-message instants (pin decisions, channel
-// frames, message edges) fire several times per message and would
-// dominate the always-on budget; rare diagnostics (conditional-pin
-// resolutions) are always kept.
-func sampledInstant(k Kind) bool {
-	switch k {
-	case KPin, KFrame, KEdge:
-		return true
-	}
-	return false
-}
 
 // active is the process-wide tracer; nil when tracing is disabled.
 var active atomic.Pointer[Tracer]
@@ -431,27 +378,8 @@ func Stop(t *Tracer) {
 // Now returns nanoseconds since the trace started (monotonic clock).
 func (t *Tracer) Now() int64 { return int64(time.Since(t.start)) }
 
-// NewSpanID allocates a process-unique span id.
+// NewSpanID allocates a process-unique span id (never 0).
 func (t *Tracer) NewSpanID() uint64 { return t.spanID.Add(1) }
-
-// SpanIDFor allocates a span id for an async span (one later emitted
-// via Span rather than Begin/End), returning 0 when flight-mode
-// sampling elides that span. A zero return tells the caller to skip
-// all of its per-span bookkeeping — timestamp capture, parent lookup,
-// and the completion-time Span call — not just the ring write. The
-// sampling decision rides the rank's lane tick, so the elided path
-// touches no process-shared state.
-func (t *Tracer) SpanIDFor(rank int, kind Kind) uint64 {
-	if t.flight && sampledKind(kind) {
-		l := t.laneOf(rank)
-		l.tick++
-		if l.tick&t.sampleMask != 0 {
-			return 0
-		}
-		l.sampled.Add(uint64(t.sampleMask))
-	}
-	return t.spanID.Add(1)
-}
 
 // laneOf clamps a world rank onto the lane table.
 func (t *Tracer) laneOf(rank int) *lane {
@@ -480,18 +408,8 @@ func (t *Tracer) Current(rank int) uint64 {
 }
 
 // Instant records a zero-duration event under the lane's current
-// span. In flight mode high-frequency instant kinds share the lane's
-// 1-in-sampleN tick with spans; a sampled-out instant costs one lane
-// counter increment and nothing else — no clock read, no ring write.
+// span.
 func (t *Tracer) Instant(rank int, kind Kind, args ...uint64) {
-	if t.flight && sampledInstant(kind) {
-		l := t.laneOf(rank)
-		l.tick++
-		if l.tick&t.sampleMask != 0 {
-			return
-		}
-		l.sampled.Add(uint64(t.sampleMask))
-	}
 	ev := Event{TS: t.Now(), Lane: int32(rank), Kind: kind, Parent: t.Current(rank)}
 	copyArgs(&ev, args)
 	t.Emit(ev)
@@ -500,35 +418,17 @@ func (t *Tracer) Instant(rank int, kind Kind, args ...uint64) {
 // Begin opens a nested span on the rank's lane. Every Begin must be
 // matched by an End on the same lane (use defer on error-prone
 // paths); the event is emitted at End with the measured duration.
-//
-// Flight-mode fast path: a sampled-out span skips the clock read and
-// span-id allocation entirely — the always-on budget allows roughly
-// two clock reads per message, so Begin/End of an elided span must
-// cost only the stack push/pop.
 func (t *Tracer) Begin(rank int, kind Kind, args ...uint64) {
 	l := t.laneOf(rank)
 	if l.depth == spanDepth {
 		l.overflow++
 		return
 	}
-	var sp openSpan
-	if t.flight && sampledKind(kind) {
-		l.tick++
-		if l.tick&t.sampleMask != 0 {
-			sp.skip = true
-		} else {
-			l.sampled.Add(uint64(t.sampleMask))
-		}
+	sp := openSpan{id: t.NewSpanID(), kind: kind, ts: t.Now()}
+	if l.depth > 0 {
+		sp.parent = l.stack[l.depth-1].id
 	}
-	sp.kind = kind
-	if !sp.skip {
-		sp.id = t.NewSpanID()
-		sp.ts = t.Now()
-		if l.depth > 0 {
-			sp.parent = l.stack[l.depth-1].id
-		}
-		copy(sp.args[:], args)
-	}
+	copy(sp.args[:], args)
 	l.stack[l.depth] = sp
 	l.depth++
 }
@@ -547,12 +447,6 @@ func (t *Tracer) End(rank int) int64 {
 	}
 	l.depth--
 	sp := l.stack[l.depth]
-	if sp.skip {
-		// Sampled out in flight mode: no clock was read at Begin and
-		// none is read here. Callers treat a zero return as "no
-		// sample" — flight-mode histograms are 1-in-sampleN sampled.
-		return 0
-	}
 	dur := t.Now() - sp.ts
 	t.Emit(Event{
 		TS: sp.ts, Dur: dur, Lane: int32(rank), Kind: sp.kind,
@@ -565,9 +459,7 @@ func (t *Tracer) End(rank int) int64 {
 // Span emits a complete span with explicit timing and identity — the
 // form used for ADI requests, whose lifetime does not nest inside the
 // lane's span stack (a request posted under one op can complete under
-// another, or under no op at all). Flight-mode sampling of async
-// spans happens at id allocation (SpanIDFor), not here: by emit time
-// the caller has already paid the bookkeeping.
+// another, or under no op at all).
 func (t *Tracer) Span(rank int, kind Kind, id, parent uint64, startTS int64, args ...uint64) {
 	ev := Event{
 		TS: startTS, Dur: t.Now() - startTS, Lane: int32(rank), Kind: kind,
@@ -640,20 +532,16 @@ type ShardStats struct {
 }
 
 // TracerStats is the tracer's own health snapshot: per-shard ring
-// pressure plus flight-mode sampling activity.
+// pressure.
 type TracerStats struct {
-	Shards       []ShardStats
-	Dropped      uint64 // total overwritten events
-	Flight       uint64 // 1 when this is the flight recorder
-	SampledSpans uint64 // flight-elided spans + instants (batched; trails by <1 period per lane)
+	Shards  []ShardStats
+	Dropped uint64 // total overwritten events
+	Flight  uint64 // 1 when this is the flight recorder
 }
 
-// StatsSnapshot captures the tracer's ring and sampling counters.
+// StatsSnapshot captures the tracer's ring counters.
 func (t *Tracer) StatsSnapshot() TracerStats {
 	st := TracerStats{Shards: make([]ShardStats, len(t.shards))}
-	for i := range t.lanes {
-		st.SampledSpans += t.lanes[i].sampled.Load()
-	}
 	if t.flight {
 		st.Flight = 1
 	}

@@ -98,7 +98,7 @@ func TestMetricsTextJSONParity(t *testing.T) {
 				fields = append(fields, f.Name)
 			}
 			joined := strings.Join(fields, ",")
-			for _, want := range []string{"Dropped", "Flight", "SampledSpans", "WatchdogFires", "Shard0.Events", "Shard0.Wraps"} {
+			for _, want := range []string{"Dropped", "Flight", "WatchdogFires", "Shard0.Events", "Shard0.Wraps"} {
 				if !strings.Contains(joined, want) {
 					t.Fatalf("obs group lacks %s field: %v", want, fields)
 				}

@@ -112,7 +112,6 @@ func (t *Tracer) statsFields() []Field {
 	out := []Field{
 		{Name: "Dropped", Value: st.Dropped},
 		{Name: "Flight", Value: st.Flight},
-		{Name: "SampledSpans", Value: st.SampledSpans},
 		{Name: "WatchdogFires", Value: WatchdogFires()},
 	}
 	for i, sh := range st.Shards {

@@ -3,23 +3,19 @@ package serial
 import (
 	"math/rand"
 	"testing"
-
-	"motor/internal/vm"
 )
 
 // TestDeserializeNeverPanics feeds the reader random garbage and
-// random mutations of valid representations: every input must return
-// an error or a valid object, never panic — a transport can deliver
-// anything.
+// random mutations of a valid many-section stream (a small chunk
+// target interleaves table and data sections, so mutations land on
+// section boundaries): every input must return an error or a valid
+// object, never panic — a transport can deliver anything.
 func TestDeserializeNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	v := newVM()
 	mt := linkedArrayTypes(v)
 	head := buildList(v, mt, 5, 3)
-	valid, err := Serialize(v.Heap, head, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	valid := concatChunks(collectStream(t, NewStreamWriter(v.Heap, head, Options{}, 48, nil)))
 
 	tryOne := func(data []byte) {
 		defer func() {
@@ -29,7 +25,7 @@ func TestDeserializeNeverPanics(t *testing.T) {
 		}()
 		dst := newVM()
 		linkedArrayTypes(dst)
-		_, _ = Deserialize(dst, data)
+		_, _ = DeserializeStream(dst, data)
 	}
 
 	// Pure garbage.
@@ -64,10 +60,7 @@ func TestGatherPartsNeverPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	v := newVM()
 	arr, _ := v.Heap.NewInt32Array([]int32{1, 2, 3, 4})
-	parts, err := SerializeSplit(v.Heap, arr, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	parts := splitParts(t, v.Heap, arr, 2, Options{})
 	for i := 0; i < 200; i++ {
 		mutated := make([][]byte, len(parts))
 		for j := range parts {
@@ -86,9 +79,7 @@ func TestGatherPartsNeverPanic(t *testing.T) {
 				}
 			}()
 			dst := newVM()
-			_, _ = DeserializeGather(dst, mutated)
+			_, _ = gatherParts(dst, mutated)
 		}()
 	}
 }
-
-var _ = vm.NullRef

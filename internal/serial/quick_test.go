@@ -48,11 +48,11 @@ func TestQuickRandomClassShapes(t *testing.T) {
 			src.Heap.SetScalar(obj, f, bits)
 			want[i] = src.Heap.GetScalar(obj, f) // store-then-load normalizes
 		}
-		data, err := Serialize(src.Heap, obj, Options{Visited: VisitedMode(iter % 2)}, nil)
+		data, err := SerializeStream(src.Heap, obj, Options{Visited: VisitedMode(iter % 2)}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := Deserialize(dst, data)
+		out, err := DeserializeStream(dst, data)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -85,12 +85,12 @@ func TestQuickRandomArrays(t *testing.T) {
 			src.Heap.SetElem(arr, i, rng.Uint64())
 			want[i] = src.Heap.GetElem(arr, i)
 		}
-		data, err := Serialize(src.Heap, arr, Options{}, nil)
+		data, err := SerializeStream(src.Heap, arr, Options{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dst := newVM()
-		out, err := Deserialize(dst, data)
+		out, err := DeserializeStream(dst, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,12 +108,12 @@ func TestQuickRandomArrays(t *testing.T) {
 func TestEmptyArrayRoundtrip(t *testing.T) {
 	src := newVM()
 	arr, _ := src.Heap.NewInt32Array(nil)
-	data, err := Serialize(src.Heap, arr, Options{}, nil)
+	data, err := SerializeStream(src.Heap, arr, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := newVM()
-	out, err := Deserialize(dst, data)
+	out, err := DeserializeStream(dst, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +145,12 @@ func TestJaggedObjectArrays(t *testing.T) {
 	src.RemoveRootProvider(guard)
 	outer = guard.refs[0]
 
-	data, err := Serialize(src.Heap, outer, Options{}, nil)
+	data, err := SerializeStream(src.Heap, outer, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := newVM()
-	out, err := Deserialize(dst, data)
+	out, err := DeserializeStream(dst, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +168,12 @@ func TestJaggedObjectArrays(t *testing.T) {
 func TestSerializeIntoRecycledBuffer(t *testing.T) {
 	src := newVM()
 	arr, _ := src.Heap.NewInt32Array([]int32{1, 2, 3})
-	first, err := Serialize(src.Heap, arr, Options{}, nil)
+	first, err := SerializeStream(src.Heap, arr, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Reuse the buffer: result must be identical.
-	second, err := Serialize(src.Heap, arr, Options{}, first[:0])
+	second, err := SerializeStream(src.Heap, arr, Options{}, first[:0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,46 +182,47 @@ func TestSerializeIntoRecycledBuffer(t *testing.T) {
 	}
 }
 
-func TestObjectCountErrors(t *testing.T) {
-	if _, err := ObjectCount(nil); err == nil {
-		t.Error("nil accepted")
-	}
-	if _, err := ObjectCount([]byte("shortandwrong")); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
+// TestSplitErrors covers the split/gather failure paths that
+// TestStreamPartErrors (null and class roots) does not: inverted and
+// negative part ranges, and every GatherRefs rejection.
 func TestSplitErrors(t *testing.T) {
 	v := newVM()
-	if _, err := SerializeSplit(v.Heap, vm.NullRef, 2, Options{}); err == nil {
-		t.Error("null split accepted")
-	}
+	h := v.Heap
 	mt := linkedArrayTypes(v)
-	node, _ := v.Heap.AllocClass(mt)
-	if _, err := SerializeSplit(v.Heap, node, 2, Options{}); err == nil {
-		t.Error("non-array split accepted")
+	node, _ := h.AllocClass(mt)
+	ints, _ := h.NewInt32Array([]int32{1, 2})
+	floats, _ := h.NewFloat64Array([]float64{1})
+	for _, r := range [][2]int{{1, 0}, {-1, 1}} {
+		if _, err := NewStreamWriterPart(h, ints, r[0], r[1], Options{}, 0); err == nil {
+			t.Errorf("part range [%d,%d) accepted", r[0], r[1])
+		}
 	}
-	arr, _ := v.Heap.NewInt32Array([]int32{1})
-	if _, err := SerializeSplit(v.Heap, arr, 0, Options{}); err == nil {
-		t.Error("zero parts accepted")
-	}
-	if _, err := DeserializeGather(v, nil); err == nil {
-		t.Error("empty gather accepted")
+	for name, subs := range map[string][]vm.Ref{
+		"empty gather":    nil,
+		"null part":       {ints, vm.NullRef},
+		"non-array part":  {node},
+		"mixed elem type": {ints, floats},
+	} {
+		if _, err := GatherRefs(v, subs); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
 func TestSplitMorePartsThanElements(t *testing.T) {
 	v := newVM()
 	arr, _ := v.Heap.NewInt32Array([]int32{7, 8})
-	parts, err := SerializeSplit(v.Heap, arr, 5, Options{})
+	parts := splitParts(t, v.Heap, arr, 5, Options{})
+	dst := newVM()
+	// Parts 2..4 cover the empty range [2,2) and still round-trip.
+	empty, err := DeserializeStream(dst, parts[4])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parts) != 5 {
-		t.Fatalf("%d parts", len(parts))
+	if n := dst.Heap.Length(empty); n != 0 {
+		t.Fatalf("empty part has length %d", n)
 	}
-	dst := newVM()
-	whole, err := DeserializeGather(dst, parts)
+	whole, err := gatherParts(dst, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,10 @@ import (
 	"motor/internal/vm"
 )
 
-// The reader: parses a representation, resolves the type table
-// against the receiving VM's registry, allocates the objects, and
-// rewires local ids back into references. The record machinery is
-// shared between the v1 one-shot Deserialize and the v2 StreamReader:
-// allocRecord consumes one record — validating the payload's presence
+// The reader: resolves type entries against the receiving VM's
+// registry, allocates the objects, and rewires local ids back into
+// references. StreamReader drives it record by record: allocRecord
+// consumes one record — validating the payload's presence
 // before sizing any managed allocation from wire-claimed lengths,
 // then filling simple payloads and scalar fields immediately — and
 // fillRefs runs once at the end, rewiring only reference slots (ids
@@ -194,25 +193,8 @@ func (r *reader) parseOneType() (wireType, error) {
 	}
 }
 
-// parseTypeTable resolves the v1 inline type table.
-func (r *reader) parseTypeTable() error {
-	count, err := r.u16()
-	if err != nil {
-		return err
-	}
-	r.types = make([]wireType, count)
-	for i := 0; i < int(count); i++ {
-		wt, err := r.parseOneType()
-		if err != nil {
-			return err
-		}
-		r.types[i] = wt
-	}
-	return nil
-}
-
 // parseEntry resolves one standalone (length-delimited) type entry —
-// the v2 table-section / table-blob form.
+// the table-section / table-blob form.
 func parseEntry(v *vm.VM, raw []byte) (wireType, error) {
 	tr := &reader{v: v, data: raw, limit: len(raw)}
 	wt, err := tr.parseOneType()
@@ -385,57 +367,4 @@ func (r *reader) fillRefs() error {
 		}
 	}
 	return nil
-}
-
-// Deserialize reconstructs the object tree from a v1 representation
-// and returns the root reference.
-func Deserialize(v *vm.VM, data []byte) (vm.Ref, error) {
-	r := &reader{v: v, data: data, limit: len(data)}
-	m, err := r.u32()
-	if err != nil {
-		return vm.NullRef, err
-	}
-	if m != magic {
-		return vm.NullRef, r.fail("bad magic %#x", m)
-	}
-	ver, err := r.u8()
-	if err != nil {
-		return vm.NullRef, err
-	}
-	if ver != version {
-		return vm.NullRef, r.fail("version %d", ver)
-	}
-	r.pos += 3 // pad
-	rootID, err := r.u32()
-	if err != nil {
-		return vm.NullRef, err
-	}
-	objCount, err := r.u32()
-	if err != nil {
-		return vm.NullRef, err
-	}
-	// Plausibility: every object record needs at least a 2-byte type
-	// index, so the count cannot exceed the remaining input. This
-	// bounds allocation against hostile or corrupt representations.
-	if int64(objCount) > int64(len(r.data)) {
-		return vm.NullRef, r.fail("object count %d exceeds input size %d", objCount, len(r.data))
-	}
-	if err := r.parseTypeTable(); err != nil {
-		return vm.NullRef, err
-	}
-
-	v.AddRootProvider(r)
-	defer v.RemoveRootProvider(r)
-
-	r.refs = make([]vm.Ref, 0, objCount)
-	r.records = make([]objRecord, 0, objCount)
-	for i := 0; i < int(objCount); i++ {
-		if err := r.allocRecord(); err != nil {
-			return vm.NullRef, err
-		}
-	}
-	if err := r.fillRefs(); err != nil {
-		return vm.NullRef, err
-	}
-	return r.resolve(rootID)
 }

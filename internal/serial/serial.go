@@ -12,11 +12,12 @@
 //   - arrays of objects travel together with their element objects;
 //   - arrays of simple types travel as raw element data.
 //
-// To support scatter/gather of object arrays, the serializer can emit
-// a SPLIT representation: many standalone parts, each with its own
-// type table and each individually deserializable at the receiving
-// end — the capability the standard Java/CLI serializers lack
-// (paper §2.4, §7.5).
+// The representation has one wire format, the chunked stream of
+// stream.go. To support scatter/gather of object arrays, the
+// serializer can emit a SPLIT representation (NewStreamWriterPart):
+// many standalone parts, each with its own type table and each
+// individually deserializable at the receiving end — the capability
+// the standard Java/CLI serializers lack (paper §2.4, §7.5).
 //
 // The visited-object structure is selectable: VisitedLinear is the
 // paper's implementation ("a linear structure to record objects
@@ -32,11 +33,8 @@ import (
 	"motor/internal/vm"
 )
 
-// Wire format constants.
+// Type-entry kinds.
 const (
-	magic   = 0x4D53_4552 // "MSER"
-	version = 1
-
 	kindClassEntry = 0
 	kindArrayEntry = 1
 )
@@ -241,20 +239,6 @@ func (w *writer) scalar(k vm.Kind, bits uint64) {
 	w.objData = append(w.objData, b[:k.Size()]...)
 }
 
-// finish assembles header + type table + object data.
-func (w *writer) finish(rootID uint32, out []byte) []byte {
-	out = appendU32(out, magic)
-	out = append(out, version, 0, 0, 0)
-	out = appendU32(out, rootID)
-	out = appendU32(out, w.nextID-1) // object count
-	// Type table.
-	out = appendU16(out, uint16(len(w.types)))
-	for _, mt := range w.types {
-		out = appendTypeEntry(out, mt)
-	}
-	return append(out, w.objData...)
-}
-
 func appendU16(b []byte, v uint16) []byte { return append(b, byte(v), byte(v>>8)) }
 
 func appendU32(b []byte, v uint32) []byte {
@@ -295,28 +279,4 @@ func appendTypeEntry(b []byte, mt *vm.MethodTable) []byte {
 		b = append(b, byte(f.Kind()), flags)
 	}
 	return b
-}
-
-// Serialize flattens the object tree rooted at root into out
-// (appended; pass nil or a recycled buffer). The returned slice is
-// the complete representation.
-func Serialize(h *vm.Heap, root vm.Ref, opts Options, out []byte) ([]byte, error) {
-	w := newWriter(h, opts)
-	rootID := w.assign(root)
-	for len(w.pending) > 0 {
-		ref := w.pending[0]
-		w.pending = w.pending[1:]
-		if err := w.emit(ref); err != nil {
-			return nil, err
-		}
-	}
-	return w.finish(rootID, out), nil
-}
-
-// ObjectCount reports how many objects a representation carries.
-func ObjectCount(data []byte) (int, error) {
-	if len(data) < 16 || binary.LittleEndian.Uint32(data) != magic {
-		return 0, ErrFormat
-	}
-	return int(binary.LittleEndian.Uint32(data[12:])), nil
 }

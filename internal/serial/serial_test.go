@@ -1,6 +1,8 @@
 package serial
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -75,13 +77,10 @@ func TestRoundtripSingleObjectNullsRefs(t *testing.T) {
 	mt := linkedArrayTypes(src)
 	head := buildList(src, mt, 3, 4)
 
-	data, err := Serialize(src.Heap, head, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, objects := serializeCounted(t, src.Heap, head)
 	dst := newVM()
 	dmt := linkedArrayTypes(dst)
-	out, err := Deserialize(dst, data)
+	out, err := DeserializeStream(dst, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +111,18 @@ func TestRoundtripSingleObjectNullsRefs(t *testing.T) {
 	if count != 3 {
 		t.Errorf("list length %d", count)
 	}
-	n, err := ObjectCount(data)
-	if err != nil || n != 6 { // 3 nodes + 3 arrays
-		t.Errorf("object count %d err %v", n, err)
+	if objects != 6 { // 3 nodes + 3 arrays
+		t.Errorf("object count %d", objects)
 	}
+}
+
+// serializeCounted streams the tree rooted at root into one buffer and
+// reports how many objects the stream carries.
+func serializeCounted(t *testing.T, h *vm.Heap, root vm.Ref) ([]byte, int) {
+	t.Helper()
+	sw := NewStreamWriter(h, root, Options{}, 0, nil)
+	data := concatChunks(collectStream(t, sw))
+	return data, sw.ObjectCount()
 }
 
 func TestSharedObjectPreserved(t *testing.T) {
@@ -140,17 +147,13 @@ func TestSharedObjectPreserved(t *testing.T) {
 	h.SetRef(b, fArr, guard.refs[2])
 	v.RemoveRootProvider(guard)
 
-	data, err := Serialize(h, a, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, _ := ObjectCount(data)
+	data, n := serializeCounted(t, h, a)
 	if n != 3 { // a, b, shared — not 4
 		t.Errorf("object count %d (shared object duplicated?)", n)
 	}
 	dst := newVM()
 	dmt := linkedArrayTypes(dst)
-	out, err := Deserialize(dst, data)
+	out, err := DeserializeStream(dst, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +182,13 @@ func TestCycleSerialization(t *testing.T) {
 	h.SetRef(b, fNext, a) // cycle
 	v.RemoveRootProvider(guard)
 
-	data, err := Serialize(h, a, Options{}, nil)
+	data, err := SerializeStream(h, a, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := newVM()
 	dmt := linkedArrayTypes(dst)
-	out, err := Deserialize(dst, data)
+	out, err := DeserializeStream(dst, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,13 +216,13 @@ func TestObjectArrayTravelsWithElements(t *testing.T) {
 	arr = guard.refs[0]
 	v.RemoveRootProvider(guard)
 
-	data, err := Serialize(h, arr, Options{}, nil)
+	data, err := SerializeStream(h, arr, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := newVM()
 	dmt := linkedArrayTypes(dst)
-	out, err := Deserialize(dst, data)
+	out, err := DeserializeStream(dst, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,12 +244,12 @@ func TestObjectArrayTravelsWithElements(t *testing.T) {
 func TestSimpleArrayRoundtrip(t *testing.T) {
 	v := newVM()
 	ref, _ := v.Heap.NewFloat64Array([]float64{1.5, -2.25, 3e100})
-	data, err := Serialize(v.Heap, ref, Options{}, nil)
+	data, err := SerializeStream(v.Heap, ref, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := newVM()
-	out, err := Deserialize(dst, data)
+	out, err := DeserializeStream(dst, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,12 +269,12 @@ func TestMultiDimArrayRoundtrip(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		v.Heap.SetElem(ref, i, uint64(uint32(int32(i*i))))
 	}
-	data, err := Serialize(v.Heap, ref, Options{}, nil)
+	data, err := SerializeStream(v.Heap, ref, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := newVM()
-	out, err := Deserialize(dst, data)
+	out, err := DeserializeStream(dst, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,11 +289,11 @@ func TestMultiDimArrayRoundtrip(t *testing.T) {
 
 func TestNullRoot(t *testing.T) {
 	v := newVM()
-	data, err := Serialize(v.Heap, vm.NullRef, Options{}, nil)
+	data, err := SerializeStream(v.Heap, vm.NullRef, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Deserialize(newVM(), data)
+	out, err := DeserializeStream(newVM(), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,21 +307,21 @@ func TestMissingTypeRejected(t *testing.T) {
 	mt := linkedArrayTypes(v)
 	h := v.Heap
 	node, _ := h.AllocClass(mt)
-	data, err := Serialize(h, node, Options{}, nil)
+	data, err := SerializeStream(h, node, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Receiver without LinkedArray registered.
 	dst := newVM()
-	if _, err := Deserialize(dst, data); err == nil {
-		t.Error("deserialize into typeless VM succeeded")
+	if _, err := DeserializeStream(dst, data); !errors.Is(err, ErrTypeless) {
+		t.Errorf("deserialize into typeless VM: %v, want ErrTypeless", err)
 	}
 }
 
 func TestCorruptDataRejected(t *testing.T) {
 	v := newVM()
 	ref, _ := v.Heap.NewInt32Array([]int32{1, 2, 3})
-	data, _ := Serialize(v.Heap, ref, Options{}, nil)
+	data, _ := SerializeStream(v.Heap, ref, Options{}, nil)
 	for _, mut := range []struct {
 		name string
 		fn   func([]byte) []byte
@@ -328,13 +331,46 @@ func TestCorruptDataRejected(t *testing.T) {
 		{"truncated", func(b []byte) []byte { return b[:len(b)-5] }},
 		{"bad version", func(b []byte) []byte { c := clone(b); c[4] = 99; return c }},
 	} {
-		if _, err := Deserialize(newVM(), mut.fn(data)); err == nil {
+		if _, err := DeserializeStream(newVM(), mut.fn(data)); err == nil {
 			t.Errorf("%s accepted", mut.name)
 		}
 	}
 }
 
 func clone(b []byte) []byte { return append([]byte(nil), b...) }
+
+// splitParts streams arr as parts standalone split parts, one
+// NewStreamWriterPart per PartRange.
+func splitParts(t *testing.T, h *vm.Heap, arr vm.Ref, parts int, opts Options) [][]byte {
+	t.Helper()
+	out := make([][]byte, parts)
+	for p := range out {
+		lo, hi := PartRange(h.Length(arr), parts, p)
+		sw, err := NewStreamWriterPart(h, arr, lo, hi, opts, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[p] = concatChunks(collectStream(t, sw))
+	}
+	return out
+}
+
+// gatherParts is the receiving half of a gather: deserialize every part
+// (the sub-arrays rooted while later parts allocate), then GatherRefs.
+func gatherParts(v *vm.VM, parts [][]byte) (vm.Ref, error) {
+	subs := make([]vm.Ref, len(parts))
+	guard := &refGuard{refs: subs}
+	v.AddRootProvider(guard)
+	defer v.RemoveRootProvider(guard)
+	for i, part := range parts {
+		ref, err := DeserializeStream(v, part)
+		if err != nil {
+			return vm.NullRef, fmt.Errorf("part %d: %w", i, err)
+		}
+		subs[i] = ref
+	}
+	return GatherRefs(v, subs)
+}
 
 func TestSplitRepresentation(t *testing.T) {
 	v := newVM()
@@ -353,19 +389,13 @@ func TestSplitRepresentation(t *testing.T) {
 	v.RemoveRootProvider(guard)
 	arr = guard.refs[0]
 
-	parts, err := SerializeSplit(h, arr, 3, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 3 {
-		t.Fatalf("%d parts", len(parts))
-	}
+	parts := splitParts(t, h, arr, 3, Options{})
 	// Each part deserializes standalone (possibly on different VMs).
 	sizes := []int{4, 3, 3}
 	for p, part := range parts {
 		dst := newVM()
 		dmt := linkedArrayTypes(dst)
-		sub, err := Deserialize(dst, part)
+		sub, err := DeserializeStream(dst, part)
 		if err != nil {
 			t.Fatalf("part %d: %v", p, err)
 		}
@@ -383,7 +413,7 @@ func TestSplitRepresentation(t *testing.T) {
 	// Gather reconstructs the original array.
 	dst := newVM()
 	dmt := linkedArrayTypes(dst)
-	whole, err := DeserializeGather(dst, parts)
+	whole, err := gatherParts(dst, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,12 +435,9 @@ func TestSplitSimpleArray(t *testing.T) {
 		vals[i] = int32(i * 3)
 	}
 	arr, _ := v.Heap.NewInt32Array(vals)
-	parts, err := SerializeSplit(v.Heap, arr, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	parts := splitParts(t, v.Heap, arr, 4, Options{})
 	dst := newVM()
-	whole, err := DeserializeGather(dst, parts)
+	whole, err := gatherParts(dst, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,14 +483,14 @@ func TestQuickRoundtripRandomLists(t *testing.T) {
 		src := newVM()
 		mt := linkedArrayTypes(src)
 		head := buildList(src, mt, n, payload)
-		data, err := Serialize(src.Heap, head, Options{Visited: mode}, nil)
+		data, err := SerializeStream(src.Heap, head, Options{Visited: mode}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		dst := newVM()
 		dmt := linkedArrayTypes(dst)
-		out, err := Deserialize(dst, data)
+		out, err := DeserializeStream(dst, data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,19 +521,31 @@ func TestQuickRoundtripRandomLists(t *testing.T) {
 	}
 }
 
+// TestVisitedModesAgree: split parts of an object array whose elements
+// share their successors are byte-identical under both visited modes
+// (TestStreamVisitedModesAgree covers a whole-tree stream).
 func TestVisitedModesAgree(t *testing.T) {
 	src := newVM()
 	mt := linkedArrayTypes(src)
-	head := buildList(src, mt, 20, 8)
-	a, err := Serialize(src.Heap, head, Options{Visited: VisitedLinear}, nil)
+	h := src.Heap
+	guard := &refGuard{refs: make([]vm.Ref, 2)}
+	src.AddRootProvider(guard)
+	defer src.RemoveRootProvider(guard)
+	guard.refs[0] = buildList(src, mt, 12, 4)
+	arr, err := h.AllocArray(src.ArrayType(vm.KindRef, mt, 1), 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Serialize(src.Heap, head, Options{Visited: VisitedMap}, nil)
-	if err != nil {
-		t.Fatal(err)
+	guard.refs[1] = arr
+	fNext := mt.FieldByName("next")
+	for i, n := 0, guard.refs[0]; n != vm.NullRef; i, n = i+1, h.GetRef(n, fNext) {
+		h.SetElemRef(guard.refs[1], i, n)
 	}
-	if string(a) != string(b) {
-		t.Error("linear and map visited modes produce different bytes")
+	a := splitParts(t, h, guard.refs[1], 5, Options{Visited: VisitedLinear})
+	b := splitParts(t, h, guard.refs[1], 5, Options{Visited: VisitedMap})
+	for p := range a {
+		if string(a[p]) != string(b[p]) {
+			t.Errorf("part %d: linear and map visited modes produce different bytes", p)
+		}
 	}
 }

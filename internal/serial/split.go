@@ -14,6 +14,8 @@ import (
 // array and flattens referenced objects. Conversely, for gather
 // operations the deserialization mechanism takes many split
 // representations and reconstructs them into a single array."
+// Each part is a stream (NewStreamWriterPart over PartRange); the
+// receiver deserializes the parts and joins them with GatherRefs.
 
 // PartRange computes the contiguous element range [lo,hi) of part p
 // when splitting n elements into parts pieces (earlier parts take the
@@ -29,90 +31,10 @@ func PartRange(n, parts, p int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// SerializeSplit flattens the array at arr into parts standalone
-// representations. Each part's root is a synthetic sub-array holding
-// that part's element range; referenced objects are flattened into
-// the part that first references them.
-func SerializeSplit(h *vm.Heap, arr vm.Ref, parts int, opts Options) ([][]byte, error) {
-	if arr == vm.NullRef {
-		return nil, fmt.Errorf("serial: split of null array")
-	}
-	mt := h.MT(arr)
-	if mt.Kind != vm.TKArray || mt.Rank != 1 {
-		return nil, fmt.Errorf("serial: split requires a rank-1 array, got %s", mt)
-	}
-	if parts < 1 {
-		return nil, fmt.Errorf("serial: split into %d parts", parts)
-	}
-	n := h.Length(arr)
-	out := make([][]byte, parts)
-	for p := 0; p < parts; p++ {
-		lo, hi := PartRange(n, parts, p)
-		w := newWriter(h, opts)
-		// Synthetic root: id 1 describes the sub-array; it has no
-		// heap object, so it bypasses the visited set.
-		rootID := w.nextID
-		w.nextID++
-		w.u16(w.typeIndex(mt))
-		w.u32(uint32(hi - lo))
-		if mt.Elem == vm.KindRef {
-			for i := lo; i < hi; i++ {
-				w.u32(w.assign(h.GetElemRef(arr, i)))
-			}
-		} else {
-			s, _ := h.DataRange(arr)
-			es := mt.ElemSize()
-			w.objData = append(w.objData, h.Bytes(s+uint32(lo*es), s+uint32(hi*es))...)
-		}
-		for len(w.pending) > 0 {
-			ref := w.pending[0]
-			w.pending = w.pending[1:]
-			if err := w.emit(ref); err != nil {
-				return nil, err
-			}
-		}
-		out[p] = w.finish(rootID, nil)
-	}
-	return out, nil
-}
-
-// DeserializeGather reconstructs the parts of a split representation
-// into a single array on the receiving VM — the gather-side inverse
-// of SerializeSplit. All parts must carry arrays of the same type.
-// Parts may be in either wire format (v1 one-shot or v2 stream).
-func DeserializeGather(v *vm.VM, parts [][]byte) (vm.Ref, error) {
-	if len(parts) == 0 {
-		return vm.NullRef, fmt.Errorf("serial: gather of zero parts")
-	}
-	// Deserialize each part, protecting the intermediate sub-arrays
-	// from collection while later parts allocate.
-	subs := make([]vm.Ref, len(parts))
-	guard := &refGuard{refs: subs}
-	v.AddRootProvider(guard)
-	defer v.RemoveRootProvider(guard)
-
-	for i, part := range parts {
-		ref, err := DeserializeStream(v, part)
-		if err != nil {
-			return vm.NullRef, fmt.Errorf("serial: gather part %d: %w", i, err)
-		}
-		subs[i] = ref
-	}
-	return GatherRefs(v, subs)
-}
-
 // GatherRefs concatenates already-deserialized sub-arrays into a
-// single array — the final step of any gather, shared by the buffered
-// path above and the core's streaming OGather. All subs must be
-// non-null arrays of the same type; they need not be rooted by the
-// caller beyond the call itself.
+// single array — the final step of a gather (the core's streaming
+// OGather). All subs must be non-null arrays of the same type; they
+// need not be rooted by the caller beyond the call itself.
 func GatherRefs(v *vm.VM, subs []vm.Ref) (vm.Ref, error) {
 	if len(subs) == 0 {
 		return vm.NullRef, fmt.Errorf("serial: gather of zero parts")

@@ -8,23 +8,30 @@ import (
 	"motor/internal/vm"
 )
 
-// The v2 stream format: the same type-table + object-record content as
-// the v1 representation, reorganized so it can be produced and
-// consumed as a sequence of bounded chunks. A stream is
+// The wire format: type entries and object records, organized so the
+// representation can be produced and consumed as a sequence of
+// bounded chunks. A stream is
 //
 //	header   u32 magic "MSS2", u8 version=2, u8 flags, u16 reserved,
 //	         u32 epoch, u32 rootID
 //	section* one of
 //	         secTableFull  u8 tag, u32 cacheID, u16 len, type entry
 //	         secTableRef   u8 tag, u32 cacheID
-//	         secData       u8 tag, u32 len, object records (v1 layout)
+//	         secData       u8 tag, u32 len, object records
 //	         secEnd        u8 tag, u32 objCount
+//
+// An object record is u16 type index, then for a class each field in
+// field-table order (scalars at their kind's width, references as u32
+// ids, 0 = null); for an array u32 length, then u32 element ids (object
+// arrays) or u32 dims (rank > 1 only) followed by the raw element data.
+// All integers are little-endian. The retired v1 layout ("MSER") is
+// rejected with ErrFormat.
 //
 // Invariants the writer maintains and the reader enforces:
 //
 //   - a type's table section precedes the first record that uses it,
 //     and the k-th table section defines stream-local type index k
-//     (records reference types by that index, exactly as in v1);
+//     (records reference types by that index);
 //   - an object record never straddles two data sections (a record
 //     larger than the chunk target simply yields an oversized chunk);
 //   - the stream ends with exactly one secEnd carrying the object
@@ -101,8 +108,8 @@ func NewStreamWriter(h *vm.Heap, root vm.Ref, opts Options, target int, cache *P
 }
 
 // NewStreamWriterPart starts a stream whose root is a synthetic
-// sub-array over arr's element range [lo,hi) — the streaming form of
-// one SerializeSplit part (scatter). Parts are always self-describing.
+// sub-array over arr's element range [lo,hi) — one part of the split
+// representation (scatter). Parts are always self-describing.
 func NewStreamWriterPart(h *vm.Heap, arr vm.Ref, lo, hi int, opts Options, target int) (*StreamWriter, error) {
 	if arr == vm.NullRef {
 		return nil, fmt.Errorf("serial: split of null array")
@@ -288,8 +295,9 @@ func (sw *StreamWriter) TableBlob(out []byte) ([]byte, error) {
 	return out, nil
 }
 
-// SerializeStream produces the whole v2 stream into one buffer (the
-// one-shot form; transport uses the chunked writer directly).
+// SerializeStream produces the whole stream into one buffer (the
+// one-shot form; transport uses the chunked writer directly). out is
+// appended to; pass nil or a recycled buffer.
 func SerializeStream(h *vm.Heap, root vm.Ref, opts Options, out []byte) ([]byte, error) {
 	sw := NewStreamWriter(h, root, opts, 0, nil)
 	for !sw.Done() {

@@ -4,10 +4,10 @@ import (
 	"testing"
 )
 
-// FuzzDeserializeStream fuzzes the v2 entry point (which also sniffs
-// and dispatches v1). Seeds cover the interesting failure classes:
-// valid streams in both formats, truncated chunks, a stale-epoch
-// cached stream, and table references with no matching entry.
+// FuzzDeserializeStream fuzzes the one parser of OO wire bytes. Seeds
+// cover the interesting failure classes: a valid stream, a retired v1
+// ("MSER") buffer, truncated chunks, a stale-epoch cached stream, and
+// table references with no matching entry.
 func FuzzDeserializeStream(f *testing.F) {
 	src := newVM()
 	mt := linkedArrayTypes(src)
@@ -17,10 +17,7 @@ func FuzzDeserializeStream(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v1, err := Serialize(src.Heap, head, Options{}, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
+	v1 := v1Buffer()
 	f.Add(v2)
 	f.Add(v1)
 	// Truncated chunks: cut inside the header, a section header, and a

@@ -76,24 +76,26 @@ func TestStreamRoundtrip(t *testing.T) {
 	}
 }
 
-func TestStreamAcceptsV1(t *testing.T) {
-	// The stream entry point must keep deserializing v1 one-shot
-	// representations (wire compatibility with old senders).
-	src := newVM()
-	mt := linkedArrayTypes(src)
-	head := buildList(src, mt, 4, 8)
-	v1, err := Serialize(src.Heap, head, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
+// v1Buffer is a complete representation in the retired v1 whole-buffer
+// format: an int32[] of {7, 9}.
+func v1Buffer() []byte {
+	return []byte{
+		0x52, 0x45, 0x53, 0x4D, // magic "MSER" (0x4D534552, little-endian)
+		1, 0, 0, 0, // version 1, 3 reserved bytes
+		1, 0, 0, 0, // rootID
+		1, 0, 0, 0, // object count
+		1, 0, // type count
+		kindArrayEntry, byte(vm.KindInt32), 1, 0, 0, // int32[] rank 1, no element class
+		0, 0, 2, 0, 0, 0, // record: type 0, length 2
+		7, 0, 0, 0, 9, 0, 0, 0,
 	}
-	dst := newVM()
-	linkedArrayTypes(dst)
-	out, err := DeserializeStream(dst, v1)
-	if err != nil {
-		t.Fatalf("v1 representation rejected: %v", err)
-	}
-	if out == vm.NullRef {
-		t.Fatal("null result")
+}
+
+func TestStreamRejectsV1Magic(t *testing.T) {
+	// The stream is the only wire format: a v1 buffer is malformed
+	// input, not a second dialect.
+	if _, err := DeserializeStream(newVM(), v1Buffer()); !errors.Is(err, ErrFormat) {
+		t.Fatalf("v1 buffer: err %v, want ErrFormat", err)
 	}
 }
 
@@ -462,7 +464,7 @@ func TestStreamBlobEpochMismatchRejected(t *testing.T) {
 
 // TestQuickStreamRandomChunks is the streaming property test: random
 // graphs, random chunk targets, random wire fragmentation — every
-// combination must round-trip exactly and match the v1 payload.
+// combination must round-trip exactly.
 func TestQuickStreamRandomChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 25; iter++ {
@@ -513,8 +515,9 @@ func TestQuickStreamRandomChunks(t *testing.T) {
 	}
 }
 
-// TestStreamNeverPanics mirrors the v1 robustness test for the v2
-// entry point: garbage and mutations error, never panic.
+// TestStreamNeverPanics: garbage and mutations of a one-chunk stream
+// error, never panic (TestDeserializeNeverPanics mutates a
+// many-section one).
 func TestStreamNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(4041))
 	src := newVM()

@@ -307,14 +307,10 @@ func (sr *StreamReader) Finish() (vm.Ref, error) {
 	return sr.rd.resolve(sr.rootID)
 }
 
-// DeserializeStream reconstructs an object tree from a complete
-// representation in either format: v1 one-shot or v2 stream (the
-// self-describing form; cached table references need a live mirror and
-// go through StreamReader directly).
+// DeserializeStream reconstructs an object tree from a complete stream
+// (the self-describing form; cached table references need a live
+// mirror and go through StreamReader directly).
 func DeserializeStream(v *vm.VM, data []byte) (vm.Ref, error) {
-	if len(data) >= 4 && binary.LittleEndian.Uint32(data) == magic {
-		return Deserialize(v, data)
-	}
 	sr := NewStreamReader(v, nil, nil)
 	copy(sr.Grow(len(data)), data)
 	v.AddRootProvider(sr)
