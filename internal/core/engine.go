@@ -202,7 +202,7 @@ type mpReq struct {
 	id     int32
 	req    *mp.Request
 	obj    vm.Ref
-	pinned bool // explicit eager pin to release at completion
+	pinned bool // explicit pin (eager or lent source) to release at completion
 }
 
 // Option configures an Engine.

@@ -21,6 +21,12 @@ type rank struct {
 // once per rank on its own goroutine and managed thread.
 func runRanks(t *testing.T, n int, opts []Option, body func(r *rank) error) {
 	t.Helper()
+	runRanksHeap(t, n, vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 512 << 10, ArenaMax: 64 << 20}, opts, body)
+}
+
+// runRanksHeap is runRanks with every rank's heap built from hc.
+func runRanksHeap(t *testing.T, n int, hc vm.HeapConfig, opts []Option, body func(r *rank) error) {
+	t.Helper()
 	worlds, err := mp.NewLocalWorlds(mp.ChannelShm, n, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -28,10 +34,7 @@ func runRanks(t *testing.T, n int, opts []Option, body func(r *rank) error) {
 	errc := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(w *mp.World) {
-			v := vm.New(vm.Config{
-				Name: fmt.Sprintf("rank%d", w.Rank()),
-				Heap: vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 512 << 10, ArenaMax: 64 << 20},
-			})
+			v := vm.New(vm.Config{Name: fmt.Sprintf("rank%d", w.Rank()), Heap: hc})
 			e := Attach(v, w, opts...)
 			th := v.StartThread("main")
 			defer th.End()

@@ -1,0 +1,198 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"motor/internal/vm"
+)
+
+// A rendezvous send on shm lends its source array to the receiver:
+// the DATA frame references the sender's arena, and the receiver
+// copies it out only when it next polls. These tests hold that window
+// open across every kind of collection the sender can run.
+
+const lentElems = 32 << 10 // 128 KiB of int32: rendezvous at the default eager limit
+
+func lentPattern(i, salt int) int32 { return int32(uint32(i)*2654435761 + uint32(salt)) }
+
+// TestStressLentSourceUnderCollection posts a 128 KiB send from a young
+// or a promoted elder array, lets the receiver's CTS arrive so the DATA
+// is lent, and then makes the sender scavenge, collect fully, compact
+// and (in the grow cases) reallocate its arena before the receiver
+// copies out. After every step both heaps pass CheckInvariants and the
+// source is bit-exact and in place; the received payload must be too.
+// Without growth the source still shares the arena the copy-out reads,
+// so the sender reusing it right after its Wait returns is a data race
+// under -race unless the send completes strictly after the copy-out.
+func TestStressLentSourceUnderCollection(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		for _, elder := range []bool{false, true} {
+			for _, grow := range []bool{false, true} {
+				name := fmt.Sprintf("gcworkers=%d/elder=%v/grow=%v", workers, elder, grow)
+				t.Run(name, func(t *testing.T) { lentUnderCollection(t, workers, elder, grow) })
+			}
+		}
+	}
+}
+
+func lentUnderCollection(t *testing.T, workers int, elder, grow bool) {
+	const tag = 5
+	hc := vm.HeapConfig{YoungSize: 512 << 10, InitialElder: 2 << 20, ArenaMax: 64 << 20, GCWorkers: workers}
+	var heaps [2]*vm.Heap
+	cts, copyOut, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	check := func(step string) error {
+		for i, h := range heaps {
+			if err := h.CheckInvariants(); err != nil {
+				return fmt.Errorf("after %s: rank %d heap: %w", step, i, err)
+			}
+		}
+		return nil
+	}
+	// balanced is each rank's own final check, run once both are done.
+	balanced := func(r *rank) error {
+		r.th.CollectYoung() // drops conditional pins whose request completed
+		h := r.v.Heap
+		st := h.Stats.Snapshot()
+		if st.Pins != st.Unpins || h.CondPinCount() != 0 {
+			return fmt.Errorf("rank %d: pins %d/%d, %d conditional pins left",
+				r.e.Comm.Rank(), st.Pins, st.Unpins, h.CondPinCount())
+		}
+		if n := r.e.World.Dev.Outstanding(); n != 0 || r.e.PendingRequests() != 0 {
+			return fmt.Errorf("rank %d: %d device requests, %d engine requests outstanding",
+				r.e.Comm.Rank(), n, r.e.PendingRequests())
+		}
+		return h.CheckInvariants()
+	}
+	runRanksHeap(t, 2, hc, nil, func(r *rank) error {
+		h := r.v.Heap
+		heaps[r.e.Comm.Rank()] = h
+		if r.e.Comm.Rank() == 1 {
+			dst, err := h.AllocArray(r.v.ArrayType(vm.KindInt32, nil, 1), lentElems)
+			if err != nil {
+				return err
+			}
+			defer r.th.PushFrame(&dst)()
+			// Match the RTS off the unexpected queue: Irecv sends the CTS
+			// at once and this rank polls no further until copyOut.
+			for {
+				ok, _, err := r.e.Comm.Iprobe(0, tag)
+				if err != nil {
+					return err
+				}
+				if ok {
+					break
+				}
+			}
+			id, err := r.e.Irecv(r.th, dst, 0, tag)
+			if err != nil {
+				return err
+			}
+			cts <- struct{}{}
+			<-copyOut
+			if _, err := r.e.Wait(r.th, id); err != nil {
+				return err
+			}
+			for i, v := range h.Int32Slice(dst) {
+				if v != lentPattern(i, 0) {
+					return fmt.Errorf("received element %d = %d, want %d", i, v, lentPattern(i, 0))
+				}
+			}
+			<-done
+			return balanced(r)
+		}
+
+		// Rank 0: a filler promoted just below the source (roots are
+		// forwarded in frame order) and then dropped, so a compaction that
+		// ignored an unpinned elder source would slide it down.
+		filler, err := h.AllocArray(r.v.ArrayType(vm.KindInt32, nil, 1), 16<<10)
+		if err != nil {
+			return err
+		}
+		vals := make([]int32, lentElems)
+		for i := range vals {
+			vals[i] = lentPattern(i, 0)
+		}
+		src, err := h.NewInt32Array(vals)
+		if err != nil {
+			return err
+		}
+		defer r.th.PushFrame(&filler, &src)()
+		if elder {
+			r.th.CollectYoung()
+			if h.IsYoung(src) {
+				return fmt.Errorf("source not promoted")
+			}
+		}
+		filler = vm.NullRef
+		id, err := r.e.Isend(r.th, src, 1, tag)
+		if err != nil {
+			return err
+		}
+		<-cts
+		dev := r.e.World.Dev
+		for dev.StatsSnapshot().BytesSent < 4*lentElems { // the CTS turns into lent DATA
+			if _, err := dev.Progress(); err != nil {
+				return err
+			}
+		}
+		type step struct {
+			name string
+			run  func() error
+		}
+		steps := []step{
+			{"CollectYoung", func() error { r.th.CollectYoung(); return nil }},
+			{"CollectFull", func() error { r.th.CollectFull(); return nil }},
+			{"CollectCompact", func() error { r.th.CollectCompact(); return nil }},
+		}
+		if grow {
+			steps = append(steps, step{"an arena-growing allocation", func() error {
+				before := &h.DataBytes(src)[0]
+				arena, _, _ := h.MemUse()
+				if _, err := h.AllocArray(r.v.ArrayType(vm.KindInt32, nil, 1), int(arena)); err != nil {
+					return err
+				}
+				if &h.DataBytes(src)[0] == before {
+					return fmt.Errorf("the arena did not move")
+				}
+				return nil
+			}})
+		}
+		at := src
+		for _, s := range steps {
+			if err := s.run(); err != nil {
+				return fmt.Errorf("%s: %w", s.name, err)
+			}
+			if err := check(s.name); err != nil {
+				return err
+			}
+			if src != at {
+				return fmt.Errorf("after %s: lent source moved from %#x to %#x", s.name, at, src)
+			}
+			for i, v := range h.Int32Slice(src) {
+				if v != vals[i] {
+					return fmt.Errorf("after %s: source element %d = %d, want %d", s.name, i, v, vals[i])
+				}
+			}
+			if dev.Outstanding() != 1 {
+				return fmt.Errorf("after %s: the lent send completed early", s.name)
+			}
+		}
+		// The copy-out now runs on rank 1 while this rank waits and then
+		// reuses the source at once.
+		close(copyOut)
+		if _, err := r.e.Wait(r.th, id); err != nil {
+			return err
+		}
+		data := h.Int32Slice(src)
+		for i := range data {
+			data[i] = lentPattern(i, 1)
+		}
+		r.th.CollectFull()
+		if h.Pinned(src) {
+			return fmt.Errorf("source still pinned after its send completed")
+		}
+		close(done)
+		return balanced(r)
+	})
+}

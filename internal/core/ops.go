@@ -45,6 +45,19 @@ func (e *Engine) pinForWait(obj vm.Ref) func() {
 	}
 }
 
+// pinLentSource pins an elder send source whose request is pending and
+// reports whether it did: a shm rendezvous lends it until the peer's
+// copy-out, and the modern collector (gcworkers > 1) compacts elder
+// objects. Young sources are held by the deferred or conditional pin.
+func (e *Engine) pinLentSource(obj vm.Ref, req *mp.Request) bool {
+	h := e.VM.Heap
+	if e.policy != PolicyMotor || req.Done() || h.IsYoung(obj) || h.Workers() == 1 {
+		return false
+	}
+	h.Pin(obj)
+	return true
+}
+
 // pinEager applies PolicyAlwaysPin's operation-start pin.
 func (e *Engine) pinEager(obj vm.Ref) func() {
 	if e.policy != PolicyAlwaysPin || obj == vm.NullRef {
@@ -188,6 +201,9 @@ func (e *Engine) sendCommonOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, dest, tag in
 	if err != nil {
 		return err
 	}
+	if e.pinLentSource(obj, req) {
+		defer e.VM.Heap.Unpin(obj)
+	}
 	_, err = e.waitBlocking(t, c, obj, req, obs.OpSend)
 	return err
 }
@@ -290,6 +306,7 @@ func (e *Engine) Isend(t *vm.Thread, obj vm.Ref, dest, tag int) (int32, error) {
 		return 0, err
 	}
 	e.condPin(obj, req)
+	pinned = pinned || e.pinLentSource(obj, req)
 	return e.register(req, obj, pinned), nil
 }
 
@@ -566,6 +583,9 @@ func (e *Engine) Sendrecv(t *vm.Thread, sendObj vm.Ref, dest, sendTag int, recvO
 	sreq, err := e.Comm.IsendBuffer(sendBuf, dest, sendTag, false)
 	if err != nil {
 		return mp.Status{}, err
+	}
+	if e.pinLentSource(sendObj, sreq) {
+		defer e.VM.Heap.Unpin(sendObj)
 	}
 	for {
 		done, _, err := e.Comm.Test(sreq)

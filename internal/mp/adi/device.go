@@ -96,6 +96,11 @@ type Request struct {
 
 	sync bool // synchronous send: complete only when matched
 
+	// lent marks a rendezvous send whose DATA references buf (device
+	// lock): it completes when the peer has copied it out, and until
+	// then it cannot be cancelled.
+	lent bool
+
 	// state is written last on every completion path (an atomic
 	// release store in complete) and loaded first by readers (an
 	// atomic acquire load in Done), so err and status — written
@@ -658,13 +663,17 @@ func (d *Device) matchPosted(hdr channel.Header) *Request {
 // a rendezvous send whose CTS later arrives is safe for this device
 // (the CTS is dropped), but the peer's posted receive then depends on
 // its own failure handling — cancellation is strictly a
-// teardown-path tool. Completed requests are left untouched.
+// teardown-path tool (and a receive cancelled after its CTS leaves the
+// peer's lent send waiting for this rank to poll its DATA). A lent
+// send is not cancelled: the peer may be reading its buffer, so it
+// completes normally at the peer's copy-out. Completed requests are
+// left untouched.
 func (d *Device) CancelReq(req *Request) {
 	if req == nil {
 		return
 	}
 	d.mu.Lock()
-	if req.Done() {
+	if req.Done() || req.lent {
 		d.mu.Unlock()
 		return
 	}
@@ -730,10 +739,11 @@ func (d *Device) transportErr(err error) error {
 // failPeer declares a peer connection dead: every outstanding request
 // bound to that peer — posted receives, rendezvous sends awaiting
 // CTS, receives awaiting DATA — completes with a typed ErrTransport
-// error. Receives posted with AnySource stay posted; they can still
-// be satisfied by surviving peers. Unexpected eager payloads already
-// received from the dead peer remain matchable: their bytes arrived
-// intact before the failure.
+// error (no lent send among them: only sock reports peer failures,
+// and sock never lends). Receives posted with AnySource stay posted;
+// they can still be satisfied by surviving peers. Unexpected eager
+// payloads already received from the dead peer remain matchable: their
+// bytes arrived intact before the failure.
 func (d *Device) failPeer(peer int, cause error) {
 	werr := fmt.Errorf("%w: peer %d: %v", ErrTransport, peer, cause)
 	if d.lost == nil {
@@ -810,7 +820,7 @@ func (d *Device) WaitReq(req *Request) (Status, error) {
 	obs.BeatEnter(d.rank, obs.OpDevWait, req.peer)
 	defer obs.BeatExit(d.rank)
 	for !req.Done() {
-		progressed, err := d.Progress()
+		progressed, err := d.progressFor(req)
 		if err != nil {
 			return req.status, err
 		}
@@ -837,10 +847,23 @@ func (d *Device) idle() {
 	runtime.Gosched()
 }
 
+// progressFor is a wait's progress pass, skipped if req is complete
+// once the lock is held: a peer completes a lent send under this lock
+// (lentDone) and may move on at once, and a later pass could take a
+// frame its next operation meant for someone else.
+func (d *Device) progressFor(req *Request) (progressed bool, err error) {
+	d.mu.Lock()
+	if progressed = req.Done(); !progressed {
+		progressed, err = d.progressLocked()
+	}
+	d.unlockNotify()
+	return progressed, err
+}
+
 // TestReq makes one progress pass and reports completion.
 func (d *Device) TestReq(req *Request) (bool, Status, error) {
 	if !req.Done() {
-		if _, err := d.Progress(); err != nil {
+		if _, err := d.progressFor(req); err != nil {
 			return false, req.status, err
 		}
 	}
@@ -926,6 +949,8 @@ func (d *Device) PollCtrl(source, tag int, ctx int32) (bool, error) {
 
 // --- channel.Sink ---------------------------------------------------------------
 
+var _ channel.ReleaseSink = (*Device)(nil)
+
 // Deliver implements channel.Sink: it chooses the destination buffer
 // for an incoming payload. Expected eager messages and rendezvous
 // DATA land directly in the user buffer (zero intermediate copy);
@@ -973,6 +998,20 @@ func (d *Device) Deliver(hdr channel.Header) []byte {
 		// RTS / CTS / control carry no payload.
 		return nil
 	}
+}
+
+// Release implements channel.ReleaseSink: a lent payload's release
+// joins the completion continuations, which run after this device's
+// lock is dropped, so lentDone never holds two device locks.
+func (d *Device) Release(release func()) { d.cbq = append(d.cbq, release) }
+
+// lentDone completes a send whose DATA the peer has copied out. It
+// runs on the peer's goroutine, from the peer's Release queue.
+func (d *Device) lentDone(req *Request) {
+	d.mu.Lock()
+	delete(d.active, req.id)
+	d.complete(req)
+	d.unlockNotify()
 }
 
 func (d *Device) scratch(n int) []byte {
@@ -1025,14 +1064,24 @@ func (d *Device) Done(hdr channel.Header) {
 			ReqA: req.id, ReqB: hdr.ReqB,
 			Seq: req.edgeSeq, // carry the RTS's correlation id to the payload
 		}
-		err := d.ch.Send(req.peer, data, req.buf.Bytes())
+		d.Stats.BytesSent += uint64(req.buf.Len())
+		var err error
+		if l, ok := d.ch.(channel.Lender); ok {
+			// Single copy: the peer's poll copies buf straight into its
+			// posted buffer and then completes req (lentDone).
+			if err = l.Lend(req.peer, data, req.buf.Bytes(), func() { d.lentDone(req) }); err == nil {
+				req.lent = true
+				return
+			}
+		} else {
+			err = d.ch.Send(req.peer, data, req.buf.Bytes())
+		}
 		delete(d.active, req.id)
 		if err != nil {
 			err = d.transportErr(err)
 		}
 		req.err = err
 		d.complete(req)
-		d.Stats.BytesSent += uint64(req.buf.Len())
 
 	case channel.PktData:
 		d.Stats.DataRecvd++

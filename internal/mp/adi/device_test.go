@@ -242,7 +242,7 @@ func TestEagerTruncation(t *testing.T) {
 
 func TestRendezvousTruncation(t *testing.T) {
 	d0, d1 := devicePair(8)
-	msg := bytes.Repeat([]byte{9}, 256)
+	msg := lentPayload(256)
 	buf := make([]byte, 100)
 	rreq, _ := d1.Irecv(SliceBuf(buf), 0, 1, 0)
 	sreq, _ := d0.Isend(SliceBuf(msg), 1, 1, 0, false)
@@ -250,16 +250,17 @@ func TestRendezvousTruncation(t *testing.T) {
 		d0.Progress()
 		d1.Progress()
 	}
-	if !rreq.Done() {
-		t.Fatal("recv not done")
+	if !rreq.Done() || !sreq.Done() {
+		t.Fatalf("recv done=%v, lent send done=%v", rreq.Done(), sreq.Done())
 	}
-	if !errors.Is(rreq.Err(), ErrTruncate) {
-		t.Errorf("err %v", rreq.Err())
+	if !errors.Is(rreq.Err(), ErrTruncate) || sreq.Err() != nil {
+		t.Errorf("recv err %v, send err %v", rreq.Err(), sreq.Err())
 	}
-	for _, b := range buf {
-		if b != 9 {
-			t.Fatal("partial data corrupt")
-		}
+	if !bytes.Equal(buf, msg[:len(buf)]) || rreq.Status().Count != len(buf) {
+		t.Fatalf("prefix corrupt or miscounted (count %d)", rreq.Status().Count)
+	}
+	if d0.Outstanding() != 0 || d1.Outstanding() != 0 {
+		t.Fatalf("outstanding %d/%d", d0.Outstanding(), d1.Outstanding())
 	}
 }
 

@@ -91,6 +91,15 @@ type Sink interface {
 	Done(hdr Header)
 }
 
+// ReleaseSink is a Sink that takes over lent payloads' release
+// callbacks (Lender): Poll hands it each after Done, and the sink runs
+// it once it has dropped any lock it polls under, since release takes
+// the lender's lock. Other sinks have release run by Poll after Done.
+type ReleaseSink interface {
+	Sink
+	Release(release func())
+}
+
 // Channel moves packets between the ranks of one process group.
 // Implementations must preserve per-(source,destination) FIFO order —
 // the device's matching semantics depend on non-overtaking delivery.
@@ -107,13 +116,24 @@ type Channel interface {
 	Rank() int
 	Size() int
 	// Send transmits one packet to dest. It may buffer; it must not
-	// block indefinitely. The payload is consumed before return.
+	// block indefinitely. The payload is consumed before return: the
+	// caller may reuse it at once (Lender.Lend is the exception).
 	Send(dest int, hdr Header, payload []byte) error
 	// Poll delivers at most one pending incoming packet to the sink,
 	// reporting whether anything was delivered.
 	Poll(sink Sink) (bool, error)
 	// Close releases channel resources.
 	Close() error
+}
+
+// Lender is implemented by channels that can move a payload by
+// reference. Lend queues a packet like Send but keeps only a reference
+// to payload: the receiver copies it once, straight into the buffer its
+// sink chose, then runs release (non-nil) on its own goroutine. Until
+// then the caller must not modify payload; a packet still queued when
+// the receiver closes is never released.
+type Lender interface {
+	Lend(dest int, hdr Header, payload []byte, release func()) error
 }
 
 // ErrClosed is returned by operations on a closed channel.

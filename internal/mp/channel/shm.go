@@ -10,16 +10,21 @@ import (
 
 // The shm channel: in-process "shared memory" transport. Each ordered
 // rank pair owns a lock-free single-producer/single-consumer frame
-// queue, the software analogue of MPICH2's shm channel queues.
-// Payloads are copied into a pooled slab on send and out of it into
-// the sink-designated buffer on poll — the two-copy discipline of a
-// real shared-memory channel, without a per-frame allocation.
+// queue, the software analogue of MPICH2's shm channel queues. A sent
+// payload is copied into a pooled slab and out of it into the
+// sink-designated buffer on poll, without a per-frame allocation. A
+// lent payload (Lend: the device's rendezvous DATA) is not copied on
+// send: the frame references the sender's buffer, and the receiver's
+// poll copies it once, source buffer to destination buffer.
 
-// shmFrame is one queued packet. slab is nil for an empty payload;
-// otherwise its first hdr.Size bytes are the payload copy.
+// shmFrame is one queued packet. A sent payload lives in slab (nil
+// when empty), whose first hdr.Size bytes are the copy; a lent one is
+// lent, handed back through release once it has been copied out.
 type shmFrame struct {
-	hdr  Header
-	slab *[]byte
+	hdr     Header
+	slab    *[]byte
+	lent    []byte
+	release func()
 }
 
 // slabs recycles payload copies by power-of-two size class: class k
@@ -46,18 +51,27 @@ func copyToSlab(payload []byte) *[]byte {
 	return s
 }
 
-// deliver hands one frame to the sink and recycles its slab. The slab
-// goes back only after the copy-out: the sink never keeps a reference
-// to it, so the next sender may overwrite it at once.
+// deliver hands one frame to the sink, then recycles its slab or
+// releases its lent payload. Both happen only after the copy-out: the
+// sink never keeps a reference to either, so the next sender may
+// overwrite the slab, and the lender its buffer, at once.
 func (f shmFrame) deliver(sink Sink) {
 	dst := sink.Deliver(f.hdr)
 	if f.slab != nil {
-		if dst != nil {
-			copy(dst, (*f.slab)[:f.hdr.Size])
-		}
+		copy(dst, (*f.slab)[:f.hdr.Size])
 		slabs[slabClass(int(f.hdr.Size))].Put(f.slab)
+	} else {
+		copy(dst, f.lent)
 	}
 	sink.Done(f.hdr)
+	if f.release == nil {
+		return
+	}
+	if rs, ok := sink.(ReleaseSink); ok {
+		rs.Release(f.release)
+	} else {
+		f.release()
+	}
 }
 
 // shmSegSlots is the number of frames per queue segment.
@@ -178,6 +192,7 @@ type ShmChannel struct {
 
 var (
 	_ Channel     = (*ShmChannel)(nil)
+	_ Lender      = (*ShmChannel)(nil)
 	_ StatsSource = (*ShmChannel)(nil)
 )
 
@@ -212,6 +227,16 @@ func (c *ShmChannel) Size() int { return c.fabric.Size() }
 // on the pair ring. Self-sends are the device's business (it delivers
 // them locally), as on the sock channel.
 func (c *ShmChannel) Send(dest int, hdr Header, payload []byte) error {
+	return c.push(dest, hdr, payload, nil)
+}
+
+// Lend implements Lender: queue a reference to payload, not a copy.
+func (c *ShmChannel) Lend(dest int, hdr Header, payload []byte, release func()) error {
+	return c.push(dest, hdr, payload, release)
+}
+
+// push queues a frame for dest: lent if release is set, else a slab copy.
+func (c *ShmChannel) push(dest int, hdr Header, payload []byte, release func()) error {
 	if c.closed {
 		return ErrClosed
 	}
@@ -222,7 +247,13 @@ func (c *ShmChannel) Send(dest int, hdr Header, payload []byte) error {
 		return ErrRank
 	}
 	hdr.Size = uint32(len(payload))
-	c.out[dest].push(shmFrame{hdr: hdr, slab: copyToSlab(payload)})
+	f := shmFrame{hdr: hdr, release: release}
+	if release != nil {
+		f.lent = payload
+	} else {
+		f.slab = copyToSlab(payload)
+	}
+	c.out[dest].push(f)
 	c.stats.framesSent.Add(1)
 	c.stats.bytesSent.Add(uint64(len(payload)))
 	if tr := obs.Active(); tr != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -82,7 +83,7 @@ func TestShmRingBurstReclaimed(t *testing.T) {
 		if !ok || int(f.hdr.Tag) != i {
 			t.Fatalf("pop %d: ok=%v tag=%d", i, ok, f.hdr.Tag)
 		}
-		if seg.slots[slot] != (shmFrame{}) {
+		if !reflect.ValueOf(seg.slots[slot]).IsZero() {
 			t.Fatalf("pop %d: slot still holds its frame", i)
 		}
 	}
@@ -188,6 +189,59 @@ func TestShmSlabRecycling(t *testing.T) {
 	s0, s1 := ep[0].TransportStats(), ep[1].TransportStats()
 	if s0.FramesSent != 24 || s1.FramesRecvd != 24 || s0.BytesSent != s1.BytesRecvd || s1.BytesSent != s0.BytesRecvd {
 		t.Errorf("stats %+v / %+v", s0, s1)
+	}
+}
+
+// releaseSink defers lent payloads' releases, as the device does.
+type releaseSink struct {
+	collectSink
+	released []func()
+}
+
+func (s *releaseSink) Release(release func()) { s.released = append(s.released, release) }
+
+// TestShmLend: a lent frame is copied once, from the lender's buffer
+// into the sink's, and released only after Done — by Poll for a plain
+// sink, by the sink itself for a ReleaseSink.
+func TestShmLend(t *testing.T) {
+	f := NewShmFabric(2)
+	a, b := f.Endpoint(0), f.Endpoint(1)
+	payload := bytes.Repeat([]byte("lent"), 1<<15)
+	want := append([]byte(nil), payload...)
+
+	plain := &collectSink{}
+	released := 0
+	if err := a.Lend(1, Header{Type: PktData}, payload, func() {
+		if len(plain.hdrs) != 1 {
+			t.Error("released before Done")
+		}
+		released++
+	}); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, b, plain, 1)
+	if released != 1 || !bytes.Equal(plain.payloads[0], want) {
+		t.Fatalf("plain sink: released %d times, payload intact %v", released, bytes.Equal(plain.payloads[0], want))
+	}
+	clear(payload) // the lender owns its buffer again
+	if !bytes.Equal(plain.payloads[0], want) {
+		t.Fatal("the sink kept a reference to the lent buffer")
+	}
+
+	rs := &releaseSink{}
+	if err := a.Lend(1, Header{Type: PktData}, want, func() { released++ }); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, b, rs, 1)
+	if released != 1 || len(rs.released) != 1 {
+		t.Fatalf("Poll ran the release itself (%d) or lost it (%d)", released-1, len(rs.released))
+	}
+	rs.released[0]()
+	if released != 2 || !bytes.Equal(rs.payloads[0], want) {
+		t.Fatal("deferred release or payload lost")
+	}
+	if s := a.TransportStats(); s.FramesSent != 2 || s.BytesSent != 2*uint64(len(want)) {
+		t.Errorf("lender stats %+v", s)
 	}
 }
 

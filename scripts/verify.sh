@@ -82,15 +82,17 @@ tier3() {
 # engine. Every test here shares one rank's Comm/Device between many
 # goroutines (or drives it from the seeded deterministic harness) and
 # must stay race-clean with zero leaked requests; halt_on_error makes
-# the first race fatal instead of a warning. The channel package runs
-# whole: its lock-free shm queue is only as good as its -race record.
+# the first race fatal instead of a warning. The channel and device
+# packages run whole: the lock-free shm queue is only as good as its
+# -race record, and a lent rendezvous send is completed by the peer's
+# goroutine under the sender's device lock.
 tier_stress() {
 	echo "== stress: -race concurrency stress + chaos + progress harness"
 	GORACE=halt_on_error=1 go test -race -timeout 600s \
 		-run 'Stress|Chaos|Progress|Snapshot' \
 		. ./internal/mp/ ./internal/core/ ./internal/vm/
-	echo "== stress: -race shm queue, payload slabs, sock channel"
-	GORACE=halt_on_error=1 go test -race -timeout 600s ./internal/mp/channel/
+	echo "== stress: -race shm queue, payload slabs, lent DATA, sock channel, device"
+	GORACE=halt_on_error=1 go test -race -timeout 600s ./internal/mp/channel/ ./internal/mp/adi/
 }
 
 # Static tier: go vet plus the MASM bytecode verifier over every
