@@ -75,8 +75,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7777", "serve mode: rendezvous listen address")
 	root := flag.String("root", "127.0.0.1:7777", "rank mode: rendezvous address to join")
 	rankID := flag.Int("rank", 0, "rank mode: this process's world rank")
-	noverify := flag.Bool("noverify", false, "skip load-time bytecode verification")
-	noquicken := flag.Bool("noquicken", false, "skip load-time quickening (baseline interpreter dispatch)")
+	noverify := flag.Bool("noverify", false, "skip load-time bytecode verification (methods run on the fact-free lowering)")
 	gcworkers := flag.Int("gcworkers", 0, "GC mark workers per rank: 1 = legacy serial collector, >1 = modern parallel collector, 0 = MOTOR_GCWORKERS or NumCPU")
 	telemetry := flag.String("telemetry", "", "serve /metrics, /healthz and /debug/pprof on this address while running (also set by MOTOR_TELEMETRY)")
 	flag.Parse()
@@ -92,9 +91,6 @@ func main() {
 	cfg := motor.Config{Ranks: *np, Channel: *channel, Telemetry: *telemetry, GCWorkers: *gcworkers}
 	if *noverify {
 		cfg.Verify = motor.VerifyOff
-	}
-	if *noquicken {
-		cfg.Quicken = motor.QuickenOff
 	}
 	switch *policy {
 	case "motor":

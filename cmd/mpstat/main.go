@@ -53,7 +53,6 @@ func main() {
 	trace := flag.String("trace", "", "write a Chrome trace_event JSON file of the run (also set by MOTOR_TRACE)")
 	metrics := flag.Bool("metrics", false, "print the unified flat metrics snapshot per rank (all subsystems)")
 	noverify := flag.Bool("noverify", false, "skip load-time bytecode verification of the probe module")
-	noquicken := flag.Bool("noquicken", false, "skip load-time quickening of the probe module")
 	telemetry := flag.String("telemetry", "", "serve /metrics, /healthz and /debug/pprof on this address while running (also set by MOTOR_TELEMETRY)")
 	gcworkers := flag.Int("gcworkers", 0, "GC mark workers per rank: 1 = legacy serial collector, >1 = modern parallel collector, 0 = MOTOR_GCWORKERS or NumCPU")
 	flag.Parse()
@@ -61,9 +60,6 @@ func main() {
 	cfg := motor.Config{Ranks: *np, Channel: *channel, Trace: *trace, Telemetry: *telemetry, GCWorkers: *gcworkers}
 	if *noverify {
 		cfg.Verify = motor.VerifyOff
-	}
-	if *noquicken {
-		cfg.Quicken = motor.QuickenOff
 	}
 	if *policy == "alwayspin" {
 		cfg.Policy = motor.PolicyAlwaysPin
@@ -105,13 +101,9 @@ func main() {
 			default:
 				fmt.Println("verifier: off")
 			}
-			if qs.Methods > 0 || qs.Skipped > 0 {
-				fmt.Printf("quicken: %d methods (%d->%d insts, %d fused, %d devirt), cache %d hit/%d miss in %dus\n",
-					qs.Methods, qs.InstsIn, qs.InstsOut, qs.Fused, qs.Devirted,
-					qs.VerifyCacheHits, qs.VerifyCacheMisses, qs.ElapsedNs/1000)
-			} else {
-				fmt.Println("quicken: off")
-			}
+			fmt.Printf("quicken: %d methods (%d->%d insts, %d fused, %d devirt), cache %d hit/%d miss in %dus\n",
+				qs.Methods, qs.InstsIn, qs.InstsOut, qs.Fused, qs.Devirted,
+				qs.VerifyCacheHits, qs.VerifyCacheMisses, qs.ElapsedNs/1000)
 		}
 		// Ranks pair off (0-1, 2-3, ...): each pair runs its own exchange.
 		peer := r.ID() ^ 1

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"motor/internal/vm"
@@ -194,5 +195,110 @@ func lentUnderCollection(t *testing.T, workers int, elder, grow bool) {
 		}
 		close(done)
 		return balanced(r)
+	})
+}
+
+// TestStressElderRecvUnderCompaction is the receive twin: an elder
+// destination posted by Recv or by Irecv, and a sibling thread on the
+// receiving rank compacting the elder space while the receive is
+// pending. The transport writes through offsets derived when the
+// receive was posted, so the payload must land in the object, and the
+// object must still be where those offsets say.
+func TestStressElderRecvUnderCompaction(t *testing.T) {
+	for _, irecv := range []bool{false, true} {
+		t.Run(fmt.Sprintf("irecv=%v", irecv), func(t *testing.T) { elderRecvUnderCompaction(t, irecv) })
+	}
+}
+
+func elderRecvUnderCompaction(t *testing.T, irecv bool) {
+	const tag, n = 6, 1 << 10
+	hc := vm.HeapConfig{YoungSize: 512 << 10, InitialElder: 2 << 20, ArenaMax: 64 << 20, GCWorkers: 2}
+	compacted := make(chan struct{})
+	runRanksHeap(t, 2, hc, nil, func(r *rank) error {
+		h := r.v.Heap
+		i32 := r.v.ArrayType(vm.KindInt32, nil, 1)
+		if r.e.Comm.Rank() == 0 {
+			<-compacted
+			vals := make([]int32, n)
+			for i := range vals {
+				vals[i] = lentPattern(i, 2)
+			}
+			src, err := h.NewInt32Array(vals)
+			if err != nil {
+				return err
+			}
+			defer r.th.PushFrame(&src)()
+			return r.e.Send(r.th, src, 1, tag)
+		}
+
+		// As on the send side: a filler promoted just below the destination
+		// and then dropped, so an unpinned destination slides down. A
+		// witness above a second dropped gap moves either way, so the
+		// compaction always has work to do.
+		var filler, dst, gap, witness vm.Ref
+		defer r.th.PushFrame(&filler, &dst, &gap, &witness)()
+		for _, a := range []struct {
+			ref *vm.Ref
+			n   int
+		}{{&filler, 16 << 10}, {&dst, n}, {&gap, 16 << 10}, {&witness, n}} {
+			ref, err := h.AllocArray(i32, a.n)
+			if err != nil {
+				return err
+			}
+			*a.ref = ref
+		}
+		r.th.CollectYoung()
+		if h.IsYoung(dst) || h.IsYoung(witness) {
+			return fmt.Errorf("destination not promoted")
+		}
+		filler, gap = vm.NullRef, vm.NullRef
+		before := h.Stats.Snapshot().Compactions
+		dev := r.e.World.Dev
+		stop := make(chan struct{}) // a failure before the receive is posted
+		defer close(stop)
+		go func() {
+			defer close(compacted)
+			for dev.Outstanding() == 0 { // the receive is posted
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+			sib := r.v.StartThread("compactor") // granted at the wait's next poll
+			sib.CollectCompact()
+			sib.End()
+		}()
+		if irecv {
+			id, err := r.e.Irecv(r.th, dst, 0, tag)
+			if err != nil {
+				return err
+			}
+			if _, err := r.e.Wait(r.th, id); err != nil {
+				return err
+			}
+		} else if _, err := r.e.Recv(r.th, dst, 0, tag); err != nil {
+			return err
+		}
+		if h.Stats.Snapshot().Compactions == before {
+			return fmt.Errorf("no compaction ran while the receive was pending")
+		}
+		for i, v := range h.Int32Slice(dst) {
+			if v != lentPattern(i, 2) {
+				return fmt.Errorf("received element %d = %d, want %d", i, v, lentPattern(i, 2))
+			}
+		}
+		if h.Pinned(dst) {
+			return fmt.Errorf("destination still pinned after its receive completed")
+		}
+		st := h.Stats.Snapshot()
+		if st.Pins != st.Unpins {
+			return fmt.Errorf("pins %d, unpins %d", st.Pins, st.Unpins)
+		}
+		if n := dev.Outstanding(); n != 0 || r.e.PendingRequests() != 0 {
+			return fmt.Errorf("%d device requests, %d engine requests outstanding", n, r.e.PendingRequests())
+		}
+		return h.CheckInvariants()
 	})
 }

@@ -33,7 +33,8 @@ func (e *Engine) pinForWait(obj vm.Ref) func() {
 		return func() {}
 	default:
 		if !h.IsYoung(obj) {
-			// Elder residents are never moved: no pin needed.
+			// No deferred pin for an elder resident: only compaction moves
+			// it, and pinPending holds it for that.
 			bump(&e.Stats.PinSkippedElder, 1)
 			e.notePin(obs.PinSkippedElder, obj)
 			return func() {}
@@ -45,11 +46,12 @@ func (e *Engine) pinForWait(obj vm.Ref) func() {
 	}
 }
 
-// pinLentSource pins an elder send source whose request is pending and
-// reports whether it did: a shm rendezvous lends it until the peer's
-// copy-out, and the modern collector (gcworkers > 1) compacts elder
-// objects. Young sources are held by the deferred or conditional pin.
-func (e *Engine) pinLentSource(obj vm.Ref, req *mp.Request) bool {
+// pinPending pins an elder buffer whose request is pending and reports
+// whether it did. The transport reads a lent send source and writes a
+// posted receive through offsets fixed when the request was posted, and
+// the modern collector (gcworkers > 1) compacts elder objects. Young
+// buffers are held by the deferred or conditional pin.
+func (e *Engine) pinPending(obj vm.Ref, req *mp.Request) bool {
 	h := e.VM.Heap
 	if e.policy != PolicyMotor || req.Done() || h.IsYoung(obj) || h.Workers() == 1 {
 		return false
@@ -201,7 +203,7 @@ func (e *Engine) sendCommonOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, dest, tag in
 	if err != nil {
 		return err
 	}
-	if e.pinLentSource(obj, req) {
+	if e.pinPending(obj, req) {
 		defer e.VM.Heap.Unpin(obj)
 	}
 	_, err = e.waitBlocking(t, c, obj, req, obs.OpSend)
@@ -245,6 +247,9 @@ func (e *Engine) recvCommonOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, source, tag 
 	req, err := c.IrecvBuffer(buf, source, tag)
 	if err != nil {
 		return mp.Status{}, err
+	}
+	if e.pinPending(obj, req) {
+		defer e.VM.Heap.Unpin(obj)
 	}
 	return e.waitBlocking(t, c, obj, req, obs.OpRecv)
 }
@@ -306,7 +311,7 @@ func (e *Engine) Isend(t *vm.Thread, obj vm.Ref, dest, tag int) (int32, error) {
 		return 0, err
 	}
 	e.condPin(obj, req)
-	pinned = pinned || e.pinLentSource(obj, req)
+	pinned = pinned || e.pinPending(obj, req)
 	return e.register(req, obj, pinned), nil
 }
 
@@ -336,6 +341,7 @@ func (e *Engine) Irecv(t *vm.Thread, obj vm.Ref, source, tag int) (int32, error)
 		return 0, err
 	}
 	e.condPin(obj, req)
+	pinned = pinned || e.pinPending(obj, req)
 	return e.register(req, obj, pinned), nil
 }
 
@@ -580,11 +586,14 @@ func (e *Engine) Sendrecv(t *vm.Thread, sendObj vm.Ref, dest, sendTag int, recvO
 	if err != nil {
 		return mp.Status{}, err
 	}
+	if e.pinPending(recvObj, rreq) {
+		defer e.VM.Heap.Unpin(recvObj)
+	}
 	sreq, err := e.Comm.IsendBuffer(sendBuf, dest, sendTag, false)
 	if err != nil {
 		return mp.Status{}, err
 	}
-	if e.pinLentSource(sendObj, sreq) {
+	if e.pinPending(sendObj, sreq) {
 		defer e.VM.Heap.Unpin(sendObj)
 	}
 	for {

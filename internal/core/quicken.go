@@ -12,7 +12,7 @@ import (
 	"motor/internal/vm"
 )
 
-// Load-path acceleration: quickening of verified modules plus a
+// Load-path acceleration: quickening of loaded modules plus a
 // process-global module verdict cache. The cache addresses the ranks
 // problem — in a Motor world every rank's VM loads the same masm
 // source, and without memoization each one pays the full abstract-
@@ -29,7 +29,6 @@ import (
 // flattens them like every other counter group.
 type QuickenStats struct {
 	Methods           uint64 // methods quickened
-	Skipped           uint64 // verified methods the quickener declined (run baseline)
 	InstsIn           uint64 // bytecode instructions consumed
 	InstsOut          uint64 // quickened instructions emitted
 	Fused             uint64 // superinstructions formed
@@ -43,7 +42,6 @@ type QuickenStats struct {
 func (s *QuickenStats) Snapshot() QuickenStats {
 	return QuickenStats{
 		Methods:           atomic.LoadUint64(&s.Methods),
-		Skipped:           atomic.LoadUint64(&s.Skipped),
 		InstsIn:           atomic.LoadUint64(&s.InstsIn),
 		InstsOut:          atomic.LoadUint64(&s.InstsOut),
 		Fused:             atomic.LoadUint64(&s.Fused),
@@ -244,23 +242,13 @@ func (e *Engine) VerifyModuleCached(src string, methods []*vm.Method) error {
 	return nil
 }
 
-// QuickenModule compiles every verified method of a freshly loaded
-// module into quickened form. A method the quickener declines runs on
-// baseline dispatch — correctness never depends on quickening, so
-// refusals degrade performance, not behaviour. Counters land in
-// e.Quicken (obs group "quicken").
+// QuickenModule lowers every method of a freshly loaded module onto
+// the quickened loop: verified methods with their facts, unverified ones
+// without. Counters land in e.Quicken (obs group "quicken").
 func (e *Engine) QuickenModule(methods []*vm.Method) {
 	start := time.Now()
 	for _, m := range methods {
-		if !m.Verified {
-			bump(&e.Quicken.Skipped, 1)
-			continue
-		}
-		info, err := e.VM.QuickenMethod(m)
-		if err != nil {
-			bump(&e.Quicken.Skipped, 1)
-			continue
-		}
+		info := e.VM.QuickenMethod(m)
 		bump(&e.Quicken.Methods, 1)
 		bump(&e.Quicken.InstsIn, uint64(info.In))
 		bump(&e.Quicken.InstsOut, uint64(info.Out))

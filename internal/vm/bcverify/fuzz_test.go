@@ -2,14 +2,8 @@ package bcverify_test
 
 // Fuzz targets for the verifier: whatever the input, verification
 // must terminate and either accept or return an error — never panic.
-// Accepted methods additionally must execute without Go-level panics
-// (the verifier's soundness contract with the interpreter is "no
-// structural traps on verified code", checked loosely here by running
-// main when present).
 
 import (
-	"bytes"
-	"errors"
 	"testing"
 
 	"motor/internal/vm"
@@ -39,18 +33,15 @@ func FuzzVerify(f *testing.F) {
 
 // FuzzVerifyMasm feeds assembler output into the verifier: any source
 // that assembles must verify or be rejected with a *bcverify.Error,
-// without panicking. Sources that DO verify are then executed twice —
-// quickened and baseline — and the two engines must agree on result,
-// stdout and trap identity (the load-path contract: quickening may
-// never change observable behaviour of verified code).
+// without panicking. Executing what verifies, on the quickened loop and
+// on the reference interpreter, is FuzzQuickenMasm in package vm, which
+// carries the same seed corpus.
 func FuzzVerifyMasm(f *testing.F) {
 	f.Add(".method main (0) void\n  ret\n.end")
 	f.Add(".method main (0) int32\n  ldc.i4 3\n  ret.val\n.end")
 	f.Add(".method main (0) void\n  add\n  ret\n.end")
 	f.Add(".method main (0) void\n.locals 1\n  ldloc 0\n  pop\n  ret\n.end")
 	f.Add(".class C\n.field int32 x\n.end\n.method main (0) void\n  newobj C\n  pop\n  ret\n.end")
-	// Seeds that reach the execution comparison, including a fused
-	// loop, a conv.f2i edge and a trap path.
 	f.Add(".method main (0) int32\n.locals 1\n  ldc.i4 0\n  stloc 0\nl:\n  ldloc 0\n  ldc.i4 1\n  add\n  stloc 0\n  ldloc 0\n  ldc.i4 9\n  clt\n  brtrue l\n  ldloc 0\n  ret.val\n.end")
 	f.Add(".method main (0) int32\n  ldc.r8 1e300\n  conv.f2i\n  ret.val\n.end")
 	f.Add(".method main (0) int32\n  ldc.i4 1\n  ldc.i4 0\n  div\n  ret.val\n.end")
@@ -64,72 +55,6 @@ func FuzzVerifyMasm(f *testing.F) {
 			if _, ok := err.(*bcverify.Error); !ok {
 				t.Fatalf("rejection %v (%T) is not *bcverify.Error", err, err)
 			}
-			return
 		}
-		fuzzExecBoth(t, src)
 	})
-}
-
-// fuzzOutcome is one engine's observable result for fuzzExecBoth.
-type fuzzOutcome struct {
-	ran  bool
-	val  vm.Value
-	err  string
-	trap vm.Trap
-	out  string
-}
-
-// fuzzExecBoth executes a module that already verified once on two
-// fresh VMs — quickened and baseline — and compares every observable.
-// Each VM gets a deterministic clock so sys.ticks cannot diverge.
-func fuzzExecBoth(t *testing.T, src string) {
-	run := func(quicken bool) fuzzOutcome {
-		var buf bytes.Buffer
-		v := vm.New(vm.Config{Stdout: &buf,
-			Heap: vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 256 << 10, ArenaMax: 16 << 20}})
-		ticks := int64(0)
-		v.RegisterInternal(vm.InternalFunc{
-			Name: "sys.ticks", NArgs: 0, HasRet: true,
-			Fn: func(t *vm.Thread, args []vm.Value) (vm.Value, error) {
-				ticks++
-				return vm.IntValue(ticks), nil
-			},
-		})
-		mod, err := v.AssembleModule(src)
-		if err != nil {
-			return fuzzOutcome{}
-		}
-		if _, err := bcverify.VerifyModule(v, mod.Methods, bcverify.Options{}); err != nil {
-			return fuzzOutcome{}
-		}
-		if mod.Main == nil || mod.Main.NArgs != 0 {
-			return fuzzOutcome{}
-		}
-		if quicken {
-			for _, m := range mod.Methods {
-				if _, qerr := v.QuickenMethod(m); qerr != nil {
-					t.Fatalf("verified method %s refused to quicken: %v", m.FullName(), qerr)
-				}
-			}
-		}
-		o := fuzzOutcome{ran: true}
-		v.WithThread("t", func(th *vm.Thread) {
-			th.SetStepBudget(100_000)
-			var cerr error
-			o.val, cerr = th.Call(mod.Main)
-			if cerr != nil {
-				o.err = cerr.Error()
-				var trap *vm.Trap
-				if errors.As(cerr, &trap) {
-					o.trap = *trap
-				}
-			}
-		})
-		o.out = buf.String()
-		return o
-	}
-	q, b := run(true), run(false)
-	if q != b {
-		t.Fatalf("engines diverge on verified module:\nquickened: %+v\nbaseline:  %+v\nsource:\n%s", q, b, src)
-	}
 }

@@ -2,17 +2,19 @@ package bcverify_test
 
 // End-to-end quickening tests at the masm level: the verifier's fact
 // collection feeding vm.QuickenMethod, and the differential property
-// — quickened and baseline execution of VERIFIED modules agree on
-// results, stdout and traps — over hand-written modules and the whole
-// valid corpus. The package-internal differential suite (internal/vm/
-// quicken_diff_test.go) covers randomized raw bytecode; this file
-// covers the assembled + verified pipeline exactly as Rank.Load runs
-// it.
+// that spending those facts changes nothing observable — a module run
+// verified (the lowering with facts) and the same module run unverified
+// (the fact-free lowering, what -noverify runs) agree on results,
+// stdout and traps — over the valid corpus and the kernels. That the
+// lowering with facts matches the reference interpreter is checked in
+// package vm (masm_diff_test.go), which can see it.
 
 import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"motor/internal/core"
@@ -121,12 +123,14 @@ type masmOutcome struct {
 	out string
 }
 
-// buildExecVM assembles and verifies src on a fresh VM with the
-// System.MP surface stubbed and a deterministic clock, mirroring the
-// `motor -mode check` environment plus execution.
-func buildExecVM(t *testing.T, src string, out *bytes.Buffer) (*vm.VM, *vm.Module) {
+// execModule assembles src on a fresh VM with the System.MP surface
+// stubbed and a deterministic clock, mirroring the `motor -mode check`
+// environment plus execution, verifies it when verify is set, and runs
+// main. It reports false when there is no main to run.
+func execModule(t *testing.T, src string, verify bool) (masmOutcome, bool) {
 	t.Helper()
-	v := vm.New(vm.Config{Name: "diff", Stdout: out,
+	var buf bytes.Buffer
+	v := vm.New(vm.Config{Name: "diff", Stdout: &buf,
 		Heap: vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 256 << 10, ArenaMax: 32 << 20}})
 	core.RegisterVerifyStubs(v)
 	// sys.ticks is wall-clock; re-point it at a counter so two runs of
@@ -143,28 +147,13 @@ func buildExecVM(t *testing.T, src string, out *bytes.Buffer) (*vm.VM, *vm.Modul
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	if _, verr := bcverify.VerifyModule(v, mod.Methods, bcverify.Options{Sigs: core.Signatures()}); verr != nil {
-		t.Fatalf("verify: %v", verr)
+	if verify {
+		if _, verr := bcverify.VerifyModule(v, mod.Methods, bcverify.Options{Sigs: core.Signatures()}); verr != nil {
+			t.Fatalf("verify: %v", verr)
+		}
 	}
-	return v, mod
-}
-
-func execModule(t *testing.T, src string, quicken bool) (masmOutcome, bool) {
-	t.Helper()
-	var buf bytes.Buffer
-	v, mod := buildExecVM(t, src, &buf)
 	if mod.Main == nil || mod.Main.NArgs != 0 {
 		return masmOutcome{}, false
-	}
-	if quicken {
-		for _, m := range mod.Methods {
-			if _, err := v.QuickenMethod(m); err != nil {
-				t.Fatalf("quicken %s: %v", m.FullName(), err)
-			}
-			if !m.Quickened() {
-				t.Fatalf("%s not quickened", m.FullName())
-			}
-		}
 	}
 	o := masmOutcome{}
 	v.WithThread("t", func(th *vm.Thread) {
@@ -175,41 +164,41 @@ func execModule(t *testing.T, src string, quicken bool) (masmOutcome, bool) {
 	return o, true
 }
 
-// diffModule runs src on both engines and fails on any observable
-// divergence; it reports whether a main existed to run.
+// diffModule runs src verified and unverified and fails on any
+// observable divergence; it reports whether a main existed to run.
 func diffModule(t *testing.T, src string) bool {
 	t.Helper()
-	q, ran := execModule(t, src, true)
+	f, ran := execModule(t, src, true)
 	if !ran {
 		return false
 	}
-	b, _ := execModule(t, src, false)
-	if q.val != b.val {
-		t.Errorf("quickened value %+v, baseline %+v", q.val, b.val)
+	u, _ := execModule(t, src, false)
+	if f.val != u.val {
+		t.Errorf("verified value %+v, unverified %+v", f.val, u.val)
 	}
-	if q.out != b.out {
-		t.Errorf("quickened stdout %q, baseline %q", q.out, b.out)
+	if f.out != u.out {
+		t.Errorf("verified stdout %q, unverified %q", f.out, u.out)
 	}
 	switch {
-	case (q.err == nil) != (b.err == nil):
-		t.Errorf("quickened err %v, baseline err %v", q.err, b.err)
-	case q.err != nil:
-		var qt, bt *vm.Trap
-		qTrap, bTrap := errors.As(q.err, &qt), errors.As(b.err, &bt)
-		if qTrap != bTrap {
-			t.Errorf("quickened err %v (%T), baseline %v (%T)", q.err, q.err, b.err, b.err)
-		} else if qTrap && *qt != *bt {
-			t.Errorf("quickened trap %+v, baseline trap %+v", *qt, *bt)
-		} else if !qTrap && q.err.Error() != b.err.Error() {
-			t.Errorf("quickened err %q, baseline err %q", q.err, b.err)
+	case (f.err == nil) != (u.err == nil):
+		t.Errorf("verified err %v, unverified err %v", f.err, u.err)
+	case f.err != nil:
+		var ft, ut *vm.Trap
+		fTrap, uTrap := errors.As(f.err, &ft), errors.As(u.err, &ut)
+		if fTrap != uTrap {
+			t.Errorf("verified err %v (%T), unverified %v (%T)", f.err, f.err, u.err, u.err)
+		} else if fTrap && *ft != *ut {
+			t.Errorf("verified trap %+v, unverified trap %+v", *ft, *ut)
+		} else if !fTrap && f.err.Error() != u.err.Error() {
+			t.Errorf("verified err %q, unverified err %q", f.err, u.err)
 		}
 	}
 	return true
 }
 
 // TestQuickenValidCorpusDifferential executes every valid-corpus
-// module under both engines. Most of them hit the mp.* stubs and stop
-// with the stub error — which must still be byte-identical.
+// module verified and unverified. Most of them hit the mp.* stubs and
+// stop with the stub error — which must still be byte-identical.
 func TestQuickenValidCorpusDifferential(t *testing.T) {
 	ran := 0
 	for _, path := range corpusFiles(t, "valid") {
@@ -217,7 +206,7 @@ func TestQuickenValidCorpusDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Run(pathBase(path), func(t *testing.T) {
+		t.Run(filepath.Base(path), func(t *testing.T) {
 			if diffModule(t, string(raw)) {
 				ran++
 			}
@@ -228,166 +217,45 @@ func TestQuickenValidCorpusDifferential(t *testing.T) {
 	}
 }
 
-func pathBase(p string) string {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			return p[i+1:]
-		}
-	}
-	return p
-}
-
 // TestQuickenMasmDevirt: the full pipeline — assemble, verify (facts),
-// quicken — devirtualizes an allocation-site virtual call and computes
-// the same answer as baseline dispatch.
+// quicken — devirtualizes an allocation-site virtual call, computes
+// 49, and agrees with the fact-free lowering.
 func TestQuickenMasmDevirt(t *testing.T) {
-	src := `
-.class Shape
-  .method virtual area (0) int32
-    ldc.i4 0
-    ret.val
-  .end
-.end
-.class Square extends Shape
-  .field int32 side
-  .method virtual area (0) int32
-    ldarg 0
-    ldfld Square.side
-    ldarg 0
-    ldfld Square.side
-    mul
-    ret.val
-  .end
-.end
-.method main (0) int32
-  .locals 1
-  newobj Square
-  stloc 0
-  ldloc 0
-  ldc.i4 7
-  stfld Square.side
-  ldloc 0
-  callvirt Shape.area
-  ret.val
-.end
-`
-	var buf bytes.Buffer
-	v, mod := buildExecVM(t, src, &buf)
+	raw, err := os.ReadFile("testdata/kernels/devirt.masm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := vm.New(vm.Config{})
+	mod, err := v.AssembleModule(string(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bcverify.VerifyModule(v, mod.Methods, bcverify.Options{}); err != nil {
+		t.Fatal(err)
+	}
 	devirted := 0
 	for _, m := range mod.Methods {
-		info, err := v.QuickenMethod(m)
-		if err != nil {
-			t.Fatalf("quicken %s: %v", m.FullName(), err)
-		}
-		devirted += info.Devirted
+		devirted += v.QuickenMethod(m).Devirted
 	}
 	if devirted != 1 {
 		t.Errorf("Devirted = %d, want 1 (the allocation-site callvirt)", devirted)
 	}
-	var got vm.Value
-	var err error
-	v.WithThread("t", func(th *vm.Thread) { got, err = th.Call(mod.Main) })
-	if err != nil || got.Int() != 49 {
-		t.Fatalf("main = %v, %v; want 49", got, err)
+	if got, ok := execModule(t, string(raw), true); !ok || got.err != nil || got.val.Int() != 49 {
+		t.Fatalf("main = %v, %v; want 49", got.val, got.err)
 	}
-	if !diffModule(t, src) {
-		t.Fatal("module did not run")
-	}
+	diffModule(t, string(raw))
 }
 
-// TestQuickenMasmKernels: compute-bound masm kernels (the shapes the
-// interpreter benchmark uses) agree across engines, including console
-// output and conv.f2i rounding.
+// TestQuickenMasmKernels: compute-bound masm kernels agree verified and
+// unverified, including console output and conv.f2i rounding.
 func TestQuickenMasmKernels(t *testing.T) {
-	kernels := map[string]string{
-		"intsum": `
-.method main (0) int32
-  .locals 2
-  ldc.i4 0
-  stloc 0
-  ldc.i4 0
-  stloc 1
-loop:
-  ldloc 1
-  ldloc 0
-  add
-  stloc 1
-  ldloc 0
-  ldc.i4 1
-  add
-  stloc 0
-  ldloc 0
-  ldc.i4 1000
-  clt
-  brtrue loop
-  ldloc 1
-  ret.val
-.end
-`,
-		"floatpoly": `
-.method main (0) int32
-  .locals 2
-  ldc.i4 0
-  stloc 0
-  ldc.i4 0
-  stloc 1
-loop:
-  ldloc 0
-  conv.i2f
-  ldc.r8 0.5
-  mul.f
-  ldloc 0
-  conv.i2f
-  add.f
-  conv.f2i
-  ldloc 1
-  add
-  stloc 1
-  ldloc 0
-  ldc.i4 1
-  add
-  stloc 0
-  ldloc 0
-  ldc.i4 500
-  clt
-  brtrue loop
-  ldloc 1
-  ret.val
-.end
-`,
-		"fib": `
-.method fib (1) int32
-  ldarg 0
-  ldc.i4 2
-  clt
-  brfalse rec
-  ldarg 0
-  ret.val
-rec:
-  ldarg 0
-  ldc.i4 1
-  sub
-  call fib
-  ldarg 0
-  ldc.i4 2
-  sub
-  call fib
-  add
-  ret.val
-.end
-.method main (0) int32
-  ldc.i4 18
-  call fib
-  intern console.writei
-  ldc.i4 18
-  call fib
-  ret.val
-.end
-`,
-	}
-	for name, src := range kernels {
-		t.Run(name, func(t *testing.T) {
-			if !diffModule(t, src) {
+	for _, path := range corpusFiles(t, "kernels") {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(strings.TrimSuffix(filepath.Base(path), ".masm"), func(t *testing.T) {
+			if !diffModule(t, string(raw)) {
 				t.Fatal("kernel did not run")
 			}
 		})

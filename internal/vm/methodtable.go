@@ -63,8 +63,8 @@ func (f *FieldDesc) Transportable() bool { return f.bits&fdTransportableFlag != 
 func (f *FieldDesc) IsRef() bool { return f.Kind() == KindRef }
 
 // Method is a piece of executable bytecode attached to a type (or
-// standalone when Owner is nil). The interpreter in interp.go executes
-// Code; builder.go and textasm.go produce it.
+// standalone when Owner is nil). builder.go and textasm.go produce Code;
+// quicken.go lowers it for the dispatch loop in quickrun.go.
 type Method struct {
 	Name  string
 	Owner *MethodTable // nil for module-level (static) functions
@@ -105,8 +105,8 @@ type Method struct {
 	// pass. Nil for unverified methods.
 	Facts map[int]InstFact
 
-	// quick is the quickened body compiled by VM.QuickenMethod, or nil
-	// when the method runs on the baseline switch dispatch.
+	// quick is the quickened body compiled by VM.QuickenMethod; nil
+	// until the method is lowered (at Load, or on its first activation).
 	quick *quickBody
 
 	// Index is the method's position in the assembly's method list,

@@ -174,7 +174,7 @@ func (e *BoundsError) Error() string {
 // loadElem reads the slot of kind k at arena offset off as a stack
 // Value: integers extended to 64 bits by their signedness, float32
 // widened to float64, references tagged. It is the one load switch
-// behind the element and field instructions of both dispatch engines.
+// behind the element and field instructions.
 func (h *Heap) loadElem(off uint32, k Kind) Value {
 	m := h.mem[off:]
 	switch k {

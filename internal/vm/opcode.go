@@ -240,8 +240,8 @@ func (k StackKind) String() string {
 
 // Effect is the declarative stack contract of one opcode: what it pops
 // (top of stack first), what it pushes, and how it transfers control.
-// Interp.go remains the executable semantics; this table makes the
-// implicit knowledge spread through its switch available to static
+// The dispatch loop (quickrun.go) is the executable semantics; this
+// table makes the stack contract it implements available to static
 // tools — the verifier checks every method against it, and a unit test
 // keeps it consistent with the operand-width table.
 type Effect struct {

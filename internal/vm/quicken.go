@@ -5,17 +5,18 @@ import (
 	"fmt"
 )
 
-// Load-time quickening (ROADMAP item 2). The bytecode verifier already
-// proves, per instruction, operand stack kinds, exact receiver classes
-// and checked stores. This pass spends those proofs once at load time:
-// verified methods are rewritten into a pre-decoded internal form —
-// wide instructions with resolved operands, fused superinstructions
-// for hot pairs, direct calls where the receiver class is exact, and
-// inline caches elsewhere — executed by the second dispatch loop in
-// quickrun.go. Baseline semantics in interp.go remain the reference:
-// the quickened form must produce identical results, traps (kind,
-// detail, method, pc) and GC-poll placement, a property enforced by
-// the differential suite in quicken_diff_test.go.
+// Lowering onto the quickened loop, the one dispatch loop (quickrun.go).
+// Every method is rewritten once — at Load, or on its first activation —
+// into a pre-decoded internal form: wide instructions with resolved
+// operands, fused superinstructions for hot pairs, and inline caches.
+// For a verified method the pass also spends the bytecode verifier's
+// per-instruction proofs (exact receiver classes, checked stores): direct
+// calls, baked field descriptors, pre-seeded element caches. An
+// unverified method gets the same lowering without them, so each of its
+// sites keeps the dynamic check a decode-and-switch interpreter makes.
+// The reference interpreter kept as the test oracle (refinterp_test.go)
+// pins the semantics: identical results, traps (kind, detail, method,
+// pc) and GC-poll placement, enforced by the differential suites.
 //
 // Soundness note: non-exact static ref types from the verifier are
 // upper bounds only and are NOT trusted for layout decisions; baked
@@ -27,9 +28,10 @@ import (
 // quickBody is a method's quickened instruction stream. Branch targets
 // are indices into insts; every qinst records the bytecode offset(s)
 // of the source instruction(s) it covers so traps map back through
-// Method.Lines exactly as baseline dispatch does.
+// Method.Lines. traps is the trap table of the body's qTrap instructions.
 type quickBody struct {
 	insts []qinst
+	traps []quickTrap
 }
 
 // qOp enumerates quickened operations. The set mirrors Op plus fused
@@ -111,6 +113,8 @@ const (
 	qStFldD    // fld = baked descriptor; b = 1 when the store is verifier-checked
 	qLdSFld    // a = global index
 	qStSFld
+
+	qTrap // raises traps[a] of the body at pc (runQuick's default arm)
 )
 
 // qinst is one pre-decoded quickened instruction. It is deliberately
@@ -175,6 +179,10 @@ type QuickenInfo struct {
 	Devirted int // callvirt sites bound to an exact implementation
 }
 
+// quickTrap is one entry of a body's trap table: the trap a qTrap
+// instruction raises at its pc.
+type quickTrap struct{ kind, detail string }
+
 // rawInst is the decode-pass view of one bytecode instruction.
 type rawInst struct {
 	pc   int
@@ -182,58 +190,106 @@ type rawInst struct {
 	arg  int    // u16 operand, or absolute branch-target pc
 	imm  uint64 // i32 (sign-extended) / i64 / r8 immediate bits
 	size int
+	trap *quickTrap // non-nil: reaching the instruction raises this
 }
 
-// QuickenMethod compiles a verified method's bytecode into quickened
-// form and installs it, so subsequent activations dispatch through the
-// fast loop. Unverified methods are rejected: quickening trusts the
-// verifier's stack-shape and exact-type proofs. On any error the
-// method is left unquickened (baseline dispatch remains correct).
-func (v *VM) QuickenMethod(m *Method) (QuickenInfo, error) {
-	if !m.Verified {
-		return QuickenInfo{}, fmt.Errorf("vm: quicken %s: method not verified", m.FullName())
+// allocQ lowers the allocations; trap names the trap of one whose type
+// operand is missing or unfit for it.
+var allocQ = map[Op]struct {
+	q    qOp
+	trap string
+}{OpNewObj: {qNewObj, "bad type index"}, OpNewArr: {qNewArr, "bad array type index"}, OpNewMD: {qNewMD, "bad multidim type index"}}
+
+// allocFits reports whether op can allocate an instance of mt.
+func allocFits(op Op, mt *MethodTable) bool {
+	switch op {
+	case OpNewObj:
+		return mt.Kind == TKClass
+	case OpNewArr:
+		return mt.Kind == TKArray
+	default:
+		return mt.Kind == TKArray && mt.Rank >= 2
 	}
+}
+
+// decodeInst decodes the instruction at pc. Whatever would trap only
+// when reached — an undefined opcode, a truncated operand, an operand
+// naming no method, internal or fitting type — becomes the instruction's
+// trap, with the kind and detail a decode-and-switch interpreter raises.
+func (v *VM) decodeInst(code []byte, pc int) rawInst {
+	op := Op(code[pc])
+	r := rawInst{pc: pc, op: op, size: 1 + op.operandBytes()}
+	switch {
+	case !op.Valid():
+		r.trap = &quickTrap{"bad opcode", fmt.Sprintf("%d", op)}
+		return r
+	case pc+r.size > len(code):
+		// The operand read overruns the code: the runtime's own message.
+		r.trap = &quickTrap{"invalid program", fmt.Sprintf("runtime error: index out of range [%d] with length %d",
+			op.operandBytes()-1, len(code)-pc-1)}
+		r.size = len(code) - pc
+		return r
+	}
+	switch opTable[op].width {
+	case wU16:
+		r.arg = int(u16(code, pc+1))
+	case wI32:
+		v32 := int32(binary.LittleEndian.Uint32(code[pc+1:]))
+		if op == OpLdcI4 {
+			r.imm = uint64(int64(v32))
+		} else {
+			r.arg = pc + r.size + int(v32) // absolute target
+		}
+	case wI64:
+		r.imm = binary.LittleEndian.Uint64(code[pc+1:])
+	}
+	switch op {
+	case OpCall, OpCallVirt:
+		if _, ok := v.MethodByIndex(r.arg); !ok {
+			r.trap = &quickTrap{"bad method index", fmt.Sprintf("%d", r.arg)}
+		}
+	case OpIntern:
+		if _, ok := v.InternalByIndex(r.arg); !ok {
+			r.trap = &quickTrap{"bad internal index", fmt.Sprintf("%d", r.arg)}
+		}
+	case OpNewObj, OpNewArr, OpNewMD:
+		if mt, ok := v.TypeByIndex(r.arg); !ok || !allocFits(op, mt) {
+			r.trap = &quickTrap{allocQ[op].trap, fmt.Sprintf("%d", r.arg)}
+		}
+	}
+	return r
+}
+
+// QuickenMethod lowers m's bytecode into quickened form and installs it;
+// every activation of m then dispatches through the quickened loop. A
+// verified method's Facts are spent here: baked fields, devirtualized
+// calls, pre-seeded element caches and checked stores. An unverified
+// method gets the same lowering without facts, so every site keeps its
+// dynamic checks. Nothing is refused: an instruction that would trap
+// only when reached (see decodeInst), or a branch to no instruction
+// boundary, lowers to a qTrap that raises the trap at its pc.
+func (v *VM) QuickenMethod(m *Method) QuickenInfo {
 	code := m.Code
+	facts := m.Facts
+	if !m.Verified {
+		facts = nil
+	}
 
 	// Pass 1: decode, collect branch-target offsets.
 	var raw []rawInst
 	targets := make(map[int]bool)
 	for pc := 0; pc < len(code); {
-		op := Op(code[pc])
-		if !op.Valid() {
-			return QuickenInfo{}, fmt.Errorf("vm: quicken %s: bad opcode %d at pc=%d", m.FullName(), op, pc)
-		}
-		size := 1 + op.operandBytes()
-		if pc+size > len(code) {
-			return QuickenInfo{}, fmt.Errorf("vm: quicken %s: truncated operand at pc=%d", m.FullName(), pc)
-		}
-		ri := rawInst{pc: pc, op: op, size: size}
-		switch opTable[op].width {
-		case wU16:
-			ri.arg = int(u16(code, pc+1))
-		case wI32:
-			v32 := int32(binary.LittleEndian.Uint32(code[pc+1:]))
-			if op == OpLdcI4 {
-				ri.imm = uint64(int64(v32))
-			} else {
-				ri.arg = pc + size + int(v32) // absolute target
-			}
-		case wI64:
-			ri.imm = binary.LittleEndian.Uint64(code[pc+1:])
-		}
-		if op.Effect().Branch {
-			if ri.arg < 0 || ri.arg > len(code) {
-				return QuickenInfo{}, fmt.Errorf("vm: quicken %s: branch target %d out of range at pc=%d", m.FullName(), ri.arg, pc)
-			}
+		ri := v.decodeInst(code, pc)
+		if ri.trap == nil && ri.op.Effect().Branch {
 			targets[ri.arg] = true
 		}
 		raw = append(raw, ri)
-		pc += size
+		pc += ri.size
 	}
 
 	// factExact resolves an exact-type fact at a bytecode offset.
 	factExact := func(pc int) *MethodTable {
-		f, ok := m.Facts[pc]
+		f, ok := facts[pc]
 		if !ok || f.ExactType == 0 {
 			return nil
 		}
@@ -244,7 +300,7 @@ func (v *VM) QuickenMethod(m *Method) (QuickenInfo, error) {
 		return mt
 	}
 	storeChecked := func(pc int) int32 {
-		if m.Facts[pc].StoreChecked {
+		if facts[pc].StoreChecked {
 			return 1
 		}
 		return 0
@@ -259,8 +315,14 @@ func (v *VM) QuickenMethod(m *Method) (QuickenInfo, error) {
 		}
 	}
 	// A raw instruction may be absorbed into a superinstruction only if
-	// no branch lands on it (its offset would have no quickened index).
-	free := func(j int) bool { return j < len(raw) && !targets[raw[j].pc] }
+	// no branch lands on it (its offset would have no quickened index)
+	// and it does not trap.
+	free := func(j int) bool { return j < len(raw) && !targets[raw[j].pc] && raw[j].trap == nil }
+	var traps []quickTrap
+	trapInst := func(tr quickTrap, pc int) qinst {
+		traps = append(traps, tr)
+		return qinst{op: qTrap, a: int32(len(traps) - 1), pc: int32(pc)}
+	}
 
 	// Pass 2: emit, fusing where legal.
 	info := QuickenInfo{In: len(raw)}
@@ -269,6 +331,12 @@ func (v *VM) QuickenMethod(m *Method) (QuickenInfo, error) {
 	for i := 0; i < len(raw); {
 		r := raw[i]
 		pcToQ[r.pc] = len(insts)
+
+		if r.trap != nil {
+			insts = append(insts, trapInst(*r.trap, r.pc))
+			i++
+			continue
+		}
 
 		// ldloc X; ldc.i4 K; add; stloc X  →  qIncLoc
 		if r.op == OpLdLoc && i+3 < len(raw) &&
@@ -426,10 +494,7 @@ func (v *VM) QuickenMethod(m *Method) (QuickenInfo, error) {
 		case OpBrFalse:
 			q.op, q.t = qBrFalse, int32(r.arg)
 		case OpCall, OpCallVirt:
-			callee, ok := v.MethodByIndex(r.arg)
-			if !ok {
-				return QuickenInfo{}, fmt.Errorf("vm: quicken %s: bad method index %d at pc=%d", m.FullName(), r.arg, r.pc)
-			}
+			callee, _ := v.MethodByIndex(r.arg)
 			q.op, q.m = qCall, callee
 			if r.op == OpCallVirt {
 				q.op = qCallVirt
@@ -441,30 +506,14 @@ func (v *VM) QuickenMethod(m *Method) (QuickenInfo, error) {
 				}
 			}
 		case OpIntern:
-			if _, ok := v.InternalByIndex(r.arg); !ok {
-				return QuickenInfo{}, fmt.Errorf("vm: quicken %s: bad internal index %d at pc=%d", m.FullName(), r.arg, r.pc)
-			}
 			q.op, q.a = qIntern, int32(r.arg)
 		case OpRet:
 			q.op = qRet
 		case OpRetVal:
 			q.op = qRetVal
 		case OpNewObj, OpNewArr, OpNewMD:
-			mt, ok := v.TypeByIndex(r.arg)
-			if !ok {
-				return QuickenInfo{}, fmt.Errorf("vm: quicken %s: bad type index %d at pc=%d", m.FullName(), r.arg, r.pc)
-			}
-			switch {
-			case r.op == OpNewObj && mt.Kind == TKClass:
-				q.op = qNewObj
-			case r.op == OpNewArr && mt.Kind == TKArray:
-				q.op = qNewArr
-			case r.op == OpNewMD && mt.Kind == TKArray && mt.Rank >= 2:
-				q.op = qNewMD
-			default:
-				return QuickenInfo{}, fmt.Errorf("vm: quicken %s: type %s unfit for %s at pc=%d", m.FullName(), mt, r.op.Name(), r.pc)
-			}
-			q.mt = mt
+			q.op = allocQ[r.op].q
+			q.mt, _ = v.TypeByIndex(r.arg)
 		case OpLdLen:
 			q.op = qLdLen
 		case OpLdElem:
@@ -488,7 +537,9 @@ func (v *VM) QuickenMethod(m *Method) (QuickenInfo, error) {
 		case OpStSFld:
 			q.op, q.a = qStSFld, int32(r.arg)
 		default:
-			return QuickenInfo{}, fmt.Errorf("vm: quicken %s: unhandled opcode %s at pc=%d", m.FullName(), r.op.Name(), r.pc)
+			// decodeInst traps every undefined opcode: a defined one
+			// without a lowering is a bug here.
+			panic(fmt.Sprintf("vm: quicken: no lowering for %s", r.op.Name()))
 		}
 		insts = append(insts, q)
 		i++
@@ -496,36 +547,40 @@ func (v *VM) QuickenMethod(m *Method) (QuickenInfo, error) {
 
 	// Pass 3: branch fixup — targets become quickened indices, and
 	// backward branches (the GC poll / step-charge points) are marked
-	// using original bytecode offsets, so poll placement matches the
-	// baseline loop's nextPC < pc test exactly.
-	for idx := range insts {
-		q := &insts[idx]
+	// using original bytecode offsets, so poll placement matches a
+	// decode-and-switch loop's nextPC < pc test exactly. A target past
+	// the code falls off the end (a void return); a negative or
+	// mid-instruction one gets a qTrap after the body, behind a qRet
+	// that keeps the body's own end a void return.
+	end := len(insts)
+	for idx := 0; idx < end; idx++ {
+		q := insts[idx]
 		switch q.op {
 		case qBr, qBrTrue, qBrFalse, qCmpBr:
-			tpc := int(q.t)
-			bpc := int(q.pc)
+			tpc, bpc := int(q.t), int(q.pc)
 			if q.op == qCmpBr {
 				bpc = int(q.pc2)
 			}
-			q.back = tpc < bpc
-			if tpc == len(code) {
-				q.t = int32(len(insts)) // falls off the end: void return
-			} else if qi, ok := pcToQ[tpc]; ok {
-				q.t = int32(qi)
+			insts[idx].back = tpc < bpc
+			if qi, ok := pcToQ[tpc]; ok {
+				insts[idx].t = int32(qi)
+			} else if tpc >= len(code) {
+				insts[idx].t = int32(end)
 			} else {
-				return QuickenInfo{}, fmt.Errorf("vm: quicken %s: branch into fused instruction at pc=%d", m.FullName(), tpc)
+				if len(insts) == end {
+					insts = append(insts, qinst{op: qRet})
+				}
+				insts[idx].t = int32(len(insts))
+				insts = append(insts, trapInst(quickTrap{"invalid program",
+					fmt.Sprintf("branch target %d is not an instruction", tpc)}, bpc))
 			}
 		}
 	}
 
 	info.Out = len(insts)
-	m.quick = &quickBody{insts: insts}
-	return info, nil
+	m.quick = &quickBody{insts: insts, traps: traps}
+	return info
 }
-
-// Unquicken removes a method's quickened body, restoring baseline
-// dispatch (the -noquicken escape hatch and tests use this).
-func (m *Method) Unquicken() { m.quick = nil }
 
 // cmpSelector maps a comparison opcode to the qCmpBr selector.
 func cmpSelector(op Op) (int32, bool) {

@@ -7,13 +7,14 @@ import (
 	"testing"
 )
 
-// Differential property suite: quickened and baseline dispatch must be
-// observably indistinguishable — same return value, same stdout, and
-// on failure the same trap (kind, detail, method, pc) — over randomly
-// generated programs. Each seed builds the SAME program on two fresh
-// VMs with identical registration and allocation histories (so even
-// trap details that embed heap addresses must match), quickens one,
-// and compares everything.
+// Differential property suite: the quickened loop and the reference
+// interpreter (refinterp_test.go) must be observably indistinguishable
+// — same return value, same stdout, and on failure the same trap (kind,
+// detail, method, pc) — over randomly generated programs. Each seed
+// builds the SAME program on two fresh VMs with identical registration
+// and allocation histories (so even trap details that embed heap
+// addresses must match), runs it on one through Thread.Call and on the
+// other on the reference, and compares everything.
 //
 // The generator emits structured, stack-balanced code on purpose:
 // statements are stack-neutral, expressions push exactly one value.
@@ -122,7 +123,7 @@ func (g *diffGen) stmt(depth int) {
 		}
 	case 5:
 		// Touch the ref slot: element or field traffic. Whatever local 3
-		// currently holds (array, object, scalar, null) both engines
+		// currently holds (array, object, scalar, null) both loops
 		// must agree on the outcome.
 		switch g.rng.Intn(4) {
 		case 0:
@@ -166,9 +167,8 @@ func (g *diffGen) stmt(depth int) {
 }
 
 // diffVM builds one side of the comparison: a fresh VM with the fixed
-// registration order and the seed-determined method. The returned
-// helpers are the callee pool (for quickening them too).
-func diffVM(seed int64, out *bytes.Buffer) (*VM, *Method, []*Method) {
+// registration order and the seed-determined method.
+func diffVM(seed int64, out *bytes.Buffer) (*VM, *Method) {
 	v := New(Config{Name: "diff", Stdout: out,
 		Heap: HeapConfig{YoungSize: 64 << 10, InitialElder: 256 << 10, ArenaMax: 32 << 20}})
 	pt := pointClass(v)
@@ -192,7 +192,7 @@ func diffVM(seed int64, out *bytes.Buffer) (*VM, *Method, []*Method) {
 	g.b.LdLoc(0).RetVal()
 	m := v.AddMethod(nil, g.b.Build("prog", diffArgs, diffLocals, true))
 	m.Verified = true
-	return v, m, []*Method{hadd, hdiv}
+	return v, m
 }
 
 type diffOutcome struct {
@@ -202,58 +202,55 @@ type diffOutcome struct {
 	line int // masm line of the trap, if any
 }
 
-func runDiff(t *testing.T, seed int64, quicken bool, helpersToo bool) diffOutcome {
+// runDiff builds seed's program on a fresh VM and calls it calls times
+// in a row on one thread, through Thread.Call or on the reference.
+func runDiff(t *testing.T, seed int64, ref bool, calls int) []diffOutcome {
 	t.Helper()
 	var buf bytes.Buffer
-	v, m, helpers := diffVM(seed, &buf)
-	if quicken {
-		if _, err := v.QuickenMethod(m); err != nil {
-			t.Fatalf("seed %d: quicken: %v", seed, err)
-		}
-	}
-	if helpersToo {
-		for _, hm := range helpers {
-			if _, err := v.QuickenMethod(hm); err != nil {
-				t.Fatalf("seed %d: quicken %s: %v", seed, hm.Name, err)
-			}
-		}
-	}
-	o := diffOutcome{}
+	v, m := diffVM(seed, &buf)
+	var outs []diffOutcome
 	v.WithThread("t", func(th *Thread) {
-		th.SetStepBudget(diffBudget)
-		o.val, o.err = th.Call(m, IntValue(7), IntValue(-3))
+		for i := 0; i < calls; i++ {
+			th.SetStepBudget(diffBudget)
+			var o diffOutcome
+			if ref {
+				o.val, o.err = th.refCall(m, IntValue(7), IntValue(-3))
+			} else {
+				o.val, o.err = th.Call(m, IntValue(7), IntValue(-3))
+			}
+			o.out = buf.String()
+			var trap *Trap
+			if errors.As(o.err, &trap) {
+				o.line = m.LineForPC(trap.PC)
+			}
+			outs = append(outs, o)
+		}
 	})
-	o.out = buf.String()
-	var trap *Trap
-	if errors.As(o.err, &trap) {
-		o.line = m.LineForPC(trap.PC)
-	}
-	return o
+	return outs
 }
 
-func compareOutcomes(t *testing.T, seed int64, q, b diffOutcome, qname, bname string) {
+func compareOutcomes(t *testing.T, seed int64, q, r diffOutcome) {
 	t.Helper()
-	if q.val != b.val {
-		t.Errorf("seed %d: %s value %+v, %s value %+v", seed, qname, q.val, bname, b.val)
+	if q.val != r.val {
+		t.Errorf("seed %d: quickened value %+v, reference value %+v", seed, q.val, r.val)
 	}
-	if q.out != b.out {
-		t.Errorf("seed %d: %s stdout %q, %s stdout %q", seed, qname, q.out, bname, b.out)
+	if q.out != r.out {
+		t.Errorf("seed %d: quickened stdout %q, reference stdout %q", seed, q.out, r.out)
 	}
-	if q.line != b.line {
-		t.Errorf("seed %d: trap line %d vs %d", seed, q.line, b.line)
+	if q.line != r.line {
+		t.Errorf("seed %d: trap line %d vs %d", seed, q.line, r.line)
 	}
-	compareErrs(t, qname, q.err, b.err)
+	compareErrs(t, "prog", q.err, r.err)
 }
 
 // TestQuickenDifferential is the core property: for every seed, the
-// quickened engine and the baseline engine agree bit-for-bit on value,
-// stdout, trap identity and trap line attribution.
+// quickened loop and the reference interpreter agree bit-for-bit on
+// value, stdout, trap identity and trap line attribution.
 func TestQuickenDifferential(t *testing.T) {
 	trapped := 0
 	for seed := int64(0); seed < diffPrograms; seed++ {
-		q := runDiff(t, seed, true, false)
-		b := runDiff(t, seed, false, false)
-		compareOutcomes(t, seed, q, b, "quickened", "baseline")
+		q := runDiff(t, seed, false, 1)[0]
+		compareOutcomes(t, seed, q, runDiff(t, seed, true, 1)[0])
 		if q.err != nil {
 			trapped++
 		}
@@ -266,16 +263,20 @@ func TestQuickenDifferential(t *testing.T) {
 	if trapped == 0 || trapped == diffPrograms {
 		t.Fatalf("degenerate corpus: %d/%d programs trapped", trapped, diffPrograms)
 	}
-	t.Logf("%d/%d programs trapped (both engines identically)", trapped, diffPrograms)
+	t.Logf("%d/%d programs trapped (both loops identically)", trapped, diffPrograms)
 }
 
-// TestQuickenDifferentialMixed re-runs the corpus with helper callees
-// also quickened (quick→quick calls) against fully-baseline execution.
+// TestQuickenDifferentialMixed mixes cold and warm runs: a third of the
+// corpus is called twice in a row on one thread, so the second call
+// finds every call-site and element-site cache filled, and the heap
+// shaped, by the first — and must still match the reference called
+// twice the same way.
 func TestQuickenDifferentialMixed(t *testing.T) {
 	for seed := int64(0); seed < diffPrograms/3; seed++ {
-		q := runDiff(t, seed, true, true)
-		b := runDiff(t, seed, false, false)
-		compareOutcomes(t, seed, q, b, "all-quickened", "baseline")
+		q, r := runDiff(t, seed, false, 2), runDiff(t, seed, true, 2)
+		for i := range q {
+			compareOutcomes(t, seed, q[i], r[i])
+		}
 		if t.Failed() {
 			t.Fatalf("seed %d diverged", seed)
 		}
@@ -287,8 +288,8 @@ func TestQuickenDifferentialMixed(t *testing.T) {
 func TestQuickenDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		var b1, b2 bytes.Buffer
-		_, m1, _ := diffVM(seed, &b1)
-		_, m2, _ := diffVM(seed, &b2)
+		_, m1 := diffVM(seed, &b1)
+		_, m2 := diffVM(seed, &b2)
 		if !bytes.Equal(m1.Code, m2.Code) {
 			t.Fatalf("seed %d: generator is not deterministic", seed)
 		}
@@ -298,7 +299,7 @@ func TestQuickenDeterministic(t *testing.T) {
 // TestQuickenNonArrayTraps is the regression case for a class instance
 // reaching ldlen/ldelem/stelem through an untyped slot (a global, which
 // the verifier types vAny): its header's length word is 0, so ldlen
-// used to answer 0 and ldelem to blame the index. Both engines now trap
+// used to answer 0 and ldelem to blame the index. Both loops now trap
 // a type mismatch naming the instruction and the class, at its pc.
 func TestQuickenNonArrayTraps(t *testing.T) {
 	v := testVM()

@@ -9,7 +9,7 @@ import (
 // Differential tests for the fused array load (qLdElemAt) and the
 // per-site element-layout cache. Everything observable — value, trap
 // kind/detail/pc, step-budget exhaustion — is compared against the
-// baseline engine through callBoth.
+// reference interpreter through callBoth.
 
 // opPC returns the offset of the n-th (0-based) occurrence of op.
 func opPC(t *testing.T, m *Method, op Op, n int) int {
@@ -78,7 +78,7 @@ func int64Array(t *testing.T, v *VM, vals ...int64) Ref {
 }
 
 // TestFusedLoadNullArrayTrapPC: a null array inside a fused load traps
-// at the ldelem component's pc, as baseline does — not at the head.
+// at the ldelem component's pc, as the reference does — not at the head.
 func TestFusedLoadNullArrayTrapPC(t *testing.T) {
 	v := testVM()
 	g := v.AddGlobal("fused.null")
@@ -158,7 +158,7 @@ func TestFusedLoadIndexArithmetic(t *testing.T) {
 // TestFusedLoadBranchTargetBlocksFusion: a branch landing on the index
 // load, the offset, the add or the ldelem itself keeps the site unfused
 // (the jump target must keep its own quickened index), and both paths
-// into it compute what baseline computes.
+// into it compute what the reference computes.
 func TestFusedLoadBranchTargetBlocksFusion(t *testing.T) {
 	v := testVM()
 	arr := RefValue(int64Array(t, v, 10, 11, 12, 13))
@@ -213,8 +213,8 @@ func TestFusedLoadBranchTargetBlocksFusion(t *testing.T) {
 // site a float64[], an int32[] (sign extension), a float32[], a
 // reference array (IsRef on the result, write barrier on the store), a
 // rank-2 array and a class instance in turn: every miss and refill
-// agrees with baseline, only rank-1 array types are ever cached, and a
-// cached site still rejects everything baseline rejects.
+// agrees with the reference, only rank-1 array types are ever cached,
+// and a cached site still rejects everything the reference rejects.
 func TestQuickenElemCachePolymorphicSite(t *testing.T) {
 	v := testVM()
 	pt := pointClass(v)
@@ -316,7 +316,7 @@ func TestQuickenElemCachePolymorphicSite(t *testing.T) {
 	_, err = callBoth(t, v, get, md(), IntValue(6))
 	wantTrap(t, err, "index out of range", "", opPC(t, get, OpLdElem, 0))
 
-	// A class instance is a type mismatch on both sites and both engines.
+	// A class instance is a type mismatch on both sites, on both loops.
 	_, err = callBoth(t, v, get, obj(), IntValue(0))
 	wantTrap(t, err, "type mismatch", "ldelem on non-array Point", opPC(t, get, OpLdElem, 0))
 	_, err = callBoth(t, v, put, obj(), IntValue(0), IntValue(1))
@@ -388,25 +388,26 @@ func TestQuickenElemCacheSurvivesScavenge(t *testing.T) {
 	if site.op != qLdElemAt {
 		t.Fatal("site not fused")
 	}
-	for _, quick := range []bool{true, false} {
+	for _, ref := range []bool{false, true} {
 		before := int64Array(t, v, 5, 21, 7)
 		v.SetGlobal(g, RefValue(before))
 		if !v.Heap.IsYoung(before) {
 			t.Fatal("array not allocated young")
 		}
-		body := m.quick
-		if !quick {
-			m.Unquicken()
-		}
 		var got Value
 		var err error
-		v.WithThread("scav", func(th *Thread) { got, err = th.Call(m) })
-		m.quick = body
+		v.WithThread("scav", func(th *Thread) {
+			if ref {
+				got, err = th.refCall(m)
+			} else {
+				got, err = th.Call(m)
+			}
+		})
 		if err != nil || got.Int() != 42 {
-			t.Fatalf("quick=%v: sum = %v, %v; want 42", quick, got, err)
+			t.Fatalf("ref=%v: sum = %v, %v; want 42", ref, got, err)
 		}
 		if v.GetGlobal(g).Ref() == before {
-			t.Fatalf("quick=%v: the scavenge did not move the array", quick)
+			t.Fatalf("ref=%v: the scavenge did not move the array", ref)
 		}
 	}
 	if site.ekey != uint32(v.ArrayType(KindInt64, nil, 1).Index) {
@@ -432,19 +433,8 @@ func TestFusedLoadStepBudgetParity(t *testing.T) {
 		t.Fatal("loop body not fused")
 	}
 	for _, budget := range []int64{1, 2, 3, 17} {
-		var qerr, berr error
-		v.WithThread("quick", func(th *Thread) {
-			th.SetStepBudget(budget)
-			_, qerr = th.Call(m, arr)
-		})
-		quick := m.quick
-		m.Unquicken()
-		v.WithThread("base", func(th *Thread) {
-			th.SetStepBudget(budget)
-			_, berr = th.Call(m, arr)
-		})
-		m.quick = quick
+		qerr, rerr := budgetBoth(v, m, budget, arr)
 		wantTrap(t, qerr, "step budget exhausted", "backward branch", opPC(t, m, OpBr, 0))
-		compareErrs(t, "spinload", qerr, berr)
+		compareErrs(t, "spinload", qerr, rerr)
 	}
 }

@@ -6,78 +6,109 @@ import (
 	"testing"
 )
 
-// Unit tests for the quickening compiler and the fast dispatch loop:
-// fusion formation, specialization, devirtualization, and — above all
-// — observable equivalence with the baseline interpreter. Every test
-// that executes quickened code re-executes the same method on baseline
-// dispatch and demands identical results and identical traps.
+// Unit tests for the quickening compiler and the dispatch loop: fusion
+// formation, specialization, devirtualization, and — above all —
+// observable equivalence with the reference interpreter
+// (refinterp_test.go). Every test that executes quickened code
+// re-executes the same method on the reference interpreter and demands
+// identical results and identical traps.
 
 // mustQuicken marks m verified (these are hand-built, structurally
-// sound bodies) and compiles it, failing the test on refusal.
+// sound bodies) and lowers it.
 func mustQuicken(t *testing.T, v *VM, m *Method) QuickenInfo {
 	t.Helper()
 	m.Verified = true
-	info, err := v.QuickenMethod(m)
-	if err != nil {
-		t.Fatalf("quicken %s: %v", m.FullName(), err)
-	}
+	info := v.QuickenMethod(m)
 	if !m.Quickened() {
 		t.Fatalf("quicken %s: no quick body installed", m.FullName())
 	}
 	return info
 }
 
-// callBoth runs m quickened, then again on baseline dispatch, and
-// fails unless both produce the same value and the same error
-// (including every *Trap field). It returns the shared outcome.
+// callBoth runs m through Thread.Call, then on the reference
+// interpreter, and fails unless both produce the same value and the
+// same error (including every *Trap field). It returns the shared
+// outcome.
 func callBoth(t *testing.T, v *VM, m *Method, args ...Value) (Value, error) {
 	t.Helper()
-	if !m.Quickened() {
-		t.Fatalf("%s: not quickened", m.FullName())
-	}
-	var qv, bv Value
-	var qerr, berr error
+	var qv, rv Value
+	var qerr, rerr error
 	v.WithThread("quick", func(th *Thread) { qv, qerr = th.Call(m, args...) })
-	quick := m.quick
-	m.Unquicken()
-	v.WithThread("base", func(th *Thread) { bv, berr = th.Call(m, args...) })
-	m.quick = quick
-	if qv != bv {
-		t.Errorf("%s: quickened value %+v, baseline %+v", m.FullName(), qv, bv)
+	v.WithThread("ref", func(th *Thread) { rv, rerr = th.refCall(m, args...) })
+	if qv != rv {
+		t.Errorf("%s: quickened value %+v, reference %+v", m.FullName(), qv, rv)
 	}
-	compareErrs(t, m.FullName(), qerr, berr)
+	compareErrs(t, m.FullName(), qerr, rerr)
 	return qv, qerr
 }
 
-func compareErrs(t *testing.T, name string, qerr, berr error) {
+// budgetBoth runs m with the step budget set to budget through
+// Thread.Call and on the reference interpreter, and returns both errors.
+func budgetBoth(v *VM, m *Method, budget int64, args ...Value) (qerr, rerr error) {
+	v.WithThread("quick", func(th *Thread) {
+		th.SetStepBudget(budget)
+		_, qerr = th.Call(m, args...)
+	})
+	v.WithThread("ref", func(th *Thread) {
+		th.SetStepBudget(budget)
+		_, rerr = th.refCall(m, args...)
+	})
+	return qerr, rerr
+}
+
+func compareErrs(t *testing.T, name string, qerr, rerr error) {
 	t.Helper()
 	switch {
-	case qerr == nil && berr == nil:
-	case qerr == nil || berr == nil:
-		t.Errorf("%s: quickened err %v, baseline err %v", name, qerr, berr)
+	case qerr == nil && rerr == nil:
+	case qerr == nil || rerr == nil:
+		t.Errorf("%s: quickened err %v, reference err %v", name, qerr, rerr)
 	default:
-		var qt, bt *Trap
-		qIsTrap, bIsTrap := errors.As(qerr, &qt), errors.As(berr, &bt)
-		if qIsTrap != bIsTrap {
-			t.Errorf("%s: quickened err %v (%T), baseline %v (%T)", name, qerr, qerr, berr, berr)
+		var qt, rt *Trap
+		qIsTrap, rIsTrap := errors.As(qerr, &qt), errors.As(rerr, &rt)
+		if qIsTrap != rIsTrap {
+			t.Errorf("%s: quickened err %v (%T), reference %v (%T)", name, qerr, qerr, rerr, rerr)
 		} else if qIsTrap {
-			if *qt != *bt {
-				t.Errorf("%s: quickened trap %+v, baseline trap %+v", name, *qt, *bt)
+			if *qt != *rt {
+				t.Errorf("%s: quickened trap %+v, reference trap %+v", name, *qt, *rt)
 			}
-		} else if qerr.Error() != berr.Error() {
-			t.Errorf("%s: quickened err %q, baseline err %q", name, qerr, berr)
+		} else if qerr.Error() != rerr.Error() {
+			t.Errorf("%s: quickened err %q, reference err %q", name, qerr, rerr)
 		}
 	}
 }
 
-func TestQuickenRejectsUnverified(t *testing.T) {
+// TestQuickenUnverifiedIgnoresFacts: an unverified method is lowered
+// like a verified one but without its facts — an exact-type fact that
+// would bake a field and skip a store check is not spent until the
+// method is verified — and both lowerings agree with the reference.
+func TestQuickenUnverifiedIgnoresFacts(t *testing.T) {
 	v := testVM()
-	m := v.AddMethod(nil, NewCodeBuilder().LdcI4(1).RetVal().Build("raw", 0, 0, true))
-	if _, err := v.QuickenMethod(m); err == nil {
-		t.Fatal("quickened an unverified method")
+	pt := pointClass(v)
+	m := v.AddMethod(nil, NewCodeBuilder().
+		LdArg(0).LdcI4(7).StFld(pt, "x"). // pcs 0,3,8
+		LdArg(0).LdFld(pt, "x").          // pcs 11,14
+		RetVal().Build("fld", 1, 0, true))
+	m.Facts = map[int]InstFact{
+		8:  {ExactType: uint32(pt.Index) + 1, StoreChecked: true},
+		14: {ExactType: uint32(pt.Index) + 1},
 	}
-	if m.Quickened() {
-		t.Fatal("quick body installed despite rejection")
+	ref, err := v.Heap.AllocClass(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, verified := range []bool{false, true} {
+		m.Verified = verified
+		v.QuickenMethod(m)
+		baked, checked := countQ(m, qLdFldD)+countQ(m, qStFldD), 0
+		for _, q := range m.quick.insts {
+			checked += int(q.b)
+		}
+		if want := map[bool]int{false: 0, true: 2}[verified]; baked != want || checked != want/2 {
+			t.Errorf("verified=%v: %d baked field sites, %d checked stores; want %d and %d", verified, baked, checked, want, want/2)
+		}
+		if got, err := callBoth(t, v, m, RefValue(ref)); err != nil || got.Int() != 7 {
+			t.Fatalf("verified=%v: fld = %v, %v; want 7", verified, got, err)
+		}
 	}
 }
 
@@ -197,38 +228,6 @@ func TestQuickenLdArgCallFusion(t *testing.T) {
 	if err != nil || got.Int() != 7 {
 		t.Fatalf("caller(3) = %v, %v; want 10-3 = 7", got, err)
 	}
-}
-
-// TestQuickenMixedEngines: a quickened caller invoking a baseline
-// callee and a baseline caller invoking a quickened callee both work —
-// run() drives frame by frame.
-func TestQuickenMixedEngines(t *testing.T) {
-	v := testVM()
-	double := v.AddMethod(nil, NewCodeBuilder().
-		LdArg(0).LdcI4(2).Op(OpMul).RetVal().
-		Build("double", 1, 0, true))
-	outer := v.AddMethod(nil, NewCodeBuilder().
-		LdArg(0).Call(double).LdcI4(1).Op(OpAdd).RetVal().
-		Build("outer", 1, 0, true))
-
-	run := func(want int64) {
-		t.Helper()
-		var got Value
-		var err error
-		v.WithThread("t", func(th *Thread) { got, err = th.Call(outer, IntValue(20)) })
-		if err != nil || got.Int() != want {
-			t.Fatalf("outer(20) = %v, %v; want %d", got, err, want)
-		}
-	}
-	// quick caller → baseline callee
-	mustQuicken(t, v, outer)
-	run(41)
-	// quick caller → quick callee
-	mustQuicken(t, v, double)
-	run(41)
-	// baseline caller → quick callee
-	outer.Unquicken()
-	run(41)
 }
 
 // TestQuickenRecursion: self-recursive quickened methods (frame
@@ -405,7 +404,7 @@ func TestQuickenArrayOps(t *testing.T) {
 }
 
 // TestQuickenStepBudgetParity: the step budget is charged at the same
-// program points in both loops — exhaustion surfaces the same trap at
+// program points on the quickened loop and the reference — exhaustion surfaces the same trap at
 // the same pc after the same number of steps.
 func TestQuickenStepBudgetParity(t *testing.T) {
 	v := testVM()
@@ -418,22 +417,11 @@ func TestQuickenStepBudgetParity(t *testing.T) {
 	mustQuicken(t, v, m)
 
 	for _, budget := range []int64{1, 2, 3, 17} {
-		var qerr, berr error
-		v.WithThread("quick", func(th *Thread) {
-			th.SetStepBudget(budget)
-			_, qerr = th.Call(m)
-		})
-		quick := m.quick
-		m.Unquicken()
-		v.WithThread("base", func(th *Thread) {
-			th.SetStepBudget(budget)
-			_, berr = th.Call(m)
-		})
-		m.quick = quick
-		if qerr == nil || berr == nil {
-			t.Fatalf("budget %d: expected traps, got %v / %v", budget, qerr, berr)
+		qerr, rerr := budgetBoth(v, m, budget)
+		if qerr == nil || rerr == nil {
+			t.Fatalf("budget %d: expected traps, got %v / %v", budget, qerr, rerr)
 		}
-		compareErrs(t, "spin", qerr, berr)
+		compareErrs(t, "spin", qerr, rerr)
 	}
 }
 

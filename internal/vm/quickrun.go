@@ -5,21 +5,25 @@ import (
 	"fmt"
 )
 
-// The quickened dispatch loop. runQuick executes one frame's quickened
-// body; run() (interp.go) remains the driver, so mixed stacks — a
-// quickened caller invoking a baseline callee or vice versa — work
-// frame by frame. Semantics must match interp.go observably: results,
-// traps (kind, detail, method, pc), GC-poll placement and step-budget
-// charges are bit-identical, which the differential suite asserts.
+// The quickened dispatch loop, the one loop every method runs on.
+// runQuick executes one frame's quickened body; run() (interp.go) is the
+// frame-stack driver. Semantics must match the reference interpreter
+// (refinterp_test.go) observably: results, traps (kind, detail, method,
+// pc), GC-poll placement and step-budget charges are bit-identical,
+// which the differential suites assert.
 //
 // Safepoint discipline: the loop caches fr.stack in a local (pushes
-// stay allocation-free thanks to the MaxStack preallocation) and
+// in verified methods stay allocation-free thanks to the MaxStack
+// preallocation; an unverified method's stack grows by append) and
 // writes it back before every GC-capable point — managed calls,
 // FCalls, allocations, backward-branch polls — so collections always
 // see the frame's true root set. locals/args are mutated in place and
 // never reallocated, so they need no writeback. fr.pc is committed
 // before any operation that can raise a trap out of line (bounds
-// panics, allocation failure), keeping trap attribution exact.
+// panics, allocation failure), keeping trap attribution exact. It is
+// not committed per instruction: a Go runtime panic from malformed
+// unverified code (operand-stack underflow, a frame slot out of range)
+// becomes an "invalid program" trap at the last committed pc.
 
 // runQuick executes fr until it returns, pushes a managed callee, or
 // traps. Return contract: (rv, hasRV, returned, err) — when returned,
@@ -229,7 +233,7 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 						t.stepBudget--
 						if t.stepBudget == 0 {
 							fr.stack = stack
-							fr.pc = int(q.pc2) // the branch half charges, as baseline does
+							fr.pc = int(q.pc2) // the branch half charges, not the compare
 							return Value{}, false, false, fr.trap("step budget exhausted", "backward branch")
 						}
 					}
@@ -532,14 +536,15 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 			t.vm.SetGlobal(int(q.a), stack[len(stack)-1])
 			stack = stack[:len(stack)-1]
 
-		default:
+		default: // qTrap
+			tr := &fr.method.quick.traps[q.a]
 			fr.stack = stack
 			fr.pc = int(q.pc)
-			return Value{}, false, false, fr.trap("bad opcode", fmt.Sprintf("q%d", q.op))
+			return Value{}, false, false, fr.trap(tr.kind, tr.detail)
 		}
 		qpc++
 	}
-	// Fell off the end: void return, as in the baseline loop.
+	// Fell off the end: void return.
 	return Value{}, false, true, nil
 }
 
@@ -547,9 +552,8 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 var elemOpName = [...]string{qLdElem: "ldelem", qLdElemAt: "ldelem", qStElem: "stelem"}
 
 // qpushCall is the shared managed-call tail of the quickened loop:
-// depth check, step-budget charge, frame push and the GC poll — in
-// the same order, with the same trap attribution, as OpCall in the
-// baseline loop. The caller must have written fr.stack back first.
+// depth check, step-budget charge, frame push and the GC poll, in that
+// order. The caller must have written fr.stack back first.
 func (t *Thread) qpushCall(fr *callFrame, callee *Method, cargs []Value, qpc int, pc int32) error {
 	if len(t.callStack) >= maxCallDepth {
 		return ErrCallDepth

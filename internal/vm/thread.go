@@ -40,10 +40,10 @@ type Thread struct {
 
 	// stepBudget, when non-zero, is decremented at every backward
 	// branch and managed call; reaching zero raises a "step budget
-	// exhausted" trap. Both dispatch engines charge at the same
-	// program points, so a budgeted run diverges identically under
-	// baseline and quickened dispatch — the property the differential
-	// test harness relies on to bound fuzzed guest programs.
+	// exhausted" trap. The quickened loop charges at the same program
+	// points as the reference interpreter the differential tests compare
+	// it with, so a budgeted run diverges identically on both — what
+	// those tests rely on to bound fuzzed guest programs.
 	stepBudget int64
 
 	attached bool

@@ -126,28 +126,9 @@ const (
 	VerifyOn VerifyMode = iota
 	// VerifyOff loads modules unchecked; safety then rests on the
 	// interpreter's traps and the engine's dynamic integrity checks.
+	// The methods still run on the quickened loop, lowered without the
+	// verifier's facts.
 	VerifyOff
-)
-
-// QuickenMode controls load-time quickening of verified bytecode.
-type QuickenMode uint8
-
-// Quickening modes. The zero value quickens (when verification is
-// also on), so embedders opt out explicitly (cmd/motor and cmd/mpstat
-// expose -noquicken; the MOTOR_QUICKEN environment variable set to
-// "0"/"off"/"no" disables it globally).
-const (
-	// QuickenOn rewrites every verified method at Load into the
-	// quickened internal form: type-specialized opcodes, fused
-	// superinstructions, direct-bound and inline-cached virtual calls
-	// (docs/QUICKEN.md). Requires VerifyOn — quickening consumes the
-	// verifier's type facts and never runs on unverified code.
-	QuickenOn QuickenMode = iota
-	// QuickenOff leaves loaded methods on the baseline single-switch
-	// interpreter. Observable behaviour is identical by construction;
-	// this exists as a performance fallback and for differential
-	// testing.
-	QuickenOff
 )
 
 // Config describes a Motor world.
@@ -180,11 +161,6 @@ type Config struct {
 	// Verify controls load-time bytecode verification (default
 	// VerifyOn).
 	Verify VerifyMode
-	// Quicken controls load-time quickening of verified methods
-	// (default QuickenOn; inert under VerifyOff). The MOTOR_QUICKEN
-	// environment variable ("0"/"off"/"no" disables) overrides an
-	// unset field.
-	Quicken QuickenMode
 	// Platform substitutes a pal.Platform for the sock transport
 	// (default: the host platform). Plugging in a fault.Platform here
 	// subjects the whole world to a seeded fault plan (see
@@ -236,12 +212,6 @@ func (c *Config) fill() {
 		switch os.Getenv("MOTOR_PROGRESS") {
 		case "1", "async", "on":
 			c.AsyncProgress = true
-		}
-	}
-	if c.Quicken == QuickenOn {
-		switch os.Getenv("MOTOR_QUICKEN") {
-		case "0", "off", "no":
-			c.Quicken = QuickenOff
 		}
 	}
 	if c.Telemetry == "" {
@@ -869,11 +839,11 @@ func (r *Rank) OGather(arr Ref, root int) (Ref, error) {
 // classes, globals or (unverified) methods remain reachable, so a
 // failed Load may simply be retried with corrected source.
 //
-// Verified methods are then quickened (unless Config.Quicken is
-// QuickenOff): rewritten into the pre-decoded internal form driven by
-// the verifier's type facts (docs/QUICKEN.md). Verification verdicts
-// are memoized process-wide by module content hash, so sibling ranks
-// loading the same source skip the verifier fixpoint.
+// Every method is then lowered onto the quickened dispatch loop: a
+// verified one with the verifier's type facts, an unverified one
+// without (docs/QUICKEN.md). Verification verdicts are memoized
+// process-wide by module content hash, so sibling ranks loading the
+// same source skip the verifier fixpoint.
 func (r *Rank) Load(masmSource string) (*vm.Method, error) {
 	mark := r.vm.Mark()
 	mod, err := r.vm.AssembleModule(masmSource)
@@ -889,10 +859,8 @@ func (r *Rank) Load(masmSource string) (*vm.Method, error) {
 			r.vm.RollbackRegistry(mark)
 			return nil, err
 		}
-		if r.cfg.Quicken == QuickenOn {
-			r.engine.QuickenModule(mod.Methods)
-		}
 	}
+	r.engine.QuickenModule(mod.Methods)
 	return mod.Main, nil
 }
 

@@ -15,13 +15,14 @@
 #                     on any unsuppressed finding; //lint:ignore
 #                     motorlint/<name> <reason> is the escape hatch
 #                     and must carry a reason.
-#   quicken tier:     every masm module under examples/ run under both
-#                     dispatch engines (quickened and -noquicken
-#                     baseline) — both must succeed, and the examples
-#                     self-check their payloads — the valid corpus's
-#                     jacobi array kernel under both engines, which must
-#                     print the same checksum, plus the differential
-#                     property suites, which demand bit-identical
+#   quicken tier:     every masm module under examples/ run verified
+#                     and with -noverify (the lowering with facts and
+#                     the fact-free lowering) — both must succeed, and
+#                     the examples self-check their payloads — the
+#                     valid corpus's jacobi array kernel both ways,
+#                     which must print the same checksum, plus the
+#                     differential property suites against the
+#                     reference interpreter, which demand bit-identical
 #                     value/stdout/trap behaviour on deterministic
 #                     programs. The quickening pass's behavioural gate.
 #   obs tier:         the observability gate — stall watchdog, trace
@@ -47,7 +48,7 @@
 #   lint    motorlint tier only: build cmd/motorlint, run the suite
 #           over ./..., fail on unignored findings
 #   quicken quicken tier only: examples and the jacobi array kernel
-#           under both engines + the quickening differential tests
+#           verified and -noverify + the quickening differential tests
 #   obs     obs tier only: telemetry smoke, watchdog-on-injected-stall,
 #           merge round-trip, flight-recorder budget
 #   gc      gc tier only: parity + race regression under -race, fuzz
@@ -128,37 +129,39 @@ tier_lint() {
 }
 
 # Quicken tier: the behavioural gate for the quickening pass
-# (docs/QUICKEN.md). Every example module must run to success under
-# both engines (the examples self-check payload integrity and exit
-# nonzero on corruption; their stdout embeds wall-clock timings, so
-# byte comparison is left to the deterministic suites). The one array
+# (docs/QUICKEN.md). Every example module must run to success verified
+# (lowered with the verifier's facts) and with -noverify (lowered
+# without them); the examples self-check payload integrity and exit
+# nonzero on corruption, and their stdout embeds wall-clock timings, so
+# byte comparison is left to the deterministic suites. The one array
 # kernel, testdata/valid/jacobi.masm, is deterministic and prints its
 # checksum, so its two runs are compared byte for byte. Then the
-# differential property suites — randomized programs + the verifier's
-# valid corpus, both engines compared on value/stdout/trap identity.
+# differential property suites — randomized programs, the verifier's
+# valid corpus and the kernels, compared on value/stdout/trap identity
+# against the reference interpreter and between the two lowerings.
 tier_quicken() {
-	echo "== quicken: examples under both dispatch engines"
+	echo "== quicken: examples verified and -noverify"
 	modules=$(find examples -name '*.masm' | sort)
 	for m in $modules; do
-		echo "-- $m (quickened)"
+		echo "-- $m (verified)"
 		go run ./cmd/motor -np 2 "$m"
-		echo "-- $m (-noquicken baseline)"
-		go run ./cmd/motor -np 2 -noquicken "$m"
+		echo "-- $m (-noverify, fact-free lowering)"
+		go run ./cmd/motor -np 2 -noverify "$m"
 	done
 	# jacobi's main returns the checksum bits (the Go differential suite
 	# compares them), which cmd/motor turns into a nonzero exit status:
 	# only the printed checksum is judged here, and it must be present.
 	jacobi=internal/vm/bcverify/testdata/valid/jacobi.masm
-	echo "-- $jacobi (quickened vs -noquicken baseline)"
-	quick=$(go run ./cmd/motor -np 1 "$jacobi" 2>/dev/null || true)
-	base=$(go run ./cmd/motor -np 1 -noquicken "$jacobi" 2>/dev/null || true)
-	if [ -z "$quick" ] || [ "$quick" != "$base" ]; then
-		echo "quicken: $jacobi: quickened printed '$quick', baseline '$base'" >&2
+	echo "-- $jacobi (verified vs -noverify)"
+	facts=$(go run ./cmd/motor -np 1 "$jacobi" 2>/dev/null || true)
+	nofacts=$(go run ./cmd/motor -np 1 -noverify "$jacobi" 2>/dev/null || true)
+	if [ -z "$facts" ] || [ "$facts" != "$nofacts" ]; then
+		echo "quicken: $jacobi: verified printed '$facts', -noverify '$nofacts'" >&2
 		exit 1
 	fi
-	echo "   checksum $quick under both engines"
+	echo "   checksum $facts both ways"
 	echo "== quicken: differential property suites"
-	go test -count=1 -run 'TestQuicken|TestFused|TestConvF2I' \
+	go test -count=1 -run 'TestQuicken|TestFused|TestConvF2I|TestMasmCorpus|FuzzQuickenMasm|TestMalformed|TestBranchToNonInstruction' \
 		./internal/vm/ ./internal/vm/bcverify/
 }
 

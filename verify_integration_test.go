@@ -46,13 +46,63 @@ func TestLoadRejectsUnverifiable(t *testing.T) {
 	})
 }
 
+// devirtModule's callvirt receiver comes straight from newobj: verified,
+// it is devirtualized.
+const devirtModule = `
+.class Shape
+  .method virtual area (0) int32
+    ldc.i4 0
+    ret.val
+  .end
+.end
+.class Square extends Shape
+  .method virtual area (0) int32
+    ldc.i4 49
+    ret.val
+  .end
+.end
+.method main (0) int32
+  newobj Square
+  callvirt Shape.area
+  ret.val
+.end`
+
+// TestLoadVerifyOff: VerifyOff loads what the verifier would reject,
+// verifies nothing, and still runs every method on the quickened loop —
+// lowered without facts, so not one call site is devirtualized.
 func TestLoadVerifyOff(t *testing.T) {
-	run(t, motor.Config{Ranks: 2, Verify: motor.VerifyOff}, func(r *motor.Rank) error {
-		if _, err := r.Load(badModule); err != nil {
-			t.Errorf("VerifyOff Load failed: %v", err)
+	for _, mod := range []struct {
+		src  string
+		want int64
+	}{{badModule, 0}, {devirtModule, 49}} {
+		run(t, motor.Config{Ranks: 2, Verify: motor.VerifyOff}, func(r *motor.Rank) error {
+			main, err := r.Load(mod.src)
+			if err != nil {
+				t.Errorf("VerifyOff Load failed: %v", err)
+				return nil
+			}
+			if vs := r.VerifyStats(); vs.Methods != 0 {
+				t.Errorf("VerifyOff still verified %d methods", vs.Methods)
+			}
+			if !main.Quickened() {
+				t.Error("VerifyOff Load left main off the quickened loop")
+			}
+			if qs := r.QuickenStats(); qs.Methods == 0 || qs.Devirted != 0 {
+				t.Errorf("VerifyOff quickened %d methods with %d devirtualized sites, want some and none", qs.Methods, qs.Devirted)
+			}
+			if got, err := r.Call(main); err != nil || got.Int() != mod.want {
+				t.Errorf("main = %v, %v; want %d", got, err, mod.want)
+			}
+			return nil
+		})
+	}
+	// The control: verified, the same callvirt is devirtualized.
+	run(t, motor.Config{Ranks: 2}, func(r *motor.Rank) error {
+		if _, err := r.Load(devirtModule); err != nil {
+			return err
 		}
-		if vs := r.VerifyStats(); vs.Methods != 0 {
-			t.Errorf("VerifyOff still verified %d methods", vs.Methods)
+		if qs := r.QuickenStats(); qs.Devirted != 1 {
+			t.Errorf("verified load devirtualized %d sites, want 1", qs.Devirted)
 		}
 		return nil
 	})
