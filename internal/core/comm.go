@@ -136,11 +136,7 @@ func (e *Engine) BarrierOn(t *vm.Thread, id int32) error {
 	if err != nil {
 		return err
 	}
-	t.PollGC()
-	defer t.PollGC()
-	tr := e.opBegin(obs.OpBarrier, 0, -1)
-	defer e.opEnd(tr)
-	return e.noteErr(c.Barrier())
+	return e.barrierOn(t, c)
 }
 
 // BcastOn broadcasts over an explicit communicator.
@@ -149,19 +145,7 @@ func (e *Engine) BcastOn(t *vm.Thread, id int32, obj vm.Ref, root int) error {
 	if err != nil {
 		return err
 	}
-	defer t.PushFrame(&obj)()
-	t.PollGC()
-	defer t.PollGC()
-	buf, err := e.wholeBuf(t, obj)
-	if err != nil {
-		return err
-	}
-	bump(&e.Stats.Ops, 1)
-	tr := e.opBegin(obs.OpBcast, buf.Len(), root)
-	defer e.opEnd(tr)
-	unpin := e.collectivePin(obj)
-	defer unpin()
-	return e.noteErr(c.Bcast(buf.Bytes(), root))
+	return e.bcastOn(t, c, obj, root)
 }
 
 // AllgatherOn is Allgather over an explicit communicator.
@@ -254,8 +238,8 @@ func (e *Engine) reduceOn(t *vm.Thread, c *mp.Comm, sendArr, recvArr vm.Ref, op 
 	}
 	tr := e.opBegin(opc, sendBuf.Len(), peer)
 	defer e.opEnd(tr)
-	unpinSend := e.collectivePin(sendArr)
-	defer unpinSend()
+	sendHold, sendBytes := e.collectiveBuf(sendArr, sendBuf, false)
+	defer sendHold.release()
 	needRecv := all || c.Rank() == root
 	var recvBytes []byte
 	if needRecv {
@@ -271,12 +255,12 @@ func (e *Engine) reduceOn(t *vm.Thread, c *mp.Comm, sendArr, recvArr vm.Ref, op 
 			return fmt.Errorf("core: reduce buffers disagree: %s/%d vs %s/%d bytes",
 				dt.Name, sendBuf.Len(), rdt.Name, recvBuf.Len())
 		}
-		unpinRecv := e.collectivePin(recvArr)
-		defer unpinRecv()
-		recvBytes = recvBuf.Bytes()
+		var hold pinHold
+		hold, recvBytes = e.collectiveBuf(recvArr, recvBuf, true)
+		defer hold.release()
 	}
 	if all {
-		return e.noteErr(c.Allreduce(sendBuf.Bytes(), recvBytes, dt, op))
+		return e.noteErr(c.Allreduce(sendBytes, recvBytes, dt, op))
 	}
-	return e.noteErr(c.Reduce(sendBuf.Bytes(), recvBytes, dt, op, root))
+	return e.noteErr(c.Reduce(sendBytes, recvBytes, dt, op, root))
 }

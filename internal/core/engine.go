@@ -6,9 +6,10 @@
 //   - the regular MPI operations with object-model integrity checks
 //     (§4.2.1): only objects without reference fields, or arrays of
 //     simple types, may be transported buffer-to-buffer;
-//   - the pinning policy (§4.3, §7.4): elder objects are never
-//     pinned; blocking operations defer the pin until they actually
-//     enter their polling-wait; non-blocking operations register
+//   - the pinning policy (§4.3, §7.4), one table in pin.go: elder
+//     objects take no pin unless the collector compacts them;
+//     blocking operations defer the pin until they actually enter
+//     their polling-wait; non-blocking operations register
 //     conditional pin requests resolved during the collector's mark
 //     phase;
 //   - the extended object-oriented operations (§4.2.2, §7.5) built on
@@ -199,10 +200,9 @@ type Engine struct {
 }
 
 type mpReq struct {
-	id     int32
-	req    *mp.Request
-	obj    vm.Ref
-	pinned bool // explicit pin (eager or lent source) to release at completion
+	id   int32
+	req  *mp.Request
+	hold pinHold // released at completion
 }
 
 // Option configures an Engine.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"motor/internal/mp"
 	"motor/internal/vm"
 )
 
@@ -291,6 +292,180 @@ func elderRecvUnderCompaction(t *testing.T, irecv bool) {
 		}
 		if h.Pinned(dst) {
 			return fmt.Errorf("destination still pinned after its receive completed")
+		}
+		st := h.Stats.Snapshot()
+		if st.Pins != st.Unpins {
+			return fmt.Errorf("pins %d, unpins %d", st.Pins, st.Unpins)
+		}
+		if n := dev.Outstanding(); n != 0 || r.e.PendingRequests() != 0 {
+			return fmt.Errorf("%d device requests, %d engine requests outstanding", n, r.e.PendingRequests())
+		}
+		return h.CheckInvariants()
+	})
+}
+
+// collStress is one collective under TestStressElderCollectiveUnderCompaction:
+// run is one rank's call, and want is element i of rank 1's n-element
+// destination afterwards. Rank r's source holds collVal(r, i).
+type collStress struct {
+	name, algo string
+	run        func(r *rank, src, dst vm.Ref) error
+	want       func(i, n int) int32
+}
+
+func collVal(rank, i int) int32 { return lentPattern(i, 3+rank) }
+
+var collStressOps = []collStress{
+	{"Bcast", "", func(r *rank, src, dst vm.Ref) error {
+		if r.e.Comm.Rank() == 0 {
+			return r.e.Bcast(r.th, src, 0)
+		}
+		return r.e.Bcast(r.th, dst, 0)
+	}, func(i, n int) int32 { return collVal(0, i) }},
+	{"Allreduce=recdbl", "allreduce=recdbl", collAllreduce, collSum},
+	{"Allreduce=ring", "allreduce=ring", collAllreduce, collSum},
+	{"Alltoall", "", func(r *rank, src, dst vm.Ref) error {
+		return r.e.Alltoall(r.th, src, dst)
+	}, func(i, n int) int32 { return collVal(2*i/n, n/2+i%(n/2)) }},
+	{"Sendrecv", "", func(r *rank, src, dst vm.Ref) error {
+		peer := 1 - r.e.Comm.Rank()
+		_, err := r.e.Sendrecv(r.th, src, peer, 7, dst, peer, 7)
+		return err
+	}, func(i, n int) int32 { return collVal(0, i) }},
+}
+
+func collAllreduce(r *rank, src, dst vm.Ref) error {
+	return r.e.Allreduce(r.th, src, dst, mp.OpSum)
+}
+
+func collSum(i, n int) int32 { return collVal(0, i) + collVal(1, i) }
+
+// TestStressElderCollectiveUnderCompaction is the collective twin of
+// the receive test above: rank 1 posts a collective and a sibling
+// thread on it moves memory while the collective waits. mp's collectives
+// take a []byte resolved once, before the wait, so in the compact
+// variant an elder destination must not slide, and in the grow variant a
+// young (pinned) one must still receive its payload after a sibling
+// allocation reallocated the arena under the slice.
+func TestStressElderCollectiveUnderCompaction(t *testing.T) {
+	for _, grow := range []bool{false, true} {
+		variant := "compact"
+		if grow {
+			variant = "grow"
+		}
+		for _, op := range collStressOps {
+			t.Run(variant+"/"+op.name, func(t *testing.T) { collectiveUnderMove(t, op, grow) })
+		}
+	}
+}
+
+func collectiveUnderMove(t *testing.T, op collStress, grow bool) {
+	const n = 1 << 10
+	hc := vm.HeapConfig{YoungSize: 512 << 10, InitialElder: 2 << 20, ArenaMax: 64 << 20, GCWorkers: 2}
+	moved := make(chan struct{})
+	runRanksHeap(t, 2, hc, nil, func(r *rank) error {
+		h := r.v.Heap
+		i32 := r.v.ArrayType(vm.KindInt32, nil, 1)
+		me := r.e.Comm.Rank()
+		if op.algo != "" {
+			if err := r.e.Comm.SetCollAlgo(op.algo); err != nil {
+				return err
+			}
+		}
+		vals := make([]int32, n)
+		for i := range vals {
+			vals[i] = collVal(me, i)
+		}
+		if me == 0 {
+			<-moved
+			src, err := h.NewInt32Array(vals)
+			if err != nil {
+				return err
+			}
+			dst, err := h.AllocArray(i32, n)
+			if err != nil {
+				return err
+			}
+			defer r.th.PushFrame(&src, &dst)()
+			return op.run(r, src, dst)
+		}
+
+		// The receive test's layout with a source below the destination:
+		// a dropped filler below each, so unpinned elder buffers slide
+		// down, and a witness above a third that moves either way.
+		var filler, src, gap, dst, gap2, witness vm.Ref
+		defer r.th.PushFrame(&filler, &src, &gap, &dst, &gap2, &witness)()
+		for _, a := range []struct {
+			ref *vm.Ref
+			n   int
+		}{{&filler, 16 << 10}, {&src, n}, {&gap, 16 << 10}, {&dst, n}, {&gap2, 16 << 10}, {&witness, n}} {
+			ref, err := h.AllocArray(i32, a.n)
+			if err != nil {
+				return err
+			}
+			*a.ref = ref
+		}
+		for i, v := range vals {
+			h.SetElem(src, i, uint64(uint32(v)))
+		}
+		if !grow {
+			r.th.CollectYoung()
+			if h.IsYoung(src) || h.IsYoung(dst) || h.IsYoung(witness) {
+				return fmt.Errorf("buffers not promoted")
+			}
+		}
+		filler, gap, gap2 = vm.NullRef, vm.NullRef, vm.NullRef
+		before := h.Stats.Snapshot().Compactions
+		dev := r.e.World.Dev
+		var sibErr error
+		stop := make(chan struct{}) // a failure before the collective posts
+		defer close(stop)
+		go func() {
+			defer close(moved)
+			for dev.Outstanding() == 0 {
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+			sib := r.v.StartThread("mover") // granted at the collective's next poll
+			defer sib.End()
+			if !grow {
+				sib.CollectCompact()
+				return
+			}
+			at := &h.DataBytes(dst)[0]
+			arena, _, _ := h.MemUse()
+			if _, err := h.AllocArray(i32, int(arena)); err != nil {
+				sibErr = err
+			} else if &h.DataBytes(dst)[0] == at {
+				sibErr = fmt.Errorf("the arena did not move")
+			}
+		}()
+		if err := op.run(r, src, dst); err != nil {
+			return err
+		}
+		<-moved
+		if sibErr != nil {
+			return sibErr
+		}
+		if !grow && h.Stats.Snapshot().Compactions == before {
+			return fmt.Errorf("no compaction ran while the collective was pending")
+		}
+		for i, v := range h.Int32Slice(dst) {
+			if w := op.want(i, n); v != w {
+				return fmt.Errorf("received element %d = %d, want %d", i, v, w)
+			}
+		}
+		for i, v := range h.Int32Slice(src) {
+			if v != vals[i] {
+				return fmt.Errorf("source element %d = %d, want %d", i, v, vals[i])
+			}
+		}
+		if h.Pinned(src) || h.Pinned(dst) {
+			return fmt.Errorf("buffers still pinned after the collective returned")
 		}
 		st := h.Stats.Snapshot()
 		if st.Pins != st.Unpins {

@@ -21,56 +21,6 @@ import (
 // never pin), pinning policy applied only when the operation actually
 // enters its polling-wait, poll on exit.
 
-// pinForWait applies the pinning policy at polling-wait entry for a
-// blocking operation and returns the matching release function.
-func (e *Engine) pinForWait(obj vm.Ref) func() {
-	h := e.VM.Heap
-	switch e.policy {
-	case PolicyNever:
-		return func() {}
-	case PolicyAlwaysPin:
-		// Eager pinning happened at operation start; nothing here.
-		return func() {}
-	default:
-		if !h.IsYoung(obj) {
-			// No deferred pin for an elder resident: only compaction moves
-			// it, and pinPending holds it for that.
-			bump(&e.Stats.PinSkippedElder, 1)
-			e.notePin(obs.PinSkippedElder, obj)
-			return func() {}
-		}
-		bump(&e.Stats.PinDeferred, 1)
-		e.notePin(obs.PinDeferred, obj)
-		h.Pin(obj)
-		return func() { h.Unpin(obj) }
-	}
-}
-
-// pinPending pins an elder buffer whose request is pending and reports
-// whether it did. The transport reads a lent send source and writes a
-// posted receive through offsets fixed when the request was posted, and
-// the modern collector (gcworkers > 1) compacts elder objects. Young
-// buffers are held by the deferred or conditional pin.
-func (e *Engine) pinPending(obj vm.Ref, req *mp.Request) bool {
-	h := e.VM.Heap
-	if e.policy != PolicyMotor || req.Done() || h.IsYoung(obj) || h.Workers() == 1 {
-		return false
-	}
-	h.Pin(obj)
-	return true
-}
-
-// pinEager applies PolicyAlwaysPin's operation-start pin.
-func (e *Engine) pinEager(obj vm.Ref) func() {
-	if e.policy != PolicyAlwaysPin || obj == vm.NullRef {
-		return func() {}
-	}
-	bump(&e.Stats.PinEager, 1)
-	e.notePin(obs.PinEager, obj)
-	e.VM.Heap.Pin(obj)
-	return func() { e.VM.Heap.Unpin(obj) }
-}
-
 // noteErr records transport-class completion failures (mp.ErrTransport)
 // in the engine stats so a rank's exposure to peer loss is observable
 // through MPStats / mpstat.
@@ -91,13 +41,7 @@ func (e *Engine) noteErr(err error) error {
 func (e *Engine) waitBlocking(t *vm.Thread, c *mp.Comm, obj vm.Ref, req *mp.Request, op obs.OpCode) (mp.Status, error) {
 	done, st, err := c.Test(req)
 	if done {
-		if e.policy == PolicyMotor && e.VM.Heap.IsYoung(obj) {
-			bump(&e.Stats.PinAvoidedFast, 1)
-			e.notePin(obs.PinAvoidedFast, obj)
-		} else if e.policy == PolicyMotor {
-			bump(&e.Stats.PinSkippedElder, 1)
-			e.notePin(obs.PinSkippedElder, obj)
-		}
+		e.pinFor(obj, shapeWait, req) // the fast path: records the pin avoided
 		return st, e.noteErr(err)
 	}
 	// The operation enters its polling-wait: open the wait span first
@@ -108,8 +52,8 @@ func (e *Engine) waitBlocking(t *vm.Thread, c *mp.Comm, obj vm.Ref, req *mp.Requ
 	if tr != nil {
 		tr.Begin(e.lane, obs.KWait, uint64(op))
 	}
-	unpin := e.pinForWait(obj)
-	defer unpin()
+	hold := e.pinFor(obj, shapeWait, nil)
+	defer hold.release()
 	defer func() {
 		if tr != nil {
 			if d := tr.End(e.lane); d > 0 {
@@ -197,15 +141,14 @@ func (e *Engine) sendCommonOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, dest, tag in
 	bump(&e.Stats.Ops, 1)
 	tr := e.opBegin(obs.OpSend, buf.Len(), dest)
 	defer e.opEnd(tr)
-	unpinEager := e.pinEager(obj)
-	defer unpinEager()
+	entry := e.pinFor(obj, shapeEntry, nil)
+	defer entry.release()
 	req, err := c.IsendBuffer(buf, dest, tag, sync)
 	if err != nil {
 		return err
 	}
-	if e.pinPending(obj, req) {
-		defer e.VM.Heap.Unpin(obj)
-	}
+	pending := e.pinFor(obj, shapePending, req)
+	defer pending.release()
 	_, err = e.waitBlocking(t, c, obj, req, obs.OpSend)
 	return err
 }
@@ -242,46 +185,25 @@ func (e *Engine) recvCommonOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, source, tag 
 	bump(&e.Stats.Ops, 1)
 	tr := e.opBegin(obs.OpRecv, buf.Len(), source)
 	defer e.opEnd(tr)
-	unpinEager := e.pinEager(obj)
-	defer unpinEager()
+	entry := e.pinFor(obj, shapeEntry, nil)
+	defer entry.release()
 	req, err := c.IrecvBuffer(buf, source, tag)
 	if err != nil {
 		return mp.Status{}, err
 	}
-	if e.pinPending(obj, req) {
-		defer e.VM.Heap.Unpin(obj)
-	}
+	pending := e.pinFor(obj, shapePending, req)
+	defer pending.release()
 	return e.waitBlocking(t, c, obj, req, obs.OpRecv)
 }
 
 // --- immediate (non-blocking) operations --------------------------------------
 
 // register assigns a managed request id.
-func (e *Engine) register(req *mp.Request, obj vm.Ref, pinned bool) int32 {
+func (e *Engine) register(req *mp.Request, hold pinHold) int32 {
 	e.nextReq++
 	id := e.nextReq
-	e.requests[id] = &mpReq{id: id, req: req, obj: obj, pinned: pinned}
+	e.requests[id] = &mpReq{id: id, req: req, hold: hold}
 	return id
-}
-
-// condPin applies the non-blocking pinning rule of §7.4: a younger-
-// generation object gets a conditional pin request whose mark-phase
-// check is the transport's completion status.
-func (e *Engine) condPin(obj vm.Ref, req *mp.Request) {
-	switch e.policy {
-	case PolicyNever, PolicyAlwaysPin:
-		return
-	}
-	if req.Done() || !e.VM.Heap.IsYoung(obj) {
-		if !e.VM.Heap.IsYoung(obj) {
-			bump(&e.Stats.PinSkippedElder, 1)
-			e.notePin(obs.PinSkippedElder, obj)
-		}
-		return
-	}
-	bump(&e.Stats.CondPins, 1)
-	e.notePin(obs.PinCond, obj)
-	e.VM.Heap.AddCondPin(obj, func() bool { return !req.Done() })
 }
 
 // Isend starts an immediate send and returns a request id for Wait /
@@ -296,23 +218,11 @@ func (e *Engine) Isend(t *vm.Thread, obj vm.Ref, dest, tag int) (int32, error) {
 	bump(&e.Stats.Ops, 1)
 	tr := e.opBegin(obs.OpIsend, buf.Len(), dest)
 	defer e.opEndQuick(tr)
-	pinned := false
-	if e.policy == PolicyAlwaysPin {
-		bump(&e.Stats.PinEager, 1)
-		e.notePin(obs.PinEager, obj)
-		e.VM.Heap.Pin(obj)
-		pinned = true
-	}
 	req, err := e.Comm.IsendBuffer(buf, dest, tag, false)
 	if err != nil {
-		if pinned {
-			e.VM.Heap.Unpin(obj)
-		}
 		return 0, err
 	}
-	e.condPin(obj, req)
-	pinned = pinned || e.pinPending(obj, req)
-	return e.register(req, obj, pinned), nil
+	return e.register(req, e.pinFor(obj, shapeNonblocking, req)), nil
 }
 
 // Irecv starts an immediate receive.
@@ -326,23 +236,11 @@ func (e *Engine) Irecv(t *vm.Thread, obj vm.Ref, source, tag int) (int32, error)
 	bump(&e.Stats.Ops, 1)
 	tr := e.opBegin(obs.OpIrecv, buf.Len(), source)
 	defer e.opEndQuick(tr)
-	pinned := false
-	if e.policy == PolicyAlwaysPin {
-		bump(&e.Stats.PinEager, 1)
-		e.notePin(obs.PinEager, obj)
-		e.VM.Heap.Pin(obj)
-		pinned = true
-	}
 	req, err := e.Comm.IrecvBuffer(buf, source, tag)
 	if err != nil {
-		if pinned {
-			e.VM.Heap.Unpin(obj)
-		}
 		return 0, err
 	}
-	e.condPin(obj, req)
-	pinned = pinned || e.pinPending(obj, req)
-	return e.register(req, obj, pinned), nil
+	return e.register(req, e.pinFor(obj, shapeNonblocking, req)), nil
 }
 
 func (e *Engine) lookup(id int32) (*mpReq, error) {
@@ -354,9 +252,7 @@ func (e *Engine) lookup(id int32) (*mpReq, error) {
 }
 
 func (e *Engine) finish(r *mpReq) {
-	if r.pinned {
-		e.VM.Heap.Unpin(r.obj)
-	}
+	r.hold.release()
 	delete(e.requests, r.id)
 }
 
@@ -407,46 +303,24 @@ func (e *Engine) PendingRequests() int { return len(e.requests) }
 
 // --- collectives over simple objects -------------------------------------------
 
-// collectiveBuf prepares a buffer + pin for the duration of a
-// collective (which always blocks).
-func (e *Engine) collectivePin(obj vm.Ref) func() {
-	if obj == vm.NullRef {
-		return func() {}
-	}
-	h := e.VM.Heap
-	switch e.policy {
-	case PolicyNever:
-		return func() {}
-	case PolicyAlwaysPin:
-		bump(&e.Stats.PinEager, 1)
-		e.notePin(obs.PinEager, obj)
-		h.Pin(obj)
-		return func() { h.Unpin(obj) }
-	default:
-		if !h.IsYoung(obj) {
-			bump(&e.Stats.PinSkippedElder, 1)
-			e.notePin(obs.PinSkippedElder, obj)
-			return func() {}
-		}
-		bump(&e.Stats.PinDeferred, 1)
-		e.notePin(obs.PinDeferred, obj)
-		h.Pin(obj)
-		return func() { h.Unpin(obj) }
-	}
-}
-
 // Barrier blocks until all ranks enter it.
-func (e *Engine) Barrier(t *vm.Thread) error {
+func (e *Engine) Barrier(t *vm.Thread) error { return e.barrierOn(t, e.Comm) }
+
+func (e *Engine) barrierOn(t *vm.Thread, c *mp.Comm) error {
 	t.PollGC()
 	defer t.PollGC()
 	tr := e.opBegin(obs.OpBarrier, 0, -1)
 	defer e.opEnd(tr)
-	return e.noteErr(e.Comm.Barrier())
+	return e.noteErr(c.Barrier())
 }
 
 // Bcast broadcasts the root's object contents into every rank's
 // object (equal sizes required, as in MPI).
 func (e *Engine) Bcast(t *vm.Thread, obj vm.Ref, root int) error {
+	return e.bcastOn(t, e.Comm, obj, root)
+}
+
+func (e *Engine) bcastOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, root int) error {
 	defer t.PushFrame(&obj)()
 	t.PollGC()
 	defer t.PollGC()
@@ -457,9 +331,9 @@ func (e *Engine) Bcast(t *vm.Thread, obj vm.Ref, root int) error {
 	bump(&e.Stats.Ops, 1)
 	tr := e.opBegin(obs.OpBcast, buf.Len(), root)
 	defer e.opEnd(tr)
-	unpin := e.collectivePin(obj)
-	defer unpin()
-	return e.noteErr(e.Comm.Bcast(buf.Bytes(), root))
+	hold, raw := e.collectiveBuf(obj, buf, true)
+	defer hold.release()
+	return e.noteErr(c.Bcast(raw, root))
 }
 
 // Scatter splits the root's simple array equally across ranks into
@@ -476,19 +350,18 @@ func (e *Engine) Scatter(t *vm.Thread, sendArr, recvArr vm.Ref, root int) error 
 	tr := e.opBegin(obs.OpScatter, recvBuf.Len(), root)
 	defer e.opEnd(tr)
 	var sendBytes []byte
-	var unpinSend func()
 	if e.Comm.Rank() == root {
 		sendBuf, err := e.wholeBuf(t, sendArr)
 		if err != nil {
 			return err
 		}
-		unpinSend = e.collectivePin(sendArr)
-		defer unpinSend()
-		sendBytes = sendBuf.Bytes()
+		var hold pinHold
+		hold, sendBytes = e.collectiveBuf(sendArr, sendBuf, false)
+		defer hold.release()
 	}
-	unpin := e.collectivePin(recvArr)
-	defer unpin()
-	return e.noteErr(e.Comm.Scatter(sendBytes, recvBuf.Bytes(), root))
+	hold, recvBytes := e.collectiveBuf(recvArr, recvBuf, true)
+	defer hold.release()
+	return e.noteErr(e.Comm.Scatter(sendBytes, recvBytes, root))
 }
 
 // Allgather collects every rank's simple array into every rank's
@@ -518,11 +391,11 @@ func (e *Engine) allgatherOn(t *vm.Thread, c *mp.Comm, sendArr, recvArr vm.Ref) 
 	bump(&e.Stats.Ops, 1)
 	tr := e.opBegin(obs.OpAllgather, sendBuf.Len(), -1)
 	defer e.opEnd(tr)
-	unpinSend := e.collectivePin(sendArr)
-	defer unpinSend()
-	unpinRecv := e.collectivePin(recvArr)
-	defer unpinRecv()
-	return e.noteErr(c.Allgather(sendBuf.Bytes(), recvBuf.Bytes()))
+	sendHold, sendBytes := e.collectiveBuf(sendArr, sendBuf, false)
+	defer sendHold.release()
+	recvHold, recvBytes := e.collectiveBuf(recvArr, recvBuf, true)
+	defer recvHold.release()
+	return e.noteErr(c.Allgather(sendBytes, recvBytes))
 }
 
 // Alltoall exchanges equal chunks of every rank's simple send array:
@@ -553,11 +426,11 @@ func (e *Engine) alltoallOn(t *vm.Thread, c *mp.Comm, sendArr, recvArr vm.Ref) e
 	bump(&e.Stats.Ops, 1)
 	tr := e.opBegin(obs.OpAlltoall, sendBuf.Len(), -1)
 	defer e.opEnd(tr)
-	unpinSend := e.collectivePin(sendArr)
-	defer unpinSend()
-	unpinRecv := e.collectivePin(recvArr)
-	defer unpinRecv()
-	return e.noteErr(c.Alltoall(sendBuf.Bytes(), recvBuf.Bytes()))
+	sendHold, sendBytes := e.collectiveBuf(sendArr, sendBuf, false)
+	defer sendHold.release()
+	recvHold, recvBytes := e.collectiveBuf(recvArr, recvBuf, true)
+	defer recvHold.release()
+	return e.noteErr(c.Alltoall(sendBytes, recvBytes))
 }
 
 // Sendrecv performs the classic combined exchange: send sendObj to
@@ -578,23 +451,17 @@ func (e *Engine) Sendrecv(t *vm.Thread, sendObj vm.Ref, dest, sendTag int, recvO
 	bump(&e.Stats.Ops, 2)
 	tr := e.opBegin(obs.OpSendrecv, sendBuf.Len(), dest)
 	defer e.opEnd(tr)
-	unpinS := e.collectivePin(sendObj)
-	defer unpinS()
-	unpinR := e.collectivePin(recvObj)
-	defer unpinR()
+	sendHold := e.pinFor(sendObj, shapeCollective, nil)
+	defer sendHold.release()
+	recvHold := e.pinFor(recvObj, shapeCollective, nil)
+	defer recvHold.release()
 	rreq, err := e.Comm.IrecvBuffer(recvBuf, source, recvTag)
 	if err != nil {
 		return mp.Status{}, err
 	}
-	if e.pinPending(recvObj, rreq) {
-		defer e.VM.Heap.Unpin(recvObj)
-	}
 	sreq, err := e.Comm.IsendBuffer(sendBuf, dest, sendTag, false)
 	if err != nil {
 		return mp.Status{}, err
-	}
-	if e.pinPending(sendObj, sreq) {
-		defer e.VM.Heap.Unpin(sendObj)
 	}
 	for {
 		done, _, err := e.Comm.Test(sreq)
@@ -628,17 +495,17 @@ func (e *Engine) Gather(t *vm.Thread, sendArr, recvArr vm.Ref, root int) error {
 	bump(&e.Stats.Ops, 1)
 	tr := e.opBegin(obs.OpGather, sendBuf.Len(), root)
 	defer e.opEnd(tr)
-	unpinSend := e.collectivePin(sendArr)
-	defer unpinSend()
+	sendHold, sendBytes := e.collectiveBuf(sendArr, sendBuf, false)
+	defer sendHold.release()
 	var recvBytes []byte
 	if e.Comm.Rank() == root {
 		recvBuf, err := e.wholeBuf(t, recvArr)
 		if err != nil {
 			return err
 		}
-		unpinRecv := e.collectivePin(recvArr)
-		defer unpinRecv()
-		recvBytes = recvBuf.Bytes()
+		var hold pinHold
+		hold, recvBytes = e.collectiveBuf(recvArr, recvBuf, true)
+		defer hold.release()
 	}
-	return e.noteErr(e.Comm.Gather(sendBuf.Bytes(), recvBytes, root))
+	return e.noteErr(e.Comm.Gather(sendBytes, recvBytes, root))
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"motor/internal/obs"
-	"motor/internal/vm"
-)
+import "motor/internal/obs"
 
 // Tracing hooks for the engine layer. Every helper starts with the
 // one-atomic-load gate (obs.Active); with tracing off they cost one
@@ -40,12 +37,5 @@ func (e *Engine) opEnd(tr *obs.Tracer) {
 func (e *Engine) opEndQuick(tr *obs.Tracer) {
 	if tr != nil {
 		tr.End(e.lane)
-	}
-}
-
-// notePin emits a pin-decision instant under the current op span.
-func (e *Engine) notePin(d obs.PinDecision, ref vm.Ref) {
-	if tr := obs.Active(); tr != nil {
-		tr.Instant(e.lane, obs.KPin, uint64(d), uint64(ref))
 	}
 }

@@ -712,6 +712,11 @@ func (h *Heap) MemUse() (arena, youngUsed, elderUsed uint32) {
 // legacy serial collector, >1 the modern parallel collector.
 func (h *Heap) Workers() int { return h.gcWorkers }
 
+// MovesElder reports whether a collection may move elder objects: the
+// modern collector compacts the elder space, the §5.2 collector never
+// does.
+func (h *Heap) MovesElder() bool { return h.gcWorkers > 1 }
+
 // RequestCompaction asks the modern collector to slide-compact the
 // elder space during its next full collection, bypassing the
 // fragmentation heuristic. A no-op under the legacy collector, whose
