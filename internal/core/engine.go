@@ -92,6 +92,7 @@ type Stats struct {
 	BufferAllocs     uint64
 	BuffersCollected uint64
 	TransportErrors  uint64 // operations that completed with mp.ErrTransport
+	WaitsParked      uint64 // waits that used up the spin budget and parked (async progress)
 
 	// TransferChecksDyn counts dynamic object-model integrity checks
 	// (§4.2.1); TransferChecksFast counts transfers that skipped the
@@ -123,6 +124,7 @@ func (s *Stats) Snapshot() Stats {
 		BufferAllocs:     atomic.LoadUint64(&s.BufferAllocs),
 		BuffersCollected: atomic.LoadUint64(&s.BuffersCollected),
 		TransportErrors:  atomic.LoadUint64(&s.TransportErrors),
+		WaitsParked:      atomic.LoadUint64(&s.WaitsParked),
 
 		TransferChecksDyn:  atomic.LoadUint64(&s.TransferChecksDyn),
 		TransferChecksFast: atomic.LoadUint64(&s.TransferChecksFast),
@@ -183,9 +185,9 @@ type Engine struct {
 
 	// asyncProgress selects the background progress engine; progress is
 	// the running engine (nil in inline-polling mode or after Close).
-	// Blocking waits branch on it: inline mode spins through GC polls,
-	// async mode parks the thread until the completion continuation
-	// fires (see waitStep in ops.go).
+	// It only decides whether a wait may park: every wait drives
+	// progress itself first, and with an engine it parks once its spin
+	// budget is used up (see await in ops.go).
 	asyncProgress bool
 	progress      *mp.Progress
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -195,6 +196,65 @@ func TestBlockingOpTransportFault(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}
+	}
+}
+
+// TestSendrecvTransportFault runs a 3-rank Sendrecv ring (rank r sends
+// to r+1 and receives from r-1, so dest ≠ source) and resets rank 2's
+// connection to its dest, once at the send's post (eager) and once
+// inside its wait (rendezvous). Whichever half fails, Sendrecv must
+// finish or withdraw the other, so no receive stays registered to land
+// in a buffer whose hold is gone, and report one typed error through
+// the engine's counters.
+func TestSendrecvTransportFault(t *testing.T) {
+	const n = 3
+	for _, tc := range []struct {
+		name     string
+		eagerMax int
+		nth      int // rank 2's writes: #1 registration, #2..#3 mesh identify, then the protocol
+	}{
+		{"eager", 0, 4},        // the eager frame to rank 0
+		{"rendezvous", 512, 5}, // after the RTS: the DATA to rank 0, or the CTS to rank 1
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plats := make([]pal.Platform, n)
+			plats[2] = fault.New(pal.Default, fault.Plan{Seed: 4, Rules: []fault.Rule{
+				{Op: fault.OpWrite, Kind: fault.KindReset, Nth: tc.nth},
+			}})
+			errs := runSockRanks(t, plats, tc.eagerMax, func(r *rank) error {
+				h := r.v.Heap
+				me := r.e.Comm.Rank()
+				send, err := h.NewUint8Array(bytes.Repeat([]byte{byte(me + 1)}, 4<<10))
+				if err != nil {
+					return err
+				}
+				recv, err := h.NewUint8Array(make([]byte, 4<<10))
+				if err != nil {
+					return err
+				}
+				defer r.th.PushFrame(&send, &recv)()
+				_, err = r.e.Sendrecv(r.th, send, (me+1)%n, 5, recv, (me+n-1)%n, 5)
+				switch {
+				case err == nil && me == 2:
+					return fmt.Errorf("Sendrecv succeeded on the faulted rank")
+				case err != nil && !errors.Is(err, mp.ErrTransport):
+					return fmt.Errorf("Sendrecv err = %v, want ErrTransport", err)
+				case err != nil && r.e.Stats.TransportErrors != 1:
+					return fmt.Errorf("engine TransportErrors = %d, want 1", r.e.Stats.TransportErrors)
+				case err == nil && !bytes.Equal(h.DataBytes(recv), bytes.Repeat([]byte{byte((me+n-1)%n + 1)}, 4<<10)):
+					return fmt.Errorf("received payload corrupt")
+				}
+				if out := r.e.Comm.Outstanding(); out != 0 {
+					return fmt.Errorf("%d requests left registered by Sendrecv", out)
+				}
+				return heapClean(r)
+			})
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", r, err)
+				}
+			}
+		})
 	}
 }
 

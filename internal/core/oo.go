@@ -60,17 +60,6 @@ func spanStart() int64 {
 	return 0
 }
 
-// waitYielding drives one request to completion with the polling-wait.
-func (e *Engine) waitYielding(t *vm.Thread, req *mp.Request) error {
-	for {
-		done, _, err := e.Comm.Test(req)
-		if done {
-			return err
-		}
-		e.waitStep(t, req)
-	}
-}
-
 // probeYielding polls for the next OO message in a space, yielding to
 // the collector between polls. A dead peer surfaces as a typed error
 // from the probe's progress pass — never a hang.
@@ -108,14 +97,14 @@ func (e *Engine) streamOut(t *vm.Thread, sw *serial.StreamWriter, dest, tag int,
 		chunk, err := sw.Next(bufs[idx%2][:0])
 		if err != nil {
 			if inflight != nil {
-				_ = e.waitYielding(t, inflight) // drain; serializer error wins
+				_, _ = e.await(t, inflight) // drain; serializer error wins
 			}
 			return err
 		}
 		bufs[idx%2] = chunk
 		e.chunkSpan(0, idx, serStart, len(chunk))
 		if inflight != nil {
-			if err := e.waitYielding(t, inflight); err != nil {
+			if _, err := e.await(t, inflight); err != nil {
 				return err
 			}
 			e.chunkSpan(1, idx-1, sendStart, 0)
@@ -132,7 +121,7 @@ func (e *Engine) streamOut(t *vm.Thread, sw *serial.StreamWriter, dest, tag int,
 	}
 	bump(&e.Stats.SerializedBytes, uint64(total))
 	if inflight != nil {
-		if err := e.waitYielding(t, inflight); err != nil {
+		if _, err := e.await(t, inflight); err != nil {
 			return err
 		}
 		e.chunkSpan(1, idx-1, sendStart, 0)
@@ -178,7 +167,7 @@ func (e *Engine) awaitTableAck(t *vm.Thread, sw *serial.StreamWriter, dest, tag 
 				e.bufs.put(blob)
 				return err
 			}
-			err = e.waitYielding(t, req)
+			_, err = e.await(t, req)
 			e.bufs.put(blob)
 			return err
 		}
@@ -242,7 +231,7 @@ func (e *Engine) streamIn(t *vm.Thread, source, tag int, sp mp.OOSpace, useCache
 		if err != nil {
 			return vm.NullRef, st, err
 		}
-		if err := e.waitYielding(t, req); err != nil {
+		if _, err := e.await(t, req); err != nil {
 			return vm.NullRef, st, err
 		}
 		bump(&e.Stats.OOChunksRecvd, 1)
@@ -292,7 +281,7 @@ func (e *Engine) recvTableBlob(t *vm.Thread, sr *serial.StreamReader, src, tag i
 	if err != nil {
 		return vm.NullRef, err
 	}
-	if err := e.waitYielding(t, req); err != nil {
+	if _, err := e.await(t, req); err != nil {
 		return vm.NullRef, err
 	}
 	return vm.NullRef, sr.InstallTable(blob)

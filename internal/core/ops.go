@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"time"
 
 	"motor/internal/mp"
 	"motor/internal/obs"
@@ -35,11 +36,11 @@ func (e *Engine) noteErr(err error) error {
 	return err
 }
 
-// waitBlocking drives a request to completion with the polling-wait:
-// progress, then GC poll, repeatedly (§7.4's three polling points are
-// entry — in the callers —, this loop, and the exit poll).
-func (e *Engine) waitBlocking(t *vm.Thread, c *mp.Comm, obj vm.Ref, req *mp.Request, op obs.OpCode) (mp.Status, error) {
-	done, st, err := c.Test(req)
+// waitBlocking is a blocking operation's polling-wait (§7.4's three
+// polling points are entry — in the callers —, this wait, and the exit
+// poll): a quick completion test, then the pin decision and await.
+func (e *Engine) waitBlocking(t *vm.Thread, obj vm.Ref, req *mp.Request, op obs.OpCode) (mp.Status, error) {
+	done, st, err := req.Test()
 	if done {
 		e.pinFor(obj, shapeWait, req) // the fast path: records the pin avoided
 		return st, e.noteErr(err)
@@ -62,18 +63,12 @@ func (e *Engine) waitBlocking(t *vm.Thread, c *mp.Comm, obj vm.Ref, req *mp.Requ
 		}
 	}()
 	// Watchdog heartbeat for the §7.4 polling-wait. A parked thread
-	// (progress-engine mode) stops pulsing, but the watchdog keys on
-	// wait-entry age, so a lost completion still trips it.
+	// stops pulsing, but the watchdog keys on wait-entry age, so a lost
+	// completion still trips it.
 	obs.BeatEnter(e.lane, op, req.Peer())
 	defer obs.BeatExit(e.lane)
-	for {
-		done, st, err = c.Test(req)
-		if done {
-			return st, e.noteErr(err)
-		}
-		obs.BeatPulse(e.lane)
-		e.waitStep(t, req)
-	}
+	st, err = e.await(t, req)
+	return st, e.noteErr(err)
 }
 
 // idle is one step of the polling-wait: yield to the collector and
@@ -83,21 +78,54 @@ func (e *Engine) idle(t *vm.Thread) {
 	runtime.Gosched()
 }
 
-// waitStep is one iteration of a blocking wait on req. Inline mode
-// yields to the collector between the caller's progress passes (the
-// classic polling-wait). With the background progress engine running,
-// the thread instead parks — releasing the execution token for its
-// whole sleep — until the engine's completion continuation fires, so
-// a blocked thread burns no CPU and steals no token time from
-// siblings or the progress loop.
-func (e *Engine) waitStep(t *vm.Thread, req *mp.Request) {
-	if e.progress != nil {
-		ch := make(chan struct{})
-		req.OnComplete(func() { close(ch) })
-		t.Park(func() { <-ch })
+// spinBudget bounds how long a wait drives progress itself before it
+// parks for the background progress engine: about one park/unpark
+// round trip, so a reply that lands within it never pays a wakeup.
+const spinBudget = 50 * time.Microsecond
+
+// await drives req to completion: every core request wait is this
+// loop. The caller drives progress itself (§7.1's polling-wait): Test,
+// then idle, until done. With a background progress engine the spin
+// lasts at most spinBudget, then the thread parks. Inline there is no
+// one to park for, and the loop never reads the clock.
+func (e *Engine) await(t *vm.Thread, req *mp.Request) (mp.Status, error) {
+	var spinStart time.Time
+	for {
+		done, st, err := req.Test()
+		if done {
+			return st, err
+		}
+		if e.progress != nil {
+			if spinStart.IsZero() {
+				spinStart = time.Now()
+			} else if time.Since(spinStart) >= spinBudget {
+				e.park(t, req)
+				continue
+			}
+		}
+		obs.BeatPulse(e.lane)
+		e.idle(t)
+	}
+}
+
+// park sleeps until req completes, with the execution token released,
+// so a long wait burns no CPU and steals no token time from siblings
+// or the progress engine. The parked count goes up before the last
+// Test: a peer frame published after that Test rings the engine
+// (channel.Doorbell). The engine is rung once here as well, to drain
+// frames that landed before the count went up.
+func (e *Engine) park(t *vm.Thread, req *mp.Request) {
+	dev := e.World.Dev
+	dev.AddParked(1)
+	defer dev.AddParked(-1)
+	if done, _, _ := req.Test(); done {
 		return
 	}
-	e.idle(t)
+	bump(&e.Stats.WaitsParked, 1)
+	ch := make(chan struct{})
+	req.OnComplete(func() { close(ch) })
+	e.progress.Wake()
+	t.Park(func() { <-ch })
 }
 
 // Send transports a whole object (blocking, standard mode).
@@ -149,7 +177,7 @@ func (e *Engine) sendCommonOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, dest, tag in
 	}
 	pending := e.pinFor(obj, shapePending, req)
 	defer pending.release()
-	_, err = e.waitBlocking(t, c, obj, req, obs.OpSend)
+	_, err = e.waitBlocking(t, obj, req, obs.OpSend)
 	return err
 }
 
@@ -193,7 +221,7 @@ func (e *Engine) recvCommonOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, source, tag 
 	}
 	pending := e.pinFor(obj, shapePending, req)
 	defer pending.release()
-	return e.waitBlocking(t, c, obj, req, obs.OpRecv)
+	return e.waitBlocking(t, obj, req, obs.OpRecv)
 }
 
 // --- immediate (non-blocking) operations --------------------------------------
@@ -266,19 +294,14 @@ func (e *Engine) Wait(t *vm.Thread, id int32) (mp.Status, error) {
 	if tr != nil {
 		tr.Begin(e.lane, obs.KWait, uint64(obs.OpWait))
 	}
-	for {
-		done, st, err := e.Comm.Test(r.req)
-		if done {
-			if tr != nil {
-				if d := tr.End(e.lane); d > 0 {
-					tr.Record(obs.HistRequestWait, d)
-				}
-			}
-			e.finish(r)
-			return st, e.noteErr(err)
+	st, err := e.await(t, r.req)
+	if tr != nil {
+		if d := tr.End(e.lane); d > 0 {
+			tr.Record(obs.HistRequestWait, d)
 		}
-		e.waitStep(t, r.req)
 	}
+	e.finish(r)
+	return st, e.noteErr(err)
 }
 
 // Test makes one progress pass; on completion the request id is
@@ -457,29 +480,22 @@ func (e *Engine) Sendrecv(t *vm.Thread, sendObj vm.Ref, dest, sendTag int, recvO
 	defer recvHold.release()
 	rreq, err := e.Comm.IrecvBuffer(recvBuf, source, recvTag)
 	if err != nil {
-		return mp.Status{}, err
+		return mp.Status{}, e.noteErr(err)
 	}
 	sreq, err := e.Comm.IsendBuffer(sendBuf, dest, sendTag, false)
 	if err != nil {
-		return mp.Status{}, err
+		// The receive must not outlive the operation: its hold is
+		// released on return, and a later frame could still land in it.
+		rreq.Cancel()
+		return mp.Status{}, e.noteErr(err)
 	}
-	for {
-		done, _, err := e.Comm.Test(sreq)
-		if err != nil {
-			return mp.Status{}, err
-		}
-		if done {
-			break
-		}
-		e.waitStep(t, sreq)
+	// Await both halves, whichever fails: the first error wins.
+	_, serr := e.await(t, sreq)
+	st, err := e.await(t, rreq)
+	if serr != nil {
+		err = serr
 	}
-	for {
-		done, st, err := e.Comm.Test(rreq)
-		if done {
-			return st, err
-		}
-		e.waitStep(t, rreq)
-	}
+	return st, e.noteErr(err)
 }
 
 // Gather collects every rank's simple array into the root's recv

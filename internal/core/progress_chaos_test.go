@@ -24,6 +24,12 @@ import (
 // the progress engine stops, then the world closes.
 func runRanksAsync(t *testing.T, n int, async bool, body func(r *rank) error) {
 	t.Helper()
+	runRanksAsyncHeap(t, n, async, vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 512 << 10, ArenaMax: 64 << 20}, body)
+}
+
+// runRanksAsyncHeap is runRanksAsync with every rank's heap built from hc.
+func runRanksAsyncHeap(t *testing.T, n int, async bool, hc vm.HeapConfig, body func(r *rank) error) {
+	t.Helper()
 	worlds, err := mp.NewLocalWorlds(mp.ChannelShm, n, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -31,10 +37,7 @@ func runRanksAsync(t *testing.T, n int, async bool, body func(r *rank) error) {
 	errc := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(w *mp.World) {
-			v := vm.New(vm.Config{
-				Name: fmt.Sprintf("rank%d", w.Rank()),
-				Heap: vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 512 << 10, ArenaMax: 64 << 20},
-			})
+			v := vm.New(vm.Config{Name: fmt.Sprintf("rank%d", w.Rank()), Heap: hc})
 			e := Attach(v, w, WithAsyncProgress(async))
 			th := v.StartThread("main")
 			err := body(&rank{v: v, e: e, th: th})
@@ -254,4 +257,146 @@ func TestProgressRegistrySnapshotRace(t *testing.T) {
 		mon.Wait()
 		return err
 	})
+}
+
+// TestStressParkedWaiters runs waits that really park. Several VM
+// threads share one async rank, and each exchange is delayed past the
+// spin budget on the other side: rank 0's receives park until rank 1's
+// reply rings its doorbell, and its 128 KiB rendezvous sends park
+// until rank 1's late receive answers with a CTS that rings it, then
+// until rank 1's copy-out completes the lent send. Blocking Send/Recv
+// and Wait on Isend/Irecv both take part, while a sibling thread on
+// each rank compacts the heap.
+func TestStressParkedWaiters(t *testing.T) {
+	K, iters := 3, 12
+	if testing.Short() {
+		iters = 4
+	}
+	hc := vm.HeapConfig{YoungSize: 256 << 10, InitialElder: 2 << 20, ArenaMax: 64 << 20, GCWorkers: 2}
+	runRanksAsyncHeap(t, 2, true, hc, func(r *rank) error {
+		h := r.v.Heap
+		stop := make(chan struct{})
+		compactor := make(chan struct{})
+		go func() {
+			defer close(compactor)
+			for {
+				select {
+				case <-stop:
+					return
+				case <-time.After(time.Millisecond):
+				}
+				sib := r.v.StartThread("compactor")
+				sib.CollectCompact()
+				sib.End()
+			}
+		}()
+		var wg sync.WaitGroup
+		werrs := make(chan error, K)
+		for k := 0; k < K; k++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				th := r.v.StartThread(fmt.Sprintf("worker%d", k))
+				defer th.End()
+				for i := 0; i < iters; i++ {
+					if err := parkedExchange(r, th, k, i); err != nil {
+						werrs <- fmt.Errorf("worker %d exchange %d: %w", k, i, err)
+						return
+					}
+				}
+			}(k)
+		}
+		// The compactor needs the token to stop, so the join parks too.
+		r.th.Park(func() {
+			wg.Wait()
+			close(stop)
+			<-compactor
+		})
+		close(werrs)
+		for err := range werrs {
+			return err
+		}
+		if n := r.e.World.Dev.Outstanding(); n != 0 || r.e.PendingRequests() != 0 {
+			return fmt.Errorf("%d device requests, %d engine requests outstanding", n, r.e.PendingRequests())
+		}
+		if st := h.Stats.Snapshot(); st.Pins != st.Unpins || st.Compactions == 0 {
+			return fmt.Errorf("pins %d, unpins %d, compactions %d", st.Pins, st.Unpins, st.Compactions)
+		}
+		if r.e.Comm.Rank() == 0 && r.e.Stats.Snapshot().WaitsParked == 0 {
+			return fmt.Errorf("no wait outlasted the spin budget")
+		}
+		return h.CheckInvariants()
+	})
+}
+
+// parkedExchange is one round trip of TestStressParkedWaiters: rank 0
+// sends and rank 1 echoes, each side first sleeping (parked, so
+// siblings run) well past the other's spin budget. Exchange i uses a
+// 128 KiB rendezvous payload when i is odd and Isend/Irecv + Wait when
+// i%4 >= 2.
+func parkedExchange(r *rank, th *vm.Thread, k, i int) error {
+	const delay = 20 * spinBudget
+	h := r.v.Heap
+	n := 2
+	if i%2 == 1 {
+		n = 32 << 10
+	}
+	immediate := i%4 >= 2
+	tag := k*1000 + i
+	peer := 1 - r.e.Comm.Rank()
+	want := func(j int) int32 { return int32(k<<24 ^ i<<16 ^ j) }
+	msg, err := h.NewInt32Array(make([]int32, n))
+	if err != nil {
+		return err
+	}
+	defer th.PushFrame(&msg)()
+	send := func() error {
+		if !immediate {
+			return r.e.Send(th, msg, peer, tag)
+		}
+		id, err := r.e.Isend(th, msg, peer, tag)
+		if err == nil {
+			_, err = r.e.Wait(th, id)
+		}
+		return err
+	}
+	recv := func() error {
+		var err error
+		if !immediate {
+			_, err = r.e.Recv(th, msg, peer, tag)
+		} else {
+			var id int32
+			if id, err = r.e.Irecv(th, msg, peer, tag); err == nil {
+				_, err = r.e.Wait(th, id)
+			}
+		}
+		if err != nil {
+			return err
+		}
+		for j, v := range h.Int32Slice(msg) {
+			if v != want(j) {
+				return fmt.Errorf("element %d = %#x, want %#x", j, v, want(j))
+			}
+		}
+		return nil
+	}
+	sleep := func() { th.Park(func() { time.Sleep(delay) }) }
+	if r.e.Comm.Rank() == 0 {
+		for j := 0; j < n; j++ {
+			h.SetElem(msg, j, uint64(uint32(want(j))))
+		}
+		if err := send(); err != nil {
+			return err
+		}
+		for j := 0; j < n; j++ {
+			h.SetElem(msg, j, 0)
+		}
+		return recv()
+	}
+	sleep()
+	if err := recv(); err != nil {
+		return err
+	}
+	sleep()
+	return send()
 }

@@ -289,11 +289,27 @@ func (d *Device) newRequest(kind reqKind, buf Buffer, peer, tag int, ctx int32) 
 // SetWake installs (or clears, with nil) the post doorbell: it is
 // fired outside the lock whenever a post leaves an incomplete request
 // behind, so a parked background progress engine can cut its sleep
-// short. Install it before the device is shared between goroutines.
+// short. On a channel.Doorbell channel it is also what a peer's frame
+// rings while AddParked's count is > 0. Install it before the device
+// is shared between goroutines.
 func (d *Device) SetWake(wake func()) {
 	d.mu.Lock()
 	d.wake = wake
 	d.mu.Unlock()
+	if bell, ok := d.ch.(channel.Doorbell); ok {
+		bell.SetWake(wake)
+	}
+}
+
+// AddParked adds n to the count of this rank's waiters parked until a
+// completion continuation fires. While it is > 0, a peer's frame to
+// this rank rings the wake doorbell. A waiter raises it before its
+// last Test and lowers it after waking. A no-op on channels without a
+// doorbell, where the progress engine's idle timer finds the frame.
+func (d *Device) AddParked(n int) {
+	if bell, ok := d.ch.(channel.Doorbell); ok {
+		bell.AddParked(n)
+	}
 }
 
 // OnComplete registers a continuation that runs exactly once when the

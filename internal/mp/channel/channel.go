@@ -136,6 +136,22 @@ type Lender interface {
 	Lend(dest int, hdr Header, payload []byte, release func()) error
 }
 
+// Doorbell is implemented by channels whose frames can wake a rank
+// whose waiters have parked for its progress engine. Unlike the
+// Channel methods, both may be called from any goroutine.
+//
+// A sender rings the destination's bell after publishing a frame if
+// the destination's parked count is > 0. A waiter raises its count
+// before its last poll, so either that poll sees the frame or the
+// sender sees the count; no wakeup is lost. The ring runs under the
+// sender's device lock: wake must take no lock and must not block.
+type Doorbell interface {
+	// SetWake installs (nil clears) the func a peer's frame rings.
+	SetWake(wake func())
+	// AddParked adds n to the endpoint's parked-waiter count.
+	AddParked(n int)
+}
+
 // ErrClosed is returned by operations on a closed channel.
 var ErrClosed = errors.New("channel: closed")
 

@@ -94,7 +94,8 @@ type shmSeg struct {
 type shmRing struct {
 	tail    atomic.Uint64 // frames published; producer stores, consumer loads
 	tailSeg *shmSeg       // producer only
-	_       [48]byte
+	bell    *shmBell      // the consumer's; fixed at creation
+	_       [40]byte
 
 	head    uint64  // frames popped; consumer only
 	headSeg *shmSeg // consumer only
@@ -131,20 +132,49 @@ func (r *shmRing) pop() (shmFrame, bool) {
 	return f, true
 }
 
+// shmBell is one rank's doorbell (Doorbell): how many of its waiters
+// are parked, and the func that wakes its progress engine.
+type shmBell struct {
+	parked atomic.Int32
+	wake   atomic.Pointer[func()]
+}
+
+// ring wakes the bell's rank if a waiter is parked there. The caller
+// has just published a frame: its tail store precedes this load, as
+// the waiter's count increment precedes its last poll.
+func (b *shmBell) ring() {
+	if b.parked.Load() > 0 {
+		if w := b.wake.Load(); w != nil && *w != nil {
+			(*w)()
+		}
+	}
+}
+
 // ShmFabric is the shared substrate connecting n in-process ranks.
-// Its mutex guards only the ring table, which an endpoint consults
-// the first time it meets a peer; frames never touch it.
+// Its mutex guards only the ring and bell tables, which an endpoint
+// consults the first time it meets a peer; frames never touch it.
 type ShmFabric struct {
 	size  atomic.Int64
 	mu    sync.Mutex          //motorlint:lockorder 30 channel
 	rings map[[2]int]*shmRing // [from,to]
+	bells map[int]*shmBell    // by rank
 }
 
 // NewShmFabric creates the substrate for an n-rank world.
 func NewShmFabric(n int) *ShmFabric {
-	f := &ShmFabric{rings: make(map[[2]int]*shmRing)}
+	f := &ShmFabric{rings: make(map[[2]int]*shmRing), bells: make(map[int]*shmBell)}
 	f.size.Store(int64(n))
 	return f
+}
+
+// bellLocked returns rank's bell, creating it on first use.
+func (f *ShmFabric) bellLocked(rank int) *shmBell {
+	b, ok := f.bells[rank]
+	if !ok {
+		b = new(shmBell)
+		f.bells[rank] = b
+	}
+	return b
 }
 
 // Size returns the current number of ranks in the fabric.
@@ -163,6 +193,7 @@ func (f *ShmFabric) ring(from, to int) *shmRing {
 	r, ok := f.rings[key]
 	if !ok {
 		r = newShmRing()
+		r.bell = f.bellLocked(to)
 		f.rings[key] = r
 	}
 	return r
@@ -170,7 +201,10 @@ func (f *ShmFabric) ring(from, to int) *shmRing {
 
 // Endpoint creates the channel for one rank of the fabric.
 func (f *ShmFabric) Endpoint(rank int) *ShmChannel {
-	return &ShmChannel{fabric: f, rank: rank}
+	f.mu.Lock()
+	bell := f.bellLocked(rank)
+	f.mu.Unlock()
+	return &ShmChannel{fabric: f, rank: rank, bell: bell}
 }
 
 // ShmChannel is one rank's view of a ShmFabric. It caches the rings
@@ -181,6 +215,7 @@ type ShmChannel struct {
 	rank    int
 	closed  bool
 	in, out []*shmRing // by peer rank; nil at the endpoint's own rank
+	bell    *shmBell   // this rank's
 
 	stats struct {
 		framesSent  atomic.Uint64
@@ -193,8 +228,15 @@ type ShmChannel struct {
 var (
 	_ Channel     = (*ShmChannel)(nil)
 	_ Lender      = (*ShmChannel)(nil)
+	_ Doorbell    = (*ShmChannel)(nil)
 	_ StatsSource = (*ShmChannel)(nil)
 )
+
+// SetWake implements Doorbell.
+func (c *ShmChannel) SetWake(wake func()) { c.bell.wake.Store(&wake) }
+
+// AddParked implements Doorbell.
+func (c *ShmChannel) AddParked(n int) { c.bell.parked.Add(int32(n)) }
 
 // attach caches the rings of peers [len(c.in), n).
 func (c *ShmChannel) attach(n int) {
@@ -253,7 +295,9 @@ func (c *ShmChannel) push(dest int, hdr Header, payload []byte, release func()) 
 	} else {
 		f.slab = copyToSlab(payload)
 	}
-	c.out[dest].push(f)
+	out := c.out[dest]
+	out.push(f)
+	out.bell.ring()
 	c.stats.framesSent.Add(1)
 	c.stats.bytesSent.Add(uint64(len(payload)))
 	if tr := obs.Active(); tr != nil {

@@ -288,6 +288,46 @@ func TestShmEndpointsDiscoverGrowth(t *testing.T) {
 	}
 }
 
+// TestShmDoorbell: a frame rings its destination's bell exactly once
+// while that rank's parked count is > 0, never at 0, never after
+// SetWake(nil), and never another rank's bell.
+func TestShmDoorbell(t *testing.T) {
+	f := NewShmFabric(3)
+	a, b, c := f.Endpoint(0), f.Endpoint(1), f.Endpoint(2)
+	var rungB, rungC int
+	b.SetWake(func() { rungB++ })
+	c.SetWake(func() { rungC++ })
+	send := func(want int, what string) {
+		t.Helper()
+		if err := a.Send(1, Header{Type: PktEager}, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if rungB != want {
+			t.Fatalf("%s: bell rung %d times, want %d", what, rungB, want)
+		}
+	}
+	send(0, "nobody parked")
+	b.AddParked(1)
+	send(1, "one parked")
+	if err := a.Lend(1, Header{Type: PktData}, []byte("y"), func() {}); err != nil {
+		t.Fatal(err)
+	}
+	if rungB != 2 {
+		t.Fatalf("lent frame rang %d times in all, want 2", rungB)
+	}
+	b.AddParked(1)
+	send(3, "two parked") // one ring per frame, not per waiter
+	b.AddParked(-2)
+	send(3, "unparked")
+	b.AddParked(1)
+	b.SetWake(nil)
+	send(3, "bell cleared")
+	if rungC != 0 {
+		t.Fatalf("rank 2's bell rung %d times by frames to rank 1", rungC)
+	}
+	drain(t, b, &collectSink{}, 6)
+}
+
 // BenchmarkShmRingSteady interleaves push/pop at a fixed queue depth —
 // the common collective pattern where a receiver keeps up with a
 // sender but a backlog persists.

@@ -58,6 +58,14 @@ func (r *Request) Done() bool { return r.inner.Done() }
 // the polling-wait.
 func (r *Request) OnComplete(f func()) { r.comm.dev.OnComplete(r.inner, f) }
 
+// Test makes one progress pass and reports completion (Comm.Test on
+// the request's own communicator).
+func (r *Request) Test() (bool, Status, error) { return r.comm.Test(r) }
+
+// Cancel withdraws an incomplete request from its device; it then
+// completes with adi.ErrCancelled. A no-op on a completed request.
+func (r *Request) Cancel() { r.comm.dev.CancelReq(r.inner) }
+
 // Status returns the receive status in communicator ranks (valid
 // once Done — inside an OnComplete continuation, for example).
 func (r *Request) Status() Status { return r.comm.status(r.inner.Status()) }

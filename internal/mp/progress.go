@@ -18,8 +18,9 @@ import (
 //
 //   - Free-running (default): the loop runs passes whenever there is
 //     work, parking on the device's wake doorbell (armed via
-//     Device.SetWake) with a short timer fallback for traffic from
-//     peers, which rings no local doorbell.
+//     Device.SetWake). Local posts ring it, and so do peers' frames
+//     while a waiter is parked (Device.AddParked) on a channel with a
+//     channel.Doorbell (shm). A timer re-polls for the rest (sock).
 //   - Manual (ProgressOptions.Manual): no goroutine; the owner calls
 //     Step. The mptest harness uses this to schedule the progress
 //     engine against guest threads deterministically from a seed.
@@ -48,9 +49,10 @@ type ProgressOptions struct {
 	Manual bool
 
 	// Interval bounds how long the free-running loop parks when idle
-	// and no doorbell rings: incoming traffic from peers fires no local
-	// wake, so the loop must re-poll on its own. Default 100µs
-	// requested; see DefaultProgressInterval for what is delivered.
+	// and no doorbell rings. It is the fallback for channels without a
+	// channel.Doorbell (sock), whose peer frames wake nothing. Default
+	// 100µs requested; see DefaultProgressInterval for what is
+	// delivered.
 	Interval time.Duration
 
 	// Lane is the obs lane (world rank) for KProgress spans.
@@ -60,9 +62,9 @@ type ProgressOptions struct {
 // DefaultProgressInterval is the idle re-poll period a free-running
 // progress loop asks its timer for. It is a lower bound, not what an
 // idle loop gets: on Linux the Go runtime parks an idle P with about
-// millisecond granularity, and the benchmark's pp-async workload
-// (whose op is exactly this re-poll) measures ≈1.1 ms per op. Known
-// open issue; the wait path is unchanged here.
+// millisecond granularity (≈1.1 ms). Only a waiter parked on a
+// channel without a doorbell (sock) waits for it; on shm a waiter
+// spins first and a peer's frame rings it once it parks.
 const DefaultProgressInterval = 100 * time.Microsecond
 
 // ProgressStats counts progress-engine activity. All fields are
@@ -139,7 +141,9 @@ func (p *Progress) Manual() bool { return p.opts.Manual }
 
 // Wake rings the doorbell: the free-running loop cuts its idle park
 // short and runs a pass. Safe from any goroutine; a ring while the
-// loop is already running coalesces.
+// loop is already running coalesces. It takes no lock and never
+// blocks (one atomic add, one non-blocking send), as a peer rings it
+// under the peer's device lock (channel.Doorbell).
 func (p *Progress) Wake() {
 	atomic.AddUint64(&p.stats.Wakes, 1)
 	select {

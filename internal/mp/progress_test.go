@@ -120,6 +120,51 @@ func TestProgressCompletesWithoutWait(t *testing.T) {
 	}
 }
 
+// TestParkedWaiterRungByPeerFrame: a receiver parked on its
+// completion continuation is woken by the sender's frame. The engine's
+// idle timer is an hour, so only the shm doorbell can wake it in time.
+func TestParkedWaiterRungByPeerFrame(t *testing.T) {
+	worlds, err := mp.NewLocalWorlds(mp.ChannelShm, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, w := range worlds {
+			w.Close()
+		}
+	}()
+	p := mp.StartProgress(worlds[1].Dev, mp.ProgressOptions{Interval: time.Hour, Lane: 1})
+	defer p.Stop()
+
+	buf := make([]byte, 8)
+	req, err := worlds[1].Comm.Irecv(buf, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := worlds[1].Dev
+	dev.AddParked(1)
+	defer dev.AddParked(-1)
+	done := make(chan struct{})
+	req.OnComplete(func() { close(done) })
+
+	sent := make(chan error, 1)
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		sent <- worlds[0].Comm.Send([]byte("doorbell"), 1, 3)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatalf("parked receive not woken by the peer's frame: %+v", p.Stats())
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if string(buf) != "doorbell" || req.Err() != nil {
+		t.Fatalf("received %q, err %v", buf, req.Err())
+	}
+}
+
 // TestProgressStopIdempotent exercises the engine lifecycle.
 func TestProgressStopIdempotent(t *testing.T) {
 	worlds, err := mp.NewLocalWorlds(mp.ChannelShm, 2, 0)
