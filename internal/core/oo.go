@@ -118,6 +118,9 @@ func (e *Engine) streamOut(t *vm.Thread, sw *serial.StreamWriter, dest, tag int,
 		total += len(chunk)
 		inflight = req
 		idx++
+		if !sw.Done() {
+			req.Detach() // in flight while the next chunk is serialized
+		}
 	}
 	bump(&e.Stats.SerializedBytes, uint64(total))
 	if inflight != nil {

@@ -250,7 +250,9 @@ func (e *Engine) Isend(t *vm.Thread, obj vm.Ref, dest, tag int) (int32, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e.register(req, e.pinFor(obj, shapeNonblocking, req)), nil
+	id := e.register(req, e.pinFor(obj, shapeNonblocking, req))
+	req.Detach() // nobody drives it until Wait or Test
+	return id, nil
 }
 
 // Irecv starts an immediate receive.
@@ -268,7 +270,9 @@ func (e *Engine) Irecv(t *vm.Thread, obj vm.Ref, source, tag int) (int32, error)
 	if err != nil {
 		return 0, err
 	}
-	return e.register(req, e.pinFor(obj, shapeNonblocking, req)), nil
+	id := e.register(req, e.pinFor(obj, shapeNonblocking, req))
+	req.Detach() // nobody drives it until Wait or Test
+	return id, nil
 }
 
 func (e *Engine) lookup(id int32) (*mpReq, error) {

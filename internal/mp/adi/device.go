@@ -229,9 +229,8 @@ type Device struct {
 	// lock was held; unlockNotify drains it after release.
 	cbq []func()
 
-	// wake, when set (SetWake), is fired outside the lock after a post
-	// leaves new protocol work behind — the background progress
-	// engine's doorbell.
+	// wake, when set (SetWake), is the background progress engine's
+	// doorbell, rung by Detach for a request nobody drives.
 	wake func()
 
 	// Stats is guarded by mu. Concurrent readers (the obs registry,
@@ -286,12 +285,11 @@ func (d *Device) newRequest(kind reqKind, buf Buffer, peer, tag int, ctx int32) 
 	return req
 }
 
-// SetWake installs (or clears, with nil) the post doorbell: it is
-// fired outside the lock whenever a post leaves an incomplete request
-// behind, so a parked background progress engine can cut its sleep
-// short. On a channel.Doorbell channel it is also what a peer's frame
-// rings while AddParked's count is > 0. Install it before the device
-// is shared between goroutines.
+// SetWake installs (or clears, with nil) the doorbell: Detach rings it
+// for a request left with no driver, so a parked background progress
+// engine can cut its sleep short. On a channel.Doorbell channel it is
+// also what a peer's frame rings while AddParked's count is > 0.
+// Install it before the device is shared between goroutines.
 func (d *Device) SetWake(wake func()) {
 	d.mu.Lock()
 	d.wake = wake
@@ -344,12 +342,15 @@ func (d *Device) unlockNotify() {
 	}
 }
 
-// unlockWake is unlockNotify plus the progress-engine doorbell, for
-// posts that leave new protocol work behind.
-func (d *Device) unlockWake() {
+// Detach rings the wake doorbell if req is still pending: its poster
+// returns without driving it (a nonblocking post), so only the
+// background progress engine can move it until someone waits. A
+// blocking post never calls it; its wait drives the request itself.
+func (d *Device) Detach(req *Request) {
+	d.mu.Lock()
 	wake := d.wake
-	d.unlockNotify()
-	if wake != nil {
+	d.mu.Unlock()
+	if wake != nil && !req.Done() {
 		wake()
 	}
 }
@@ -397,11 +398,7 @@ func (d *Device) complete(req *Request) {
 func (d *Device) Isend(buf Buffer, dest, tag int, ctx int32, sync bool) (*Request, error) {
 	d.mu.Lock()
 	req, err := d.isendLocked(buf, dest, tag, ctx, sync)
-	if req != nil && !req.Done() {
-		d.unlockWake()
-	} else {
-		d.unlockNotify()
-	}
+	d.unlockNotify()
 	return req, err
 }
 
@@ -569,11 +566,7 @@ func (d *Device) resolveSelfSyncs() {
 func (d *Device) Irecv(buf Buffer, source, tag int, ctx int32) (*Request, error) {
 	d.mu.Lock()
 	req, err := d.irecvLocked(buf, source, tag, ctx)
-	if req != nil && !req.Done() {
-		d.unlockWake()
-	} else {
-		d.unlockNotify()
-	}
+	d.unlockNotify()
 	return req, err
 }
 

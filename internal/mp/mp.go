@@ -62,6 +62,13 @@ func (r *Request) OnComplete(f func()) { r.comm.dev.OnComplete(r.inner, f) }
 // the request's own communicator).
 func (r *Request) Test() (bool, Status, error) { return r.comm.Test(r) }
 
+// Detach declares that the caller returns without driving the
+// request: if it is still pending, the background progress engine (if
+// any) is rung to move it. The nonblocking []byte forms (Isend,
+// Issend, Irecv) detach what they post; the Buffer and OO forms leave
+// it to a caller that will wait at once.
+func (r *Request) Detach() { r.comm.dev.Detach(r.inner) }
+
 // Cancel withdraws an incomplete request from its device; it then
 // completes with adi.ErrCancelled. A no-op on a completed request.
 func (r *Request) Cancel() { r.comm.dev.CancelReq(r.inner) }
@@ -203,23 +210,30 @@ func (c *Comm) IrecvBuffer(buf adi.Buffer, source, tag int) (*Request, error) {
 
 // Isend starts an immediate standard-mode send.
 func (c *Comm) Isend(buf []byte, dest, tag int) (*Request, error) {
-	return c.IsendBuffer(adi.SliceBuf(buf), dest, tag, false)
+	return detach(c.IsendBuffer(adi.SliceBuf(buf), dest, tag, false))
 }
 
 // Issend starts an immediate synchronous-mode send: it completes only
 // after the receiver has matched the message.
 func (c *Comm) Issend(buf []byte, dest, tag int) (*Request, error) {
-	return c.IsendBuffer(adi.SliceBuf(buf), dest, tag, true)
+	return detach(c.IsendBuffer(adi.SliceBuf(buf), dest, tag, true))
 }
 
 // Irecv starts an immediate receive.
 func (c *Comm) Irecv(buf []byte, source, tag int) (*Request, error) {
-	return c.IrecvBuffer(adi.SliceBuf(buf), source, tag)
+	return detach(c.IrecvBuffer(adi.SliceBuf(buf), source, tag))
+}
+
+func detach(req *Request, err error) (*Request, error) {
+	if err == nil {
+		req.Detach()
+	}
+	return req, err
 }
 
 // Send performs a blocking standard-mode send.
 func (c *Comm) Send(buf []byte, dest, tag int) error {
-	req, err := c.Isend(buf, dest, tag)
+	req, err := c.IsendBuffer(adi.SliceBuf(buf), dest, tag, false)
 	if err != nil {
 		return err
 	}
@@ -229,7 +243,7 @@ func (c *Comm) Send(buf []byte, dest, tag int) error {
 
 // Ssend performs a blocking synchronous-mode send.
 func (c *Comm) Ssend(buf []byte, dest, tag int) error {
-	req, err := c.Issend(buf, dest, tag)
+	req, err := c.IsendBuffer(adi.SliceBuf(buf), dest, tag, true)
 	if err != nil {
 		return err
 	}
@@ -239,7 +253,7 @@ func (c *Comm) Ssend(buf []byte, dest, tag int) error {
 
 // Recv performs a blocking receive.
 func (c *Comm) Recv(buf []byte, source, tag int) (Status, error) {
-	req, err := c.Irecv(buf, source, tag)
+	req, err := c.IrecvBuffer(adi.SliceBuf(buf), source, tag)
 	if err != nil {
 		return Status{}, err
 	}

@@ -18,9 +18,12 @@ import (
 //
 //   - Free-running (default): the loop runs passes whenever there is
 //     work, parking on the device's wake doorbell (armed via
-//     Device.SetWake). Local posts ring it, and so do peers' frames
-//     while a waiter is parked (Device.AddParked) on a channel with a
-//     channel.Doorbell (shm). A timer re-polls for the rest (sock).
+//     Device.SetWake). It is rung only for work nobody else drives: a
+//     request its poster left pending (Request.Detach), a waiter that
+//     parks, and peers' frames while a waiter is parked
+//     (Device.AddParked) on a channel with a channel.Doorbell (shm).
+//     A blocking wait drives its own request and rings nothing. A
+//     timer re-polls for the rest (sock).
 //   - Manual (ProgressOptions.Manual): no goroutine; the owner calls
 //     Step. The mptest harness uses this to schedule the progress
 //     engine against guest threads deterministically from a seed.
@@ -72,7 +75,7 @@ const DefaultProgressInterval = 100 * time.Microsecond
 type ProgressStats struct {
 	Passes     uint64 // progress passes executed
 	Progressed uint64 // passes that moved at least one packet
-	Wakes      uint64 // doorbell wake-ups (a post left work behind)
+	Wakes      uint64 // doorbell rings (a request left undriven, a parked waiter)
 	Timeouts   uint64 // idle timer expiries (re-poll for peer traffic)
 	Errors     uint64 // passes that returned a non-peer channel error
 }

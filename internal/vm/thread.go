@@ -1,6 +1,9 @@
 package vm
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Managed threads are cooperatively scheduled: at most one thread of
 // a VM executes managed code at a time, and control transfers only at
@@ -10,6 +13,15 @@ import "fmt"
 // commence" (§5.2) — because any thread that is not running is, by
 // construction, parked at a poll point or executing native code that
 // touches no managed memory.
+//
+// A poll costs one atomic load while nobody waits for the token: a
+// goroutine that wants it announces itself (lockExec) before it
+// blocks, and only then does a poll release and re-acquire the token.
+// Sibling managed threads get the mutex's usual slices (the releasing
+// thread usually re-acquires at once; a waiter starved for about a
+// millisecond is handed the token). A waiting progress pass (ExecRun)
+// is served at once: the poller yields its processor before
+// re-acquiring, so the pass runs now instead of a millisecond later.
 //
 // An FCall that needs to wait (for example on message transport) must
 // therefore never block in Go; it loops calling Thread.PollGC, which
@@ -58,7 +70,7 @@ func (t *Thread) SetStepBudget(n int64) { t.stepBudget = n }
 // (acquiring the VM's execution token). The caller must End it.
 func (v *VM) StartThread(name string) *Thread {
 	t := &Thread{vm: v, name: name}
-	v.execMu.Lock()
+	v.lockExec(false)
 	v.mu.Lock()
 	v.threads[t] = struct{}{}
 	t.attached = true
@@ -84,18 +96,45 @@ func (t *Thread) VM() *VM { return t.vm }
 // Name returns the thread's diagnostic name.
 func (t *Thread) Name() string { return t.name }
 
-// PollGC is the cooperative safepoint: it momentarily releases the
-// execution token so sibling threads may run (and collect). The
-// interpreter emits polls at backward branches and calls; FCalls call
-// it on entry, on exit, and inside polling-waits (§7.4).
+// PollGC is the cooperative safepoint: when someone waits for the
+// execution token it momentarily releases it, so sibling threads may
+// run (and collect) and a progress pass may run. The interpreter
+// emits polls at backward branches and calls; FCalls call it on
+// entry, on exit, and inside polling-waits (§7.4).
 func (t *Thread) PollGC() { t.vm.PollPoint() }
 
 // PollPoint is the VM-level safepoint for embedders that hold the
 // execution token but have no Thread at hand (the message-passing
 // engine's internal polling-waits). Equivalent to Thread.PollGC.
 func (v *VM) PollPoint() {
+	if v.execWanted.Load() != 0 {
+		v.handOff()
+	}
+}
+
+// handOff is a poll's slow path: release the token to its waiters,
+// letting a waiting progress pass run first, and queue to get it back.
+func (v *VM) handOff() {
 	v.execMu.Unlock()
+	if v.execGated.Load() != 0 {
+		runtime.Gosched()
+	}
+	v.lockExec(false)
+}
+
+// lockExec acquires the execution token. The waiter is counted before
+// it blocks, so the holder's next poll hands the token over; gated
+// marks an ExecRun progress pass, which that poll also lets run first.
+func (v *VM) lockExec(gated bool) {
+	v.execWanted.Add(1)
+	if gated {
+		v.execGated.Add(1)
+	}
 	v.execMu.Lock()
+	if gated {
+		v.execGated.Add(-1)
+	}
+	v.execWanted.Add(-1)
 }
 
 // ExecRun runs f while holding the execution token, from a goroutine
@@ -108,7 +147,7 @@ func (v *VM) PollPoint() {
 // safepoint-shaped critical section, kept as short as one progress
 // pass.
 func (v *VM) ExecRun(f func()) {
-	v.execMu.Lock()
+	v.lockExec(true)
 	defer v.execMu.Unlock()
 	f()
 }
@@ -124,7 +163,7 @@ func (v *VM) ExecRun(f func()) {
 func (t *Thread) Park(wait func()) {
 	t.vm.execMu.Unlock()
 	wait()
-	t.vm.execMu.Lock()
+	t.vm.lockExec(false)
 }
 
 // InTransportVerified reports whether the innermost managed frame on

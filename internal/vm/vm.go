@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Config configures a VM instance.
@@ -68,8 +69,14 @@ type VM struct {
 	traceLane int
 
 	// execMu is the managed-execution token: held by the one thread
-	// currently running managed code; released at every poll point.
-	execMu sync.Mutex
+	// currently running managed code; handed over at a poll point
+	// when someone waits for it. Acquire it through lockExec.
+	execMu sync.Mutex //motorlint:lockorder 5 vm-exec
+	// execWanted counts goroutines blocked in lockExec; a poll point
+	// reads it and touches execMu only when it is non-zero. execGated
+	// counts the ExecRun progress passes among them.
+	execWanted atomic.Int32
+	execGated  atomic.Int32
 	// mu guards the thread registry.
 	mu      sync.Mutex
 	threads map[*Thread]struct{}
