@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"motor/internal/mp"
@@ -38,6 +39,23 @@ func TestStressLentSourceUnderCollection(t *testing.T) {
 	}
 }
 
+// balanced is a rank's own final check, run once its traffic is done:
+// no pin left, nothing outstanding, and an intact heap.
+func balanced(r *rank) error {
+	r.th.CollectYoung() // drops conditional pins whose request completed
+	h := r.v.Heap
+	st := h.Stats.Snapshot()
+	if st.Pins != st.Unpins || h.CondPinCount() != 0 {
+		return fmt.Errorf("rank %d: pins %d/%d, %d conditional pins left",
+			r.e.Comm.Rank(), st.Pins, st.Unpins, h.CondPinCount())
+	}
+	if n := r.e.World.Dev.Outstanding(); n != 0 || r.e.PendingRequests() != 0 {
+		return fmt.Errorf("rank %d: %d device requests, %d engine requests outstanding",
+			r.e.Comm.Rank(), n, r.e.PendingRequests())
+	}
+	return h.CheckInvariants()
+}
+
 func lentUnderCollection(t *testing.T, workers int, elder, grow bool) {
 	const tag = 5
 	hc := vm.HeapConfig{YoungSize: 512 << 10, InitialElder: 2 << 20, ArenaMax: 64 << 20, GCWorkers: workers}
@@ -50,21 +68,6 @@ func lentUnderCollection(t *testing.T, workers int, elder, grow bool) {
 			}
 		}
 		return nil
-	}
-	// balanced is each rank's own final check, run once both are done.
-	balanced := func(r *rank) error {
-		r.th.CollectYoung() // drops conditional pins whose request completed
-		h := r.v.Heap
-		st := h.Stats.Snapshot()
-		if st.Pins != st.Unpins || h.CondPinCount() != 0 {
-			return fmt.Errorf("rank %d: pins %d/%d, %d conditional pins left",
-				r.e.Comm.Rank(), st.Pins, st.Unpins, h.CondPinCount())
-		}
-		if n := r.e.World.Dev.Outstanding(); n != 0 || r.e.PendingRequests() != 0 {
-			return fmt.Errorf("rank %d: %d device requests, %d engine requests outstanding",
-				r.e.Comm.Rank(), n, r.e.PendingRequests())
-		}
-		return h.CheckInvariants()
 	}
 	runRanksHeap(t, 2, hc, nil, func(r *rank) error {
 		h := r.v.Heap
@@ -197,6 +200,133 @@ func lentUnderCollection(t *testing.T, workers int, elder, grow bool) {
 		close(done)
 		return balanced(r)
 	})
+}
+
+// TestStressSharedCopyOut: a lent DATA frame is copied out in two
+// halves, one by the receiver's poll and one by the sender's own wait
+// (channel.Loan.Help), which writes into the receiver's heap. Blocking
+// 128 KiB ping-pong, crossing Sendrecv (each rank is a receiver and a
+// lender at once) and elder buffers with a sibling thread compacting
+// the sending rank's heap all keep their payloads, pin balance and
+// Outstanding()==0, at GOMAXPROCS 1 and 2. At 2 a ping-pong's senders
+// must have helped: the mechanism runs, not only its fallback.
+func TestStressSharedCopyOut(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		for _, mode := range []string{"pingpong", "sendrecv", "elder-compact"} {
+			t.Run(fmt.Sprintf("gomaxprocs=%d/%s", procs, mode), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				sharedCopyOut(t, mode, procs)
+			})
+		}
+	}
+}
+
+func sharedCopyOut(t *testing.T, mode string, procs int) {
+	const tag, rounds = 8, 32
+	hc := vm.HeapConfig{YoungSize: 512 << 10, InitialElder: 2 << 20, ArenaMax: 64 << 20, GCWorkers: 2}
+	var helped [2]uint64
+	runRanksHeap(t, 2, hc, nil, func(r *rank) error {
+		h := r.v.Heap
+		me, peer := r.e.Comm.Rank(), 1-r.e.Comm.Rank()
+		i32 := r.v.ArrayType(vm.KindInt32, nil, 1)
+		var filler, src, dst vm.Ref
+		defer r.th.PushFrame(&filler, &src, &dst)()
+		for _, a := range []struct {
+			ref *vm.Ref
+			n   int
+		}{{&filler, 16 << 10}, {&src, lentElems}, {&dst, lentElems}} {
+			ref, err := h.AllocArray(i32, a.n)
+			if err != nil {
+				return err
+			}
+			*a.ref = ref
+		}
+		// stopSibling ends the elder case's compactor on the sending rank.
+		stopSibling := func() error { return nil }
+		if mode == "elder-compact" {
+			// As in the tests above: elder buffers above a dropped filler,
+			// so an unpinned one slides when the sibling compacts.
+			r.th.CollectYoung()
+			if h.IsYoung(src) || h.IsYoung(dst) {
+				return fmt.Errorf("buffers not promoted")
+			}
+			filler = vm.NullRef
+			if me == 0 {
+				before := h.Stats.Snapshot().Compactions
+				stop, stopped := make(chan struct{}), make(chan struct{})
+				var stopOnce sync.Once
+				defer stopOnce.Do(func() { close(stop) }) // a failed round
+				go func() {
+					defer close(stopped)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						sib := r.v.StartThread("compactor") // granted at a wait's poll
+						sib.CollectCompact()
+						sib.End()
+						runtime.Gosched()
+					}
+				}()
+				stopSibling = func() error {
+					stopOnce.Do(func() { close(stop) })
+					for { // the sibling may be queued for the token
+						select {
+						case <-stopped:
+							if h.Stats.Snapshot().Compactions == before {
+								return fmt.Errorf("no compaction ran on the sending rank")
+							}
+							return nil
+						default:
+							r.th.PollGC()
+							runtime.Gosched()
+						}
+					}
+				}
+			}
+		}
+		for round := 0; round < rounds; round++ {
+			for i := 0; i < lentElems; i++ {
+				h.SetElem(src, i, uint64(uint32(lentPattern(i, 2*round+me))))
+			}
+			var err error
+			switch {
+			case mode == "sendrecv":
+				_, err = r.e.Sendrecv(r.th, src, peer, tag, dst, peer, tag)
+			case me == 0:
+				if err = r.e.Send(r.th, src, peer, tag); err == nil {
+					_, err = r.e.Recv(r.th, dst, peer, tag)
+				}
+			default:
+				if _, err = r.e.Recv(r.th, dst, peer, tag); err == nil {
+					err = r.e.Send(r.th, src, peer, tag)
+				}
+			}
+			if err != nil {
+				return fmt.Errorf("round %d: %w", round, err)
+			}
+			for i, v := range h.Int32Slice(dst) {
+				if w := lentPattern(i, 2*round+peer); v != w {
+					return fmt.Errorf("round %d: received element %d = %d, want %d", round, i, v, w)
+				}
+			}
+		}
+		if err := stopSibling(); err != nil {
+			return err
+		}
+		helped[me] = r.e.World.Dev.StatsSnapshot().HalvesHelped
+		return balanced(r)
+	})
+	msgs := 2 * rounds
+	t.Logf("halves helped per message: %.2f (%d + %d of %d)",
+		float64(helped[0]+helped[1])/float64(msgs), helped[0], helped[1], msgs)
+	// Crossing Sendrecv rarely leaves a half to help with: each rank is
+	// busy copying the other's DATA while its own is copied out.
+	if procs > 1 && mode != "sendrecv" && helped[0]+helped[1] == 0 {
+		t.Fatalf("no sender helped with its copy-out in %d messages", msgs)
+	}
 }
 
 // TestStressElderRecvUnderCompaction is the receive twin: an elder

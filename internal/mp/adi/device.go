@@ -96,10 +96,11 @@ type Request struct {
 
 	sync bool // synchronous send: complete only when matched
 
-	// lent marks a rendezvous send whose DATA references buf (device
-	// lock): it completes when the peer has copied it out, and until
-	// then it cannot be cancelled.
-	lent bool
+	// loan is set (device lock) once a rendezvous send's DATA is lent:
+	// the frame references buf, the send completes when the peer has
+	// copied it out and cannot be cancelled until then, and its waits
+	// help with that copy (progressFor).
+	loan *channel.Loan
 
 	// state is written last on every completion path (an atomic
 	// release store in complete) and loaded first by readers (an
@@ -173,6 +174,9 @@ type DeviceStats struct {
 	PeersLost       uint64
 	// Cancelled counts requests abandoned via CancelReq.
 	Cancelled uint64
+	// HalvesHelped counts halves of lent rendezvous DATA this rank's
+	// waits copied into the receiver's buffer (channel.Loan.Help).
+	HalvesHelped uint64
 }
 
 // Device is one rank's progress engine and matching state.
@@ -682,7 +686,7 @@ func (d *Device) CancelReq(req *Request) {
 		return
 	}
 	d.mu.Lock()
-	if req.Done() || req.lent {
+	if req.Done() || req.loan != nil {
 		d.mu.Unlock()
 		return
 	}
@@ -859,14 +863,28 @@ func (d *Device) idle() {
 // progressFor is a wait's progress pass, skipped if req is complete
 // once the lock is held: a peer completes a lent send under this lock
 // (lentDone) and may move on at once, and a later pass could take a
-// frame its next operation meant for someone else.
+// frame its next operation meant for someone else. A fruitless pass
+// over a lent send then copies the half of its DATA the receiver has
+// left for it, outside the lock (channel.Loan.Help).
 func (d *Device) progressFor(req *Request) (progressed bool, err error) {
 	d.mu.Lock()
+	loan := req.loan
 	if progressed = req.Done(); !progressed {
 		progressed, err = d.progressLocked()
 	}
 	d.unlockNotify()
+	if loan != nil && !progressed && loan.Help() {
+		d.noteHelped()
+		progressed = true
+	}
 	return progressed, err
+}
+
+// noteHelped counts a half of lent DATA that a wait copied out.
+func (d *Device) noteHelped() {
+	d.mu.Lock()
+	d.Stats.HalvesHelped++
+	d.mu.Unlock()
 }
 
 // TestReq makes one progress pass and reports completion.
@@ -1073,17 +1091,18 @@ func (d *Device) Done(hdr channel.Header) {
 			ReqA: req.id, ReqB: hdr.ReqB,
 			Seq: req.edgeSeq, // carry the RTS's correlation id to the payload
 		}
-		d.Stats.BytesSent += uint64(req.buf.Len())
 		var err error
 		if l, ok := d.ch.(channel.Lender); ok {
 			// Single copy: the peer's poll copies buf straight into its
 			// posted buffer and then completes req (lentDone).
-			if err = l.Lend(req.peer, data, req.buf.Bytes(), func() { d.lentDone(req) }); err == nil {
-				req.lent = true
+			loan := channel.NewLoan(req.buf.Bytes(), func() { d.lentDone(req) })
+			if err = l.Lend(req.peer, data, loan); err == nil {
+				d.Stats.BytesSent += uint64(req.buf.Len())
+				req.loan = loan
 				return
 			}
-		} else {
-			err = d.ch.Send(req.peer, data, req.buf.Bytes())
+		} else if err = d.ch.Send(req.peer, data, req.buf.Bytes()); err == nil {
+			d.Stats.BytesSent += uint64(req.buf.Len())
 		}
 		delete(d.active, req.id)
 		if err != nil {

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"motor/internal/mp/channel"
+	"motor/internal/pal"
+	"motor/internal/pal/fault"
 )
 
 // Rendezvous DATA on shm is lent: the frame references the sender's
@@ -143,5 +145,41 @@ func TestSockRendezvousCopies(t *testing.T) {
 	waitBoth(t, d1, d0, rreq)
 	if !bytes.Equal(buf, lentPayload(len(msg))) {
 		t.Fatal("sock rendezvous payload corrupt")
+	}
+}
+
+// TestRendezvousFailedDataCountsNoBytes: BytesSent counts a rendezvous
+// payload only once its DATA is posted, as it counts an eager payload
+// only after its Send. Here the DATA write fails.
+func TestRendezvousFailedDataCountsNoBytes(t *testing.T) {
+	// Rank 0's writes: #1 registration, #2 RTS header, #3 DATA header.
+	fp := fault.New(pal.Default, fault.Plan{Seed: 1, Rules: []fault.Rule{
+		{Op: fault.OpWrite, Kind: fault.KindReset, Nth: 3},
+	}})
+	rp := channel.RetryPolicy{DialAttempts: 2, BootstrapAttempts: 2,
+		BackoffBase: time.Millisecond, BackoffMax: 10 * time.Millisecond,
+		AcceptTimeout: 5 * time.Second}
+	chans, err := channel.NewSockGroupLocalOn([]pal.Platform{fp, nil}, 2, rp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer chans[0].Close()
+	defer chans[1].Close()
+	d0, d1 := NewDevice(chans[0], 64), NewDevice(chans[1], 64)
+	msg := lentPayload(4096)
+	if _, err := d1.Irecv(SliceBuf(make([]byte, len(msg))), 0, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	sreq, err := d0.Isend(SliceBuf(msg), 1, 4, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progressUntil(t, d1, func() bool { return d1.StatsSnapshot().Deliveries == 1 }) // RTS in, CTS out
+	progressUntil(t, d0, sreq.Done)
+	if !errors.Is(sreq.Err(), ErrTransport) {
+		t.Fatalf("send err = %v, want ErrTransport", sreq.Err())
+	}
+	if s := d0.StatsSnapshot(); s.BytesSent != 0 || s.RndvSent != 1 {
+		t.Fatalf("BytesSent %d after a failed DATA write (RndvSent %d)", s.BytesSent, s.RndvSent)
 	}
 }

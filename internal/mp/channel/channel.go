@@ -16,6 +16,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 )
 
 // PacketType discriminates device-level packets (defined here so the
@@ -128,12 +130,78 @@ type Channel interface {
 
 // Lender is implemented by channels that can move a payload by
 // reference. Lend queues a packet like Send but keeps only a reference
-// to payload: the receiver copies it once, straight into the buffer its
-// sink chose, then runs release (non-nil) on its own goroutine. Until
-// then the caller must not modify payload; a packet still queued when
-// the receiver closes is never released.
+// to the loan's payload: the receiver copies it straight into the
+// buffer its sink chose, sharing that copy with the lender (Loan.Help),
+// then runs the loan's release on its own goroutine. Until then the
+// caller must not modify the payload; a packet still queued when the
+// receiver closes is never released.
 type Lender interface {
-	Lend(dest int, hdr Header, payload []byte, release func()) error
+	Lend(dest int, hdr Header, loan *Loan) error
+}
+
+// Loan is one lent payload and its copy-out, split in two halves so
+// that two cores pull cache lines at once. The receiver publishes its
+// destination and copies the first half; the second goes to whichever
+// of the receiver and a Help call claims it first. The receiver's
+// delivery returns only once both halves are written, so a helper
+// writes into the destination only while the receiver is inside it.
+type Loan struct {
+	payload []byte
+	release func()
+	dst     []byte       // written by the receiver before it publishes
+	state   atomic.Int32 // loanQueued → loanOpen → [loanHelping →] loanClosed
+}
+
+const (
+	loanQueued  int32 = iota // the destination is not published yet
+	loanOpen                 // published; the second half is unclaimed
+	loanHelping              // a helper is copying the second half
+	loanClosed               // the second half is the receiver's, or copied
+)
+
+// loanSpins bounds how long the receiver spins on a helper's half
+// before it yields between loads, so a helper descheduled mid-copy gets
+// the processor back even at GOMAXPROCS=1.
+const loanSpins = 1 << 10
+
+// NewLoan lends payload; release (non-nil) runs once the copy-out is
+// complete.
+func NewLoan(payload []byte, release func()) *Loan {
+	return &Loan{payload: payload, release: release}
+}
+
+// Help copies the second half of the loan into the receiver's
+// destination if the receiver has published it and nobody has claimed
+// that half yet, and reports whether it did. The lender calls it while
+// it waits for its send. It takes no lock and never blocks, and once
+// the copy-out is over it writes nothing.
+func (l *Loan) Help() bool {
+	if l.state.Load() != loanOpen || !l.state.CompareAndSwap(loanOpen, loanHelping) {
+		return false
+	}
+	h := len(l.dst) / 2
+	copy(l.dst[h:], l.payload[h:])
+	l.state.Store(loanClosed)
+	return true
+}
+
+// copyOut is the receiver's side: publish dst (exactly len(payload)
+// bytes), copy the first half, then the second unless a helper has
+// claimed it, and return once a claiming helper has finished.
+func (l *Loan) copyOut(dst []byte) {
+	l.dst = dst
+	l.state.Store(loanOpen)
+	h := len(dst) / 2
+	copy(dst[:h], l.payload)
+	if l.state.CompareAndSwap(loanOpen, loanClosed) {
+		copy(dst[h:], l.payload[h:])
+		return
+	}
+	for i := 0; l.state.Load() != loanClosed; i++ {
+		if i >= loanSpins {
+			runtime.Gosched()
+		}
+	}
 }
 
 // Doorbell is implemented by channels whose frames can wake a rank

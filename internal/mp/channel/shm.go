@@ -15,16 +15,16 @@ import (
 // sink-designated buffer on poll, without a per-frame allocation. A
 // lent payload (Lend: the device's rendezvous DATA) is not copied on
 // send: the frame references the sender's buffer, and the receiver's
-// poll copies it once, source buffer to destination buffer.
+// poll copies it once, source buffer to destination buffer, half of it
+// on the lender's goroutine if the lender is waiting (Loan.Help).
 
 // shmFrame is one queued packet. A sent payload lives in slab (nil
 // when empty), whose first hdr.Size bytes are the copy; a lent one is
-// lent, handed back through release once it has been copied out.
+// loan's, handed back through its release once it has been copied out.
 type shmFrame struct {
-	hdr     Header
-	slab    *[]byte
-	lent    []byte
-	release func()
+	hdr  Header
+	slab *[]byte
+	loan *Loan
 }
 
 // slabs recycles payload copies by power-of-two size class: class k
@@ -57,20 +57,20 @@ func copyToSlab(payload []byte) *[]byte {
 // overwrite the slab, and the lender its buffer, at once.
 func (f shmFrame) deliver(sink Sink) {
 	dst := sink.Deliver(f.hdr)
-	if f.slab != nil {
+	if f.loan != nil {
+		f.loan.copyOut(dst)
+	} else if f.slab != nil {
 		copy(dst, (*f.slab)[:f.hdr.Size])
 		slabs[slabClass(int(f.hdr.Size))].Put(f.slab)
-	} else {
-		copy(dst, f.lent)
 	}
 	sink.Done(f.hdr)
-	if f.release == nil {
+	if f.loan == nil {
 		return
 	}
 	if rs, ok := sink.(ReleaseSink); ok {
-		rs.Release(f.release)
+		rs.Release(f.loan.release)
 	} else {
-		f.release()
+		f.loan.release()
 	}
 }
 
@@ -272,13 +272,13 @@ func (c *ShmChannel) Send(dest int, hdr Header, payload []byte) error {
 	return c.push(dest, hdr, payload, nil)
 }
 
-// Lend implements Lender: queue a reference to payload, not a copy.
-func (c *ShmChannel) Lend(dest int, hdr Header, payload []byte, release func()) error {
-	return c.push(dest, hdr, payload, release)
+// Lend implements Lender: queue a reference to the payload, not a copy.
+func (c *ShmChannel) Lend(dest int, hdr Header, loan *Loan) error {
+	return c.push(dest, hdr, loan.payload, loan)
 }
 
-// push queues a frame for dest: lent if release is set, else a slab copy.
-func (c *ShmChannel) push(dest int, hdr Header, payload []byte, release func()) error {
+// push queues a frame for dest: lent if loan is set, else a slab copy.
+func (c *ShmChannel) push(dest int, hdr Header, payload []byte, loan *Loan) error {
 	if c.closed {
 		return ErrClosed
 	}
@@ -289,10 +289,8 @@ func (c *ShmChannel) push(dest int, hdr Header, payload []byte, release func()) 
 		return ErrRank
 	}
 	hdr.Size = uint32(len(payload))
-	f := shmFrame{hdr: hdr, release: release}
-	if release != nil {
-		f.lent = payload
-	} else {
+	f := shmFrame{hdr: hdr, loan: loan}
+	if loan == nil {
 		f.slab = copyToSlab(payload)
 	}
 	out := c.out[dest]

@@ -7,6 +7,8 @@ import (
 	"hash/crc32"
 	"reflect"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -211,12 +213,12 @@ func TestShmLend(t *testing.T) {
 
 	plain := &collectSink{}
 	released := 0
-	if err := a.Lend(1, Header{Type: PktData}, payload, func() {
+	if err := a.Lend(1, Header{Type: PktData}, NewLoan(payload, func() {
 		if len(plain.hdrs) != 1 {
 			t.Error("released before Done")
 		}
 		released++
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	drain(t, b, plain, 1)
@@ -229,7 +231,7 @@ func TestShmLend(t *testing.T) {
 	}
 
 	rs := &releaseSink{}
-	if err := a.Lend(1, Header{Type: PktData}, want, func() { released++ }); err != nil {
+	if err := a.Lend(1, Header{Type: PktData}, NewLoan(want, func() { released++ })); err != nil {
 		t.Fatal(err)
 	}
 	drain(t, b, rs, 1)
@@ -243,6 +245,78 @@ func TestShmLend(t *testing.T) {
 	if s := a.TransportStats(); s.FramesSent != 2 || s.BytesSent != 2*uint64(len(want)) {
 		t.Errorf("lender stats %+v", s)
 	}
+}
+
+// TestShmLoanSharedCopy delivers lent frames while a helper goroutine
+// calls Help in a loop, as a waiting lender does: the payload lands
+// intact, its release runs once and sees both halves written, and a
+// Help after the release writes nothing. Without any Help the receiver
+// copies both halves itself. Under -race the helper's half and the
+// receiver's reads of it must be ordered by the loan's state alone.
+func TestShmLoanSharedCopy(t *testing.T) {
+	f := NewShmFabric(2)
+	a, b := f.Endpoint(0), f.Endpoint(1)
+	helped := 0
+	for _, size := range []int{64<<10 + 1, 128 << 10, 1<<20 + 7} {
+		payload := make([]byte, size)
+		for i := range payload {
+			payload[i] = byte(i*7 + i>>8)
+		}
+		sink := &fixedSink{buf: make([]byte, size)}
+		for round := 0; round < 8; round++ {
+			clear(sink.buf)
+			released := 0
+			loan := NewLoan(payload, func() {
+				released++
+				if !bytes.Equal(sink.buf, payload) {
+					t.Errorf("%d B round %d: released before both halves were written", size, round)
+				}
+			})
+			stop, helpedHere := make(chan struct{}), make(chan int)
+			running := make(chan struct{})
+			go func() {
+				close(running)
+				n := 0
+				for {
+					select {
+					case <-stop:
+						helpedHere <- n
+						return
+					default:
+						if loan.Help() {
+							n++
+						}
+					}
+				}
+			}()
+			<-running
+			if err := a.Lend(1, Header{Type: PktData}, loan); err != nil {
+				t.Fatal(err)
+			}
+			drain(t, b, sink, 1)
+			close(stop)
+			helped += <-helpedHere
+			if released != 1 || !bytes.Equal(sink.buf, payload) {
+				t.Fatalf("%d B round %d: released %d times, payload intact %v",
+					size, round, released, bytes.Equal(sink.buf, payload))
+			}
+			clear(sink.buf) // the receiver reuses its buffer
+			if loan.Help() || !bytes.Equal(sink.buf, make([]byte, size)) {
+				t.Fatalf("%d B round %d: Help wrote after the release", size, round)
+			}
+		}
+
+		loan := NewLoan(payload, func() {})
+		clear(sink.buf)
+		if err := a.Lend(1, Header{Type: PktData}, loan); err != nil {
+			t.Fatal(err)
+		}
+		drain(t, b, sink, 1)
+		if !bytes.Equal(sink.buf, payload) || loan.Help() {
+			t.Fatalf("%d B unhelped: payload intact %v, or a late Help copied", size, bytes.Equal(sink.buf, payload))
+		}
+	}
+	t.Logf("the helper copied %d of 24 second halves (GOMAXPROCS %d)", helped, runtime.GOMAXPROCS(0))
 }
 
 // TestShmStatsReadOnly: reading stats must not create rings (it once
@@ -309,7 +383,7 @@ func TestShmDoorbell(t *testing.T) {
 	send(0, "nobody parked")
 	b.AddParked(1)
 	send(1, "one parked")
-	if err := a.Lend(1, Header{Type: PktData}, []byte("y"), func() {}); err != nil {
+	if err := a.Lend(1, Header{Type: PktData}, NewLoan([]byte("y"), func() {})); err != nil {
 		t.Fatal(err)
 	}
 	if rungB != 2 {
@@ -370,6 +444,49 @@ func BenchmarkShmPingPong(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkShmLendPingPong is a 128 KiB lent round trip between two
+// goroutines. Each lends its buffer and, like a device wait, calls Help
+// until the peer's copy-out releases it, so the receiver and the lender
+// each copy half of every message.
+func BenchmarkShmLendPingPong(b *testing.B) {
+	const size = 128 << 10
+	f := NewShmFabric(2)
+	ep := [2]*ShmChannel{f.Endpoint(0), f.Endpoint(1)}
+	b.SetBytes(2 * size)
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for me := range ep {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			src, sink := make([]byte, size), &fixedSink{buf: make([]byte, size)}
+			var returned atomic.Bool
+			for i := 0; i < 2*b.N; i++ {
+				if i%2 != me { // receive
+					for ok := false; !ok; {
+						if ok, _ = ep[me].Poll(sink); !ok {
+							runtime.Gosched()
+						}
+					}
+					continue
+				}
+				returned.Store(false)
+				loan := NewLoan(src, func() { returned.Store(true) })
+				if err := ep[me].Lend(1-me, Header{Type: PktData}, loan); err != nil {
+					b.Error(err)
+					return
+				}
+				for !returned.Load() {
+					if !loan.Help() {
+						runtime.Gosched()
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 type fixedSink struct{ buf []byte }

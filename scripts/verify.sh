@@ -36,7 +36,8 @@
 #                     heap-ops fuzz smoke.
 #
 # Usage: scripts/verify.sh [quick|race|stress|all|bench|vet|lint|quicken|obs|gc]
-#   quick   tier 1 with -short (chaos sweeps skipped; < ~30s)
+#   quick   tier 1 with -short (chaos sweeps skipped; < ~30s), the
+#           trace export smoke and one run of the lent-DATA benchmark
 #   race    tier 2 only
 #   stress  stress tier only: shared-rank goroutine stress, fault
 #           injection, deterministic-harness property/replay tests,
@@ -310,10 +311,18 @@ smoke_trace() {
 	rm -f "$out"
 }
 
+# One iteration of the shm lent round trip (the receiver and the
+# waiting lender each copy half), so the benchmark cannot rot.
+smoke_lend() {
+	echo "== smoke: BenchmarkShmLendPingPong, one iteration"
+	go test -run '^$' -bench '^BenchmarkShmLendPingPong$' -benchtime 1x ./internal/mp/channel/
+}
+
 case "$mode" in
 quick)
 	tier1 short
 	smoke_trace
+	smoke_lend
 	;;
 race) tier2 ;;
 stress) tier_stress ;;
