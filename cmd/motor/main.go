@@ -76,7 +76,7 @@ func main() {
 	root := flag.String("root", "127.0.0.1:7777", "rank mode: rendezvous address to join")
 	rankID := flag.Int("rank", 0, "rank mode: this process's world rank")
 	noverify := flag.Bool("noverify", false, "skip load-time bytecode verification (methods run on the fact-free lowering)")
-	gcworkers := flag.Int("gcworkers", 0, "GC mark workers per rank: 1 = legacy serial collector, >1 = modern parallel collector, 0 = MOTOR_GCWORKERS or NumCPU")
+	gcworkers := flag.Int("gcworkers", 0, "GC mark workers per rank: 1 = the paper's §5.2 policy (whole-block donation, elder never moved), >1 = moving policy (pinned-block segregation, elder compaction), 0 = NumCPU clamped to [2,8]")
 	telemetry := flag.String("telemetry", "", "serve /metrics, /healthz and /debug/pprof on this address while running (also set by MOTOR_TELEMETRY)")
 	flag.Parse()
 

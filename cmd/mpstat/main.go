@@ -54,7 +54,7 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the unified flat metrics snapshot per rank (all subsystems)")
 	noverify := flag.Bool("noverify", false, "skip load-time bytecode verification of the probe module")
 	telemetry := flag.String("telemetry", "", "serve /metrics, /healthz and /debug/pprof on this address while running (also set by MOTOR_TELEMETRY)")
-	gcworkers := flag.Int("gcworkers", 0, "GC mark workers per rank: 1 = legacy serial collector, >1 = modern parallel collector, 0 = MOTOR_GCWORKERS or NumCPU")
+	gcworkers := flag.Int("gcworkers", 0, "GC mark workers per rank: 1 = the paper's §5.2 policy (whole-block donation, elder never moved), >1 = moving policy (pinned-block segregation, elder compaction), 0 = NumCPU clamped to [2,8]")
 	flag.Parse()
 
 	cfg := motor.Config{Ranks: *np, Channel: *channel, Trace: *trace, Telemetry: *telemetry, GCWorkers: *gcworkers}
@@ -231,8 +231,8 @@ func main() {
 		fmt.Printf("  gc: scavenges=%d fullGCs=%d promoted=%dB swept=%dB donatedBlocks=%d pause=%dus max=%dus\n",
 			gs.Scavenges, gs.FullGCs, gs.BytesPromoted, gs.BytesSwept, gs.BlocksDonated,
 			gs.PauseNs/1000, gs.MaxPauseNs/1000)
-		fmt.Printf("  gc2: segregated=%d pinnedBlockBytes=%dB parallelMarks=%d compactions=%d compacted=%dB\n",
-			gs.PinnedSegregated, gs.PinnedBlockBytes, gs.ParallelMarks, gs.Compactions, gs.BytesCompacted)
+		fmt.Printf("  gc2: segregated=%d pinnedBlockBytes=%dB compactions=%d compacted=%dB\n",
+			gs.PinnedSegregated, gs.PinnedBlockBytes, gs.Compactions, gs.BytesCompacted)
 		fmt.Printf("  pins: explicit=%d/%d cond(add/held/drop)=%d/%d/%d\n",
 			gs.Pins, gs.Unpins, gs.CondPinsAdded, gs.CondPinsHeld, gs.CondPinsDropped)
 		fmt.Printf("  policy: skippedElder=%d avoidedFast=%d deferred=%d eager=%d condReq=%d\n",

@@ -138,6 +138,8 @@ func BuiltinSigs() map[string]Sig {
 		"sys.ticks":       {Name: "sys.ticks", NArgs: 0, Ret: vm.KindInt64},
 		"gc.collect":      {Name: "gc.collect", NArgs: 1},
 		"gc.scavenges":    {Name: "gc.scavenges", NArgs: 0, Ret: vm.KindInt64},
+		"gc.workers":      {Name: "gc.workers", NArgs: 0, Ret: vm.KindInt64},
+		"gc.compact":      {Name: "gc.compact", NArgs: 0},
 	}
 }
 

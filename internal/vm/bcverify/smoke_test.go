@@ -106,3 +106,47 @@ func errorsAs(err error, target **bcverify.Error) bool {
 	}
 	return ok
 }
+
+// TestBuiltinSigsCoverRegistry walks every console/sys/gc internal a
+// fresh VM registers and requires a BuiltinSigs entry with the same
+// arity and return kind, so a module calling only builtins can always
+// be proven transport-safe.
+func TestBuiltinSigsCoverRegistry(t *testing.T) {
+	reg := vm.New(vm.Config{})
+	sigs := bcverify.BuiltinSigs()
+	for i := 0; ; i++ {
+		f, ok := reg.InternalByIndex(i)
+		if !ok {
+			break
+		}
+		prefix, _, _ := strings.Cut(f.Name, ".")
+		if prefix != "console" && prefix != "sys" && prefix != "gc" {
+			continue
+		}
+		s, ok := sigs[f.Name]
+		switch {
+		case !ok:
+			t.Errorf("%s: registered, but BuiltinSigs has no entry", f.Name)
+		case s.NArgs != f.NArgs:
+			t.Errorf("%s: BuiltinSigs arity %d, registry %d", f.Name, s.NArgs, f.NArgs)
+		case (s.Ret != vm.KindVoid) != f.HasRet:
+			t.Errorf("%s: BuiltinSigs returns %v, registry HasRet=%v", f.Name, s.Ret, f.HasRet)
+		}
+	}
+
+	// The GC control calls return an int (gc.workers) and collect
+	// (gc.compact); a method using them is transport-safe.
+	v, mod := assembleModule(t, `
+.method main (0) int64
+    intern gc.compact
+    intern gc.workers
+    ret.val
+.end
+`)
+	if _, err := bcverify.VerifyModule(v, mod.Methods, bcverify.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if !mod.Main.TransportVerified {
+		t.Error("a method calling only gc builtins is not TransportVerified")
+	}
+}

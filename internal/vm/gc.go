@@ -9,30 +9,33 @@ import (
 
 // The collector. Two-generational, stop-the-world (trivially so,
 // because managed execution is cooperatively scheduled — see
-// thread.go):
+// thread.go). One collector serves two policies, and
+// Heap.MovesElder() (GCWorkers > 1) chooses between them in exactly
+// two places:
 //
 //   - A scavenge evacuates the younger block: live objects are copied
 //     into the elder space and every reference is forwarded. Pinned
-//     objects are marked in place and never move; if any survive, the
-//     whole younger block is donated to the elder generation and a
-//     fresh block carved — the exact SSCLI behaviour described in
-//     §5.2 of the paper.
-//   - A full collection additionally mark-sweeps the elder space in
-//     place (the elder generation is never compacted).
+//     objects are marked in place and never move. If any survive, the
+//     §5.2 policy donates the whole younger block to the elder
+//     generation and carves a fresh one — the SSCLI behaviour
+//     described in §5.2 of the paper; the moving policy segregates
+//     them into dedicated pinned blocks instead (gcpar.go).
+//   - A full collection additionally marks from the roots with
+//     GCWorkers work-stealing workers and sweeps the elder space in
+//     place (gcpar.go). Only the moving policy then slide-compacts it
+//     (gccompact.go); under the §5.2 policy an elder object never
+//     moves.
 //
-// Conditional pin requests are resolved at the start of the mark
-// phase: requests whose transport operation is still in flight pin
-// their object for the cycle; completed requests are discarded
-// (§4.3, §7.4). The Motor message-passing core registers a GC hook so
-// transport completion state is fresh when the requests are examined.
+// Conditional pin requests go through one resolver per cycle
+// (gcpar.go): every request's Active() runs exactly once, when the
+// collector first reaches its object or at the end of the cycle;
+// requests found complete are discarded (§4.3, §7.4). The Motor
+// message-passing core registers a GC hook so transport completion
+// state is fresh when the requests are examined.
 
 // collect runs a collection. Callers must be in managed context (own
 // the execution token) — allocation sites and Thread.Collect* satisfy
 // this.
-//
-// Dispatch: gcworkers=1 runs the exact-legacy serial collector below;
-// gcworkers>1 runs the modern collector (gcpar.go/gccompact.go) —
-// work-stealing parallel mark, pin-aware promotion, elder compaction.
 func (v *VM) collect(full bool) {
 	h := v.Heap
 	if h.inGC {
@@ -40,11 +43,6 @@ func (v *VM) collect(full bool) {
 	}
 	h.inGC = true
 	defer func() { h.inGC = false }()
-
-	if h.gcWorkers > 1 {
-		v.collectModern(full)
-		return
-	}
 
 	tr := obs.Active()
 	if tr != nil {
@@ -64,28 +62,45 @@ func (v *VM) collect(full bool) {
 	}
 	if tr != nil {
 		tr.End(v.traceLane)
-		tr.Begin(v.traceLane, obs.KGCPhase, uint64(obs.PhaseCondPins))
 	}
-	pinned := h.pinnedForCycle()
+
+	res := newCondPinResolver(h)
+	pinned := h.explicitPins()
+
 	if tr != nil {
-		tr.End(v.traceLane)
 		tr.Begin(v.traceLane, obs.KGCPhase, uint64(obs.PhaseScavenge))
 	}
-	h.scavenge(v, pinned)
+	evacuated := h.scavenge(v, pinned, res)
 	if tr != nil {
 		tr.End(v.traceLane)
 	}
 	if full {
-		h.fullMarkSweep(v, pinned)
+		h.fullParallel(v, pinned, res, evacuated)
 	}
+	// Requests not encountered this cycle still resolve now — every
+	// request is examined once per collection (§7.4). The recorded
+	// decisions are then emitted as instants inside one cond-pins
+	// phase span on the coordinator lane, so each instant stays
+	// parented to its cycle.
+	res.drain(nil)
+	if tr != nil && len(res.decisions) > 0 {
+		tr.Begin(v.traceLane, obs.KGCPhase, uint64(obs.PhaseCondPins))
+		for _, d := range res.decisions {
+			heldArg := uint64(0)
+			if d.held {
+				heldArg = 1
+			}
+			tr.Instant(v.traceLane, obs.KCondPin, heldArg, uint64(d.ref))
+		}
+		tr.End(v.traceLane)
+	}
+	res.finish()
+
 	pause := uint64(time.Since(start).Nanoseconds())
 	gcKind := obs.GCScavenge
 	if full {
 		gcKind = obs.GCFull
 	}
-	// Watchdog attribution: a stall diagnosis cites the last collection
-	// (kind, pause, recency) so GC-induced hangs are distinguishable
-	// from transport ones. Runs with or without a tracer.
 	obs.NoteGC(gcKind, int64(pause))
 	atomic.AddUint64(&h.Stats.PauseNs, pause)
 	for {
@@ -179,17 +194,18 @@ func (h *Heap) reservePromotionSpace(need uint32) bool {
 	return true
 }
 
-// scavenge evacuates the younger block.
-func (h *Heap) scavenge(v *VM, pinned map[Ref]struct{}) {
+// scavenge evacuates the younger block, resolving conditional pins
+// through the cycle's resolver as it reaches them. Returns false when
+// evacuation could not be guaranteed: the nursery is left untouched,
+// and the allocator falls back to the elder space and surfaces
+// ErrOutOfMemory there.
+func (h *Heap) scavenge(v *VM, pinned map[Ref]struct{}, res *condPinResolver) bool {
 	ys, ye, yp := h.youngStart, h.youngEnd, h.youngPos
 	if ys == ye {
-		return // degraded mode: no nursery
+		return true // degraded mode: no nursery
 	}
 	if !h.reservePromotionSpace(yp - ys) {
-		// Cannot guarantee evacuation: leave the nursery as is; the
-		// allocator will fall back to the elder space and surface
-		// ErrOutOfMemory there.
-		return
+		return false
 	}
 	atomic.AddUint64(&h.Stats.Scavenges, 1)
 	inYoung := func(r Ref) bool { return uint32(r) >= ys && uint32(r) < ye }
@@ -206,7 +222,14 @@ func (h *Heap) scavenge(v *VM, pinned map[Ref]struct{}) {
 		if fl&flagForwarded != 0 {
 			return Ref(h.u32(uint32(r) + hdrMT))
 		}
-		if _, pin := pinned[r]; pin {
+		_, pin := pinned[r]
+		if !pin && res.pinnedNow(r) {
+			// Conditionally pinned: the resolver has recorded the held
+			// decision; remember it for segregation and compaction.
+			pin = true
+			pinned[r] = struct{}{}
+		}
+		if pin {
 			if fl&flagMark == 0 {
 				h.orFlags(r, flagMark)
 				pinnedSurvivors = true
@@ -239,15 +262,19 @@ func (h *Heap) scavenge(v *VM, pinned map[Ref]struct{}) {
 		return Ref(newOff)
 	}
 
-	// Roots: external slots, pinned objects (a transport holds their
-	// address, so they are live regardless of managed reachability),
-	// and elder objects recorded by the write barrier.
 	v.visitAllRoots(forward)
 	for r := range pinned {
 		if inYoung(r) {
 			forward(r)
 		}
 	}
+	// Young conditional requests resolve here at the latest: a held
+	// object is a root pinned in place, a dropped one is garbage
+	// unless otherwise reachable.
+	res.resolveInRange(inYoung, func(r Ref) Ref {
+		pinned[r] = struct{}{}
+		return forward(r)
+	})
 	for obj := range h.remembered {
 		h.scanRefSlots(obj, forward)
 	}
@@ -258,7 +285,15 @@ func (h *Heap) scavenge(v *VM, pinned map[Ref]struct{}) {
 		h.scanRefSlots(obj, forward)
 	}
 
-	if pinnedSurvivors {
+	switch {
+	case !pinnedSurvivors:
+		// The whole block is dead or evacuated: reset and reuse.
+		clearBytes(h.mem[ys:yp])
+		h.youngPos = ys
+	case h.MovesElder():
+		h.segregatePinned(ys, ye, yp)
+	default:
+		// §5.2: the whole block becomes elder space.
 		h.donateYoungBlock(ys, ye, yp)
 		atomic.AddUint64(&h.Stats.BlocksDonated, 1)
 		if err := h.newYoungBlock(); err != nil {
@@ -266,14 +301,11 @@ func (h *Heap) scavenge(v *VM, pinned map[Ref]struct{}) {
 			// fall through to the elder space.
 			h.youngStart, h.youngPos, h.youngEnd = 0, 0, 0
 		}
-	} else {
-		// The whole block is dead or evacuated: reset and reuse.
-		clearBytes(h.mem[ys:yp])
-		h.youngPos = ys
 	}
 	// The younger generation is empty (or donated): the remembered
 	// set can be rebuilt from scratch by the write barrier.
 	h.remembered = make(map[Ref]struct{})
+	return true
 }
 
 // donateYoungBlock relabels the current younger block as elder space:
@@ -326,75 +358,4 @@ func (h *Heap) donateYoungBlock(ys, ye, yp uint32) {
 	flushFree(end)
 	atomic.AddUint64(&h.Stats.DonatedLiveBytes, live)
 	atomic.AddUint64(&h.Stats.DonatedDeadBytes, dead)
-}
-
-// fullMarkSweep marks from all roots and sweeps the elder ranges in
-// place, rebuilding the free lists with coalescing.
-func (h *Heap) fullMarkSweep(v *VM, pinned map[Ref]struct{}) {
-	atomic.AddUint64(&h.Stats.FullGCs, 1)
-	tr := obs.Active()
-	if tr != nil {
-		tr.Begin(v.traceLane, obs.KGCPhase, uint64(obs.PhaseMark))
-	}
-	var stack []Ref
-	mark := func(r Ref) Ref {
-		if r == NullRef {
-			return r
-		}
-		if h.flags(r)&flagMark == 0 {
-			h.orFlags(r, flagMark)
-			stack = append(stack, r)
-		}
-		return r
-	}
-	v.visitAllRoots(mark)
-	for r := range pinned {
-		mark(r)
-	}
-	for len(stack) > 0 {
-		obj := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		h.scanRefSlots(obj, mark)
-	}
-	if tr != nil {
-		tr.End(v.traceLane)
-		tr.Begin(v.traceLane, obs.KGCPhase, uint64(obs.PhaseSweep))
-	}
-
-	// Sweep.
-	h.freeList = h.freeList[:0]
-	h.elderUsed = 0
-	for _, rg := range h.elderRanges {
-		pos := rg.start
-		freeStart := rg.start
-		flush := func(end uint32) {
-			// Runs smaller than a header cannot be described in place;
-			// they are leaked until the surrounding space coalesces.
-			if end > freeStart && end-freeStart >= HeaderSize {
-				size := end - freeStart
-				h.writeFreeBlock(freeStart, size)
-				h.freeList = append(h.freeList, freeBlock{freeStart, size})
-			}
-		}
-		for pos < rg.end {
-			size := h.objSize(Ref(pos))
-			if size < HeaderSize || pos+size > rg.end {
-				break
-			}
-			if h.mtIndex(Ref(pos)) != freeSentinel && h.flags(Ref(pos))&flagMark != 0 {
-				flush(pos)
-				h.clearFlags(Ref(pos), flagMark)
-				h.elderUsed += size
-				freeStart = pos + size
-			} else if h.mtIndex(Ref(pos)) != freeSentinel {
-				atomic.AddUint64(&h.Stats.BytesSwept, uint64(size))
-			}
-			pos += size
-		}
-		flush(rg.end)
-	}
-	if tr != nil {
-		tr.End(v.traceLane)
-	}
-	h.sinceFull = 0
 }

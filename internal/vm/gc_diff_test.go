@@ -1,14 +1,16 @@
 package vm
 
-// Differential GC parity suite (docs/GC.md): the serial legacy
-// collector (GCWorkers=1) and the modern collector (parallel mark,
-// pin-aware promotion, elder compaction) must implement the SAME
-// observable semantics. A seeded generator builds one concrete op
-// script — allocation graphs with cycles, pins, conditional pins,
-// write-barrier mutations, and explicit collections — and replays it
-// against two fresh VMs, one per collector. After every collection
-// the logical heap graphs, pin decisions, and promotion accounting
-// must match exactly, and both heaps must pass CheckInvariants.
+// GC parity suite (docs/GC.md): both collector policies — the §5.2
+// policy (GCWorkers=1: whole-block donation, elder never moved) and
+// the moving policy (segregated pinned blocks, elder compaction) —
+// must implement the same observable semantics, and the reference
+// model of gc_model_test.go says what those are. A seeded generator
+// builds one concrete op script — allocation graphs with cycles,
+// pins, conditional pins, write-barrier mutations, and explicit
+// collections — and replays it against the model and one fresh VM per
+// policy. After every collection each VM's logical heap graph, pinned
+// and held addresses, and cond-pin examinations must equal the
+// model's, and its heap must pass CheckInvariants.
 
 import (
 	"fmt"
@@ -44,17 +46,16 @@ const (
 )
 
 // diffOp is one fully pre-drawn operation: all randomness is resolved
-// at script-generation time so both worlds replay byte-identical
-// sequences.
+// at script-generation time so the model and every world replay
+// byte-identical sequences.
 type diffOp struct {
 	kind    diffOpKind
 	a, b, c int // slot / field / target operands, meaning per kind
 }
 
-// genScript draws a bounded script: each round allocates at most
-// diffAllocsPerRound small objects (so the modern collector's
-// possibly-halved nursery never fills between the explicit
-// collections) and ends in a collection.
+// genScript draws a bounded script: each round allocates at most 10
+// small objects (so a nursery recycled at a fraction of its size never
+// fills between the explicit collections) and ends in a collection.
 func genScript(seed int64, rounds int) []diffOp {
 	rng := rand.New(rand.NewSource(seed))
 	var ops []diffOp
@@ -113,12 +114,23 @@ type diffWorld struct {
 	fData, fNext, fShadow, fID *FieldDesc
 	intArrT, refArrT           *MethodTable
 	roots                      *RefRoots
-	pinnedRefs                 []Ref    // refs we have explicitly pinned, in pin order
-	condCalls                  []*int32 // per cond-pin Active() call counters, in add order
+	pinnedRefs                 []Ref       // refs we have explicitly pinned, in pin order
+	conds                      []worldCond // cond pins, in add order
+	cycles                     int         // collections run, counted by a GC hook
 	ops                        chan func(*Thread)
 	ack                        chan struct{}
 	done                       chan struct{}
 }
+
+// worldCond is one conditional pin a world registered: Active() counts
+// its calls and reports true for the first hold of them.
+type worldCond struct {
+	ref   Ref
+	hold  int32
+	calls *int32
+}
+
+func (c worldCond) outstanding() bool { return atomic.LoadInt32(c.calls) <= c.hold }
 
 func newDiffWorld(workers int) *diffWorld {
 	v := New(Config{Name: "diff", Heap: HeapConfig{
@@ -139,6 +151,7 @@ func newDiffWorld(workers int) *diffWorld {
 	w.fShadow = w.node.FieldByName("shadow")
 	w.fID = w.node.FieldByName("id")
 	v.AddRootProvider(w.roots)
+	v.AddGCHook(func() { w.cycles++ })
 	go func() {
 		defer close(w.done)
 		v.WithThread("mut", func(th *Thread) {
@@ -154,11 +167,13 @@ func newDiffWorld(workers int) *diffWorld {
 func (w *diffWorld) do(f func(*Thread)) { w.ops <- f; <-w.ack }
 func (w *diffWorld) close()             { close(w.ops); <-w.done }
 
-// step applies one script op. All heap access happens on the mutator
-// goroutine; the op script is deterministic, so both worlds make
-// identical pin/unpin/cond-pin decisions.
-func (w *diffWorld) step(t *testing.T, op diffOp) {
+// step applies one script op and returns the number of collections it
+// ran. All heap access happens on the mutator goroutine; the op script
+// is deterministic, so every world and the model make identical
+// pin/unpin/cond-pin decisions.
+func (w *diffWorld) step(t *testing.T, op diffOp) int {
 	t.Helper()
+	before := w.cycles
 	w.do(func(th *Thread) {
 		h := w.v.Heap
 		switch op.kind {
@@ -230,11 +245,10 @@ func (w *diffWorld) step(t *testing.T, op diffOp) {
 			}
 		case dCondPin:
 			if r := w.roots.Refs[op.a]; r != NullRef {
-				calls := new(int32)
-				hold := int32(op.b)
-				w.condCalls = append(w.condCalls, calls)
+				c := worldCond{ref: r, hold: int32(op.b), calls: new(int32)}
+				w.conds = append(w.conds, c)
 				h.AddCondPin(r, func() bool {
-					return atomic.AddInt32(calls, 1) <= hold
+					return atomic.AddInt32(c.calls, 1) <= c.hold
 				})
 			}
 		case dCollectYoung:
@@ -245,80 +259,68 @@ func (w *diffWorld) step(t *testing.T, op diffOp) {
 			th.CollectCompact()
 		}
 	})
+	return w.cycles - before
 }
 
-// snapshot renders the reachable heap graph in a canonical,
-// address-independent form: objects are numbered in discovery order
-// from the root slots and the pin list, and every line captures one
-// object's type, scalar payload, and the discovery indices of its
-// referents. Two worlds with identical logical heaps produce
-// identical snapshots regardless of where the collector placed
-// anything.
+// snapshot reads the heap graph reachable from the root slots, the
+// pinned refs and the refs of outstanding cond pins into the model's
+// shape, and renders it with the model's renderGraph.
 func (w *diffWorld) snapshot() []string {
 	var lines []string
 	w.do(func(_ *Thread) {
 		h := w.v.Heap
-		index := map[Ref]int{}
-		var order []Ref
-		var visit func(Ref)
-		visit = func(r Ref) {
-			if r == NullRef {
+		objs := map[int]*mObj{}
+		var read func(Ref)
+		read = func(r Ref) {
+			if r == NullRef || objs[int(r)] != nil {
 				return
 			}
-			if _, ok := index[r]; ok {
+			o := &mObj{kind: mBad}
+			objs[int(r)] = o
+			if !h.Valid(r) {
 				return
 			}
-			index[r] = len(order)
-			order = append(order, r)
+			if h.Pinned(r) {
+				o.pins = 1
+			}
 			switch h.MT(r) {
 			case w.node:
-				visit(h.GetRef(r, w.fData))
-				visit(h.GetRef(r, w.fNext))
-				visit(h.GetRef(r, w.fShadow))
-			case w.refArrT:
-				for i := 0; i < int(h.arrayLen(r)); i++ {
-					visit(h.GetElemRef(r, i))
+				o.kind, o.id = mNode, int32(h.GetScalar(r, w.fID))
+				for _, f := range []*FieldDesc{w.fData, w.fNext, w.fShadow} {
+					o.refs = append(o.refs, int(h.GetRef(r, f)))
 				}
+			case w.intArrT:
+				o.kind, o.ints = mInts, h.Int32Slice(r)
+			case w.refArrT:
+				o.kind = mRefs
+				for i := 0; i < int(h.arrayLen(r)); i++ {
+					o.refs = append(o.refs, int(h.GetElemRef(r, i)))
+				}
+			default:
+				o.kind = mOther
+			}
+			for _, c := range o.refs {
+				read(Ref(c))
 			}
 		}
+		var roots, pins, held []int
 		for _, r := range w.roots.Refs {
-			visit(r)
+			roots = append(roots, int(r))
 		}
 		for _, r := range w.pinnedRefs {
-			visit(r)
+			pins = append(pins, int(r))
 		}
-		idx := func(r Ref) int {
-			if r == NullRef {
-				return -1
-			}
-			return index[r]
-		}
-		for i, r := range order {
-			switch h.MT(r) {
-			case w.node:
-				lines = append(lines, fmt.Sprintf("%d node id=%d data=%d next=%d shadow=%d pinned=%v",
-					i, int32(h.GetScalar(r, w.fID)), idx(h.GetRef(r, w.fData)),
-					idx(h.GetRef(r, w.fNext)), idx(h.GetRef(r, w.fShadow)), h.Pinned(r)))
-			case w.intArrT:
-				lines = append(lines, fmt.Sprintf("%d int32[%d] %v pinned=%v",
-					i, h.arrayLen(r), h.Int32Slice(r), h.Pinned(r)))
-			case w.refArrT:
-				elems := make([]int, h.arrayLen(r))
-				for j := range elems {
-					elems[j] = idx(h.GetElemRef(r, j))
-				}
-				lines = append(lines, fmt.Sprintf("%d node[%d] %v pinned=%v",
-					i, h.arrayLen(r), elems, h.Pinned(r)))
-			default:
-				lines = append(lines, fmt.Sprintf("%d ???", i))
+		for _, c := range w.conds {
+			if c.outstanding() {
+				held = append(held, int(c.ref))
 			}
 		}
-		// Root slot shape is part of the logical state too.
-		slots := make([]int, diffRootSlots)
-		for i, r := range w.roots.Refs {
-			slots[i] = idx(r)
+		for _, set := range [][]int{roots, pins, held} {
+			for _, k := range set {
+				read(Ref(k))
+			}
 		}
-		lines = append(lines, fmt.Sprintf("roots %v", slots))
+		lines = renderGraph(objs, roots, pins, held)
 	})
 	return lines
 }
@@ -331,84 +333,127 @@ func (w *diffWorld) checkInvariants() error {
 
 // --- the suite -------------------------------------------------------
 
+// policyWorkers are the GCWorkers values the suite replays each script
+// on: the §5.2 policy, and the moving policy with several mark workers.
+var policyWorkers = [...]int{1, 4}
+
+func isCollect(k diffOpKind) bool {
+	return k == dCollectYoung || k == dCollectFull || k == dCollectCompact
+}
+
+// replay applies op to the world and to the model, including every
+// collection the op ran, and returns that number of collections.
+func replay(t *testing.T, w *diffWorld, m *heapModel, op diffOp) int {
+	t.Helper()
+	cycles := w.step(t, op)
+	m.step(op)
+	for c := 0; c < cycles; c++ {
+		m.collect()
+	}
+	return cycles
+}
+
+// checkModel compares a world with the model: heap invariants, the
+// canonical graph (which places every pinned and held object by the
+// Ref recorded when it was pinned), and each cond pin's Active() call
+// count.
+func checkModel(w *diffWorld, m *heapModel) error {
+	if err := w.checkInvariants(); err != nil {
+		return fmt.Errorf("invariants: %v", err)
+	}
+	got, want := w.snapshot(), m.snapshot()
+	for j := 0; j < len(got) || j < len(want); j++ {
+		if j >= len(got) || j >= len(want) || got[j] != want[j] {
+			return fmt.Errorf("graph diverged from the model at line %d\nheap:\n%s\nmodel:\n%s",
+				j, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+	if len(w.conds) != len(m.conds) {
+		return fmt.Errorf("%d cond pins registered, model %d", len(w.conds), len(m.conds))
+	}
+	for i, c := range w.conds {
+		if got, want := atomic.LoadInt32(c.calls), m.conds[i].calls; int(got) != want {
+			return fmt.Errorf("cond pin %d examined %d times, model %d (once per cycle while outstanding)",
+				i, got, want)
+		}
+	}
+	return nil
+}
+
+// runPolicySeed replays the script on one policy and checks the world
+// against the model after every collection.
+func runPolicySeed(t *testing.T, seed int64, workers int, script []diffOp) GCStats {
+	t.Helper()
+	w, m := newDiffWorld(workers), newHeapModel()
+	defer w.close()
+	for i, op := range script {
+		cycles := replay(t, w, m, op)
+		if t.Failed() {
+			t.Fatalf("seed %d gcworkers=%d: op %d (%v) failed", seed, workers, i, op.kind)
+		}
+		want := 0
+		if isCollect(op.kind) {
+			want = 1
+		}
+		if cycles != want {
+			t.Fatalf("seed %d gcworkers=%d: op %d (%v) ran %d collections, want %d",
+				seed, workers, i, op.kind, cycles, want)
+		}
+		if cycles == 0 {
+			continue
+		}
+		if err := checkModel(w, m); err != nil {
+			t.Fatalf("seed %d gcworkers=%d op %d: %v", seed, workers, i, err)
+		}
+	}
+	return w.v.Heap.Stats.Snapshot()
+}
+
 func runGCParitySeed(t *testing.T, seed int64) {
 	t.Helper()
 	script := genScript(seed, 8)
-	legacy := newDiffWorld(1)
-	modern := newDiffWorld(4)
-	defer legacy.close()
-	defer modern.close()
-
-	for i, op := range script {
-		legacy.step(t, op)
-		modern.step(t, op)
-		if t.Failed() {
-			t.Fatalf("seed %d: op %d (%v) failed", seed, i, op.kind)
-		}
-		if op.kind != dCollectYoung && op.kind != dCollectFull && op.kind != dCollectCompact {
-			continue
-		}
-		if err := legacy.checkInvariants(); err != nil {
-			t.Fatalf("seed %d op %d: legacy invariants: %v", seed, i, err)
-		}
-		if err := modern.checkInvariants(); err != nil {
-			t.Fatalf("seed %d op %d: modern invariants: %v", seed, i, err)
-		}
-		ls, ms := legacy.snapshot(), modern.snapshot()
-		if len(ls) != len(ms) {
-			t.Fatalf("seed %d op %d: graph size diverged: legacy %d objects, modern %d\nlegacy:\n%s\nmodern:\n%s",
-				seed, i, len(ls), len(ms), strings.Join(ls, "\n"), strings.Join(ms, "\n"))
-		}
-		for j := range ls {
-			if ls[j] != ms[j] {
-				t.Fatalf("seed %d op %d: graphs diverged at object %d:\nlegacy: %s\nmodern: %s",
-					seed, i, j, ls[j], ms[j])
-			}
-		}
+	var stats [len(policyWorkers)]GCStats
+	for i, workers := range policyWorkers {
+		stats[i] = runPolicySeed(t, seed, workers, script)
 	}
 
-	// Accounting parity: both collectors must have made identical
+	// Accounting parity: both policies must have made identical
 	// collection, promotion, and cond-pin decisions.
-	lg, mg := legacy.v.Heap.Stats.Snapshot(), modern.v.Heap.Stats.Snapshot()
-	if lg.Scavenges != mg.Scavenges || lg.FullGCs != mg.FullGCs {
-		t.Errorf("seed %d: cycle counts diverged: legacy %d/%d, modern %d/%d",
-			seed, lg.Scavenges, lg.FullGCs, mg.Scavenges, mg.FullGCs)
+	sg, mg := stats[0], stats[1]
+	if sg.Scavenges != mg.Scavenges || sg.FullGCs != mg.FullGCs {
+		t.Errorf("seed %d: cycle counts diverged: §5.2 %d/%d, moving %d/%d",
+			seed, sg.Scavenges, sg.FullGCs, mg.Scavenges, mg.FullGCs)
 	}
-	if lg.BytesPromoted != mg.BytesPromoted {
-		t.Errorf("seed %d: promotion decisions diverged: legacy %dB, modern %dB",
-			seed, lg.BytesPromoted, mg.BytesPromoted)
+	if sg.BytesPromoted != mg.BytesPromoted {
+		t.Errorf("seed %d: promotion decisions diverged: §5.2 %dB, moving %dB",
+			seed, sg.BytesPromoted, mg.BytesPromoted)
 	}
-	if lg.CondPinsHeld != mg.CondPinsHeld || lg.CondPinsDropped != mg.CondPinsDropped {
-		t.Errorf("seed %d: cond-pin decisions diverged: legacy %d/%d, modern %d/%d",
-			seed, lg.CondPinsHeld, lg.CondPinsDropped, mg.CondPinsHeld, mg.CondPinsDropped)
-	}
-	if len(legacy.condCalls) != len(modern.condCalls) {
-		t.Fatalf("seed %d: cond-pin registration diverged", seed)
-	}
-	for i := range legacy.condCalls {
-		lc, mc := atomic.LoadInt32(legacy.condCalls[i]), atomic.LoadInt32(modern.condCalls[i])
-		if lc != mc {
-			t.Errorf("seed %d: cond pin %d examined %d times by legacy, %d by modern (must be once per cycle)",
-				seed, i, lc, mc)
-		}
+	if sg.CondPinsHeld != mg.CondPinsHeld || sg.CondPinsDropped != mg.CondPinsDropped {
+		t.Errorf("seed %d: cond-pin decisions diverged: §5.2 %d/%d, moving %d/%d",
+			seed, sg.CondPinsHeld, sg.CondPinsDropped, mg.CondPinsHeld, mg.CondPinsDropped)
 	}
 
-	// The legacy donation path must account every donated byte as
-	// either live or dead: each donated block is exactly YoungSize
-	// wide, minus at most a sub-header tail that is leaked by design.
-	if lg.BlocksDonated > 0 {
-		total := lg.DonatedLiveBytes + lg.DonatedDeadBytes
-		max := lg.BlocksDonated * diffYoung
-		min := lg.BlocksDonated * (diffYoung - HeaderSize/2)
+	// The §5.2 policy donates and never moves the elder space.
+	if sg.PinnedSegregated != 0 || sg.Compactions != 0 {
+		t.Errorf("seed %d: §5.2 policy segregated %d blocks, compacted %d times",
+			seed, sg.PinnedSegregated, sg.Compactions)
+	}
+	// Its donation path must account every donated byte as either live
+	// or dead: each donated block is exactly YoungSize wide, minus at
+	// most a sub-header tail that is leaked by design.
+	if sg.BlocksDonated > 0 {
+		total := sg.DonatedLiveBytes + sg.DonatedDeadBytes
+		max := sg.BlocksDonated * diffYoung
+		min := sg.BlocksDonated * (diffYoung - HeaderSize/2)
 		if total > max || total < min {
 			t.Errorf("seed %d: donation accounting leak: live %d + dead %d = %d, want within [%d,%d] for %d blocks",
-				seed, lg.DonatedLiveBytes, lg.DonatedDeadBytes, total, min, max, lg.BlocksDonated)
+				seed, sg.DonatedLiveBytes, sg.DonatedDeadBytes, total, min, max, sg.BlocksDonated)
 		}
 	}
-	// The modern collector should almost never fall back to donation:
+	// The moving policy should almost never fall back to donation:
 	// pinned survivors land in dedicated pinned blocks instead.
 	if mg.BlocksDonated > 0 && mg.PinnedSegregated == 0 {
-		t.Errorf("seed %d: modern collector donated %d blocks without ever segregating", seed, mg.BlocksDonated)
+		t.Errorf("seed %d: moving policy donated %d blocks without ever segregating", seed, mg.BlocksDonated)
 	}
 }
 
@@ -426,8 +471,8 @@ func TestGCDifferentialParity(t *testing.T) {
 
 // TestStressGCDifferentialParity is the full suite (≥150 seeds); the
 // stress tier runs it under -race so the parallel mark pool, the
-// cond-pin resolver, and the parity machinery are all exercised with
-// the race detector watching.
+// cond-pin resolver, and the model checks are all exercised with the
+// race detector watching.
 func TestStressGCDifferentialParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: covered by TestGCDifferentialParity")

@@ -3,20 +3,15 @@ package vm
 // Heap invariant fuzzing: FuzzHeapOps decodes arbitrary bytes into a
 // bounded op script (alloc / link / mutate / pin / unpin / cond-pin /
 // collect-young / collect-full / compact), replays it against both
-// the legacy serial collector and the modern parallel collector, and
-// runs Heap.CheckInvariants after every collection. The two worlds
-// must also agree on the final logical heap graph — collections may
-// happen at different times (the modern nursery can be half-sized
-// after pinned-block segregation), but the reachable object graph is
-// placement-independent.
+// collector policies and the reference model, and runs
+// Heap.CheckInvariants after every collection. Unlike genScript's,
+// these scripts may fill the nursery, so collections also happen
+// inside allocations; the model counts them through the world's GC
+// hook. After a final full collection each policy's graph and cond-pin
+// examinations must equal the model's.
 //
-// The seed corpus encodes the shapes that break naive pinned-block
-// segregation: pin storms, dense pins past the segregation fallback
-// threshold, cond-pin flip-flops, and compaction after heavy churn.
-
 import (
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -81,8 +76,8 @@ func fuzzSeedCorpus() [][]byte {
 	seeds = append(seeds, encHeapOps(storm))
 
 	// Dense pins: enough pinned bytes to cross the segregation
-	// fallback threshold (pinned*4 > block), forcing the modern
-	// collector down the legacy donation path.
+	// fallback threshold (pinned*4 > block), forcing the moving
+	// policy down the donation path.
 	var dense []diffOp
 	for i := 0; i < 40; i++ {
 		dense = append(dense, diffOp{kind: dAllocIntArr, a: i % diffRootSlots, b: 47, c: i},
@@ -134,34 +129,28 @@ func FuzzHeapOps(f *testing.F) {
 		if len(ops) == 0 {
 			return
 		}
-		finals := make([][]string, 2)
-		for wi, workers := range []int{1, 4} {
-			w := newDiffWorld(workers)
+		for _, workers := range policyWorkers {
+			w, m := newDiffWorld(workers), newHeapModel()
 			for i, op := range ops {
-				w.step(t, op)
+				cycles := replay(t, w, m, op)
 				if t.Failed() {
 					w.close()
 					t.Fatalf("workers=%d: op %d (%v) failed", workers, i, op.kind)
 				}
-				switch op.kind {
-				case dCollectYoung, dCollectFull, dCollectCompact:
-					if err := w.checkInvariants(); err != nil {
-						w.close()
-						t.Fatalf("workers=%d: op %d: %v", workers, i, err)
-					}
+				if cycles == 0 {
+					continue
+				}
+				if err := w.checkInvariants(); err != nil {
+					w.close()
+					t.Fatalf("workers=%d: op %d: %v", workers, i, err)
 				}
 			}
-			w.step(t, diffOp{kind: dCollectFull})
-			if err := w.checkInvariants(); err != nil {
-				w.close()
+			replay(t, w, m, diffOp{kind: dCollectFull})
+			err := checkModel(w, m)
+			w.close()
+			if err != nil {
 				t.Fatalf("workers=%d: final full GC: %v", workers, err)
 			}
-			finals[wi] = w.snapshot()
-			w.close()
-		}
-		if strings.Join(finals[0], "\n") != strings.Join(finals[1], "\n") {
-			t.Fatalf("final graphs diverged:\nlegacy:\n%s\nmodern:\n%s",
-				strings.Join(finals[0], "\n"), strings.Join(finals[1], "\n"))
 		}
 	})
 }

@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Elder sliding compaction (modern collector only). The legacy §5.2
-// collector never compacts the elder generation, so long-lived
-// daemons fragment until first-fit allocation falls over. After a
-// modern full collection's sweep, when the free list is splintered
+// Elder sliding compaction (moving policy only). The §5.2 policy
+// never compacts the elder generation, so long-lived daemons fragment
+// until first-fit allocation falls over. After a full collection's
+// sweep under the moving policy, when the free list is splintered
 // past compactFreeListThreshold (or compaction was requested
 // explicitly), live elder objects slide toward the start of their
 // range, pinned objects stay as islands nothing crosses, and the free

@@ -4,34 +4,30 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"motor/internal/obs"
 )
 
-// The modern collector (gcworkers > 1). Three coordinated upgrades
-// over the §5.2 serial collector in gc.go, all preserving the §5.3
-// polling-wait/conditional-pin semantics:
+// The collector's parts that serve both policies, plus the moving
+// policy's segregation (gc.go says where the policies differ):
 //
 //   - Parallel mark: full collections mark with a fixed pool of
-//     work-stealing workers over the same root set the serial marker
-//     uses (external slots, pins, thread frames). Liveness lives in a
-//     side bitmap (one bit per 8 arena bytes) instead of header
-//     flags, so marking never writes managed memory and workers never
-//     race on object headers.
+//     GCWorkers work-stealing workers over the root set (external
+//     slots, pins, thread frames). Liveness lives in a side bitmap
+//     (one bit per 8 arena bytes) instead of header flags, so marking
+//     never writes managed memory and workers never race on object
+//     headers.
 //   - Single-resolver conditional pins: a request's Active() runs
 //     exactly once per cycle no matter how many workers encounter the
 //     object. Workers feed refs to the resolver; the resolver owns
 //     the decision, the stats, and the trace instant (correlated to
 //     the cycle by the enclosing KGC span).
-//   - Pin-aware promotion: a scavenge with pinned survivors segregates
-//     them into dedicated pinned blocks and keeps (or re-carves) a
-//     nursery, instead of donating the whole younger block to the
-//     elder generation. donateYoungBlock remains as the dense-pin
-//     fallback; Stats.PinnedSegregated vs Stats.BlocksDonated proves
-//     it is rare.
-//
-// Elder sliding compaction rides on full collections (gccompact.go).
+//   - Pin-aware promotion (moving policy): a scavenge with pinned
+//     survivors segregates them into dedicated pinned blocks and keeps
+//     (or re-carves) a nursery, instead of donating the whole younger
+//     block to the elder generation. donateYoungBlock remains as the
+//     dense-pin fallback; Stats.PinnedSegregated vs
+//     Stats.BlocksDonated proves it is rare.
 //
 // The collection is still stop-the-world: collect holds the execution
 // token, so no managed thread and no ExecRun progress pass can touch
@@ -53,8 +49,8 @@ type condPinReq struct {
 // resolver from mark goroutines, which must not touch the
 // coordinator's trace-lane span stack. The coordinator emits every
 // decision instant inside one cond-pins phase span at the end of the
-// cycle, preserving the PR 3 correlation (instant parented to the
-// cycle's gc:cond-pins span).
+// cycle, so each instant is parented to the cycle's gc:cond-pins
+// span.
 type condPinResolver struct {
 	pendingCount int64 // atomic; first field for 64-bit alignment on 32-bit hosts
 	h            *Heap
@@ -323,186 +319,6 @@ func (m *markState) worker(id int, res *condPinResolver) {
 	}
 }
 
-// --- the modern collection ---------------------------------------------
-
-// collectModern is the gcworkers>1 collection: same envelope as the
-// legacy collect (hooks, spans, pause accounting, watchdog note), but
-// with lazy single-resolver cond pins, pin-segregating scavenge, and
-// a parallel mark/sweep (+ optional compaction) on full cycles.
-func (v *VM) collectModern(full bool) {
-	h := v.Heap
-	tr := obs.Active()
-	if tr != nil {
-		kind := obs.GCScavenge
-		if full {
-			kind = obs.GCFull
-		}
-		tr.Begin(v.traceLane, obs.KGC, uint64(kind))
-	}
-
-	start := time.Now()
-	if tr != nil {
-		tr.Begin(v.traceLane, obs.KGCPhase, uint64(obs.PhaseHooks))
-	}
-	for _, hook := range v.gcHooks {
-		hook()
-	}
-	if tr != nil {
-		tr.End(v.traceLane)
-	}
-
-	res := newCondPinResolver(h)
-	pinned := h.explicitPins()
-
-	if tr != nil {
-		tr.Begin(v.traceLane, obs.KGCPhase, uint64(obs.PhaseScavenge))
-	}
-	evacuated := h.scavengeModern(v, pinned, res)
-	if tr != nil {
-		tr.End(v.traceLane)
-	}
-	if full {
-		h.fullParallel(v, pinned, res, evacuated)
-	}
-	// Requests not encountered this cycle still resolve now — every
-	// request is examined once per collection (§7.4). The recorded
-	// decisions are then emitted as instants inside one cond-pins
-	// phase span on the coordinator lane, keeping the PR 3 instant↔
-	// cycle correlation intact under the single-resolver discipline.
-	res.drain(nil)
-	if tr != nil && len(res.decisions) > 0 {
-		tr.Begin(v.traceLane, obs.KGCPhase, uint64(obs.PhaseCondPins))
-		for _, d := range res.decisions {
-			heldArg := uint64(0)
-			if d.held {
-				heldArg = 1
-			}
-			tr.Instant(v.traceLane, obs.KCondPin, heldArg, uint64(d.ref))
-		}
-		tr.End(v.traceLane)
-	}
-	res.finish()
-
-	pause := uint64(time.Since(start).Nanoseconds())
-	gcKind := obs.GCScavenge
-	if full {
-		gcKind = obs.GCFull
-	}
-	obs.NoteGC(gcKind, int64(pause))
-	atomic.AddUint64(&h.Stats.PauseNs, pause)
-	for {
-		max := atomic.LoadUint64(&h.Stats.MaxPauseNs)
-		if pause <= max || atomic.CompareAndSwapUint64(&h.Stats.MaxPauseNs, max, pause) {
-			break
-		}
-	}
-	if tr != nil {
-		tr.End(v.traceLane)
-		tr.Record(obs.HistGCPause, int64(pause))
-	}
-}
-
-// scavengeModern evacuates the younger block like the legacy scavenge
-// but resolves conditional pins lazily through the single resolver
-// and segregates pinned survivors instead of donating the block.
-// Returns false when evacuation could not be guaranteed (the nursery
-// is left untouched, as in the legacy path).
-func (h *Heap) scavengeModern(v *VM, pinned map[Ref]struct{}, res *condPinResolver) bool {
-	ys, ye, yp := h.youngStart, h.youngEnd, h.youngPos
-	if ys == ye {
-		return true // degraded mode: no nursery
-	}
-	if !h.reservePromotionSpace(yp - ys) {
-		return false
-	}
-	atomic.AddUint64(&h.Stats.Scavenges, 1)
-	inYoung := func(r Ref) bool { return uint32(r) >= ys && uint32(r) < ye }
-
-	var scan []Ref
-	pinnedSurvivors := false
-
-	var forward func(Ref) Ref
-	forward = func(r Ref) Ref {
-		if r == NullRef || !inYoung(r) {
-			return r
-		}
-		fl := h.flags(r)
-		if fl&flagForwarded != 0 {
-			return Ref(h.u32(uint32(r) + hdrMT))
-		}
-		_, pin := pinned[r]
-		if !pin && res.pinnedNow(r) {
-			// Conditionally pinned: the resolver has recorded the held
-			// decision; remember it for segregation and compaction.
-			pin = true
-			pinned[r] = struct{}{}
-		}
-		if pin {
-			if fl&flagMark == 0 {
-				h.orFlags(r, flagMark)
-				pinnedSurvivors = true
-				scan = append(scan, r)
-			}
-			return r
-		}
-		size := h.objSize(r)
-		newOff, ok := h.elderFit(size)
-		if !ok {
-			rangeSize := h.youngSize * 4
-			if rangeSize < size+HeaderSize {
-				rangeSize = align8(size + HeaderSize)
-			}
-			start, err := h.carve(rangeSize)
-			if err != nil {
-				panic(ErrOutOfMemory)
-			}
-			h.addElderRange(start, start+rangeSize)
-			newOff, ok = h.elderFit(size)
-			if !ok {
-				panic(ErrOutOfMemory)
-			}
-		}
-		copy(h.mem[newOff:newOff+size], h.mem[uint32(r):uint32(r)+size])
-		h.putU32(uint32(r)+hdrMT, newOff)
-		h.orFlags(r, flagForwarded)
-		atomic.AddUint64(&h.Stats.BytesPromoted, uint64(size))
-		scan = append(scan, Ref(newOff))
-		return Ref(newOff)
-	}
-
-	v.visitAllRoots(forward)
-	for r := range pinned {
-		if inYoung(r) {
-			forward(r)
-		}
-	}
-	// Young conditional requests resolve here at the latest: a held
-	// object is a root pinned in place, a dropped one is garbage
-	// unless otherwise reachable.
-	res.resolveInRange(inYoung, func(r Ref) Ref {
-		pinned[r] = struct{}{}
-		return forward(r)
-	})
-	for obj := range h.remembered {
-		h.scanRefSlots(obj, forward)
-	}
-
-	for len(scan) > 0 {
-		obj := scan[len(scan)-1]
-		scan = scan[:len(scan)-1]
-		h.scanRefSlots(obj, forward)
-	}
-
-	if pinnedSurvivors {
-		h.segregatePinned(ys, ye, yp)
-	} else {
-		clearBytes(h.mem[ys:yp])
-		h.youngPos = ys
-	}
-	h.remembered = make(map[Ref]struct{})
-	return true
-}
-
 // resolveInRange resolves every pending request whose object lies in
 // the given range, applying root to held objects. Single-threaded
 // (scavenge); root may move the heap.
@@ -526,12 +342,13 @@ func (r *condPinResolver) resolveInRange(in func(Ref) bool, root func(Ref) Ref) 
 }
 
 // segregatePinned disposes of a scavenged younger block that holds
-// pinned survivors. Instead of donating the whole block (legacy),
+// pinned survivors under the moving policy. Instead of donating the
+// whole block (§5.2),
 // maximal runs of pinned survivors become dedicated fully-used elder
 // blocks; the dead gaps between them become elder free space; and the
 // largest gap is reused as the next nursery when big enough, so the
 // arena does not grow at all in the common few-pins case. Densely
-// pinned blocks still take the legacy donation path — the
+// pinned blocks still take the donation path — the
 // PinnedSegregated/BlocksDonated stat pair proves donation is rare.
 func (h *Heap) segregatePinned(ys, ye, yp uint32) {
 	type span struct{ start, end uint32 }
@@ -706,8 +523,8 @@ func (h *Heap) replaceNursery() {
 // compaction layout, CheckInvariants) still sees ranges exactly
 // covered by headers. Pins spread through the nursery leave no
 // reusable in-place gap at segregation time; without recycling every
-// such scavenge would carve fresh arena, reproducing the legacy
-// donation growth the modern collector exists to avoid.
+// such scavenge would carve fresh arena, reproducing the donation
+// growth segregation exists to avoid.
 //
 // Selection: fragments no bigger than a configured nursery are
 // consumed largest-first — segregation gaps chain back through
@@ -793,12 +610,11 @@ func (h *Heap) recycleNursery() bool {
 	return true
 }
 
-// fullParallel is the elder phase of a modern full collection:
-// parallel mark from the root set, parallel sweep, and optional
-// sliding compaction.
+// fullParallel is the elder phase of a full collection: parallel mark
+// from the root set, parallel sweep, and, under the moving policy
+// only, sliding compaction.
 func (h *Heap) fullParallel(v *VM, pinned map[Ref]struct{}, res *condPinResolver, canCompact bool) {
 	atomic.AddUint64(&h.Stats.FullGCs, 1)
-	atomic.AddUint64(&h.Stats.ParallelMarks, 1)
 	tr := obs.Active()
 
 	if tr != nil {
@@ -850,7 +666,7 @@ func (h *Heap) fullParallel(v *VM, pinned map[Ref]struct{}, res *condPinResolver
 	for _, r := range res.heldRefs() {
 		pinned[r] = struct{}{}
 	}
-	if canCompact && h.youngPos == h.youngStart &&
+	if canCompact && h.MovesElder() && h.youngPos == h.youngStart &&
 		(h.compactRequested || len(h.freeList) >= compactFreeListThreshold) {
 		if tr != nil {
 			tr.Begin(v.traceLane, obs.KGCPhase, uint64(obs.PhaseCompact))

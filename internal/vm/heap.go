@@ -4,12 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync/atomic"
-
-	"motor/internal/obs"
 )
 
 // Ref is a managed object reference: a byte offset into the heap
@@ -93,15 +89,14 @@ type GCStats struct {
 	CondPinsHeld    uint64 // requests found active during a mark phase
 	CondPinsDropped uint64 // requests found complete and discarded
 
-	// Modern-collector counters (gcworkers > 1). PinnedSegregated
-	// counting scavenges and BlocksDonated counting fallbacks is the
-	// stat pair that proves donation has become rare.
+	// Placement counters. Under the moving policy (gcworkers > 1)
+	// PinnedSegregated counting scavenges and BlocksDonated counting
+	// fallbacks is the stat pair that proves donation has become rare.
 	PinnedSegregated  uint64 // scavenges that kept pinned survivors in dedicated blocks
 	PinnedBlockBytes  uint64 // pinned-survivor bytes segregated in place
 	NurseriesRecycled uint64 // nurseries re-installed over elder free space instead of fresh arena
 	DonatedLiveBytes  uint64 // pinned-survivor bytes kept live by whole-block donation
 	DonatedDeadBytes  uint64 // dead-gap bytes a donation returned to the free lists
-	ParallelMarks     uint64 // full collections marked by the worker pool
 	Compactions       uint64 // elder sliding compactions performed
 	BytesCompacted    uint64 // live bytes moved by compaction
 
@@ -131,7 +126,6 @@ func (s *GCStats) Snapshot() GCStats {
 		NurseriesRecycled: atomic.LoadUint64(&s.NurseriesRecycled),
 		DonatedLiveBytes:  atomic.LoadUint64(&s.DonatedLiveBytes),
 		DonatedDeadBytes:  atomic.LoadUint64(&s.DonatedDeadBytes),
-		ParallelMarks:     atomic.LoadUint64(&s.ParallelMarks),
 		Compactions:       atomic.LoadUint64(&s.Compactions),
 		BytesCompacted:    atomic.LoadUint64(&s.BytesCompacted),
 
@@ -155,14 +149,13 @@ type HeapConfig struct {
 	PinMode         PinMode
 	FullGCThreshold uint32 // elder bytes allocated between full GCs
 
-	// GCWorkers selects the collector. 1 is the exact-legacy serial
-	// collector of §5.2 (scavenge + donation + never-compacted elder);
-	// >1 enables the modern collector: work-stealing parallel mark,
-	// pin-aware promotion (dedicated pinned blocks instead of
-	// whole-block donation), and elder sliding compaction. 0 resolves
-	// MOTOR_GCWORKERS, then defaults to NumCPU clamped to [2,8] — the
-	// modern collector is the default even on one CPU so behaviour is
-	// machine-independent.
+	// GCWorkers selects the collector's policy and mark workers. 1 is
+	// the §5.2 policy (whole-block donation, elder never moved) marking
+	// with one worker; >1 is the moving policy (pinned survivors
+	// segregated into dedicated blocks, elder sliding compaction)
+	// marking with that many work-stealing workers. 0 defaults to
+	// NumCPU clamped to [2,8] — the moving policy even on one CPU, so
+	// behaviour is machine-independent.
 	GCWorkers int
 }
 
@@ -178,13 +171,6 @@ func (c *HeapConfig) fill() {
 	}
 	if c.FullGCThreshold == 0 {
 		c.FullGCThreshold = 16 << 20
-	}
-	if c.GCWorkers == 0 {
-		if s := os.Getenv("MOTOR_GCWORKERS"); s != "" {
-			if n, err := strconv.Atoi(s); err == nil && n > 0 {
-				c.GCWorkers = n
-			}
-		}
 	}
 	if c.GCWorkers == 0 {
 		n := runtime.NumCPU()
@@ -203,8 +189,9 @@ func (c *HeapConfig) fill() {
 
 // Heap is the managed memory of one VM: a single arena addressed by
 // Ref offsets, split into a bump-allocated younger block and a set of
-// elder ranges managed with free lists (the elder generation is never
-// compacted, matching the SSCLI collector described in §5.2).
+// elder ranges managed with free lists. Under the §5.2 policy the
+// elder generation is never compacted, matching the SSCLI collector;
+// the moving policy slide-compacts it (gccompact.go).
 type Heap struct {
 	vm *VM
 
@@ -236,18 +223,17 @@ type Heap struct {
 	// collector itself allocates elder space for promotions.
 	inGC bool
 
-	// gcWorkers is the resolved GCWorkers knob: 1 = legacy serial
-	// collector, >1 = modern collector with that many mark workers.
+	// gcWorkers is the resolved GCWorkers knob: the number of mark
+	// workers; 1 selects the §5.2 policy, >1 the moving one.
 	gcWorkers int
 
-	// markBits is the modern collector's side mark bitmap: one bit per
+	// markBits is the full collection's side mark bitmap: one bit per
 	// 8 arena bytes, reused (and re-zeroed) across cycles so a full
-	// collection does not allocate. The legacy collector marks in
-	// header flags instead.
+	// collection does not allocate.
 	markBits []uint64
 
 	// compactRequested forces elder compaction on the next full
-	// collection of the modern collector, regardless of heuristics.
+	// collection under the moving policy, regardless of heuristics.
 	compactRequested bool
 
 	Stats GCStats
@@ -656,39 +642,6 @@ func (h *Heap) AddCondPin(ref Ref, active func() bool) {
 // (for tests and stats).
 func (h *Heap) CondPinCount() int { return len(h.condPins) }
 
-// pinnedForCycle assembles the effective pin set for one collection:
-// explicit pins plus conditional requests that are still active.
-// Inactive conditional requests are dropped here — this is the mark-
-// phase status check of §7.4.
-func (h *Heap) pinnedForCycle() map[Ref]struct{} {
-	set := make(map[Ref]struct{}, len(h.pinCounts)+len(h.pinList)+len(h.condPins))
-	for r := range h.pinCounts {
-		set[r] = struct{}{}
-	}
-	for _, p := range h.pinList {
-		set[p.ref] = struct{}{}
-	}
-	tr := obs.Active()
-	kept := h.condPins[:0]
-	for _, cp := range h.condPins {
-		if cp.Active() {
-			set[cp.Ref] = struct{}{}
-			kept = append(kept, cp)
-			atomic.AddUint64(&h.Stats.CondPinsHeld, 1)
-			if tr != nil {
-				tr.Instant(h.vm.traceLane, obs.KCondPin, 1, uint64(cp.Ref))
-			}
-		} else {
-			atomic.AddUint64(&h.Stats.CondPinsDropped, 1)
-			if tr != nil {
-				tr.Instant(h.vm.traceLane, obs.KCondPin, 0, uint64(cp.Ref))
-			}
-		}
-	}
-	h.condPins = kept
-	return set
-}
-
 // --- write barrier ------------------------------------------------------
 
 // recordWrite is the generational write barrier: storing a young ref
@@ -708,25 +661,25 @@ func (h *Heap) MemUse() (arena, youngUsed, elderUsed uint32) {
 	return h.brk, h.youngPos - h.youngStart, h.elderUsed
 }
 
-// Workers reports the resolved gcworkers knob: 1 means the exact-
-// legacy serial collector, >1 the modern parallel collector.
+// Workers reports the resolved gcworkers knob: the number of mark
+// workers. 1 means the §5.2 policy, >1 the moving policy.
 func (h *Heap) Workers() int { return h.gcWorkers }
 
-// MovesElder reports whether a collection may move elder objects: the
-// modern collector compacts the elder space, the §5.2 collector never
-// does.
+// MovesElder reports whether a collection may move elder objects. It
+// is the one policy query: the moving policy segregates pinned
+// survivors and compacts the elder space; the §5.2 policy donates
+// whole younger blocks and never moves an elder object.
 func (h *Heap) MovesElder() bool { return h.gcWorkers > 1 }
 
-// RequestCompaction asks the modern collector to slide-compact the
-// elder space during its next full collection, bypassing the
-// fragmentation heuristic. A no-op under the legacy collector, whose
-// elder space is never compacted (§5.2).
+// RequestCompaction asks the collector to slide-compact the elder
+// space during its next full collection, bypassing the fragmentation
+// heuristic. A no-op under the §5.2 policy, whose elder space is never
+// compacted.
 func (h *Heap) RequestCompaction() { h.compactRequested = true }
 
 // explicitPins assembles the unconditional pin set (Pin/Unpin
-// bookkeeping only). The modern collector starts a cycle from this
-// set and resolves conditional requests lazily through the cycle's
-// single resolver; the legacy collector uses pinnedForCycle instead.
+// bookkeeping only). A collection starts from this set and resolves
+// conditional requests lazily through the cycle's single resolver.
 func (h *Heap) explicitPins() map[Ref]struct{} {
 	set := make(map[Ref]struct{}, len(h.pinCounts)+len(h.pinList))
 	for r := range h.pinCounts {

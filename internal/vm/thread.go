@@ -225,7 +225,7 @@ func (t *Thread) CollectYoung() { t.vm.collect(false) }
 func (t *Thread) CollectFull() { t.vm.collect(true) }
 
 // CollectCompact forces a full collection with elder compaction. The
-// legacy collector (gcworkers=1) never compacts, so this degrades to
+// §5.2 policy (gcworkers=1) never compacts, so this degrades to
 // CollectFull there.
 func (t *Thread) CollectCompact() {
 	t.vm.Heap.RequestCompaction()

@@ -146,12 +146,11 @@ type Config struct {
 	// 256 MiB).
 	YoungSize uint32
 	ArenaMax  uint32
-	// GCWorkers selects each rank's collector: 1 is the exact-legacy
-	// serial collector (§5.2), >1 the modern collector (parallel
-	// mark, pin-aware promotion, elder compaction) with that many
-	// mark workers. 0 resolves the MOTOR_GCWORKERS environment
-	// variable, then defaults to NumCPU clamped to [2,8]. See
-	// docs/GC.md.
+	// GCWorkers selects each rank's collector policy and mark
+	// workers: 1 is the paper's §5.2 policy (whole-block donation,
+	// elder never moved), >1 the moving policy (pinned-block
+	// segregation, elder compaction) with that many mark workers.
+	// 0 defaults to NumCPU clamped to [2,8]. See docs/GC.md.
 	GCWorkers int
 	// EagerMax is the transport's eager/rendezvous threshold in
 	// bytes (default 64 KiB).

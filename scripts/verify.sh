@@ -30,10 +30,10 @@
 #                     always-on overhead budget), live telemetry
 #                     endpoint over real HTTP, and the cross-rank
 #                     merge round-trip through cmd/mtrace.
-#   gc tier:          the collector gate (docs/GC.md) — the serial vs
-#                     modern differential parity suite and cond-pin
-#                     race regression under -race, and a bounded
-#                     heap-ops fuzz smoke.
+#   gc tier:          the collector gate (docs/GC.md) — the parity
+#                     suite checking both policies against the
+#                     reference model and the cond-pin race regression
+#                     under -race, and a bounded heap-ops fuzz smoke.
 #
 # Usage: scripts/verify.sh [quick|race|stress|all|bench|vet|lint|quicken|obs|gc]
 #   quick   tier 1 with -short (chaos sweeps skipped; < ~30s), the
@@ -279,16 +279,17 @@ tier_obs() {
 	trap - EXIT
 }
 
-# GC tier: the collector acceptance gate (docs/GC.md). The
-# differential parity suite replays identical mutator scripts on the
-# serial and modern collectors and demands identical object graphs,
-# stats, and cond-pin decisions; the race regression forces a cond-pin
-# to complete mid-mark from a parked thread; the fuzz smoke replays
+# GC tier: the collector acceptance gate (docs/GC.md). The parity
+# suite replays identical mutator scripts on the §5.2 and the moving
+# policy and demands that each one's object graph, pinned and held
+# addresses and cond-pin examinations equal the reference model's,
+# and that both agree on collection stats; the race regression forces
+# a cond-pin to complete mid-mark from a parked thread; the fuzz smoke replays
 # byte-coded heap-op sequences with invariant checks after every
 # collection (short minimize budget so the smoke stays bounded). Pause
 # times are guarded by the benchmark's gc-churn workload.
 tier_gc() {
-	echo "== gc: differential parity + cond-pin race regression (-race)"
+	echo "== gc: model parity + cond-pin race regression (-race)"
 	GORACE=halt_on_error=1 go test -race -timeout 600s -count=1 \
 		-run 'TestGCDifferentialParity|TestStressCondPinMidMarkResolution|TestDonationSubHeaderTail' \
 		./internal/vm/
