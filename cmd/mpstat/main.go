@@ -45,7 +45,7 @@ func main() {
 	policy := flag.String("policy", "motor", "pinning policy: motor or alwayspin")
 	oo := flag.Bool("oo", false, "use the extended object-oriented operations on a linked list")
 	coll := flag.Bool("coll", false, "run a collective workload (allreduce+allgather+bcast per iteration) instead of ping-pong")
-	collAlgo := flag.String("collalgo", "", "force collective algorithms, e.g. 'allreduce=ring,bcast=binomial' (MOTOR_COLL_ALGO format)")
+	collAlgo := flag.String("collalgo", "", "force collective algorithms per op for re-measurement: 'op=algo[,op=algo]' with op allreduce|allgather|bcast and algo auto|recdbl|ring|gatherbcast|binomial|pipelined (docs/COLLECTIVES.md)")
 	elements := flag.Int("elements", 16, "linked-list elements for -oo")
 	channel := flag.String("channel", "shm", "transport: shm or sock")
 	faultPlan := flag.String("faultplan", "", "fault plan spec, e.g. 'reset:write:nth=3,delay:dial:delay=2ms' (sock only; see docs/FAULTS.md)")
@@ -244,8 +244,8 @@ func main() {
 		fmt.Printf("  transport: errors(op/dev)=%d/%d peersLost=%d cancelled=%d\n",
 			ms.TransportErrors, ds.TransportErrors, ds.PeersLost, ds.Cancelled)
 		cs := r.CollStats()
-		fmt.Printf("  coll: ops=%d allreduce(rb/rd/ring)=%d/%d/%d allgather(gb/ring)=%d/%d bcast(bin/pipe)=%d/%d bytes=%dB maxInFlight=%d\n",
-			cs.Ops, cs.AllreduceReduceBcast, cs.AllreduceRecDbl, cs.AllreduceRing,
+		fmt.Printf("  coll: ops=%d allreduce(rd/ring)=%d/%d allgather(gb/ring)=%d/%d bcast(bin/pipe)=%d/%d bytes=%dB maxInFlight=%d\n",
+			cs.Ops, cs.AllreduceRecDbl, cs.AllreduceRing,
 			cs.AllgatherGatherBcast, cs.AllgatherRing,
 			cs.BcastBinomial, cs.BcastPipelined, cs.BytesMoved, cs.MaxSegsInFlight)
 		if ts, ok := r.TransportStats(); ok {

@@ -219,48 +219,33 @@ func (e *Engine) AllreduceOn(t *vm.Thread, id int32, sendArr, recvArr vm.Ref, op
 }
 
 func (e *Engine) reduceOn(t *vm.Thread, c *mp.Comm, sendArr, recvArr vm.Ref, op mp.Op, root int, all bool) error {
-	defer t.PushFrame(&sendArr, &recvArr)()
-	t.PollGC()
-	defer t.PollGC()
-	sendBuf, err := e.wholeBuf(t, sendArr)
-	if err != nil {
-		return err
-	}
-	dt, err := datatypeFor(e.VM.Heap.MT(sendArr))
-	if err != nil {
-		return err
-	}
-	bump(&e.Stats.Ops, 1)
-	opc := obs.OpReduce
-	peer := root
+	opc, peer := obs.OpReduce, root
 	if all {
 		opc, peer = obs.OpAllreduce, -1
 	}
-	tr := e.opBegin(opc, sendBuf.Len(), peer)
-	defer e.opEnd(tr)
-	sendHold, sendBytes := e.collectiveBuf(sendArr, sendBuf, false)
-	defer sendHold.release()
+	h := e.VM.Heap
 	needRecv := all || c.Rank() == root
-	var recvBytes []byte
-	if needRecv {
-		recvBuf, err := e.wholeBuf(t, recvArr)
-		if err != nil {
-			return err
-		}
-		rdt, err := datatypeFor(e.VM.Heap.MT(recvArr))
-		if err != nil {
-			return err
-		}
-		if rdt != dt || recvBuf.Len() != sendBuf.Len() {
-			return fmt.Errorf("core: reduce buffers disagree: %s/%d vs %s/%d bytes",
-				dt.Name, sendBuf.Len(), rdt.Name, recvBuf.Len())
-		}
-		var hold pinHold
-		hold, recvBytes = e.collectiveBuf(recvArr, recvBuf, true)
-		defer hold.release()
-	}
-	if all {
-		return e.noteErr(c.Allreduce(sendBytes, recvBytes, dt, op))
-	}
-	return e.noteErr(c.Reduce(sendBytes, recvBytes, dt, op, root))
+	var dt mp.Datatype
+	return e.collective(t, opc, peer, sendArr, recvArr, true, needRecv,
+		func(sendArr, recvArr vm.Ref, sb, rb heapBuf) error {
+			var err error
+			if dt, err = datatypeFor(h.MT(sendArr)); err != nil || !needRecv {
+				return err
+			}
+			rdt, err := datatypeFor(h.MT(recvArr))
+			if err != nil {
+				return err
+			}
+			if rdt != dt || rb.Len() != sb.Len() {
+				return fmt.Errorf("core: reduce buffers disagree: %s/%d vs %s/%d bytes",
+					dt.Name, sb.Len(), rdt.Name, rb.Len())
+			}
+			return nil
+		},
+		func(send, recv []byte) error {
+			if all {
+				return c.Allreduce(send, recv, dt, op)
+			}
+			return c.Reduce(send, recv, dt, op, root)
+		})
 }

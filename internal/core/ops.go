@@ -341,6 +341,61 @@ func (e *Engine) barrierOn(t *vm.Thread, c *mp.Comm) error {
 	return e.noteErr(c.Barrier())
 }
 
+// collective is the one prologue of every array collective. In order:
+// it roots both arrays, polls at entry, derives the buffers this rank
+// takes part with (send, recv), runs the optional local check, counts
+// the op and opens its span, takes each buffer's collective cell
+// (§7.4), then runs the mp call. The object-model and shape checks run
+// on every rank before any collective traffic, so an erroneous program
+// fails consistently instead of deadlocking mid-collective, and counts
+// no op. check and run get the rooted arrays and the resolved buffers
+// as parameters: a vm.Ref they captured would be stale after the entry
+// poll.
+func (e *Engine) collective(t *vm.Thread, op obs.OpCode, peer int, sendArr, recvArr vm.Ref, send, recv bool,
+	check func(sendArr, recvArr vm.Ref, sb, rb heapBuf) error, run func(send, recv []byte) error) error {
+	defer t.PushFrame(&sendArr, &recvArr)()
+	t.PollGC()
+	defer t.PollGC()
+	var sb, rb heapBuf
+	var err error
+	if send {
+		if sb, err = e.wholeBuf(t, sendArr); err != nil {
+			return err
+		}
+	}
+	if recv {
+		if rb, err = e.wholeBuf(t, recvArr); err != nil {
+			return err
+		}
+	}
+	if check != nil {
+		if err = check(sendArr, recvArr, sb, rb); err != nil {
+			return err
+		}
+	}
+	bump(&e.Stats.Ops, 1)
+	// The span records this rank's payload: what it sends, or its
+	// share of a broadcast or scatter.
+	n := sb.Len()
+	if !send || op == obs.OpScatter {
+		n = rb.Len()
+	}
+	tr := e.opBegin(op, n, peer)
+	defer e.opEnd(tr)
+	var sendBytes, recvBytes []byte
+	if send {
+		var hold pinHold
+		hold, sendBytes = e.collectiveBuf(sendArr, sb, false)
+		defer hold.release()
+	}
+	if recv {
+		var hold pinHold
+		hold, recvBytes = e.collectiveBuf(recvArr, rb, true)
+		defer hold.release()
+	}
+	return e.noteErr(run(sendBytes, recvBytes))
+}
+
 // Bcast broadcasts the root's object contents into every rank's
 // object (equal sizes required, as in MPI).
 func (e *Engine) Bcast(t *vm.Thread, obj vm.Ref, root int) error {
@@ -348,47 +403,24 @@ func (e *Engine) Bcast(t *vm.Thread, obj vm.Ref, root int) error {
 }
 
 func (e *Engine) bcastOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, root int) error {
-	defer t.PushFrame(&obj)()
-	t.PollGC()
-	defer t.PollGC()
-	buf, err := e.wholeBuf(t, obj)
-	if err != nil {
-		return err
-	}
-	bump(&e.Stats.Ops, 1)
-	tr := e.opBegin(obs.OpBcast, buf.Len(), root)
-	defer e.opEnd(tr)
-	hold, raw := e.collectiveBuf(obj, buf, true)
-	defer hold.release()
-	return e.noteErr(c.Bcast(raw, root))
+	return e.collective(t, obs.OpBcast, root, vm.NullRef, obj, false, true, nil,
+		func(_, buf []byte) error { return c.Bcast(buf, root) })
 }
 
 // Scatter splits the root's simple array equally across ranks into
 // each rank's recv array (sendArr is ignored on non-roots).
 func (e *Engine) Scatter(t *vm.Thread, sendArr, recvArr vm.Ref, root int) error {
-	defer t.PushFrame(&sendArr, &recvArr)()
-	t.PollGC()
-	defer t.PollGC()
-	recvBuf, err := e.wholeBuf(t, recvArr)
-	if err != nil {
-		return err
-	}
-	bump(&e.Stats.Ops, 1)
-	tr := e.opBegin(obs.OpScatter, recvBuf.Len(), root)
-	defer e.opEnd(tr)
-	var sendBytes []byte
-	if e.Comm.Rank() == root {
-		sendBuf, err := e.wholeBuf(t, sendArr)
-		if err != nil {
-			return err
-		}
-		var hold pinHold
-		hold, sendBytes = e.collectiveBuf(sendArr, sendBuf, false)
-		defer hold.release()
-	}
-	hold, recvBytes := e.collectiveBuf(recvArr, recvBuf, true)
-	defer hold.release()
-	return e.noteErr(e.Comm.Scatter(sendBytes, recvBytes, root))
+	c := e.Comm
+	return e.collective(t, obs.OpScatter, root, sendArr, recvArr, c.Rank() == root, true, nil,
+		func(send, recv []byte) error { return c.Scatter(send, recv, root) })
+}
+
+// Gather collects every rank's simple array into the root's recv
+// array (recvArr is ignored on non-roots).
+func (e *Engine) Gather(t *vm.Thread, sendArr, recvArr vm.Ref, root int) error {
+	c := e.Comm
+	return e.collective(t, obs.OpGather, root, sendArr, recvArr, true, c.Rank() == root, nil,
+		func(send, recv []byte) error { return c.Gather(send, recv, root) })
 }
 
 // Allgather collects every rank's simple array into every rank's
@@ -398,31 +430,15 @@ func (e *Engine) Allgather(t *vm.Thread, sendArr, recvArr vm.Ref) error {
 }
 
 func (e *Engine) allgatherOn(t *vm.Thread, c *mp.Comm, sendArr, recvArr vm.Ref) error {
-	defer t.PushFrame(&sendArr, &recvArr)()
-	t.PollGC()
-	defer t.PollGC()
-	sendBuf, err := e.wholeBuf(t, sendArr)
-	if err != nil {
-		return err
-	}
-	recvBuf, err := e.wholeBuf(t, recvArr)
-	if err != nil {
-		return err
-	}
-	// Validate locally on every rank so an erroneous program fails
-	// consistently instead of deadlocking mid-collective.
-	if recvBuf.Len() != sendBuf.Len()*c.Size() {
-		return fmt.Errorf("core: allgather recv %d bytes, want %d (send %d × %d ranks)",
-			recvBuf.Len(), sendBuf.Len()*c.Size(), sendBuf.Len(), c.Size())
-	}
-	bump(&e.Stats.Ops, 1)
-	tr := e.opBegin(obs.OpAllgather, sendBuf.Len(), -1)
-	defer e.opEnd(tr)
-	sendHold, sendBytes := e.collectiveBuf(sendArr, sendBuf, false)
-	defer sendHold.release()
-	recvHold, recvBytes := e.collectiveBuf(recvArr, recvBuf, true)
-	defer recvHold.release()
-	return e.noteErr(c.Allgather(sendBytes, recvBytes))
+	return e.collective(t, obs.OpAllgather, -1, sendArr, recvArr, true, true,
+		func(_, _ vm.Ref, sb, rb heapBuf) error {
+			if rb.Len() != sb.Len()*c.Size() {
+				return fmt.Errorf("core: allgather recv %d bytes, want %d (send %d × %d ranks)",
+					rb.Len(), sb.Len()*c.Size(), sb.Len(), c.Size())
+			}
+			return nil
+		},
+		func(send, recv []byte) error { return c.Allgather(send, recv) })
 }
 
 // Alltoall exchanges equal chunks of every rank's simple send array:
@@ -433,31 +449,15 @@ func (e *Engine) Alltoall(t *vm.Thread, sendArr, recvArr vm.Ref) error {
 }
 
 func (e *Engine) alltoallOn(t *vm.Thread, c *mp.Comm, sendArr, recvArr vm.Ref) error {
-	defer t.PushFrame(&sendArr, &recvArr)()
-	t.PollGC()
-	defer t.PollGC()
-	sendBuf, err := e.wholeBuf(t, sendArr)
-	if err != nil {
-		return err
-	}
-	recvBuf, err := e.wholeBuf(t, recvArr)
-	if err != nil {
-		return err
-	}
-	// Validate locally on every rank so an erroneous program fails
-	// consistently instead of deadlocking mid-collective.
-	if recvBuf.Len() != sendBuf.Len() || sendBuf.Len()%c.Size() != 0 {
-		return fmt.Errorf("core: alltoall buffers %d/%d bytes for %d ranks",
-			sendBuf.Len(), recvBuf.Len(), c.Size())
-	}
-	bump(&e.Stats.Ops, 1)
-	tr := e.opBegin(obs.OpAlltoall, sendBuf.Len(), -1)
-	defer e.opEnd(tr)
-	sendHold, sendBytes := e.collectiveBuf(sendArr, sendBuf, false)
-	defer sendHold.release()
-	recvHold, recvBytes := e.collectiveBuf(recvArr, recvBuf, true)
-	defer recvHold.release()
-	return e.noteErr(c.Alltoall(sendBytes, recvBytes))
+	return e.collective(t, obs.OpAlltoall, -1, sendArr, recvArr, true, true,
+		func(_, _ vm.Ref, sb, rb heapBuf) error {
+			if rb.Len() != sb.Len() || sb.Len()%c.Size() != 0 {
+				return fmt.Errorf("core: alltoall buffers %d/%d bytes for %d ranks",
+					sb.Len(), rb.Len(), c.Size())
+			}
+			return nil
+		},
+		func(send, recv []byte) error { return c.Alltoall(send, recv) })
 }
 
 // Sendrecv performs the classic combined exchange: send sendObj to
@@ -500,32 +500,4 @@ func (e *Engine) Sendrecv(t *vm.Thread, sendObj vm.Ref, dest, sendTag int, recvO
 		err = serr
 	}
 	return st, e.noteErr(err)
-}
-
-// Gather collects every rank's simple array into the root's recv
-// array (recvArr is ignored on non-roots).
-func (e *Engine) Gather(t *vm.Thread, sendArr, recvArr vm.Ref, root int) error {
-	defer t.PushFrame(&sendArr, &recvArr)()
-	t.PollGC()
-	defer t.PollGC()
-	sendBuf, err := e.wholeBuf(t, sendArr)
-	if err != nil {
-		return err
-	}
-	bump(&e.Stats.Ops, 1)
-	tr := e.opBegin(obs.OpGather, sendBuf.Len(), root)
-	defer e.opEnd(tr)
-	sendHold, sendBytes := e.collectiveBuf(sendArr, sendBuf, false)
-	defer sendHold.release()
-	var recvBytes []byte
-	if e.Comm.Rank() == root {
-		recvBuf, err := e.wholeBuf(t, recvArr)
-		if err != nil {
-			return err
-		}
-		var hold pinHold
-		hold, recvBytes = e.collectiveBuf(recvArr, recvBuf, true)
-		defer hold.release()
-	}
-	return e.noteErr(e.Comm.Gather(sendBytes, recvBytes, root))
 }

@@ -195,21 +195,6 @@ func TestShmRankRange(t *testing.T) {
 	}
 }
 
-func TestLoopChannel(t *testing.T) {
-	c := &LoopChannel{}
-	if err := c.Send(0, Header{Type: PktEager, Tag: 3}, []byte("self")); err != nil {
-		t.Fatal(err)
-	}
-	sink := &collectSink{}
-	drain(t, c, sink, 1)
-	if string(sink.payloads[0]) != "self" {
-		t.Errorf("payload %q", sink.payloads[0])
-	}
-	if err := c.Send(1, Header{}, nil); err != ErrRank {
-		t.Errorf("err %v", err)
-	}
-}
-
 func TestShmClosedChannel(t *testing.T) {
 	f := NewShmFabric(2)
 	ep := f.Endpoint(0)

@@ -336,45 +336,3 @@ func (c *ShmChannel) Close() error {
 	c.closed = true
 	return nil
 }
-
-// LoopChannel is a single-rank channel (self-sends only); useful for
-// one-rank worlds and unit tests of the device layer.
-type LoopChannel struct {
-	ring *shmRing
-}
-
-var _ Channel = (*LoopChannel)(nil)
-
-// Rank implements Channel.
-func (c *LoopChannel) Rank() int { return 0 }
-
-// Size implements Channel.
-func (c *LoopChannel) Size() int { return 1 }
-
-// Send implements Channel.
-func (c *LoopChannel) Send(dest int, hdr Header, payload []byte) error {
-	if dest != 0 {
-		return ErrRank
-	}
-	if c.ring == nil {
-		c.ring = newShmRing()
-	}
-	hdr.Size = uint32(len(payload))
-	c.ring.push(shmFrame{hdr: hdr, slab: copyToSlab(payload)})
-	return nil
-}
-
-// Poll implements Channel.
-func (c *LoopChannel) Poll(sink Sink) (bool, error) {
-	if c.ring == nil {
-		return false, nil
-	}
-	f, ok := c.ring.pop()
-	if ok {
-		f.deliver(sink)
-	}
-	return ok, nil
-}
-
-// Close implements Channel.
-func (c *LoopChannel) Close() error { return nil }

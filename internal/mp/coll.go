@@ -69,11 +69,13 @@ func (c *Comm) stepEnd(tr *obs.Tracer, sp stepSpan, step, bytes int) {
 //
 // The internals are nonblocking: every algorithm posts Isend/Irecv
 // requests and keeps multiple links in flight, so one slow edge no
-// longer serializes the whole operation. Algorithms are chosen per
-// call by the size-aware selector in collalgo.go: dissemination
-// barrier; binomial or segmented-pipeline broadcast; linear
-// scatter/gather from the root; recursive-doubling or pipelined-ring
-// allreduce; ring or gather+broadcast allgather.
+// longer serializes the whole operation. Barrier (dissemination),
+// scatter and gather (linear from the root), alltoall (every pair) and
+// reduce (binomial fan-in) have one algorithm each. Broadcast,
+// allgather and allreduce pick one of two per call with the size-aware
+// selector in collalgo.go: binomial or segmented-pipeline broadcast,
+// gather+broadcast or ring allgather, recursive-doubling or
+// pipelined-ring allreduce.
 //
 // Tag layout (collective context only): bits 22+ carry the operation
 // code, bits 12..21 a per-communicator sequence number (mod 1024) so
@@ -87,9 +89,7 @@ const (
 	opcBcast
 	opcBcastSeg
 	opcScatter
-	opcScatterv
 	opcGather
-	opcGatherv
 	opcAlltoall
 	opcReduce
 	opcRingRS // ring allreduce, reduce-scatter phase
@@ -537,8 +537,8 @@ func (c *Comm) allgatherRing(sendbuf, recvbuf []byte, seq uint32) error {
 	return q.finish()
 }
 
-// allgatherGatherBcast is the small-message algorithm (and the seed
-// baseline): gather to rank 0, then broadcast the assembled buffer.
+// allgatherGatherBcast is the small-message algorithm: gather to rank
+// 0, then broadcast the assembled buffer.
 func (c *Comm) allgatherGatherBcast(sendbuf, recvbuf []byte) error {
 	if err := c.gatherLinear(sendbuf, recvbuf, 0, c.nextCollSeq()); err != nil {
 		return err
@@ -548,102 +548,6 @@ func (c *Comm) allgatherGatherBcast(sendbuf, recvbuf []byte) error {
 		return c.bcastPipelined(recvbuf, 0, seq)
 	}
 	return c.bcastBinomial(recvbuf, 0, seq)
-}
-
-// --- variable-size scatter / gather -----------------------------------------
-
-// Scatterv distributes variable-size parts from the root: parts[i]
-// goes to rank i (parts is ignored on non-roots). Each member gets
-// its own part back as a fresh slice. This is the primitive the Motor
-// object-oriented scatter is built on — the custom serializer's split
-// representation yields exactly such parts (paper §7.5).
-func (c *Comm) Scatterv(parts [][]byte, root int) ([]byte, error) {
-	n := c.Size()
-	if err := c.checkDest(root); err != nil {
-		return nil, err
-	}
-	if c.myRank == root {
-		if len(parts) != n {
-			return nil, fmt.Errorf("%w: scatterv %d parts for %d ranks", errInvalid, len(parts), n)
-		}
-		// Announce sizes, then ship parts.
-		sizes := make([]byte, 4*n)
-		for i, p := range parts {
-			putI32(sizes, 4*i, int32(len(p)))
-		}
-		mySize := make([]byte, 4)
-		if err := c.Scatter(sizes, mySize, root); err != nil {
-			return nil, err
-		}
-		seq := c.nextCollSeq()
-		q := c.newReqs()
-		for r := 0; r < n; r++ {
-			if r == root {
-				continue
-			}
-			q.send(parts[r], r, collTag(opcScatterv, seq, 0))
-		}
-		if err := q.finish(); err != nil {
-			return nil, err
-		}
-		out := make([]byte, len(parts[root]))
-		copy(out, parts[root])
-		return out, nil
-	}
-	mySize := make([]byte, 4)
-	if err := c.Scatter(nil, mySize, root); err != nil {
-		return nil, err
-	}
-	seq := c.nextCollSeq()
-	out := make([]byte, getI32(mySize, 0))
-	q := c.newReqs()
-	q.recv(out, root, collTag(opcScatterv, seq, 0))
-	if err := q.finish(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Gatherv collects variable-size parts at the root: the returned
-// slice has one entry per rank at the root, nil elsewhere.
-func (c *Comm) Gatherv(part []byte, root int) ([][]byte, error) {
-	n := c.Size()
-	if err := c.checkDest(root); err != nil {
-		return nil, err
-	}
-	// Gather sizes first.
-	mine := make([]byte, 4)
-	putI32(mine, 0, int32(len(part)))
-	var sizes []byte
-	if c.myRank == root {
-		sizes = make([]byte, 4*n)
-	}
-	if err := c.Gather(mine, sizes, root); err != nil {
-		return nil, err
-	}
-	seq := c.nextCollSeq()
-	q := c.newReqs()
-	if c.myRank != root {
-		q.send(part, root, collTag(opcGatherv, seq, 0))
-		if err := q.finish(); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	out := make([][]byte, n)
-	for r := 0; r < n; r++ {
-		size := int(getI32(sizes, 4*r))
-		out[r] = make([]byte, size)
-		if r == root {
-			copy(out[r], part)
-			continue
-		}
-		q.recv(out[r], r, collTag(opcGatherv, seq, 0))
-	}
-	if err := q.finish(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // --- alltoall ---------------------------------------------------------------
@@ -755,8 +659,7 @@ func (c *Comm) reduceBinomial(sendbuf, recvbuf []byte, dt Datatype, op Op, root 
 
 // Allreduce combines every member's sendbuf into every member's
 // recvbuf. Large payloads use the bandwidth-optimal pipelined ring;
-// small ones use recursive doubling; the seed reduce+bcast shape
-// remains available as an explicit override.
+// small ones use recursive doubling.
 func (c *Comm) Allreduce(sendbuf, recvbuf []byte, dt Datatype, op Op) error {
 	if len(recvbuf) != len(sendbuf) {
 		return fmt.Errorf("%w: allreduce recvbuf %d != sendbuf %d", errInvalid, len(recvbuf), len(sendbuf))
@@ -771,18 +674,12 @@ func (c *Comm) Allreduce(sendbuf, recvbuf []byte, dt Datatype, op Op) error {
 	}
 	atomic.AddUint64(&c.coll.stats.Ops, 1)
 	var err error
-	switch c.pickAllreduce(len(sendbuf), n) {
-	case AlgoRing:
+	if c.pickAllreduce(len(sendbuf), n) == AlgoRing {
 		atomic.AddUint64(&c.coll.stats.AllreduceRing, 1)
 		tr := c.collBegin(obs.OpAllreduce, AlgoRing, len(sendbuf))
 		err = c.allreduceRing(sendbuf, recvbuf, dt, op, c.nextCollSeq())
 		c.collEnd(tr)
-	case AlgoReduceBcast:
-		atomic.AddUint64(&c.coll.stats.AllreduceReduceBcast, 1)
-		tr := c.collBegin(obs.OpAllreduce, AlgoReduceBcast, len(sendbuf))
-		err = c.allreduceReduceBcast(sendbuf, recvbuf, dt, op)
-		c.collEnd(tr)
-	default:
+	} else {
 		atomic.AddUint64(&c.coll.stats.AllreduceRecDbl, 1)
 		tr := c.collBegin(obs.OpAllreduce, AlgoRecDbl, len(sendbuf))
 		err = c.allreduceRecDbl(sendbuf, recvbuf, dt, op, c.nextCollSeq())
@@ -934,18 +831,4 @@ func (c *Comm) allreduceRecDbl(sendbuf, recvbuf []byte, dt Datatype, op Op, seq 
 		}
 	}
 	return q.finish()
-}
-
-// allreduceReduceBcast is the seed algorithm, kept as an explicit
-// override so benchmarks can measure the win: binomial reduce to rank
-// 0, then binomial broadcast.
-func (c *Comm) allreduceReduceBcast(sendbuf, recvbuf []byte, dt Datatype, op Op) error {
-	var rb []byte
-	if c.myRank == 0 {
-		rb = recvbuf
-	}
-	if err := c.reduceBinomial(sendbuf, rb, dt, op, 0, c.nextCollSeq()); err != nil {
-		return err
-	}
-	return c.bcastBinomial(recvbuf, 0, c.nextCollSeq())
 }

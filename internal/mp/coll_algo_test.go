@@ -32,7 +32,7 @@ func f64at(buf []byte, i int) float64 {
 // (including fewer elements than ranks, so ring chunks go empty) and
 // checks exact sums.
 func TestAllreduceAlgorithms(t *testing.T) {
-	for _, algo := range []string{"reducebcast", "recdbl", "ring"} {
+	for _, algo := range []string{"recdbl", "ring"} {
 		for _, n := range []int{2, 3, 4, 5} {
 			for _, elems := range []int{1, 3, 64, 4099} {
 				name := fmt.Sprintf("%s/n=%d/elems=%d", algo, n, elems)
@@ -203,10 +203,15 @@ func TestSetCollAlgoSpec(t *testing.T) {
 		if err := c.SetCollAlgo("allreduce=auto"); err != nil {
 			return fmt.Errorf("auto rejected: %v", err)
 		}
-		for _, bad := range []string{"allreduce", "frobnicate=ring", "allreduce=quantum", "bcast=ring"} {
+		before := c.coll.force
+		for _, bad := range []string{"allreduce", "frobnicate=ring", "allreduce=quantum", "bcast=ring", "allreduce=ring,bcast=nosuch"} {
 			if err := c.SetCollAlgo(bad); err == nil {
 				return fmt.Errorf("spec %q accepted, want error", bad)
 			}
+		}
+		// A rejected spec forces nothing, not even its valid prefix.
+		if c.coll.force != before {
+			return fmt.Errorf("rejected specs changed the forced choices %v to %v", before, c.coll.force)
 		}
 		return nil
 	})
@@ -503,22 +508,6 @@ func TestCollSeqConcurrentComms(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-// TestEnvCollAlgoSpecParse checks the MOTOR_COLL_ALGO parse helper
-// accepts the documented format (the env read itself is process-wide
-// and exercised via collConfig.apply).
-func TestEnvCollAlgoSpecParse(t *testing.T) {
-	cfg := &collConfig{}
-	if err := cfg.apply("allreduce=ring,allgather=gatherbcast,bcast=binomial"); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.force[opAllreduce] != AlgoRing || cfg.force[opAllgather] != AlgoGatherBcast || cfg.force[opBcast] != AlgoBinomial {
-		t.Fatalf("forced = %v", cfg.force)
-	}
-	if err := cfg.apply(""); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestBarrierStillSynchronizes: a rank must not exit the barrier

@@ -101,34 +101,6 @@ func TestReduceEveryRoot(t *testing.T) {
 	}
 }
 
-func TestScattervEmptyParts(t *testing.T) {
-	run(t, ChannelShm, 3, func(w *World) error {
-		c := w.Comm
-		var parts [][]byte
-		if c.Rank() == 0 {
-			parts = [][]byte{nil, []byte("x"), nil}
-		}
-		mine, err := c.Scatterv(parts, 0)
-		if err != nil {
-			return err
-		}
-		wantLen := []int{0, 1, 0}[c.Rank()]
-		if len(mine) != wantLen {
-			return fmt.Errorf("rank %d len %d", c.Rank(), len(mine))
-		}
-		back, err := c.Gatherv(mine, 0)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			if len(back[0]) != 0 || string(back[1]) != "x" || len(back[2]) != 0 {
-				return fmt.Errorf("gatherv %q", back)
-			}
-		}
-		return nil
-	})
-}
-
 func TestSplitSingleColor(t *testing.T) {
 	run(t, ChannelShm, 4, func(w *World) error {
 		sub, err := w.Comm.Split(7, w.Comm.Rank())

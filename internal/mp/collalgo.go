@@ -2,21 +2,16 @@ package mp
 
 import (
 	"fmt"
-	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
 // Collective algorithm selection. Each collective picks an algorithm
 // per call from the message size and communicator size — the KaMPIng
 // observation that bindings can select near-optimally with no
-// per-call overhead — and records the choice in CollStats. The
-// selection can be forced per operation for benchmarking, either
-// programmatically (SetCollAlgo) or process-wide through the
-// MOTOR_COLL_ALGO environment variable, e.g.
-//
-//	MOTOR_COLL_ALGO=allreduce=ring,allgather=gatherbcast,bcast=binomial
+// per-call overhead — and records the choice in CollStats. Tests and
+// re-measurement force the selection per operation with SetCollAlgo,
+// e.g. "allreduce=ring,allgather=gatherbcast,bcast=binomial".
 //
 // Crossover points (see docs/COLLECTIVES.md for the measurements):
 // latency-bound algorithms below the thresholds, bandwidth-optimal
@@ -29,9 +24,6 @@ type CollAlgo uint8
 // choose; the rest force one implementation.
 const (
 	AlgoAuto CollAlgo = iota
-	// AlgoReduceBcast is the seed allreduce: binomial reduce to rank
-	// 0 followed by a binomial broadcast.
-	AlgoReduceBcast
 	// AlgoRecDbl is recursive-doubling allreduce: log2(n) rounds of
 	// pairwise exchange, latency-optimal for small payloads.
 	AlgoRecDbl
@@ -39,11 +31,11 @@ const (
 	// allreduce, rotation for allgather; bandwidth-optimal
 	// (2·bytes·(n-1)/n on every link, all links busy).
 	AlgoRing
-	// AlgoGatherBcast is the seed allgather: gather to rank 0, then
-	// broadcast the assembled buffer.
+	// AlgoGatherBcast is the small-message allgather: gather to rank
+	// 0, then broadcast the assembled buffer.
 	AlgoGatherBcast
-	// AlgoBinomial is the binomial-tree broadcast with all child
-	// sends in flight at once.
+	// AlgoBinomial is the small-message broadcast: a binomial tree
+	// with all child sends in flight at once.
 	AlgoBinomial
 	// AlgoPipelined is the segmented binomial broadcast: the payload
 	// is cut into segments that stream down the tree with a window of
@@ -56,8 +48,6 @@ func (a CollAlgo) String() string {
 	switch a {
 	case AlgoAuto:
 		return "auto"
-	case AlgoReduceBcast:
-		return "reducebcast"
 	case AlgoRecDbl:
 		return "recdbl"
 	case AlgoRing:
@@ -116,7 +106,6 @@ const (
 type CollStats struct {
 	Ops uint64 // collective operations completed by this rank
 
-	AllreduceReduceBcast uint64
 	AllreduceRecDbl      uint64
 	AllreduceRing        uint64
 	AllgatherGatherBcast uint64
@@ -136,24 +125,10 @@ type collConfig struct {
 	force [collOpCount]CollAlgo
 }
 
-func newCollConfig() *collConfig {
-	cfg := &collConfig{}
-	spec := envCollSpec()
-	if spec != "" {
-		// Environment misconfiguration must not poison a world that
-		// never asked for overrides; parse errors fall back to auto.
-		_ = cfg.apply(spec)
-	}
-	return cfg
-}
-
-// envCollSpec reads MOTOR_COLL_ALGO once per process.
-var envCollSpec = sync.OnceValue(func() string {
-	return os.Getenv("MOTOR_COLL_ALGO")
-})
-
-// apply parses an "op=algo[,op=algo]" spec into forced choices.
+// apply parses an "op=algo[,op=algo]" spec into forced choices and
+// commits them only when the whole spec parses.
 func (cfg *collConfig) apply(spec string) error {
+	force := cfg.force
 	for _, field := range strings.Split(spec, ",") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -179,8 +154,9 @@ func (cfg *collConfig) apply(spec string) error {
 		if !algoValidFor(opIdx, a) {
 			return fmt.Errorf("%w: algorithm %q does not implement %s", errInvalid, algo, collOpNames[opIdx])
 		}
-		cfg.force[opIdx] = a
+		force[opIdx] = a
 	}
+	cfg.force = force
 	return nil
 }
 
@@ -199,7 +175,7 @@ func algoValidFor(op collOp, a CollAlgo) bool {
 	}
 	switch op {
 	case opAllreduce:
-		return a == AlgoReduceBcast || a == AlgoRecDbl || a == AlgoRing
+		return a == AlgoRecDbl || a == AlgoRing
 	case opAllgather:
 		return a == AlgoGatherBcast || a == AlgoRing
 	case opBcast:
@@ -210,10 +186,11 @@ func algoValidFor(op collOp, a CollAlgo) bool {
 
 // SetCollAlgo forces collective algorithm choices for this rank (the
 // config is shared with every communicator derived from the same
-// world). The spec format matches MOTOR_COLL_ALGO:
-// "op=algo[,op=algo]" with ops allreduce|allgather|bcast and algos
-// auto|reducebcast|recdbl|ring|gatherbcast|binomial|pipelined.
-// Like the env knob, it must be applied identically on every rank.
+// world). The spec is "op=algo[,op=algo]" with ops
+// allreduce|allgather|bcast and algos
+// auto|recdbl|ring|gatherbcast|binomial|pipelined. A spec that does
+// not parse forces nothing. It must be applied identically on every
+// rank.
 func (c *Comm) SetCollAlgo(spec string) error { return c.coll.apply(spec) }
 
 // CollStats returns a consistent snapshot of this rank's collective
@@ -223,7 +200,6 @@ func (c *Comm) CollStats() CollStats {
 	s := &c.coll.stats
 	return CollStats{
 		Ops:                  atomic.LoadUint64(&s.Ops),
-		AllreduceReduceBcast: atomic.LoadUint64(&s.AllreduceReduceBcast),
 		AllreduceRecDbl:      atomic.LoadUint64(&s.AllreduceRecDbl),
 		AllreduceRing:        atomic.LoadUint64(&s.AllreduceRing),
 		AllgatherGatherBcast: atomic.LoadUint64(&s.AllgatherGatherBcast),

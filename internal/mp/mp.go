@@ -65,7 +65,7 @@ func (r *Request) Test() (bool, Status, error) { return r.comm.Test(r) }
 // Detach declares that the caller returns without driving the
 // request: if it is still pending, the background progress engine (if
 // any) is rung to move it. The nonblocking []byte forms (Isend,
-// Issend, Irecv) detach what they post; the Buffer and OO forms leave
+// Irecv) detach what they post; the Buffer and OO forms leave
 // it to a caller that will wait at once.
 func (r *Request) Detach() { r.comm.dev.Detach(r.inner) }
 
@@ -116,7 +116,7 @@ var errInvalid = errors.New("mp: invalid argument")
 
 func newComm(dev *adi.Device, ctx int32, ranks []int, myWorldRank int, coll *collConfig) *Comm {
 	if coll == nil {
-		coll = newCollConfig()
+		coll = &collConfig{}
 	}
 	c := &Comm{dev: dev, ctx: ctx, cctx: ctx + 1, ranks: ranks, myRank: -1, nextCtx: ctx + 2, coll: coll}
 	for i, wr := range ranks {
@@ -211,12 +211,6 @@ func (c *Comm) IrecvBuffer(buf adi.Buffer, source, tag int) (*Request, error) {
 // Isend starts an immediate standard-mode send.
 func (c *Comm) Isend(buf []byte, dest, tag int) (*Request, error) {
 	return detach(c.IsendBuffer(adi.SliceBuf(buf), dest, tag, false))
-}
-
-// Issend starts an immediate synchronous-mode send: it completes only
-// after the receiver has matched the message.
-func (c *Comm) Issend(buf []byte, dest, tag int) (*Request, error) {
-	return detach(c.IsendBuffer(adi.SliceBuf(buf), dest, tag, true))
 }
 
 // Irecv starts an immediate receive.

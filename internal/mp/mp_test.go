@@ -291,41 +291,6 @@ func TestScatterGather(t *testing.T) {
 	})
 }
 
-func TestScattervGatherv(t *testing.T) {
-	const n = 3
-	run(t, ChannelShm, n, func(w *World) error {
-		c := w.Comm
-		var parts [][]byte
-		if c.Rank() == 0 {
-			parts = [][]byte{
-				[]byte("a"),
-				[]byte("bbbb"),
-				bytes.Repeat([]byte("c"), 1000),
-			}
-		}
-		mine, err := c.Scatterv(parts, 0)
-		if err != nil {
-			return err
-		}
-		wantLens := []int{1, 4, 1000}
-		if len(mine) != wantLens[c.Rank()] {
-			return fmt.Errorf("rank %d part %d bytes, want %d", c.Rank(), len(mine), wantLens[c.Rank()])
-		}
-		back, err := c.Gatherv(mine, 0)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			for r, p := range parts {
-				if !bytes.Equal(back[r], p) {
-					return fmt.Errorf("gatherv part %d mismatch", r)
-				}
-			}
-		}
-		return nil
-	})
-}
-
 func TestAllgather(t *testing.T) {
 	const n = 5
 	run(t, ChannelShm, n, func(w *World) error {

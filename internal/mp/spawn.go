@@ -25,7 +25,9 @@ const spawnCtxBase = 1 << 24
 // goroutine), and returns a merged communicator containing all
 // parents followed by all children. Children receive their own World
 // (world communicator spanning the children only) plus the same
-// merged communicator.
+// merged communicator. A child's error is the child's to handle:
+// Spawn drops what body returns, so a child reports failure to a
+// parent through the merged communicator.
 func (w *World) Spawn(n int, body func(child *World, merged *Comm) error) (*Comm, error) {
 	if w.fabric == nil {
 		return nil, ErrNoSpawn
@@ -75,17 +77,9 @@ func (w *World) Spawn(n int, body func(child *World, merged *Comm) error) (*Comm
 				cw.size = count
 				cw.Comm = newComm(cw.Dev, mergedCtx+2, childRanks, cr, nil)
 				childMerged := newComm(cw.Dev, mergedCtx, mergedRanks, cr, cw.Comm.coll)
-				if err := body(cw, childMerged); err != nil {
-					// Child errors surface through the merged comm's
-					// traffic timing out; log-free library: panic is
-					// wrong, so stash on the world.
-					cw.spawnErr = err
-				}
+				_ = body(cw, childMerged) // the child's to handle, see above
 			}(childWorldRank)
 		}
 	}
 	return merged, nil
 }
-
-// SpawnErr reports a child body error (children only).
-func (w *World) SpawnErr() error { return w.spawnErr }

@@ -21,9 +21,6 @@ type World struct {
 	// fabric is non-nil for shm worlds and enables dynamic process
 	// management (Spawn).
 	fabric *channel.ShmFabric
-
-	// spawnErr records a spawned child's body error (see Spawn).
-	spawnErr error
 }
 
 // worldContext is the context id of every world communicator.

@@ -913,9 +913,10 @@ func (r *Rank) RegisterStats(reg *obs.Registry) { r.engine.RegisterStats(reg) }
 // of transfers in flight (see mp.CollStats).
 func (r *Rank) CollStats() mp.CollStats { return r.engine.Comm.CollStats() }
 
-// SetCollAlgo forces collective algorithm choices for this rank —
-// the MOTOR_COLL_ALGO spec format, e.g. "allreduce=ring,bcast=binomial".
-// Must be applied identically on every rank.
+// SetCollAlgo forces collective algorithm choices for this rank, for
+// tests and re-measurement: "op=algo[,op=algo]", e.g.
+// "allreduce=ring,bcast=binomial" (mp.Comm.SetCollAlgo). Must be
+// applied identically on every rank.
 func (r *Rank) SetCollAlgo(spec string) error { return r.engine.Comm.SetCollAlgo(spec) }
 
 // DeviceStats returns the ADI device counters, including the

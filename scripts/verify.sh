@@ -37,7 +37,8 @@
 #
 # Usage: scripts/verify.sh [quick|race|stress|all|bench|vet|lint|quicken|obs|gc]
 #   quick   tier 1 with -short (chaos sweeps skipped; < ~30s), the
-#           trace export smoke and one run of the lent-DATA benchmark
+#           trace export smoke, one run of the lent-DATA benchmark and
+#           the collective re-measurement recipe (mpstat -collalgo)
 #   race    tier 2 only
 #   stress  stress tier only: shared-rank goroutine stress, fault
 #           injection, deterministic-harness property/replay tests,
@@ -319,11 +320,36 @@ smoke_lend() {
 	go test -run '^$' -bench '^BenchmarkShmLendPingPong$' -benchtime 1x ./internal/mp/channel/
 }
 
+# docs/COLLECTIVES.md's re-measurement recipe for a few iterations:
+# every rank's coll: line must count exactly the forced algorithms. At
+# 64 KiB auto-selection picks the large-message algorithms, so the
+# recipe also runs forcing the small-message ones.
+smoke_coll() {
+	echo "== smoke: mpstat -coll -collalgo re-measurement recipe"
+	bin=$(mktemp /tmp/motor-mpstat.XXXXXX)
+	go build -o "$bin" ./cmd/mpstat
+	n=5
+	for run in \
+		"allreduce=ring,allgather=ring,bcast=pipelined|allreduce(rd/ring)=0/$n allgather(gb/ring)=0/$n bcast(bin/pipe)=0/$n" \
+		"allreduce=recdbl,allgather=gatherbcast,bcast=binomial|allreduce(rd/ring)=$n/0 allgather(gb/ring)=$n/0 bcast(bin/pipe)=$n/0"; do
+		spec=${run%%|*}
+		want=${run#*|}
+		got=$("$bin" -np 4 -coll -size 65536 -iters "$n" -collalgo "$spec" | grep -cF "$want") || true
+		if [ "$got" != 4 ]; then
+			echo "verify: -collalgo $spec: $got of 4 ranks count '$want'" >&2
+			rm -f "$bin"
+			exit 1
+		fi
+	done
+	rm -f "$bin"
+}
+
 case "$mode" in
 quick)
 	tier1 short
 	smoke_trace
 	smoke_lend
+	smoke_coll
 	;;
 race) tier2 ;;
 stress) tier_stress ;;
