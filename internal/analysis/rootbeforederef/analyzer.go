@@ -1,20 +1,21 @@
 // Package rootbeforederef enforces the §5.3 safepoint/rooting
 // discipline on engine entry points: an exported function that takes
-// both a *vm.Thread and vm.Ref parameters must root every Ref (defer
-// t.PushFrame(&ref)()) before the first GC safepoint — direct
-// (t.PollGC, t.Park, t.CollectYoung/Full, vm.PollPoint) or potential
-// (any call that is handed the thread and so may poll) — if the Ref
-// is still live afterwards. PR 6 fixed ten entry points that derived
-// heap buffers from unrooted Ref arguments before their entry poll;
-// with several VM threads sharing a rank, a sibling's collection in
-// that window moves the object and the stale Ref (or a buffer derived
-// from it) corrupts the transfer. This analyzer makes that bug class
+// both a *vm.Thread and vm.Ref parameters must root every Ref it
+// still needs after the first GC safepoint — direct (t.PollGC, t.Park,
+// t.CollectYoung/Full, vm.PollPoint) or potential (any call that is
+// handed the thread and so may poll) — with f := t.PushFrame(ref)
+// before that safepoint, and after it read the Ref only back through
+// the frame (f.Ref(i)): the parameter itself is a copy the collector
+// does not forward. PR 6 fixed ten entry points that derived heap
+// buffers from unrooted Ref arguments before their entry poll; with
+// several VM threads sharing a rank, a sibling's collection in that
+// window moves the object and the stale Ref (or a buffer derived from
+// it) corrupts the transfer. This analyzer makes that bug class
 // unrepresentable.
 package rootbeforederef
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"math"
 	"strings"
@@ -26,7 +27,8 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "rootbeforederef",
 	Doc: "exported entry points taking *vm.Thread and vm.Ref params must " +
-		"root the refs with Thread.PushFrame before the first (potential) GC safepoint",
+		"root the refs with Thread.PushFrame before the first (potential) GC safepoint " +
+		"and read them back through the frame after it",
 	Scope: func(path string) bool {
 		// The vm package implements the rooting machinery itself.
 		return !strings.HasSuffix(path, "internal/vm")
@@ -121,11 +123,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 				if obj, ok := pass.Info.Uses[recv].(*types.Var); ok && threadSet[obj] {
 					if sel.Sel.Name == "PushFrame" {
 						for _, arg := range call.Args {
-							un, ok := arg.(*ast.UnaryExpr)
-							if !ok || un.Op != token.AND {
-								continue
-							}
-							id, ok := un.X.(*ast.Ident)
+							id, ok := arg.(*ast.Ident)
 							if !ok {
 								continue
 							}
@@ -180,7 +178,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "PushFrame" {
 				if recv, ok := sel.X.(*ast.Ident); ok {
 					if obj, ok := pass.Info.Uses[recv].(*types.Var); ok && threadSet[obj] {
-						return false // rooting call: its &ref args are not uses
+						return false // rooting call: its ref args are not uses
 					}
 				}
 			}
@@ -205,22 +203,28 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 
 	for _, r := range refs {
 		rp, rooted := rootPos[r]
-		if rooted && rp <= firstBoundary {
-			continue // discipline followed
-		}
-		if rooted {
+		if rooted && rp > firstBoundary {
 			pass.Reportf(rootNode[r].Pos(),
 				"vm.Ref parameter %q is rooted after the first %s (line %d); "+
-					"move `defer %s.PushFrame(&%s)()` above it — an unrooted ref is stale once a sibling thread collects (§5.3, PR 6 bug class)",
+					"move `f := %s.PushFrame(%s)` above it — an unrooted ref is stale once a sibling thread collects (§5.3, PR 6 bug class)",
 				r.Name(), boundaryDesc, boundaryLine, threads[0].Name(), r.Name())
 			continue
 		}
-		if use := firstUseAfter[r]; use != nil {
-			pass.Reportf(use.Pos(),
-				"vm.Ref parameter %q is used after the first %s (line %d) without being rooted; "+
-					"add `defer %s.PushFrame(&%s)()` before the first safepoint (§5.3, PR 6 bug class)",
-				r.Name(), boundaryDesc, boundaryLine, threads[0].Name(), r.Name())
+		use := firstUseAfter[r]
+		if use == nil {
+			continue // discipline followed
 		}
+		if rooted {
+			pass.Reportf(use.Pos(),
+				"vm.Ref parameter %q is read after the first %s (line %d); "+
+					"it is rooted, so read it back through its frame (f.Ref) — the parameter is a copy the collector does not forward (§5.3, PR 6 bug class)",
+				r.Name(), boundaryDesc, boundaryLine)
+			continue
+		}
+		pass.Reportf(use.Pos(),
+			"vm.Ref parameter %q is used after the first %s (line %d) without being rooted; "+
+				"add `f := %s.PushFrame(%s)` before the first safepoint and read it back with f.Ref (§5.3, PR 6 bug class)",
+			r.Name(), boundaryDesc, boundaryLine, threads[0].Name(), r.Name())
 	}
 }
 

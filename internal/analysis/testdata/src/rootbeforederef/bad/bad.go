@@ -20,8 +20,9 @@ func BadBcast(t *vm.Thread, obj vm.Ref) {
 // given a sibling collector the chance to move the object.
 func BadLateRoot(t *vm.Thread, obj vm.Ref) {
 	t.PollGC()
-	defer t.PushFrame(&obj)() // want "rooted after the first safepoint"
-	use(obj)
+	f := t.PushFrame(obj) // want "rooted after the first safepoint"
+	defer f.Pop()
+	use(f.Ref(0))
 }
 
 // BadPotential hands the thread to a callee (which may poll) before
@@ -33,8 +34,18 @@ func BadPotential(t *vm.Thread, obj vm.Ref) {
 
 // BadSecondRef roots one ref but forgets the other.
 func BadSecondRef(t *vm.Thread, src, dst vm.Ref) {
-	defer t.PushFrame(&src)()
+	f := t.PushFrame(src)
+	defer f.Pop()
 	t.PollGC()
-	use(src)
+	use(f.Ref(0))
 	double(dst) // want "\"dst\" is used after the first safepoint"
+}
+
+// BadStaleCopy roots the ref but keeps using the parameter after the
+// poll: the frame slot is forwarded, the parameter is not.
+func BadStaleCopy(t *vm.Thread, obj vm.Ref) {
+	f := t.PushFrame(obj)
+	defer f.Pop()
+	t.PollGC()
+	use(obj) // want "read it back through its frame"
 }

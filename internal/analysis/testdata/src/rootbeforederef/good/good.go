@@ -6,12 +6,14 @@ import "motor/internal/vm"
 func use(obj vm.Ref)      {}
 func helper(t *vm.Thread) {}
 
-// GoodEntry follows the engine discipline: root first, then poll.
+// GoodEntry follows the engine discipline: root first, then poll, then
+// read the ref back through the frame.
 func GoodEntry(t *vm.Thread, obj vm.Ref) {
-	defer t.PushFrame(&obj)()
+	f := t.PushFrame(obj)
+	defer f.Pop()
 	t.PollGC()
 	defer t.PollGC()
-	use(obj)
+	use(f.Ref(0))
 }
 
 // GoodForward is the Send→sendCommon forwarder shape: the ref's only
@@ -29,10 +31,11 @@ func GoodNoSafepoint(t *vm.Thread, obj vm.Ref) {
 
 // GoodMulti roots every ref before the poll.
 func GoodMulti(t *vm.Thread, src, dst vm.Ref) {
-	defer t.PushFrame(&src, &dst)()
+	f := t.PushFrame(src, dst)
+	defer f.Pop()
 	t.PollGC()
-	use(src)
-	use(dst)
+	use(f.Ref(0))
+	use(f.Ref(1))
 }
 
 // IgnoredEntry demonstrates the escape hatch: the violation is

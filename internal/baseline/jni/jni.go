@@ -198,7 +198,8 @@ func (b *Binding) Recv(t *vm.Thread, obj vm.Ref, source, tag int) (mp.Status, er
 	// Root obj across the wait: waitStatus parks the thread, a sibling
 	// rank's collection may move the array, and the copy-back below
 	// must see the forwarded ref (§5.3).
-	defer t.PushFrame(&obj)()
+	f := t.PushFrame(obj)
+	defer f.Pop()
 	exit, err := b.enter("MPI_Recv", obj)
 	if err != nil {
 		return mp.Status{}, err
@@ -224,16 +225,16 @@ func (b *Binding) Recv(t *vm.Thread, obj vm.Ref, source, tag int) (mp.Status, er
 	if err != nil {
 		return st, err
 	}
-	b.releaseArrayElements(obj, staged[:st.Count])
+	b.releaseArrayElements(f.Ref(0), staged[:st.Count])
 	return st, nil
 }
 
-func (b *Binding) wait(t *vm.Thread, req *mp.Request) error {
+func (b *Binding) wait(t *vm.Thread, req mp.Request) error {
 	_, err := b.waitStatus(t, req)
 	return err
 }
 
-func (b *Binding) waitStatus(t *vm.Thread, req *mp.Request) (mp.Status, error) {
+func (b *Binding) waitStatus(t *vm.Thread, req mp.Request) (mp.Status, error) {
 	for {
 		done, st, err := b.comm.Test(req)
 		if done {

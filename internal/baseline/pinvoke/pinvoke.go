@@ -31,6 +31,7 @@ import (
 	"runtime"
 
 	"motor/internal/mp"
+	"motor/internal/mp/adi"
 	"motor/internal/vm"
 )
 
@@ -232,18 +233,6 @@ func (b *Binding) pinBuffer(obj vm.Ref) (start, end uint32, unpin func(), err er
 	return s, e, func() { h.Unpin(obj) }, nil
 }
 
-// wrapperBuf resolves a pinned raw range lazily against arena growth.
-type wrapperBuf struct {
-	h          *vm.Heap
-	start, end uint32
-}
-
-// Len implements adi.Buffer.
-func (w wrapperBuf) Len() int { return int(w.end - w.start) }
-
-// Bytes implements adi.Buffer.
-func (w wrapperBuf) Bytes() []byte { return w.h.Bytes(w.start, w.end) }
-
 // Send transports a simple array, pinning it for the operation.
 func (b *Binding) Send(t *vm.Thread, obj vm.Ref, dest, tag int) error {
 	s, e, unpin, err := b.pinBuffer(obj)
@@ -254,7 +243,7 @@ func (b *Binding) Send(t *vm.Thread, obj vm.Ref, dest, tag int) error {
 	if err := b.crossing("MPI_Send", uint64(s), uint64(e-s), 1, uint64(dest), uint64(tag), 0); err != nil {
 		return err
 	}
-	req, err := b.comm.IsendBuffer(wrapperBuf{b.vm.Heap, s, e}, dest, tag, false)
+	req, err := b.comm.IsendBuffer(adi.ArenaBuf(b.vm.Heap, s, int(e-s)), dest, tag, false)
 	if err != nil {
 		return err
 	}
@@ -271,19 +260,19 @@ func (b *Binding) Recv(t *vm.Thread, obj vm.Ref, source, tag int) (mp.Status, er
 	if err := b.crossing("MPI_Recv", uint64(s), uint64(e-s), 1, uint64(source), uint64(tag), 0, 0); err != nil {
 		return mp.Status{}, err
 	}
-	req, err := b.comm.IrecvBuffer(wrapperBuf{b.vm.Heap, s, e}, source, tag)
+	req, err := b.comm.IrecvBuffer(adi.ArenaBuf(b.vm.Heap, s, int(e-s)), source, tag)
 	if err != nil {
 		return mp.Status{}, err
 	}
 	return b.waitStatus(t, req)
 }
 
-func (b *Binding) wait(t *vm.Thread, req *mp.Request) error {
+func (b *Binding) wait(t *vm.Thread, req mp.Request) error {
 	_, err := b.waitStatus(t, req)
 	return err
 }
 
-func (b *Binding) waitStatus(t *vm.Thread, req *mp.Request) (mp.Status, error) {
+func (b *Binding) waitStatus(t *vm.Thread, req mp.Request) (mp.Status, error) {
 	for {
 		done, st, err := b.comm.Test(req)
 		if done {

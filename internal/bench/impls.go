@@ -300,9 +300,9 @@ func (m *motorOORank) Echo(peer int) error {
 		return err
 	}
 	// Protect the received tree across the send (which may collect).
-	pop := m.th.PushFrame(&got)
-	defer pop()
-	return m.e.OSend(m.th, got, peer, 1)
+	f := m.th.PushFrame(got)
+	defer f.Pop()
+	return m.e.OSend(m.th, f.Ref(0), peer, 1)
 }
 
 func (m *motorOORank) Close() { m.th.End() }
@@ -368,9 +368,10 @@ func (r *wrapperObjRank) sendTree(root vm.Ref, peer int) error {
 	if err != nil {
 		return err
 	}
-	pop := r.th.PushFrame(&szRef)
+	f := r.th.PushFrame(szRef)
 	dataRef, err := h.NewUint8Array(stream)
-	pop()
+	szRef = f.Ref(0)
+	f.Pop()
 	if err != nil {
 		return err
 	}
@@ -417,9 +418,9 @@ func (r *wrapperObjRank) Echo(peer int) error {
 	if err != nil {
 		return err
 	}
-	pop := r.th.PushFrame(&got)
-	defer pop()
-	return r.sendTree(got, peer)
+	f := r.th.PushFrame(got)
+	defer f.Pop()
+	return r.sendTree(f.Ref(0), peer)
 }
 
 func (r *wrapperObjRank) Close() { r.th.End() }

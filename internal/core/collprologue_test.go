@@ -76,7 +76,7 @@ func TestCollectiveLocalErrors(t *testing.T) {
 				short, _ := h.NewInt32Array(make([]int32, n-1))
 				long, _ := h.NewInt32Array(make([]int32, n+1))
 				a := arrays{good, one, refs, short, long}
-				defer r.th.PushFrame(&a.good, &a.one, &a.refs, &a.short, &a.long)()
+				defer r.th.VM().Protect(&a.good, &a.one, &a.refs, &a.short, &a.long)()
 				c := WorldComm
 				if tc.name == "allreduceOn" {
 					var err error

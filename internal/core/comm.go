@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"motor/internal/mp"
+	"motor/internal/mp/adi"
 	"motor/internal/obs"
 	"motor/internal/vm"
 )
@@ -227,7 +228,7 @@ func (e *Engine) reduceOn(t *vm.Thread, c *mp.Comm, sendArr, recvArr vm.Ref, op 
 	needRecv := all || c.Rank() == root
 	var dt mp.Datatype
 	return e.collective(t, opc, peer, sendArr, recvArr, true, needRecv,
-		func(sendArr, recvArr vm.Ref, sb, rb heapBuf) error {
+		func(sendArr, recvArr vm.Ref, sb, rb adi.Buffer) error {
 			var err error
 			if dt, err = datatypeFor(h.MT(sendArr)); err != nil || !needRecv {
 				return err

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 
 	"motor/internal/mp"
+	"motor/internal/mp/adi"
 	"motor/internal/mp/channel"
 	"motor/internal/obs"
 	"motor/internal/serial"
@@ -170,7 +171,7 @@ type Engine struct {
 	peerCaches map[int]*serial.PeerCache
 	mirrors    map[int]*serial.TableMirror
 
-	requests map[int32]*mpReq
+	requests map[int32]mpReq
 	nextReq  int32
 
 	// comms are managed communicator handles (see comm.go); handle 0
@@ -203,7 +204,7 @@ type Engine struct {
 
 type mpReq struct {
 	id   int32
-	req  *mp.Request
+	req  mp.Request
 	hold pinHold // released at completion
 }
 
@@ -251,7 +252,7 @@ func Attach(v *vm.VM, w *mp.World, opts ...Option) *Engine {
 		serOpts:    serial.Options{Visited: serial.VisitedMap},
 		peerCaches: make(map[int]*serial.PeerCache),
 		mirrors:    make(map[int]*serial.TableMirror),
-		requests:   make(map[int32]*mpReq),
+		requests:   make(map[int32]mpReq),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -348,25 +349,6 @@ func (e *Engine) RegisterStats(reg *obs.Registry) {
 
 // --- managed-heap transfer buffers -----------------------------------------
 
-// heapBuf is a raw arena range, resolved once at operation start —
-// exactly the semantics of handing a native transport the object's
-// instance-data address (paper §7.1: "the library resolves the
-// Object to the offset location of its instance data"). If the
-// object moves mid-operation the range goes stale; preventing that is
-// the pinning policy's job.
-type heapBuf struct {
-	h          *vm.Heap
-	start, end uint32
-}
-
-// Len implements adi.Buffer.
-func (b heapBuf) Len() int { return int(b.end - b.start) }
-
-// Bytes implements adi.Buffer. The arena slice is re-resolved on
-// every call because the arena may have grown (the offsets
-// themselves are what pinning keeps stable).
-func (b heapBuf) Bytes() []byte { return b.h.Bytes(b.start, b.end) }
-
 // VerifyModule runs the load-time bytecode verifier over a freshly
 // assembled module with this engine's FCall signatures, so methods
 // whose transport buffers are provably integrity-safe take the
@@ -395,10 +377,12 @@ func (e *Engine) trusted(t *vm.Thread) bool {
 
 // wholeBuf builds the transfer buffer for an entire object after the
 // integrity checks of §4.2.1. On the statically verified path the
-// HasRefFields check is skipped (bcverify proved it).
-func (e *Engine) wholeBuf(t *vm.Thread, obj vm.Ref) (heapBuf, error) {
+// HasRefFields check is skipped (bcverify proved it). The buffer is the
+// object's instance-data range of the arena (paper §7.1), resolved once
+// at operation start; the pinning policy keeps it from going stale.
+func (e *Engine) wholeBuf(t *vm.Thread, obj vm.Ref) (adi.Buffer, error) {
 	if obj == vm.NullRef {
-		return heapBuf{}, ErrNullObject
+		return adi.Buffer{}, ErrNullObject
 	}
 	h := e.VM.Heap
 	mt := h.MT(obj)
@@ -410,20 +394,20 @@ func (e *Engine) wholeBuf(t *vm.Thread, obj vm.Ref) (heapBuf, error) {
 	} else {
 		bump(&e.Stats.TransferChecksDyn, 1)
 		if mt.HasRefFields() {
-			return heapBuf{}, fmt.Errorf("%w (%s)", ErrObjectModel, mt)
+			return adi.Buffer{}, fmt.Errorf("%w (%s)", ErrObjectModel, mt)
 		}
 	}
 	s, en := h.DataRange(obj)
-	return heapBuf{h: h, start: s, end: en}, nil
+	return adi.ArenaBuf(h, s, int(en-s)), nil
 }
 
 // rangeBuf builds the transfer buffer for a sub-range of a simple
 // array ("transporting portions of an array is supported", §4.2.1).
 // The bounds check always runs — only the type checks are covered by
 // static verification.
-func (e *Engine) rangeBuf(t *vm.Thread, obj vm.Ref, offset, count int) (heapBuf, error) {
+func (e *Engine) rangeBuf(t *vm.Thread, obj vm.Ref, offset, count int) (adi.Buffer, error) {
 	if obj == vm.NullRef {
-		return heapBuf{}, ErrNullObject
+		return adi.Buffer{}, ErrNullObject
 	}
 	h := e.VM.Heap
 	mt := h.MT(obj)
@@ -435,19 +419,19 @@ func (e *Engine) rangeBuf(t *vm.Thread, obj vm.Ref, offset, count int) (heapBuf,
 	} else {
 		bump(&e.Stats.TransferChecksDyn, 1)
 		if mt.Kind != vm.TKArray {
-			return heapBuf{}, ErrNotArray
+			return adi.Buffer{}, ErrNotArray
 		}
 		if !mt.IsSimpleArray() {
-			return heapBuf{}, fmt.Errorf("%w (%s)", ErrObjectModel, mt)
+			return adi.Buffer{}, fmt.Errorf("%w (%s)", ErrObjectModel, mt)
 		}
 	}
 	n := h.Length(obj)
 	if offset < 0 || count < 0 || offset+count > n {
-		return heapBuf{}, fmt.Errorf("core: range [%d,%d) outside array of %d elements", offset, offset+count, n)
+		return adi.Buffer{}, fmt.Errorf("core: range [%d,%d) outside array of %d elements", offset, offset+count, n)
 	}
 	es := mt.ElemSize()
 	s, _ := h.DataRange(obj)
-	return heapBuf{h: h, start: s + uint32(offset*es), end: s + uint32((offset+count)*es)}, nil
+	return adi.ArenaBuf(h, s+uint32(offset*es), count*es), nil
 }
 
 // --- OO buffer stack (paper §7.5) --------------------------------------------

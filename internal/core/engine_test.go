@@ -253,7 +253,7 @@ func TestPinningPolicyStats(t *testing.T) {
 
 			// (b) Elder object: never pinned even when the op waits.
 			elder, _ := h.NewInt32Array([]int32{2})
-			pop := r.th.PushFrame(&elder)
+			pop := r.th.VM().Protect(&elder)
 			r.th.CollectYoung() // promote
 			pop()
 			if h.IsYoung(elder) {
@@ -327,7 +327,7 @@ func TestConditionalPinLifecycle(t *testing.T) {
 			}
 			// Collect while in flight: the request must hold.
 			before := buf
-			pop := r.th.PushFrame(&buf)
+			pop := r.th.VM().Protect(&buf)
 			r.th.CollectYoung()
 			pop()
 			if buf != before {
@@ -391,7 +391,7 @@ func TestPinningIsLoadBearing(t *testing.T) {
 				return err
 			}
 			before := buf
-			pop := r.th.PushFrame(&buf)
+			pop := r.th.VM().Protect(&buf)
 			r.th.CollectYoung()
 			pop()
 			if buf == before {

@@ -126,7 +126,7 @@ func TestCondPinDiscardedOnTransportFault(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				release := r.th.PushFrame(&buf)
+				release := r.th.VM().Protect(&buf)
 				defer release()
 				var id int32
 				if r.e.Comm.Rank() == 0 {
@@ -177,7 +177,7 @@ func TestBlockingOpTransportFault(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		release := r.th.PushFrame(&buf)
+		release := r.th.VM().Protect(&buf)
 		defer release()
 		if r.e.Comm.Rank() == 0 {
 			err = r.e.Send(r.th, buf, 1, 3)
@@ -232,7 +232,7 @@ func TestSendrecvTransportFault(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				defer r.th.PushFrame(&send, &recv)()
+				defer r.th.VM().Protect(&send, &recv)()
 				_, err = r.e.Sendrecv(r.th, send, (me+1)%n, 5, recv, (me+n-1)%n, 5)
 				switch {
 				case err == nil && me == 2:
@@ -278,13 +278,13 @@ func TestCollectiveTransportFault(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		release := r.th.PushFrame(&send)
+		release := r.th.VM().Protect(&send)
 		defer release()
 		recv, err := h.NewUint8Array(make([]byte, 64<<10))
 		if err != nil {
 			return err
 		}
-		release2 := r.th.PushFrame(&recv)
+		release2 := r.th.VM().Protect(&recv)
 		defer release2()
 		if err := r.e.Allreduce(r.th, send, recv, mp.OpSum); !errors.Is(err, mp.ErrTransport) {
 			return fmt.Errorf("allreduce err = %v, want ErrTransport", err)

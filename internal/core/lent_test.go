@@ -77,7 +77,7 @@ func lentUnderCollection(t *testing.T, workers int, elder, grow bool) {
 			if err != nil {
 				return err
 			}
-			defer r.th.PushFrame(&dst)()
+			defer r.th.VM().Protect(&dst)()
 			// Match the RTS off the unexpected queue: Irecv sends the CTS
 			// at once and this rank polls no further until copyOut.
 			for {
@@ -122,7 +122,7 @@ func lentUnderCollection(t *testing.T, workers int, elder, grow bool) {
 		if err != nil {
 			return err
 		}
-		defer r.th.PushFrame(&filler, &src)()
+		defer r.th.VM().Protect(&filler, &src)()
 		if elder {
 			r.th.CollectYoung()
 			if h.IsYoung(src) {
@@ -230,7 +230,7 @@ func sharedCopyOut(t *testing.T, mode string, procs int) {
 		me, peer := r.e.Comm.Rank(), 1-r.e.Comm.Rank()
 		i32 := r.v.ArrayType(vm.KindInt32, nil, 1)
 		var filler, src, dst vm.Ref
-		defer r.th.PushFrame(&filler, &src, &dst)()
+		defer r.th.VM().Protect(&filler, &src, &dst)()
 		for _, a := range []struct {
 			ref *vm.Ref
 			n   int
@@ -358,7 +358,7 @@ func elderRecvUnderCompaction(t *testing.T, irecv bool) {
 			if err != nil {
 				return err
 			}
-			defer r.th.PushFrame(&src)()
+			defer r.th.VM().Protect(&src)()
 			return r.e.Send(r.th, src, 1, tag)
 		}
 
@@ -367,7 +367,7 @@ func elderRecvUnderCompaction(t *testing.T, irecv bool) {
 		// witness above a second dropped gap moves either way, so the
 		// compaction always has work to do.
 		var filler, dst, gap, witness vm.Ref
-		defer r.th.PushFrame(&filler, &dst, &gap, &witness)()
+		defer r.th.VM().Protect(&filler, &dst, &gap, &witness)()
 		for _, a := range []struct {
 			ref *vm.Ref
 			n   int
@@ -516,7 +516,7 @@ func collectiveUnderMove(t *testing.T, op collStress, grow bool) {
 			if err != nil {
 				return err
 			}
-			defer r.th.PushFrame(&src, &dst)()
+			defer r.th.VM().Protect(&src, &dst)()
 			return op.run(r, src, dst)
 		}
 
@@ -524,7 +524,7 @@ func collectiveUnderMove(t *testing.T, op collStress, grow bool) {
 		// a dropped filler below each, so unpinned elder buffers slide
 		// down, and a witness above a third that moves either way.
 		var filler, src, gap, dst, gap2, witness vm.Ref
-		defer r.th.PushFrame(&filler, &src, &gap, &dst, &gap2, &witness)()
+		defer r.th.VM().Protect(&filler, &src, &gap, &dst, &gap2, &witness)()
 		for _, a := range []struct {
 			ref *vm.Ref
 			n   int

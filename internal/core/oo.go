@@ -88,7 +88,7 @@ func (e *Engine) streamOut(t *vm.Thread, sw *serial.StreamWriter, dest, tag int,
 		e.bufs.put(bufs[0])
 		e.bufs.put(bufs[1])
 	}()
-	var inflight *mp.Request
+	var inflight mp.Request
 	var sendStart int64
 	idx := 0
 	total := 0
@@ -96,14 +96,14 @@ func (e *Engine) streamOut(t *vm.Thread, sw *serial.StreamWriter, dest, tag int,
 		serStart := spanStart()
 		chunk, err := sw.Next(bufs[idx%2][:0])
 		if err != nil {
-			if inflight != nil {
+			if inflight.Valid() {
 				_, _ = e.await(t, inflight) // drain; serializer error wins
 			}
 			return err
 		}
 		bufs[idx%2] = chunk
 		e.chunkSpan(0, idx, serStart, len(chunk))
-		if inflight != nil {
+		if inflight.Valid() {
 			if _, err := e.await(t, inflight); err != nil {
 				return err
 			}
@@ -123,7 +123,7 @@ func (e *Engine) streamOut(t *vm.Thread, sw *serial.StreamWriter, dest, tag int,
 		}
 	}
 	bump(&e.Stats.SerializedBytes, uint64(total))
-	if inflight != nil {
+	if inflight.Valid() {
 		if _, err := e.await(t, inflight); err != nil {
 			return err
 		}
@@ -180,13 +180,14 @@ func (e *Engine) awaitTableAck(t *vm.Thread, sw *serial.StreamWriter, dest, tag 
 
 // OSend transports an object tree to dest (blocking).
 func (e *Engine) OSend(t *vm.Thread, obj vm.Ref, dest, tag int) error {
-	defer t.PushFrame(&obj)()
+	f := t.PushFrame(obj)
+	defer f.Pop()
 	t.PollGC()
 	defer t.PollGC()
 	bump(&e.Stats.OOSends, 1)
 	tr := e.opBegin(obs.OpOSend, 0, dest)
 	defer e.opEnd(tr)
-	sw := serial.NewStreamWriter(e.VM.Heap, obj, e.serOpts, e.ooChunkTarget(), e.peerCache(dest))
+	sw := serial.NewStreamWriter(e.VM.Heap, f.Ref(0), e.serOpts, e.ooChunkTarget(), e.peerCache(dest))
 	e.VM.AddRootProvider(sw)
 	defer e.VM.RemoveRootProvider(sw)
 	err := e.streamOut(t, sw, dest, tag, mp.OOSpaceData)
@@ -308,7 +309,8 @@ func (e *Engine) ORecv(t *vm.Thread, source, tag int) (vm.Ref, mp.Status, error)
 // round; chunk targets stay below the eager threshold so a rank that
 // bails (oversize cap) cannot strand the root in a rendezvous.
 func (e *Engine) OBcast(t *vm.Thread, obj vm.Ref, root int) (vm.Ref, error) {
-	defer t.PushFrame(&obj)()
+	f := t.PushFrame(obj)
+	defer f.Pop()
 	t.PollGC()
 	defer t.PollGC()
 	tr := e.opBegin(obs.OpOBcast, 0, root)
@@ -320,7 +322,7 @@ func (e *Engine) OBcast(t *vm.Thread, obj vm.Ref, root int) (vm.Ref, error) {
 	hdr := make([]byte, 5)
 	if e.Comm.Rank() == root {
 		bump(&e.Stats.OOSends, 1)
-		sw := serial.NewStreamWriter(e.VM.Heap, obj, e.serOpts, target, nil)
+		sw := serial.NewStreamWriter(e.VM.Heap, f.Ref(0), e.serOpts, target, nil)
 		e.VM.AddRootProvider(sw)
 		defer e.VM.RemoveRootProvider(sw)
 		buf := e.bufs.get(target+512, &e.Stats)
@@ -353,7 +355,7 @@ func (e *Engine) OBcast(t *vm.Thread, obj vm.Ref, root int) (vm.Ref, error) {
 			total += len(chunk)
 		}
 		bump(&e.Stats.SerializedBytes, uint64(total))
-		return obj, nil
+		return f.Ref(0), nil
 	}
 	bump(&e.Stats.OORecvs, 1)
 	sr := serial.NewStreamReader(e.VM, nil, e.bufs.get(target, &e.Stats))
@@ -389,20 +391,6 @@ func (e *Engine) OBcast(t *vm.Thread, obj vm.Ref, root int) (vm.Ref, error) {
 	return sr.Finish()
 }
 
-// refsGuard roots intermediate references across allocating calls.
-type refsGuard struct {
-	refs []vm.Ref
-}
-
-// VisitRoots implements vm.RootProvider.
-func (g *refsGuard) VisitRoots(visit func(vm.Ref) vm.Ref) {
-	for i, r := range g.refs {
-		if r != vm.NullRef {
-			g.refs[i] = visit(r)
-		}
-	}
-}
-
 // loopback runs one stream writer straight into a local stream reader
 // — the root's own part of an OO collective, taking the same
 // serialize/deserialize copy semantics as the transported parts.
@@ -435,7 +423,8 @@ func (e *Engine) loopback(t *vm.Thread, sw *serial.StreamWriter) (vm.Ref, error)
 // each part independently deserializable — the capability the paper
 // highlights as impossible with standard Java/CLI serialization.
 func (e *Engine) OScatter(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
-	defer t.PushFrame(&arr)()
+	f := t.PushFrame(arr)
+	defer f.Pop()
 	t.PollGC()
 	defer t.PollGC()
 	tr := e.opBegin(obs.OpOScatter, 0, root)
@@ -448,24 +437,21 @@ func (e *Engine) OScatter(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
 	}
 	bump(&e.Stats.OOSends, 1)
 	h := e.VM.Heap
-	if arr == vm.NullRef {
+	if f.Ref(0) == vm.NullRef {
 		return vm.NullRef, fmt.Errorf("serial: split of null array")
 	}
-	if mt := h.MT(arr); mt.Kind != vm.TKArray || mt.Rank != 1 {
+	if mt := h.MT(f.Ref(0)); mt.Kind != vm.TKArray || mt.Rank != 1 {
 		return vm.NullRef, fmt.Errorf("serial: split requires a rank-1 array, got %s", mt)
 	}
-	n := h.Length(arr)
+	n := h.Length(f.Ref(0))
 	size := e.Comm.Size()
-	guard := &refsGuard{refs: []vm.Ref{arr}}
-	e.VM.AddRootProvider(guard)
-	defer e.VM.RemoveRootProvider(guard)
 	var firstErr error
 	for r := 0; r < size; r++ {
 		if r == root {
 			continue
 		}
 		lo, hi := serial.PartRange(n, size, r)
-		sw, err := serial.NewStreamWriterPart(h, guard.refs[0], lo, hi, e.serOpts, e.ooChunkTarget())
+		sw, err := serial.NewStreamWriterPart(h, f.Ref(0), lo, hi, e.serOpts, e.ooChunkTarget())
 		if err != nil {
 			return vm.NullRef, err // arr is invalid: no part can be produced
 		}
@@ -482,7 +468,7 @@ func (e *Engine) OScatter(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
 		return vm.NullRef, e.noteErr(firstErr)
 	}
 	lo, hi := serial.PartRange(n, size, root)
-	sw, err := serial.NewStreamWriterPart(h, guard.refs[0], lo, hi, e.serOpts, e.ooChunkTarget())
+	sw, err := serial.NewStreamWriterPart(h, f.Ref(0), lo, hi, e.serOpts, e.ooChunkTarget())
 	if err != nil {
 		return vm.NullRef, err
 	}
@@ -498,13 +484,14 @@ func (e *Engine) OScatter(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
 // Every rank streams its whole array to the root under the OO
 // collective tag space; non-roots return the null reference.
 func (e *Engine) OGather(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
-	defer t.PushFrame(&arr)()
+	f := t.PushFrame(arr)
+	defer f.Pop()
 	t.PollGC()
 	defer t.PollGC()
-	if arr == vm.NullRef {
+	if f.Ref(0) == vm.NullRef {
 		return vm.NullRef, ErrNullObject
 	}
-	mt := e.VM.Heap.MT(arr)
+	mt := e.VM.Heap.MT(f.Ref(0))
 	if mt.Kind != vm.TKArray {
 		return vm.NullRef, fmt.Errorf("%w: OGather of %s", ErrNotArray, mt)
 	}
@@ -513,7 +500,7 @@ func (e *Engine) OGather(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
 	defer e.opEnd(tr)
 	seq := e.Comm.NextOOSeq()
 	if e.Comm.Rank() != root {
-		sw := serial.NewStreamWriter(e.VM.Heap, arr, e.serOpts, e.ooChunkTarget(), nil)
+		sw := serial.NewStreamWriter(e.VM.Heap, f.Ref(0), e.serOpts, e.ooChunkTarget(), nil)
 		e.VM.AddRootProvider(sw)
 		defer e.VM.RemoveRootProvider(sw)
 		if err := e.streamOut(t, sw, root, seq, mp.OOSpaceColl); err != nil {
@@ -523,21 +510,20 @@ func (e *Engine) OGather(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
 	}
 	bump(&e.Stats.OORecvs, 1)
 	size := e.Comm.Size()
-	guard := &refsGuard{refs: make([]vm.Ref, size+1)}
-	guard.refs[size] = arr
+	guard := &vm.RefRoots{Refs: make([]vm.Ref, size)}
 	e.VM.AddRootProvider(guard)
 	defer e.VM.RemoveRootProvider(guard)
 	var firstErr error
 	for r := 0; r < size; r++ {
 		if r == root {
-			sw := serial.NewStreamWriter(e.VM.Heap, guard.refs[size], e.serOpts, e.ooChunkTarget(), nil)
+			sw := serial.NewStreamWriter(e.VM.Heap, f.Ref(0), e.serOpts, e.ooChunkTarget(), nil)
 			e.VM.AddRootProvider(sw)
 			ref, err := e.loopback(t, sw)
 			e.VM.RemoveRootProvider(sw)
 			if err != nil {
 				return vm.NullRef, err
 			}
-			guard.refs[r] = ref
+			guard.Refs[r] = ref
 			continue
 		}
 		ref, _, err := e.streamIn(t, r, seq, mp.OOSpaceColl, false)
@@ -547,10 +533,10 @@ func (e *Engine) OGather(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
 			firstErr = err
 			continue
 		}
-		guard.refs[r] = ref
+		guard.Refs[r] = ref
 	}
 	if firstErr != nil {
 		return vm.NullRef, e.noteErr(firstErr)
 	}
-	return serial.GatherRefs(e.VM, guard.refs[:size])
+	return serial.GatherRefs(e.VM, guard.Refs)
 }

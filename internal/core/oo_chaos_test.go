@@ -208,7 +208,7 @@ func TestOOChaosOGather(t *testing.T) {
 				}
 				arr := guard.Refs[0]
 				r.v.RemoveRootProvider(guard)
-				pop := r.th.PushFrame(&arr)
+				pop := r.th.VM().Protect(&arr)
 				defer pop()
 				_, err = r.e.OGather(r.th, arr, 0)
 				return ooChaosCheck(r, err)
@@ -235,7 +235,7 @@ func TestOOChaosRepeatedExchange(t *testing.T) {
 		for round := 0; round < 6 && err == nil; round++ {
 			if r.e.Comm.Rank() == 0 {
 				head := buildLinkedList(r.v, mt, 10, 32)
-				pop := r.th.PushFrame(&head)
+				pop := r.th.VM().Protect(&head)
 				err = r.e.OSend(r.th, head, 1, round)
 				pop()
 			} else {

@@ -76,12 +76,12 @@ func TestORecvOversizeAccumulated(t *testing.T) {
 	})
 }
 
-// lyingBuf claims an enormous length while holding almost nothing —
-// the shape of a malicious or corrupted size field on the wire.
-type lyingBuf struct{ claim int }
+// lyingArena backs a buffer that claims an enormous length while
+// holding nothing — the shape of a malicious or corrupted size field
+// on the wire.
+type lyingArena struct{}
 
-func (b lyingBuf) Len() int      { return b.claim }
-func (b lyingBuf) Bytes() []byte { return nil }
+func (lyingArena) Bytes(start, end uint32) []byte { return nil }
 
 func TestORecvForgedSizeNoAllocation(t *testing.T) {
 	// A forged rendezvous claim of 1 TiB: the receiver must reject it
@@ -89,7 +89,7 @@ func TestORecvForgedSizeNoAllocation(t *testing.T) {
 	// OOM otherwise) even under the default 1 GiB cap.
 	runRanks(t, 2, nil, func(r *rank) error {
 		if r.e.Comm.Rank() == 0 {
-			if _, err := r.e.Comm.IsendOOBuffer(lyingBuf{claim: 1 << 40}, 1, mp.OOSpaceData, 0); err != nil {
+			if _, err := r.e.Comm.IsendOOBuffer(adi.ArenaBuf(lyingArena{}, 0, 1<<40), 1, mp.OOSpaceData, 0); err != nil {
 				return err
 			}
 			buf, _ := r.v.Heap.NewUint8Array(make([]byte, 1))
@@ -224,13 +224,13 @@ func TestTTCacheNackRecovery(t *testing.T) {
 		mt := registerLinkedArray(r.v)
 		if r.e.Comm.Rank() == 0 {
 			a := buildLinkedList(r.v, mt, 2, 4)
-			pop := r.th.PushFrame(&a)
+			pop := r.th.VM().Protect(&a)
 			if err := r.e.OSend(r.th, a, 1, 10); err != nil {
 				return err
 			}
 			pop()
 			b := buildLinkedList(r.v, mt, 5, 4)
-			pop2 := r.th.PushFrame(&b)
+			pop2 := r.th.VM().Protect(&b)
 			defer pop2()
 			if err := r.e.OSend(r.th, b, 1, 20); err != nil {
 				return err
@@ -240,7 +240,7 @@ func TestTTCacheNackRecovery(t *testing.T) {
 			}
 			// Third send: the mirror is warm now, so the ACK path runs.
 			c := buildLinkedList(r.v, mt, 3, 4)
-			pop3 := r.th.PushFrame(&c)
+			pop3 := r.th.VM().Protect(&c)
 			defer pop3()
 			if err := r.e.OSend(r.th, c, 1, 30); err != nil {
 				return err
@@ -254,7 +254,7 @@ func TestTTCacheNackRecovery(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pop := r.th.PushFrame(&got20)
+		pop := r.th.VM().Protect(&got20)
 		got10, _, err := r.e.ORecv(r.th, 0, 10)
 		if err != nil {
 			return err
@@ -282,7 +282,7 @@ func TestTTCacheInvalidatedOnRegistryRollback(t *testing.T) {
 		mt := registerLinkedArray(r.v)
 		if r.e.Comm.Rank() == 0 {
 			head := buildLinkedList(r.v, mt, 3, 4)
-			pop := r.th.PushFrame(&head)
+			pop := r.th.VM().Protect(&head)
 			defer pop()
 			if err := r.e.OSend(r.th, head, 1, 0); err != nil {
 				return err
@@ -343,7 +343,7 @@ func TestTTCacheDifferentLoadOrdersInterop(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			if r.e.Comm.Rank() == 0 {
 				head := buildLinkedList(r.v, mt, 3, 4)
-				pop := r.th.PushFrame(&head)
+				pop := r.th.VM().Protect(&head)
 				if err := r.e.OSend(r.th, head, other, round); err != nil {
 					return err
 				}
@@ -360,13 +360,13 @@ func TestTTCacheDifferentLoadOrdersInterop(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				pop := r.th.PushFrame(&got)
+				pop := r.th.VM().Protect(&got)
 				if err := verifyList(r.v.Heap, mt, got, 3, 4, true); err != nil {
 					return err
 				}
 				pop()
 				head := buildLinkedList(r.v, mt, 4, 2)
-				pop2 := r.th.PushFrame(&head)
+				pop2 := r.th.VM().Protect(&head)
 				if err := r.e.OSend(r.th, head, other, round); err != nil {
 					return err
 				}
@@ -381,5 +381,5 @@ func TestTTCacheDifferentLoadOrdersInterop(t *testing.T) {
 	})
 }
 
-// Interface check: the forged buffer must satisfy the device contract.
-var _ adi.Buffer = lyingBuf{}
+// Interface check: the forged backing must satisfy the device contract.
+var _ adi.Arena = lyingArena{}

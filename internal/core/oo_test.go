@@ -120,7 +120,7 @@ func TestOSendSingleObjectNullsReferences(t *testing.T) {
 		h := r.v.Heap
 		if r.e.Comm.Rank() == 0 {
 			obj, _ := h.AllocClass(mt)
-			pop := r.th.PushFrame(&obj)
+			pop := r.th.VM().Protect(&obj)
 			keep, _ := h.NewInt32Array([]int32{5})
 			h.SetRef(obj, mt.FieldByName("kept"), keep)
 			drop, _ := h.NewInt32Array([]int32{6})
@@ -456,13 +456,13 @@ func TestOOTagIsolation(t *testing.T) {
 		mt := registerLinkedArray(r.v)
 		if r.e.Comm.Rank() == 0 {
 			a := buildLinkedList(r.v, mt, 2, 4)
-			pop := r.th.PushFrame(&a)
+			pop := r.th.VM().Protect(&a)
 			if err := r.e.OSend(r.th, a, 1, 10); err != nil {
 				return err
 			}
 			pop()
 			b := buildLinkedList(r.v, mt, 5, 4)
-			pop2 := r.th.PushFrame(&b)
+			pop2 := r.th.VM().Protect(&b)
 			defer pop2()
 			return r.e.OSend(r.th, b, 1, 20)
 		}
@@ -471,7 +471,7 @@ func TestOOTagIsolation(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		pop := r.th.PushFrame(&got20)
+		pop := r.th.VM().Protect(&got20)
 		got10, _, err := r.e.ORecv(r.th, 0, 10)
 		if err != nil {
 			return err

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"motor/internal/mp"
+	"motor/internal/mp/adi"
 	"motor/internal/obs"
 	"motor/internal/vm"
 )
@@ -39,7 +40,7 @@ func (e *Engine) noteErr(err error) error {
 // waitBlocking is a blocking operation's polling-wait (§7.4's three
 // polling points are entry — in the callers —, this wait, and the exit
 // poll): a quick completion test, then the pin decision and await.
-func (e *Engine) waitBlocking(t *vm.Thread, obj vm.Ref, req *mp.Request, op obs.OpCode) (mp.Status, error) {
+func (e *Engine) waitBlocking(t *vm.Thread, obj vm.Ref, req mp.Request, op obs.OpCode) (mp.Status, error) {
 	done, st, err := req.Test()
 	if done {
 		e.pinFor(obj, shapeWait, req) // the fast path: records the pin avoided
@@ -53,7 +54,7 @@ func (e *Engine) waitBlocking(t *vm.Thread, obj vm.Ref, req *mp.Request, op obs.
 	if tr != nil {
 		tr.Begin(e.lane, obs.KWait, uint64(op))
 	}
-	hold := e.pinFor(obj, shapeWait, nil)
+	hold := e.pinFor(obj, shapeWait, mp.Request{})
 	defer hold.release()
 	defer func() {
 		if tr != nil {
@@ -88,7 +89,7 @@ const spinBudget = 50 * time.Microsecond
 // then idle, until done. With a background progress engine the spin
 // lasts at most spinBudget, then the thread parks. Inline there is no
 // one to park for, and the loop never reads the clock.
-func (e *Engine) await(t *vm.Thread, req *mp.Request) (mp.Status, error) {
+func (e *Engine) await(t *vm.Thread, req mp.Request) (mp.Status, error) {
 	var spinStart time.Time
 	for {
 		done, st, err := req.Test()
@@ -114,7 +115,7 @@ func (e *Engine) await(t *vm.Thread, req *mp.Request) (mp.Status, error) {
 // Test: a peer frame published after that Test rings the engine
 // (channel.Doorbell). The engine is rung once here as well, to drain
 // frames that landed before the count went up.
-func (e *Engine) park(t *vm.Thread, req *mp.Request) {
+func (e *Engine) park(t *vm.Thread, req mp.Request) {
 	dev := e.World.Dev
 	dev.AddParked(1)
 	defer dev.AddParked(-1)
@@ -152,16 +153,18 @@ func (e *Engine) sendCommonOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, dest, tag in
 	// below is a safepoint, and with several VM threads sharing the
 	// rank a sibling's collection can move the object before the
 	// buffer is derived (the pin policy only takes over at wait
-	// entry). Every Ref-taking entry point follows this discipline.
-	defer t.PushFrame(&obj)()
+	// entry). Every Ref-taking entry point follows this discipline,
+	// and reads the ref back through its frame after the poll.
+	f := t.PushFrame(obj)
+	defer f.Pop()
 	t.PollGC()
 	defer t.PollGC()
-	var buf heapBuf
+	var buf adi.Buffer
 	var err error
 	if offset >= 0 {
-		buf, err = e.rangeBuf(t, obj, offset, count)
+		buf, err = e.rangeBuf(t, f.Ref(0), offset, count)
 	} else {
-		buf, err = e.wholeBuf(t, obj)
+		buf, err = e.wholeBuf(t, f.Ref(0))
 	}
 	if err != nil {
 		return err
@@ -169,15 +172,16 @@ func (e *Engine) sendCommonOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, dest, tag in
 	bump(&e.Stats.Ops, 1)
 	tr := e.opBegin(obs.OpSend, buf.Len(), dest)
 	defer e.opEnd(tr)
-	entry := e.pinFor(obj, shapeEntry, nil)
+	entry := e.pinFor(f.Ref(0), shapeEntry, mp.Request{})
 	defer entry.release()
 	req, err := c.IsendBuffer(buf, dest, tag, sync)
 	if err != nil {
 		return err
 	}
-	pending := e.pinFor(obj, shapePending, req)
+	pending := e.pinFor(f.Ref(0), shapePending, req)
 	defer pending.release()
-	_, err = e.waitBlocking(t, obj, req, obs.OpSend)
+	_, err = e.waitBlocking(t, f.Ref(0), req, obs.OpSend)
+	req.Recycle()
 	return err
 }
 
@@ -197,15 +201,16 @@ func (e *Engine) recvCommon(t *vm.Thread, obj vm.Ref, source, tag int, offset, c
 }
 
 func (e *Engine) recvCommonOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, source, tag int, offset, count int) (mp.Status, error) {
-	defer t.PushFrame(&obj)()
+	f := t.PushFrame(obj)
+	defer f.Pop()
 	t.PollGC()
 	defer t.PollGC()
-	var buf heapBuf
+	var buf adi.Buffer
 	var err error
 	if offset >= 0 {
-		buf, err = e.rangeBuf(t, obj, offset, count)
+		buf, err = e.rangeBuf(t, f.Ref(0), offset, count)
 	} else {
-		buf, err = e.wholeBuf(t, obj)
+		buf, err = e.wholeBuf(t, f.Ref(0))
 	}
 	if err != nil {
 		return mp.Status{}, err
@@ -213,33 +218,38 @@ func (e *Engine) recvCommonOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, source, tag 
 	bump(&e.Stats.Ops, 1)
 	tr := e.opBegin(obs.OpRecv, buf.Len(), source)
 	defer e.opEnd(tr)
-	entry := e.pinFor(obj, shapeEntry, nil)
+	entry := e.pinFor(f.Ref(0), shapeEntry, mp.Request{})
 	defer entry.release()
 	req, err := c.IrecvBuffer(buf, source, tag)
 	if err != nil {
 		return mp.Status{}, err
 	}
-	pending := e.pinFor(obj, shapePending, req)
+	pending := e.pinFor(f.Ref(0), shapePending, req)
 	defer pending.release()
-	return e.waitBlocking(t, obj, req, obs.OpRecv)
+	st, err := e.waitBlocking(t, f.Ref(0), req, obs.OpRecv)
+	req.Recycle()
+	return st, err
 }
 
 // --- immediate (non-blocking) operations --------------------------------------
 
-// register assigns a managed request id.
-func (e *Engine) register(req *mp.Request, hold pinHold) int32 {
+// register assigns a managed request id. Ids are never reused, so a
+// retired id stays unknown (ErrBadRequest) even after its request has
+// been recycled for another operation.
+func (e *Engine) register(req mp.Request, hold pinHold) int32 {
 	e.nextReq++
 	id := e.nextReq
-	e.requests[id] = &mpReq{id: id, req: req, hold: hold}
+	e.requests[id] = mpReq{id: id, req: req, hold: hold}
 	return id
 }
 
 // Isend starts an immediate send and returns a request id for Wait /
 // Test.
 func (e *Engine) Isend(t *vm.Thread, obj vm.Ref, dest, tag int) (int32, error) {
-	defer t.PushFrame(&obj)()
+	f := t.PushFrame(obj)
+	defer f.Pop()
 	t.PollGC()
-	buf, err := e.wholeBuf(t, obj)
+	buf, err := e.wholeBuf(t, f.Ref(0))
 	if err != nil {
 		return 0, err
 	}
@@ -250,16 +260,17 @@ func (e *Engine) Isend(t *vm.Thread, obj vm.Ref, dest, tag int) (int32, error) {
 	if err != nil {
 		return 0, err
 	}
-	id := e.register(req, e.pinFor(obj, shapeNonblocking, req))
+	id := e.register(req, e.pinFor(f.Ref(0), shapeNonblocking, req))
 	req.Detach() // nobody drives it until Wait or Test
 	return id, nil
 }
 
 // Irecv starts an immediate receive.
 func (e *Engine) Irecv(t *vm.Thread, obj vm.Ref, source, tag int) (int32, error) {
-	defer t.PushFrame(&obj)()
+	f := t.PushFrame(obj)
+	defer f.Pop()
 	t.PollGC()
-	buf, err := e.wholeBuf(t, obj)
+	buf, err := e.wholeBuf(t, f.Ref(0))
 	if err != nil {
 		return 0, err
 	}
@@ -270,22 +281,25 @@ func (e *Engine) Irecv(t *vm.Thread, obj vm.Ref, source, tag int) (int32, error)
 	if err != nil {
 		return 0, err
 	}
-	id := e.register(req, e.pinFor(obj, shapeNonblocking, req))
+	id := e.register(req, e.pinFor(f.Ref(0), shapeNonblocking, req))
 	req.Detach() // nobody drives it until Wait or Test
 	return id, nil
 }
 
-func (e *Engine) lookup(id int32) (*mpReq, error) {
+func (e *Engine) lookup(id int32) (mpReq, error) {
 	r, ok := e.requests[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrBadRequest, id)
+		return mpReq{}, fmt.Errorf("%w: %d", ErrBadRequest, id)
 	}
 	return r, nil
 }
 
-func (e *Engine) finish(r *mpReq) {
+// finish retires a managed request id whose wait or test has read the
+// final status, and recycles its request (a no-op if it is incomplete).
+func (e *Engine) finish(r mpReq) {
 	r.hold.release()
 	delete(e.requests, r.id)
+	r.req.Recycle()
 }
 
 // Wait blocks until the identified request completes.
@@ -352,24 +366,25 @@ func (e *Engine) barrierOn(t *vm.Thread, c *mp.Comm) error {
 // as parameters: a vm.Ref they captured would be stale after the entry
 // poll.
 func (e *Engine) collective(t *vm.Thread, op obs.OpCode, peer int, sendArr, recvArr vm.Ref, send, recv bool,
-	check func(sendArr, recvArr vm.Ref, sb, rb heapBuf) error, run func(send, recv []byte) error) error {
-	defer t.PushFrame(&sendArr, &recvArr)()
+	check func(sendArr, recvArr vm.Ref, sb, rb adi.Buffer) error, run func(send, recv []byte) error) error {
+	f := t.PushFrame(sendArr, recvArr)
+	defer f.Pop()
 	t.PollGC()
 	defer t.PollGC()
-	var sb, rb heapBuf
+	var sb, rb adi.Buffer
 	var err error
 	if send {
-		if sb, err = e.wholeBuf(t, sendArr); err != nil {
+		if sb, err = e.wholeBuf(t, f.Ref(0)); err != nil {
 			return err
 		}
 	}
 	if recv {
-		if rb, err = e.wholeBuf(t, recvArr); err != nil {
+		if rb, err = e.wholeBuf(t, f.Ref(1)); err != nil {
 			return err
 		}
 	}
 	if check != nil {
-		if err = check(sendArr, recvArr, sb, rb); err != nil {
+		if err = check(f.Ref(0), f.Ref(1), sb, rb); err != nil {
 			return err
 		}
 	}
@@ -385,12 +400,12 @@ func (e *Engine) collective(t *vm.Thread, op obs.OpCode, peer int, sendArr, recv
 	var sendBytes, recvBytes []byte
 	if send {
 		var hold pinHold
-		hold, sendBytes = e.collectiveBuf(sendArr, sb, false)
+		hold, sendBytes = e.collectiveBuf(f.Ref(0), sb, false)
 		defer hold.release()
 	}
 	if recv {
 		var hold pinHold
-		hold, recvBytes = e.collectiveBuf(recvArr, rb, true)
+		hold, recvBytes = e.collectiveBuf(f.Ref(1), rb, true)
 		defer hold.release()
 	}
 	return e.noteErr(run(sendBytes, recvBytes))
@@ -431,7 +446,7 @@ func (e *Engine) Allgather(t *vm.Thread, sendArr, recvArr vm.Ref) error {
 
 func (e *Engine) allgatherOn(t *vm.Thread, c *mp.Comm, sendArr, recvArr vm.Ref) error {
 	return e.collective(t, obs.OpAllgather, -1, sendArr, recvArr, true, true,
-		func(_, _ vm.Ref, sb, rb heapBuf) error {
+		func(_, _ vm.Ref, sb, rb adi.Buffer) error {
 			if rb.Len() != sb.Len()*c.Size() {
 				return fmt.Errorf("core: allgather recv %d bytes, want %d (send %d × %d ranks)",
 					rb.Len(), sb.Len()*c.Size(), sb.Len(), c.Size())
@@ -450,7 +465,7 @@ func (e *Engine) Alltoall(t *vm.Thread, sendArr, recvArr vm.Ref) error {
 
 func (e *Engine) alltoallOn(t *vm.Thread, c *mp.Comm, sendArr, recvArr vm.Ref) error {
 	return e.collective(t, obs.OpAlltoall, -1, sendArr, recvArr, true, true,
-		func(_, _ vm.Ref, sb, rb heapBuf) error {
+		func(_, _ vm.Ref, sb, rb adi.Buffer) error {
 			if rb.Len() != sb.Len() || sb.Len()%c.Size() != 0 {
 				return fmt.Errorf("core: alltoall buffers %d/%d bytes for %d ranks",
 					sb.Len(), rb.Len(), c.Size())
@@ -464,23 +479,24 @@ func (e *Engine) alltoallOn(t *vm.Thread, c *mp.Comm, sendArr, recvArr vm.Ref) e
 // dest while receiving into recvObj from source, deadlock-free even
 // when every rank calls it simultaneously.
 func (e *Engine) Sendrecv(t *vm.Thread, sendObj vm.Ref, dest, sendTag int, recvObj vm.Ref, source, recvTag int) (mp.Status, error) {
-	defer t.PushFrame(&sendObj, &recvObj)()
+	f := t.PushFrame(sendObj, recvObj)
+	defer f.Pop()
 	t.PollGC()
 	defer t.PollGC()
-	sendBuf, err := e.wholeBuf(t, sendObj)
+	sendBuf, err := e.wholeBuf(t, f.Ref(0))
 	if err != nil {
 		return mp.Status{}, err
 	}
-	recvBuf, err := e.wholeBuf(t, recvObj)
+	recvBuf, err := e.wholeBuf(t, f.Ref(1))
 	if err != nil {
 		return mp.Status{}, err
 	}
 	bump(&e.Stats.Ops, 2)
 	tr := e.opBegin(obs.OpSendrecv, sendBuf.Len(), dest)
 	defer e.opEnd(tr)
-	sendHold := e.pinFor(sendObj, shapeCollective, nil)
+	sendHold := e.pinFor(f.Ref(0), shapeCollective, mp.Request{})
 	defer sendHold.release()
-	recvHold := e.pinFor(recvObj, shapeCollective, nil)
+	recvHold := e.pinFor(f.Ref(1), shapeCollective, mp.Request{})
 	defer recvHold.release()
 	rreq, err := e.Comm.IrecvBuffer(recvBuf, source, recvTag)
 	if err != nil {
@@ -496,6 +512,8 @@ func (e *Engine) Sendrecv(t *vm.Thread, sendObj vm.Ref, dest, sendTag int, recvO
 	// Await both halves, whichever fails: the first error wins.
 	_, serr := e.await(t, sreq)
 	st, err := e.await(t, rreq)
+	sreq.Recycle()
+	rreq.Recycle()
 	if serr != nil {
 		err = serr
 	}

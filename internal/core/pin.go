@@ -2,6 +2,7 @@ package core
 
 import (
 	"motor/internal/mp"
+	"motor/internal/mp/adi"
 	"motor/internal/obs"
 	"motor/internal/vm"
 )
@@ -64,15 +65,15 @@ var pinTable = [...][numShapes][2]pinCell{
 
 // pinFor decides obj at one point of an operation, records the
 // decision, and returns what it holds. req is the operation's request,
-// nil where there is none yet.
-func (e *Engine) pinFor(obj vm.Ref, shape pinShape, req *mp.Request) pinHold {
+// the zero Request where there is none yet.
+func (e *Engine) pinFor(obj vm.Ref, shape pinShape, req mp.Request) pinHold {
 	h := e.VM.Heap
 	gen := 0
 	if !h.IsYoung(obj) {
 		gen = 1
 	}
 	c := pinTable[e.policy][shape][gen]
-	if c.hold != holdPin && req != nil && req.Done() {
+	if c.hold != holdPin && req.Valid() && req.Done() {
 		switch c.d {
 		case obs.PinDeferred:
 			c.d = obs.PinAvoidedFast
@@ -96,7 +97,10 @@ func (e *Engine) pinFor(obj vm.Ref, shape pinShape, req *mp.Request) pinHold {
 	case holdNone:
 		return pinHold{}
 	case holdCond:
-		h.AddCondPin(obj, func() bool { return !req.Done() })
+		// The handle's id outlives a recycled request: a stale
+		// handle reports done, and the mark phase drops the pin.
+		r := req
+		h.AddCondPin(obj, func() bool { return !r.Done() })
 		return pinHold{}
 	}
 	h.Pin(obj)
@@ -111,7 +115,7 @@ type pinHold struct {
 	// raw is a collective receive buffer as mp writes it, resolved from
 	// dst once before the collective's wait.
 	raw []byte
-	dst heapBuf
+	dst adi.Buffer
 }
 
 func (p pinHold) release() {
@@ -130,8 +134,8 @@ func (p pinHold) release() {
 // collectiveBuf takes obj's collective cell and resolves its buffer b
 // to the slice mp's collectives take. recv marks a buffer mp writes.
 // A send buffer needs no more: its bytes were copied with the arena.
-func (e *Engine) collectiveBuf(obj vm.Ref, b heapBuf, recv bool) (pinHold, []byte) {
-	p := e.pinFor(obj, shapeCollective, nil)
+func (e *Engine) collectiveBuf(obj vm.Ref, b adi.Buffer, recv bool) (pinHold, []byte) {
+	p := e.pinFor(obj, shapeCollective, mp.Request{})
 	raw := b.Bytes()
 	if recv {
 		p.raw, p.dst = raw, b

@@ -81,9 +81,9 @@ func TestPinTableGrid(t *testing.T) {
 	tag := 0
 	// request returns a receive from self in the given state, and a
 	// function that completes it.
-	request := func(state int) (*mp.Request, func()) {
+	request := func(state int) (mp.Request, func()) {
 		if state == noReq {
-			return nil, func() {}
+			return mp.Request{}, func() {}
 		}
 		tag++
 		k := tag

@@ -117,7 +117,7 @@ func chaosThreads(t *testing.T, async bool) {
 						}
 						// Root the ref: sibling threads trigger
 						// collections while this one is parked.
-						release := th.PushFrame(&msg)
+						release := th.VM().Protect(&msg)
 						defer release()
 						tag := k*iters + i
 						if r.e.Comm.Rank() == 0 {
@@ -277,17 +277,40 @@ func TestStressParkedWaiters(t *testing.T) {
 		h := r.v.Heap
 		stop := make(chan struct{})
 		compactor := make(chan struct{})
+		// The first compaction runs once every worker has finished its
+		// first exchange, and they wait for it: a compaction needs an
+		// empty nursery, which a buffer pinned by some wait would
+		// otherwise deny to every timer tick of a short run. It also
+		// needs something to slide: junk and keep are allocated straight
+		// into the fresh elder space (each above half the nursery), keep
+		// above junk, and only keep stays live.
+		elder := func() (vm.Ref, error) { return h.NewUint8Array(make([]byte, 160<<10)) }
+		if _, err := elder(); err != nil { // junk
+			return err
+		}
+		keep, err := elder()
+		if err != nil {
+			return err
+		}
+		defer r.v.Protect(&keep)()
+		var ready sync.WaitGroup
+		ready.Add(K)
+		compacted := make(chan struct{})
 		go func() {
 			defer close(compactor)
-			for {
+			ready.Wait()
+			for first := true; ; first = false {
+				sib := r.v.StartThread("compactor")
+				sib.CollectCompact()
+				sib.End()
+				if first {
+					close(compacted)
+				}
 				select {
 				case <-stop:
 					return
 				case <-time.After(time.Millisecond):
 				}
-				sib := r.v.StartThread("compactor")
-				sib.CollectCompact()
-				sib.End()
 			}
 		}()
 		var wg sync.WaitGroup
@@ -299,7 +322,12 @@ func TestStressParkedWaiters(t *testing.T) {
 				th := r.v.StartThread(fmt.Sprintf("worker%d", k))
 				defer th.End()
 				for i := 0; i < iters; i++ {
-					if err := parkedExchange(r, th, k, i); err != nil {
+					err := parkedExchange(r, th, k, i)
+					if i == 0 {
+						ready.Done()
+						th.Park(func() { <-compacted })
+					}
+					if err != nil {
 						werrs <- fmt.Errorf("worker %d exchange %d: %w", k, i, err)
 						return
 					}
@@ -349,7 +377,7 @@ func parkedExchange(r *rank, th *vm.Thread, k, i int) error {
 	if err != nil {
 		return err
 	}
-	defer th.PushFrame(&msg)()
+	defer th.VM().Protect(&msg)()
 	send := func() error {
 		if !immediate {
 			return r.e.Send(th, msg, peer, tag)

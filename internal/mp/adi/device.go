@@ -43,23 +43,40 @@ var (
 	ErrCancelled = errors.New("adi: request cancelled")
 )
 
-// Buffer abstracts a contiguous transfer buffer. Bytes must be called
-// afresh whenever control may have yielded since the last call: for
-// managed-heap ranges the backing array can move when the arena
-// grows, even though the object's offset is pinned.
-type Buffer interface {
-	Len() int
-	Bytes() []byte
+// Arena is memory addressed by offset whose backing array may move: a
+// managed heap, whose arena is reallocated when it grows.
+type Arena interface {
+	Bytes(start, end uint32) []byte
+}
+
+// Buffer is a contiguous transfer buffer, held by value: a byte slice
+// (SliceBuf) or n bytes at an offset into an Arena (ArenaBuf). Bytes
+// must be called afresh whenever control may have yielded since the
+// last call: a managed heap's arena moves when it grows, even though
+// a pinned object's offset does not.
+type Buffer struct {
+	arena Arena
+	off   uint32
+	n     int
+	b     []byte
 }
 
 // SliceBuf adapts a plain []byte.
-type SliceBuf []byte
+func SliceBuf(b []byte) Buffer { return Buffer{n: len(b), b: b} }
 
-// Len implements Buffer.
-func (s SliceBuf) Len() int { return len(s) }
+// ArenaBuf is the n bytes at offset off of a.
+func ArenaBuf(a Arena, off uint32, n int) Buffer { return Buffer{arena: a, off: off, n: n} }
 
-// Bytes implements Buffer.
-func (s SliceBuf) Bytes() []byte { return s }
+// Len returns the buffer's length in bytes.
+func (b Buffer) Len() int { return b.n }
+
+// Bytes resolves the buffer's current bytes.
+func (b Buffer) Bytes() []byte {
+	if b.arena != nil {
+		return b.arena.Bytes(b.off, b.off+uint32(b.n))
+	}
+	return b.b
+}
 
 // Status describes a completed receive.
 type Status struct {
@@ -82,12 +99,19 @@ type reqState uint32
 const (
 	stActive   reqState = iota // posted / awaiting protocol step
 	stComplete                 // done (check Err)
+	stFree                     // on the device's free list (Recycle)
 )
 
 // Request is a pending point-to-point operation.
+//
+// A request is recycled only when its one consumer returns it
+// (Device.Recycle); others are left to the garbage collector. Every
+// post takes a fresh id, so a handle that remembers its id (ID) can
+// tell that its request has moved on.
 type Request struct {
 	id   uint64
 	kind reqKind
+	next *Request // free-list link (device lock)
 
 	buf  Buffer
 	peer int // dest for sends, source (or AnySource) for recvs
@@ -131,6 +155,9 @@ type Request struct {
 	// the announcement arrives).
 	edgeSeq uint32
 }
+
+// ID returns the id of the operation the request currently carries.
+func (r *Request) ID() uint64 { return r.id }
 
 // Done reports completion (poll via Device.TestReq). Safe to call
 // from any goroutine — this is the check conditional pin requests
@@ -201,6 +228,7 @@ type Device struct {
 	unexp  []unexpected // unexpected arrivals, FIFO
 	active map[uint64]*Request
 	nextID uint64
+	free   *Request // recycled requests (Recycle), linked by next
 
 	// Yield is invoked inside blocking waits between progress polls.
 	// The Motor core points it at the managed thread's GC poll — the
@@ -280,13 +308,36 @@ func (d *Device) Channel() channel.Channel { return d.ch }
 
 func (d *Device) newRequest(kind reqKind, buf Buffer, peer, tag int, ctx int32) *Request {
 	d.nextID++
-	req := &Request{id: d.nextID, kind: kind, buf: buf, peer: peer, tag: tag, ctx: ctx}
+	req := d.free
+	if req != nil {
+		d.free = req.next
+		req.next, req.sync, req.err, req.status, req.edgeSeq = nil, false, nil, Status{}, 0
+		req.state.Store(uint32(stActive))
+	} else {
+		req = new(Request)
+	}
+	req.id, req.kind, req.buf, req.peer, req.tag, req.ctx = d.nextID, kind, buf, peer, tag, ctx
 	if tr := obs.Active(); tr != nil {
 		req.traceSpan = tr.NewSpanID()
 		req.traceParent = tr.Current(d.rank)
 		req.traceStart = tr.Now()
 	}
 	return req
+}
+
+// Recycle returns a completed request to the free list, where a later
+// post reuses it under a fresh id. Only its one consumer may call it,
+// once it has read the final status. A request that is incomplete,
+// already free, or still registered as active is left to the garbage
+// collector (a completed lent send's loan has run its release).
+func (d *Device) Recycle(req *Request) {
+	d.mu.Lock()
+	if reqState(req.state.Load()) == stComplete && req.onDone == nil && d.active[req.id] != req {
+		req.state.Store(uint32(stFree))
+		req.id, req.buf, req.loan = 0, Buffer{}, nil // ids start at 1: every handle is stale now
+		req.next, d.free = d.free, req
+	}
+	d.mu.Unlock()
 }
 
 // SetWake installs (or clears, with nil) the doorbell: Detach rings it
@@ -383,12 +434,8 @@ func (d *Device) complete(req *Request) {
 		if peer < 0 { // AnySource: report the matched sender
 			peer = req.status.Source
 		}
-		var size int
-		if req.buf != nil {
-			size = req.buf.Len()
-		}
 		tr.Span(d.rank, obs.KADIReq, req.traceSpan, req.traceParent, req.traceStart,
-			uint64(dir), uint64(peer), uint64(size))
+			uint64(dir), uint64(peer), uint64(req.buf.Len()))
 	}
 	req.traceSpan = 0
 }
@@ -680,13 +727,13 @@ func (d *Device) matchPosted(hdr channel.Header) *Request {
 // peer's lent send waiting for this rank to poll its DATA). A lent
 // send is not cancelled: the peer may be reading its buffer, so it
 // completes normally at the peer's copy-out. Completed requests are
-// left untouched.
+// left untouched, and so are recycled ones.
 func (d *Device) CancelReq(req *Request) {
 	if req == nil {
 		return
 	}
 	d.mu.Lock()
-	if req.Done() || req.loan != nil {
+	if reqState(req.state.Load()) != stActive || req.loan != nil {
 		d.mu.Unlock()
 		return
 	}

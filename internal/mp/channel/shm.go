@@ -87,19 +87,21 @@ type shmSeg struct {
 // one consumer goroutine at a time. The producer writes a slot and
 // then publishes it by storing tail; the consumer compares its
 // private head with tail, so an empty poll is one atomic load. The
-// consumer zeroes each popped slot and drops a segment when it leaves
-// it; nothing links back to a consumed segment, so a drained burst is
-// collectable however deep it was. Producer and consumer state sit on
-// separate cache lines.
+// consumer zeroes each popped slot and, when it leaves a segment,
+// hands it back to the producer as the spare its next segment reuses,
+// so a steady exchange allocates nothing; nothing else links back to
+// a consumed segment, so a drained burst is collectable however deep
+// it was. Producer and consumer state sit on separate cache lines.
 type shmRing struct {
 	tail    atomic.Uint64 // frames published; producer stores, consumer loads
 	tailSeg *shmSeg       // producer only
 	bell    *shmBell      // the consumer's; fixed at creation
 	_       [40]byte
 
-	head    uint64  // frames popped; consumer only
-	headSeg *shmSeg // consumer only
-	_       [48]byte
+	head    uint64                 // frames popped; consumer only
+	headSeg *shmSeg                // consumer only
+	spare   atomic.Pointer[shmSeg] // a drained segment; consumer stores, producer takes
+	_       [40]byte
 }
 
 func newShmRing() *shmRing {
@@ -112,8 +114,11 @@ func (r *shmRing) push(f shmFrame) {
 	seg, i := r.tailSeg, t%shmSegSlots
 	seg.slots[i] = f
 	if i == shmSegSlots-1 {
-		seg.next = new(shmSeg)
-		r.tailSeg = seg.next
+		next := r.spare.Swap(nil)
+		if next == nil {
+			next = new(shmSeg)
+		}
+		seg.next, r.tailSeg = next, next
 	}
 	r.tail.Store(t + 1)
 }
@@ -126,7 +131,8 @@ func (r *shmRing) pop() (shmFrame, bool) {
 	f := seg.slots[i]
 	seg.slots[i] = shmFrame{}
 	if i == shmSegSlots-1 {
-		r.headSeg = seg.next
+		r.headSeg, seg.next = seg.next, nil
+		r.spare.Store(seg) // every slot is zeroed and the producer has moved on
 	}
 	r.head++
 	return f, true

@@ -236,7 +236,7 @@ func TestSelfSendThroughComm(t *testing.T) {
 
 func TestWaitAllNilRequests(t *testing.T) {
 	run(t, ChannelShm, 1, func(w *World) error {
-		return w.Comm.WaitAll(nil, nil)
+		return w.Comm.WaitAll(Request{}, Request{})
 	})
 }
 

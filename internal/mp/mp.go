@@ -29,6 +29,11 @@ const (
 // than hanging (check with errors.Is).
 var ErrTransport = adi.ErrTransport
 
+// ErrStale is returned by Test, Wait and Cancel through a Request
+// handle whose request was recycled: the operation it names has
+// completed, and its request now carries another one.
+var ErrStale = errors.New("mp: stale request handle (request recycled)")
+
 // MaxUserTag is the largest tag application code may use; larger
 // values (and negative ones) are reserved for collectives.
 const MaxUserTag = 1 << 28
@@ -40,15 +45,28 @@ type Status struct {
 	Count  int
 }
 
-// Request is a pending immediate operation on a communicator.
+// Request is a handle, held by value, to an immediate operation. It
+// carries the id its device request was issued with: once the request
+// is recycled for another operation the handle is stale, and Test,
+// Wait and Cancel return ErrStale. The zero Request names no operation.
 type Request struct {
 	inner *adi.Request
+	id    uint64
 	comm  *Comm
 }
 
+func (c *Comm) handle(req *adi.Request) Request { return Request{inner: req, id: req.ID(), comm: c} }
+
+// stale reports whether r's request has moved on to another operation.
+func (r Request) stale() bool { return r.inner.ID() != r.id }
+
+// Valid reports whether r names an operation (is not the zero Request).
+func (r Request) Valid() bool { return r.inner != nil }
+
 // Done reports whether the operation has completed (without driving
-// progress; use Test to poll). Safe from any goroutine.
-func (r *Request) Done() bool { return r.inner.Done() }
+// progress; use Test to poll). Safe from any goroutine. A stale handle
+// reports true: its request was only recycled after completing.
+func (r Request) Done() bool { return r.stale() || r.inner.Done() }
 
 // OnComplete registers f to run exactly once when the request
 // completes — on whichever goroutine completes it (a background
@@ -56,33 +74,55 @@ func (r *Request) Done() bool { return r.inner.Done() }
 // request is already done). With an async progress engine running, a
 // waiter can park on a channel that f closes instead of re-entering
 // the polling-wait.
-func (r *Request) OnComplete(f func()) { r.comm.dev.OnComplete(r.inner, f) }
+func (r Request) OnComplete(f func()) {
+	if r.stale() {
+		f()
+		return
+	}
+	r.comm.dev.OnComplete(r.inner, f)
+}
 
 // Test makes one progress pass and reports completion (Comm.Test on
 // the request's own communicator).
-func (r *Request) Test() (bool, Status, error) { return r.comm.Test(r) }
+func (r Request) Test() (bool, Status, error) { return r.comm.Test(r) }
 
 // Detach declares that the caller returns without driving the
 // request: if it is still pending, the background progress engine (if
 // any) is rung to move it. The nonblocking []byte forms (Isend,
 // Irecv) detach what they post; the Buffer and OO forms leave
 // it to a caller that will wait at once.
-func (r *Request) Detach() { r.comm.dev.Detach(r.inner) }
+func (r Request) Detach() { r.comm.dev.Detach(r.inner) }
 
 // Cancel withdraws an incomplete request from its device; it then
-// completes with adi.ErrCancelled. A no-op on a completed request.
-func (r *Request) Cancel() { r.comm.dev.CancelReq(r.inner) }
+// completes with adi.ErrCancelled. A no-op on a completed request;
+// ErrStale on a stale handle.
+func (r Request) Cancel() error {
+	if r.stale() {
+		return ErrStale
+	}
+	r.comm.dev.CancelReq(r.inner)
+	return nil
+}
+
+// Recycle hands a completed request back to its device for reuse
+// (adi.Device.Recycle). Only the operation's one consumer may call it,
+// after reading the final status; every copy of r is stale afterwards.
+func (r Request) Recycle() {
+	if !r.stale() {
+		r.comm.dev.Recycle(r.inner)
+	}
+}
 
 // Status returns the receive status in communicator ranks (valid
 // once Done — inside an OnComplete continuation, for example).
-func (r *Request) Status() Status { return r.comm.status(r.inner.Status()) }
+func (r Request) Status() Status { return r.comm.status(r.inner.Status()) }
 
 // Err returns the request's terminal error (valid once Done).
-func (r *Request) Err() error { return r.inner.Err() }
+func (r Request) Err() error { return r.inner.Err() }
 
 // Peer returns the world rank (not the communicator rank) the request
 // waits on — the numbering the stall watchdog reports — or AnySource.
-func (r *Request) Peer() int { return r.inner.Peer() }
+func (r Request) Peer() int { return r.inner.Peer() }
 
 // Comm is a communicator: an isolated context over an ordered group
 // of world ranks.
@@ -173,52 +213,52 @@ func (c *Comm) status(s adi.Status) Status {
 // IsendBuffer starts an immediate send of an abstract buffer. This is
 // the entry point the Motor core uses with managed-heap ranges; plain
 // code should prefer Isend.
-func (c *Comm) IsendBuffer(buf adi.Buffer, dest, tag int, sync bool) (*Request, error) {
+func (c *Comm) IsendBuffer(buf adi.Buffer, dest, tag int, sync bool) (Request, error) {
 	if err := c.checkDest(dest); err != nil {
-		return nil, err
+		return Request{}, err
 	}
 	if err := c.checkTag(tag); err != nil {
-		return nil, err
+		return Request{}, err
 	}
 	req, err := c.dev.Isend(buf, c.ranks[dest], tag, c.ctx, sync)
 	if err != nil {
-		return nil, err
+		return Request{}, err
 	}
-	return &Request{inner: req, comm: c}, nil
+	return c.handle(req), nil
 }
 
 // IrecvBuffer starts an immediate receive into an abstract buffer.
-func (c *Comm) IrecvBuffer(buf adi.Buffer, source, tag int) (*Request, error) {
+func (c *Comm) IrecvBuffer(buf adi.Buffer, source, tag int) (Request, error) {
 	worldSrc := adi.AnySource
 	if source != AnySource {
 		if err := c.checkDest(source); err != nil {
-			return nil, err
+			return Request{}, err
 		}
 		worldSrc = c.ranks[source]
 	}
 	if tag != AnyTag {
 		if err := c.checkTag(tag); err != nil {
-			return nil, err
+			return Request{}, err
 		}
 	}
 	req, err := c.dev.Irecv(buf, worldSrc, tag, c.ctx)
 	if err != nil {
-		return nil, err
+		return Request{}, err
 	}
-	return &Request{inner: req, comm: c}, nil
+	return c.handle(req), nil
 }
 
 // Isend starts an immediate standard-mode send.
-func (c *Comm) Isend(buf []byte, dest, tag int) (*Request, error) {
+func (c *Comm) Isend(buf []byte, dest, tag int) (Request, error) {
 	return detach(c.IsendBuffer(adi.SliceBuf(buf), dest, tag, false))
 }
 
 // Irecv starts an immediate receive.
-func (c *Comm) Irecv(buf []byte, source, tag int) (*Request, error) {
+func (c *Comm) Irecv(buf []byte, source, tag int) (Request, error) {
 	return detach(c.IrecvBuffer(adi.SliceBuf(buf), source, tag))
 }
 
-func detach(req *Request, err error) (*Request, error) {
+func detach(req Request, err error) (Request, error) {
 	if err == nil {
 		req.Detach()
 	}
@@ -227,41 +267,46 @@ func detach(req *Request, err error) (*Request, error) {
 
 // Send performs a blocking standard-mode send.
 func (c *Comm) Send(buf []byte, dest, tag int) error {
-	req, err := c.IsendBuffer(adi.SliceBuf(buf), dest, tag, false)
-	if err != nil {
-		return err
-	}
-	_, err = c.Wait(req)
+	_, err := c.waitRecycle(c.IsendBuffer(adi.SliceBuf(buf), dest, tag, false))
 	return err
 }
 
 // Ssend performs a blocking synchronous-mode send.
 func (c *Comm) Ssend(buf []byte, dest, tag int) error {
-	req, err := c.IsendBuffer(adi.SliceBuf(buf), dest, tag, true)
-	if err != nil {
-		return err
-	}
-	_, err = c.Wait(req)
+	_, err := c.waitRecycle(c.IsendBuffer(adi.SliceBuf(buf), dest, tag, true))
 	return err
 }
 
 // Recv performs a blocking receive.
 func (c *Comm) Recv(buf []byte, source, tag int) (Status, error) {
-	req, err := c.IrecvBuffer(adi.SliceBuf(buf), source, tag)
+	return c.waitRecycle(c.IrecvBuffer(adi.SliceBuf(buf), source, tag))
+}
+
+// waitRecycle is a blocking operation's tail: wait for the request it
+// posted, then recycle it, since nothing else holds its handle.
+func (c *Comm) waitRecycle(req Request, err error) (Status, error) {
 	if err != nil {
 		return Status{}, err
 	}
-	return c.Wait(req)
+	st, err := c.Wait(req)
+	req.Recycle()
+	return st, err
 }
 
 // Wait blocks (polling-wait) until the request completes.
-func (c *Comm) Wait(req *Request) (Status, error) {
+func (c *Comm) Wait(req Request) (Status, error) {
+	if req.stale() {
+		return Status{}, ErrStale
+	}
 	s, err := c.dev.WaitReq(req.inner)
 	return c.status(s), err
 }
 
 // Test makes one progress pass and reports completion.
-func (c *Comm) Test(req *Request) (bool, Status, error) {
+func (c *Comm) Test(req Request) (bool, Status, error) {
+	if req.stale() {
+		return false, Status{}, ErrStale
+	}
 	done, s, err := c.dev.TestReq(req.inner)
 	if !done {
 		return false, Status{}, err
@@ -269,11 +314,12 @@ func (c *Comm) Test(req *Request) (bool, Status, error) {
 	return true, c.status(s), err
 }
 
-// WaitAll waits for every request, returning the first error.
-func (c *Comm) WaitAll(reqs ...*Request) error {
+// WaitAll waits for every request, returning the first error. Zero
+// Requests are skipped.
+func (c *Comm) WaitAll(reqs ...Request) error {
 	var first error
 	for _, r := range reqs {
-		if r == nil {
+		if !r.Valid() {
 			continue
 		}
 		if _, err := c.Wait(r); err != nil && first == nil {

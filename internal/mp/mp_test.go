@@ -102,7 +102,7 @@ func TestIsendIrecvOverlap(t *testing.T) {
 		c := w.Comm
 		const k = 8
 		if c.Rank() == 0 {
-			reqs := make([]*Request, k)
+			reqs := make([]Request, k)
 			for i := 0; i < k; i++ {
 				msg := []byte{byte(i), byte(i + 1)}
 				r, err := c.Isend(msg, 1, i)
@@ -115,7 +115,7 @@ func TestIsendIrecvOverlap(t *testing.T) {
 		}
 		// Receive in reverse tag order to exercise matching.
 		bufs := make([][]byte, k)
-		reqs := make([]*Request, k)
+		reqs := make([]Request, k)
 		for i := k - 1; i >= 0; i-- {
 			bufs[i] = make([]byte, 2)
 			r, err := c.Irecv(bufs[i], 0, i)

@@ -55,56 +55,46 @@ func (c *Comm) ooStatus(s adi.Status, sp OOSpace) Status {
 }
 
 // IsendOO starts an immediate send of one OO message.
-func (c *Comm) IsendOO(buf []byte, dest int, sp OOSpace, tag int) (*Request, error) {
-	if err := c.checkDest(dest); err != nil {
-		return nil, err
-	}
-	if err := c.checkOOTag(sp, tag); err != nil {
-		return nil, err
-	}
-	req, err := c.dev.Isend(adi.SliceBuf(buf), c.ranks[dest], OOWireTag(sp, tag), c.ctx, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Request{inner: req, comm: c}, nil
+func (c *Comm) IsendOO(buf []byte, dest int, sp OOSpace, tag int) (Request, error) {
+	return c.IsendOOBuffer(adi.SliceBuf(buf), dest, sp, tag)
 }
 
 // IsendOOBuffer is IsendOO over an abstract buffer — the form the
 // engine uses for managed ranges, and the hook oversize-regression
 // tests use to put a lying wire-claimed size on an OO tag.
-func (c *Comm) IsendOOBuffer(buf adi.Buffer, dest int, sp OOSpace, tag int) (*Request, error) {
+func (c *Comm) IsendOOBuffer(buf adi.Buffer, dest int, sp OOSpace, tag int) (Request, error) {
 	if err := c.checkDest(dest); err != nil {
-		return nil, err
+		return Request{}, err
 	}
 	if err := c.checkOOTag(sp, tag); err != nil {
-		return nil, err
+		return Request{}, err
 	}
 	req, err := c.dev.Isend(buf, c.ranks[dest], OOWireTag(sp, tag), c.ctx, false)
 	if err != nil {
-		return nil, err
+		return Request{}, err
 	}
-	return &Request{inner: req, comm: c}, nil
+	return c.handle(req), nil
 }
 
 // IrecvOO starts an immediate receive of one OO message. source may be
 // AnySource (the first chunk of an any-source ORecv); the tag may not
 // be AnyTag — OO streams are always tag-addressed.
-func (c *Comm) IrecvOO(buf []byte, source int, sp OOSpace, tag int) (*Request, error) {
+func (c *Comm) IrecvOO(buf []byte, source int, sp OOSpace, tag int) (Request, error) {
 	worldSrc := adi.AnySource
 	if source != AnySource {
 		if err := c.checkDest(source); err != nil {
-			return nil, err
+			return Request{}, err
 		}
 		worldSrc = c.ranks[source]
 	}
 	if err := c.checkOOTag(sp, tag); err != nil {
-		return nil, err
+		return Request{}, err
 	}
 	req, err := c.dev.Irecv(adi.SliceBuf(buf), worldSrc, OOWireTag(sp, tag), c.ctx)
 	if err != nil {
-		return nil, err
+		return Request{}, err
 	}
-	return &Request{inner: req, comm: c}, nil
+	return c.handle(req), nil
 }
 
 // IprobeOO reports whether an OO message in the given space is

@@ -63,7 +63,7 @@ func TestProgressCompletesWithoutWait(t *testing.T) {
 	go func() {
 		c := worlds[1].Comm
 		type rcv struct {
-			req *mp.Request
+			req mp.Request
 			buf []byte
 		}
 		recvs := make([]rcv, N)

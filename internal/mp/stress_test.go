@@ -59,7 +59,7 @@ func TestStressSharedCommRace(t *testing.T) {
 	payload := func(rank, g, i int) []byte {
 		return []byte(fmt.Sprintf("r%d-g%02d-m%03d", rank, g, i))
 	}
-	finish := func(c *Comm, req *Request, discipline int) (Status, error) {
+	finish := func(c *Comm, req Request, discipline int) (Status, error) {
 		switch discipline {
 		case 0: // blocking polling-wait
 			return c.Wait(req)
@@ -243,7 +243,7 @@ func TestStressFaultTyped(t *testing.T) {
 					if !record(werr) {
 						return
 					}
-					if rreq != nil {
+					if rreq.Valid() {
 						_, werr = c.Wait(rreq)
 						if !record(werr) {
 							return

@@ -180,7 +180,7 @@ func TestDonationSubHeaderTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pop := th.PushFrame(&last)
+		pop := th.VM().Protect(&last)
 		defer pop()
 		_, used, _ := v.Heap.MemUse()
 		if used != young-8 {

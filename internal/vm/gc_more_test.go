@@ -110,7 +110,7 @@ func TestMultiThreadVMSharedHeap(t *testing.T) {
 			th := v.StartThread(fmt.Sprintf("worker%d", id))
 			defer th.End()
 			var keep Ref
-			pop := th.PushFrame(&keep)
+			pop := th.VM().Protect(&keep)
 			defer pop()
 			marker := []int32{int32(id * 1000)}
 			var err error
@@ -159,7 +159,7 @@ func TestElderDirectAllocationSurvivesScavenge(t *testing.T) {
 		}
 		v.Heap.DataBytes(big)[0] = 0xEE
 		before := big
-		pop := th.PushFrame(&big)
+		pop := th.VM().Protect(&big)
 		th.CollectYoung()
 		pop()
 		if big != before {
@@ -205,7 +205,7 @@ func TestNestedExplicitPins(t *testing.T) {
 			t.Fatal("nested pin released early")
 		}
 		before := ref
-		pop := th.PushFrame(&ref)
+		pop := th.VM().Protect(&ref)
 		th.CollectYoung()
 		pop()
 		if ref != before {
@@ -226,7 +226,7 @@ func TestWriteBarrierElderArrayToYoung(t *testing.T) {
 	arrT := v.ArrayType(KindRef, node, 1)
 	v.WithThread("t", func(th *Thread) {
 		arr, _ := v.Heap.AllocArray(arrT, 4)
-		pop := th.PushFrame(&arr)
+		pop := th.VM().Protect(&arr)
 		defer pop()
 		th.CollectYoung() // promote the array
 		if v.Heap.IsYoung(arr) {
@@ -282,7 +282,7 @@ func TestGCStatsAccounting(t *testing.T) {
 	v := gcVM()
 	v.WithThread("t", func(th *Thread) {
 		var keep Ref
-		pop := th.PushFrame(&keep)
+		pop := th.VM().Protect(&keep)
 		defer pop()
 		keep, _ = v.Heap.NewInt32Array(make([]int32, 100))
 		th.CollectYoung()
@@ -366,7 +366,7 @@ func TestGCStressWithVerifier(t *testing.T) {
 					t.Fatal(err)
 				}
 				guard.Refs[i] = n
-				pop := th.PushFrame(&guard.Refs[i])
+				pop := th.VM().Protect(&guard.Refs[i])
 				arr, err := v.Heap.NewUint8Array(make([]byte, rng.Intn(300)))
 				if err != nil {
 					t.Fatal(err)

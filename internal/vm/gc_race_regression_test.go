@@ -98,7 +98,7 @@ func TestStressCondPinMidMarkResolution(t *testing.T) {
 			return
 		}
 		v.Heap.SetScalar(target, fID, 42)
-		pop := th.PushFrame(&target)
+		pop := th.VM().Protect(&target)
 		defer pop()
 		th.CollectFull() // promote: mark-phase resolution needs an elder target
 		if v.Heap.IsYoung(target) {

@@ -17,7 +17,7 @@ func TestScavengeForwardsRoots(t *testing.T) {
 		if !v.Heap.IsYoung(ref) {
 			t.Fatal("expected nursery allocation")
 		}
-		pop := th.PushFrame(&ref)
+		pop := th.VM().Protect(&ref)
 		defer pop()
 		th.CollectYoung()
 		if v.Heap.IsYoung(ref) {
@@ -56,12 +56,12 @@ func TestScavengeForwardsInteriorGraph(t *testing.T) {
 	v.WithThread("t", func(th *Thread) {
 		// head -> mid -> tail, each with a data array.
 		var head Ref
-		pop := th.PushFrame(&head)
+		pop := th.VM().Protect(&head)
 		defer pop()
 
 		build := func(id int32) Ref {
 			n, _ := v.Heap.AllocClass(node)
-			protect := th.PushFrame(&n)
+			protect := th.VM().Protect(&n)
 			arr, _ := v.Heap.NewInt32Array([]int32{id, id * 2})
 			v.Heap.SetRef(n, fData, arr)
 			protect()
@@ -95,7 +95,7 @@ func TestWriteBarrierRemembersElderToYoung(t *testing.T) {
 	fNext := node.FieldByName("next")
 	v.WithThread("t", func(th *Thread) {
 		elder, _ := v.Heap.AllocClass(node)
-		pop := th.PushFrame(&elder)
+		pop := th.VM().Protect(&elder)
 		defer pop()
 		th.CollectYoung() // promote elder
 		if v.Heap.IsYoung(elder) {
@@ -129,7 +129,7 @@ func TestExplicitPinPreventsMovement(t *testing.T) {
 		}
 		v.Heap.Pin(ref)
 		before := ref
-		pop := th.PushFrame(&ref)
+		pop := th.VM().Protect(&ref)
 		th.CollectYoung()
 		pop()
 		if ref != before {
@@ -163,7 +163,7 @@ func TestExplicitPinDonatesBlockLegacy(t *testing.T) {
 		ref, _ := v.Heap.NewInt32Array([]int32{7, 7, 7})
 		v.Heap.Pin(ref)
 		before := ref
-		pop := th.PushFrame(&ref)
+		pop := th.VM().Protect(&ref)
 		th.CollectYoung()
 		pop()
 		if ref != before {
@@ -246,12 +246,12 @@ func TestFullGCSweepsElderGarbage(t *testing.T) {
 	v := gcVM()
 	v.WithThread("t", func(th *Thread) {
 		var keep Ref
-		pop := th.PushFrame(&keep)
+		pop := th.VM().Protect(&keep)
 		defer pop()
 		keep, _ = v.Heap.NewInt32Array([]int32{1})
 		// Promote a batch, then drop it.
 		var junk Ref
-		popJunk := th.PushFrame(&junk)
+		popJunk := th.VM().Protect(&junk)
 		junk, _ = v.Heap.NewInt32Array(make([]int32, 512))
 		th.CollectYoung() // promotes keep and junk
 		popJunk()
@@ -275,7 +275,7 @@ func TestElderSpaceReuseAfterSweep(t *testing.T) {
 		// fit without growing the arena.
 		for i := 0; i < 20; i++ {
 			var r Ref
-			pop := th.PushFrame(&r)
+			pop := th.VM().Protect(&r)
 			r, _ = v.Heap.NewInt32Array(make([]int32, 256))
 			th.CollectYoung()
 			pop()
@@ -284,7 +284,7 @@ func TestElderSpaceReuseAfterSweep(t *testing.T) {
 		arenaBefore, _, _ := v.Heap.MemUse()
 		for i := 0; i < 10; i++ {
 			var r Ref
-			pop := th.PushFrame(&r)
+			pop := th.VM().Protect(&r)
 			r, _ = v.Heap.NewInt32Array(make([]int32, 256))
 			th.CollectYoung()
 			pop()
@@ -351,7 +351,7 @@ func TestObjectArrayElementsTraced(t *testing.T) {
 	fID := node.FieldByName("id")
 	v.WithThread("t", func(th *Thread) {
 		var arr Ref
-		pop := th.PushFrame(&arr)
+		pop := th.VM().Protect(&arr)
 		defer pop()
 		arr, _ = v.Heap.AllocArray(arrT, 8)
 		for i := 0; i < 8; i++ {
@@ -403,7 +403,7 @@ func TestGCStressRandomGraph(t *testing.T) {
 				// nd must be protected across the array allocation
 				// below — the exact discipline FCalls follow with
 				// protected pointer frames (paper §5.1).
-				pop := th.PushFrame(&nd)
+				pop := th.VM().Protect(&nd)
 				id := rng.Int31()
 				v.Heap.SetScalar(nd, fID, uint64(uint32(id)))
 				// Random data array.

@@ -85,12 +85,14 @@ func (t *Thread) Call(m *Method, args ...Value) (Value, error) {
 	base := len(t.callStack)
 	t.pushCallFrame(m, args)
 	v, err := t.run(base)
-	var trap *Trap
-	if errors.As(err, &trap) {
-		// A trap surfacing to the embedder is a post-mortem moment:
-		// capture the flight recorder before the process (or test)
-		// moves on and the ring is overwritten.
-		obs.FlightTrip("guest-trap")
+	if err != nil {
+		var trap *Trap // declared here: its address escapes, so it allocates
+		if errors.As(err, &trap) {
+			// A trap surfacing to the embedder is a post-mortem moment:
+			// capture the flight recorder before the process (or test)
+			// moves on and the ring is overwritten.
+			obs.FlightTrip("guest-trap")
+		}
 	}
 	return v, err
 }
@@ -99,7 +101,8 @@ func (t *Thread) pushCallFrame(m *Method, args []Value) {
 	t.pushFrameOwned(m, append([]Value(nil), args...))
 }
 
-// pushFrameOwned pushes a frame taking ownership of args (no copy),
+// pushFrameOwned pushes a frame taking ownership of args (no copy; a
+// managed call passes the popped top of its caller's operand stack),
 // lowering m first if this is its first activation and Load did not
 // (methods built outside a module, or added after it). Verified methods
 // carry MaxStack, so the operand stack can be sized once here and never

@@ -248,10 +248,8 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 
 		case qCall:
 			callee := q.m
-			n := callee.NArgs
-			cargs := make([]Value, n)
-			copy(cargs, stack[len(stack)-n:])
-			stack = stack[:len(stack)-n]
+			cargs := stack[len(stack)-callee.NArgs:]
+			stack = stack[:len(stack)-callee.NArgs]
 			fr.stack = stack
 			if err := t.qpushCall(fr, callee, cargs, qpc, q.pc); err != nil {
 				return Value{}, false, false, err
@@ -259,11 +257,9 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 			return Value{}, false, false, nil
 		case qLdArgCall:
 			callee := q.m
-			n := callee.NArgs
-			cargs := make([]Value, n)
-			cargs[n-1] = args[q.a] // the fused ldarg pushes the last argument
-			copy(cargs[:n-1], stack[len(stack)-(n-1):])
-			stack = stack[:len(stack)-(n-1)]
+			stack = append(stack, args[q.a]) // the fused ldarg pushes the last argument
+			cargs := stack[len(stack)-callee.NArgs:]
+			stack = stack[:len(stack)-callee.NArgs]
 			fr.stack = stack
 			if err := t.qpushCall(fr, callee, cargs, qpc, q.pc2); err != nil {
 				return Value{}, false, false, err
@@ -271,10 +267,8 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 			return Value{}, false, false, nil
 		case qCallExact:
 			callee := q.m
-			n := callee.NArgs
-			cargs := make([]Value, n)
-			copy(cargs, stack[len(stack)-n:])
-			stack = stack[:len(stack)-n]
+			cargs := stack[len(stack)-callee.NArgs:]
+			stack = stack[:len(stack)-callee.NArgs]
 			fr.stack = stack
 			// Exactness fixes the implementation but not nullness.
 			if !cargs[0].IsRef || cargs[0].Bits == 0 {
@@ -292,10 +286,8 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 				fr.pc = int(q.pc)
 				return Value{}, false, false, fr.trap("callvirt on non-virtual", named.FullName())
 			}
-			n := named.NArgs
-			cargs := make([]Value, n)
-			copy(cargs, stack[len(stack)-n:])
-			stack = stack[:len(stack)-n]
+			cargs := stack[len(stack)-named.NArgs:]
+			stack = stack[:len(stack)-named.NArgs]
 			fr.stack = stack
 			recv := cargs[0]
 			if !recv.IsRef || recv.Bits == 0 {
@@ -319,10 +311,8 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 
 		case qIntern:
 			fn := &t.vm.internals[q.a]
-			n := fn.NArgs
-			cargs := make([]Value, n)
-			copy(cargs, stack[len(stack)-n:])
-			stack = stack[:len(stack)-n]
+			cargs := stack[len(stack)-fn.NArgs:] // valid until Fn returns (InternalFunc)
+			stack = stack[:len(stack)-fn.NArgs]
 			fr.stack = stack
 			fr.pc = int(q.pc)
 			fr.qpc = qpc + 1 // an FCall may re-enter managed code
@@ -553,7 +543,9 @@ var elemOpName = [...]string{qLdElem: "ldelem", qLdElemAt: "ldelem", qStElem: "s
 
 // qpushCall is the shared managed-call tail of the quickened loop:
 // depth check, step-budget charge, frame push and the GC poll, in that
-// order. The caller must have written fr.stack back first.
+// order. The caller must have written fr.stack back first. cargs is
+// the popped top of the caller's operand stack: the callee's arguments
+// live there until it returns, and its result is pushed over them.
 func (t *Thread) qpushCall(fr *callFrame, callee *Method, cargs []Value, qpc int, pc int32) error {
 	if len(t.callStack) >= maxCallDepth {
 		return ErrCallDepth

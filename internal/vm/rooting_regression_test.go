@@ -51,22 +51,23 @@ func TestStressRootBeforeDerefRegression(t *testing.T) {
 				return
 			}
 			stale := obj // what the buggy shape would have used
-			pop := th.PushFrame(&obj)
+			f := th.PushFrame(obj)
 			// Parked at a safepoint: the sibling collects now.
 			th.Park(func() {
 				reqCh <- struct{}{}
 				<-doneCh
 			})
+			obj = f.Ref(0)
 			if obj != stale {
 				staleObserved++
 			}
 			got := v.Heap.Int32Slice(obj)
 			if got[0] != int32(i) || got[1] != int32(i*7) {
-				pop()
+				f.Pop()
 				errs <- fmt.Errorf("round %d: rooted ref payload corrupted: %v", i, got)
 				return
 			}
-			pop()
+			f.Pop()
 		}
 		errs <- nil
 	}()

@@ -37,10 +37,11 @@ type Thread struct {
 	// callStack is maintained by the interpreter.
 	callStack []*callFrame
 
-	// prot holds FCall-protected reference slots: Go-side locals that
-	// the collector must treat as roots and update on movement,
-	// mirroring the SSCLI's protected object pointers (§5.1).
-	prot [][]*Ref
+	// prot is the stack of FCall-protected reference slots: copies of
+	// Go-side references that the collector treats as roots and
+	// forwards on movement, mirroring the SSCLI's protected object
+	// pointers (§5.1). PushFrame pushes a window of it.
+	prot []Ref
 
 	// inFCall is true while the interpreter is inside an OpIntern
 	// host-function invocation. The trap recovery uses it to tell a
@@ -179,18 +180,34 @@ func (t *Thread) InTransportVerified() bool {
 	return false
 }
 
-// PushFrame registers FCall-protected reference slots and returns the
-// matching pop function (use with defer). While registered, the slots
-// are GC roots and are forwarded if their objects move.
-func (t *Thread) PushFrame(refs ...*Ref) func() {
-	t.prot = append(t.prot, refs)
-	depth := len(t.prot)
-	return func() {
-		if len(t.prot) != depth {
-			panic(fmt.Sprintf("vm: unbalanced protected frame pop on thread %s", t.name))
-		}
-		t.prot = t.prot[:depth-1]
+// Frame is a window of FCall-protected reference slots on a thread
+// (PushFrame). It is a value: rooting allocates nothing.
+type Frame struct {
+	t         *Thread
+	base, top int
+}
+
+// PushFrame copies refs into FCall-protected slots on the thread and
+// returns their frame; pop it with defer f.Pop(). While pushed, the
+// slots are GC roots and are forwarded if their objects move, so after
+// any safepoint read a ref back with f.Ref(i): the caller's own copy
+// may be stale.
+func (t *Thread) PushFrame(refs ...Ref) Frame {
+	base := len(t.prot)
+	t.prot = append(t.prot, refs...)
+	return Frame{t: t, base: base, top: len(t.prot)}
+}
+
+// Ref returns the current value of the frame's slot i.
+func (f Frame) Ref(i int) Ref { return f.t.prot[f.base+i] }
+
+// Pop unregisters the frame's slots. Frames pop in the reverse order
+// of their pushes.
+func (f Frame) Pop() {
+	if len(f.t.prot) != f.top {
+		panic(fmt.Sprintf("vm: unbalanced protected frame pop on thread %s", f.t.name))
 	}
+	f.t.prot = f.t.prot[:f.base]
 }
 
 // visitRoots applies visit to every reference slot owned by the
@@ -200,11 +217,9 @@ func (t *Thread) visitRoots(visit func(Ref) Ref) {
 	for _, fr := range t.callStack {
 		fr.visitRoots(visit)
 	}
-	for _, frame := range t.prot {
-		for _, slot := range frame {
-			if *slot != NullRef {
-				*slot = visit(*slot)
-			}
+	for i, r := range t.prot {
+		if r != NullRef {
+			t.prot[i] = visit(r)
 		}
 	}
 }

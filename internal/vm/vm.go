@@ -128,6 +128,28 @@ func (g *RefRoots) VisitRoots(visit func(Ref) Ref) {
 	}
 }
 
+// refPtrs is the RootProvider behind Protect.
+type refPtrs []*Ref
+
+func (p *refPtrs) VisitRoots(visit func(Ref) Ref) {
+	for _, r := range *p {
+		if *r != NullRef {
+			*r = visit(*r)
+		}
+	}
+}
+
+// Protect registers Go variables as GC roots, forwarded in place, until
+// the returned release runs: the way Go code (an embedder, a test)
+// keeps references it holds in its own variables current across calls
+// that may collect. An FCall roots its references with
+// Thread.PushFrame instead, which allocates nothing.
+func (v *VM) Protect(refs ...*Ref) (release func()) {
+	p := refPtrs(refs)
+	v.AddRootProvider(&p)
+	return func() { v.RemoveRootProvider(&p) }
+}
+
 // New creates a VM with the root object type registered.
 func New(cfg Config) *VM {
 	v := &VM{
@@ -523,6 +545,11 @@ func (v *VM) SetTraceLane(rank int) { v.traceLane = rank }
 // the implementation holds across a potential GC point must live in a
 // protected Frame (see Thread.PushFrame), mirroring the protected
 // object pointers SSCLI FCalls must declare (paper §5.1).
+//
+// args is a window of the caller's operand stack, not a copy: it is
+// valid only until Fn returns, when the caller pushes the result over
+// it. An implementation must not keep args (or a subslice) past its
+// return; copy what it needs.
 type InternalFunc struct {
 	Name   string
 	NArgs  int

@@ -626,7 +626,7 @@ func Float64FromBits(b uint64) float64 { return vm.F64FromBits(b) }
 // a plain Go variable across an allocating or communicating call MUST
 // be protected this way (the FCall protected-pointer discipline of
 // the paper's §5.1).
-func (r *Rank) Protect(refs ...*Ref) (release func()) { return r.thread.PushFrame(refs...) }
+func (r *Rank) Protect(refs ...*Ref) (release func()) { return r.vm.Protect(refs...) }
 
 // --- message passing (regular operations, §4.2.1) ---------------------------
 
@@ -985,9 +985,9 @@ func (rt *RankThread) Size() int { return rt.rank.Size() }
 // Thread exposes the worker's managed thread.
 func (rt *RankThread) Thread() *vm.Thread { return rt.thread }
 
-// Protect registers Go-held refs as GC roots on the worker thread.
+// Protect registers Go-held refs as GC roots (see Rank.Protect).
 func (rt *RankThread) Protect(refs ...*Ref) (release func()) {
-	return rt.thread.PushFrame(refs...)
+	return rt.rank.vm.Protect(refs...)
 }
 
 // NewInt32Array allocates and fills an int32 array on the shared heap.

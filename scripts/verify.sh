@@ -88,7 +88,10 @@ tier3() {
 # the first race fatal instead of a warning. The channel and device
 # packages run whole: the lock-free shm queue is only as good as its
 # -race record, and a lent rendezvous send is completed by the peer's
-# goroutine under the sender's device lock.
+# goroutine under the sender's device lock. The -run regex also picks
+# up the use-after-recycle tests (TestStressStaleRequestHandle in mp,
+# TestStressStaleManagedRequest in core): a recycled request reused by
+# a new operation while its old handle or managed id is still used.
 tier_stress() {
 	echo "== stress: -race concurrency stress + chaos + progress harness"
 	GORACE=halt_on_error=1 go test -race -timeout 600s \
