@@ -69,3 +69,85 @@ func TestAllocsManagedPingPong(t *testing.T) {
 		t.Fatalf("managed 8 B message op allocates %.3f times, want <= 0.05", perOp)
 	}
 }
+
+// TestAllocsManagedOTree: an otree round trip (benchmark/workloads/
+// otree.masm: the client osends a linked list of Cells, the server
+// orecvs it and osends the copy back, K round trips per Rank.Call)
+// allocates as few times at 256 cells as at 2. Writer and reader state
+// come from the engine's free lists, so nothing grows with the object
+// count. The one difference allowed is under one allocation per round
+// trip: the collector's own Go allocations (about a dozen per
+// collection), since 256 cells fill the nursery sooner. AllocsPerRun
+// counts both ranks; -race is excluded as above.
+func TestAllocsManagedOTree(t *testing.T) {
+	src, err := os.ReadFile("benchmark/workloads/otree.masm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		k    = 8
+		runs = 50
+		warm = 10
+	)
+	perRT := map[int]float64{}
+	for _, cells := range []int{2, 256} {
+		run(t, motor.Config{Ranks: 2}, func(r *motor.Rank) error {
+			if _, err := r.Load(string(src)); err != nil {
+				return err
+			}
+			name, args := "server", []motor.Value{{Bits: k}}
+			if r.ID() == 0 {
+				sizes := make([]int32, cells)
+				for i := range sizes {
+					sizes[i] = 16
+				}
+				sizesRef, err := r.NewInt32Array(sizes)
+				if err != nil {
+					return err
+				}
+				defer r.Protect(&sizesRef)()
+				payload, err := r.NewUint8Array(make([]byte, 16*cells))
+				if err != nil {
+					return err
+				}
+				build, ok := r.VM().MethodByName("build")
+				if !ok {
+					return fmt.Errorf("otree.masm has no method build")
+				}
+				if _, err := r.Call(build, motor.Value{Bits: uint64(sizesRef), IsRef: true}, motor.Value{Bits: uint64(payload), IsRef: true}); err != nil {
+					return err
+				}
+				name, args = "client", []motor.Value{{Bits: 1}, {Bits: k}}
+			}
+			m, ok := r.VM().MethodByName(name)
+			if !ok {
+				return fmt.Errorf("otree.masm has no method %q", name)
+			}
+			var callErr error
+			call := func() {
+				bad, err := r.Call(m, args...)
+				if err == nil && bad.Bits != 0 {
+					err = fmt.Errorf("%s: %d round trips failed their check", name, bad.Bits)
+				}
+				if err != nil && callErr == nil {
+					callErr = err
+				}
+			}
+			for i := 0; i < warm; i++ {
+				call()
+			}
+			if r.ID() == 1 {
+				for i := 0; i <= runs; i++ { // AllocsPerRun calls f once more to warm up
+					call()
+				}
+				return callErr
+			}
+			perRT[cells] = testing.AllocsPerRun(runs, call) / k
+			return callErr
+		})
+	}
+	t.Logf("otree round trip: %.2f allocs at 2 cells, %.2f at 256", perRT[2], perRT[256])
+	if perRT[256]-perRT[2] >= 1 || perRT[256] > 16 {
+		t.Fatalf("otree round trip allocates %.2f times at 2 cells and %.2f at 256, want the same count and <= 16", perRT[2], perRT[256])
+	}
+}

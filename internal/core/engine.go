@@ -171,6 +171,10 @@ type Engine struct {
 	peerCaches map[int]*serial.PeerCache
 	mirrors    map[int]*serial.TableMirror
 
+	// Free lists of OO stream state (oo.go).
+	writers freeList[serial.StreamWriter]
+	readers freeList[serial.StreamReader]
+
 	requests map[int32]mpReq
 	nextReq  int32
 
@@ -215,9 +219,9 @@ type Option func(*Engine)
 func WithPolicy(p PinPolicy) Option { return func(e *Engine) { e.policy = p } }
 
 // WithVisited selects the serializer's visited-object structure. The
-// engine defaults to VisitedMap (the efficient structure the paper
-// names as future work); pass VisitedLinear for the paper's original
-// behaviour (ablation A2 benchmarks both).
+// default, VisitedMap, is the epoch-stamped table the paper names as
+// future work; pass VisitedLinear for the paper's linear list, whose
+// cost Fig. 10 and ablation A2 measure.
 func WithVisited(m serial.VisitedMode) Option {
 	return func(e *Engine) { e.serOpts.Visited = m }
 }
@@ -249,7 +253,6 @@ func Attach(v *vm.VM, w *mp.World, opts ...Option) *Engine {
 		Comm:       w.Comm,
 		maxOO:      DefaultMaxOOMessage,
 		ooChunk:    serial.DefaultChunkTarget,
-		serOpts:    serial.Options{Visited: serial.VisitedMap},
 		peerCaches: make(map[int]*serial.PeerCache),
 		mirrors:    make(map[int]*serial.TableMirror),
 		requests:   make(map[int32]mpReq),

@@ -43,6 +43,78 @@ import (
 // streams.
 func (e *Engine) ooChunkTarget() int { return e.ooChunk }
 
+// OO stream state comes from the engine's free lists (DESIGN.md, "OO
+// stream state"): a stream takes a writer or reader when it starts,
+// and drop unroots it before giving it back, unless it outgrew the
+// retention bound. Each stream takes its own, so threads that yield
+// inside OO ops never share one.
+
+func (e *Engine) startWriter(root vm.Ref, target int, cache *serial.PeerCache) *serial.StreamWriter {
+	sw := e.writers.take()
+	sw.Reset(e.VM.Heap, root, e.serOpts, target, cache)
+	e.VM.AddRootProvider(sw)
+	return sw
+}
+
+// startPart starts a writer on the split part [lo,hi) of arr.
+func (e *Engine) startPart(arr vm.Ref, lo, hi int) (*serial.StreamWriter, error) {
+	sw := e.writers.take()
+	if err := sw.ResetPart(e.VM.Heap, arr, lo, hi, e.serOpts, e.ooChunk); err != nil {
+		return nil, err
+	}
+	e.VM.AddRootProvider(sw)
+	return sw, nil
+}
+
+func (e *Engine) dropWriter(sw *serial.StreamWriter) {
+	e.VM.RemoveRootProvider(sw)
+	e.writers.put(sw, sw.Reusable())
+}
+
+// startReader starts a reader accumulating into a pooled buffer of at
+// least bufCap bytes.
+func (e *Engine) startReader(mirror *serial.TableMirror, bufCap int) *serial.StreamReader {
+	sr := e.readers.take()
+	sr.Reset(e.VM, mirror, e.bufs.get(bufCap, &e.Stats))
+	e.VM.AddRootProvider(sr)
+	return sr
+}
+
+func (e *Engine) dropReader(sr *serial.StreamReader) {
+	e.VM.RemoveRootProvider(sr)
+	e.bufs.put(sr.Buffer())
+	e.readers.put(sr, sr.Reusable())
+}
+
+// freeList is a LIFO free list of OO stream writers or readers.
+type freeList[T any] []*T
+
+func (l *freeList[T]) take() *T {
+	n := len(*l)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*l)[n-1]
+	*l = (*l)[:n-1]
+	return x
+}
+
+func (l *freeList[T]) put(x *T, keep bool) {
+	if keep {
+		*l = append(*l, x)
+	}
+}
+
+// pollRooted is the exit safepoint of an op that returns a reference:
+// ref stays rooted across the poll, where a sibling thread may collect.
+func pollRooted(t *vm.Thread, ref vm.Ref) vm.Ref {
+	f := t.PushFrame(ref)
+	t.PollGC()
+	ref = f.Ref(0)
+	f.Pop()
+	return ref
+}
+
 // chunkSpan records one explicit-identity KChunk span (chunk work
 // overlaps other chunk work, so Begin/End stack nesting cannot hold).
 func (e *Engine) chunkSpan(dir uint64, idx int, start int64, bytes int) {
@@ -107,6 +179,7 @@ func (e *Engine) streamOut(t *vm.Thread, sw *serial.StreamWriter, dest, tag int,
 			if _, err := e.await(t, inflight); err != nil {
 				return err
 			}
+			inflight.Recycle()
 			e.chunkSpan(1, idx-1, sendStart, 0)
 		}
 		sendStart = spanStart()
@@ -127,6 +200,7 @@ func (e *Engine) streamOut(t *vm.Thread, sw *serial.StreamWriter, dest, tag int,
 		if _, err := e.await(t, inflight); err != nil {
 			return err
 		}
+		inflight.Recycle()
 		e.chunkSpan(1, idx-1, sendStart, 0)
 	}
 	return nil
@@ -187,9 +261,8 @@ func (e *Engine) OSend(t *vm.Thread, obj vm.Ref, dest, tag int) error {
 	bump(&e.Stats.OOSends, 1)
 	tr := e.opBegin(obs.OpOSend, 0, dest)
 	defer e.opEnd(tr)
-	sw := serial.NewStreamWriter(e.VM.Heap, f.Ref(0), e.serOpts, e.ooChunkTarget(), e.peerCache(dest))
-	e.VM.AddRootProvider(sw)
-	defer e.VM.RemoveRootProvider(sw)
+	sw := e.startWriter(f.Ref(0), e.ooChunkTarget(), e.peerCache(dest))
+	defer e.dropWriter(sw)
 	err := e.streamOut(t, sw, dest, tag, mp.OOSpaceData)
 	e.mergeTTStats(sw)
 	if err != nil {
@@ -220,10 +293,8 @@ func (e *Engine) streamIn(t *vm.Thread, source, tag int, sp mp.OOSpace, useCache
 	if useCache {
 		mirror = e.mirror(src)
 	}
-	sr := serial.NewStreamReader(e.VM, mirror, e.bufs.get(st.Count, &e.Stats))
-	e.VM.AddRootProvider(sr)
-	defer e.VM.RemoveRootProvider(sr)
-	defer func() { e.bufs.put(sr.Buffer()) }()
+	sr := e.startReader(mirror, st.Count)
+	defer e.dropReader(sr)
 	total := 0
 	idx := 0
 	for {
@@ -238,6 +309,7 @@ func (e *Engine) streamIn(t *vm.Thread, source, tag int, sp mp.OOSpace, useCache
 		if _, err := e.await(t, req); err != nil {
 			return vm.NullRef, st, err
 		}
+		req.Recycle()
 		bump(&e.Stats.OOChunksRecvd, 1)
 		e.chunkSpan(2, idx, recvStart, st.Count)
 		idx++
@@ -295,12 +367,11 @@ func (e *Engine) recvTableBlob(t *vm.Thread, sr *serial.StreamReader, src, tag i
 // heap. It returns the new root object.
 func (e *Engine) ORecv(t *vm.Thread, source, tag int) (vm.Ref, mp.Status, error) {
 	t.PollGC()
-	defer t.PollGC()
 	bump(&e.Stats.OORecvs, 1)
 	tr := e.opBegin(obs.OpORecv, 0, source)
 	defer e.opEnd(tr)
 	ref, st, err := e.streamIn(t, source, tag, mp.OOSpaceData, true)
-	return ref, st, e.noteErr(err)
+	return pollRooted(t, ref), st, e.noteErr(err)
 }
 
 // OBcast broadcasts the root's object tree; non-roots receive and
@@ -308,11 +379,11 @@ func (e *Engine) ORecv(t *vm.Thread, source, tag int) (vm.Ref, mp.Status, error)
 // Chunks ride the buffered Bcast under a 5-byte [len,last] header per
 // round; chunk targets stay below the eager threshold so a rank that
 // bails (oversize cap) cannot strand the root in a rendezvous.
-func (e *Engine) OBcast(t *vm.Thread, obj vm.Ref, root int) (vm.Ref, error) {
+func (e *Engine) OBcast(t *vm.Thread, obj vm.Ref, root int) (res vm.Ref, err error) {
 	f := t.PushFrame(obj)
 	defer f.Pop()
 	t.PollGC()
-	defer t.PollGC()
+	defer func() { res = pollRooted(t, res) }()
 	tr := e.opBegin(obs.OpOBcast, 0, root)
 	defer e.opEnd(tr)
 	target := e.ooChunk
@@ -322,9 +393,8 @@ func (e *Engine) OBcast(t *vm.Thread, obj vm.Ref, root int) (vm.Ref, error) {
 	hdr := make([]byte, 5)
 	if e.Comm.Rank() == root {
 		bump(&e.Stats.OOSends, 1)
-		sw := serial.NewStreamWriter(e.VM.Heap, f.Ref(0), e.serOpts, target, nil)
-		e.VM.AddRootProvider(sw)
-		defer e.VM.RemoveRootProvider(sw)
+		sw := e.startWriter(f.Ref(0), target, nil)
+		defer e.dropWriter(sw)
 		buf := e.bufs.get(target+512, &e.Stats)
 		defer func() { e.bufs.put(buf) }()
 		idx := 0
@@ -358,10 +428,8 @@ func (e *Engine) OBcast(t *vm.Thread, obj vm.Ref, root int) (vm.Ref, error) {
 		return f.Ref(0), nil
 	}
 	bump(&e.Stats.OORecvs, 1)
-	sr := serial.NewStreamReader(e.VM, nil, e.bufs.get(target, &e.Stats))
-	e.VM.AddRootProvider(sr)
-	defer e.VM.RemoveRootProvider(sr)
-	defer func() { e.bufs.put(sr.Buffer()) }()
+	sr := e.startReader(nil, target)
+	defer e.dropReader(sr)
 	total := 0
 	idx := 0
 	for {
@@ -395,10 +463,8 @@ func (e *Engine) OBcast(t *vm.Thread, obj vm.Ref, root int) (vm.Ref, error) {
 // — the root's own part of an OO collective, taking the same
 // serialize/deserialize copy semantics as the transported parts.
 func (e *Engine) loopback(t *vm.Thread, sw *serial.StreamWriter) (vm.Ref, error) {
-	sr := serial.NewStreamReader(e.VM, nil, e.bufs.get(e.ooChunk, &e.Stats))
-	e.VM.AddRootProvider(sr)
-	defer e.VM.RemoveRootProvider(sr)
-	defer func() { e.bufs.put(sr.Buffer()) }()
+	sr := e.startReader(nil, e.ooChunk)
+	defer e.dropReader(sr)
 	scratch := e.bufs.get(e.ooChunk+512, &e.Stats)
 	defer func() { e.bufs.put(scratch) }()
 	for !sw.Done() {
@@ -422,11 +488,11 @@ func (e *Engine) loopback(t *vm.Thread, sw *serial.StreamWriter) (vm.Ref, error)
 // the OO collective tag space; the split representation (§7.5) makes
 // each part independently deserializable — the capability the paper
 // highlights as impossible with standard Java/CLI serialization.
-func (e *Engine) OScatter(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
+func (e *Engine) OScatter(t *vm.Thread, arr vm.Ref, root int) (res vm.Ref, err error) {
 	f := t.PushFrame(arr)
 	defer f.Pop()
 	t.PollGC()
-	defer t.PollGC()
+	defer func() { res = pollRooted(t, res) }()
 	tr := e.opBegin(obs.OpOScatter, 0, root)
 	defer e.opEnd(tr)
 	seq := e.Comm.NextOOSeq()
@@ -451,13 +517,12 @@ func (e *Engine) OScatter(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
 			continue
 		}
 		lo, hi := serial.PartRange(n, size, r)
-		sw, err := serial.NewStreamWriterPart(h, f.Ref(0), lo, hi, e.serOpts, e.ooChunkTarget())
+		sw, err := e.startPart(f.Ref(0), lo, hi)
 		if err != nil {
 			return vm.NullRef, err // arr is invalid: no part can be produced
 		}
-		e.VM.AddRootProvider(sw)
 		err = e.streamOut(t, sw, r, seq, mp.OOSpaceColl)
-		e.VM.RemoveRootProvider(sw)
+		e.dropWriter(sw)
 		if err != nil && firstErr == nil {
 			// Keep streaming to the remaining ranks so one dead peer
 			// does not strand the others mid-collective.
@@ -468,12 +533,11 @@ func (e *Engine) OScatter(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
 		return vm.NullRef, e.noteErr(firstErr)
 	}
 	lo, hi := serial.PartRange(n, size, root)
-	sw, err := serial.NewStreamWriterPart(h, f.Ref(0), lo, hi, e.serOpts, e.ooChunkTarget())
+	sw, err := e.startPart(f.Ref(0), lo, hi)
 	if err != nil {
 		return vm.NullRef, err
 	}
-	e.VM.AddRootProvider(sw)
-	defer e.VM.RemoveRootProvider(sw)
+	defer e.dropWriter(sw)
 	bump(&e.Stats.OORecvs, 1)
 	return e.loopback(t, sw)
 }
@@ -483,11 +547,11 @@ func (e *Engine) OScatter(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
 // representations and reconstructs them into a single array", §7.5).
 // Every rank streams its whole array to the root under the OO
 // collective tag space; non-roots return the null reference.
-func (e *Engine) OGather(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
+func (e *Engine) OGather(t *vm.Thread, arr vm.Ref, root int) (res vm.Ref, err error) {
 	f := t.PushFrame(arr)
 	defer f.Pop()
 	t.PollGC()
-	defer t.PollGC()
+	defer func() { res = pollRooted(t, res) }()
 	if f.Ref(0) == vm.NullRef {
 		return vm.NullRef, ErrNullObject
 	}
@@ -500,9 +564,8 @@ func (e *Engine) OGather(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
 	defer e.opEnd(tr)
 	seq := e.Comm.NextOOSeq()
 	if e.Comm.Rank() != root {
-		sw := serial.NewStreamWriter(e.VM.Heap, f.Ref(0), e.serOpts, e.ooChunkTarget(), nil)
-		e.VM.AddRootProvider(sw)
-		defer e.VM.RemoveRootProvider(sw)
+		sw := e.startWriter(f.Ref(0), e.ooChunkTarget(), nil)
+		defer e.dropWriter(sw)
 		if err := e.streamOut(t, sw, root, seq, mp.OOSpaceColl); err != nil {
 			return vm.NullRef, e.noteErr(err)
 		}
@@ -516,10 +579,9 @@ func (e *Engine) OGather(t *vm.Thread, arr vm.Ref, root int) (vm.Ref, error) {
 	var firstErr error
 	for r := 0; r < size; r++ {
 		if r == root {
-			sw := serial.NewStreamWriter(e.VM.Heap, f.Ref(0), e.serOpts, e.ooChunkTarget(), nil)
-			e.VM.AddRootProvider(sw)
+			sw := e.startWriter(f.Ref(0), e.ooChunkTarget(), nil)
 			ref, err := e.loopback(t, sw)
-			e.VM.RemoveRootProvider(sw)
+			e.dropWriter(sw)
 			if err != nil {
 				return vm.NullRef, err
 			}

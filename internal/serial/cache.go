@@ -65,37 +65,59 @@ func (c *PeerCache) assign(mt *vm.MethodTable) uint32 {
 }
 
 // TableMirror is the receiver side: raw type entries keyed by the
-// sender's cache ids, valid for one sender epoch. Entries are kept as
-// wire bytes and re-resolved against the local registry per stream, so
-// receiver-side registry churn (its own Load rollback) can never leave
-// a stale *MethodTable in the mirror.
+// sender's cache ids, valid for one sender epoch. Each entry keeps its
+// wire bytes and the type they last resolved to, stamped with the
+// receiving VM's type-registry generation: a table reference hit then
+// parses nothing, and receiver-side registry churn (its own Load
+// rollback) re-resolves the entry instead of leaving a stale
+// *MethodTable in the mirror.
 type TableMirror struct {
 	Epoch   uint32
-	entries map[uint32][]byte
+	entries map[uint32]mirrorEntry
+}
+
+type mirrorEntry struct {
+	raw []byte
+	wt  wireType
+	v   *vm.VM // wt resolved against v at type generation gen
+	gen uint64
 }
 
 // NewTableMirror builds an empty mirror.
 func NewTableMirror() *TableMirror {
-	return &TableMirror{entries: make(map[uint32][]byte)}
+	return &TableMirror{entries: make(map[uint32]mirrorEntry)}
 }
 
 // Entries reports how many raw entries the mirror holds (tests).
 func (m *TableMirror) Entries() int { return len(m.entries) }
 
 // sync adopts the sender epoch, dropping everything held under a
-// different one.
+// different one, parsed types included.
 func (m *TableMirror) sync(epoch uint32) {
 	if m.Epoch != epoch {
 		m.Epoch = epoch
-		m.entries = make(map[uint32][]byte)
+		m.entries = make(map[uint32]mirrorEntry)
 	}
 }
 
-func (m *TableMirror) install(id uint32, raw []byte) { m.entries[id] = raw }
+func (m *TableMirror) install(id uint32, raw []byte) { m.entries[id] = mirrorEntry{raw: raw} }
 
-func (m *TableMirror) lookup(id uint32) ([]byte, bool) {
-	raw, ok := m.entries[id]
-	return raw, ok
+// resolve returns entry id resolved against v, parsing it only on its
+// first use since v's type registry last moved. ok is false when the
+// mirror has no such entry.
+func (m *TableMirror) resolve(v *vm.VM, id uint32) (wt wireType, ok bool, err error) {
+	e, ok := m.entries[id]
+	if !ok {
+		return wireType{}, false, nil
+	}
+	if e.v != v || e.gen != v.TypeGen() {
+		if e.wt, err = parseEntry(v, e.raw); err != nil {
+			return wireType{}, true, err
+		}
+		e.v, e.gen = v, v.TypeGen()
+		m.entries[id] = e
+	}
+	return e.wt, true, nil
 }
 
 // TTCacheStats counts type-table cache activity; the engine registers

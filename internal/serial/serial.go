@@ -19,11 +19,14 @@
 // individually deserializable at the receiving end — the capability
 // the standard Java/CLI serializers lack (paper §2.4, §7.5).
 //
-// The visited-object structure is selectable: VisitedLinear is the
-// paper's implementation ("a linear structure to record objects
-// visited during serialization", the cause of the large-object-count
-// degradation in Figure 10); VisitedMap is the efficient structure
-// the authors name as future work. Ablation A2 benchmarks the two.
+// The visited-object structure is selectable. The default, VisitedMap,
+// is the efficient structure the authors name as future work: an
+// open-addressed Ref -> id table whose slots are stamped with a reset
+// epoch, so a reused writer starts each stream without clearing it or
+// allocating. VisitedLinear is the paper's implementation ("a linear
+// structure to record objects visited during serialization", the
+// cause of the large-object-count degradation in Figure 10); it stays
+// so Fig. 10 and ablation A2 can still measure that behaviour.
 package serial
 
 import (
@@ -49,10 +52,11 @@ var (
 // VisitedMode selects the visited-object bookkeeping structure.
 type VisitedMode uint8
 
-// Visited-structure choices (see package comment).
+// Visited-structure choices (see package comment). The zero value is
+// the table; the paper's list must be asked for.
 const (
-	VisitedLinear VisitedMode = iota
-	VisitedMap
+	VisitedMap VisitedMode = iota
+	VisitedLinear
 )
 
 // Options configures a serializer.
@@ -63,12 +67,13 @@ type Options struct {
 // visitedSet records serialized objects and their 1-based local ids.
 // visit lets a streaming serialization survive collections between
 // chunks: the recorded refs are GC roots and must follow moved
-// objects, or later lookups would miss and re-emit duplicates.
+// objects, or later lookups would miss and re-emit duplicates. reset
+// forgets every entry but keeps the storage for the next stream.
 type visitedSet interface {
 	lookup(ref vm.Ref) (uint32, bool)
 	add(ref vm.Ref, id uint32)
-	count() int
 	visit(visit func(vm.Ref) vm.Ref)
+	reset()
 }
 
 // linearVisited is the paper's structure: lookup scans the whole
@@ -111,66 +116,134 @@ func (l *linearVisited) add(ref vm.Ref, id uint32) {
 	l.ids = append(l.ids, id)
 }
 
-func (l *linearVisited) count() int { return len(l.refs) }
-
 func (l *linearVisited) visit(visit func(vm.Ref) vm.Ref) {
 	for i, r := range l.refs {
 		l.refs[i] = visit(r)
 	}
 }
 
-type mapVisited map[vm.Ref]uint32
+func (l *linearVisited) reset() { l.refs, l.ids = l.refs[:0], l.ids[:0] }
 
-func (m mapVisited) lookup(ref vm.Ref) (uint32, bool) {
-	id, ok := m[ref]
-	return id, ok
+// tableVisited is an open-addressed Ref -> id table with linear
+// probing. Every slot carries the epoch it was written in and a slot
+// of any other epoch reads as empty, so reset is epoch++ and reuses
+// the slots without clearing them.
+type tableVisited struct {
+	slots []visitSlot // power-of-two length, at most 3/4 full
+	epoch uint32      // current epoch; slots start at 0, so it starts at 1
+	n     int
+	moved []visitSlot // visit's staging, kept for the next collection
 }
 
-func (m mapVisited) add(ref vm.Ref, id uint32) { m[ref] = id }
-func (m mapVisited) count() int                { return len(m) }
+type visitSlot struct {
+	ref   vm.Ref
+	id    uint32
+	epoch uint32
+}
 
-func (m mapVisited) visit(visit func(vm.Ref) vm.Ref) {
-	// Keys are ref values, so a move must re-key the map.
-	type pair struct {
-		ref vm.Ref
-		id  uint32
+// home is ref's first probe: refs are aligned heap offsets, so a
+// Fibonacci multiply spreads them before the mask.
+func (t *tableVisited) home(ref vm.Ref) int {
+	return int((uint32(ref) * 0x9E3779B9) & uint32(len(t.slots)-1))
+}
+
+func (t *tableVisited) lookup(ref vm.Ref) (uint32, bool) {
+	if t.n == 0 {
+		return 0, false
 	}
-	moved := make([]pair, 0, len(m))
-	for r, id := range m {
-		moved = append(moved, pair{visit(r), id})
-	}
-	for r := range m {
-		delete(m, r)
-	}
-	for _, p := range moved {
-		m[p.ref] = p.id
+	mask := len(t.slots) - 1
+	for i := t.home(ref); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.epoch != t.epoch {
+			return 0, false
+		}
+		if s.ref == ref {
+			return s.id, true
+		}
 	}
 }
 
-// writer builds the representation.
+// add inserts a ref not yet in the table, doubling it past 3/4 full.
+func (t *tableVisited) add(ref vm.Ref, id uint32) {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		old := t.slots
+		oldEpoch := t.epoch
+		t.slots = make([]visitSlot, max(64, 2*len(old)))
+		t.epoch, t.n = 1, 0
+		for _, s := range old {
+			if s.epoch == oldEpoch {
+				t.add(s.ref, s.id)
+			}
+		}
+	}
+	mask := len(t.slots) - 1
+	i := t.home(ref)
+	for t.slots[i].epoch == t.epoch {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = visitSlot{ref: ref, id: id, epoch: t.epoch}
+	t.n++
+}
+
+// visit re-keys the table: a collection may have moved every ref.
+func (t *tableVisited) visit(visit func(vm.Ref) vm.Ref) {
+	t.moved = t.moved[:0]
+	for _, s := range t.slots {
+		if s.epoch == t.epoch {
+			t.moved = append(t.moved, visitSlot{ref: visit(s.ref), id: s.id})
+		}
+	}
+	t.reset()
+	for _, s := range t.moved {
+		t.add(s.ref, s.id)
+	}
+}
+
+func (t *tableVisited) reset() {
+	t.n = 0
+	t.epoch++
+	if t.epoch == 0 { // wrapped: old slots could read as current
+		clear(t.slots)
+		t.epoch = 1
+	}
+}
+
+// writer builds the representation. Its storage is reused from one
+// stream to the next (reset).
 type writer struct {
 	heap *vm.Heap
 
 	types   []*vm.MethodTable
 	typeIdx map[*vm.MethodTable]uint16
 	visited visitedSet
-	pending []vm.Ref // discovered but not yet emitted, in id order
+	linear  linearVisited
+	table   tableVisited
+	// pending holds discovered but not yet emitted refs, in id order;
+	// pending[head] is the next to emit. It is emptied when it drains,
+	// so its capacity is kept.
+	pending []vm.Ref
+	head    int
 	objData []byte
 	nextID  uint32
 }
 
-func newWriter(h *vm.Heap, opts Options) *writer {
-	w := &writer{
-		heap:    h,
-		typeIdx: make(map[*vm.MethodTable]uint16),
-		nextID:  1,
+// reset readies w for a new stream over h.
+func (w *writer) reset(h *vm.Heap, opts Options) {
+	w.heap = h
+	w.types = w.types[:0]
+	if w.typeIdx == nil {
+		w.typeIdx = make(map[*vm.MethodTable]uint16)
 	}
-	if opts.Visited == VisitedMap {
-		w.visited = mapVisited{}
+	clear(w.typeIdx)
+	if opts.Visited == VisitedLinear {
+		w.visited = &w.linear
 	} else {
-		w.visited = &linearVisited{}
+		w.visited = &w.table
 	}
-	return w
+	w.visited.reset()
+	w.pending, w.head = w.pending[:0], 0
+	w.objData = nil
+	w.nextID = 1
 }
 
 // assign returns the local id for ref, scheduling it for emission on

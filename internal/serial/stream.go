@@ -95,44 +95,70 @@ type StreamWriter struct {
 // when non-nil, enables table-reference emission against a per-peer
 // type-table cache; nil produces a self-describing (epoch 0) stream.
 func NewStreamWriter(h *vm.Heap, root vm.Ref, opts Options, target int, cache *PeerCache) *StreamWriter {
-	if target <= 0 {
-		target = DefaultChunkTarget
-	}
-	w := newWriter(h, opts)
-	sw := &StreamWriter{w: w, target: target, cache: cache}
+	sw := new(StreamWriter)
+	sw.Reset(h, root, opts, target, cache)
+	return sw
+}
+
+// Reset starts a new stream on sw, as NewStreamWriter does, reusing the
+// storage of its previous stream. sw must not be registered as a root
+// provider while it is reset.
+func (sw *StreamWriter) Reset(h *vm.Heap, root vm.Ref, opts Options, target int, cache *PeerCache) {
+	sw.reset(h, opts, target)
+	sw.cache = cache
 	if cache != nil {
 		sw.epoch = cache.Epoch
 	}
-	sw.rootID = w.assign(root)
-	return sw
+	sw.rootID = sw.w.assign(root)
+}
+
+func (sw *StreamWriter) reset(h *vm.Heap, opts Options, target int) {
+	if target <= 0 {
+		target = DefaultChunkTarget
+	}
+	w := sw.w
+	if w == nil {
+		w = new(writer)
+	}
+	w.reset(h, opts)
+	*sw = StreamWriter{w: w, target: target, rootRec: sw.rootRec[:0], scratch: sw.scratch[:0]}
 }
 
 // NewStreamWriterPart starts a stream whose root is a synthetic
 // sub-array over arr's element range [lo,hi) — one part of the split
 // representation (scatter). Parts are always self-describing.
 func NewStreamWriterPart(h *vm.Heap, arr vm.Ref, lo, hi int, opts Options, target int) (*StreamWriter, error) {
+	sw := new(StreamWriter)
+	if err := sw.ResetPart(h, arr, lo, hi, opts, target); err != nil {
+		return nil, err
+	}
+	return sw, nil
+}
+
+// ResetPart starts a new part stream on sw, as NewStreamWriterPart
+// does, reusing the storage of its previous stream.
+func (sw *StreamWriter) ResetPart(h *vm.Heap, arr vm.Ref, lo, hi int, opts Options, target int) error {
 	if arr == vm.NullRef {
-		return nil, fmt.Errorf("serial: split of null array")
+		return fmt.Errorf("serial: split of null array")
 	}
 	mt := h.MT(arr)
 	if mt.Kind != vm.TKArray || mt.Rank != 1 {
-		return nil, fmt.Errorf("serial: split requires a rank-1 array, got %s", mt)
+		return fmt.Errorf("serial: split requires a rank-1 array, got %s", mt)
 	}
 	n := h.Length(arr)
 	if lo < 0 || hi < lo || hi > n {
-		return nil, fmt.Errorf("serial: split range [%d,%d) outside array of %d", lo, hi, n)
+		return fmt.Errorf("serial: split range [%d,%d) outside array of %d", lo, hi, n)
 	}
-	if target <= 0 {
-		target = DefaultChunkTarget
-	}
-	w := newWriter(h, opts)
-	sw := &StreamWriter{w: w, target: target, rootMT: mt}
+	sw.reset(h, opts, target)
+	sw.rootMT = mt
+	w := sw.w
 	// Synthetic root: id 1 describes the sub-array; it has no heap
 	// object, so it bypasses the visited set. The record is staged now
 	// (element payload copied, element objects scheduled) so the
 	// source array need not survive until the first chunk.
 	sw.rootID = w.nextID
 	w.nextID++
+	w.objData = sw.rootRec
 	w.u16(w.typeIndex(mt))
 	w.u32(uint32(hi - lo))
 	if mt.Elem == vm.KindRef {
@@ -146,16 +172,32 @@ func NewStreamWriterPart(h *vm.Heap, arr vm.Ref, lo, hi int, opts Options, targe
 	}
 	sw.rootRec = w.objData
 	w.objData = nil
-	return sw, nil
+	return nil
 }
+
+// Reusable reports whether sw's last stream was small enough for its
+// storage to be kept for another (see retainLimit).
+func (sw *StreamWriter) Reusable() bool {
+	return int(sw.w.nextID)+len(sw.w.types) <= retainLimit && cap(sw.rootRec) <= 8*retainLimit
+}
+
+// retainLimit bounds the state a reused writer or reader keeps between
+// streams. A stream of up to 8192 objects, types and (for a reader)
+// data sections, and a split root record of up to 64 KiB, leaves its
+// storage for the next one; a
+// larger one's is left to the garbage collector. At the bound a writer
+// keeps about 300 KB (table slots, pending queue), a reader about
+// 500 KB (refs and records).
+const retainLimit = 1 << 13
 
 // VisitRoots implements vm.RootProvider: the not-yet-emitted queue and
 // the visited structure hold live (movable) references between chunks.
 func (sw *StreamWriter) VisitRoots(visit func(vm.Ref) vm.Ref) {
-	for i, ref := range sw.w.pending {
-		sw.w.pending[i] = visit(ref)
+	w := sw.w
+	for i := w.head; i < len(w.pending); i++ {
+		w.pending[i] = visit(w.pending[i])
 	}
-	sw.w.visited.visit(visit)
+	w.visited.visit(visit)
 }
 
 // Done reports whether the final chunk has been produced.
@@ -201,7 +243,7 @@ func (sw *StreamWriter) Next(buf []byte) ([]byte, error) {
 			dataAt = -1
 		}
 	}
-	if sw.rootRec != nil {
+	if len(sw.rootRec) > 0 {
 		var err error
 		out, err = sw.tableSection(out, sw.rootMT)
 		if err != nil {
@@ -209,11 +251,14 @@ func (sw *StreamWriter) Next(buf []byte) ([]byte, error) {
 		}
 		openData()
 		out = append(out, sw.rootRec...)
-		sw.rootRec = nil
+		sw.rootRec = sw.rootRec[:0]
 	}
-	for len(w.pending) > 0 && len(out) < sw.target {
-		ref := w.pending[0]
-		w.pending = w.pending[1:]
+	for w.head < len(w.pending) && len(out) < sw.target {
+		ref := w.pending[w.head]
+		w.head++
+		if w.head == len(w.pending) {
+			w.pending, w.head = w.pending[:0], 0
+		}
 		mt := w.heap.MT(ref)
 		if _, known := w.typeIdx[mt]; !known {
 			closeData()
@@ -234,7 +279,7 @@ func (sw *StreamWriter) Next(buf []byte) ([]byte, error) {
 		}
 	}
 	closeData()
-	if len(w.pending) == 0 {
+	if w.head == len(w.pending) {
 		out = append(out, secEnd)
 		out = appendU32(out, w.nextID-1)
 		sw.done = true

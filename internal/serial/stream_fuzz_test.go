@@ -1,13 +1,18 @@
 package serial
 
 import (
+	"bytes"
 	"testing"
+
+	"motor/internal/vm"
 )
 
 // FuzzDeserializeStream fuzzes the one parser of OO wire bytes. Seeds
 // cover the interesting failure classes: a valid stream, a retired v1
 // ("MSER") buffer, truncated chunks, a stale-epoch cached stream, and
-// table references with no matching entry.
+// table references with no matching entry. Each input is also fed to a
+// reader that is then reset and given the valid stream: reuse after
+// any input must decode exactly as a fresh reader does.
 func FuzzDeserializeStream(f *testing.F) {
 	src := newVM()
 	mt := linkedArrayTypes(src)
@@ -56,5 +61,40 @@ func FuzzDeserializeStream(f *testing.F) {
 		linkedArrayTypes(dst)
 		// Must error or succeed — never panic, never hang.
 		_, _ = DeserializeStream(dst, data)
+		sr := NewStreamReader(dst, nil, nil)
+		_, _ = decodeWith(dst, sr, data)
+		want, err := reencode(dst, NewStreamReader(dst, nil, nil), v2)
+		if err != nil {
+			t.Fatalf("fresh reader: %v", err)
+		}
+		sr.Reset(dst, nil, sr.Buffer())
+		got, err := reencode(dst, sr, v2)
+		if err != nil {
+			t.Fatalf("reused reader: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("a reused reader decodes the valid stream differently from a fresh one")
+		}
 	})
+}
+
+// decodeWith feeds data to sr as one chunk and finishes the stream.
+func decodeWith(v *vm.VM, sr *StreamReader, data []byte) (vm.Ref, error) {
+	v.AddRootProvider(sr)
+	defer v.RemoveRootProvider(sr)
+	copy(sr.Grow(len(data)), data)
+	if err := sr.Commit(len(data)); err != nil {
+		return vm.NullRef, err
+	}
+	return sr.Finish()
+}
+
+// reencode decodes data with sr and serializes the result again, so
+// two decodings can be compared byte for byte.
+func reencode(v *vm.VM, sr *StreamReader, data []byte) ([]byte, error) {
+	root, err := decodeWith(v, sr, data)
+	if err != nil {
+		return nil, err
+	}
+	return SerializeStream(v.Heap, root, Options{}, nil)
 }

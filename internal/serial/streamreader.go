@@ -24,6 +24,7 @@ import (
 type StreamReader struct {
 	rd     reader
 	mirror *TableMirror
+	own    TableMirror // the mirror of a reader given none
 
 	scan      int // section-scan cursor into rd.data
 	gotHeader bool
@@ -50,10 +51,31 @@ type streamTypeMeta struct {
 // Buffer after Finish). mirror may be nil for self-describing streams;
 // a stream that then carries table references fails at Finish.
 func NewStreamReader(v *vm.VM, mirror *TableMirror, buf []byte) *StreamReader {
+	sr := new(StreamReader)
+	sr.Reset(v, mirror, buf)
+	return sr
+}
+
+// Reset starts a new stream on sr, as NewStreamReader does, reusing
+// the storage of its previous stream (which may have failed). sr must
+// not be registered as a root provider while it is reset.
+func (sr *StreamReader) Reset(v *vm.VM, mirror *TableMirror, buf []byte) {
 	if mirror == nil {
-		mirror = NewTableMirror()
+		mirror = &sr.own
+		mirror.Epoch = 0
+		clear(mirror.entries)
 	}
-	return &StreamReader{rd: reader{v: v, data: buf[:0]}, mirror: mirror}
+	rd := &sr.rd
+	*sr = StreamReader{
+		rd:     reader{v: v, data: buf[:0], types: rd.types[:0], refs: rd.refs[:0], records: rd.records[:0]},
+		mirror: mirror, own: sr.own, meta: sr.meta[:0], runs: sr.runs[:0],
+	}
+}
+
+// Reusable reports whether sr's last stream was small enough for its
+// storage to be kept for another (see retainLimit).
+func (sr *StreamReader) Reusable() bool {
+	return len(sr.rd.refs)+len(sr.rd.types)+len(sr.runs) <= retainLimit
 }
 
 // VisitRoots implements vm.RootProvider.
@@ -171,16 +193,11 @@ scan:
 			}
 			id := binary.LittleEndian.Uint32(d[sr.scan+1:])
 			sr.sawRef = true
-			var wt wireType
-			ok := false
-			if raw, hit := sr.mirror.lookup(id); hit {
-				var err error
-				wt, err = parseEntry(sr.rd.v, raw)
-				if err != nil {
-					return err
-				}
-				ok = true
-			} else {
+			wt, ok, err := sr.mirror.resolve(sr.rd.v, id)
+			if err != nil {
+				return err
+			}
+			if !ok {
 				sr.unresolved++
 			}
 			sr.rd.types = append(sr.rd.types, wt)
@@ -270,13 +287,12 @@ func (sr *StreamReader) InstallTable(blob []byte) error {
 		if m.ok {
 			continue
 		}
-		raw, hit := sr.mirror.lookup(m.id)
-		if !hit {
-			continue
-		}
-		wt, err := parseEntry(sr.rd.v, raw)
+		wt, hit, err := sr.mirror.resolve(sr.rd.v, m.id)
 		if err != nil {
 			return err
+		}
+		if !hit {
+			continue
 		}
 		sr.rd.types[i] = wt
 		m.ok = true

@@ -105,12 +105,12 @@ const (
 
 // Serializer visited-structure modes.
 const (
+	// VisitedMap, the default, is the constant-time structure the
+	// paper names as future work: an epoch-stamped Ref -> id table.
+	VisitedMap = serial.VisitedMap
 	// VisitedLinear is the paper's linear visited list (degrades at
 	// large object counts, Figure 10).
 	VisitedLinear = serial.VisitedLinear
-	// VisitedMap is the constant-time structure the paper names as
-	// future work.
-	VisitedMap = serial.VisitedMap
 )
 
 // VerifyMode controls load-time bytecode verification.
@@ -139,8 +139,8 @@ type Config struct {
 	Channel string
 	// Policy selects the pinning policy (default PolicyMotor).
 	Policy PinPolicy
-	// Visited selects the serializer structure (default VisitedLinear,
-	// as in the paper).
+	// Visited selects the serializer structure (default VisitedMap, the
+	// table; VisitedLinear is the paper's list, which Fig. 10 measures).
 	Visited VisitedMode
 	// YoungSize / ArenaMax size each rank's heap (defaults 1 MiB /
 	// 256 MiB).
