@@ -73,12 +73,12 @@ func TestAllocsManagedPingPong(t *testing.T) {
 // TestAllocsManagedOTree: an otree round trip (benchmark/workloads/
 // otree.masm: the client osends a linked list of Cells, the server
 // orecvs it and osends the copy back, K round trips per Rank.Call)
-// allocates as few times at 256 cells as at 2. Writer and reader state
-// come from the engine's free lists, so nothing grows with the object
-// count. The one difference allowed is under one allocation per round
-// trip: the collector's own Go allocations (about a dozen per
-// collection), since 256 cells fill the nursery sooner. AllocsPerRun
-// counts both ranks; -race is excluded as above.
+// allocates as few times at 256 cells as at 2, and at most twice.
+// Writer and reader state come from the engine's free lists, so
+// nothing grows with the object count; neither does the collector's
+// own state, although 256 cells fill the nursery sooner, and unexpected
+// eager payloads land in recycled buffers. AllocsPerRun counts both
+// ranks; -race is excluded as above.
 func TestAllocsManagedOTree(t *testing.T) {
 	src, err := os.ReadFile("benchmark/workloads/otree.masm")
 	if err != nil {
@@ -147,7 +147,7 @@ func TestAllocsManagedOTree(t *testing.T) {
 		})
 	}
 	t.Logf("otree round trip: %.2f allocs at 2 cells, %.2f at 256", perRT[2], perRT[256])
-	if perRT[256]-perRT[2] >= 1 || perRT[256] > 16 {
-		t.Fatalf("otree round trip allocates %.2f times at 2 cells and %.2f at 256, want the same count and <= 16", perRT[2], perRT[256])
+	if perRT[256] > perRT[2] || perRT[256] > 2 || perRT[2] > 2 {
+		t.Fatalf("otree round trip allocates %.2f times at 2 cells and %.2f at 256, want the same count and <= 2", perRT[2], perRT[256])
 	}
 }

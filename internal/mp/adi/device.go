@@ -237,6 +237,9 @@ type Device struct {
 
 	// tmp is scratch for unexpected eager payload delivery.
 	tmp []byte
+	// spare holds up to maxSpare eager payload buffers a matched
+	// unexpected arrival has given back, for the next one to reuse.
+	spare [][]byte
 
 	// deliver state for the in-flight packet between Deliver and Done.
 	curReq   *Request
@@ -562,9 +565,7 @@ func (d *Device) selfSend(buf Buffer, tag int, ctx int32, sync bool) (*Request, 
 		d.Stats.BytesSent += uint64(buf.Len())
 		return req, nil
 	}
-	payload := append([]byte(nil), buf.Bytes()...)
-	d.Stats.Unexpected++
-	d.unexp = append(d.unexp, unexpected{hdr: hdr, payload: payload})
+	d.queueUnexpected(hdr, buf.Bytes())
 	if sync {
 		// Complete when a local receive matches: reuse the
 		// conditional machinery by checking on Test/Wait.
@@ -637,6 +638,9 @@ func (d *Device) irecvLocked(buf Buffer, source, tag int, ctx int32) (*Request, 
 		switch hdr.Type {
 		case channel.PktEager:
 			d.completeEagerRecv(req, hdr, payload)
+			if len(d.spare) < maxSpare && cap(payload) <= d.eagerMax {
+				d.spare = append(d.spare, payload)
+			}
 		case channel.PktRTS:
 			d.acceptRendezvous(req, hdr)
 		}
@@ -654,6 +658,20 @@ func (d *Device) irecvLocked(buf Buffer, source, tag int, ctx int32) (*Request, 
 	d.posted = append(d.posted, req)
 	d.active[req.id] = req
 	return req, nil
+}
+
+// maxSpare bounds the device's recycled eager payload buffers.
+const maxSpare = 16
+
+// queueUnexpected queues an eager arrival no posted receive matched,
+// its payload copied into a recycled buffer when there is one.
+func (d *Device) queueUnexpected(hdr channel.Header, payload []byte) {
+	var buf []byte
+	if n := len(d.spare); n > 0 {
+		buf, d.spare = d.spare[n-1][:0], d.spare[:n-1]
+	}
+	d.Stats.Unexpected++
+	d.unexp = append(d.unexp, unexpected{hdr: hdr, payload: append(buf, payload...)})
 }
 
 // completeEagerRecv copies an already-buffered eager payload into the
@@ -1114,9 +1132,7 @@ func (d *Device) Done(hdr channel.Header) {
 			d.completeEagerRecv(req, hdr, d.tmp[:hdr.Size])
 			delete(d.active, req.id)
 		default: // unexpected
-			d.Stats.Unexpected++
-			payload := append([]byte(nil), d.tmp[:hdr.Size]...)
-			d.unexp = append(d.unexp, unexpected{hdr: hdr, payload: payload})
+			d.queueUnexpected(hdr, d.tmp[:hdr.Size])
 		}
 
 	case channel.PktRTS:

@@ -46,3 +46,46 @@ func TestRecycleFreshID(t *testing.T) {
 		t.Fatalf("%d requests outstanding", n)
 	}
 }
+
+// TestUnexpectedPayloadRecycled: an unexpected eager payload's buffer
+// goes back to the device once a receive has copied it out, the next
+// unexpected arrival reuses it, and no payload still queued is touched.
+func TestUnexpectedPayloadRecycled(t *testing.T) {
+	d0, d1 := devicePair(1024)
+	for tag, msg := range []string{"first", "second", "third"} {
+		if _, err := d0.Isend(SliceBuf([]byte(msg)), 1, tag, 0, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		d1.Progress()
+	}
+	if len(d1.unexp) != 3 {
+		t.Fatalf("%d unexpected arrivals queued, want 3", len(d1.unexp))
+	}
+	first := &d1.unexp[0].payload[:1][0]
+	recv := func(tag int, want string) {
+		t.Helper()
+		buf := make([]byte, 16)
+		req, err := d1.Irecv(SliceBuf(buf), 0, tag, 0)
+		if err != nil || !req.Done() || string(buf[:req.Status().Count]) != want {
+			t.Fatalf("tag %d: %q, %v; want %q", tag, buf, err, want)
+		}
+	}
+	recv(0, "first")
+	if len(d1.spare) != 1 {
+		t.Fatalf("%d spare payload buffers after a match, want 1", len(d1.spare))
+	}
+	if _, err := d0.Isend(SliceBuf([]byte("fifth")), 1, 3, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100 && len(d1.unexp) < 3; i++ {
+		d1.Progress()
+	}
+	if last := d1.unexp[len(d1.unexp)-1].payload; len(d1.spare) != 0 || &last[:1][0] != first {
+		t.Errorf("the fourth arrival did not reuse the first's buffer (%d spare)", len(d1.spare))
+	}
+	recv(1, "second")
+	recv(2, "third")
+	recv(3, "fifth")
+}

@@ -126,14 +126,15 @@ func (v *VM) visitAllRoots(visit func(Ref) Ref) {
 		}
 	}
 	v.mu.Lock()
-	threads := make([]*Thread, 0, len(v.threads))
 	for t := range v.threads {
-		threads = append(threads, t)
+		v.rootThreads = append(v.rootThreads, t)
 	}
 	v.mu.Unlock()
-	for _, t := range threads {
+	for _, t := range v.rootThreads {
 		t.visitRoots(visit)
 	}
+	clear(v.rootThreads)
+	v.rootThreads = v.rootThreads[:0]
 	for _, p := range v.extraRoots {
 		p.VisitRoots(visit)
 	}
@@ -208,85 +209,35 @@ func (h *Heap) scavenge(v *VM, pinned map[Ref]struct{}, res *condPinResolver) bo
 		return false
 	}
 	atomic.AddUint64(&h.Stats.Scavenges, 1)
-	inYoung := func(r Ref) bool { return uint32(r) >= ys && uint32(r) < ye }
+	sc := &h.scav
+	sc.ys, sc.ye, sc.pinned, sc.res, sc.survivors = ys, ye, pinned, res, false
+	sc.scan = sc.scan[:0] // an out-of-memory panic may have left entries
 
-	var scan []Ref
-	pinnedSurvivors := false
-
-	var forward func(Ref) Ref
-	forward = func(r Ref) Ref {
-		if r == NullRef || !inYoung(r) {
-			return r
-		}
-		fl := h.flags(r)
-		if fl&flagForwarded != 0 {
-			return Ref(h.u32(uint32(r) + hdrMT))
-		}
-		_, pin := pinned[r]
-		if !pin && res.pinnedNow(r) {
-			// Conditionally pinned: the resolver has recorded the held
-			// decision; remember it for segregation and compaction.
-			pin = true
-			pinned[r] = struct{}{}
-		}
-		if pin {
-			if fl&flagMark == 0 {
-				h.orFlags(r, flagMark)
-				pinnedSurvivors = true
-				scan = append(scan, r)
-			}
-			return r
-		}
-		size := h.objSize(r)
-		newOff, ok := h.elderFit(size)
-		if !ok {
-			rangeSize := h.youngSize * 4
-			if rangeSize < size+HeaderSize {
-				rangeSize = align8(size + HeaderSize)
-			}
-			start, err := h.carve(rangeSize)
-			if err != nil {
-				panic(ErrOutOfMemory)
-			}
-			h.addElderRange(start, start+rangeSize)
-			newOff, ok = h.elderFit(size)
-			if !ok {
-				panic(ErrOutOfMemory)
-			}
-		}
-		copy(h.mem[newOff:newOff+size], h.mem[uint32(r):uint32(r)+size])
-		h.putU32(uint32(r)+hdrMT, newOff)
-		h.orFlags(r, flagForwarded)
-		atomic.AddUint64(&h.Stats.BytesPromoted, uint64(size))
-		scan = append(scan, Ref(newOff))
-		return Ref(newOff)
-	}
-
-	v.visitAllRoots(forward)
+	v.visitAllRoots(sc.fwd)
 	for r := range pinned {
-		if inYoung(r) {
-			forward(r)
+		if sc.inYoung(r) {
+			sc.forward(r)
 		}
 	}
 	// Young conditional requests resolve here at the latest: a held
 	// object is a root pinned in place, a dropped one is garbage
 	// unless otherwise reachable.
-	res.resolveInRange(inYoung, func(r Ref) Ref {
+	res.resolveInRange(sc.inYoung, func(r Ref) Ref {
 		pinned[r] = struct{}{}
-		return forward(r)
+		return sc.forward(r)
 	})
 	for obj := range h.remembered {
-		h.scanRefSlots(obj, forward)
+		h.scanRefSlots(obj, sc.fwd)
 	}
 
-	for len(scan) > 0 {
-		obj := scan[len(scan)-1]
-		scan = scan[:len(scan)-1]
-		h.scanRefSlots(obj, forward)
+	for len(sc.scan) > 0 {
+		obj := sc.scan[len(sc.scan)-1]
+		sc.scan = sc.scan[:len(sc.scan)-1]
+		h.scanRefSlots(obj, sc.fwd)
 	}
 
 	switch {
-	case !pinnedSurvivors:
+	case !sc.survivors:
 		// The whole block is dead or evacuated: reset and reuse.
 		clearBytes(h.mem[ys:yp])
 		h.youngPos = ys
@@ -304,8 +255,75 @@ func (h *Heap) scavenge(v *VM, pinned map[Ref]struct{}, res *condPinResolver) bo
 	}
 	// The younger generation is empty (or donated): the remembered
 	// set can be rebuilt from scratch by the write barrier.
-	h.remembered = make(map[Ref]struct{})
+	clear(h.remembered)
 	return true
+}
+
+// scavenger is one scavenge's state. It lives on the Heap, its scan
+// stack is reused and fwd is its forward bound once, so a scavenge
+// allocates no closures, captured variables or stack of its own.
+type scavenger struct {
+	h         *Heap
+	ys, ye    uint32 // the younger block being evacuated
+	pinned    map[Ref]struct{}
+	res       *condPinResolver
+	survivors bool // a pinned object stays in the younger block
+	scan      []Ref
+	fwd       func(Ref) Ref
+}
+
+func (sc *scavenger) inYoung(r Ref) bool { return uint32(r) >= sc.ys && uint32(r) < sc.ye }
+
+// forward evacuates the young object r into the elder space, or marks
+// it in place when it is pinned, and returns its new reference; any
+// other reference is returned as it is.
+func (sc *scavenger) forward(r Ref) Ref {
+	h := sc.h
+	if r == NullRef || !sc.inYoung(r) {
+		return r
+	}
+	fl := h.flags(r)
+	if fl&flagForwarded != 0 {
+		return Ref(h.u32(uint32(r) + hdrMT))
+	}
+	_, pin := sc.pinned[r]
+	if !pin && sc.res.pinnedNow(r) {
+		// Conditionally pinned: the resolver has recorded the held
+		// decision; remember it for segregation and compaction.
+		pin = true
+		sc.pinned[r] = struct{}{}
+	}
+	if pin {
+		if fl&flagMark == 0 {
+			h.orFlags(r, flagMark)
+			sc.survivors = true
+			sc.scan = append(sc.scan, r)
+		}
+		return r
+	}
+	size := h.objSize(r)
+	newOff, ok := h.elderFit(size)
+	if !ok {
+		rangeSize := h.youngSize * 4
+		if rangeSize < size+HeaderSize {
+			rangeSize = align8(size + HeaderSize)
+		}
+		start, err := h.carve(rangeSize)
+		if err != nil {
+			panic(ErrOutOfMemory)
+		}
+		h.addElderRange(start, start+rangeSize)
+		newOff, ok = h.elderFit(size)
+		if !ok {
+			panic(ErrOutOfMemory)
+		}
+	}
+	copy(h.mem[newOff:newOff+size], h.mem[uint32(r):uint32(r)+size])
+	h.putU32(uint32(r)+hdrMT, newOff)
+	h.orFlags(r, flagForwarded)
+	atomic.AddUint64(&h.Stats.BytesPromoted, uint64(size))
+	sc.scan = append(sc.scan, Ref(newOff))
+	return Ref(newOff)
 }
 
 // donateYoungBlock relabels the current younger block as elder space:

@@ -66,8 +66,17 @@ type condPinDecision struct {
 	held bool
 }
 
+// newCondPinResolver starts the cycle's resolver, reusing the Heap's
+// (collections never overlap): a cycle without conditional requests
+// allocates nothing.
 func newCondPinResolver(h *Heap) *condPinResolver {
-	r := &condPinResolver{h: h, pending: make(map[Ref][]*condPinReq, len(h.condPins))}
+	r := h.resolver
+	if r == nil {
+		r = &condPinResolver{h: h, pending: make(map[Ref][]*condPinReq)}
+		h.resolver = r
+	}
+	clear(r.pending)
+	r.kept, r.decisions = nil, r.decisions[:0] // kept becomes h.condPins
 	for _, cp := range h.condPins {
 		r.pending[cp.Ref] = append(r.pending[cp.Ref], &condPinReq{cp: cp})
 	}

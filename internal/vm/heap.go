@@ -236,6 +236,13 @@ type Heap struct {
 	// collection under the moving policy, regardless of heuristics.
 	compactRequested bool
 
+	// The collector's per-cycle state, reused (collections never
+	// overlap): the scavenger, the conditional-pin resolver and the set
+	// of explicitly pinned objects.
+	scav     scavenger
+	resolver *condPinResolver
+	pinSet   map[Ref]struct{}
+
 	Stats GCStats
 }
 
@@ -251,6 +258,8 @@ func newHeap(vm *VM, cfg HeapConfig) *Heap {
 		pinCounts:  make(map[Ref]int),
 		remembered: make(map[Ref]struct{}),
 	}
+	h.scav.h = h
+	h.scav.fwd = h.scav.forward
 	// Offset 0 is reserved so that NullRef never addresses an object.
 	h.brk = 8
 	start, err := h.carve(cfg.InitialElder)
@@ -681,7 +690,11 @@ func (h *Heap) RequestCompaction() { h.compactRequested = true }
 // bookkeeping only). A collection starts from this set and resolves
 // conditional requests lazily through the cycle's single resolver.
 func (h *Heap) explicitPins() map[Ref]struct{} {
-	set := make(map[Ref]struct{}, len(h.pinCounts)+len(h.pinList))
+	if h.pinSet == nil {
+		h.pinSet = make(map[Ref]struct{})
+	}
+	set := h.pinSet
+	clear(set)
 	for r := range h.pinCounts {
 		set[r] = struct{}{}
 	}

@@ -4,15 +4,19 @@ package vm_test
 // exactly as Rank.Load does it, run on the quickened loop (with the
 // verifier's facts spent) and on the reference interpreter
 // (refinterp_test.go, reached through RefCall), which must agree on
-// result, stdout and trap identity. The corpus is bcverify's: the valid
-// modules and the kernels. bcverify's own tests hold the lowering with
-// facts against the fact-free one; they cannot see the reference.
+// result, stdout and trap identity. The corpus is bcverify's valid
+// modules and kernels and testdata/folds (the folded operands and
+// rotated latches of the lowering, some of them malformed), each run
+// verified and as -noverify loads it. bcverify's own tests hold the
+// lowering with facts against the fact-free one; they cannot see the
+// reference.
 
 import (
 	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,9 +35,11 @@ type masmOutcome struct {
 
 // execMasm assembles and verifies src on a fresh VM with the System.MP
 // surface stubbed and a deterministic clock, then runs main on the
-// reference interpreter or through Thread.Call. ran is false when the
-// source does not assemble or verify, or has no main to run.
-func execMasm(src string, ref bool, budget int64) masmOutcome {
+// reference interpreter or through Thread.Call. Unless verify is set it
+// skips the verifier, as -noverify does: every method is lowered
+// without facts. ran is false when the source does not assemble or
+// verify, or has no main to run.
+func execMasm(src string, ref, verify bool, budget int64) masmOutcome {
 	var buf bytes.Buffer
 	v := vm.New(vm.Config{Name: "diff", Stdout: &buf,
 		Heap: vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 256 << 10, ArenaMax: 32 << 20}})
@@ -52,8 +58,10 @@ func execMasm(src string, ref bool, budget int64) masmOutcome {
 	if err != nil {
 		return masmOutcome{}
 	}
-	if _, err := bcverify.VerifyModule(v, mod.Methods, bcverify.Options{Sigs: core.Signatures()}); err != nil {
-		return masmOutcome{}
+	if verify {
+		if _, err := bcverify.VerifyModule(v, mod.Methods, bcverify.Options{Sigs: core.Signatures()}); err != nil {
+			return masmOutcome{}
+		}
 	}
 	if mod.Main == nil || mod.Main.NArgs != 0 {
 		return masmOutcome{}
@@ -83,36 +91,69 @@ func execMasm(src string, ref bool, budget int64) masmOutcome {
 // whether there was a main to run.
 func diffMasm(t *testing.T, src string, budget int64) bool {
 	t.Helper()
-	q, r := execMasm(src, false, budget), execMasm(src, true, budget)
+	return diffMasmAs(t, src, true, budget)
+}
+
+// diffMasmAs is diffMasm, verified or not. A Go runtime panic in
+// malformed code traps at the last committed pc on the quickened loop
+// and at the faulting instruction on the reference (refinterp_test.go):
+// a module that reaches one names the former in a "; committed pc: N"
+// line, and the two runs must agree on everything else.
+func diffMasmAs(t *testing.T, src string, verify bool, budget int64) bool {
+	t.Helper()
+	q, r := execMasm(src, false, verify, budget), execMasm(src, true, verify, budget)
+	if pc, ok := committedPC(src); ok && q.ran {
+		if q.trap.Kind != "invalid program" || q.trap.PC != pc {
+			t.Fatalf("quickened run %+v, want an invalid program trap at the committed pc %d", q, pc)
+		}
+		q.trap.PC, q.err = r.trap.PC, r.err
+	}
 	if q != r {
 		t.Fatalf("quickened and reference runs diverge:\nquickened: %+v\nreference: %+v\nsource:\n%s", q, r, src)
 	}
 	return q.ran
 }
 
-// TestMasmCorpusDifferential runs every valid-corpus module and every
-// kernel on both. Most valid-corpus modules hit the mp.* stubs and stop
-// with the stub error, which must still be byte-identical.
+// committedPC reads a module's "; committed pc: N" line.
+func committedPC(src string) (int, bool) {
+	for _, line := range strings.Split(src, "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "; committed pc:"); ok {
+			pc, err := strconv.Atoi(strings.TrimSpace(rest))
+			return pc, err == nil
+		}
+	}
+	return 0, false
+}
+
+// TestMasmCorpusDifferential runs every corpus module on both, verified
+// and not. Most valid-corpus modules hit the mp.* stubs and stop with
+// the stub error, which must still be byte-identical.
 func TestMasmCorpusDifferential(t *testing.T) {
-	for _, dir := range []string{"valid", "kernels"} {
-		paths, err := filepath.Glob(filepath.Join("bcverify", "testdata", dir, "*.masm"))
+	for _, dir := range []string{"bcverify/testdata/valid", "bcverify/testdata/kernels", "testdata/folds"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.masm"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ran := 0
-		for _, path := range paths {
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
+		for _, verify := range []bool{true, false} {
+			prefix := filepath.Base(dir) + "/"
+			if !verify {
+				prefix = "noverify/" + prefix
 			}
-			t.Run(dir+"/"+strings.TrimSuffix(filepath.Base(path), ".masm"), func(t *testing.T) {
-				if diffMasm(t, string(raw), 200_000) {
-					ran++
+			ran := 0
+			for _, path := range paths {
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
-		if ran == 0 {
-			t.Fatalf("no module under testdata/%s had a runnable main", dir)
+				t.Run(prefix+strings.TrimSuffix(filepath.Base(path), ".masm"), func(t *testing.T) {
+					if diffMasmAs(t, string(raw), verify, 200_000) {
+						ran++
+					}
+				})
+			}
+			if ran == 0 {
+				t.Fatalf("no module under %s had a runnable main", dir)
+			}
 		}
 	}
 }

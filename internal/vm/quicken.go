@@ -37,7 +37,9 @@ type quickBody struct {
 // qOp enumerates quickened operations. The set mirrors Op plus fused
 // superinstructions (qCmpBr, qIncLoc, qLdLocFld*, qLdArgCall,
 // qLdElemAt) and specialized forms (qCallExact, qLdFldD/qStFldD) that
-// bake verifier-proven exact-type facts.
+// bake verifier-proven exact-type facts. A binary operator and qCmpBr
+// may also read operands in place that an absorbed ldloc, ldarg or ldc
+// would have pushed (qinst.asrc, bsrc).
 type qOp uint8
 
 const (
@@ -53,6 +55,8 @@ const (
 	qDup
 	qPop
 
+	// Binary operators, qAdd..qCgtF: the right operand is popped off
+	// the operand stack, or read in place (bsrc).
 	qAdd
 	qSub
 	qMul
@@ -63,15 +67,10 @@ const (
 	qXor
 	qShl
 	qShr
-	qNeg
-	qNot
-
 	qAddF
 	qSubF
 	qMulF
 	qDivF
-	qNegF
-
 	qCeq
 	qClt
 	qCgt
@@ -79,13 +78,17 @@ const (
 	qCltF
 	qCgtF
 
+	qNeg
+	qNot
+	qNegF
+
 	qConvI2F
 	qConvF2I
 
-	qBr      // t = target index
+	qBr      // t = target index; b = 1: a rotated latch, which runs the qCmpBr at t
 	qBrTrue  // t = target index
 	qBrFalse // t = target index
-	qCmpBr   // fused compare+branch: a = selector, b = branch-on-true, t = target
+	qCmpBr   // fused [[X;] Y;] compare+branch: sub = the compare, b = branch-on-true, t = target
 	qIncLoc  // fused ldloc a; ldc.i4 imm; add; stloc a
 
 	qCall      // m = callee
@@ -103,7 +106,7 @@ const (
 
 	qLdLen
 	qLdElem    // element layout from the site cache (ekey/ekind/esize)
-	qLdElemAt  // fused {ldloc|ldarg|ldsfld} a; ldloc b; [{ldloc t|ldc.i4 C}; add|sub;] ldelem
+	qLdElemAt  // fused {ldloc|ldarg|ldsfld} a; ldloc b; [{ldloc t|ldc.i4 C}; add|sub;] ldelem [; sub]
 	qStElem    // cached layout likewise; b = 1 when the store is verifier-checked
 	qLdFld     // dynamic: a = field slot
 	qLdFldD    // fld = baked descriptor (exact receiver)
@@ -121,29 +124,40 @@ const (
 // wide: operand decoding, registry lookups and branch-target
 // resolution all happen once at quicken time.
 type qinst struct {
-	op   qOp
-	a, b int32 // small operands: slots, selectors, flags
-	t    int32 // branch target (index into insts after fixup)
-	// pc is the bytecode offset of the source instruction (the fusion
-	// head for superinstructions); pc2 is the offset of the fused
-	// second instruction. Traps raised by a fused component report the
-	// component's own offset so LineForPC attributes the original masm
-	// line, not the fusion head's.
-	pc, pc2 int32
-	imm     uint64 // immediate constant bits
+	op qOp
+	// asrc and bsrc say where a folded operand is read in place: OpLdLoc
+	// (locals), OpLdArg (args), OpLdcI8 (any ldc: the immediate), or 0
+	// (the operand stack). asrc reads slot a: qCmpBr's left operand, or
+	// qLdElemAt's array, which may also be OpLdSFld (globals). bsrc reads
+	// imm: the right operand of a binary operator or of a qCmpBr.
+	asrc, bsrc Op
+	// sub is the operator a superinstruction ends in: qCmpBr's compare,
+	// or the binary operator qLdElemAt's element is the right operand of
+	// (qNop: the element is pushed).
+	sub qOp
+	k   int8 // qLdElemAt: index = locals[b] + imm + k*locals[t], k in {0, +1, -1}
+	// back marks a branch whose target precedes it: GC poll + step charge.
+	back bool
 
 	// Element-layout cache of an ldelem/stelem site: type index of the
 	// rank-1 array type last seen here (freeSentinel when empty), its
 	// element kind and size. Keyed on the header's type index, never on
 	// an address, so a moving collection cannot stale it. Filled by
 	// elemLayout; mutated under the execution token, like cmt/cimpl.
-	ekey  uint32
 	ekind Kind
 	esize uint8
+	ekey  uint32
 
-	src  Op   // qLdElemAt: the head that names the array a — OpLdLoc, OpLdArg or OpLdSFld
-	k    int8 // qLdElemAt: index = locals[b] + imm + k*locals[t], k in {0, +1, -1}
-	back bool // branch whose target precedes it: GC poll + step charge
+	a, b int32 // small operands: slots, selectors, flags
+	t    int32 // branch target (index into insts after fixup)
+	// pc is the bytecode offset of the source instruction (the fusion
+	// head for superinstructions); pc2 is the offset of the fused
+	// second instruction, or of the operator that read a folded operand.
+	// Traps raised by a fused component report the component's own
+	// offset so LineForPC attributes the original masm line, not the
+	// fusion head's.
+	pc, pc2 int32
+	imm     uint64 // immediate constant bits
 
 	m   *Method
 	mt  *MethodTable
@@ -348,19 +362,12 @@ func (v *VM) QuickenMethod(m *Method) QuickenInfo {
 			i += 4
 			continue
 		}
-		// compare; brtrue/brfalse  →  qCmpBr
-		if sel, isCmp := cmpSelector(r.op); isCmp && free(i+1) &&
-			(raw[i+1].op == OpBrTrue || raw[i+1].op == OpBrFalse) {
-			sense := int32(0)
-			if raw[i+1].op == OpBrTrue {
-				sense = 1
-			}
-			insts = append(insts, qinst{
-				op: qCmpBr, a: sel, b: sense, t: int32(raw[i+1].arg),
-				pc: int32(r.pc), pc2: int32(raw[i+1].pc),
-			})
+		// [[{ldloc|ldarg} X;] {ldloc|ldarg|ldc} Y;] compare; brtrue|brfalse  →  qCmpBr,
+		// reading X and Y in place
+		if q, n := cmpBrAt(raw, i, free); n > 0 {
+			insts = append(insts, q)
 			info.Fused++
-			i += 2
+			i += n
 			continue
 		}
 		// ldloc X; ldfld slot  →  qLdLocFld[D]
@@ -392,7 +399,7 @@ func (v *VM) QuickenMethod(m *Method) QuickenInfo {
 
 		// {ldloc A|ldarg A|ldsfld G}; ldloc I; [{ldloc K|ldc.i4 C}; {add|sub};] ldelem  →  qLdElemAt
 		if (r.op == OpLdLoc || r.op == OpLdArg || r.op == OpLdSFld) && free(i+1) && raw[i+1].op == OpLdLoc {
-			q := qinst{op: qLdElemAt, src: r.op, a: int32(r.arg), b: int32(raw[i+1].arg), pc: int32(r.pc)}
+			q := qinst{op: qLdElemAt, asrc: r.op, a: int32(r.arg), b: int32(raw[i+1].arg), pc: int32(r.pc)}
 			j := i + 2
 			if free(j) && free(j+1) && (raw[j].op == OpLdcI4 || raw[j].op == OpLdLoc) &&
 				(raw[j+1].op == OpAdd || raw[j+1].op == OpSub) {
@@ -410,6 +417,11 @@ func (v *VM) QuickenMethod(m *Method) QuickenInfo {
 			}
 			if free(j) && raw[j].op == OpLdElem {
 				elemSite(&q, raw[j].pc)
+				// ...; ldelem; binop  →  the binop takes the element as its right operand
+				if free(j+1) && elemFolds[raw[j+1].op] {
+					q.sub = directQ[raw[j+1].op]
+					j++
+				}
 				insts = append(insts, q)
 				info.Fused++
 				i = j + 1
@@ -417,14 +429,17 @@ func (v *VM) QuickenMethod(m *Method) QuickenInfo {
 			}
 		}
 
-		q := qinst{pc: int32(r.pc)}
+		// {ldloc|ldarg|ldc} Y; binop  →  the binop, reading Y in place
+		q := qinst{pc: int32(r.pc), pc2: int32(r.pc)}
+		if src, x := foldSrc(r); src != 0 && free(i+1) && directQ[raw[i+1].op].binary() {
+			q.bsrc, q.imm, q.pc2 = src, x, int32(raw[i+1].pc)
+			i++
+			r = raw[i]
+			info.Fused++
+		}
 		switch r.op {
-		case OpNop:
-			q.op = qNop
 		case OpLdcI4, OpLdcI8, OpLdcR8:
 			q.op, q.imm = qLdc, r.imm
-		case OpLdNull:
-			q.op = qLdNull
 		case OpLdLoc:
 			q.op, q.a = qLdLoc, int32(r.arg)
 		case OpStLoc:
@@ -433,60 +448,6 @@ func (v *VM) QuickenMethod(m *Method) QuickenInfo {
 			q.op, q.a = qLdArg, int32(r.arg)
 		case OpStArg:
 			q.op, q.a = qStArg, int32(r.arg)
-		case OpDup:
-			q.op = qDup
-		case OpPop:
-			q.op = qPop
-		case OpAdd:
-			q.op = qAdd
-		case OpSub:
-			q.op = qSub
-		case OpMul:
-			q.op = qMul
-		case OpDiv:
-			q.op = qDiv
-		case OpRem:
-			q.op = qRem
-		case OpAnd:
-			q.op = qAnd
-		case OpOr:
-			q.op = qOr
-		case OpXor:
-			q.op = qXor
-		case OpShl:
-			q.op = qShl
-		case OpShr:
-			q.op = qShr
-		case OpNeg:
-			q.op = qNeg
-		case OpNot:
-			q.op = qNot
-		case OpAddF:
-			q.op = qAddF
-		case OpSubF:
-			q.op = qSubF
-		case OpMulF:
-			q.op = qMulF
-		case OpDivF:
-			q.op = qDivF
-		case OpNegF:
-			q.op = qNegF
-		case OpCeq:
-			q.op = qCeq
-		case OpClt:
-			q.op = qClt
-		case OpCgt:
-			q.op = qCgt
-		case OpCeqF:
-			q.op = qCeqF
-		case OpCltF:
-			q.op = qCltF
-		case OpCgtF:
-			q.op = qCgtF
-		case OpConvI2F:
-			q.op = qConvI2F
-		case OpConvF2I:
-			q.op = qConvF2I
 		case OpBr:
 			q.op, q.t = qBr, int32(r.arg)
 		case OpBrTrue:
@@ -507,15 +468,9 @@ func (v *VM) QuickenMethod(m *Method) QuickenInfo {
 			}
 		case OpIntern:
 			q.op, q.a = qIntern, int32(r.arg)
-		case OpRet:
-			q.op = qRet
-		case OpRetVal:
-			q.op = qRetVal
 		case OpNewObj, OpNewArr, OpNewMD:
 			q.op = allocQ[r.op].q
 			q.mt, _ = v.TypeByIndex(r.arg)
-		case OpLdLen:
-			q.op = qLdLen
 		case OpLdElem:
 			q.op = qLdElem
 			elemSite(&q, r.pc)
@@ -537,9 +492,13 @@ func (v *VM) QuickenMethod(m *Method) QuickenInfo {
 		case OpStSFld:
 			q.op, q.a = qStSFld, int32(r.arg)
 		default:
-			// decodeInst traps every undefined opcode: a defined one
-			// without a lowering is a bug here.
-			panic(fmt.Sprintf("vm: quicken: no lowering for %s", r.op.Name()))
+			op, ok := directQ[r.op]
+			if !ok {
+				// decodeInst traps every undefined opcode: a defined one
+				// without a lowering is a bug here.
+				panic(fmt.Sprintf("vm: quicken: no lowering for %s", r.op.Name()))
+			}
+			q.op = op
 		}
 		insts = append(insts, q)
 		i++
@@ -557,10 +516,7 @@ func (v *VM) QuickenMethod(m *Method) QuickenInfo {
 		q := insts[idx]
 		switch q.op {
 		case qBr, qBrTrue, qBrFalse, qCmpBr:
-			tpc, bpc := int(q.t), int(q.pc)
-			if q.op == qCmpBr {
-				bpc = int(q.pc2)
-			}
+			tpc, bpc := int(q.t), int(q.pc2) // pc2: the branch itself
 			insts[idx].back = tpc < bpc
 			if qi, ok := pcToQ[tpc]; ok {
 				insts[idx].t = int32(qi)
@@ -574,6 +530,12 @@ func (v *VM) QuickenMethod(m *Method) QuickenInfo {
 				insts = append(insts, trapInst(quickTrap{"invalid program",
 					fmt.Sprintf("branch target %d is not an instruction", tpc)}, bpc))
 			}
+			// A backward br to a compare-branch that branches forward is a
+			// rotated latch: it charges and polls as the br, then runs that
+			// compare itself and leaves for its target or its successor.
+			if h := int(insts[idx].t); q.op == qBr && tpc < bpc && h < end && insts[h].op == qCmpBr && !insts[h].back {
+				insts[idx].b = 1
+			}
 		}
 	}
 
@@ -582,21 +544,65 @@ func (v *VM) QuickenMethod(m *Method) QuickenInfo {
 	return info
 }
 
-// cmpSelector maps a comparison opcode to the qCmpBr selector.
-func cmpSelector(op Op) (int32, bool) {
-	switch op {
-	case OpCeq:
-		return 0, true
-	case OpClt:
-		return 1, true
-	case OpCgt:
-		return 2, true
-	case OpCeqF:
-		return 3, true
-	case OpCltF:
-		return 4, true
-	case OpCgtF:
-		return 5, true
+// directQ lowers the instructions that map one to one, operand-free.
+var directQ = map[Op]qOp{
+	OpNop: qNop, OpDup: qDup, OpPop: qPop, OpLdNull: qLdNull,
+	OpAdd: qAdd, OpSub: qSub, OpMul: qMul, OpDiv: qDiv, OpRem: qRem,
+	OpAnd: qAnd, OpOr: qOr, OpXor: qXor, OpShl: qShl, OpShr: qShr,
+	OpAddF: qAddF, OpSubF: qSubF, OpMulF: qMulF, OpDivF: qDivF,
+	OpCeq: qCeq, OpClt: qClt, OpCgt: qCgt, OpCeqF: qCeqF, OpCltF: qCltF, OpCgtF: qCgtF,
+	OpNeg: qNeg, OpNot: qNot, OpNegF: qNegF, OpConvI2F: qConvI2F, OpConvF2I: qConvF2I,
+	OpRet: qRet, OpRetVal: qRetVal, OpLdLen: qLdLen,
+}
+
+// elemFolds are the binary operators a qLdElemAt absorbs; none traps.
+var elemFolds = map[Op]bool{OpAdd: true, OpSub: true, OpMul: true, OpAddF: true, OpSubF: true, OpMulF: true, OpDivF: true}
+
+func (op qOp) binary() bool { return op >= qAdd && op <= qCgtF }
+
+// foldSrc says where a consumer reads r's value in place when it
+// absorbs r, and with what (qinst.asrc, bsrc): a slot for ldloc and
+// ldarg, the immediate for an ldc; src is 0 for any other instruction.
+func foldSrc(r rawInst) (src Op, x uint64) {
+	switch r.op {
+	case OpLdLoc, OpLdArg:
+		return r.op, uint64(r.arg)
+	case OpLdcI4, OpLdcI8, OpLdcR8:
+		return OpLdcI8, r.imm
 	}
-	return 0, false
+	return 0, 0
+}
+
+// cmpBrAt fuses the compare-branch starting at raw[i], if there is one:
+// a compare with the brtrue or brfalse after it, and before it the load
+// of its right operand, or of both (the left one an ldloc or ldarg),
+// whose values it then reads in place. n counts the raw instructions
+// covered, 0 when none fuses; every one but the first must be free.
+func cmpBrAt(raw []rawInst, i int, free func(int) bool) (q qinst, n int) {
+	for loads := 2; loads >= 0; loads-- {
+		c := i + loads
+		if loads > 0 && !free(c) || !free(c+1) || (raw[c+1].op != OpBrTrue && raw[c+1].op != OpBrFalse) {
+			continue
+		}
+		q = qinst{op: qCmpBr, sub: directQ[raw[c].op], t: int32(raw[c+1].arg), pc: int32(raw[i].pc), pc2: int32(raw[c+1].pc)}
+		if q.sub < qCeq || q.sub > qCgtF {
+			continue
+		}
+		if raw[c+1].op == OpBrTrue {
+			q.b = 1
+		}
+		if loads == 2 {
+			if !free(i+1) || (raw[i].op != OpLdLoc && raw[i].op != OpLdArg) {
+				continue
+			}
+			q.asrc, q.a = raw[i].op, int32(raw[i].arg)
+		}
+		if loads > 0 {
+			if q.bsrc, q.imm = foldSrc(raw[c-1]); q.bsrc == 0 {
+				continue
+			}
+		}
+		return q, loads + 2
+	}
+	return qinst{}, 0
 }

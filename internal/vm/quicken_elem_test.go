@@ -438,3 +438,45 @@ func TestFusedLoadStepBudgetParity(t *testing.T) {
 		compareErrs(t, "spinload", qerr, rerr)
 	}
 }
+
+// TestQuickenRotatedLatchStepBudgetParity: a while loop's backward br runs the
+// compare-branch at its head itself, but first charges the step budget
+// and polls at its own pc, as a br that jumps to the head does. The
+// budget runs out with the same trap at the br's pc after the same
+// number of steps, and a run that completes leaves the same budget: the
+// loops charge, and poll with every charge, equally often.
+func TestQuickenRotatedLatchStepBudgetParity(t *testing.T) {
+	v := testVM()
+	m := v.AddMethod(nil, NewCodeBuilder().
+		LdcI4(0).StLoc(0).
+		Label("head").
+		LdLoc(0).LdArg(0).Op(OpClt).BrFalse("done").
+		LdLoc(0).LdcI4(1).Op(OpAdd).StLoc(0).
+		Br("head").
+		Label("done").
+		LdLoc(0).RetVal().
+		Build("while", 1, 1, true))
+	mustQuicken(t, v, m)
+	for _, budget := range []int64{1, 2, 3, 17} {
+		qerr, rerr := budgetBoth(v, m, budget, IntValue(100))
+		wantTrap(t, qerr, "step budget exhausted", "backward branch", opPC(t, m, OpBr, 0))
+		compareErrs(t, "while", qerr, rerr)
+	}
+	left := func(ref bool) (n int64) {
+		v.WithThread("t", func(th *Thread) {
+			th.SetStepBudget(1000)
+			call := th.Call
+			if ref {
+				call = th.refCall
+			}
+			if got, err := call(m, IntValue(100)); err != nil || got.Int() != 100 {
+				t.Fatalf("ref=%v: while(100) = %v, %v", ref, got, err)
+			}
+			n = th.stepBudget
+		})
+		return n
+	}
+	if q, r := left(false), left(true); q != r || q != 1000-100 {
+		t.Errorf("budget left: quickened %d, reference %d; want %d (one charge per iteration)", q, r, 1000-100)
+	}
+}

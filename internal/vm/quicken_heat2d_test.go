@@ -61,11 +61,34 @@ func heat2dMethod(tb testing.TB, v *VM, name string) *Method {
 	return m
 }
 
-// TestQuickenHeat2dRelaxLoop: the relax inner loop is at most 18
-// quickened dispatches per cell (34 before the fused array loads), and
-// every one of its five element sites holds float64[] in its layout
-// cache once the first cell has been relaxed — so every later cell is
-// a hit.
+// innerLoop returns the quickened span one iteration of m's innermost
+// loop dispatches: the back edge with the shortest span, entered at its
+// target, or for a rotated latch (which runs its head's compare itself)
+// at the instruction after the head.
+func innerLoop(tb testing.TB, m *Method) (lo, hi int) {
+	tb.Helper()
+	insts := m.quick.insts
+	lo, hi = 0, len(insts)
+	for idx, q := range insts {
+		from := int(q.t)
+		if q.op == qBr && q.b == 1 {
+			from++
+		}
+		if q.back && idx-from < hi-lo {
+			lo, hi = from, idx
+		}
+	}
+	if hi == len(insts) {
+		tb.Fatalf("%s has no loop", m.FullName())
+	}
+	return lo, hi
+}
+
+// TestQuickenHeat2dRelaxLoop: the relax inner loop is at most 12
+// quickened dispatches per cell (34 before the fused array loads, 18
+// before operand folding and rotated latches), and every one of its
+// five element sites holds float64[] in its layout cache once the first
+// cell has been relaxed — so every later cell is a hit.
 func TestQuickenHeat2dRelaxLoop(t *testing.T) {
 	// rows=3 on rank 0 updates rows 2..3; cols=3 leaves one interior
 	// cell per row: the first call runs the inner loop body twice.
@@ -73,11 +96,11 @@ func TestQuickenHeat2dRelaxLoop(t *testing.T) {
 	relax := heat2dMethod(t, v, "relax")
 	info := mustQuicken(t, v, relax)
 	insts := relax.quick.insts
-	// QuickenInfo.Fused (mpstat's quicken line) counts the new form.
+	// QuickenInfo.Fused (mpstat's quicken line) counts the new forms.
 	super := 0
 	for _, q := range insts {
-		switch q.op {
-		case qCmpBr, qIncLoc, qLdElemAt:
+		switch {
+		case q.op == qCmpBr, q.op == qIncLoc, q.op == qLdElemAt, q.op.binary() && q.bsrc != 0:
 			super++
 		}
 	}
@@ -86,15 +109,14 @@ func TestQuickenHeat2dRelaxLoop(t *testing.T) {
 			info.Fused, super, countQ(relax, qLdElemAt))
 	}
 
-	// The inner loop is the back edge with the shortest span.
-	lo, hi := 0, len(insts)
-	for idx, q := range insts {
-		if q.back && idx-int(q.t) < hi-lo {
-			lo, hi = int(q.t), idx
-		}
+	lo, hi := innerLoop(t, relax)
+	if q := insts[hi]; q.op != qBr || q.b != 1 {
+		t.Errorf("relax's inner back edge is op %d b=%d, want a rotated latch", q.op, q.b)
 	}
-	if n := hi - lo + 1; n > 18 {
-		t.Errorf("relax inner loop is %d quickened instructions per cell, want <= 18", n)
+	if n := hi - lo + 1; n > 12 {
+		t.Errorf("relax inner loop is %d quickened instructions per cell, want <= 12", n)
+	} else {
+		t.Logf("relax: %d dispatches per cell", n)
 	}
 	sites := elemSites(insts[lo : hi+1])
 	if len(sites) != 5 || len(elemSites(insts)) != 5 {
@@ -117,6 +139,70 @@ func TestQuickenHeat2dRelaxLoop(t *testing.T) {
 			t.Errorf("site at pc=%d caches type %d kind %s size %d, want %s", q.pc2, q.ekey, q.ekind, q.esize, f64)
 		}
 	}
+}
+
+// TestQuickenOverlapComputeLoop: the compute kernel the benchmark's
+// overlap workload hides its transfers behind (read from disk, not
+// edited) is at most 8 quickened dispatches per iteration, and agrees
+// with the reference.
+func TestQuickenOverlapComputeLoop(t *testing.T) {
+	v, compute := loadOverlapCompute(t)
+	lo, hi := innerLoop(t, compute)
+	if n := hi - lo + 1; n > 8 {
+		t.Errorf("compute loop is %d quickened instructions per iteration, want <= 8", n)
+	} else {
+		t.Logf("compute: %d dispatches per iteration", n)
+	}
+	if got, err := callBoth(t, v, compute, IntValue(1000)); err != nil || got.Float() <= 0 || got.Float() >= 1 {
+		t.Fatalf("compute(1000) = %v, %v; want a value in (0, 1)", got.Float(), err)
+	}
+}
+
+// loadOverlapCompute assembles benchmark/workloads/overlap.masm with the
+// mp.* internals it names stubbed and quickens its compute method.
+func loadOverlapCompute(tb testing.TB) (*VM, *Method) {
+	tb.Helper()
+	src, err := os.ReadFile("../../benchmark/workloads/overlap.masm")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v := New(Config{Name: "overlap"})
+	for _, fn := range []InternalFunc{
+		{Name: "mp.rank", NArgs: 0, HasRet: true},
+		{Name: "mp.irecv", NArgs: 3, HasRet: true},
+		{Name: "mp.isend", NArgs: 3, HasRet: true},
+		{Name: "mp.wait", NArgs: 1, HasRet: true},
+	} {
+		fn.Fn = func(*Thread, []Value) (Value, error) { return IntValue(0), nil }
+		v.RegisterInternal(fn)
+	}
+	if _, err := v.AssembleModule(string(src)); err != nil {
+		tb.Fatal(err)
+	}
+	m, ok := v.MethodByName("compute")
+	if !ok {
+		tb.Fatal("overlap.masm has no method compute")
+	}
+	m.Verified, m.MaxStack = true, 16
+	v.QuickenMethod(m)
+	return v, m
+}
+
+// BenchmarkOverlapCompute times the overlap workload's compute kernel
+// at the benchmark's 400 000 iterations per op on the quickened loop:
+// the interpreter half of that workload's op time, and its profile
+// target.
+func BenchmarkOverlapCompute(b *testing.B) {
+	v, compute := loadOverlapCompute(b)
+	v.WithThread("compute", func(th *Thread) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := th.Call(compute, IntValue(400_000)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkHeat2dStep times one whole step (exchange with the mp.*

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 // Unit tests for the quickening compiler and the dispatch loop: fusion
@@ -197,14 +198,29 @@ func TestQuickenBranchTargetBlocksFusion(t *testing.T) {
 		LdLoc(0).RetVal().
 		Build("joinmid", 0, 1, true))
 	info := mustQuicken(t, v, m)
-	// Only the compare+branch pair fuses; the increment is torn by the
-	// "mid" label.
-	if info.Fused != 1 {
-		t.Errorf("Fused = %d, want 1", info.Fused)
+	// The increment is torn by the "mid" label; what fuses is the
+	// compare+branch and, headed at "mid", the add reading its constant
+	// in place.
+	if info.Fused != 2 {
+		t.Errorf("Fused = %d, want 2", info.Fused)
+	}
+	midPC := opPC(t, m, OpLdcI4, 1)
+	for _, q := range m.quick.insts {
+		if q.op == qBr && (m.quick.insts[q.t].pc != int32(midPC) || m.quick.insts[q.t].op != qAdd) {
+			t.Errorf("br lands on %+v, want the folded add at mid (pc %d)", m.quick.insts[q.t], midPC)
+		}
 	}
 	got, err := callBoth(t, v, m)
 	if err != nil || got.Int() != 3 {
 		t.Fatalf("joinmid = %v, %v; want 3", got, err)
+	}
+}
+
+// TestQuickenInstSize: the folded forms reuse qinst's fields, so the
+// record every dispatch loads stays at 80 bytes on a 64-bit host.
+func TestQuickenInstSize(t *testing.T) {
+	if n := unsafe.Sizeof(qinst{}); unsafe.Sizeof(uintptr(0)) == 8 && n > 80 {
+		t.Errorf("qinst is %d bytes, want <= 80", n)
 	}
 }
 

@@ -64,57 +64,55 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 			stack = stack[:len(stack)-1]
 
 		case qAdd:
-			n := len(stack)
-			stack[n-2] = IntValue(stack[n-2].Int() + stack[n-1].Int())
-			stack = stack[:n-1]
+			y, n := q.right(stack, locals, args)
+			stack[n-1] = IntValue(stack[n-1].Int() + y.Int())
+			stack = stack[:n]
 		case qSub:
-			n := len(stack)
-			stack[n-2] = IntValue(stack[n-2].Int() - stack[n-1].Int())
-			stack = stack[:n-1]
+			y, n := q.right(stack, locals, args)
+			stack[n-1] = IntValue(stack[n-1].Int() - y.Int())
+			stack = stack[:n]
 		case qMul:
-			n := len(stack)
-			stack[n-2] = IntValue(stack[n-2].Int() * stack[n-1].Int())
-			stack = stack[:n-1]
+			y, n := q.right(stack, locals, args)
+			stack[n-1] = IntValue(stack[n-1].Int() * y.Int())
+			stack = stack[:n]
 		case qDiv:
-			n := len(stack)
-			b := stack[n-1].Int()
-			if b == 0 {
-				fr.stack = stack[:n-2]
-				fr.pc = int(q.pc)
+			y, n := q.right(stack, locals, args)
+			if y.Int() == 0 {
+				fr.stack = stack[:n-1]
+				fr.pc = int(q.pc2)
 				return Value{}, false, false, fr.trap("division by zero", "div")
 			}
-			stack[n-2] = IntValue(stack[n-2].Int() / b)
-			stack = stack[:n-1]
+			stack[n-1] = IntValue(stack[n-1].Int() / y.Int())
+			stack = stack[:n]
 		case qRem:
-			n := len(stack)
-			b := stack[n-1].Int()
-			if b == 0 {
-				fr.stack = stack[:n-2]
-				fr.pc = int(q.pc)
+			y, n := q.right(stack, locals, args)
+			if y.Int() == 0 {
+				fr.stack = stack[:n-1]
+				fr.pc = int(q.pc2)
 				return Value{}, false, false, fr.trap("division by zero", "rem")
 			}
-			stack[n-2] = IntValue(stack[n-2].Int() % b)
-			stack = stack[:n-1]
+			stack[n-1] = IntValue(stack[n-1].Int() % y.Int())
+			stack = stack[:n]
 		case qAnd:
-			n := len(stack)
-			stack[n-2] = IntValue(stack[n-2].Int() & stack[n-1].Int())
-			stack = stack[:n-1]
+			y, n := q.right(stack, locals, args)
+			stack[n-1] = IntValue(stack[n-1].Int() & y.Int())
+			stack = stack[:n]
 		case qOr:
-			n := len(stack)
-			stack[n-2] = IntValue(stack[n-2].Int() | stack[n-1].Int())
-			stack = stack[:n-1]
+			y, n := q.right(stack, locals, args)
+			stack[n-1] = IntValue(stack[n-1].Int() | y.Int())
+			stack = stack[:n]
 		case qXor:
-			n := len(stack)
-			stack[n-2] = IntValue(stack[n-2].Int() ^ stack[n-1].Int())
-			stack = stack[:n-1]
+			y, n := q.right(stack, locals, args)
+			stack[n-1] = IntValue(stack[n-1].Int() ^ y.Int())
+			stack = stack[:n]
 		case qShl:
-			n := len(stack)
-			stack[n-2] = IntValue(stack[n-2].Int() << (uint64(stack[n-1].Int()) & 63))
-			stack = stack[:n-1]
+			y, n := q.right(stack, locals, args)
+			stack[n-1] = IntValue(stack[n-1].Int() << (uint64(y.Int()) & 63))
+			stack = stack[:n]
 		case qShr:
-			n := len(stack)
-			stack[n-2] = IntValue(stack[n-2].Int() >> (uint64(stack[n-1].Int()) & 63))
-			stack = stack[:n-1]
+			y, n := q.right(stack, locals, args)
+			stack[n-1] = IntValue(stack[n-1].Int() >> (uint64(y.Int()) & 63))
+			stack = stack[:n]
 		case qNeg:
 			n := len(stack)
 			stack[n-1] = IntValue(-stack[n-1].Int())
@@ -123,49 +121,29 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 			stack[n-1] = IntValue(^stack[n-1].Int())
 
 		case qAddF:
-			n := len(stack)
-			stack[n-2] = FloatValue(stack[n-2].Float() + stack[n-1].Float())
-			stack = stack[:n-1]
+			y, n := q.right(stack, locals, args)
+			stack[n-1] = FloatValue(stack[n-1].Float() + y.Float())
+			stack = stack[:n]
 		case qSubF:
-			n := len(stack)
-			stack[n-2] = FloatValue(stack[n-2].Float() - stack[n-1].Float())
-			stack = stack[:n-1]
+			y, n := q.right(stack, locals, args)
+			stack[n-1] = FloatValue(stack[n-1].Float() - y.Float())
+			stack = stack[:n]
 		case qMulF:
-			n := len(stack)
-			stack[n-2] = FloatValue(stack[n-2].Float() * stack[n-1].Float())
-			stack = stack[:n-1]
+			y, n := q.right(stack, locals, args)
+			stack[n-1] = FloatValue(stack[n-1].Float() * y.Float())
+			stack = stack[:n]
 		case qDivF:
-			n := len(stack)
-			stack[n-2] = FloatValue(stack[n-2].Float() / stack[n-1].Float())
-			stack = stack[:n-1]
+			y, n := q.right(stack, locals, args)
+			stack[n-1] = FloatValue(stack[n-1].Float() / y.Float())
+			stack = stack[:n]
 		case qNegF:
 			n := len(stack)
 			stack[n-1] = FloatValue(-stack[n-1].Float())
 
-		case qCeq:
-			n := len(stack)
-			stack[n-2] = BoolValue(stack[n-2].Bits == stack[n-1].Bits)
-			stack = stack[:n-1]
-		case qClt:
-			n := len(stack)
-			stack[n-2] = BoolValue(stack[n-2].Int() < stack[n-1].Int())
-			stack = stack[:n-1]
-		case qCgt:
-			n := len(stack)
-			stack[n-2] = BoolValue(stack[n-2].Int() > stack[n-1].Int())
-			stack = stack[:n-1]
-		case qCeqF:
-			n := len(stack)
-			stack[n-2] = BoolValue(stack[n-2].Float() == stack[n-1].Float())
-			stack = stack[:n-1]
-		case qCltF:
-			n := len(stack)
-			stack[n-2] = BoolValue(stack[n-2].Float() < stack[n-1].Float())
-			stack = stack[:n-1]
-		case qCgtF:
-			n := len(stack)
-			stack[n-2] = BoolValue(stack[n-2].Float() > stack[n-1].Float())
-			stack = stack[:n-1]
+		case qCeq, qClt, qCgt, qCeqF, qCltF, qCgtF:
+			y, n := q.right(stack, locals, args)
+			stack[n-1] = BoolValue(compare(q.op, stack[n-1], y))
+			stack = stack[:n]
 
 		case qConvI2F:
 			n := len(stack)
@@ -188,7 +166,40 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 				t.PollGC()
 			}
 			qpc = int(q.t)
-			continue
+			if q.b == 0 {
+				continue
+			}
+			// A rotated latch runs its head's compare-branch here: on to
+			// the head's target, or past the head.
+			q = &insts[qpc]
+			fallthrough
+		case qCmpBr:
+			var x, y Value
+			n := len(stack)
+			if q.asrc != 0 { // both operands folded, read in source order
+				x, y = operand(q.asrc, uint64(q.a), locals, args), operand(q.bsrc, q.imm, locals, args)
+			} else {
+				y, n = q.right(stack, locals, args)
+				n--
+				x = stack[n]
+			}
+			stack = stack[:n]
+			if compare(q.sub, x, y) == (q.b != 0) {
+				if q.back {
+					if t.stepBudget != 0 {
+						t.stepBudget--
+						if t.stepBudget == 0 {
+							fr.stack = stack
+							fr.pc = int(q.pc2) // the branch half charges, not the compare
+							return Value{}, false, false, fr.trap("step budget exhausted", "backward branch")
+						}
+					}
+					fr.stack = stack
+					t.PollGC()
+				}
+				qpc = int(q.t)
+				continue
+			}
 		case qBrTrue, qBrFalse:
 			c := stack[len(stack)-1].Bool()
 			stack = stack[:len(stack)-1]
@@ -199,41 +210,6 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 						if t.stepBudget == 0 {
 							fr.stack = stack
 							fr.pc = int(q.pc)
-							return Value{}, false, false, fr.trap("step budget exhausted", "backward branch")
-						}
-					}
-					fr.stack = stack
-					t.PollGC()
-				}
-				qpc = int(q.t)
-				continue
-			}
-		case qCmpBr:
-			n := len(stack)
-			b, a := stack[n-1], stack[n-2]
-			stack = stack[:n-2]
-			var cond bool
-			switch q.a {
-			case 0:
-				cond = a.Bits == b.Bits
-			case 1:
-				cond = a.Int() < b.Int()
-			case 2:
-				cond = a.Int() > b.Int()
-			case 3:
-				cond = a.Float() == b.Float()
-			case 4:
-				cond = a.Float() < b.Float()
-			default:
-				cond = a.Float() > b.Float()
-			}
-			if cond == (q.b != 0) {
-				if q.back {
-					if t.stepBudget != 0 {
-						t.stepBudget--
-						if t.stepBudget == 0 {
-							fr.stack = stack
-							fr.pc = int(q.pc2) // the branch half charges, not the compare
 							return Value{}, false, false, fr.trap("step budget exhausted", "backward branch")
 						}
 					}
@@ -396,7 +372,7 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 			var i int64
 			switch q.op {
 			case qLdElemAt:
-				switch q.src {
+				switch q.asrc {
 				case OpLdLoc:
 					arr = locals[q.a]
 				case OpLdArg:
@@ -444,10 +420,32 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 			}
 			off := ref + base + uint32(i)*size
 			if q.op != qStElem {
+				var e Value
 				if size == 8 { // int64, uint64, float64: the slot is the stack form
-					stack = append(stack, Value{Bits: binary.LittleEndian.Uint64(h.mem[off:])})
+					e = Value{Bits: binary.LittleEndian.Uint64(h.mem[off:])}
 				} else {
-					stack = append(stack, h.loadElem(off, kind))
+					e = h.loadElem(off, kind)
+				}
+				if q.sub == qNop {
+					stack = append(stack, e)
+					break
+				}
+				// The element is the right operand of the absorbed operator.
+				switch x := &stack[len(stack)-1]; q.sub {
+				case qAdd:
+					*x = IntValue(x.Int() + e.Int())
+				case qSub:
+					*x = IntValue(x.Int() - e.Int())
+				case qMul:
+					*x = IntValue(x.Int() * e.Int())
+				case qAddF:
+					*x = FloatValue(x.Float() + e.Float())
+				case qSubF:
+					*x = FloatValue(x.Float() - e.Float())
+				case qMulF:
+					*x = FloatValue(x.Float() * e.Float())
+				default:
+					*x = FloatValue(x.Float() / e.Float())
 				}
 				break
 			}
@@ -536,6 +534,45 @@ func (t *Thread) runQuick(fr *callFrame) (Value, bool, bool, error) {
 	}
 	// Fell off the end: void return.
 	return Value{}, false, true, nil
+}
+
+// right reads a binary operator's right operand: in place when it is
+// folded, else off the top of the stack; n is the stack's length
+// without it.
+func (q *qinst) right(stack, locals, args []Value) (y Value, n int) {
+	if q.bsrc == 0 {
+		return stack[len(stack)-1], len(stack) - 1
+	}
+	return operand(q.bsrc, q.imm, locals, args), len(stack)
+}
+
+// operand reads a folded operand in place: locals[x] or args[x] for an
+// absorbed ldloc or ldarg, x itself for an absorbed ldc.
+func operand(src Op, x uint64, locals, args []Value) Value {
+	switch src {
+	case OpLdLoc:
+		return locals[x]
+	case OpLdArg:
+		return args[x]
+	}
+	return Value{Bits: x}
+}
+
+// compare evaluates the comparison op (qCeq..qCgtF) of x and y.
+func compare(op qOp, x, y Value) bool {
+	switch op {
+	case qCeq:
+		return x.Bits == y.Bits
+	case qClt:
+		return x.Int() < y.Int()
+	case qCgt:
+		return x.Int() > y.Int()
+	case qCeqF:
+		return x.Float() == y.Float()
+	case qCltF:
+		return x.Float() < y.Float()
+	}
+	return x.Float() > y.Float()
 }
 
 // elemOpName is the source instruction an element-site trap names.

@@ -80,6 +80,9 @@ type VM struct {
 	// mu guards the thread registry.
 	mu      sync.Mutex
 	threads map[*Thread]struct{}
+	// rootThreads is visitAllRoots' snapshot of threads, reused by
+	// every collection (collections never overlap).
+	rootThreads []*Thread
 
 	out io.Writer
 }
