@@ -98,6 +98,7 @@ func BenchmarkAblationVisited(b *testing.B) {
 			mode, elements := mode, elements
 			b.Run(fmt.Sprintf("%s/%delems", mode.name, elements), func(b *testing.B) {
 				v := vm.New(vm.Config{Heap: vm.HeapConfig{YoungSize: 4 << 20, InitialElder: 32 << 20, ArenaMax: 512 << 20}})
+				defer v.Close()
 				head := buildBenchList(v, elements)
 				var buf []byte
 				b.ResetTimer()
@@ -121,6 +122,7 @@ func BenchmarkAblationVisited(b *testing.B) {
 func BenchmarkAblationCallPath(b *testing.B) {
 	b.Run("FCall", func(b *testing.B) {
 		v := vm.New(vm.Config{})
+		defer v.Close()
 		idx := v.RegisterInternal(vm.InternalFunc{
 			Name: "bench.nop", NArgs: 2, HasRet: true,
 			Fn: func(t *vm.Thread, a []vm.Value) (vm.Value, error) { return a[0], nil },
@@ -154,6 +156,7 @@ func BenchmarkAblationPinMechanism(b *testing.B) {
 			mode, live := mode, live
 			b.Run(fmt.Sprintf("%s/%dlive", mode.name, live), func(b *testing.B) {
 				v := vm.New(vm.Config{Heap: vm.HeapConfig{PinMode: mode.m}})
+				defer v.Close()
 				refs := make([]vm.Ref, live)
 				for i := range refs {
 					r, err := v.Heap.NewInt32Array([]int32{int32(i)})
@@ -232,6 +235,7 @@ func BenchmarkSerializers(b *testing.B) {
 	run := func(name string, ser func(v *vm.VM, head vm.Ref) (int, error)) {
 		b.Run(name, func(b *testing.B) {
 			v := vm.New(vm.Config{Heap: vm.HeapConfig{YoungSize: 4 << 20, InitialElder: 32 << 20, ArenaMax: 512 << 20}})
+			defer v.Close()
 			head := buildBenchList(v, elements)
 			n := 0
 			b.ResetTimer()

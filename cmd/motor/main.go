@@ -46,15 +46,7 @@ func check(files []string) int {
 			fmt.Fprintln(os.Stderr, "motor:", err)
 			return 1
 		}
-		v := vm.New(vm.Config{})
-		core.RegisterVerifyStubs(v)
-		mod, err := v.AssembleModule(string(src))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
-			exit = 1
-			continue
-		}
-		stats, err := bcverify.VerifyModule(v, mod.Methods, bcverify.Options{Sigs: core.Signatures()})
+		stats, err := verifySource(string(src))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 			exit = 1
@@ -64,6 +56,18 @@ func check(files []string) int {
 			path, stats.Methods, stats.Insts, stats.Transportable)
 	}
 	return exit
+}
+
+// verifySource assembles src against a bare VM and verifies it.
+func verifySource(src string) (bcverify.Stats, error) {
+	v := vm.New(vm.Config{})
+	defer v.Close()
+	core.RegisterVerifyStubs(v)
+	mod, err := v.AssembleModule(src)
+	if err != nil {
+		return bcverify.Stats{}, err
+	}
+	return bcverify.VerifyModule(v, mod.Methods, bcverify.Options{Sigs: core.Signatures()})
 }
 
 func main() {

@@ -8,8 +8,16 @@ import (
 	"motor/internal/vm"
 )
 
-func newVM() *vm.VM {
-	return vm.New(vm.Config{Heap: vm.HeapConfig{YoungSize: 256 << 10, InitialElder: 2 << 20, ArenaMax: 256 << 20}})
+// newVM builds a VM whose arena is released when the test ends (left
+// reserved if it failed: a rank may still be running).
+func newVM(t testing.TB) *vm.VM {
+	v := vm.New(vm.Config{Heap: vm.HeapConfig{YoungSize: 256 << 10, InitialElder: 2 << 20, ArenaMax: 256 << 20}})
+	t.Cleanup(func() {
+		if !t.Failed() {
+			v.Close()
+		}
+	})
+	return v
 }
 
 func cellTypes(v *vm.VM) *vm.MethodTable {
@@ -85,14 +93,14 @@ func TestCLIRoundtripBothProfiles(t *testing.T) {
 	for _, profile := range []Profile{ProfileSSCLI, ProfileNET} {
 		profile := profile
 		t.Run(profile.String(), func(t *testing.T) {
-			src := newVM()
+			src := newVM(t)
 			mt := cellTypes(src)
 			head := buildChain(src, mt, 12, 3)
 			data, err := Serialize(src.Heap, head, profile)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dst := newVM()
+			dst := newVM(t)
 			dmt := cellTypes(dst)
 			out, err := Deserialize(dst, data)
 			if err != nil {
@@ -105,7 +113,7 @@ func TestCLIRoundtripBothProfiles(t *testing.T) {
 
 func TestProfilesProduceIdenticalStreams(t *testing.T) {
 	// The profiles differ in COST, not in format.
-	src := newVM()
+	src := newVM(t)
 	mt := cellTypes(src)
 	head := buildChain(src, mt, 8, 2)
 	a, err := Serialize(src.Heap, head, ProfileSSCLI)
@@ -124,14 +132,14 @@ func TestProfilesProduceIdenticalStreams(t *testing.T) {
 func TestCLILongChainNoOverflow(t *testing.T) {
 	// BinaryFormatter traverses iteratively: the 8192-object point of
 	// Figure 10 works where Java serialization has already died.
-	src := newVM()
+	src := newVM(t)
 	mt := cellTypes(src)
 	head := buildChain(src, mt, 5000, 1)
 	data, err := Serialize(src.Heap, head, ProfileNET)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newVM()
+	dst := newVM(t)
 	dmt := cellTypes(dst)
 	out, err := Deserialize(dst, data)
 	if err != nil {
@@ -148,7 +156,7 @@ func TestCLILongChainNoOverflow(t *testing.T) {
 }
 
 func TestCLISharedAndCycle(t *testing.T) {
-	src := newVM()
+	src := newVM(t)
 	mt := cellTypes(src)
 	h := src.Heap
 	guard := &vm.RefRoots{Refs: make([]vm.Ref, 3)}
@@ -170,7 +178,7 @@ func TestCLISharedAndCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newVM()
+	dst := newVM(t)
 	dmt := cellTypes(dst)
 	out, err := Deserialize(dst, data)
 	if err != nil {
@@ -187,11 +195,11 @@ func TestCLISharedAndCycle(t *testing.T) {
 }
 
 func TestCLICorruptStream(t *testing.T) {
-	src := newVM()
+	src := newVM(t)
 	mt := cellTypes(src)
 	head := buildChain(src, mt, 2, 1)
 	data, _ := Serialize(src.Heap, head, ProfileNET)
-	dst := newVM()
+	dst := newVM(t)
 	cellTypes(dst)
 	if _, err := Deserialize(dst, data[:6]); err == nil {
 		t.Error("truncated accepted")
@@ -201,14 +209,14 @@ func TestCLICorruptStream(t *testing.T) {
 	if _, err := Deserialize(dst, bad); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := Deserialize(newVM(), data); err == nil {
+	if _, err := Deserialize(newVM(t), data); err == nil {
 		t.Error("typeless receiver accepted")
 	}
 }
 
 func TestCLIDeserializeNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	src := newVM()
+	src := newVM(t)
 	mt := cellTypes(src)
 	head := buildChain(src, mt, 4, 2)
 	valid, err := Serialize(src.Heap, head, ProfileNET)
@@ -221,7 +229,7 @@ func TestCLIDeserializeNeverPanics(t *testing.T) {
 				t.Fatalf("panic on %d bytes: %v", len(data), r)
 			}
 		}()
-		dst := newVM()
+		dst := newVM(t)
 		cellTypes(dst)
 		_, _ = Deserialize(dst, data)
 	}

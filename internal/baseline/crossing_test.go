@@ -16,7 +16,7 @@ import (
 
 func TestPInvokeCrossingAccounting(t *testing.T) {
 	runPair(t, func(w *mp.World) error {
-		v := newVM(fmt.Sprintf("r%d", w.Rank()))
+		v := newVM(t, fmt.Sprintf("r%d", w.Rank()))
 		b := pinvoke.New(v, w, pinvoke.HostNET)
 		th := v.StartThread("main")
 		defer th.End()
@@ -48,7 +48,7 @@ func TestPInvokeCrossingAccounting(t *testing.T) {
 
 func TestJNIBarrierAndStats(t *testing.T) {
 	runPair(t, func(w *mp.World) error {
-		v := newVM(fmt.Sprintf("r%d", w.Rank()))
+		v := newVM(t, fmt.Sprintf("r%d", w.Rank()))
 		b := jni.New(v, w)
 		th := v.StartThread("main")
 		defer th.End()
@@ -71,7 +71,7 @@ func TestJNIRejectsNullAndNonArray(t *testing.T) {
 		if w.Rank() != 0 {
 			return nil
 		}
-		v := newVM("r0")
+		v := newVM(t, "r0")
 		b := jni.New(v, w)
 		th := v.StartThread("main")
 		defer th.End()
@@ -91,7 +91,7 @@ func TestWrapperPinBalanceUnderGC(t *testing.T) {
 	// Per-op pinning must stay balanced even when collections run
 	// between operations.
 	runPair(t, func(w *mp.World) error {
-		v := newVM(fmt.Sprintf("r%d", w.Rank()))
+		v := newVM(t, fmt.Sprintf("r%d", w.Rank()))
 		b := pinvoke.New(v, w, pinvoke.HostSSCLI)
 		th := v.StartThread("main")
 		defer th.End()

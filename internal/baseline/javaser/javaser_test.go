@@ -8,8 +8,16 @@ import (
 	"motor/internal/vm"
 )
 
-func newVM() *vm.VM {
-	return vm.New(vm.Config{Heap: vm.HeapConfig{YoungSize: 256 << 10, InitialElder: 2 << 20, ArenaMax: 256 << 20}})
+// newVM builds a VM whose arena is released when the test ends (left
+// reserved if it failed: a rank may still be running).
+func newVM(t testing.TB) *vm.VM {
+	v := vm.New(vm.Config{Heap: vm.HeapConfig{YoungSize: 256 << 10, InitialElder: 2 << 20, ArenaMax: 256 << 20}})
+	t.Cleanup(func() {
+		if !t.Failed() {
+			v.Close()
+		}
+	})
+	return v
 }
 
 // cellTypes registers a Java-style linked cell: ALL refs travel
@@ -62,14 +70,14 @@ func buildChain(v *vm.VM, mt *vm.MethodTable, n, payload int) vm.Ref {
 }
 
 func TestJavaRoundtrip(t *testing.T) {
-	src := newVM()
+	src := newVM(t)
 	mt := cellTypes(src)
 	head := buildChain(src, mt, 10, 4)
 	data, err := Serialize(src.Heap, head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newVM()
+	dst := newVM(t)
 	dmt := cellTypes(dst)
 	out, err := Deserialize(dst, data)
 	if err != nil {
@@ -99,7 +107,7 @@ func TestJavaRoundtrip(t *testing.T) {
 func TestJavaStackOverflowAt1024(t *testing.T) {
 	// The Figure 10 caption: "mpiJava results stop at 1024 objects
 	// because longer linked lists caused a stack overflow exception".
-	src := newVM()
+	src := newVM(t)
 	mt := cellTypes(src)
 	// 1024 cells is fine...
 	ok := buildChain(src, mt, 512, 1)
@@ -115,7 +123,7 @@ func TestJavaStackOverflowAt1024(t *testing.T) {
 }
 
 func TestJavaSharedReference(t *testing.T) {
-	src := newVM()
+	src := newVM(t)
 	mt := cellTypes(src)
 	h := src.Heap
 	guard := &vm.RefRoots{Refs: make([]vm.Ref, 3)}
@@ -136,7 +144,7 @@ func TestJavaSharedReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newVM()
+	dst := newVM(t)
 	dmt := cellTypes(dst)
 	out, err := Deserialize(dst, data)
 	if err != nil {
@@ -153,14 +161,14 @@ func TestJavaSharedReference(t *testing.T) {
 func TestJavaHandleTableSwitch(t *testing.T) {
 	// Crossing linearThreshold objects must still round-trip (the
 	// linear->hashed switch).
-	src := newVM()
+	src := newVM(t)
 	mt := cellTypes(src)
 	head := buildChain(src, mt, linearThreshold+40, 0)
 	data, err := Serialize(src.Heap, head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newVM()
+	dst := newVM(t)
 	dmt := cellTypes(dst)
 	out, err := Deserialize(dst, data)
 	if err != nil {
@@ -177,7 +185,7 @@ func TestJavaHandleTableSwitch(t *testing.T) {
 }
 
 func TestJavaCycle(t *testing.T) {
-	src := newVM()
+	src := newVM(t)
 	mt := cellTypes(src)
 	h := src.Heap
 	guard := &vm.RefRoots{Refs: make([]vm.Ref, 2)}
@@ -194,7 +202,7 @@ func TestJavaCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newVM()
+	dst := newVM(t)
 	dmt := cellTypes(dst)
 	out, err := Deserialize(dst, data)
 	if err != nil {
@@ -207,11 +215,11 @@ func TestJavaCycle(t *testing.T) {
 }
 
 func TestJavaCorruptStream(t *testing.T) {
-	src := newVM()
+	src := newVM(t)
 	mt := cellTypes(src)
 	head := buildChain(src, mt, 2, 1)
 	data, _ := Serialize(src.Heap, head)
-	dst := newVM()
+	dst := newVM(t)
 	cellTypes(dst)
 	if _, err := Deserialize(dst, data[:3]); err == nil {
 		t.Error("truncated stream accepted")
@@ -222,7 +230,7 @@ func TestJavaCorruptStream(t *testing.T) {
 		t.Error("bad magic accepted")
 	}
 	// Missing type on the receiver.
-	empty := newVM()
+	empty := newVM(t)
 	if _, err := Deserialize(empty, data); !errors.Is(err, ErrType) {
 		t.Errorf("typeless receiver: %v", err)
 	}
@@ -230,7 +238,7 @@ func TestJavaCorruptStream(t *testing.T) {
 
 func TestJavaDeserializeNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	src := newVM()
+	src := newVM(t)
 	mt := cellTypes(src)
 	head := buildChain(src, mt, 4, 2)
 	valid, err := Serialize(src.Heap, head)
@@ -243,7 +251,7 @@ func TestJavaDeserializeNeverPanics(t *testing.T) {
 				t.Fatalf("panic on %d bytes: %v", len(data), r)
 			}
 		}()
-		dst := newVM()
+		dst := newVM(t)
 		cellTypes(dst)
 		_, _ = Deserialize(dst, data)
 	}

@@ -243,7 +243,7 @@ func (b *Binding) Send(t *vm.Thread, obj vm.Ref, dest, tag int) error {
 	if err := b.crossing("MPI_Send", uint64(s), uint64(e-s), 1, uint64(dest), uint64(tag), 0); err != nil {
 		return err
 	}
-	req, err := b.comm.IsendBuffer(adi.ArenaBuf(b.vm.Heap, s, int(e-s)), dest, tag, false)
+	req, err := b.comm.IsendBuffer(adi.SliceBuf(b.vm.Heap.DataBytes(obj)), dest, tag, false)
 	if err != nil {
 		return err
 	}
@@ -260,7 +260,7 @@ func (b *Binding) Recv(t *vm.Thread, obj vm.Ref, source, tag int) (mp.Status, er
 	if err := b.crossing("MPI_Recv", uint64(s), uint64(e-s), 1, uint64(source), uint64(tag), 0, 0); err != nil {
 		return mp.Status{}, err
 	}
-	req, err := b.comm.IrecvBuffer(adi.ArenaBuf(b.vm.Heap, s, int(e-s)), source, tag)
+	req, err := b.comm.IrecvBuffer(adi.SliceBuf(b.vm.Heap.DataBytes(obj)), source, tag)
 	if err != nil {
 		return mp.Status{}, err
 	}

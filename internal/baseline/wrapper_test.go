@@ -15,8 +15,19 @@ import (
 	"motor/internal/vm"
 )
 
-func newVM(name string) *vm.VM {
-	return vm.New(vm.Config{Name: name, Heap: vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 512 << 10, ArenaMax: 64 << 20}})
+func newVM(t testing.TB, name string) *vm.VM {
+	return closing(t, vm.New(vm.Config{Name: name, Heap: vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 512 << 10, ArenaMax: 64 << 20}}))
+}
+
+// closing releases v's arena when the test ends, once every rank has
+// reported (left reserved if it failed: a rank may still be running).
+func closing(t testing.TB, v *vm.VM) *vm.VM {
+	t.Cleanup(func() {
+		if !t.Failed() {
+			v.Close()
+		}
+	})
+	return v
 }
 
 func runPair(t *testing.T, body func(w *mp.World) error) {
@@ -56,7 +67,7 @@ func TestPInvokePingPong(t *testing.T) {
 				} else {
 					heapCfg = vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 512 << 10, ArenaMax: 64 << 20}
 				}
-				v := vm.New(vm.Config{Name: fmt.Sprintf("r%d", w.Rank()), Heap: heapCfg})
+				v := closing(t, vm.New(vm.Config{Name: fmt.Sprintf("r%d", w.Rank()), Heap: heapCfg}))
 				b := pinvoke.New(v, w, host)
 				th := v.StartThread("main")
 				defer th.End()
@@ -108,7 +119,7 @@ func TestPInvokeRejectsNonSimple(t *testing.T) {
 		if w.Rank() != 0 {
 			return nil
 		}
-		v := newVM("r0")
+		v := newVM(t, "r0")
 		b := pinvoke.New(v, w, pinvoke.HostNET)
 		th := v.StartThread("main")
 		defer th.End()
@@ -123,7 +134,7 @@ func TestPInvokeRejectsNonSimple(t *testing.T) {
 
 func TestJNIPingPongCopies(t *testing.T) {
 	runPair(t, func(w *mp.World) error {
-		v := newVM(fmt.Sprintf("r%d", w.Rank()))
+		v := newVM(t, fmt.Sprintf("r%d", w.Rank()))
 		b := jni.New(v, w)
 		th := v.StartThread("main")
 		defer th.End()

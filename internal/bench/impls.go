@@ -16,7 +16,8 @@ import (
 )
 
 // The per-implementation adapters. Every managed implementation runs
-// on its own Motor VM instance; the differences measured are exactly
+// on its own Motor VM instance, released by the rank's Close once its
+// traffic is done; the differences measured are exactly
 // the architectural ones the paper attributes: call path (FCall vs
 // P/Invoke vs JNI), pinning discipline (policy vs always vs
 // copy), and serialization mechanism.
@@ -79,7 +80,7 @@ func (m *motorRank) Recv(source, tag int) error {
 	return err
 }
 
-func (m *motorRank) Close() { m.th.End() }
+func (m *motorRank) Close() { m.th.End(); m.v.Close() }
 
 // MotorImpl is the paper's contribution, with its pinning policy.
 func MotorImpl() PingImpl { return motorImplWithPolicy("Motor", core.PolicyMotor) }
@@ -127,7 +128,7 @@ func (p *pinvokeRank) Recv(source, tag int) error {
 	return err
 }
 
-func (p *pinvokeRank) Close() { p.th.End() }
+func (p *pinvokeRank) Close() { p.th.End(); p.v.Close() }
 
 // IndianaImpl is the Indiana C# bindings hosted by the given runtime:
 // HostSSCLI uses the research runtime's linear pin list, HostNET the
@@ -174,7 +175,7 @@ func (j *jniRank) Recv(source, tag int) error {
 	return err
 }
 
-func (j *jniRank) Close() { j.th.End() }
+func (j *jniRank) Close() { j.th.End(); j.v.Close() }
 
 // JavaImpl is the mpiJava line.
 func JavaImpl() PingImpl {
@@ -305,7 +306,7 @@ func (m *motorOORank) Echo(peer int) error {
 	return m.e.OSend(m.th, f.Ref(0), peer, 1)
 }
 
-func (m *motorOORank) Close() { m.th.End() }
+func (m *motorOORank) Close() { m.th.End(); m.v.Close() }
 
 // MotorOOImpl is the Motor object-transport line. The visited mode
 // defaults to the paper's linear list.
@@ -423,7 +424,7 @@ func (r *wrapperObjRank) Echo(peer int) error {
 	return r.sendTree(f.Ref(0), peer)
 }
 
-func (r *wrapperObjRank) Close() { r.th.End() }
+func (r *wrapperObjRank) Close() { r.th.End(); r.v.Close() }
 
 // JavaObjImpl is the mpiJava line of Figure 10: Java serialization
 // over the JNI wrapper.

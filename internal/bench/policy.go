@@ -44,6 +44,7 @@ func RunPolicyBehaviour(iters, size int) ([]PolicyBehaviour, error) {
 		}
 		type res struct {
 			pb  PolicyBehaviour
+			v   *vm.VM
 			err error
 		}
 		results := make(chan res, 2)
@@ -73,7 +74,7 @@ func RunPolicyBehaviour(iters, size int) ([]PolicyBehaviour, error) {
 					CondDropped:     gs.CondPinsDropped,
 					BlocksDonated:   gs.BlocksDonated,
 				}
-				results <- res{pb, err}
+				results <- res{pb, v, err}
 			}(w)
 		}
 		var merged PolicyBehaviour
@@ -83,6 +84,8 @@ func RunPolicyBehaviour(iters, size int) ([]PolicyBehaviour, error) {
 			if r.err != nil {
 				return nil, r.err
 			}
+			// Closed on return, once both ranks have reported.
+			defer r.v.Close()
 			merged.Ops += r.pb.Ops
 			merged.PinSkippedElder += r.pb.PinSkippedElder
 			merged.PinAvoidedFast += r.pb.PinAvoidedFast

@@ -237,9 +237,9 @@ func (e *Engine) reduceOn(t *vm.Thread, c *mp.Comm, sendArr, recvArr vm.Ref, op 
 			if err != nil {
 				return err
 			}
-			if rdt != dt || rb.Len() != sb.Len() {
+			if rdt != dt || len(rb) != len(sb) {
 				return fmt.Errorf("core: reduce buffers disagree: %s/%d vs %s/%d bytes",
-					dt.Name, sb.Len(), rdt.Name, rb.Len())
+					dt.Name, len(sb), rdt.Name, len(rb))
 			}
 			return nil
 		},

@@ -385,7 +385,7 @@ func (e *Engine) trusted(t *vm.Thread) bool {
 // at operation start; the pinning policy keeps it from going stale.
 func (e *Engine) wholeBuf(t *vm.Thread, obj vm.Ref) (adi.Buffer, error) {
 	if obj == vm.NullRef {
-		return adi.Buffer{}, ErrNullObject
+		return nil, ErrNullObject
 	}
 	h := e.VM.Heap
 	mt := h.MT(obj)
@@ -397,11 +397,10 @@ func (e *Engine) wholeBuf(t *vm.Thread, obj vm.Ref) (adi.Buffer, error) {
 	} else {
 		bump(&e.Stats.TransferChecksDyn, 1)
 		if mt.HasRefFields() {
-			return adi.Buffer{}, fmt.Errorf("%w (%s)", ErrObjectModel, mt)
+			return nil, fmt.Errorf("%w (%s)", ErrObjectModel, mt)
 		}
 	}
-	s, en := h.DataRange(obj)
-	return adi.ArenaBuf(h, s, int(en-s)), nil
+	return h.DataBytes(obj), nil
 }
 
 // rangeBuf builds the transfer buffer for a sub-range of a simple
@@ -410,7 +409,7 @@ func (e *Engine) wholeBuf(t *vm.Thread, obj vm.Ref) (adi.Buffer, error) {
 // static verification.
 func (e *Engine) rangeBuf(t *vm.Thread, obj vm.Ref, offset, count int) (adi.Buffer, error) {
 	if obj == vm.NullRef {
-		return adi.Buffer{}, ErrNullObject
+		return nil, ErrNullObject
 	}
 	h := e.VM.Heap
 	mt := h.MT(obj)
@@ -422,19 +421,18 @@ func (e *Engine) rangeBuf(t *vm.Thread, obj vm.Ref, offset, count int) (adi.Buff
 	} else {
 		bump(&e.Stats.TransferChecksDyn, 1)
 		if mt.Kind != vm.TKArray {
-			return adi.Buffer{}, ErrNotArray
+			return nil, ErrNotArray
 		}
 		if !mt.IsSimpleArray() {
-			return adi.Buffer{}, fmt.Errorf("%w (%s)", ErrObjectModel, mt)
+			return nil, fmt.Errorf("%w (%s)", ErrObjectModel, mt)
 		}
 	}
 	n := h.Length(obj)
 	if offset < 0 || count < 0 || offset+count > n {
-		return adi.Buffer{}, fmt.Errorf("core: range [%d,%d) outside array of %d elements", offset, offset+count, n)
+		return nil, fmt.Errorf("core: range [%d,%d) outside array of %d elements", offset, offset+count, n)
 	}
 	es := mt.ElemSize()
-	s, _ := h.DataRange(obj)
-	return adi.ArenaBuf(h, s+uint32(offset*es), count*es), nil
+	return h.DataBytes(obj)[offset*es : (offset+count)*es], nil
 }
 
 // --- OO buffer stack (paper §7.5) --------------------------------------------

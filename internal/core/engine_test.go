@@ -32,9 +32,11 @@ func runRanksHeap(t *testing.T, n int, hc vm.HeapConfig, opts []Option, body fun
 		t.Fatal(err)
 	}
 	errc := make(chan error, n)
+	vms := make([]*vm.VM, n)
 	for i := 0; i < n; i++ {
 		go func(w *mp.World) {
 			v := vm.New(vm.Config{Name: fmt.Sprintf("rank%d", w.Rank()), Heap: hc})
+			vms[w.Rank()] = v
 			e := Attach(v, w, opts...)
 			th := v.StartThread("main")
 			defer th.End()
@@ -52,6 +54,16 @@ func runRanksHeap(t *testing.T, n int, hc vm.HeapConfig, opts []Option, body fun
 		case <-deadline:
 			t.Fatal("ranks deadlocked")
 		}
+	}
+	closeVMs(vms)
+}
+
+// closeVMs releases the arenas of a world's VMs. Call it only once
+// every rank has reported: until then a peer may still copy into or out
+// of a rank's posted buffer. A test that fails earlier leaves them.
+func closeVMs(vms []*vm.VM) {
+	for _, v := range vms {
+		v.Close()
 	}
 }
 

@@ -50,12 +50,14 @@ func runSockRanksOpts(t *testing.T, plats []pal.Platform, eagerMax int, opts []O
 		err  error
 	}
 	resc := make(chan res, n)
+	vms := make([]*vm.VM, n)
 	for i := 0; i < n; i++ {
 		go func(idx int, w *mp.World) {
 			v := vm.New(vm.Config{
 				Name: fmt.Sprintf("rank%d", w.Rank()),
 				Heap: vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 512 << 10, ArenaMax: 64 << 20},
 			})
+			vms[idx] = v
 			e := Attach(v, w, opts...)
 			th := v.StartThread("main")
 			defer th.End()
@@ -73,6 +75,7 @@ func runSockRanksOpts(t *testing.T, plats []pal.Platform, eagerMax int, opts []O
 			t.Fatal("ranks hung: transport fault did not surface")
 		}
 	}
+	closeVMs(vms)
 	return errs
 }
 

@@ -24,10 +24,12 @@ func runHandoffRanks(t *testing.T, eagerMax int, opts []Option, body func(r *ran
 		t.Fatal(err)
 	}
 	errc := make(chan error, 2)
+	vms := make([]*vm.VM, 2)
 	for _, w := range worlds {
 		go func(w *mp.World) {
 			v := vm.New(vm.Config{Name: fmt.Sprintf("rank%d", w.Rank()),
 				Heap: vm.HeapConfig{YoungSize: 256 << 10, InitialElder: 1 << 20, ArenaMax: 64 << 20}})
+			vms[w.Rank()] = v
 			e := Attach(v, w, append(opts, WithAsyncProgress(true))...)
 			e.progress.Stop()
 			e.progress = mp.StartProgress(w.Dev, mp.ProgressOptions{Gate: v.ExecRun, Lane: w.Rank(), Interval: time.Hour})
@@ -50,6 +52,7 @@ func runHandoffRanks(t *testing.T, eagerMax int, opts []Option, body func(r *ran
 			t.Fatal("ranks deadlocked")
 		}
 	}
+	closeVMs(vms)
 }
 
 // TestBlockingPingPongRingsNoEngine: a blocking round trip drives its

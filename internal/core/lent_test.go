@@ -22,12 +22,13 @@ func lentPattern(i, salt int) int32 { return int32(uint32(i)*2654435761 + uint32
 // TestStressLentSourceUnderCollection posts a 128 KiB send from a young
 // or a promoted elder array, lets the receiver's CTS arrive so the DATA
 // is lent, and then makes the sender scavenge, collect fully, compact
-// and (in the grow cases) reallocate its arena before the receiver
-// copies out. After every step both heaps pass CheckInvariants and the
-// source is bit-exact and in place; the received payload must be too.
-// Without growth the source still shares the arena the copy-out reads,
-// so the sender reusing it right after its Wait returns is a data race
-// under -race unless the send completes strictly after the copy-out.
+// and (in the grow cases) grow its arena before the receiver copies
+// out. After every step both heaps pass CheckInvariants and the source
+// is bit-exact and in place; an arena-growing allocation must leave the
+// source's bytes at the same address, and the received payload must be
+// intact too. The source shares the arena the copy-out reads, so the
+// sender reusing it right after its Wait returns is a data race under
+// -race unless the send completes strictly after the copy-out.
 func TestStressLentSourceUnderCollection(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		for _, elder := range []bool{false, true} {
@@ -157,8 +158,11 @@ func lentUnderCollection(t *testing.T, workers int, elder, grow bool) {
 				if _, err := h.AllocArray(r.v.ArrayType(vm.KindInt32, nil, 1), int(arena)); err != nil {
 					return err
 				}
-				if &h.DataBytes(src)[0] == before {
-					return fmt.Errorf("the arena did not move")
+				if grown, _, _ := h.MemUse(); grown <= arena {
+					return fmt.Errorf("the arena did not grow")
+				}
+				if &h.DataBytes(src)[0] != before {
+					return fmt.Errorf("the lent source's bytes moved")
 				}
 				return nil
 			}})
@@ -475,8 +479,8 @@ func collSum(i, n int) int32 { return collVal(0, i) + collVal(1, i) }
 // thread on it moves memory while the collective waits. mp's collectives
 // take a []byte resolved once, before the wait, so in the compact
 // variant an elder destination must not slide, and in the grow variant a
-// young (pinned) one must still receive its payload after a sibling
-// allocation reallocated the arena under the slice.
+// young (pinned) one must keep its address while a sibling allocation
+// grows the arena under the slice, and then receive its payload.
 func TestStressElderCollectiveUnderCompaction(t *testing.T) {
 	for _, grow := range []bool{false, true} {
 		variant := "compact"
@@ -570,8 +574,10 @@ func collectiveUnderMove(t *testing.T, op collStress, grow bool) {
 			arena, _, _ := h.MemUse()
 			if _, err := h.AllocArray(i32, int(arena)); err != nil {
 				sibErr = err
-			} else if &h.DataBytes(dst)[0] == at {
-				sibErr = fmt.Errorf("the arena did not move")
+			} else if grown, _, _ := h.MemUse(); grown <= arena {
+				sibErr = fmt.Errorf("the arena did not grow")
+			} else if &h.DataBytes(dst)[0] != at {
+				sibErr = fmt.Errorf("the destination's bytes moved")
 			}
 		}()
 		if err := op.run(r, src, dst); err != nil {

@@ -19,12 +19,14 @@ func runRanksKind(t *testing.T, kind mp.ChannelKind, n int, opts []Option, body 
 		t.Fatal(err)
 	}
 	errc := make(chan error, n)
+	vms := make([]*vm.VM, n)
 	for i := 0; i < n; i++ {
 		go func(w *mp.World) {
 			v := vm.New(vm.Config{
 				Name: fmt.Sprintf("rank%d", w.Rank()),
 				Heap: vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 512 << 10, ArenaMax: 64 << 20},
 			})
+			vms[w.Rank()] = v
 			e := Attach(v, w, opts...)
 			th := v.StartThread("main")
 			defer th.End()
@@ -43,6 +45,7 @@ func runRanksKind(t *testing.T, kind mp.ChannelKind, n int, opts []Option, body 
 			t.Fatal("ranks deadlocked")
 		}
 	}
+	closeVMs(vms)
 }
 
 func TestEngineOverSockChannel(t *testing.T) {

@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"syscall"
 	"testing"
+	"unsafe"
 
 	"motor/internal/mp"
 	"motor/internal/mp/adi"
@@ -76,20 +78,26 @@ func TestORecvOversizeAccumulated(t *testing.T) {
 	})
 }
 
-// lyingArena backs a buffer that claims an enormous length while
-// holding nothing — the shape of a malicious or corrupted size field
-// on the wire.
-type lyingArena struct{}
-
-func (lyingArena) Bytes(start, end uint32) []byte { return nil }
+// lyingBuf is a buffer that claims n bytes while one inaccessible page
+// backs it — the shape of a malicious or corrupted size field on the
+// wire. A device that touched its bytes would fault.
+func lyingBuf(t *testing.T, n int) adi.Buffer {
+	page, err := syscall.Mmap(-1, 0, 4096, syscall.PROT_NONE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syscall.Munmap(page) })
+	return unsafe.Slice(&page[0], n)
+}
 
 func TestORecvForgedSizeNoAllocation(t *testing.T) {
 	// A forged rendezvous claim of 1 TiB: the receiver must reject it
 	// from the probe without attempting the allocation (the test would
 	// OOM otherwise) even under the default 1 GiB cap.
+	forged := lyingBuf(t, 1<<40)
 	runRanks(t, 2, nil, func(r *rank) error {
 		if r.e.Comm.Rank() == 0 {
-			if _, err := r.e.Comm.IsendOOBuffer(adi.ArenaBuf(lyingArena{}, 0, 1<<40), 1, mp.OOSpaceData, 0); err != nil {
+			if _, err := r.e.Comm.IsendOOBuffer(forged, 1, mp.OOSpaceData, 0); err != nil {
 				return err
 			}
 			buf, _ := r.v.Heap.NewUint8Array(make([]byte, 1))
@@ -380,6 +388,3 @@ func TestTTCacheDifferentLoadOrdersInterop(t *testing.T) {
 		return nil
 	})
 }
-
-// Interface check: the forged backing must satisfy the device contract.
-var _ adi.Arena = lyingArena{}

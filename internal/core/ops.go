@@ -170,7 +170,7 @@ func (e *Engine) sendCommonOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, dest, tag in
 		return err
 	}
 	bump(&e.Stats.Ops, 1)
-	tr := e.opBegin(obs.OpSend, buf.Len(), dest)
+	tr := e.opBegin(obs.OpSend, len(buf), dest)
 	defer e.opEnd(tr)
 	entry := e.pinFor(f.Ref(0), shapeEntry, mp.Request{})
 	defer entry.release()
@@ -216,7 +216,7 @@ func (e *Engine) recvCommonOn(t *vm.Thread, c *mp.Comm, obj vm.Ref, source, tag 
 		return mp.Status{}, err
 	}
 	bump(&e.Stats.Ops, 1)
-	tr := e.opBegin(obs.OpRecv, buf.Len(), source)
+	tr := e.opBegin(obs.OpRecv, len(buf), source)
 	defer e.opEnd(tr)
 	entry := e.pinFor(f.Ref(0), shapeEntry, mp.Request{})
 	defer entry.release()
@@ -254,7 +254,7 @@ func (e *Engine) Isend(t *vm.Thread, obj vm.Ref, dest, tag int) (int32, error) {
 		return 0, err
 	}
 	bump(&e.Stats.Ops, 1)
-	tr := e.opBegin(obs.OpIsend, buf.Len(), dest)
+	tr := e.opBegin(obs.OpIsend, len(buf), dest)
 	defer e.opEndQuick(tr)
 	req, err := e.Comm.IsendBuffer(buf, dest, tag, false)
 	if err != nil {
@@ -275,7 +275,7 @@ func (e *Engine) Irecv(t *vm.Thread, obj vm.Ref, source, tag int) (int32, error)
 		return 0, err
 	}
 	bump(&e.Stats.Ops, 1)
-	tr := e.opBegin(obs.OpIrecv, buf.Len(), source)
+	tr := e.opBegin(obs.OpIrecv, len(buf), source)
 	defer e.opEndQuick(tr)
 	req, err := e.Comm.IrecvBuffer(buf, source, tag)
 	if err != nil {
@@ -391,24 +391,19 @@ func (e *Engine) collective(t *vm.Thread, op obs.OpCode, peer int, sendArr, recv
 	bump(&e.Stats.Ops, 1)
 	// The span records this rank's payload: what it sends, or its
 	// share of a broadcast or scatter.
-	n := sb.Len()
+	n := len(sb)
 	if !send || op == obs.OpScatter {
-		n = rb.Len()
+		n = len(rb)
 	}
 	tr := e.opBegin(op, n, peer)
 	defer e.opEnd(tr)
-	var sendBytes, recvBytes []byte
 	if send {
-		var hold pinHold
-		hold, sendBytes = e.collectiveBuf(f.Ref(0), sb, false)
-		defer hold.release()
+		defer e.pinFor(f.Ref(0), shapeCollective, mp.Request{}).release()
 	}
 	if recv {
-		var hold pinHold
-		hold, recvBytes = e.collectiveBuf(f.Ref(1), rb, true)
-		defer hold.release()
+		defer e.pinFor(f.Ref(1), shapeCollective, mp.Request{}).release()
 	}
-	return e.noteErr(run(sendBytes, recvBytes))
+	return e.noteErr(run(sb, rb))
 }
 
 // Bcast broadcasts the root's object contents into every rank's
@@ -447,9 +442,9 @@ func (e *Engine) Allgather(t *vm.Thread, sendArr, recvArr vm.Ref) error {
 func (e *Engine) allgatherOn(t *vm.Thread, c *mp.Comm, sendArr, recvArr vm.Ref) error {
 	return e.collective(t, obs.OpAllgather, -1, sendArr, recvArr, true, true,
 		func(_, _ vm.Ref, sb, rb adi.Buffer) error {
-			if rb.Len() != sb.Len()*c.Size() {
+			if len(rb) != len(sb)*c.Size() {
 				return fmt.Errorf("core: allgather recv %d bytes, want %d (send %d × %d ranks)",
-					rb.Len(), sb.Len()*c.Size(), sb.Len(), c.Size())
+					len(rb), len(sb)*c.Size(), len(sb), c.Size())
 			}
 			return nil
 		},
@@ -466,9 +461,9 @@ func (e *Engine) Alltoall(t *vm.Thread, sendArr, recvArr vm.Ref) error {
 func (e *Engine) alltoallOn(t *vm.Thread, c *mp.Comm, sendArr, recvArr vm.Ref) error {
 	return e.collective(t, obs.OpAlltoall, -1, sendArr, recvArr, true, true,
 		func(_, _ vm.Ref, sb, rb adi.Buffer) error {
-			if rb.Len() != sb.Len() || sb.Len()%c.Size() != 0 {
+			if len(rb) != len(sb) || len(sb)%c.Size() != 0 {
 				return fmt.Errorf("core: alltoall buffers %d/%d bytes for %d ranks",
-					sb.Len(), rb.Len(), c.Size())
+					len(sb), len(rb), c.Size())
 			}
 			return nil
 		},
@@ -492,7 +487,7 @@ func (e *Engine) Sendrecv(t *vm.Thread, sendObj vm.Ref, dest, sendTag int, recvO
 		return mp.Status{}, err
 	}
 	bump(&e.Stats.Ops, 2)
-	tr := e.opBegin(obs.OpSendrecv, sendBuf.Len(), dest)
+	tr := e.opBegin(obs.OpSendrecv, len(sendBuf), dest)
 	defer e.opEnd(tr)
 	sendHold := e.pinFor(f.Ref(0), shapeCollective, mp.Request{})
 	defer sendHold.release()

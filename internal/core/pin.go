@@ -2,7 +2,6 @@ package core
 
 import (
 	"motor/internal/mp"
-	"motor/internal/mp/adi"
 	"motor/internal/obs"
 	"motor/internal/vm"
 )
@@ -112,33 +111,10 @@ func (e *Engine) pinFor(obj vm.Ref, shape pinShape, req mp.Request) pinHold {
 type pinHold struct {
 	h   *vm.Heap
 	obj vm.Ref // explicitly pinned, or NullRef
-	// raw is a collective receive buffer as mp writes it, resolved from
-	// dst once before the collective's wait.
-	raw []byte
-	dst adi.Buffer
 }
 
 func (p pinHold) release() {
-	// A sibling allocation that grew the arena during the wait left
-	// mp writing into the old one: carry the bytes across.
-	if len(p.raw) > 0 {
-		if cur := p.dst.Bytes(); &cur[0] != &p.raw[0] {
-			copy(cur, p.raw)
-		}
-	}
 	if p.obj != vm.NullRef {
 		p.h.Unpin(p.obj)
 	}
-}
-
-// collectiveBuf takes obj's collective cell and resolves its buffer b
-// to the slice mp's collectives take. recv marks a buffer mp writes.
-// A send buffer needs no more: its bytes were copied with the arena.
-func (e *Engine) collectiveBuf(obj vm.Ref, b adi.Buffer, recv bool) (pinHold, []byte) {
-	p := e.pinFor(obj, shapeCollective, mp.Request{})
-	raw := b.Bytes()
-	if recv {
-		p.raw, p.dst = raw, b
-	}
-	return p, raw
 }

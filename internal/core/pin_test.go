@@ -138,6 +138,7 @@ func TestPinTableGrid(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		hc := vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 512 << 10, ArenaMax: 64 << 20, GCWorkers: workers}
 		v := vm.New(vm.Config{Name: "pin", Heap: hc})
+		defer v.Close()
 		th := v.StartThread("main")
 		h := v.Heap
 		if h.MovesElder() != (workers > 1) {

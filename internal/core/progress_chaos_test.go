@@ -35,9 +35,11 @@ func runRanksAsyncHeap(t *testing.T, n int, async bool, hc vm.HeapConfig, body f
 		t.Fatal(err)
 	}
 	errc := make(chan error, n)
+	vms := make([]*vm.VM, n)
 	for i := 0; i < n; i++ {
 		go func(w *mp.World) {
 			v := vm.New(vm.Config{Name: fmt.Sprintf("rank%d", w.Rank()), Heap: hc})
+			vms[w.Rank()] = v
 			e := Attach(v, w, WithAsyncProgress(async))
 			th := v.StartThread("main")
 			err := body(&rank{v: v, e: e, th: th})
@@ -58,6 +60,7 @@ func runRanksAsyncHeap(t *testing.T, n int, async bool, hc vm.HeapConfig, body f
 			t.Fatal("ranks deadlocked")
 		}
 	}
+	closeVMs(vms)
 }
 
 // chaosThreads runs K extra managed threads per rank, each allocating

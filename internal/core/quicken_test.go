@@ -109,6 +109,7 @@ func TestVerdictCacheFingerprintMiss(t *testing.T) {
 		defer w.Close()
 		v := vm.New(vm.Config{Name: "fp",
 			Heap: vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 512 << 10, ArenaMax: 64 << 20}})
+		defer v.Close()
 		if diverge {
 			v.MustNewClass("Divergence", nil, []vm.FieldSpec{{Name: "x", Kind: vm.KindInt64}})
 		}

@@ -5,9 +5,9 @@
 // transfer protocols, all driven by a polling progress engine.
 //
 // The device is transport-agnostic: it talks to any channel.Channel.
-// Buffers are abstract (Buffer) so the Motor core can hand the device
-// ranges of a managed heap that must be re-resolved after any yield —
-// the mechanism behind zero-copy transfers into pinned objects.
+// A Buffer may be a range of a managed heap: the Motor core hands the
+// device a pinned object's bytes in place, the mechanism behind
+// zero-copy transfers into pinned objects.
 package adi
 
 import (
@@ -43,40 +43,13 @@ var (
 	ErrCancelled = errors.New("adi: request cancelled")
 )
 
-// Arena is memory addressed by offset whose backing array may move: a
-// managed heap, whose arena is reallocated when it grows.
-type Arena interface {
-	Bytes(start, end uint32) []byte
-}
-
-// Buffer is a contiguous transfer buffer, held by value: a byte slice
-// (SliceBuf) or n bytes at an offset into an Arena (ArenaBuf). Bytes
-// must be called afresh whenever control may have yielded since the
-// last call: a managed heap's arena moves when it grows, even though
-// a pinned object's offset does not.
-type Buffer struct {
-	arena Arena
-	off   uint32
-	n     int
-	b     []byte
-}
+// Buffer is a contiguous transfer buffer: a byte slice resolved once,
+// when the operation posts. A managed heap's arena is reserved whole and
+// never moves, so a pinned object's bytes stay where they were posted.
+type Buffer []byte
 
 // SliceBuf adapts a plain []byte.
-func SliceBuf(b []byte) Buffer { return Buffer{n: len(b), b: b} }
-
-// ArenaBuf is the n bytes at offset off of a.
-func ArenaBuf(a Arena, off uint32, n int) Buffer { return Buffer{arena: a, off: off, n: n} }
-
-// Len returns the buffer's length in bytes.
-func (b Buffer) Len() int { return b.n }
-
-// Bytes resolves the buffer's current bytes.
-func (b Buffer) Bytes() []byte {
-	if b.arena != nil {
-		return b.arena.Bytes(b.off, b.off+uint32(b.n))
-	}
-	return b.b
-}
+func SliceBuf(b []byte) Buffer { return b }
 
 // Status describes a completed receive.
 type Status struct {
@@ -337,7 +310,7 @@ func (d *Device) Recycle(req *Request) {
 	d.mu.Lock()
 	if reqState(req.state.Load()) == stComplete && req.onDone == nil && d.active[req.id] != req {
 		req.state.Store(uint32(stFree))
-		req.id, req.buf, req.loan = 0, Buffer{}, nil // ids start at 1: every handle is stale now
+		req.id, req.buf, req.loan = 0, nil, nil // ids start at 1: every handle is stale now
 		req.next, d.free = d.free, req
 	}
 	d.mu.Unlock()
@@ -438,7 +411,7 @@ func (d *Device) complete(req *Request) {
 			peer = req.status.Source
 		}
 		tr.Span(d.rank, obs.KADIReq, req.traceSpan, req.traceParent, req.traceStart,
-			uint64(dir), uint64(peer), uint64(req.buf.Len()))
+			uint64(dir), uint64(peer), uint64(len(req.buf)))
 	}
 	req.traceSpan = 0
 }
@@ -469,14 +442,14 @@ func (d *Device) isendLocked(buf Buffer, dest, tag int, ctx int32, sync bool) (*
 	}
 	req := d.newRequest(reqSend, buf, dest, tag, ctx)
 	req.sync = sync
-	size := buf.Len()
+	size := len(buf)
 	if !sync && size <= d.eagerMax {
 		hdr := channel.Header{
 			Type: channel.PktEager, Source: int32(d.rank),
 			Tag: int32(tag), Context: ctx, ReqA: req.id,
 		}
 		d.stampEdge(&hdr, dest, size)
-		if err := d.ch.Send(dest, hdr, buf.Bytes()); err != nil {
+		if err := d.ch.Send(dest, hdr, buf); err != nil {
 			return nil, d.transportErr(err)
 		}
 		d.Stats.EagerSent++
@@ -556,16 +529,16 @@ func (d *Device) selfSend(buf Buffer, tag int, ctx int32, sync bool) (*Request, 
 	// self-send can be distinguished even when tags and sizes match.
 	hdr := channel.Header{
 		Type: channel.PktEager, Source: int32(d.rank),
-		Tag: int32(tag), Context: ctx, Size: uint32(buf.Len()), ReqA: req.id,
+		Tag: int32(tag), Context: ctx, Size: uint32(len(buf)), ReqA: req.id,
 	}
 	if posted := d.matchPosted(hdr); posted != nil {
-		d.completeEagerRecv(posted, hdr, buf.Bytes())
+		d.completeEagerRecv(posted, hdr, buf)
 		delete(d.active, posted.id)
 		d.complete(req)
-		d.Stats.BytesSent += uint64(buf.Len())
+		d.Stats.BytesSent += uint64(len(buf))
 		return req, nil
 	}
-	d.queueUnexpected(hdr, buf.Bytes())
+	d.queueUnexpected(hdr, buf)
 	if sync {
 		// Complete when a local receive matches: reuse the
 		// conditional machinery by checking on Test/Wait.
@@ -575,7 +548,7 @@ func (d *Device) selfSend(buf Buffer, tag int, ctx int32, sync bool) (*Request, 
 		return req, nil
 	}
 	d.complete(req)
-	d.Stats.BytesSent += uint64(buf.Len())
+	d.Stats.BytesSent += uint64(len(buf))
 	return req, nil
 }
 
@@ -603,7 +576,7 @@ func (d *Device) resolveSelfSyncs() {
 		if consumed {
 			d.complete(ss.req)
 			delete(d.active, ss.req.id)
-			d.Stats.BytesSent += uint64(ss.req.buf.Len())
+			d.Stats.BytesSent += uint64(len(ss.req.buf))
 		} else {
 			kept = append(kept, ss)
 		}
@@ -678,11 +651,11 @@ func (d *Device) queueUnexpected(hdr channel.Header, payload []byte) {
 // request's buffer.
 func (d *Device) completeEagerRecv(req *Request, hdr channel.Header, payload []byte) {
 	n := int(hdr.Size)
-	if n > req.buf.Len() {
-		req.err = fmt.Errorf("%w: got %d bytes into %d-byte buffer", ErrTruncate, n, req.buf.Len())
-		n = req.buf.Len()
+	if n > len(req.buf) {
+		req.err = fmt.Errorf("%w: got %d bytes into %d-byte buffer", ErrTruncate, n, len(req.buf))
+		n = len(req.buf)
 	}
-	copy(req.buf.Bytes()[:n], payload[:n])
+	copy(req.buf[:n], payload[:n])
 	req.status = Status{Source: int(hdr.Source), Tag: int(hdr.Tag), Count: n}
 	d.complete(req)
 	d.Stats.BytesRecvd += uint64(n)
@@ -692,8 +665,8 @@ func (d *Device) completeEagerRecv(req *Request, hdr channel.Header, payload []b
 // will be steered directly into req's buffer.
 func (d *Device) acceptRendezvous(req *Request, rts channel.Header) {
 	size := int(rts.ReqB) // advertised transfer size
-	if size > req.buf.Len() {
-		req.err = fmt.Errorf("%w: rendezvous %d bytes into %d-byte buffer", ErrTruncate, size, req.buf.Len())
+	if size > len(req.buf) {
+		req.err = fmt.Errorf("%w: rendezvous %d bytes into %d-byte buffer", ErrTruncate, size, len(req.buf))
 	}
 	req.status = Status{Source: int(rts.Source), Tag: int(rts.Tag), Count: size}
 	d.active[req.id] = req
@@ -1056,7 +1029,7 @@ func (d *Device) Deliver(hdr channel.Header) []byte {
 		if req := d.matchPosted(hdr); req != nil {
 			d.curReq = req
 			n := int(hdr.Size)
-			if n > req.buf.Len() {
+			if n > len(req.buf) {
 				// Truncation: stage via scratch so the channel can
 				// drain the wire; the copy-out happens in Done.
 				d.curUnexp = true
@@ -1065,7 +1038,7 @@ func (d *Device) Deliver(hdr channel.Header) []byte {
 			if n == 0 {
 				return nil
 			}
-			return req.buf.Bytes()[:n]
+			return req.buf[:n]
 		}
 		d.curUnexp = true
 		return d.scratch(int(hdr.Size))
@@ -1078,14 +1051,14 @@ func (d *Device) Deliver(hdr channel.Header) []byte {
 		}
 		d.curReq = req
 		n := int(hdr.Size)
-		if n > req.buf.Len() {
+		if n > len(req.buf) {
 			d.curUnexp = true
 			return d.scratch(n)
 		}
 		if n == 0 {
 			return nil
 		}
-		return req.buf.Bytes()[:n]
+		return req.buf[:n]
 	default:
 		// RTS / CTS / control carry no payload.
 		return nil
@@ -1158,14 +1131,14 @@ func (d *Device) Done(hdr channel.Header) {
 		if l, ok := d.ch.(channel.Lender); ok {
 			// Single copy: the peer's poll copies buf straight into its
 			// posted buffer and then completes req (lentDone).
-			loan := channel.NewLoan(req.buf.Bytes(), func() { d.lentDone(req) })
+			loan := channel.NewLoan(req.buf, func() { d.lentDone(req) })
 			if err = l.Lend(req.peer, data, loan); err == nil {
-				d.Stats.BytesSent += uint64(req.buf.Len())
+				d.Stats.BytesSent += uint64(len(req.buf))
 				req.loan = loan
 				return
 			}
-		} else if err = d.ch.Send(req.peer, data, req.buf.Bytes()); err == nil {
-			d.Stats.BytesSent += uint64(req.buf.Len())
+		} else if err = d.ch.Send(req.peer, data, req.buf); err == nil {
+			d.Stats.BytesSent += uint64(len(req.buf))
 		}
 		delete(d.active, req.id)
 		if err != nil {
@@ -1181,8 +1154,8 @@ func (d *Device) Done(hdr channel.Header) {
 			req := d.curReq
 			if d.curUnexp {
 				// Truncated rendezvous: copy what fits from scratch.
-				n := req.buf.Len()
-				copy(req.buf.Bytes(), d.tmp[:n])
+				n := len(req.buf)
+				copy(req.buf, d.tmp[:n])
 				if req.err == nil {
 					req.err = ErrTruncate
 				}

@@ -17,7 +17,7 @@ func TestAllocsSerializeStreamPendingQueue(t *testing.T) {
 	for _, mode := range []VisitedMode{VisitedLinear, VisitedMap} {
 		var allocs [2]float64
 		for i, cells := range []int{16, 256} {
-			v := newVM()
+			v := newVM(t)
 			head := buildList(v, linkedArrayTypes(v), cells, 4)
 			buf, err := SerializeStream(v.Heap, head, Options{Visited: mode}, nil)
 			if err != nil {

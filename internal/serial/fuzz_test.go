@@ -12,7 +12,7 @@ import (
 // object, never panic — a transport can deliver anything.
 func TestDeserializeNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
-	v := newVM()
+	v := newVM(t)
 	mt := linkedArrayTypes(v)
 	head := buildList(v, mt, 5, 3)
 	valid := concatChunks(collectStream(t, NewStreamWriter(v.Heap, head, Options{}, 48, nil)))
@@ -23,7 +23,8 @@ func TestDeserializeNeverPanics(t *testing.T) {
 				t.Fatalf("deserialize panicked on %d bytes: %v", len(data), r)
 			}
 		}()
-		dst := newVM()
+		dst := newVM(t)
+		defer dst.Close()
 		linkedArrayTypes(dst)
 		_, _ = DeserializeStream(dst, data)
 	}
@@ -58,7 +59,7 @@ func TestDeserializeNeverPanics(t *testing.T) {
 // wire too.
 func TestGatherPartsNeverPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	v := newVM()
+	v := newVM(t)
 	arr, _ := v.Heap.NewInt32Array([]int32{1, 2, 3, 4})
 	parts := splitParts(t, v.Heap, arr, 2, Options{})
 	for i := 0; i < 200; i++ {
@@ -78,7 +79,8 @@ func TestGatherPartsNeverPanic(t *testing.T) {
 					t.Fatalf("gather panicked: %v", r)
 				}
 			}()
-			dst := newVM()
+			dst := newVM(t)
+			defer dst.Close()
 			_, _ = gatherParts(dst, mutated)
 		}()
 	}

@@ -20,8 +20,8 @@ func TestQuickRandomClassShapes(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 30; iter++ {
-		src := newVM()
-		dst := newVM()
+		src := newVM(t)
+		dst := newVM(t)
 		nf := 1 + rng.Intn(10)
 		specs := make([]vm.FieldSpec, nf)
 		for i := range specs {
@@ -72,7 +72,7 @@ func TestQuickRandomArrays(t *testing.T) {
 	kinds := []vm.Kind{vm.KindUint8, vm.KindInt16, vm.KindInt32, vm.KindInt64, vm.KindFloat32, vm.KindFloat64}
 	rng := rand.New(rand.NewSource(29))
 	for iter := 0; iter < 40; iter++ {
-		src := newVM()
+		src := newVM(t)
 		k := kinds[rng.Intn(len(kinds))]
 		n := rng.Intn(200)
 		at := src.ArrayType(k, nil, 1)
@@ -89,7 +89,7 @@ func TestQuickRandomArrays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst := newVM()
+		dst := newVM(t)
 		out, err := DeserializeStream(dst, data)
 		if err != nil {
 			t.Fatal(err)
@@ -106,13 +106,13 @@ func TestQuickRandomArrays(t *testing.T) {
 }
 
 func TestEmptyArrayRoundtrip(t *testing.T) {
-	src := newVM()
+	src := newVM(t)
 	arr, _ := src.Heap.NewInt32Array(nil)
 	data, err := SerializeStream(src.Heap, arr, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newVM()
+	dst := newVM(t)
 	out, err := DeserializeStream(dst, data)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestEmptyArrayRoundtrip(t *testing.T) {
 func TestJaggedObjectArrays(t *testing.T) {
 	// Array of int32[] arrays (Java-style arrays-of-arrays): the
 	// elements are themselves objects and must travel.
-	src := newVM()
+	src := newVM(t)
 	inner := src.ArrayType(vm.KindInt32, nil, 1)
 	outerT := src.ArrayType(vm.KindRef, inner, 1)
 	guard := &refGuard{refs: make([]vm.Ref, 1)}
@@ -149,7 +149,7 @@ func TestJaggedObjectArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newVM()
+	dst := newVM(t)
 	out, err := DeserializeStream(dst, data)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestJaggedObjectArrays(t *testing.T) {
 }
 
 func TestSerializeIntoRecycledBuffer(t *testing.T) {
-	src := newVM()
+	src := newVM(t)
 	arr, _ := src.Heap.NewInt32Array([]int32{1, 2, 3})
 	first, err := SerializeStream(src.Heap, arr, Options{}, nil)
 	if err != nil {
@@ -186,7 +186,7 @@ func TestSerializeIntoRecycledBuffer(t *testing.T) {
 // TestStreamPartErrors (null and class roots) does not: inverted and
 // negative part ranges, and every GatherRefs rejection.
 func TestSplitErrors(t *testing.T) {
-	v := newVM()
+	v := newVM(t)
 	h := v.Heap
 	mt := linkedArrayTypes(v)
 	node, _ := h.AllocClass(mt)
@@ -210,10 +210,10 @@ func TestSplitErrors(t *testing.T) {
 }
 
 func TestSplitMorePartsThanElements(t *testing.T) {
-	v := newVM()
+	v := newVM(t)
 	arr, _ := v.Heap.NewInt32Array([]int32{7, 8})
 	parts := splitParts(t, v.Heap, arr, 5, Options{})
-	dst := newVM()
+	dst := newVM(t)
 	// Parts 2..4 cover the empty range [2,2) and still round-trip.
 	empty, err := DeserializeStream(dst, parts[4])
 	if err != nil {

@@ -10,8 +10,16 @@ import (
 	"motor/internal/vm"
 )
 
-func newVM() *vm.VM {
-	return vm.New(vm.Config{Heap: vm.HeapConfig{YoungSize: 256 << 10, InitialElder: 1 << 20, ArenaMax: 128 << 20}})
+// newVM builds a VM whose arena is released when the test ends (left
+// reserved if it failed: a rank may still be running).
+func newVM(t testing.TB) *vm.VM {
+	v := vm.New(vm.Config{Heap: vm.HeapConfig{YoungSize: 256 << 10, InitialElder: 1 << 20, ArenaMax: 128 << 20}})
+	t.Cleanup(func() {
+		if !t.Failed() {
+			v.Close()
+		}
+	})
+	return v
 }
 
 // linkedArrayTypes registers the paper's Fig. 5 LinkedArray class:
@@ -73,12 +81,12 @@ func buildList(v *vm.VM, mt *vm.MethodTable, n, payloadLen int) vm.Ref {
 func TestRoundtripSingleObjectNullsRefs(t *testing.T) {
 	// A single non-array object: simple data travels, references are
 	// replaced with null unless Transportable.
-	src := newVM()
+	src := newVM(t)
 	mt := linkedArrayTypes(src)
 	head := buildList(src, mt, 3, 4)
 
 	data, objects := serializeCounted(t, src.Heap, head)
-	dst := newVM()
+	dst := newVM(t)
 	dmt := linkedArrayTypes(dst)
 	out, err := DeserializeStream(dst, data)
 	if err != nil {
@@ -128,7 +136,7 @@ func serializeCounted(t *testing.T, h *vm.Heap, root vm.Ref) ([]byte, int) {
 func TestSharedObjectPreserved(t *testing.T) {
 	// Two nodes referencing the same array must share it after the
 	// round trip (local-id aliasing, not duplication).
-	v := newVM()
+	v := newVM(t)
 	mt := linkedArrayTypes(v)
 	h := v.Heap
 	fArr, fNext := mt.FieldByName("array"), mt.FieldByName("next")
@@ -151,7 +159,7 @@ func TestSharedObjectPreserved(t *testing.T) {
 	if n != 3 { // a, b, shared — not 4
 		t.Errorf("object count %d (shared object duplicated?)", n)
 	}
-	dst := newVM()
+	dst := newVM(t)
 	dmt := linkedArrayTypes(dst)
 	out, err := DeserializeStream(dst, data)
 	if err != nil {
@@ -167,7 +175,7 @@ func TestSharedObjectPreserved(t *testing.T) {
 
 func TestCycleSerialization(t *testing.T) {
 	// next chains may form a cycle; the visited set must terminate it.
-	v := newVM()
+	v := newVM(t)
 	mt := linkedArrayTypes(v)
 	h := v.Heap
 	fNext := mt.FieldByName("next")
@@ -186,7 +194,7 @@ func TestCycleSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newVM()
+	dst := newVM(t)
 	dmt := linkedArrayTypes(dst)
 	out, err := DeserializeStream(dst, data)
 	if err != nil {
@@ -200,7 +208,7 @@ func TestCycleSerialization(t *testing.T) {
 }
 
 func TestObjectArrayTravelsWithElements(t *testing.T) {
-	v := newVM()
+	v := newVM(t)
 	mt := linkedArrayTypes(v)
 	h := v.Heap
 	arrT := v.ArrayType(vm.KindRef, mt, 1)
@@ -220,7 +228,7 @@ func TestObjectArrayTravelsWithElements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newVM()
+	dst := newVM(t)
 	dmt := linkedArrayTypes(dst)
 	out, err := DeserializeStream(dst, data)
 	if err != nil {
@@ -242,13 +250,13 @@ func TestObjectArrayTravelsWithElements(t *testing.T) {
 }
 
 func TestSimpleArrayRoundtrip(t *testing.T) {
-	v := newVM()
+	v := newVM(t)
 	ref, _ := v.Heap.NewFloat64Array([]float64{1.5, -2.25, 3e100})
 	data, err := SerializeStream(v.Heap, ref, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newVM()
+	dst := newVM(t)
 	out, err := DeserializeStream(dst, data)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +268,7 @@ func TestSimpleArrayRoundtrip(t *testing.T) {
 }
 
 func TestMultiDimArrayRoundtrip(t *testing.T) {
-	v := newVM()
+	v := newVM(t)
 	at := v.ArrayType(vm.KindInt32, nil, 2)
 	ref, err := v.Heap.AllocMultiDim(at, []int{2, 3})
 	if err != nil {
@@ -273,7 +281,7 @@ func TestMultiDimArrayRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newVM()
+	dst := newVM(t)
 	out, err := DeserializeStream(dst, data)
 	if err != nil {
 		t.Fatal(err)
@@ -288,12 +296,12 @@ func TestMultiDimArrayRoundtrip(t *testing.T) {
 }
 
 func TestNullRoot(t *testing.T) {
-	v := newVM()
+	v := newVM(t)
 	data, err := SerializeStream(v.Heap, vm.NullRef, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DeserializeStream(newVM(), data)
+	out, err := DeserializeStream(newVM(t), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +311,7 @@ func TestNullRoot(t *testing.T) {
 }
 
 func TestMissingTypeRejected(t *testing.T) {
-	v := newVM()
+	v := newVM(t)
 	mt := linkedArrayTypes(v)
 	h := v.Heap
 	node, _ := h.AllocClass(mt)
@@ -312,14 +320,14 @@ func TestMissingTypeRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Receiver without LinkedArray registered.
-	dst := newVM()
+	dst := newVM(t)
 	if _, err := DeserializeStream(dst, data); !errors.Is(err, ErrTypeless) {
 		t.Errorf("deserialize into typeless VM: %v, want ErrTypeless", err)
 	}
 }
 
 func TestCorruptDataRejected(t *testing.T) {
-	v := newVM()
+	v := newVM(t)
 	ref, _ := v.Heap.NewInt32Array([]int32{1, 2, 3})
 	data, _ := SerializeStream(v.Heap, ref, Options{}, nil)
 	for _, mut := range []struct {
@@ -331,7 +339,7 @@ func TestCorruptDataRejected(t *testing.T) {
 		{"truncated", func(b []byte) []byte { return b[:len(b)-5] }},
 		{"bad version", func(b []byte) []byte { c := clone(b); c[4] = 99; return c }},
 	} {
-		if _, err := DeserializeStream(newVM(), mut.fn(data)); err == nil {
+		if _, err := DeserializeStream(newVM(t), mut.fn(data)); err == nil {
 			t.Errorf("%s accepted", mut.name)
 		}
 	}
@@ -373,7 +381,7 @@ func gatherParts(v *vm.VM, parts [][]byte) (vm.Ref, error) {
 }
 
 func TestSplitRepresentation(t *testing.T) {
-	v := newVM()
+	v := newVM(t)
 	mt := linkedArrayTypes(v)
 	h := v.Heap
 	arrT := v.ArrayType(vm.KindRef, mt, 1)
@@ -393,7 +401,7 @@ func TestSplitRepresentation(t *testing.T) {
 	// Each part deserializes standalone (possibly on different VMs).
 	sizes := []int{4, 3, 3}
 	for p, part := range parts {
-		dst := newVM()
+		dst := newVM(t)
 		dmt := linkedArrayTypes(dst)
 		sub, err := DeserializeStream(dst, part)
 		if err != nil {
@@ -411,7 +419,7 @@ func TestSplitRepresentation(t *testing.T) {
 		}
 	}
 	// Gather reconstructs the original array.
-	dst := newVM()
+	dst := newVM(t)
 	dmt := linkedArrayTypes(dst)
 	whole, err := gatherParts(dst, parts)
 	if err != nil {
@@ -429,14 +437,14 @@ func TestSplitRepresentation(t *testing.T) {
 }
 
 func TestSplitSimpleArray(t *testing.T) {
-	v := newVM()
+	v := newVM(t)
 	vals := make([]int32, 100)
 	for i := range vals {
 		vals[i] = int32(i * 3)
 	}
 	arr, _ := v.Heap.NewInt32Array(vals)
 	parts := splitParts(t, v.Heap, arr, 4, Options{})
-	dst := newVM()
+	dst := newVM(t)
 	whole, err := gatherParts(dst, parts)
 	if err != nil {
 		t.Fatal(err)
@@ -480,7 +488,7 @@ func TestQuickRoundtripRandomLists(t *testing.T) {
 		payload := rng.Intn(32)
 		mode := VisitedMode(rng.Intn(2))
 
-		src := newVM()
+		src := newVM(t)
 		mt := linkedArrayTypes(src)
 		head := buildList(src, mt, n, payload)
 		data, err := SerializeStream(src.Heap, head, Options{Visited: mode}, nil)
@@ -488,7 +496,7 @@ func TestQuickRoundtripRandomLists(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		dst := newVM()
+		dst := newVM(t)
 		dmt := linkedArrayTypes(dst)
 		out, err := DeserializeStream(dst, data)
 		if err != nil {
@@ -525,7 +533,7 @@ func TestQuickRoundtripRandomLists(t *testing.T) {
 // share their successors are byte-identical under both visited modes
 // (TestStreamVisitedModesAgree covers a whole-tree stream).
 func TestVisitedModesAgree(t *testing.T) {
-	src := newVM()
+	src := newVM(t)
 	mt := linkedArrayTypes(src)
 	h := src.Heap
 	guard := &refGuard{refs: make([]vm.Ref, 2)}

@@ -80,10 +80,7 @@ func GatherRefs(v *vm.VM, subs []vm.Ref) (vm.Ref, error) {
 				h.SetElemRef(result, at+i, h.GetElemRef(sub, i))
 			}
 		} else {
-			es := mt.ElemSize()
-			ds, _ := h.DataRange(result)
-			ss, se := h.DataRange(sub)
-			copy(h.Bytes(ds+uint32(at*es), ds+uint32((at+n)*es)), h.Bytes(ss, se))
+			copy(h.DataBytes(result)[at*mt.ElemSize():], h.DataBytes(sub))
 		}
 		at += n
 	}

@@ -166,9 +166,8 @@ func (sw *StreamWriter) ResetPart(h *vm.Heap, arr vm.Ref, lo, hi int, opts Optio
 			w.u32(w.assign(h.GetElemRef(arr, i)))
 		}
 	} else {
-		s, _ := h.DataRange(arr)
 		es := mt.ElemSize()
-		w.objData = append(w.objData, h.Bytes(s+uint32(lo*es), s+uint32(hi*es))...)
+		w.objData = append(w.objData, h.DataBytes(arr)[lo*es:hi*es]...)
 	}
 	sw.rootRec = w.objData
 	w.objData = nil

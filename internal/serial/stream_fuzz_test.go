@@ -14,7 +14,7 @@ import (
 // reader that is then reset and given the valid stream: reuse after
 // any input must decode exactly as a fresh reader does.
 func FuzzDeserializeStream(f *testing.F) {
-	src := newVM()
+	src := newVM(f)
 	mt := linkedArrayTypes(src)
 	head := buildList(src, mt, 4, 3)
 
@@ -57,7 +57,7 @@ func FuzzDeserializeStream(f *testing.F) {
 	f.Add(garbage)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dst := newVM()
+		dst := newVM(t)
 		linkedArrayTypes(dst)
 		// Must error or succeed — never panic, never hang.
 		_, _ = DeserializeStream(dst, data)

@@ -47,14 +47,14 @@ func feedStream(v *vm.VM, mirror *TableMirror, chunks [][]byte, pieceMax int) (*
 }
 
 func TestStreamRoundtrip(t *testing.T) {
-	src := newVM()
+	src := newVM(t)
 	mt := linkedArrayTypes(src)
 	head := buildList(src, mt, 10, 16)
 	data, err := SerializeStream(src.Heap, head, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newVM()
+	dst := newVM(t)
 	dmt := linkedArrayTypes(dst)
 	out, err := DeserializeStream(dst, data)
 	if err != nil {
@@ -94,13 +94,13 @@ func v1Buffer() []byte {
 func TestStreamRejectsV1Magic(t *testing.T) {
 	// The stream is the only wire format: a v1 buffer is malformed
 	// input, not a second dialect.
-	if _, err := DeserializeStream(newVM(), v1Buffer()); !errors.Is(err, ErrFormat) {
+	if _, err := DeserializeStream(newVM(t), v1Buffer()); !errors.Is(err, ErrFormat) {
 		t.Fatalf("v1 buffer: err %v, want ErrFormat", err)
 	}
 }
 
 func TestStreamVisitedModesAgree(t *testing.T) {
-	src := newVM()
+	src := newVM(t)
 	mt := linkedArrayTypes(src)
 	head := buildList(src, mt, 20, 8)
 	a, err := SerializeStream(src.Heap, head, Options{Visited: VisitedLinear}, nil)
@@ -120,7 +120,7 @@ func TestStreamChunkedSmallTarget(t *testing.T) {
 	// A tiny chunk target must yield many chunks, each independently
 	// transportable, and the reader must reassemble across arbitrary
 	// piece boundaries (including byte-at-a-time).
-	src := newVM()
+	src := newVM(t)
 	mt := linkedArrayTypes(src)
 	head := buildList(src, mt, 12, 8)
 	sw := NewStreamWriter(src.Heap, head, Options{}, 64, nil)
@@ -131,7 +131,7 @@ func TestStreamChunkedSmallTarget(t *testing.T) {
 		t.Fatalf("only %d chunks at target 64", len(chunks))
 	}
 	for _, pieceMax := range []int{0, 1, 7} {
-		dst := newVM()
+		dst := newVM(t)
 		dmt := linkedArrayTypes(dst)
 		sr, err := feedStream(dst, nil, chunks, pieceMax)
 		if err != nil {
@@ -160,7 +160,7 @@ func TestStreamCacheRefsSecondSend(t *testing.T) {
 	// of the same shapes ships only 5-byte references — zero type-entry
 	// bytes — and the receiver resolves them from its mirror without a
 	// NACK.
-	src := newVM()
+	src := newVM(t)
 	mt := linkedArrayTypes(src)
 	head := buildList(src, mt, 5, 4)
 	cache := NewPeerCache(src.TypeGen())
@@ -171,7 +171,7 @@ func TestStreamCacheRefsSecondSend(t *testing.T) {
 		t.Fatalf("first stream: fulls=%d refs=%d", sw1.TableFulls, sw1.TableRefs)
 	}
 
-	dst := newVM()
+	dst := newVM(t)
 	linkedArrayTypes(dst)
 	mirror := NewTableMirror()
 	sr1, err := feedStream(dst, mirror, chunks1, 0)
@@ -208,7 +208,7 @@ func TestStreamCacheRefsSecondSend(t *testing.T) {
 func TestStreamNackInstallTable(t *testing.T) {
 	// A cached stream arriving at a cold mirror stalls; installing the
 	// sender's TableBlob completes the parse — the NACK recovery path.
-	src := newVM()
+	src := newVM(t)
 	mt := linkedArrayTypes(src)
 	head := buildList(src, mt, 4, 4)
 	cache := NewPeerCache(src.TypeGen())
@@ -225,7 +225,7 @@ func TestStreamNackInstallTable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst := newVM()
+	dst := newVM(t)
 	linkedArrayTypes(dst)
 	sr, err := feedStream(dst, NewTableMirror(), chunks, 0)
 	if err != nil {
@@ -237,7 +237,7 @@ func TestStreamNackInstallTable(t *testing.T) {
 	if _, err := sr.Finish(); !errors.Is(err, ErrTypeless) {
 		t.Fatalf("Finish before install: %v, want ErrTypeless", err)
 	}
-	dst2 := newVM()
+	dst2 := newVM(t)
 	linkedArrayTypes(dst2)
 	sr2, err := feedStream(dst2, NewTableMirror(), chunks, 0)
 	if err != nil {
@@ -260,14 +260,14 @@ func TestStreamEpochInvalidation(t *testing.T) {
 	// A cache flush (registry churn) bumps the epoch; the mirror drops
 	// its entries when the new epoch arrives, and the stream — full
 	// tables again after the flush — still round-trips.
-	src := newVM()
+	src := newVM(t)
 	mt := linkedArrayTypes(src)
 	head := buildList(src, mt, 3, 4)
 	cache := NewPeerCache(src.TypeGen())
 	collectStream(t, NewStreamWriter(src.Heap, head, Options{}, 0, cache))
 	oldEpoch := cache.Epoch
 
-	dst := newVM()
+	dst := newVM(t)
 	linkedArrayTypes(dst)
 	mirror := NewTableMirror()
 	sw := NewStreamWriter(src.Heap, head, Options{}, 0, cache)
@@ -311,7 +311,7 @@ func TestStreamEpochInvalidation(t *testing.T) {
 }
 
 func TestStreamPartRoundtrip(t *testing.T) {
-	v := newVM()
+	v := newVM(t)
 	mt := linkedArrayTypes(v)
 	h := v.Heap
 	arrT := v.ArrayType(vm.KindRef, mt, 1)
@@ -332,7 +332,7 @@ func TestStreamPartRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunks := collectStream(t, sw)
-	dst := newVM()
+	dst := newVM(t)
 	dmt := linkedArrayTypes(dst)
 	sr, err := feedStream(dst, nil, chunks, 0)
 	if err != nil {
@@ -362,7 +362,7 @@ func TestStreamPartRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DeserializeStream(newVM(), concatChunks(collectStream(t, swi)))
+	out, err := DeserializeStream(newVM(t), concatChunks(collectStream(t, swi)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func concatChunks(chunks [][]byte) []byte {
 }
 
 func TestStreamPartErrors(t *testing.T) {
-	v := newVM()
+	v := newVM(t)
 	mt := linkedArrayTypes(v)
 	if _, err := NewStreamWriterPart(v.Heap, vm.NullRef, 0, 0, Options{}, 0); err == nil {
 		t.Error("null part accepted")
@@ -394,7 +394,7 @@ func TestStreamPartErrors(t *testing.T) {
 }
 
 func TestStreamTruncationErrors(t *testing.T) {
-	src := newVM()
+	src := newVM(t)
 	mt := linkedArrayTypes(src)
 	head := buildList(src, mt, 4, 4)
 	data, err := SerializeStream(src.Heap, head, Options{}, nil)
@@ -402,7 +402,7 @@ func TestStreamTruncationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{1, 5, streamHeaderSize, len(data) / 2, len(data) - 1} {
-		dst := newVM()
+		dst := newVM(t)
 		linkedArrayTypes(dst)
 		sr := NewStreamReader(dst, nil, nil)
 		dst.AddRootProvider(sr)
@@ -421,14 +421,14 @@ func TestStreamTruncationErrors(t *testing.T) {
 func TestStreamRefWithoutMirrorFails(t *testing.T) {
 	// A cached stream read through the mirror-less one-shot path must
 	// fail typed, not panic or fabricate types.
-	src := newVM()
+	src := newVM(t)
 	mt := linkedArrayTypes(src)
 	head := buildList(src, mt, 3, 2)
 	cache := NewPeerCache(src.TypeGen())
 	collectStream(t, NewStreamWriter(src.Heap, head, Options{}, 0, cache))
 	data := concatChunks(collectStream(t, NewStreamWriter(src.Heap, head, Options{}, 0, cache)))
 
-	dst := newVM()
+	dst := newVM(t)
 	linkedArrayTypes(dst)
 	if _, err := DeserializeStream(dst, data); !errors.Is(err, ErrTypeless) {
 		t.Fatalf("err %v, want ErrTypeless", err)
@@ -436,7 +436,7 @@ func TestStreamRefWithoutMirrorFails(t *testing.T) {
 }
 
 func TestStreamBlobEpochMismatchRejected(t *testing.T) {
-	src := newVM()
+	src := newVM(t)
 	mt := linkedArrayTypes(src)
 	head := buildList(src, mt, 2, 2)
 	cache := NewPeerCache(src.TypeGen())
@@ -451,7 +451,7 @@ func TestStreamBlobEpochMismatchRejected(t *testing.T) {
 	collectStream(t, sw2)
 	staleBlob, _ := sw2.TableBlob(nil)
 
-	dst := newVM()
+	dst := newVM(t)
 	linkedArrayTypes(dst)
 	sr, err := feedStream(dst, NewTableMirror(), chunks, 0)
 	if err != nil {
@@ -473,7 +473,7 @@ func TestQuickStreamRandomChunks(t *testing.T) {
 		target := 32 + rng.Intn(4096)
 		mode := VisitedMode(rng.Intn(2))
 
-		src := newVM()
+		src := newVM(t)
 		mt := linkedArrayTypes(src)
 		head := buildList(src, mt, n, payload)
 		sw := NewStreamWriter(src.Heap, head, Options{Visited: mode}, target, nil)
@@ -481,7 +481,7 @@ func TestQuickStreamRandomChunks(t *testing.T) {
 		chunks := collectStream(t, sw)
 		src.RemoveRootProvider(sw)
 
-		dst := newVM()
+		dst := newVM(t)
 		dmt := linkedArrayTypes(dst)
 		sr, err := feedStream(dst, nil, chunks, 1+rng.Intn(512))
 		if err != nil {
@@ -520,7 +520,7 @@ func TestQuickStreamRandomChunks(t *testing.T) {
 // many-section one).
 func TestStreamNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(4041))
-	src := newVM()
+	src := newVM(t)
 	mt := linkedArrayTypes(src)
 	head := buildList(src, mt, 5, 3)
 	valid, err := SerializeStream(src.Heap, head, Options{}, nil)
@@ -533,7 +533,8 @@ func TestStreamNeverPanics(t *testing.T) {
 				t.Fatalf("stream deserialize panicked on %d bytes: %v", len(data), r)
 			}
 		}()
-		dst := newVM()
+		dst := newVM(t)
+		defer dst.Close()
 		linkedArrayTypes(dst)
 		_, _ = DeserializeStream(dst, data)
 	}

@@ -46,7 +46,7 @@ func expectMarker(t *testing.T, src string) string {
 
 func verifyCorpusModule(t *testing.T, src string) (*vm.Module, bcverify.Stats, error) {
 	t.Helper()
-	v := vm.New(vm.Config{})
+	v := newVM(t, vm.Config{})
 	core.RegisterVerifyStubs(v)
 	mod, err := v.AssembleModule(src)
 	if err != nil {

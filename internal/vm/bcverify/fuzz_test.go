@@ -22,7 +22,7 @@ func FuzzVerify(f *testing.F) {
 	f.Add([]byte{byte(vm.OpLdLoc), 9, 0}, uint8(0), uint8(1), false)
 	f.Add([]byte{0xEE, 0xBB}, uint8(0), uint8(0), false)
 	f.Fuzz(func(t *testing.T, code []byte, nargs, nlocals uint8, hasRet bool) {
-		v := vm.New(vm.Config{})
+		v := newVM(t, vm.Config{})
 		m := v.AddMethod(nil, &vm.Method{
 			Name: "fuzz", Code: code,
 			NArgs: int(nargs), NLocals: int(nlocals), HasRet: hasRet,
@@ -46,7 +46,7 @@ func FuzzVerifyMasm(f *testing.F) {
 	f.Add(".method main (0) int32\n  ldc.r8 1e300\n  conv.f2i\n  ret.val\n.end")
 	f.Add(".method main (0) int32\n  ldc.i4 1\n  ldc.i4 0\n  div\n  ret.val\n.end")
 	f.Fuzz(func(t *testing.T, src string) {
-		v := vm.New(vm.Config{})
+		v := newVM(t, vm.Config{})
 		mod, err := v.AssembleModule(src)
 		if err != nil {
 			return

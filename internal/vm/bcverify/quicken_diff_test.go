@@ -130,7 +130,7 @@ type masmOutcome struct {
 func execModule(t *testing.T, src string, verify bool) (masmOutcome, bool) {
 	t.Helper()
 	var buf bytes.Buffer
-	v := vm.New(vm.Config{Name: "diff", Stdout: &buf,
+	v := newVM(t, vm.Config{Name: "diff", Stdout: &buf,
 		Heap: vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 256 << 10, ArenaMax: 32 << 20}})
 	core.RegisterVerifyStubs(v)
 	// sys.ticks is wall-clock; re-point it at a counter so two runs of
@@ -225,7 +225,7 @@ func TestQuickenMasmDevirt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := vm.New(vm.Config{})
+	v := newVM(t, vm.Config{})
 	mod, err := v.AssembleModule(string(raw))
 	if err != nil {
 		t.Fatal(err)

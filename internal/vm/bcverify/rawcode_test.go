@@ -14,7 +14,7 @@ import (
 
 func verifyRaw(t *testing.T, code []byte, nargs, nlocals int, hasRet bool) error {
 	t.Helper()
-	v := vm.New(vm.Config{})
+	v := newVM(t, vm.Config{})
 	m := v.AddMethod(nil, &vm.Method{
 		Name: "raw", Code: code, NArgs: nargs, NLocals: nlocals, HasRet: hasRet,
 	})
@@ -73,7 +73,7 @@ func TestRawEmptyValuedMethod(t *testing.T) {
 }
 
 func TestRawVerifiedFlagNotSetOnReject(t *testing.T) {
-	v := vm.New(vm.Config{})
+	v := newVM(t, vm.Config{})
 	m := v.AddMethod(nil, &vm.Method{Name: "bad", Code: []byte{byte(vm.OpAdd)}})
 	if err := bcverify.VerifyMethod(v, m, bcverify.Options{}); err == nil {
 		t.Fatal("want rejection")

@@ -13,7 +13,7 @@ import (
 
 func assembleModule(t *testing.T, src string) (*vm.VM, *vm.Module) {
 	t.Helper()
-	v := vm.New(vm.Config{})
+	v := newVM(t, vm.Config{})
 	mod, err := v.AssembleModule(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
@@ -112,7 +112,7 @@ func errorsAs(err error, target **bcverify.Error) bool {
 // arity and return kind, so a module calling only builtins can always
 // be proven transport-safe.
 func TestBuiltinSigsCoverRegistry(t *testing.T) {
-	reg := vm.New(vm.Config{})
+	reg := newVM(t, vm.Config{})
 	sigs := bcverify.BuiltinSigs()
 	for i := 0; ; i++ {
 		f, ok := reg.InternalByIndex(i)

@@ -44,7 +44,7 @@ func TestBuilderOperandMisuse(t *testing.T) {
 }
 
 func TestBuilderUnknownFieldFails(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	pt := pointClass(v)
 	expectBuildPanic(t, "no field", func() {
 		NewCodeBuilder().LdFld(pt, "z").Build("m", 0, 0, false)
@@ -53,7 +53,7 @@ func TestBuilderUnknownFieldFails(t *testing.T) {
 
 func TestBuilderBranchOffsets(t *testing.T) {
 	// Forward and backward branches both resolve to correct targets.
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdcI4(3).StLoc(0).
 		LdcI4(0).StLoc(1).
@@ -71,14 +71,14 @@ func TestBuilderBranchOffsets(t *testing.T) {
 }
 
 func TestBuilderInternNameUnknown(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	expectBuildPanic(t, "unknown internal call", func() {
 		NewCodeBuilder().InternName(v, "no.such.call").Build("m", 0, 0, false)
 	})
 }
 
 func TestInterpStackOps(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	// dup and pop.
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdcI4(21).Op(OpDup).Op(OpAdd). // 42
@@ -91,7 +91,7 @@ func TestInterpStackOps(t *testing.T) {
 }
 
 func TestInterpBitwiseOps(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	cases := []struct {
 		op   Op
 		a, b int64
@@ -115,7 +115,7 @@ func TestInterpBitwiseOps(t *testing.T) {
 }
 
 func TestInterpNotNeg(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdArg(0).Op(OpNot).RetVal().Build("not", 1, 0, true))
 	if got := runMethod(t, v, m, IntValue(0)); got.Int() != -1 {
@@ -129,7 +129,7 @@ func TestInterpNotNeg(t *testing.T) {
 }
 
 func TestInterpComparisons(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	intCases := []struct {
 		op   Op
 		a, b int64
@@ -166,7 +166,7 @@ func TestInterpComparisons(t *testing.T) {
 }
 
 func TestInterpArgsMismatch(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().Ret().Build("m", 2, 0, false))
 	v.WithThread("t", func(th *Thread) {
 		if _, err := th.Call(m, IntValue(1)); err == nil {
@@ -176,7 +176,7 @@ func TestInterpArgsMismatch(t *testing.T) {
 }
 
 func TestInterpStArg(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdArg(0).LdcI4(1).Op(OpAdd).StArg(0).
 		LdArg(0).RetVal().
@@ -188,7 +188,7 @@ func TestInterpStArg(t *testing.T) {
 
 func TestInterpFellOffEnd(t *testing.T) {
 	// A method without ret: treated as void return.
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().LdcI4(1).Op(OpPop).Build("m", 0, 0, false))
 	v.WithThread("t", func(th *Thread) {
 		if _, err := th.Call(m); err != nil {
@@ -218,7 +218,7 @@ func TestOpcodeTableConsistency(t *testing.T) {
 func TestDisassembleEveryOpcode(t *testing.T) {
 	// Build a (non-executable) method containing one instance of every
 	// opcode and confirm the disassembler renders each mnemonic.
-	v := testVM()
+	v := testVM(t)
 	pt := pointClass(v)
 	callee := v.AddMethod(nil, NewCodeBuilder().Ret().Build("callee", 0, 0, false))
 	vcallee := &Method{Name: "vm", NArgs: 1, Virtual: true}

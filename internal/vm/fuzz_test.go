@@ -35,7 +35,7 @@ func FuzzParseModule(f *testing.F) {
 	f.Add(".method m (99999) void\nret\n.end")
 	f.Add(".method m (0) NoSuchClass\nret\n.end")
 	f.Fuzz(func(t *testing.T, src string) {
-		v := New(Config{})
+		v := closing(t, New(Config{}))
 		mod, err := v.AssembleModule(src)
 		if err != nil {
 			if mod != nil {

@@ -10,7 +10,7 @@ import "testing"
 // thread snapshot, resolver and pin set are the Heap's and the VM's,
 // reused.
 func TestAllocsScavenge(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	node := v.MustNewClass("Node", nil, []FieldSpec{{Name: "next", Kind: KindRef}})
 	g := v.AddGlobal("allocs.root")
 	v.WithThread("t", func(th *Thread) {

@@ -132,10 +132,10 @@ type worldCond struct {
 
 func (c worldCond) outstanding() bool { return atomic.LoadInt32(c.calls) <= c.hold }
 
-func newDiffWorld(workers int) *diffWorld {
-	v := New(Config{Name: "diff", Heap: HeapConfig{
+func newDiffWorld(t testing.TB, workers int) *diffWorld {
+	v := closing(t, New(Config{Name: "diff", Heap: HeapConfig{
 		YoungSize: diffYoung, InitialElder: 256 << 10, ArenaMax: 32 << 20, GCWorkers: workers,
-	}})
+	}}))
 	w := &diffWorld{
 		v:       v,
 		node:    nodeClass(v),
@@ -384,7 +384,7 @@ func checkModel(w *diffWorld, m *heapModel) error {
 // against the model after every collection.
 func runPolicySeed(t *testing.T, seed int64, workers int, script []diffOp) GCStats {
 	t.Helper()
-	w, m := newDiffWorld(workers), newHeapModel()
+	w, m := newDiffWorld(t, workers), newHeapModel()
 	defer w.close()
 	for i, op := range script {
 		cycles := replay(t, w, m, op)

@@ -130,7 +130,7 @@ func FuzzHeapOps(f *testing.F) {
 			return
 		}
 		for _, workers := range policyWorkers {
-			w, m := newDiffWorld(workers), newHeapModel()
+			w, m := newDiffWorld(t, workers), newHeapModel()
 			for i, op := range ops {
 				cycles := replay(t, w, m, op)
 				if t.Failed() {
@@ -164,9 +164,9 @@ func FuzzHeapOps(f *testing.F) {
 // dead (DonatedLiveBytes / DonatedDeadBytes).
 func TestDonationSubHeaderTail(t *testing.T) {
 	const young = 32 << 10
-	v := New(Config{Name: "tail", Heap: HeapConfig{
+	v := closing(t, New(Config{Name: "tail", Heap: HeapConfig{
 		YoungSize: young, InitialElder: 256 << 10, ArenaMax: 32 << 20, GCWorkers: 1,
-	}})
+	}}))
 	at := v.ArrayType(KindInt32, nil, 1)
 	v.WithThread("t", func(th *Thread) {
 		// 2046 dead 16-byte arrays + one live 24-byte array fills the

@@ -12,7 +12,7 @@ import (
 // TestQuickAllocSizes is a property test: arrays of arbitrary sizes
 // allocate 8-aligned, zeroed, and correctly sized.
 func TestQuickAllocSizes(t *testing.T) {
-	v := New(Config{Heap: HeapConfig{YoungSize: 256 << 10, InitialElder: 1 << 20, ArenaMax: 256 << 20}})
+	v := closing(t, New(Config{Heap: HeapConfig{YoungSize: 256 << 10, InitialElder: 1 << 20, ArenaMax: 256 << 20}}))
 	at := v.ArrayType(KindUint8, nil, 1)
 	f := func(n uint16) bool {
 		length := int(n % 5000)
@@ -45,7 +45,7 @@ func TestQuickAllocSizes(t *testing.T) {
 // random collection pressure and verifies no byte is ever lost or
 // changed.
 func TestQuickGCChecksum(t *testing.T) {
-	v := New(Config{Heap: HeapConfig{YoungSize: 16 << 10, InitialElder: 128 << 10, ArenaMax: 128 << 20}})
+	v := closing(t, New(Config{Heap: HeapConfig{YoungSize: 16 << 10, InitialElder: 128 << 10, ArenaMax: 128 << 20}}))
 	rng := rand.New(rand.NewSource(99))
 	v.WithThread("t", func(th *Thread) {
 		guard := &RefRoots{Refs: make([]Ref, 32)}
@@ -99,7 +99,7 @@ func TestQuickGCChecksum(t *testing.T) {
 // interleaving allocation-heavy work. The cooperative safepoint
 // discipline must keep the shared heap consistent.
 func TestMultiThreadVMSharedHeap(t *testing.T) {
-	v := New(Config{Heap: HeapConfig{YoungSize: 32 << 10, InitialElder: 256 << 10, ArenaMax: 128 << 20}})
+	v := closing(t, New(Config{Heap: HeapConfig{YoungSize: 32 << 10, InitialElder: 256 << 10, ArenaMax: 128 << 20}}))
 	const perThread = 300
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
@@ -147,7 +147,7 @@ func TestMultiThreadVMSharedHeap(t *testing.T) {
 }
 
 func TestElderDirectAllocationSurvivesScavenge(t *testing.T) {
-	v := gcVM() // 16 KiB nursery
+	v := gcVM(t) // 16 KiB nursery
 	v.WithThread("t", func(th *Thread) {
 		// 12 KiB > nursery/2: allocated directly in elder space.
 		big, err := v.Heap.NewUint8Array(make([]byte, 12<<10))
@@ -172,7 +172,7 @@ func TestElderDirectAllocationSurvivesScavenge(t *testing.T) {
 }
 
 func TestConditionalPinSurvivesMultipleCycles(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		ref, _ := v.Heap.NewInt32Array([]int32{4})
 		active := true
@@ -195,7 +195,7 @@ func TestConditionalPinSurvivesMultipleCycles(t *testing.T) {
 }
 
 func TestNestedExplicitPins(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		ref, _ := v.Heap.NewInt32Array([]int32{1})
 		v.Heap.Pin(ref)
@@ -221,7 +221,7 @@ func TestNestedExplicitPins(t *testing.T) {
 func TestWriteBarrierElderArrayToYoung(t *testing.T) {
 	// Reference written into an ELDER OBJECT ARRAY must keep a young
 	// referent alive (the barrier covers stelem, not only stfld).
-	v := gcVM()
+	v := gcVM(t)
 	node := nodeClass(v)
 	arrT := v.ArrayType(KindRef, node, 1)
 	v.WithThread("t", func(th *Thread) {
@@ -247,7 +247,7 @@ func TestWriteBarrierElderArrayToYoung(t *testing.T) {
 }
 
 func TestManyHandlesAcrossGC(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		const n = 200
 		handles := make([]Handle, n)
@@ -279,7 +279,7 @@ func TestManyHandlesAcrossGC(t *testing.T) {
 }
 
 func TestGCStatsAccounting(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		var keep Ref
 		pop := th.VM().Protect(&keep)
@@ -301,7 +301,7 @@ func TestGCStatsAccounting(t *testing.T) {
 }
 
 func TestCheckInvariantsCleanHeap(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	node := nodeClass(v)
 	v.WithThread("t", func(th *Thread) {
 		guard := &RefRoots{Refs: make([]Ref, 10)}
@@ -328,7 +328,7 @@ func TestCheckInvariantsCleanHeap(t *testing.T) {
 }
 
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		node := nodeClass(v)
 		guard := &RefRoots{Refs: make([]Ref, 1)}
@@ -350,7 +350,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 }
 
 func TestGCStressWithVerifier(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	node := nodeClass(v)
 	rng := rand.New(rand.NewSource(5))
 	fData, fNext := node.FieldByName("data"), node.FieldByName("next")
@@ -392,7 +392,7 @@ func TestGCStressWithVerifier(t *testing.T) {
 }
 
 func TestPauseAccounting(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		th.CollectYoung()
 		th.CollectFull()
@@ -409,7 +409,7 @@ func TestDegradedNurseryAfterArenaExhaustion(t *testing.T) {
 	// Force repeated donations (pinned survivors) on a tiny arena
 	// until a fresh nursery cannot be carved; the VM must keep
 	// serving allocations from the elder space rather than crash.
-	v := New(Config{Heap: HeapConfig{YoungSize: 8 << 10, InitialElder: 16 << 10, ArenaMax: 96 << 10}})
+	v := closing(t, New(Config{Heap: HeapConfig{YoungSize: 8 << 10, InitialElder: 16 << 10, ArenaMax: 96 << 10}}))
 	v.WithThread("t", func(th *Thread) {
 		guard := &RefRoots{}
 		v.AddRootProvider(guard)

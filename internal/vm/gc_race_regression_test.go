@@ -42,9 +42,9 @@ func TestStressCondPinMidMarkResolution(t *testing.T) {
 		defer obs.Stop(tr)
 	}
 
-	v := New(Config{Heap: HeapConfig{
+	v := closing(t, New(Config{Heap: HeapConfig{
 		YoungSize: 16 << 10, InitialElder: 256 << 10, ArenaMax: 64 << 20, GCWorkers: 4,
-	}})
+	}}))
 	if v.Heap.Workers() < 2 {
 		t.Fatal("modern collector not selected")
 	}

@@ -6,12 +6,12 @@ import (
 )
 
 // gcVM builds a VM with a tiny nursery so collections are frequent.
-func gcVM() *VM {
-	return New(Config{Name: "gc", Heap: HeapConfig{YoungSize: 16 << 10, InitialElder: 128 << 10, ArenaMax: 64 << 20}})
+func gcVM(t testing.TB) *VM {
+	return closing(t, New(Config{Name: "gc", Heap: HeapConfig{YoungSize: 16 << 10, InitialElder: 128 << 10, ArenaMax: 64 << 20}}))
 }
 
 func TestScavengeForwardsRoots(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		ref, _ := v.Heap.NewInt32Array([]int32{1, 2, 3, 4})
 		if !v.Heap.IsYoung(ref) {
@@ -30,7 +30,7 @@ func TestScavengeForwardsRoots(t *testing.T) {
 }
 
 func TestScavengeCollectsGarbage(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		for i := 0; i < 100; i++ {
 			if _, err := v.Heap.NewInt32Array(make([]int32, 16)); err != nil {
@@ -50,7 +50,7 @@ func TestScavengeCollectsGarbage(t *testing.T) {
 }
 
 func TestScavengeForwardsInteriorGraph(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	node := nodeClass(v)
 	fData, fNext := node.FieldByName("data"), node.FieldByName("next")
 	v.WithThread("t", func(th *Thread) {
@@ -90,7 +90,7 @@ func TestScavengeForwardsInteriorGraph(t *testing.T) {
 }
 
 func TestWriteBarrierRemembersElderToYoung(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	node := nodeClass(v)
 	fNext := node.FieldByName("next")
 	v.WithThread("t", func(th *Thread) {
@@ -121,7 +121,7 @@ func TestWriteBarrierRemembersElderToYoung(t *testing.T) {
 }
 
 func TestExplicitPinPreventsMovement(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		ref, _ := v.Heap.NewInt32Array([]int32{7, 7, 7})
 		if !v.Heap.IsYoung(ref) {
@@ -158,7 +158,7 @@ func TestExplicitPinPreventsMovement(t *testing.T) {
 func TestExplicitPinDonatesBlockLegacy(t *testing.T) {
 	// gcworkers=1 is the exact-legacy collector: one pinned survivor
 	// donates the whole younger block (§5.2).
-	v := New(Config{Heap: HeapConfig{YoungSize: 16 << 10, InitialElder: 128 << 10, ArenaMax: 64 << 20, GCWorkers: 1}})
+	v := closing(t, New(Config{Heap: HeapConfig{YoungSize: 16 << 10, InitialElder: 128 << 10, ArenaMax: 64 << 20, GCWorkers: 1}}))
 	v.WithThread("t", func(th *Thread) {
 		ref, _ := v.Heap.NewInt32Array([]int32{7, 7, 7})
 		v.Heap.Pin(ref)
@@ -193,7 +193,7 @@ func TestExplicitPinDonatesBlockLegacy(t *testing.T) {
 func TestPinIsRootEvenWithoutManagedReference(t *testing.T) {
 	// An object being written by a transport must survive even if the
 	// managed program dropped all references to it.
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		ref, _ := v.Heap.NewInt32Array([]int32{42})
 		v.Heap.Pin(ref)
@@ -209,7 +209,7 @@ func TestPinIsRootEvenWithoutManagedReference(t *testing.T) {
 }
 
 func TestConditionalPinHeldThenDropped(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		ref, _ := v.Heap.NewInt32Array([]int32{9})
 		inFlight := true
@@ -243,7 +243,7 @@ func TestConditionalPinHeldThenDropped(t *testing.T) {
 }
 
 func TestFullGCSweepsElderGarbage(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		var keep Ref
 		pop := th.VM().Protect(&keep)
@@ -269,7 +269,7 @@ func TestFullGCSweepsElderGarbage(t *testing.T) {
 }
 
 func TestElderSpaceReuseAfterSweep(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		// Fill elder with garbage, sweep, then confirm new allocations
 		// fit without growing the arena.
@@ -298,7 +298,7 @@ func TestElderSpaceReuseAfterSweep(t *testing.T) {
 }
 
 func TestHandleUpdatedByGC(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		ref, _ := v.Heap.NewInt32Array([]int32{11, 22})
 		h := v.Handles.Alloc(ref)
@@ -315,7 +315,7 @@ func TestHandleUpdatedByGC(t *testing.T) {
 }
 
 func TestGlobalsAreRoots(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	gi := v.AddGlobal("g")
 	v.WithThread("t", func(th *Thread) {
 		ref, _ := v.Heap.NewInt32Array([]int32{5})
@@ -332,7 +332,7 @@ func TestGlobalsAreRoots(t *testing.T) {
 }
 
 func TestGCHookRunsBeforeMark(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	ran := 0
 	v.AddGCHook(func() { ran++ })
 	v.WithThread("t", func(th *Thread) {
@@ -345,7 +345,7 @@ func TestGCHookRunsBeforeMark(t *testing.T) {
 }
 
 func TestObjectArrayElementsTraced(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	node := nodeClass(v)
 	arrT := v.ArrayType(KindRef, node, 1)
 	fID := node.FieldByName("id")
@@ -376,7 +376,7 @@ func TestObjectArrayElementsTraced(t *testing.T) {
 // across many collections, and verifies reachability and content are
 // preserved — the core GC invariant.
 func TestGCStressRandomGraph(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	node := nodeClass(v)
 	fData, fNext, fID := node.FieldByName("data"), node.FieldByName("next"), node.FieldByName("id")
 	rng := rand.New(rand.NewSource(42))
@@ -447,7 +447,7 @@ func TestGCStressRandomGraph(t *testing.T) {
 }
 
 func TestPinLinearListMode(t *testing.T) {
-	v := New(Config{Heap: HeapConfig{YoungSize: 16 << 10, InitialElder: 128 << 10, ArenaMax: 16 << 20, PinMode: PinLinearList}})
+	v := closing(t, New(Config{Heap: HeapConfig{YoungSize: 16 << 10, InitialElder: 128 << 10, ArenaMax: 16 << 20, PinMode: PinLinearList}}))
 	v.WithThread("t", func(th *Thread) {
 		a, _ := v.Heap.NewInt32Array([]int32{1})
 		b, _ := v.Heap.NewInt32Array([]int32{2})
@@ -474,7 +474,7 @@ func TestPinLinearListMode(t *testing.T) {
 }
 
 func TestUnpinnedYoungBlockIsReset(t *testing.T) {
-	v := gcVM()
+	v := gcVM(t)
 	v.WithThread("t", func(th *Thread) {
 		for i := 0; i < 10; i++ {
 			v.Heap.NewInt32Array(make([]int32, 64))

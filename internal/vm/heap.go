@@ -9,9 +9,9 @@ import (
 )
 
 // Ref is a managed object reference: a byte offset into the heap
-// arena. The null reference is 0. Because refs are offsets rather
-// than Go pointers, growing the arena never invalidates them — only
-// the collector moves objects, and only when they are not pinned.
+// arena. The null reference is 0. The arena is reserved once and never
+// moves, so only the collector moves objects, and only when they are
+// not pinned.
 type Ref uint32
 
 // NullRef is the managed null reference.
@@ -145,7 +145,7 @@ type freeBlock struct {
 type HeapConfig struct {
 	YoungSize       uint32 // size of the younger-generation block
 	InitialElder    uint32 // first elder range carved at startup
-	ArenaMax        uint32 // hard ceiling on total arena bytes
+	ArenaMax        uint32 // arena address space reserved up front; pages commit on first touch
 	PinMode         PinMode
 	FullGCThreshold uint32 // elder bytes allocated between full GCs
 
@@ -188,16 +188,17 @@ func (c *HeapConfig) fill() {
 }
 
 // Heap is the managed memory of one VM: a single arena addressed by
-// Ref offsets, split into a bump-allocated younger block and a set of
-// elder ranges managed with free lists. Under the §5.2 policy the
+// Ref offsets, reserved whole at construction and committed page by
+// page as it is first touched, split into a bump-allocated younger
+// block and a set of elder ranges managed with free lists. Under the §5.2 policy the
 // elder generation is never compacted, matching the SSCLI collector;
 // the moving policy slide-compacts it (gccompact.go).
 type Heap struct {
 	vm *VM
 
-	mem []byte
-	brk uint32 // arena break: lowest unallocated arena offset
-	max uint32
+	arena []byte // the whole reservation, ArenaMax bytes; nil once closed
+	mem   []byte // arena[:brk:brk]: the carved part, no access past it
+	brk   uint32 // arena break: lowest unallocated arena offset
 
 	youngSize  uint32
 	youngStart uint32
@@ -250,7 +251,6 @@ func newHeap(vm *VM, cfg HeapConfig) *Heap {
 	cfg.fill()
 	h := &Heap{
 		vm:         vm,
-		max:        cfg.ArenaMax,
 		youngSize:  cfg.YoungSize,
 		fullEvery:  cfg.FullGCThreshold,
 		pinMode:    cfg.PinMode,
@@ -260,6 +260,12 @@ func newHeap(vm *VM, cfg HeapConfig) *Heap {
 	}
 	h.scav.h = h
 	h.scav.fwd = h.scav.forward
+	arena, err := reserveArena(cfg.ArenaMax)
+	if err != nil {
+		panic(fmt.Sprintf("vm: cannot reserve a %d MiB arena (ArenaMax): %v", cfg.ArenaMax>>20, err))
+	}
+	h.arena = arena
+	liveArenas.Add(1)
 	// Offset 0 is reserved so that NullRef never addresses an object.
 	h.brk = 8
 	start, err := h.carve(cfg.InitialElder)
@@ -273,27 +279,15 @@ func newHeap(vm *VM, cfg HeapConfig) *Heap {
 	return h
 }
 
-// carve reserves size bytes of fresh arena, growing mem as needed.
+// carve takes size bytes of fresh arena by reslicing the reservation:
+// the arena never moves or copies.
 func (h *Heap) carve(size uint32) (uint32, error) {
 	off := align8(h.brk)
-	if off+size > h.max || off+size < off {
+	if off+size > uint32(len(h.arena)) || off+size < off {
 		return 0, ErrOutOfMemory
 	}
-	need := int(off + size)
-	if need > len(h.mem) {
-		grow := len(h.mem)
-		if grow < 1<<20 {
-			grow = 1 << 20
-		}
-		for len(h.mem)+grow < need {
-			grow *= 2
-		}
-		if len(h.mem)+grow < need {
-			grow = need - len(h.mem)
-		}
-		h.mem = append(h.mem, make([]byte, grow)...)
-	}
 	h.brk = off + size
+	h.mem = h.arena[:h.brk:h.brk]
 	return off, nil
 }
 

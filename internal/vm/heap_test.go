@@ -4,8 +4,19 @@ import (
 	"testing"
 )
 
-func testVM() *VM {
-	return New(Config{Name: "test", Heap: HeapConfig{YoungSize: 64 << 10, InitialElder: 256 << 10, ArenaMax: 32 << 20}})
+func testVM(t testing.TB) *VM {
+	return closing(t, New(Config{Name: "test", Heap: HeapConfig{YoungSize: 64 << 10, InitialElder: 256 << 10, ArenaMax: 32 << 20}}))
+}
+
+// closing releases v's arena when the test ends (left reserved if it
+// failed: a rank may still be running).
+func closing(t testing.TB, v *VM) *VM {
+	t.Cleanup(func() {
+		if !t.Failed() {
+			v.Close()
+		}
+	})
+	return v
 }
 
 func pointClass(v *VM) *MethodTable {
@@ -31,7 +42,7 @@ func nodeClass(v *VM) *MethodTable {
 }
 
 func TestAllocClassAndFieldAccess(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	pt := pointClass(v)
 	ref, err := v.Heap.AllocClass(pt)
 	if err != nil {
@@ -62,7 +73,7 @@ func TestAllocClassAndFieldAccess(t *testing.T) {
 }
 
 func TestFieldLayoutAlignment(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	mt := v.MustNewClass("Mix", nil, []FieldSpec{
 		{Name: "a", Kind: KindUint8},
 		{Name: "b", Kind: KindInt64},
@@ -91,7 +102,7 @@ func TestFieldLayoutAlignment(t *testing.T) {
 }
 
 func TestInheritedFieldLayout(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	base := v.MustNewClass("Base", nil, []FieldSpec{{Name: "a", Kind: KindInt32}})
 	child := v.MustNewClass("Child", base, []FieldSpec{{Name: "b", Kind: KindInt32}})
 	if child.FieldByName("a") == nil {
@@ -112,7 +123,7 @@ func TestInheritedFieldLayout(t *testing.T) {
 }
 
 func TestArrayAllocAndAccess(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	at := v.ArrayType(KindInt32, nil, 1)
 	ref, err := v.Heap.AllocArray(at, 10)
 	if err != nil {
@@ -135,7 +146,7 @@ func TestArrayAllocAndAccess(t *testing.T) {
 }
 
 func TestArrayBounds(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	ref, _ := v.Heap.NewInt32Array([]int32{1, 2, 3})
 	for _, idx := range []int{-1, 3, 1000} {
 		func() {
@@ -152,7 +163,7 @@ func TestArrayBounds(t *testing.T) {
 }
 
 func TestMultiDimArray(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	at := v.ArrayType(KindFloat64, nil, 2)
 	ref, err := v.Heap.AllocMultiDim(at, []int{3, 4})
 	if err != nil {
@@ -180,13 +191,13 @@ func TestMultiDimArray(t *testing.T) {
 }
 
 func TestDataRangeIsInstanceData(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	ref, _ := v.Heap.NewUint8Array([]byte{9, 8, 7, 6})
 	s, e := v.Heap.DataRange(ref)
 	if e-s != 4 {
 		t.Fatalf("range size %d", e-s)
 	}
-	b := v.Heap.Bytes(s, e)
+	b := v.Heap.DataBytes(ref)
 	if b[0] != 9 || b[3] != 6 {
 		t.Errorf("bytes %v", b)
 	}
@@ -199,7 +210,7 @@ func TestDataRangeIsInstanceData(t *testing.T) {
 }
 
 func TestBigObjectGoesToElder(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	at := v.ArrayType(KindUint8, nil, 1)
 	// Bigger than half the nursery (64 KiB nursery in testVM).
 	ref, err := v.Heap.AllocArray(at, 48<<10)
@@ -212,7 +223,7 @@ func TestBigObjectGoesToElder(t *testing.T) {
 }
 
 func TestAllocZeroed(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	at := v.ArrayType(KindUint8, nil, 1)
 	ref, _ := v.Heap.AllocArray(at, 128)
 	for i, b := range v.Heap.DataBytes(ref) {
@@ -223,7 +234,7 @@ func TestAllocZeroed(t *testing.T) {
 }
 
 func TestArenaOOM(t *testing.T) {
-	v := New(Config{Heap: HeapConfig{YoungSize: 16 << 10, InitialElder: 32 << 10, ArenaMax: 128 << 10}})
+	v := closing(t, New(Config{Heap: HeapConfig{YoungSize: 16 << 10, InitialElder: 32 << 10, ArenaMax: 128 << 10}}))
 	at := v.ArrayType(KindUint8, nil, 1)
 	var refs []Ref
 	hold := RootFunc(func(visit func(Ref) Ref) {
@@ -247,7 +258,7 @@ func TestArenaOOM(t *testing.T) {
 }
 
 func TestHandleTable(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	ref, _ := v.Heap.NewInt32Array([]int32{5})
 	h := v.Handles.Alloc(ref)
 	if v.Handles.Get(h) != ref {
@@ -268,7 +279,7 @@ func TestHandleTable(t *testing.T) {
 }
 
 func TestDuplicateTypeAndFieldRejected(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	pointClass(v)
 	if _, err := v.NewClass("Point", nil, nil); err == nil {
 		t.Error("duplicate class accepted")
@@ -284,7 +295,7 @@ func TestDuplicateTypeAndFieldRejected(t *testing.T) {
 }
 
 func TestArrayTypeCanonicalization(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	a := v.ArrayType(KindInt32, nil, 1)
 	b := v.ArrayType(KindInt32, nil, 1)
 	if a != b {

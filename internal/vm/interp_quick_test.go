@@ -16,7 +16,7 @@ func binOpMethod(v *VM, op Op) *Method {
 }
 
 func TestQuickIntArithmetic(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	cases := []struct {
 		op Op
 		f  func(a, b int64) int64
@@ -45,7 +45,7 @@ func TestQuickIntArithmetic(t *testing.T) {
 }
 
 func TestQuickDivRem(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	v.WithThread("t", func(th *Thread) {
 		div := binOpMethod(v, OpDiv)
 		rem := binOpMethod(v, OpRem)
@@ -72,7 +72,7 @@ func TestQuickDivRem(t *testing.T) {
 }
 
 func TestQuickFloatArithmetic(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	cases := []struct {
 		op Op
 		f  func(a, b float64) float64
@@ -102,7 +102,7 @@ func TestQuickFloatArithmetic(t *testing.T) {
 }
 
 func TestQuickComparisons(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	v.WithThread("t", func(th *Thread) {
 		lt := binOpMethod(v, OpClt)
 		prop := func(a, b int64) bool {
@@ -124,7 +124,7 @@ func TestQuickComparisons(t *testing.T) {
 }
 
 func TestQuickConversionRoundtrip(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdArg(0).Op(OpConvI2F).Op(OpConvF2I).RetVal().
 		Build("conv", 1, 0, true))
@@ -143,7 +143,7 @@ func TestQuickConversionRoundtrip(t *testing.T) {
 // TestQuickFieldStoreLoad round-trips random bits through every
 // scalar field kind.
 func TestQuickFieldStoreLoad(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	kinds := []Kind{KindBool, KindInt8, KindUint8, KindInt16, KindUint16, KindChar,
 		KindInt32, KindUint32, KindInt64, KindUint64, KindFloat32, KindFloat64}
 	specs := make([]FieldSpec, len(kinds))

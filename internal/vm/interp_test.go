@@ -20,7 +20,7 @@ func runMethod(t *testing.T, v *VM, m *Method, args ...Value) Value {
 }
 
 func TestInterpArithmetic(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	// (a+b)*a - b
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdArg(0).LdArg(1).Op(OpAdd).
@@ -35,7 +35,7 @@ func TestInterpArithmetic(t *testing.T) {
 }
 
 func TestInterpFloatOps(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdArg(0).LdArg(1).Op(OpDivF).
 		LdcR8(0.5).Op(OpAddF).
@@ -48,7 +48,7 @@ func TestInterpFloatOps(t *testing.T) {
 }
 
 func TestInterpConversions(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdArg(0).Op(OpConvI2F).LdcR8(2).Op(OpMulF).Op(OpConvF2I).
 		RetVal().
@@ -59,7 +59,7 @@ func TestInterpConversions(t *testing.T) {
 }
 
 func TestInterpLoop(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	// sum 1..n
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdcI4(0).StLoc(0). // sum
@@ -78,7 +78,7 @@ func TestInterpLoop(t *testing.T) {
 }
 
 func TestInterpDivByZeroTrap(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdcI4(1).LdcI4(0).Op(OpDiv).RetVal().
 		Build("f", 0, 0, true))
@@ -95,7 +95,7 @@ func TestInterpDivByZeroTrap(t *testing.T) {
 }
 
 func TestInterpStaticCall(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	callee := v.AddMethod(nil, NewCodeBuilder().
 		LdArg(0).LdArg(0).Op(OpMul).RetVal().
 		Build("square", 1, 0, true))
@@ -108,7 +108,7 @@ func TestInterpStaticCall(t *testing.T) {
 }
 
 func TestInterpRecursion(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	b := NewCodeBuilder()
 	// fib(n) = n < 2 ? n : fib(n-1)+fib(n-2)
 	fib := &Method{Name: "fib", NArgs: 1, HasRet: true}
@@ -126,7 +126,7 @@ func TestInterpRecursion(t *testing.T) {
 }
 
 func TestInterpCallDepthLimit(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := &Method{Name: "inf", NArgs: 0}
 	v.AddMethod(nil, m)
 	m.Code = NewCodeBuilder().Call(m).Ret().Build("inf", 0, 0, false).Code
@@ -139,7 +139,7 @@ func TestInterpCallDepthLimit(t *testing.T) {
 }
 
 func TestInterpObjectsAndFields(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	pt := pointClass(v)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		NewObj(pt).StLoc(0).
@@ -155,7 +155,7 @@ func TestInterpObjectsAndFields(t *testing.T) {
 }
 
 func TestInterpNullFieldTrap(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	pt := pointClass(v)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdNull().LdFld(pt, "x").RetVal().
@@ -170,7 +170,7 @@ func TestInterpNullFieldTrap(t *testing.T) {
 }
 
 func TestInterpArrays(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	i32arr := v.ArrayType(KindInt32, nil, 1)
 	// build arr[n], fill with i*2, sum
 	m := v.AddMethod(nil, NewCodeBuilder().
@@ -197,7 +197,7 @@ func TestInterpArrays(t *testing.T) {
 }
 
 func TestInterpArrayBoundsTrap(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	i32arr := v.ArrayType(KindInt32, nil, 1)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdcI4(3).NewArr(i32arr).LdcI4(5).Op(OpLdElem).RetVal().
@@ -212,7 +212,7 @@ func TestInterpArrayBoundsTrap(t *testing.T) {
 }
 
 func TestInterpVirtualDispatch(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	base := v.MustNewClass("Animal", nil, nil)
 	dog := v.MustNewClass("Dog", base, nil)
 	cat := v.MustNewClass("Cat", base, nil)
@@ -241,7 +241,7 @@ func TestInterpVirtualDispatch(t *testing.T) {
 }
 
 func TestInterpGlobals(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	g := v.AddGlobal("counter")
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdSFld(g).LdcI4(1).Op(OpAdd).StSFld(g).
@@ -255,7 +255,7 @@ func TestInterpGlobals(t *testing.T) {
 }
 
 func TestInterpInternalCall(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	calls := 0
 	idx := v.RegisterInternal(InternalFunc{
 		Name: "test.double", NArgs: 1, HasRet: true,
@@ -278,7 +278,7 @@ func TestInterpInternalCall(t *testing.T) {
 func TestInterpSurvivesGCMidProgram(t *testing.T) {
 	// A managed loop that allocates heavily; objects held in locals
 	// must survive the collections triggered mid-loop.
-	v := New(Config{Heap: HeapConfig{YoungSize: 8 << 10, InitialElder: 64 << 10, ArenaMax: 32 << 20}})
+	v := closing(t, New(Config{Heap: HeapConfig{YoungSize: 8 << 10, InitialElder: 64 << 10, ArenaMax: 32 << 20}}))
 	pt := pointClass(v)
 	i32arr := v.ArrayType(KindInt32, nil, 1)
 	// keep one Point in loc0 with x=999; churn arrays; verify at end.
@@ -303,7 +303,7 @@ func TestInterpSurvivesGCMidProgram(t *testing.T) {
 }
 
 func TestInterpFloat32ArrayWidening(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	f32arr := v.ArrayType(KindFloat32, nil, 1)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdcI4(1).NewArr(f32arr).StLoc(0).
@@ -316,7 +316,7 @@ func TestInterpFloat32ArrayWidening(t *testing.T) {
 }
 
 func TestInterpRefScalarFieldMismatchTrap(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	node := nodeClass(v)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		NewObj(node).LdcI4(123).StFld(node, "next"). // scalar into ref field
@@ -332,7 +332,7 @@ func TestInterpRefScalarFieldMismatchTrap(t *testing.T) {
 }
 
 func TestDisassembleRoundtrip(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdcI4(5).StLoc(0).
 		Label("l").LdLoc(0).BrFalse("e").

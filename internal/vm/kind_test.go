@@ -95,7 +95,7 @@ func TestFieldDescBits(t *testing.T) {
 }
 
 func TestMethodTableString(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	n := nodeClass(v)
 	cases := map[*MethodTable]string{
 		n:                                "Node",
@@ -115,7 +115,7 @@ func TestMethodTableString(t *testing.T) {
 }
 
 func TestMethodFullName(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	n := nodeClass(v)
 	m := v.AddMethod(n, &Method{Name: "walk"})
 	if m.FullName() != "Node.walk" {
@@ -128,7 +128,7 @@ func TestMethodFullName(t *testing.T) {
 }
 
 func TestTransportableRefs(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	n := nodeClass(v) // data, next transportable; shadow not; id scalar
 	tr := n.TransportableRefs()
 	if len(tr) != 2 {

@@ -43,6 +43,7 @@ func execMasm(src string, ref, verify bool, budget int64) masmOutcome {
 	var buf bytes.Buffer
 	v := vm.New(vm.Config{Name: "diff", Stdout: &buf,
 		Heap: vm.HeapConfig{YoungSize: 64 << 10, InitialElder: 256 << 10, ArenaMax: 32 << 20}})
+	defer v.Close()
 	core.RegisterVerifyStubs(v)
 	// sys.ticks is wall-clock; re-point it at a counter so two runs of
 	// the same module cannot diverge through time.

@@ -48,12 +48,9 @@ func (h *Heap) DataRange(ref Ref) (start, end uint32) {
 	return off + HeaderSize, off + HeaderSize + mt.InstanceSize
 }
 
-// Bytes returns the live arena slice [start,end). The slice is only
-// valid until the next allocation (the arena may grow) — transports
-// must re-resolve it on every progress step.
-func (h *Heap) Bytes(start, end uint32) []byte { return h.mem[start:end] }
-
-// DataBytes resolves the instance-data slice of an object.
+// DataBytes resolves the instance-data slice of an object. The arena
+// never moves, so the slice stays valid as long as the object does
+// (pinned, or elder under the §5.2 policy) and the VM is not closed.
 func (h *Heap) DataBytes(ref Ref) []byte {
 	s, e := h.DataRange(ref)
 	return h.mem[s:e]

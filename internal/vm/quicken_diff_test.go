@@ -168,9 +168,9 @@ func (g *diffGen) stmt(depth int) {
 
 // diffVM builds one side of the comparison: a fresh VM with the fixed
 // registration order and the seed-determined method.
-func diffVM(seed int64, out *bytes.Buffer) (*VM, *Method) {
-	v := New(Config{Name: "diff", Stdout: out,
-		Heap: HeapConfig{YoungSize: 64 << 10, InitialElder: 256 << 10, ArenaMax: 32 << 20}})
+func diffVM(t testing.TB, seed int64, out *bytes.Buffer) (*VM, *Method) {
+	v := closing(t, New(Config{Name: "diff", Stdout: out,
+		Heap: HeapConfig{YoungSize: 64 << 10, InitialElder: 256 << 10, ArenaMax: 32 << 20}}))
 	pt := pointClass(v)
 	hadd := v.AddMethod(nil, NewCodeBuilder().
 		LdArg(0).LdArg(1).Op(OpAdd).RetVal().Build("hadd", 2, 0, true))
@@ -207,7 +207,7 @@ type diffOutcome struct {
 func runDiff(t *testing.T, seed int64, ref bool, calls int) []diffOutcome {
 	t.Helper()
 	var buf bytes.Buffer
-	v, m := diffVM(seed, &buf)
+	v, m := diffVM(t, seed, &buf)
 	var outs []diffOutcome
 	v.WithThread("t", func(th *Thread) {
 		for i := 0; i < calls; i++ {
@@ -288,8 +288,8 @@ func TestQuickenDifferentialMixed(t *testing.T) {
 func TestQuickenDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		var b1, b2 bytes.Buffer
-		_, m1 := diffVM(seed, &b1)
-		_, m2 := diffVM(seed, &b2)
+		_, m1 := diffVM(t, seed, &b1)
+		_, m2 := diffVM(t, seed, &b2)
 		if !bytes.Equal(m1.Code, m2.Code) {
 			t.Fatalf("seed %d: generator is not deterministic", seed)
 		}
@@ -302,7 +302,7 @@ func TestQuickenDeterministic(t *testing.T) {
 // used to answer 0 and ldelem to blame the index. Both loops now trap
 // a type mismatch naming the instruction and the class, at its pc.
 func TestQuickenNonArrayTraps(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	pt := pointClass(v)
 	g := v.AddGlobal("nonarray.obj")
 	stash := func(b *CodeBuilder) *CodeBuilder { return b.NewObj(pt).StSFld(g).LdcI4(0).StLoc(0) }

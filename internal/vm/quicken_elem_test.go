@@ -80,7 +80,7 @@ func int64Array(t *testing.T, v *VM, vals ...int64) Ref {
 // TestFusedLoadNullArrayTrapPC: a null array inside a fused load traps
 // at the ldelem component's pc, as the reference does — not at the head.
 func TestFusedLoadNullArrayTrapPC(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	g := v.AddGlobal("fused.null")
 	for name, head := range map[string]func(*CodeBuilder) *CodeBuilder{
 		"ldloc":  func(b *CodeBuilder) *CodeBuilder { return b.LdLoc(1) },
@@ -106,7 +106,7 @@ func TestFusedLoadNullArrayTrapPC(t *testing.T) {
 // sub, and int64 wrap-around of I+K and I-K, trapping or landing in
 // range exactly as the unfused add/sub would.
 func TestFusedLoadIndexArithmetic(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	arr := RefValue(int64Array(t, v, 10, 11, 12, 13))
 	build := func(name string, off func(*CodeBuilder) *CodeBuilder) *Method {
 		b := NewCodeBuilder().LdArg(1).StLoc(0).LdArg(2).StLoc(1).LdArg(0).LdLoc(0)
@@ -160,7 +160,7 @@ func TestFusedLoadIndexArithmetic(t *testing.T) {
 // (the jump target must keep its own quickened index), and both paths
 // into it compute what the reference computes.
 func TestFusedLoadBranchTargetBlocksFusion(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	arr := RefValue(int64Array(t, v, 10, 11, 12, 13))
 	// The straight path runs ldarg 0; ldloc 0; ldc.i4 1; add; ldelem.
 	// The side path (arg 1 != 0) pushes the operands the landing
@@ -216,7 +216,7 @@ func TestFusedLoadBranchTargetBlocksFusion(t *testing.T) {
 // agrees with the reference, only rank-1 array types are ever cached,
 // and a cached site still rejects everything the reference rejects.
 func TestQuickenElemCachePolymorphicSite(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	pt := pointClass(v)
 	get := v.AddMethod(nil, NewCodeBuilder().LdArg(1).StLoc(0).
 		LdArg(0).LdLoc(0).Op(OpLdElem).RetVal().Build("get", 2, 1, true))
@@ -334,7 +334,7 @@ func TestQuickenElemCachePolymorphicSite(t *testing.T) {
 // quicken time (there is no baked opcode any more), StoreChecked rides
 // on the store site, and a fact naming a class seeds nothing.
 func TestQuickenElemCachePreseed(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	at := v.ArrayType(KindInt64, nil, 1)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdcI4(4).NewArr(at).StLoc(0).
@@ -372,7 +372,7 @@ func TestQuickenElemCachePreseed(t *testing.T) {
 // type index in the header, so the second execution hits and reads the
 // moved copy.
 func TestQuickenElemCacheSurvivesScavenge(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	g := v.AddGlobal("scav.arr")
 	// sum = g[1] on each of two passes, with a scavenge after each.
 	m := v.AddMethod(nil, NewCodeBuilder().
@@ -419,7 +419,7 @@ func TestQuickenElemCacheSurvivesScavenge(t *testing.T) {
 // charges the step budget at its back edge alone — exhaustion surfaces
 // the same trap at the same pc after the same number of steps.
 func TestFusedLoadStepBudgetParity(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	arr := RefValue(int64Array(t, v, 1, 2, 3))
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdcI4(1).StLoc(0).
@@ -446,7 +446,7 @@ func TestFusedLoadStepBudgetParity(t *testing.T) {
 // number of steps, and a run that completes leaves the same budget: the
 // loops charge, and poll with every charge, equally often.
 func TestQuickenRotatedLatchStepBudgetParity(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdcI4(0).StLoc(0).
 		Label("head").

@@ -19,7 +19,7 @@ func loadHeat2d(tb testing.TB, rows, cols int) *VM {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	v := New(Config{Name: "heat2d"})
+	v := closing(tb, New(Config{Name: "heat2d"}))
 	for _, fn := range []InternalFunc{
 		{Name: "mp.rank", NArgs: 0, HasRet: true},
 		{Name: "mp.sendrecv", NArgs: 6, HasRet: true},
@@ -166,7 +166,7 @@ func loadOverlapCompute(tb testing.TB) (*VM, *Method) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	v := New(Config{Name: "overlap"})
+	v := closing(tb, New(Config{Name: "overlap"}))
 	for _, fn := range []InternalFunc{
 		{Name: "mp.rank", NArgs: 0, HasRet: true},
 		{Name: "mp.irecv", NArgs: 3, HasRet: true},

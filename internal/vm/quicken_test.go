@@ -83,7 +83,7 @@ func compareErrs(t *testing.T, name string, qerr, rerr error) {
 // would bake a field and skip a store check is not spent until the
 // method is verified — and both lowerings agree with the reference.
 func TestQuickenUnverifiedIgnoresFacts(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	pt := pointClass(v)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdArg(0).LdcI4(7).StFld(pt, "x"). // pcs 0,3,8
@@ -118,7 +118,7 @@ func TestQuickenUnverifiedIgnoresFacts(t *testing.T) {
 // extremes (Go's undefined-overflow float-to-int conversion must never
 // leak through), in-range truncates toward zero.
 func TestConvF2ISaturation(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdArg(0).Op(OpConvF2I).RetVal().
 		Build("f2i", 1, 0, true))
@@ -162,7 +162,7 @@ func TestConvF2ISaturation(t *testing.T) {
 // into exactly two superinstructions (qIncLoc and a backward qCmpBr)
 // and still counts correctly.
 func TestQuickenIncAndCmpBrFusion(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdcI4(0).StLoc(0).
 		Label("loop").
@@ -184,7 +184,7 @@ func TestQuickenIncAndCmpBrFusion(t *testing.T) {
 // instruction of a fusable pattern must keep that pattern unfused —
 // the target needs its own quickened index.
 func TestQuickenBranchTargetBlocksFusion(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	// The ldc.i4 1 of the increment pattern is also a join point
 	// reached with one int already on the stack.
 	m := v.AddMethod(nil, NewCodeBuilder().
@@ -228,7 +228,7 @@ func TestQuickenInstSize(t *testing.T) {
 // the fused form passes the argument in the right position (it is the
 // LAST argument of the callee).
 func TestQuickenLdArgCallFusion(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	sub := v.AddMethod(nil, NewCodeBuilder().
 		LdArg(0).LdArg(1).Op(OpSub).RetVal().
 		Build("sub", 2, 0, true))
@@ -249,7 +249,7 @@ func TestQuickenLdArgCallFusion(t *testing.T) {
 // TestQuickenRecursion: self-recursive quickened methods (frame
 // suspend/resume through fr.qpc) compute correctly.
 func TestQuickenRecursion(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	// fib(n) = n < 2 ? n : fib(n-1) + fib(n-2)
 	b := NewCodeBuilder()
 	fib := &Method{Name: "fib", NArgs: 1, HasRet: true}
@@ -279,7 +279,7 @@ func addVirtual(v *VM, owner *MethodTable, name string, ret int32) *Method {
 }
 
 func TestQuickenVirtualDispatch(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	base := v.MustNewClass("VBase", nil, nil)
 	derived := v.MustNewClass("VDerived", base, nil)
 	baseGet := addVirtual(v, base, "get", 1)
@@ -317,7 +317,7 @@ func TestQuickenVirtualDispatch(t *testing.T) {
 // binds the implementation at quicken time (qCallExact), and the
 // devirtualized call still null-checks its receiver.
 func TestQuickenDevirtualization(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	base := v.MustNewClass("DBase", nil, nil)
 	derived := v.MustNewClass("DDerived", base, nil)
 	baseGet := addVirtual(v, base, "get", 1)
@@ -354,7 +354,7 @@ func TestQuickenDevirtualization(t *testing.T) {
 // TestQuickenExactFieldAccess: exact receiver facts bake the field
 // descriptor (qLdFldD / qStFldD) without changing observable results.
 func TestQuickenExactFieldAccess(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	pt := pointClass(v)
 	b := NewCodeBuilder().
 		LdArg(0).LdcI4(7).StFld(pt, "x"). // pcs 0,3,8
@@ -379,7 +379,7 @@ func TestQuickenExactFieldAccess(t *testing.T) {
 // TestQuickenArrayOps: allocation, stores, loads and ldlen round-trip
 // identically, with and without an exact array-type fact.
 func TestQuickenArrayOps(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	at := v.ArrayType(KindInt64, nil, 1)
 	build := func(name string) *Method {
 		return NewCodeBuilder().
@@ -423,7 +423,7 @@ func TestQuickenArrayOps(t *testing.T) {
 // program points on the quickened loop and the reference — exhaustion surfaces the same trap at
 // the same pc after the same number of steps.
 func TestQuickenStepBudgetParity(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		LdcI4(0).StLoc(0).
 		Label("loop").
@@ -445,7 +445,7 @@ func TestQuickenStepBudgetParity(t *testing.T) {
 // identically; the intern index is resolved per dispatch so a
 // re-registered internal is honored by already-quickened code.
 func TestQuickenInternAndGlobals(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	g := v.AddGlobal("qtest.g")
 	val := int64(5)
 	v.RegisterInternal(InternalFunc{

@@ -38,7 +38,7 @@ const rollbackGoodModule = `
 .end`
 
 func TestAssembleErrorRollsBackRegistries(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	nt, nm, ng := v.NumTypes(), v.NumMethods(), v.NumGlobals()
 
 	// The bad module fails in pass 2 (unknown mnemonic), after its
@@ -85,7 +85,7 @@ func TestAssembleErrorRollsBackRegistries(t *testing.T) {
 // method from a pre-existing (surviving) owner type: the vtable slot
 // must fall back to the inherited implementation.
 func TestRollbackRestoresVTableOverride(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	base := v.MustNewClass("RbBase", nil, nil)
 	bm := v.AddMethod(base, &Method{Name: "f", Virtual: true,
 		NArgs: 1, Code: []byte{byte(OpRet)}})

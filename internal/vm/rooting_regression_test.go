@@ -28,7 +28,7 @@ import (
 //
 // Run under -race via the stress tier (scripts/verify.sh stress).
 func TestStressRootBeforeDerefRegression(t *testing.T) {
-	v := New(Config{Heap: HeapConfig{YoungSize: 16 << 10, InitialElder: 128 << 10, ArenaMax: 128 << 20}})
+	v := closing(t, New(Config{Heap: HeapConfig{YoungSize: 16 << 10, InitialElder: 128 << 10, ArenaMax: 128 << 20}}))
 	const rounds = 100
 	reqCh := make(chan struct{})
 	doneCh := make(chan struct{})

@@ -39,7 +39,7 @@ func spinMethod(v *VM, body int, tick func(t *Thread) bool) *Method {
 // goroutine gets the execution token at the loop's next poll, not
 // after the mutex's millisecond starvation hand-off.
 func TestStressPollServesWaitingProgressPass(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	var ticks atomic.Int64
 	var stop atomic.Bool
 	m := spinMethod(v, 256, func(*Thread) bool {
@@ -80,7 +80,7 @@ func TestStressPollServesWaitingProgressPass(t *testing.T) {
 // tries the lock is not a waiter, so a polling thread never releases
 // the token to it.
 func TestStressPollKeepsTokenWhenNobodyWaits(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	var stop atomic.Bool
 	var stolen atomic.Int64
 	var wg sync.WaitGroup
@@ -112,7 +112,7 @@ func TestStressPollKeepsTokenWhenNobodyWaits(t *testing.T) {
 // once both keep running — each waiter is counted before it blocks,
 // so the holder's polls hand the token back and forth.
 func TestStressSiblingThreadsShareToken(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	var stop atomic.Bool
 	var iters [2]int64
 	last, switches := -1, 0 // guarded by the execution token

@@ -8,7 +8,7 @@ import (
 
 func assembleAndRun(t *testing.T, src string, args ...Value) (Value, *VM) {
 	t.Helper()
-	v := testVM()
+	v := testVM(t)
 	main, err := v.Assemble(src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
@@ -192,7 +192,7 @@ func TestMasmGlobals(t *testing.T) {
 
 func TestMasmConsoleIntern(t *testing.T) {
 	var buf bytes.Buffer
-	v := New(Config{Stdout: &buf, Heap: HeapConfig{YoungSize: 64 << 10, InitialElder: 256 << 10, ArenaMax: 16 << 20}})
+	v := closing(t, New(Config{Stdout: &buf, Heap: HeapConfig{YoungSize: 64 << 10, InitialElder: 256 << 10, ArenaMax: 16 << 20}}))
 	main, err := v.Assemble(`
 .method main (0) void
   ldc.i4 123
@@ -230,7 +230,7 @@ func TestMasmErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := testVM()
+			v := testVM(t)
 			_, err := v.Assemble(tc.src)
 			if err == nil {
 				t.Fatal("no error")
@@ -316,7 +316,7 @@ read:
   ret.val
 .end
 `
-	v := New(Config{Heap: HeapConfig{YoungSize: 16 << 10, InitialElder: 128 << 10, ArenaMax: 64 << 20}})
+	v := closing(t, New(Config{Heap: HeapConfig{YoungSize: 16 << 10, InitialElder: 128 << 10, ArenaMax: 64 << 20}}))
 	main, err := v.Assemble(src)
 	if err != nil {
 		t.Fatal(err)

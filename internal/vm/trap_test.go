@@ -31,33 +31,33 @@ func callExpectTrap(t *testing.T, v *VM, m *Method, kind string, pc int) {
 }
 
 func TestTrapOnStackUnderflow(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, &Method{Name: "underflow", Code: []byte{byte(OpAdd), byte(OpRet)}})
 	callExpectTrap(t, v, m, "invalid program", 0)
 }
 
 func TestTrapOnLocalOutOfRange(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	// ldloc 5 with zero locals.
 	m := v.AddMethod(nil, &Method{Name: "badlocal", Code: []byte{byte(OpLdLoc), 5, 0, byte(OpRet)}})
 	callExpectTrap(t, v, m, "invalid program", 0)
 }
 
 func TestTrapOnTruncatedOperand(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	// ldc.i4 needs 4 operand bytes; provide one.
 	m := v.AddMethod(nil, &Method{Name: "truncated", Code: []byte{byte(OpLdcI4), 1}})
 	callExpectTrap(t, v, m, "invalid program", 0)
 }
 
 func TestTrapOnUndefinedOpcode(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, &Method{Name: "badop", Code: []byte{0xEE}})
 	callExpectTrap(t, v, m, "bad opcode", 0)
 }
 
 func TestTrapOnArgOutOfRange(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, &Method{Name: "badarg", Code: []byte{byte(OpLdArg), 3, 0, byte(OpRet)}})
 	callExpectTrap(t, v, m, "invalid program", 0)
 }
@@ -68,7 +68,7 @@ func TestTrapOnArgOutOfRange(t *testing.T) {
 // decode-and-switch interpreter raises, at their pc — on the quickened
 // loop and the reference interpreter alike.
 func TestMalformedCodeTrapsOnlyWhenReached(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	pt := pointClass(v)
 	at := v.ArrayType(KindInt64, nil, 1)
 	op16 := func(op Op, x int) []byte { return []byte{byte(op), byte(x), byte(x >> 8)} }
@@ -108,7 +108,7 @@ func TestMalformedCodeTrapsOnlyWhenReached(t *testing.T) {
 // branch not taken does nothing, and a branch past the end of the code
 // is a void return, as it always was.
 func TestBranchToNonInstructionTraps(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	// ldc.i4 1 (pc 0-4); brtrue rel (pc 5-9); ldc.i4 5 (pc 10-14); ret.val
 	cond := func(taken bool, rel int32) *Method {
 		c := int32(0)
@@ -149,7 +149,7 @@ func TestBranchToNonInstructionTraps(t *testing.T) {
 // instead of being converted into an "invalid program" trap that
 // blames the guest.
 func TestHostFCallPanicEscapes(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	idx := v.RegisterInternal(InternalFunc{
 		Name:  "test.crash",
 		NArgs: 0,
@@ -207,7 +207,7 @@ func sameTrap(t *testing.T, m *Method, qerr, rerr error) *Trap {
 // ldloc+ldfld superinstruction reports the ldfld's pc and line — the
 // second component faults, not the fusion head.
 func TestFusedLdLocFldTrapAttribution(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	pt := pointClass(v)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		MarkLine(1).LdNull().StLoc(0).
@@ -232,7 +232,7 @@ func TestFusedLdLocFldTrapAttribution(t *testing.T) {
 // body whose counter update and exit test are both fused still reports
 // the div's pc/line on both loops.
 func TestFusedIncLocThenDivTrapAttribution(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	// for (i = 0; i < 4; i++) { x = 10 / (2 - i) }  — traps at i == 2.
 	m := v.AddMethod(nil, NewCodeBuilder().
 		MarkLine(1).LdcI4(0).StLoc(0).
@@ -259,7 +259,7 @@ func TestFusedIncLocThenDivTrapAttribution(t *testing.T) {
 // fused ldarg+call (step-budget exhaustion) charges the call half's
 // pc, and a trap inside the callee names the callee, on both loops.
 func TestFusedLdArgCallTrapAttribution(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	inv := v.AddMethod(nil, NewCodeBuilder().
 		MarkLine(1).LdcI4(100).LdArg(0).Op(OpDiv).RetVal().
 		Build("inv", 1, 0, true))
@@ -288,7 +288,7 @@ func TestFusedLdArgCallTrapAttribution(t *testing.T) {
 // fused compare+branch's backward edge, the charge is attributed to
 // the branch half's pc — the same offset the reference reports.
 func TestFusedCmpBrStepBudgetAttribution(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	m := v.AddMethod(nil, NewCodeBuilder().
 		MarkLine(1).LdcI4(0).StLoc(0).
 		Label("loop").
@@ -315,7 +315,7 @@ func TestFusedBoundsTrapAttribution(t *testing.T) {
 	// side gets a fresh VM with an identical allocation history.
 	build := func(ref bool) *Trap {
 		t.Helper()
-		v := testVM()
+		v := testVM(t)
 		at := v.ArrayType(KindInt32, nil, 1)
 		m := v.AddMethod(nil, NewCodeBuilder().
 			MarkLine(1).LdcI4(2).NewArr(at).StLoc(0).
@@ -352,7 +352,7 @@ func TestFusedBoundsTrapAttribution(t *testing.T) {
 // a dispatch-loop runtime error in bytecode that runs after a
 // successful FCall is still the guest's fault and still traps.
 func TestTrapAfterFCallStaysTrap(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	idx := v.RegisterInternal(InternalFunc{
 		Name:  "test.ok",
 		NArgs: 0,

@@ -3,7 +3,7 @@ package vm
 import "testing"
 
 func TestArrayTypeNames(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	n := nodeClass(v)
 	cases := []struct {
 		mt   *MethodTable
@@ -33,7 +33,7 @@ func TestArrayTypeNames(t *testing.T) {
 }
 
 func TestResolveTypeNameRoundtrip(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	n := nodeClass(v)
 	_ = n
 	names := []string{
@@ -86,7 +86,7 @@ func TestMasmMultiDim(t *testing.T) {
 }
 
 func TestMasmNewMDErrors(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	if _, err := v.Assemble(".method main (0) void\n  ldc.i4 2 newmd float64[]\n.end"); err == nil {
 		t.Error("newmd on vector type accepted")
 	}

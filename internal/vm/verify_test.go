@@ -31,7 +31,7 @@ func wantInvariantError(t *testing.T, h *Heap, substr string) {
 }
 
 func TestCheckInvariantsHealthy(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	allocPoint(t, v)
 	if err := v.Heap.CheckInvariants(); err != nil {
 		t.Fatalf("healthy heap: %v", err)
@@ -39,28 +39,28 @@ func TestCheckInvariantsHealthy(t *testing.T) {
 }
 
 func TestCheckInvariantsBadMTIndex(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	ref := allocPoint(t, v)
 	v.Heap.putU32(uint32(ref)+hdrMT, 0xFFFF) // far beyond the type registry
 	wantInvariantError(t, v.Heap, "bad mt index")
 }
 
 func TestCheckInvariantsBadSize(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	ref := allocPoint(t, v)
 	v.Heap.putU32(uint32(ref)+hdrSize, 4) // below HeaderSize
 	wantInvariantError(t, v.Heap, "bad size")
 }
 
 func TestCheckInvariantsMisalignedSize(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	ref := allocPoint(t, v)
 	v.Heap.putU32(uint32(ref)+hdrSize, HeaderSize+4) // not 8-aligned
 	wantInvariantError(t, v.Heap, "bad size")
 }
 
 func TestCheckInvariantsSizeMismatch(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	ref := allocPoint(t, v)
 	// Valid alignment, valid range — but disagrees with the class's
 	// allocation size, so the walk desynchronizes at this object.
@@ -69,7 +69,7 @@ func TestCheckInvariantsSizeMismatch(t *testing.T) {
 }
 
 func TestCheckInvariantsArrayLengthMismatch(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	arr, err := v.Heap.AllocArray(v.ArrayType(KindInt64, nil, 1), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestCheckInvariantsArrayLengthMismatch(t *testing.T) {
 }
 
 func TestCheckInvariantsDanglingReference(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	node := nodeClass(v)
 	ref, err := v.Heap.AllocClass(node)
 	if err != nil {
@@ -92,7 +92,7 @@ func TestCheckInvariantsDanglingReference(t *testing.T) {
 }
 
 func TestCheckInvariantsPinnedDead(t *testing.T) {
-	v := testVM()
+	v := testVM(t)
 	ref := allocPoint(t, v)
 	v.Heap.Pin(ref)
 	// Erase the object by turning its header into a free block.

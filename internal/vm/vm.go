@@ -171,6 +171,27 @@ func New(cfg Config) *VM {
 	return v
 }
 
+// liveArenas counts reserved arenas not yet released by Close.
+var liveArenas atomic.Int64
+
+// LiveArenas reports how many VMs hold an arena reservation that
+// Close has not released.
+func LiveArenas() int64 { return liveArenas.Load() }
+
+// Close releases the VM's arena reservation; it is idempotent. Every
+// view into the heap (DataBytes, a posted transfer buffer) dies with
+// it, so a world closes its VMs only after every rank has reported: a
+// peer may still copy into or out of a posted buffer until then.
+func (v *VM) Close() {
+	h := v.Heap
+	if h.arena == nil {
+		return
+	}
+	releaseArena(h.arena, h.brk)
+	h.arena, h.mem = nil, nil
+	liveArenas.Add(-1)
+}
+
 func (v *VM) defineType(mt *MethodTable) *MethodTable {
 	mt.Index = len(v.types)
 	v.types = append(v.types, mt)

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -143,7 +144,8 @@ type Config struct {
 	// table; VisitedLinear is the paper's list, which Fig. 10 measures).
 	Visited VisitedMode
 	// YoungSize / ArenaMax size each rank's heap (defaults 1 MiB /
-	// 256 MiB).
+	// 256 MiB). ArenaMax is address space reserved once per rank, not
+	// memory: a page is committed when the heap first touches it.
 	YoungSize uint32
 	ArenaMax  uint32
 	// GCWorkers selects each rank's collector policy and mark
@@ -356,14 +358,16 @@ func Run(cfg Config, body func(r *Rank) error) error {
 		return err
 	}
 	errc := make(chan error, cfg.Ranks)
-	for _, w := range worlds {
-		go func(w *mp.World) {
+	vms := make([]*vm.VM, cfg.Ranks)
+	for i, w := range worlds {
+		go func(i int, w *mp.World) {
 			// The rank reports only after its teardown: until then its
 			// progress engine still emits trace events, and the trace
 			// is exported once every rank has reported.
 			errc <- func() error {
 				defer w.Close()
 				r := newRank(w, cfg)
+				vms[i] = r.vm
 				// Live /metrics sees every rank: the registry suffixes
 				// same-named groups (engine#1, ...) per rank.
 				r.engine.RegisterStats(reg)
@@ -375,13 +379,18 @@ func Run(cfg Config, body func(r *Rank) error) error {
 				defer r.thread.End()
 				return body(r)
 			}()
-		}(w)
+		}(i, w)
 	}
 	var first error
 	for i := 0; i < cfg.Ranks; i++ {
 		if err := <-errc; err != nil && first == nil {
 			first = err
 		}
+	}
+	// Every rank has reported: no peer can still copy into or out of a
+	// posted buffer, so the arenas can go.
+	for _, v := range vms {
+		v.Close()
 	}
 	if tracer != nil {
 		obs.Stop(tracer)
@@ -430,8 +439,20 @@ func newRank(w *mp.World, cfg Config) *Rank {
 // A child's error is the child's to handle — report it to a parent
 // through the merged communicator, as separate OS processes would.
 func (r *Rank) Spawn(n int, childBody func(child *Rank, merged CommID) error) (CommID, error) {
+	var mu sync.Mutex
+	var done []*vm.VM
 	merged, err := r.world.Spawn(n, func(cw *mp.World, mc *mp.Comm) error {
 		child := newRank(cw, r.cfg)
+		defer func() {
+			// The last child to report closes every child's arena.
+			mu.Lock()
+			defer mu.Unlock()
+			if done = append(done, child.vm); len(done) == n {
+				for _, v := range done {
+					v.Close()
+				}
+			}
+		}()
 		defer child.engine.Close()
 		defer child.thread.End()
 		mid := child.engine.RegisterComm(mc)
@@ -503,6 +524,7 @@ func Join(cfg Config, rootAddr string, rank, size int) (*Rank, func() error, err
 		r.thread.End()
 		r.engine.Close()
 		err := w.Close()
+		r.vm.Close()
 		if sess.telemetry != nil {
 			telemetryAddr.Store("")
 		}

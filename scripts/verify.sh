@@ -32,8 +32,9 @@
 #                     merge round-trip through cmd/mtrace.
 #   gc tier:          the collector gate (docs/GC.md) — the parity
 #                     suite checking both policies against the
-#                     reference model and the cond-pin race regression
-#                     under -race, and a bounded heap-ops fuzz smoke.
+#                     reference model, the cond-pin race regression and
+#                     the fixed-arena growth test under -race, and a
+#                     bounded heap-ops fuzz smoke.
 #
 # Usage: scripts/verify.sh [quick|race|stress|all|bench|vet|lint|quicken|obs|gc]
 #   quick   tier 1 with -short (chaos sweeps skipped; < ~30s), the
@@ -293,9 +294,9 @@ tier_obs() {
 # collection (short minimize budget so the smoke stays bounded). Pause
 # times are guarded by the benchmark's gc-churn workload.
 tier_gc() {
-	echo "== gc: model parity + cond-pin race regression (-race)"
+	echo "== gc: model parity + cond-pin race regression + fixed arena (-race)"
 	GORACE=halt_on_error=1 go test -race -timeout 600s -count=1 \
-		-run 'TestGCDifferentialParity|TestStressCondPinMidMarkResolution|TestDonationSubHeaderTail' \
+		-run 'TestGCDifferentialParity|TestStressCondPinMidMarkResolution|TestDonationSubHeaderTail|TestArenaNeverMoves' \
 		./internal/vm/
 	echo "== gc: heap-ops fuzz smoke"
 	go test -count=1 -run FuzzHeapOps -fuzz FuzzHeapOps \
