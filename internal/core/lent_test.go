@@ -1,29 +1,31 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
 	"motor/internal/mp"
+	"motor/internal/mp/adi"
 	"motor/internal/vm"
 )
 
 // A rendezvous send on shm lends its source array to the receiver:
-// the DATA frame references the sender's arena, and the receiver
-// copies it out only when it next polls. These tests hold that window
-// open across every kind of collection the sender can run.
+// its one RTS frame references the sender's arena, and the receiver
+// copies it out only when a receive matches it. These tests hold that
+// window open across every kind of collection the sender can run.
 
 const lentElems = 32 << 10 // 128 KiB of int32: rendezvous at the default eager limit
 
 func lentPattern(i, salt int) int32 { return int32(uint32(i)*2654435761 + uint32(salt)) }
 
 // TestStressLentSourceUnderCollection posts a 128 KiB send from a young
-// or a promoted elder array, lets the receiver's CTS arrive so the DATA
-// is lent, and then makes the sender scavenge, collect fully, compact
-// and (in the grow cases) grow its arena before the receiver copies
-// out. After every step both heaps pass CheckInvariants and the source
+// or a promoted elder array, whose RTS lends it from Isend on. The
+// receiver lets the RTS park unexpected and posts no receive while the
+// sender scavenges, collects fully, compacts and (in the grow cases)
+// grows its arena; only then does its Irecv match and copy out. After every step both heaps pass CheckInvariants and the source
 // is bit-exact and in place; an arena-growing allocation must leave the
 // source's bytes at the same address, and the received payload must be
 // intact too. The source shares the arena the copy-out reads, so the
@@ -61,7 +63,7 @@ func lentUnderCollection(t *testing.T, workers int, elder, grow bool) {
 	const tag = 5
 	hc := vm.HeapConfig{YoungSize: 512 << 10, InitialElder: 2 << 20, ArenaMax: 64 << 20, GCWorkers: workers}
 	var heaps [2]*vm.Heap
-	cts, copyOut, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	parked, copyOut, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	check := func(step string) error {
 		for i, h := range heaps {
 			if err := h.CheckInvariants(); err != nil {
@@ -79,8 +81,8 @@ func lentUnderCollection(t *testing.T, workers int, elder, grow bool) {
 				return err
 			}
 			defer r.th.VM().Protect(&dst)()
-			// Match the RTS off the unexpected queue: Irecv sends the CTS
-			// at once and this rank polls no further until copyOut.
+			// Park the lent RTS on the unexpected queue and post nothing
+			// until copyOut: Irecv then matches it and copies it out.
 			for {
 				ok, _, err := r.e.Comm.Iprobe(0, tag)
 				if err != nil {
@@ -90,12 +92,12 @@ func lentUnderCollection(t *testing.T, workers int, elder, grow bool) {
 					break
 				}
 			}
+			parked <- struct{}{}
+			<-copyOut
 			id, err := r.e.Irecv(r.th, dst, 0, tag)
 			if err != nil {
 				return err
 			}
-			cts <- struct{}{}
-			<-copyOut
 			if _, err := r.e.Wait(r.th, id); err != nil {
 				return err
 			}
@@ -135,12 +137,10 @@ func lentUnderCollection(t *testing.T, workers int, elder, grow bool) {
 		if err != nil {
 			return err
 		}
-		<-cts
+		<-parked
 		dev := r.e.World.Dev
-		for dev.StatsSnapshot().BytesSent < 4*lentElems { // the CTS turns into lent DATA
-			if _, err := dev.Progress(); err != nil {
-				return err
-			}
+		if dev.StatsSnapshot().BytesSent < 4*lentElems {
+			return fmt.Errorf("the RTS did not lend the source")
 		}
 		type step struct {
 			name string
@@ -187,8 +187,8 @@ func lentUnderCollection(t *testing.T, workers int, elder, grow bool) {
 				return fmt.Errorf("after %s: the lent send completed early", s.name)
 			}
 		}
-		// The copy-out now runs on rank 1 while this rank waits and then
-		// reuses the source at once.
+		// The copy-out now runs in rank 1's Irecv while this rank waits
+		// and then reuses the source at once.
 		close(copyOut)
 		if _, err := r.e.Wait(r.th, id); err != nil {
 			return err
@@ -206,7 +206,126 @@ func lentUnderCollection(t *testing.T, workers int, elder, grow bool) {
 	})
 }
 
-// TestStressSharedCopyOut: a lent DATA frame is copied out in two
+// TestStressCancelRacesLentClaim: rank 0 cancels a lent 128 KiB send
+// whose RTS waits unexpected at rank 1 while rank 1's Irecv claims it.
+// Exactly one wins: either the payload lands and the send succeeds, or
+// the send is cancelled and the receive matches the next message, a
+// second send of other contents. Rounds put the cancel first, the
+// receive first, or race them from one signal, so both outcomes occur.
+// Afterwards both ranks' pins balance and nothing is outstanding.
+func TestStressCancelRacesLentClaim(t *testing.T) {
+	const tag, rounds = 9, 24
+	hc := vm.HeapConfig{YoungSize: 512 << 10, InitialElder: 2 << 20, ArenaMax: 64 << 20, GCWorkers: 2}
+	type step struct{ parked, first, start chan struct{} }
+	steps := make([]step, rounds)
+	for i := range steps {
+		steps[i] = step{make(chan struct{}), make(chan struct{}), make(chan struct{})}
+	}
+	var cancelled, gotNext [rounds]bool
+	runRanksHeap(t, 2, hc, nil, func(r *rank) error {
+		h := r.v.Heap
+		buf, err := h.AllocArray(r.v.ArrayType(vm.KindInt32, nil, 1), lentElems)
+		if err != nil {
+			return err
+		}
+		defer r.th.VM().Protect(&buf)()
+		fill := func(salt int) {
+			for i := 0; i < lentElems; i++ {
+				h.SetElem(buf, i, uint64(uint32(lentPattern(i, salt))))
+			}
+		}
+		holds := func(salt int) bool {
+			for i, v := range h.Int32Slice(buf) {
+				if v != lentPattern(i, salt) {
+					return false
+				}
+			}
+			return true
+		}
+		for round, s := range steps {
+			order := round % 3 // 0: cancel first, 1: receive first, 2: race
+			if r.e.Comm.Rank() == 0 {
+				fill(2 * round)
+				id, err := r.e.Isend(r.th, buf, 1, tag)
+				if err != nil {
+					return err
+				}
+				<-s.parked
+				switch order {
+				case 1:
+					<-s.first
+				case 2:
+					<-s.start
+				}
+				if err := r.e.requests[id].req.Cancel(); err != nil {
+					return err
+				}
+				if order == 0 {
+					close(s.first)
+				}
+				_, err = r.e.Wait(r.th, id)
+				if cancelled[round] = errors.Is(err, adi.ErrCancelled); err != nil && !cancelled[round] {
+					return fmt.Errorf("round %d: send: %w", round, err)
+				}
+				fill(2*round + 1)
+				if err := r.e.Send(r.th, buf, 1, tag); err != nil {
+					return fmt.Errorf("round %d: next send: %w", round, err)
+				}
+				continue
+			}
+			for ok := false; !ok; {
+				if ok, _, err = r.e.Comm.Iprobe(0, tag); err != nil {
+					return err
+				}
+			}
+			close(s.parked)
+			switch order {
+			case 0:
+				<-s.first
+			case 2:
+				close(s.start)
+			}
+			id, err := r.e.Irecv(r.th, buf, 0, tag)
+			if err != nil {
+				return err
+			}
+			if order == 1 {
+				close(s.first)
+			}
+			if _, err := r.e.Wait(r.th, id); err != nil {
+				return fmt.Errorf("round %d: receive: %w", round, err)
+			}
+			if gotNext[round] = holds(2*round + 1); !gotNext[round] {
+				if !holds(2 * round) {
+					return fmt.Errorf("round %d: received neither message intact", round)
+				}
+				if _, err := r.e.Recv(r.th, buf, 0, tag); err != nil {
+					return err
+				}
+				if !holds(2*round + 1) {
+					return fmt.Errorf("round %d: the next message is corrupt", round)
+				}
+			}
+		}
+		return balanced(r)
+	})
+	won := 0
+	for round := range steps {
+		if cancelled[round] != gotNext[round] {
+			t.Fatalf("round %d: send cancelled %v, but the receive got the next message %v",
+				round, cancelled[round], gotNext[round])
+		}
+		if cancelled[round] {
+			won++
+		}
+	}
+	if won == 0 || won == rounds {
+		t.Fatalf("the cancel won %d of %d rounds: one outcome never occurred", won, rounds)
+	}
+	t.Logf("the cancel won %d of %d rounds", won, rounds)
+}
+
+// TestStressSharedCopyOut: a lent RTS frame is copied out in two
 // halves, one by the receiver's poll and one by the sender's own wait
 // (channel.Loan.Help), which writes into the receiver's heap. Blocking
 // 128 KiB ping-pong, crossing Sendrecv (each rank is a receiver and a

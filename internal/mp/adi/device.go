@@ -93,10 +93,11 @@ type Request struct {
 
 	sync bool // synchronous send: complete only when matched
 
-	// loan is set (device lock) once a rendezvous send's DATA is lent:
-	// the frame references buf, the send completes when the peer has
-	// copied it out and cannot be cancelled until then, and its waits
-	// help with that copy (progressFor).
+	// loan is set (device lock) when a rendezvous send's RTS lends buf
+	// (shm): the send completes when the receive that matches it has
+	// copied buf out, it can be cancelled only until a receiver claims
+	// the loan (CancelReq), and its waits help with that copy
+	// (progressFor).
 	loan *channel.Loan
 
 	// state is written last on every completion path (an atomic
@@ -123,7 +124,7 @@ type Request struct {
 	traceStart  int64
 
 	// edgeSeq remembers the correlation sequence stamped on this
-	// send's RTS so the eventual DATA packet carries the same id (the
+	// send's RTS so a sock DATA packet carries the same id (the
 	// receiver records its edge:recv when the payload lands, not when
 	// the announcement arrives).
 	edgeSeq uint32
@@ -151,7 +152,8 @@ func (r *Request) Peer() int { return r.peer }
 // unexpected holds an arrived-but-unmatched message.
 type unexpected struct {
 	hdr     channel.Header
-	payload []byte // eager payload copy; nil for RTS
+	payload []byte        // eager payload copy; nil for RTS
+	loan    *channel.Loan // a lent RTS's payload (shm); nil otherwise
 }
 
 // DeviceStats counts protocol activity; the Motor pinning-policy
@@ -174,8 +176,8 @@ type DeviceStats struct {
 	PeersLost       uint64
 	// Cancelled counts requests abandoned via CancelReq.
 	Cancelled uint64
-	// HalvesHelped counts halves of lent rendezvous DATA this rank's
-	// waits copied into the receiver's buffer (channel.Loan.Help).
+	// HalvesHelped counts halves of lent rendezvous payloads this
+	// rank's waits copied into the receiver's buffer (channel.Loan.Help).
 	HalvesHelped uint64
 }
 
@@ -253,8 +255,9 @@ type Device struct {
 }
 
 // DefaultEagerMax is the eager/rendezvous switchover. Messages at or
-// below this size are sent eagerly; larger ones use RTS/CTS
-// rendezvous and land zero-copy in the posted buffer.
+// below this size are sent eagerly; larger ones use rendezvous (one
+// lent RTS on shm, RTS/CTS/DATA on sock) and land in the posted buffer
+// without an intermediate copy.
 const DefaultEagerMax = 64 << 10
 
 // NewDevice wraps a channel endpoint.
@@ -457,16 +460,24 @@ func (d *Device) isendLocked(buf Buffer, dest, tag int, ctx int32, sync bool) (*
 		d.complete(req)
 		return req, nil
 	}
-	// Rendezvous: announce, wait for clear-to-send. The RTS carries
-	// no payload (the channel forces Size to the wire length, 0), so
-	// the pending transfer size is advertised in ReqB.
+	// Rendezvous: announce, advertising the transfer size in ReqB. On
+	// shm the RTS lends buf: the receive that matches it copies buf
+	// straight into its own buffer and then completes req (lentDone).
+	// On sock it carries no payload and waits for clear-to-send.
 	hdr := channel.Header{
 		Type: channel.PktRTS, Source: int32(d.rank),
 		Tag: int32(tag), Context: ctx, ReqA: req.id, ReqB: uint64(size),
 	}
 	d.stampEdge(&hdr, dest, size)
 	req.edgeSeq = hdr.Seq
-	if err := d.sendHeaderOnly(dest, hdr); err != nil {
+	if l, ok := d.ch.(channel.Lender); ok {
+		loan := channel.NewLoan(buf, func() { d.lentDone(req) })
+		if err := l.Lend(dest, hdr, loan); err != nil {
+			return nil, d.transportErr(err)
+		}
+		req.loan = loan
+		d.Stats.BytesSent += uint64(size)
+	} else if err := d.sendHeaderOnly(dest, hdr); err != nil {
 		return nil, d.transportErr(err)
 	}
 	d.Stats.RndvSent++
@@ -600,22 +611,25 @@ func (d *Device) irecvLocked(buf Buffer, source, tag int, ctx int32) (*Request, 
 		return nil, fmt.Errorf("%w: source %d of %d", ErrRank, source, d.Size())
 	}
 	req := d.newRequest(reqRecv, buf, source, tag, ctx)
-	for i := range d.unexp {
-		u := &d.unexp[i]
+	for i := 0; i < len(d.unexp); i++ {
+		u := d.unexp[i]
 		if !matches(req, u.hdr) {
 			continue
 		}
-		hdr := u.hdr
-		payload := u.payload
 		d.unexp = append(d.unexp[:i], d.unexp[i+1:]...)
-		switch hdr.Type {
-		case channel.PktEager:
-			d.completeEagerRecv(req, hdr, payload)
-			if len(d.spare) < maxSpare && cap(payload) <= d.eagerMax {
-				d.spare = append(d.spare, payload)
+		switch {
+		case u.loan != nil:
+			if !d.takeLoan(req, u.hdr, u.loan) {
+				i-- // its send was cancelled: dropped, the next may match
+				continue
 			}
-		case channel.PktRTS:
-			d.acceptRendezvous(req, hdr)
+		case u.hdr.Type == channel.PktEager:
+			d.completeEagerRecv(req, u.hdr, u.payload)
+			if len(d.spare) < maxSpare && cap(u.payload) <= d.eagerMax {
+				d.spare = append(d.spare, u.payload)
+			}
+		default: // a sock RTS
+			d.acceptRendezvous(req, u.hdr)
 		}
 		return req, nil
 	}
@@ -661,8 +675,33 @@ func (d *Device) completeEagerRecv(req *Request, hdr channel.Header, payload []b
 	d.Stats.BytesRecvd += uint64(n)
 }
 
-// acceptRendezvous answers a matched RTS with a CTS; the DATA packet
-// will be steered directly into req's buffer.
+// takeLoan copies a lent RTS's payload into req's buffer, as much as
+// fits, and completes req. The sender's release joins the completion
+// continuations after req's own, so lentDone runs once this device's
+// lock is dropped and never under two device locks. It reports false,
+// leaving req untouched, if the send was cancelled first (its loan
+// revoked).
+func (d *Device) takeLoan(req *Request, rts channel.Header, loan *channel.Loan) bool {
+	release := loan.CopyOut(req.buf)
+	if release == nil {
+		return false
+	}
+	size, n := int(rts.ReqB), min(int(rts.ReqB), len(req.buf))
+	if size > n {
+		req.err = fmt.Errorf("%w: rendezvous %d bytes into %d-byte buffer", ErrTruncate, size, n)
+	}
+	req.status = Status{Source: int(rts.Source), Tag: int(rts.Tag), Count: n}
+	d.Stats.DataRecvd++
+	d.Stats.BytesRecvd += uint64(n)
+	d.noteEdgeRecv(rts)
+	delete(d.active, req.id)
+	d.complete(req)
+	d.cbq = append(d.cbq, release)
+	return true
+}
+
+// acceptRendezvous answers a matched sock RTS with a CTS; the DATA
+// packet will be steered directly into req's buffer.
 func (d *Device) acceptRendezvous(req *Request, rts channel.Header) {
 	size := int(rts.ReqB) // advertised transfer size
 	if size > len(req.buf) {
@@ -710,21 +749,22 @@ func (d *Device) matchPosted(hdr channel.Header) *Request {
 // CancelReq abandons an incomplete request: a posted receive is
 // removed from the match list and any request is marked complete with
 // ErrCancelled. Collective error paths use this so a failing
-// operation never leaves buffers registered in the device. Cancelling
-// a rendezvous send whose CTS later arrives is safe for this device
-// (the CTS is dropped), but the peer's posted receive then depends on
-// its own failure handling — cancellation is strictly a
-// teardown-path tool (and a receive cancelled after its CTS leaves the
-// peer's lent send waiting for this rank to poll its DATA). A lent
-// send is not cancelled: the peer may be reading its buffer, so it
-// completes normally at the peer's copy-out. Completed requests are
-// left untouched, and so are recycled ones.
+// operation never leaves buffers registered in the device. A lent send
+// (shm) is cancelled only while no receive has claimed its loan: the
+// revoked RTS is then dropped wherever the peer finds it, and a
+// receive matches the next message. Once claimed, the peer is reading
+// its buffer, so it completes normally at the copy-out. Cancelling a
+// sock rendezvous send whose CTS later arrives is safe for this device
+// (the CTS is dropped), but its RTS stays matchable at the peer, whose
+// receive then depends on its own failure handling — cancellation is
+// strictly a teardown-path tool. Completed requests are left
+// untouched, and so are recycled ones.
 func (d *Device) CancelReq(req *Request) {
 	if req == nil {
 		return
 	}
 	d.mu.Lock()
-	if reqState(req.state.Load()) != stActive || req.loan != nil {
+	if reqState(req.state.Load()) != stActive || req.loan != nil && !req.loan.Revoke() {
 		d.mu.Unlock()
 		return
 	}
@@ -902,8 +942,8 @@ func (d *Device) idle() {
 // once the lock is held: a peer completes a lent send under this lock
 // (lentDone) and may move on at once, and a later pass could take a
 // frame its next operation meant for someone else. A fruitless pass
-// over a lent send then copies the half of its DATA the receiver has
-// left for it, outside the lock (channel.Loan.Help).
+// over a lent send then copies the half of its payload the receiver
+// has left for it, outside the lock (channel.Loan.Help).
 func (d *Device) progressFor(req *Request) (progressed bool, err error) {
 	d.mu.Lock()
 	loan := req.loan
@@ -918,7 +958,7 @@ func (d *Device) progressFor(req *Request) (progressed bool, err error) {
 	return progressed, err
 }
 
-// noteHelped counts a half of lent DATA that a wait copied out.
+// noteHelped counts a half of a lent payload that a wait copied out.
 func (d *Device) noteHelped() {
 	d.mu.Lock()
 	d.Stats.HalvesHelped++
@@ -947,9 +987,14 @@ func (d *Device) Iprobe(source, tag int, ctx int32) (bool, Status, error) {
 		return false, Status{}, err
 	}
 	probe := &Request{peer: source, tag: tag, ctx: ctx}
-	for i := range d.unexp {
-		if matches(probe, d.unexp[i].hdr) {
-			h := d.unexp[i].hdr
+	for i := 0; i < len(d.unexp); i++ {
+		if u := d.unexp[i]; matches(probe, u.hdr) {
+			if u.loan != nil && u.loan.Revoked() { // its send was cancelled
+				d.unexp = append(d.unexp[:i], d.unexp[i+1:]...)
+				i--
+				continue
+			}
+			h := u.hdr
 			count := int(h.Size)
 			if h.Type == channel.PktRTS {
 				count = int(h.ReqB)
@@ -1014,7 +1059,7 @@ func (d *Device) PollCtrl(source, tag int, ctx int32) (bool, error) {
 
 // --- channel.Sink ---------------------------------------------------------------
 
-var _ channel.ReleaseSink = (*Device)(nil)
+var _ channel.LoanSink = (*Device)(nil)
 
 // Deliver implements channel.Sink: it chooses the destination buffer
 // for an incoming payload. Expected eager messages and rendezvous
@@ -1065,13 +1110,28 @@ func (d *Device) Deliver(hdr channel.Header) []byte {
 	}
 }
 
-// Release implements channel.ReleaseSink: a lent payload's release
-// joins the completion continuations, which run after this device's
-// lock is dropped, so lentDone never holds two device locks.
-func (d *Device) Release(release func()) { d.cbq = append(d.cbq, release) }
+// Borrow implements channel.LoanSink: a lent RTS. The first posted
+// receive it matches gets its payload copied straight in (takeLoan);
+// with none, it waits unexpected, loan and all, for irecvLocked. If
+// its send was cancelled first, it is dropped.
+func (d *Device) Borrow(rts channel.Header, loan *channel.Loan) {
+	d.Stats.Deliveries++
+	for i, req := range d.posted {
+		if matches(req, rts) {
+			if d.takeLoan(req, rts, loan) {
+				d.posted = append(d.posted[:i], d.posted[i+1:]...)
+			}
+			return
+		}
+	}
+	if !loan.Revoked() {
+		d.Stats.Unexpected++
+		d.unexp = append(d.unexp, unexpected{hdr: rts, loan: loan})
+	}
+}
 
-// lentDone completes a send whose DATA the peer has copied out. It
-// runs on the peer's goroutine, from the peer's Release queue.
+// lentDone completes a send whose lent payload the peer has copied
+// out. It runs on the peer's goroutine, from its completion queue.
 func (d *Device) lentDone(req *Request) {
 	d.mu.Lock()
 	delete(d.active, req.id)
@@ -1127,21 +1187,11 @@ func (d *Device) Done(hdr channel.Header) {
 			ReqA: req.id, ReqB: hdr.ReqB,
 			Seq: req.edgeSeq, // carry the RTS's correlation id to the payload
 		}
-		var err error
-		if l, ok := d.ch.(channel.Lender); ok {
-			// Single copy: the peer's poll copies buf straight into its
-			// posted buffer and then completes req (lentDone).
-			loan := channel.NewLoan(req.buf, func() { d.lentDone(req) })
-			if err = l.Lend(req.peer, data, loan); err == nil {
-				d.Stats.BytesSent += uint64(len(req.buf))
-				req.loan = loan
-				return
-			}
-		} else if err = d.ch.Send(req.peer, data, req.buf); err == nil {
-			d.Stats.BytesSent += uint64(len(req.buf))
-		}
+		err := d.ch.Send(req.peer, data, req.buf)
 		delete(d.active, req.id)
-		if err != nil {
+		if err == nil {
+			d.Stats.BytesSent += uint64(len(req.buf))
+		} else {
 			err = d.transportErr(err)
 		}
 		req.err = err

@@ -74,7 +74,7 @@ func TestRendezvousSendRecv(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sreq.Done() {
-		t.Error("rendezvous send completed before CTS")
+		t.Error("rendezvous send completed before its copy-out")
 	}
 	st := waitBoth(t, d1, d0, rreq)
 	waitBoth(t, d0, d1, sreq)
@@ -240,27 +240,40 @@ func TestEagerTruncation(t *testing.T) {
 	}
 }
 
+// TestRendezvousTruncation: a shorter receive buffer, posted before the
+// RTS arrives or after it waits unexpected, gets ErrTruncate, a Count
+// of its own length and an intact prefix; the send completes without
+// error.
 func TestRendezvousTruncation(t *testing.T) {
-	d0, d1 := devicePair(8)
-	msg := lentPayload(256)
-	buf := make([]byte, 100)
-	rreq, _ := d1.Irecv(SliceBuf(buf), 0, 1, 0)
-	sreq, _ := d0.Isend(SliceBuf(msg), 1, 1, 0, false)
-	for i := 0; i < 10000 && !(rreq.Done() && sreq.Done()); i++ {
-		d0.Progress()
-		d1.Progress()
-	}
-	if !rreq.Done() || !sreq.Done() {
-		t.Fatalf("recv done=%v, lent send done=%v", rreq.Done(), sreq.Done())
-	}
-	if !errors.Is(rreq.Err(), ErrTruncate) || sreq.Err() != nil {
-		t.Errorf("recv err %v, send err %v", rreq.Err(), sreq.Err())
-	}
-	if !bytes.Equal(buf, msg[:len(buf)]) || rreq.Status().Count != len(buf) {
-		t.Fatalf("prefix corrupt or miscounted (count %d)", rreq.Status().Count)
-	}
-	if d0.Outstanding() != 0 || d1.Outstanding() != 0 {
-		t.Fatalf("outstanding %d/%d", d0.Outstanding(), d1.Outstanding())
+	for _, posted := range []bool{true, false} {
+		d0, d1 := devicePair(8)
+		msg := lentPayload(256)
+		buf := make([]byte, 100)
+		var rreq *Request
+		if posted {
+			rreq, _ = d1.Irecv(SliceBuf(buf), 0, 1, 0)
+		}
+		sreq, _ := d0.Isend(SliceBuf(msg), 1, 1, 0, false)
+		if !posted {
+			progressUntil(t, d1, func() bool { return d1.StatsSnapshot().Unexpected == 1 })
+			rreq, _ = d1.Irecv(SliceBuf(buf), 0, 1, 0)
+		}
+		for i := 0; i < 10000 && !(rreq.Done() && sreq.Done()); i++ {
+			d0.Progress()
+			d1.Progress()
+		}
+		if !rreq.Done() || !sreq.Done() {
+			t.Fatalf("posted=%v: recv done=%v, lent send done=%v", posted, rreq.Done(), sreq.Done())
+		}
+		if !errors.Is(rreq.Err(), ErrTruncate) || sreq.Err() != nil {
+			t.Errorf("posted=%v: recv err %v, send err %v", posted, rreq.Err(), sreq.Err())
+		}
+		if !bytes.Equal(buf, msg[:len(buf)]) || rreq.Status().Count != len(buf) {
+			t.Fatalf("posted=%v: prefix corrupt or miscounted (count %d)", posted, rreq.Status().Count)
+		}
+		if d0.Outstanding() != 0 || d1.Outstanding() != 0 {
+			t.Fatalf("posted=%v: outstanding %d/%d", posted, d0.Outstanding(), d1.Outstanding())
+		}
 	}
 }
 

@@ -93,13 +93,15 @@ type Sink interface {
 	Done(hdr Header)
 }
 
-// ReleaseSink is a Sink that takes over lent payloads' release
-// callbacks (Lender): Poll hands it each after Done, and the sink runs
-// it once it has dropped any lock it polls under, since release takes
-// the lender's lock. Other sinks have release run by Poll after Done.
-type ReleaseSink interface {
+// LoanSink is a Sink that takes lent frames (Lender) whole: Poll hands
+// it each one with its loan instead of copying the payload out, and the
+// sink copies it (Loan.CopyOut) into the buffer it chooses, at once or
+// later, or drops it if the lender has revoked it. Other sinks get a
+// lent frame through Deliver and Done like any other, its release run
+// by Poll after Done.
+type LoanSink interface {
 	Sink
-	Release(release func())
+	Borrow(hdr Header, loan *Loan)
 }
 
 // Channel moves packets between the ranks of one process group.
@@ -133,30 +135,32 @@ type Channel interface {
 // to the loan's payload: the receiver copies it straight into the
 // buffer its sink chose, sharing that copy with the lender (Loan.Help),
 // then runs the loan's release on its own goroutine. Until then the
-// caller must not modify the payload; a packet still queued when the
-// receiver closes is never released.
+// caller must not modify the payload unless it revoked the loan; a
+// packet still queued when the receiver closes is never released.
 type Lender interface {
 	Lend(dest int, hdr Header, loan *Loan) error
 }
 
 // Loan is one lent payload and its copy-out, split in two halves so
-// that two cores pull cache lines at once. The receiver publishes its
-// destination and copies the first half; the second goes to whichever
-// of the receiver and a Help call claims it first. The receiver's
-// delivery returns only once both halves are written, so a helper
+// that two cores pull cache lines at once. The receiver claims the loan
+// and publishes its destination, then copies the first half; the
+// second goes to whichever of the receiver and a Help call claims it
+// first. CopyOut returns only once both halves are written, so a helper
 // writes into the destination only while the receiver is inside it.
+// Until a receiver claims it, the lender may revoke the loan instead.
 type Loan struct {
 	payload []byte
 	release func()
-	dst     []byte       // written by the receiver before it publishes
-	state   atomic.Int32 // loanQueued → loanOpen → [loanHelping →] loanClosed
+	dst     []byte       // written by the receiver before it claims
+	state   atomic.Int32 // loanQueued → loanOpen → [loanHelping →] loanClosed, or loanQueued → loanRevoked
 }
 
 const (
-	loanQueued  int32 = iota // the destination is not published yet
-	loanOpen                 // published; the second half is unclaimed
+	loanQueued  int32 = iota // no receiver has claimed the loan yet
+	loanOpen                 // claimed and published; the second half is unclaimed
 	loanHelping              // a helper is copying the second half
 	loanClosed               // the second half is the receiver's, or copied
+	loanRevoked              // the lender withdrew it before any claim
 )
 
 // loanSpins bounds how long the receiver spins on a helper's half
@@ -169,6 +173,14 @@ const loanSpins = 1 << 10
 func NewLoan(payload []byte, release func()) *Loan {
 	return &Loan{payload: payload, release: release}
 }
+
+// Revoke withdraws the loan if no receiver has claimed it, and reports
+// whether it did. A revoked loan is never read or released: the
+// receiver drops its frame wherever it finds it (Revoked).
+func (l *Loan) Revoke() bool { return l.state.CompareAndSwap(loanQueued, loanRevoked) }
+
+// Revoked reports whether the lender has withdrawn the loan.
+func (l *Loan) Revoked() bool { return l.state.Load() == loanRevoked }
 
 // Help copies the second half of the loan into the receiver's
 // destination if the receiver has published it and nobody has claimed
@@ -185,23 +197,30 @@ func (l *Loan) Help() bool {
 	return true
 }
 
-// copyOut is the receiver's side: publish dst (exactly len(payload)
-// bytes), copy the first half, then the second unless a helper has
-// claimed it, and return once a claiming helper has finished.
-func (l *Loan) copyOut(dst []byte) {
+// CopyOut is the receiver's side: claim the loan and publish dst, copy
+// the first half of the payload that fits in dst, then the second
+// unless a helper has claimed it, and return once a claiming helper has
+// finished. It returns the lender's release, which the caller runs once
+// after dropping any lock it holds, or nil, having written nothing, if
+// the lender revoked the loan first.
+func (l *Loan) CopyOut(dst []byte) (release func()) {
+	dst = dst[:min(len(dst), len(l.payload))]
 	l.dst = dst
-	l.state.Store(loanOpen)
+	if !l.state.CompareAndSwap(loanQueued, loanOpen) {
+		return nil
+	}
 	h := len(dst) / 2
 	copy(dst[:h], l.payload)
 	if l.state.CompareAndSwap(loanOpen, loanClosed) {
 		copy(dst[h:], l.payload[h:])
-		return
+		return l.release
 	}
 	for i := 0; l.state.Load() != loanClosed; i++ {
 		if i >= loanSpins {
 			runtime.Gosched()
 		}
 	}
+	return l.release
 }
 
 // Doorbell is implemented by channels whose frames can wake a rank

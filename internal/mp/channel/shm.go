@@ -13,10 +13,11 @@ import (
 // queue, the software analogue of MPICH2's shm channel queues. A sent
 // payload is copied into a pooled slab and out of it into the
 // sink-designated buffer on poll, without a per-frame allocation. A
-// lent payload (Lend: the device's rendezvous DATA) is not copied on
-// send: the frame references the sender's buffer, and the receiver's
-// poll copies it once, source buffer to destination buffer, half of it
-// on the lender's goroutine if the lender is waiting (Loan.Help).
+// lent payload (Lend: the device's rendezvous RTS) is not copied on
+// send: the frame references the sender's buffer, and the receiver
+// copies it once, source buffer to destination buffer, when a receive
+// matches it, half of it on the lender's goroutine if the lender is
+// waiting (Loan.Help).
 
 // shmFrame is one queued packet. A sent payload lives in slab (nil
 // when empty), whose first hdr.Size bytes are the copy; a lent one is
@@ -54,23 +55,26 @@ func copyToSlab(payload []byte) *[]byte {
 // deliver hands one frame to the sink, then recycles its slab or
 // releases its lent payload. Both happen only after the copy-out: the
 // sink never keeps a reference to either, so the next sender may
-// overwrite the slab, and the lender its buffer, at once.
+// overwrite the slab, and the lender its buffer, at once. A LoanSink
+// takes a lent frame whole and copies it out itself.
 func (f shmFrame) deliver(sink Sink) {
-	dst := sink.Deliver(f.hdr)
 	if f.loan != nil {
-		f.loan.copyOut(dst)
+		if ls, ok := sink.(LoanSink); ok {
+			ls.Borrow(f.hdr, f.loan)
+			return
+		}
+	}
+	dst := sink.Deliver(f.hdr)
+	var release func()
+	if f.loan != nil {
+		release = f.loan.CopyOut(dst)
 	} else if f.slab != nil {
 		copy(dst, (*f.slab)[:f.hdr.Size])
 		slabs[slabClass(int(f.hdr.Size))].Put(f.slab)
 	}
 	sink.Done(f.hdr)
-	if f.loan == nil {
-		return
-	}
-	if rs, ok := sink.(ReleaseSink); ok {
-		rs.Release(f.loan.release)
-	} else {
-		f.loan.release()
+	if release != nil {
+		release()
 	}
 }
 

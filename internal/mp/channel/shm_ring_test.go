@@ -194,17 +194,22 @@ func TestShmSlabRecycling(t *testing.T) {
 	}
 }
 
-// releaseSink defers lent payloads' releases, as the device does.
-type releaseSink struct {
+// loanSink keeps lent frames whole, as the device does.
+type loanSink struct {
 	collectSink
-	released []func()
+	borrowed []Header
+	loans    []*Loan
 }
 
-func (s *releaseSink) Release(release func()) { s.released = append(s.released, release) }
+func (s *loanSink) Borrow(hdr Header, loan *Loan) {
+	s.borrowed, s.loans = append(s.borrowed, hdr), append(s.loans, loan)
+}
 
 // TestShmLend: a lent frame is copied once, from the lender's buffer
 // into the sink's, and released only after Done — by Poll for a plain
-// sink, by the sink itself for a ReleaseSink.
+// sink. A LoanSink gets the loan itself: Poll copies and releases
+// nothing, the sink's CopyOut copies as much as fits and hands back the
+// release, and a loan its lender revoked first is never read.
 func TestShmLend(t *testing.T) {
 	f := NewShmFabric(2)
 	a, b := f.Endpoint(0), f.Endpoint(1)
@@ -230,19 +235,41 @@ func TestShmLend(t *testing.T) {
 		t.Fatal("the sink kept a reference to the lent buffer")
 	}
 
-	rs := &releaseSink{}
-	if err := a.Lend(1, Header{Type: PktData}, NewLoan(want, func() { released++ })); err != nil {
+	ls := &loanSink{}
+	if err := a.Lend(1, Header{Type: PktRTS, ReqB: 7}, NewLoan(want, func() { released++ })); err != nil {
 		t.Fatal(err)
 	}
-	drain(t, b, rs, 1)
-	if released != 1 || len(rs.released) != 1 {
-		t.Fatalf("Poll ran the release itself (%d) or lost it (%d)", released-1, len(rs.released))
+	drain(t, b, ls, 1)
+	if released != 1 || len(ls.loans) != 1 || len(ls.hdrs) != 0 || ls.borrowed[0].ReqB != 7 {
+		t.Fatalf("Poll released (%d) or delivered (%d) the loan, or lost it (%d)",
+			released-1, len(ls.hdrs), len(ls.loans))
 	}
-	rs.released[0]()
-	if released != 2 || !bytes.Equal(rs.payloads[0], want) {
-		t.Fatal("deferred release or payload lost")
+	short := make([]byte, 1000) // a shorter buffer takes the prefix
+	release := ls.loans[0].CopyOut(short)
+	if release == nil || !bytes.Equal(short, want[:len(short)]) || released != 1 {
+		t.Fatal("CopyOut lost the prefix or released by itself")
 	}
-	if s := a.TransportStats(); s.FramesSent != 2 || s.BytesSent != 2*uint64(len(want)) {
+	release()
+	if released != 2 || ls.loans[0].Revoke() {
+		t.Fatal("release lost, or a claimed loan revoked")
+	}
+
+	revoked := NewLoan(want, func() { released++ })
+	if err := a.Lend(1, Header{Type: PktRTS}, revoked); err != nil {
+		t.Fatal(err)
+	}
+	if !revoked.Revoke() || !revoked.Revoked() {
+		t.Fatal("an unclaimed loan was not revoked")
+	}
+	drain(t, b, ls, 1)
+	dst := make([]byte, len(want))
+	if ls.loans[1].CopyOut(dst) != nil || ls.loans[1].Help() || !bytes.Equal(dst, make([]byte, len(want))) {
+		t.Fatal("a revoked loan was copied")
+	}
+	if released != 2 {
+		t.Fatal("a revoked loan was released")
+	}
+	if s := a.TransportStats(); s.FramesSent != 3 || s.BytesSent != 3*uint64(len(want)) {
 		t.Errorf("lender stats %+v", s)
 	}
 }

@@ -3,6 +3,7 @@ package mp
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -189,6 +190,75 @@ func TestStitchFourRanksWithStraggler(t *testing.T) {
 		if balance != 0 {
 			t.Fatalf("flow %s has unbalanced start/finish (%+d)", id, balance)
 		}
+	}
+}
+
+// TestStitchShmRendezvous: on shm a rendezvous message is one lent RTS
+// whose payload lands at the receive's copy-out, where the receiver
+// notes its edge:recv with the RTS's Seq. A traced 2-rank ping-pong of
+// 128 KiB messages must merge with no unmatched edge half and exactly
+// one flow per message, whether the RTS met a posted receive or parked.
+func TestStitchShmRendezvous(t *testing.T) {
+	if obs.Active() != nil {
+		t.Fatal("tracer already active at test start")
+	}
+	tr := obs.Start(obs.Options{Shards: 4, ShardSize: 1 << 16})
+	if tr == nil {
+		t.Fatal("obs.Start refused")
+	}
+	stopped := false
+	defer func() {
+		if !stopped {
+			obs.Stop(tr)
+		}
+	}()
+	const iters, size = 16, 128 << 10
+	var rndv [2]uint64
+	err := RunLocal(ChannelShm, 2, 0, func(w *World) error {
+		me, peer := w.Rank(), 1-w.Rank()
+		out, in := bytes.Repeat([]byte{byte(me + 1)}, size), make([]byte, size)
+		for i := 0; i < iters; i++ {
+			if me == 0 {
+				if err := w.Comm.Send(out, peer, 3); err != nil {
+					return err
+				}
+			}
+			if _, err := w.Comm.Recv(in, peer, 3); err != nil {
+				return err
+			}
+			if in[0] != byte(peer+1) || in[size-1] != byte(peer+1) {
+				return fmt.Errorf("rank %d: payload %d corrupt", me, i)
+			}
+			if me == 1 {
+				if err := w.Comm.Send(out, peer, 3); err != nil {
+					return err
+				}
+			}
+		}
+		rndv[me] = w.Dev.StatsSnapshot().RndvSent
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Stop(tr)
+	stopped = true
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("ring dropped %d events; enlarge the test tracer", tr.Dropped())
+	}
+	if rndv[0] != iters || rndv[1] != iters {
+		t.Fatalf("rendezvous sends %v, want %d each", rndv, iters)
+	}
+	m, err := obs.MergeTraces(splitTraceByPID(t, buf.Bytes(), 2)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Unmatched != 0 || m.Flows != 2*iters {
+		t.Fatalf("unmatched edge halves %d, flows %d; want 0 and %d", m.Unmatched, m.Flows, 2*iters)
 	}
 }
 

@@ -98,7 +98,7 @@ tier_stress() {
 	GORACE=halt_on_error=1 go test -race -timeout 600s \
 		-run 'Stress|Chaos|Progress|Snapshot' \
 		. ./internal/mp/ ./internal/core/ ./internal/vm/
-	echo "== stress: -race shm queue, payload slabs, lent DATA, sock channel, device"
+	echo "== stress: -race shm queue, payload slabs, lent RTS, sock channel, device"
 	GORACE=halt_on_error=1 go test -race -timeout 600s ./internal/mp/channel/ ./internal/mp/adi/
 }
 
@@ -324,6 +324,21 @@ smoke_lend() {
 	go test -run '^$' -bench '^BenchmarkShmLendPingPong$' -benchtime 1x ./internal/mp/channel/
 }
 
+# A shm rendezvous is one frame: the RTS lends its payload, with no
+# CTS back and no DATA forward. A 20-iteration 128 KiB ping-pong moves
+# 20 frames each way per rank (RTS, CTS, DATA read 60/60).
+smoke_rndv() {
+	echo "== smoke: one-frame shm rendezvous (mpstat wire frames)"
+	bin=$(mktemp /tmp/motor-mpstat.XXXXXX)
+	go build -o "$bin" ./cmd/mpstat
+	got=$("$bin" -np 2 -size 131072 -iters 20 | grep -c 'wire: frames(out/in)=20/20 ') || true
+	rm -f "$bin"
+	if [ "$got" != 2 ]; then
+		echo "verify: $got of 2 ranks read wire: frames(out/in)=20/20" >&2
+		exit 1
+	fi
+}
+
 # docs/COLLECTIVES.md's re-measurement recipe for a few iterations:
 # every rank's coll: line must count exactly the forced algorithms. At
 # 64 KiB auto-selection picks the large-message algorithms, so the
@@ -353,6 +368,7 @@ quick)
 	tier1 short
 	smoke_trace
 	smoke_lend
+	smoke_rndv
 	smoke_coll
 	;;
 race) tier2 ;;
