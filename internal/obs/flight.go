@@ -43,11 +43,13 @@ var flightRec atomic.Pointer[Tracer]
 func FlightRecorder() *Tracer { return flightRec.Load() }
 
 // StartFlight publishes a flight recorder as the process tracer if no
-// session is active. Returns nil when another session (full or
+// session is active; FlightDump writes its dumps into dumpDir (the OS
+// temp dir when empty). Returns nil when another session (full or
 // flight) already owns the process. The recorder starts always-armed;
 // call CycleFlight to switch it to duty-cycle arming.
-func StartFlight() *Tracer {
+func StartFlight(dumpDir string) *Tracer {
 	t := NewTracer(flightOptions)
+	t.dumpDir = dumpDir
 	if !flightRec.CompareAndSwap(nil, t) {
 		return nil
 	}
@@ -133,8 +135,8 @@ var lastDumpNS atomic.Int64
 const maxFlightDumps = 8
 
 // FlightDump writes the flight recorder's rings to a Chrome trace
-// file and returns its path. The directory is $MOTOR_FLIGHT_DIR,
-// falling back to the OS temp dir. Returns "" (no error) when no
+// file and returns its path, in the directory StartFlight was given
+// (the OS temp dir when empty). Returns "" (no error) when no
 // flight recorder is active (including while a full trace session has
 // displaced it — the user already owns that data), when the
 // per-process dump cap is reached, or within the 1s rate limit —
@@ -159,7 +161,7 @@ func FlightDump(reason string) (string, error) {
 	if n > maxFlightDumps {
 		return "", nil
 	}
-	dir := os.Getenv("MOTOR_FLIGHT_DIR")
+	dir := t.dumpDir
 	if dir == "" {
 		dir = os.TempDir()
 	}

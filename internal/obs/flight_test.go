@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -14,11 +15,11 @@ func TestFlightDisplacement(t *testing.T) {
 	if Active() != nil {
 		t.Fatal("tracer already active at test start")
 	}
-	f := StartFlight()
+	f := StartFlight("")
 	if f == nil || Active() != f || !f.Flight() {
 		t.Fatal("StartFlight did not publish a flight recorder")
 	}
-	if StartFlight() != nil {
+	if StartFlight("") != nil {
 		t.Fatal("second StartFlight should refuse while one is active")
 	}
 	full := Start(Options{Shards: 1})
@@ -45,7 +46,7 @@ func TestCycleFlight(t *testing.T) {
 	if Active() != nil || FlightRecorder() != nil {
 		t.Fatal("tracer already active at test start")
 	}
-	f := StartFlight()
+	f := StartFlight("")
 	if f == nil {
 		t.Fatal("StartFlight refused")
 	}
@@ -95,7 +96,7 @@ func TestFlightDump(t *testing.T) {
 	if Active() != nil {
 		t.Fatal("tracer already active at test start")
 	}
-	t.Setenv("MOTOR_FLIGHT_DIR", t.TempDir())
+	dir := t.TempDir()
 	lastDumpNS.Store(0)
 	flightDumps.Store(0)
 
@@ -104,7 +105,7 @@ func TestFlightDump(t *testing.T) {
 		t.Fatalf("dump without recorder = %q, %v", path, err)
 	}
 
-	f := StartFlight()
+	f := StartFlight(dir)
 	// A handful of edges for the dump to carry.
 	for i := 1; i <= 16; i++ {
 		f.Instant(0, KEdge, uint64(EdgeSend), PackCorr(0, 1, uint32(i)), 0, 8)
@@ -112,6 +113,9 @@ func TestFlightDump(t *testing.T) {
 	path, err := FlightDump("test reason!")
 	if err != nil || path == "" {
 		t.Fatalf("FlightDump = %q, %v", path, err)
+	}
+	if filepath.Dir(path) != dir {
+		t.Fatalf("dump %q is not in the recorder's directory %q", path, dir)
 	}
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -260,6 +260,10 @@ type Tracer struct {
 	flight bool
 
 	hists [HistCount]Histogram
+
+	// dumpDir is where FlightDump writes a flight recorder's dumps
+	// (StartFlight sets it before publishing; never written after).
+	dumpDir string
 }
 
 // Options configures a tracer.

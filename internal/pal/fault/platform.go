@@ -10,8 +10,8 @@ import (
 )
 
 // Platform wraps an inner pal.Platform and injects the plan's faults
-// into its dials, accepts, reads and writes. Clock, yield and
-// environment services pass through untouched.
+// into its dials, accepts, reads and writes. Clock and yield
+// pass through untouched.
 type Platform struct {
 	inner pal.Platform
 	inj   *injector
@@ -40,9 +40,6 @@ func (p *Platform) Ticks() int64 { return p.inner.Ticks() }
 
 // Yield implements pal.Platform.
 func (p *Platform) Yield() { p.inner.Yield() }
-
-// Getenv implements pal.Platform.
-func (p *Platform) Getenv(key string) string { return p.inner.Getenv(key) }
 
 // Listen implements pal.Platform; accepted connections are wrapped
 // with the injector.

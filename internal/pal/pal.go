@@ -8,22 +8,20 @@ package pal
 
 import (
 	"net"
-	"os"
 	"runtime"
 	"time"
 )
 
 // Platform virtualizes the host services Motor needs: a monotonic
-// clock, scheduling yield, environment access, and a socket factory
-// for the sock channel.
+// clock, scheduling yield, and a socket factory for the sock channel.
+// The environment is not among them: motor's Config.fill is its only
+// reader.
 type Platform interface {
 	// Ticks returns a monotonic timestamp in nanoseconds.
 	Ticks() int64
 	// Yield relinquishes the processor briefly (used inside
 	// polling-waits so a spinning progress loop stays polite).
 	Yield()
-	// Getenv reads a host environment variable.
-	Getenv(key string) string
 	// Listen opens a stream listener on the given address
 	// ("host:port", empty port picks a free one).
 	Listen(addr string) (net.Listener, error)
@@ -41,9 +39,6 @@ func (Host) Ticks() int64 { return int64(time.Since(start)) }
 
 // Yield implements Platform.
 func (Host) Yield() { runtime.Gosched() }
-
-// Getenv implements Platform.
-func (Host) Getenv(key string) string { return os.Getenv(key) }
 
 // Listen implements Platform over TCP.
 func (Host) Listen(addr string) (net.Listener, error) {

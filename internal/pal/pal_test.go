@@ -72,17 +72,6 @@ func TestListenDialRoundtrip(t *testing.T) {
 	}
 }
 
-func TestGetenv(t *testing.T) {
-	var p Host
-	t.Setenv("MOTOR_PAL_TEST", "value42")
-	if got := p.Getenv("MOTOR_PAL_TEST"); got != "value42" {
-		t.Errorf("getenv %q", got)
-	}
-	if got := p.Getenv("MOTOR_PAL_TEST_MISSING_XYZ"); got != "" {
-		t.Errorf("missing env %q", got)
-	}
-}
-
 func TestDefaultIsHost(t *testing.T) {
 	if _, ok := Default.(Host); !ok {
 		t.Errorf("Default platform is %T", Default)

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,125 +171,140 @@ type Config struct {
 	// Trace names a file to receive a Chrome trace_event JSON trace
 	// (about:tracing / Perfetto) of the whole run: op-lifecycle spans,
 	// pin decisions, ADI requests, channel frames, GC phases and
-	// collective steps. Empty disables tracing unless the MOTOR_TRACE
-	// environment variable names a file. See docs/OBSERVABILITY.md.
+	// collective steps. Empty disables tracing (MOTOR_TRACE fills it).
+	// See docs/OBSERVABILITY.md.
 	Trace string
 	// AsyncProgress runs a background progress engine per rank: posted
-	// operations complete while guest code computes, and multiple VM
-	// threads (Go) may share the rank. Off by default (inline polling
-	// only); the MOTOR_PROGRESS environment variable ("1"/"async"
-	// enables, "0"/"inline" disables) overrides an unset field. See
+	// operations complete while guest code computes, and sibling
+	// threads started by Rank.Go may share the rank. Off by default
+	// (inline polling only; MOTOR_PROGRESS fills it). See
 	// docs/PROGRESS.md.
 	AsyncProgress bool
 	// Telemetry, when set to a listen address (":9700", "127.0.0.1:0"),
 	// serves live observability over HTTP while the world runs:
 	// /metrics (the unified registry as OpenMetrics text, or JSON with
 	// ?format=json), /healthz (liveness plus in-flight waits), and the
-	// stock /debug/pprof handlers. Empty disables the endpoint unless
-	// the MOTOR_TELEMETRY environment variable names an address.
+	// stock /debug/pprof handlers. Empty disables the endpoint
+	// (MOTOR_TELEMETRY fills it).
 	Telemetry string
 	// WatchdogDeadline is the stall watchdog's threshold: a rank stuck
 	// in one polling-wait or collective longer than this is diagnosed
 	// on stderr (op, peer, device state, last GC, progress liveness)
-	// and the flight recorder is dumped. Zero means the default (60s,
-	// or the MOTOR_WATCHDOG environment variable: a Go duration, or
-	// "off"/"0" to disable); negative disables the watchdog.
+	// and the flight recorder is dumped. Zero means the default (60s;
+	// MOTOR_WATCHDOG fills it); negative disables the watchdog.
 	WatchdogDeadline time.Duration
 	// NoFlight disables the always-on flight recorder (a small
 	// duty-cycle-armed trace ring that runs even without Trace and is
-	// dumped on guest traps, transport failures and watchdog fires).
-	// MOTOR_FLIGHT=0 also disables it. A full Trace session displaces
-	// the flight recorder for its duration regardless.
+	// dumped on guest traps, transport failures and watchdog fires;
+	// MOTOR_FLIGHT fills it). A full Trace session displaces the
+	// flight recorder for its duration regardless.
 	NoFlight bool
 }
 
-func (c *Config) fill() {
+// fill applies the defaults, then lets each MOTOR_* environment
+// variable fill its field where the caller left the field unset: a
+// set field always wins. Outside the benchmark harness it is the only
+// reader of the environment. MOTOR_FLIGHT_DIR, the flight recorder's
+// dump directory (empty: the OS temp dir), has no field; fill returns it.
+func (c *Config) fill() (flightDir string) {
 	if c.Ranks == 0 {
 		c.Ranks = 2
 	}
 	if c.Channel == "" {
 		c.Channel = "shm"
 	}
-	if !c.AsyncProgress {
-		switch os.Getenv("MOTOR_PROGRESS") {
-		case "1", "async", "on":
-			c.AsyncProgress = true
-		}
+	oneOf := func(key string, vals ...string) bool { return slices.Contains(vals, os.Getenv(key)) }
+	c.AsyncProgress = c.AsyncProgress || oneOf("MOTOR_PROGRESS", "1", "async", "on")
+	if c.Trace == "" {
+		c.Trace = os.Getenv("MOTOR_TRACE")
 	}
 	if c.Telemetry == "" {
 		c.Telemetry = os.Getenv("MOTOR_TELEMETRY")
 	}
 	if c.WatchdogDeadline == 0 {
-		switch s := os.Getenv("MOTOR_WATCHDOG"); s {
-		case "":
-		case "0", "off", "no":
+		if oneOf("MOTOR_WATCHDOG", "0", "off", "no") {
 			c.WatchdogDeadline = -1
-		default:
-			if d, err := time.ParseDuration(s); err == nil && d > 0 {
-				c.WatchdogDeadline = d
-			}
+		} else if d, err := time.ParseDuration(os.Getenv("MOTOR_WATCHDOG")); err == nil && d > 0 {
+			c.WatchdogDeadline = d
 		}
 	}
-	if !c.NoFlight {
-		switch os.Getenv("MOTOR_FLIGHT") {
-		case "0", "off", "no":
-			c.NoFlight = true
+	c.NoFlight = c.NoFlight || oneOf("MOTOR_FLIGHT", "0", "off", "no")
+	return os.Getenv("MOTOR_FLIGHT_DIR")
+}
+
+// session is the observability one Run or Join holds for its
+// lifetime: the full trace it owns, if any, and the flight recorder,
+// stall watchdog and telemetry endpoint (serving every rank's stats
+// from reg) that close stops last-started first.
+type session struct {
+	reg       *obs.Registry
+	trace     *obs.Tracer
+	tracePath string
+	stops     []func()
+}
+
+// openSession starts what a filled cfg asks for. A failed open
+// leaves nothing running.
+func openSession(cfg *Config, flightDir string) (*session, error) {
+	s := &session{reg: new(obs.Registry), tracePath: cfg.Trace}
+	if cfg.Telemetry != "" {
+		t, err := obs.ServeTelemetry(cfg.Telemetry, s.reg)
+		if err != nil {
+			return nil, fmt.Errorf("motor: telemetry: %w", err)
 		}
+		addr := t.Addr()
+		telemetryAddr.Store(addr)
+		s.stops = append(s.stops, func() {
+			// Clear the address only while it is still this session's.
+			telemetryAddr.CompareAndSwap(addr, "")
+			_ = t.Close()
+		})
 	}
-}
-
-// obsSession is the per-Run (or per-Join) observability state: the
-// flight recorder (unless a full trace session owns the process), the
-// stall watchdog, and the telemetry endpoint.
-type obsSession struct {
-	flight     *obs.Tracer
-	flightStop func() // ends the recorder's duty-cycle arming
-	watchdog   *obs.Watchdog
-	telemetry  *obs.Telemetry
-}
-
-// startObs brings up the always-on observability for a filled config.
-// reg is registered with each rank's stats later; it may be shared.
-func startObs(cfg *Config, fullTrace bool, reg *obs.Registry) (*obsSession, error) {
-	s := &obsSession{}
-	if !fullTrace && !cfg.NoFlight {
-		if s.flight = obs.StartFlight(); s.flight != nil {
+	if cfg.Trace != "" {
+		// The first session to start a full trace owns it and exports;
+		// nested or concurrent sessions trace into the owner's.
+		s.trace = obs.Start(obs.Options{})
+	}
+	// One rule: a session that owns a full trace starts no flight
+	// recorder. Every other session asks, and StartFlight's own test
+	// refuses while another session's full trace or recorder holds the
+	// process; reading obs.Active here instead would race with it.
+	if s.trace == nil && !cfg.NoFlight {
+		if f := obs.StartFlight(flightDir); f != nil {
 			// Duty-cycle arming keeps the recorder inside the <5%
 			// always-on budget; out-of-window event sites pay the
 			// tracing-disabled cost.
-			s.flightStop = obs.CycleFlight(s.flight, 0, 0)
+			s.stops = append(s.stops, func() { obs.Stop(f) }, obs.CycleFlight(f, 0, 0))
 		}
 	}
 	if cfg.WatchdogDeadline >= 0 {
-		s.watchdog = obs.StartWatchdog(obs.WatchdogConfig{Deadline: cfg.WatchdogDeadline})
-	}
-	if cfg.Telemetry != "" {
-		t, err := obs.ServeTelemetry(cfg.Telemetry, reg)
-		if err != nil {
-			s.stop()
-			return nil, fmt.Errorf("motor: telemetry: %w", err)
-		}
-		s.telemetry = t
+		s.stops = append(s.stops, obs.StartWatchdog(obs.WatchdogConfig{Deadline: cfg.WatchdogDeadline}).Stop)
 	}
 	return s, nil
 }
 
-func (s *obsSession) stop() {
-	if s == nil {
-		return
+// close stops everything the session started and exports its trace,
+// also after a failed run. It returns err, or the export's error when
+// err is nil.
+func (s *session) close(err error) error {
+	for i := len(s.stops) - 1; i >= 0; i-- {
+		s.stops[i]()
 	}
-	if s.telemetry != nil {
-		_ = s.telemetry.Close()
+	if s.trace == nil {
+		return err
 	}
-	if s.watchdog != nil {
-		s.watchdog.Stop()
-	}
-	if s.flight != nil {
-		if s.flightStop != nil {
-			s.flightStop()
+	obs.Stop(s.trace)
+	f, werr := os.Create(s.tracePath)
+	if werr == nil {
+		werr = s.trace.WriteChromeTrace(f)
+		if cerr := f.Close(); werr == nil {
+			werr = cerr
 		}
-		obs.Stop(s.flight)
 	}
+	if werr != nil && err == nil {
+		err = fmt.Errorf("motor: trace: %w", werr)
+	}
+	return err
 }
 
 // telemetryAddr holds the bound address of the most recent live
@@ -296,8 +312,9 @@ func (s *obsSession) stop() {
 var telemetryAddr atomic.Value // string
 
 // TelemetryAddr returns the live telemetry endpoint's address from
-// the most recent Run or Join in this process, or "" when no endpoint
-// is up. Exposed for tests and embedders that print the URL.
+// the most recent Run or Join in this process, or "" once its session
+// has closed (also after a failed Run or Join). Exposed for tests and
+// embedders that print the URL.
 func TelemetryAddr() string {
 	s, _ := telemetryAddr.Load().(string)
 	return s
@@ -317,7 +334,7 @@ type Rank struct {
 // rank, each on its own goroutine, VM and managed thread. It returns
 // the first error.
 func Run(cfg Config, body func(r *Rank) error) error {
-	cfg.fill()
+	flightDir := cfg.fill()
 	var kind mp.ChannelKind
 	switch cfg.Channel {
 	case "shm":
@@ -327,35 +344,13 @@ func Run(cfg Config, body func(r *Rank) error) error {
 	default:
 		return fmt.Errorf("motor: unknown channel %q", cfg.Channel)
 	}
-	tracePath := cfg.Trace
-	if tracePath == "" {
-		tracePath = os.Getenv("MOTOR_TRACE")
-	}
-	var tracer *obs.Tracer
-	if tracePath != "" {
-		// The first Run to start a session owns it; nested/concurrent
-		// Runs trace into the owner's session and the owner exports.
-		tracer = obs.Start(obs.Options{})
-	}
-	reg := new(obs.Registry)
-	sess, err := startObs(&cfg, tracer != nil, reg)
+	s, err := openSession(&cfg, flightDir)
 	if err != nil {
-		if tracer != nil {
-			obs.Stop(tracer)
-		}
 		return err
-	}
-	defer sess.stop()
-	if sess.telemetry != nil {
-		telemetryAddr.Store(sess.telemetry.Addr())
-		defer telemetryAddr.Store("")
 	}
 	worlds, err := mp.NewLocalWorldsOn(kind, cfg.Ranks, cfg.EagerMax, cfg.Platform)
 	if err != nil {
-		if tracer != nil {
-			obs.Stop(tracer)
-		}
-		return err
+		return s.close(err)
 	}
 	errc := make(chan error, cfg.Ranks)
 	vms := make([]*vm.VM, cfg.Ranks)
@@ -370,7 +365,7 @@ func Run(cfg Config, body func(r *Rank) error) error {
 				vms[i] = r.vm
 				// Live /metrics sees every rank: the registry suffixes
 				// same-named groups (engine#1, ...) per rank.
-				r.engine.RegisterStats(reg)
+				r.engine.RegisterStats(s.reg)
 				// LIFO teardown: the main thread ends first (releasing the
 				// execution token), then the progress engine stops (its gated
 				// loop needs the token to finish a pass), then the world
@@ -392,26 +387,7 @@ func Run(cfg Config, body func(r *Rank) error) error {
 	for _, v := range vms {
 		v.Close()
 	}
-	if tracer != nil {
-		obs.Stop(tracer)
-		if err := writeTrace(tracePath, tracer); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-func writeTrace(path string, t *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("motor: trace: %w", err)
-	}
-	//lint:ignore motorlint/tracerguard t is the just-stopped tracer; the caller's `tracer != nil` guard dominates this cold shutdown path
-	if err := t.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return fmt.Errorf("motor: trace: %w", err)
-	}
-	return f.Close()
+	return s.close(first)
 }
 
 func newRank(w *mp.World, cfg Config) *Rank {
@@ -482,62 +458,27 @@ func Serve(addr string, n int) error {
 // It returns the rank plus a close function. This is the deployment
 // path of cmd/motor's -mode rank: one Motor VM per OS process,
 // connected over TCP — the paper's sock-channel configuration across
-// real process boundaries.
+// real process boundaries. Each process exports its own trace, the
+// layout cmd/mtrace stitches.
 func Join(cfg Config, rootAddr string, rank, size int) (*Rank, func() error, error) {
-	cfg.fill()
-	// Per-process tracing: each OS process of a sock world exports its
-	// own file (set a distinct -trace/MOTOR_TRACE per rank), which is
-	// exactly the per-rank input layout cmd/mtrace stitches back
-	// together. As in Run, the first Join to start a session owns it;
-	// in-process siblings trace into the owner's session.
-	tracePath := cfg.Trace
-	if tracePath == "" {
-		tracePath = os.Getenv("MOTOR_TRACE")
-	}
-	var tracer *obs.Tracer
-	if tracePath != "" {
-		tracer = obs.Start(obs.Options{})
-	}
-	reg := new(obs.Registry)
-	tr := obs.Active()
-	sess, err := startObs(&cfg, tr != nil && !tr.Flight(), reg)
+	flightDir := cfg.fill()
+	s, err := openSession(&cfg, flightDir)
 	if err != nil {
-		if tracer != nil {
-			obs.Stop(tracer)
-		}
 		return nil, nil, err
-	}
-	if sess.telemetry != nil {
-		telemetryAddr.Store(sess.telemetry.Addr())
 	}
 	w, err := mp.JoinWorld(rootAddr, rank, size, cfg.EagerMax)
 	if err != nil {
-		sess.stop()
-		if tracer != nil {
-			obs.Stop(tracer)
-		}
-		return nil, nil, err
+		return nil, nil, s.close(err)
 	}
 	r := newRank(w, cfg)
-	r.engine.RegisterStats(reg)
-	closer := func() error {
+	r.engine.RegisterStats(s.reg)
+	return r, func() error {
 		r.thread.End()
 		r.engine.Close()
 		err := w.Close()
 		r.vm.Close()
-		if sess.telemetry != nil {
-			telemetryAddr.Store("")
-		}
-		sess.stop()
-		if tracer != nil {
-			obs.Stop(tracer)
-			if werr := writeTrace(tracePath, tracer); werr != nil && err == nil {
-				err = werr
-			}
-		}
-		return err
-	}
-	return r, closer, nil
+		return s.close(err)
+	}, nil
 }
 
 // ID returns this rank's index in the world.
@@ -963,23 +904,26 @@ func (r *Rank) TransportStats() (channel.TransportStats, bool) {
 	return channel.TransportStats{}, false
 }
 
-// Go runs body on a new managed thread of this rank's VM, sharing
-// the rank's communicators and heap, and returns a join function that
-// blocks until body finishes and reports its error. Requires
+// Go runs body on a new managed thread of this rank's VM and returns
+// a join function that blocks until body finishes and reports its
+// error. The *Rank body receives is bound to that thread and shares
+// everything else with r — VM, heap, engine, communicators, world and
+// config — so every Rank method works from the worker. Requires
 // Config.AsyncProgress: the device and engine are then safe for
 // concurrent use from multiple threads. Every spawned thread must be
 // joined before the rank's body returns. Collectives remain
 // MPI-semantics: at most one collective per communicator at a time
 // across all of a rank's threads.
-func (r *Rank) Go(name string, body func(rt *RankThread) error) (join func() error) {
+func (r *Rank) Go(name string, body func(*Rank) error) (join func() error) {
 	if name == "" {
 		name = "worker"
 	}
 	errc := make(chan error, 1)
 	go func() {
-		t := r.vm.StartThread(name)
-		defer t.End()
-		errc <- body(&RankThread{rank: r, thread: t})
+		w := *r
+		w.thread = r.vm.StartThread(name)
+		defer w.thread.End()
+		errc <- body(&w)
 	}()
 	return func() error {
 		var err error
@@ -987,93 +931,6 @@ func (r *Rank) Go(name string, body func(rt *RankThread) error) (join func() err
 		// worker (and the progress engine) can run.
 		r.thread.Park(func() { err = <-errc })
 		return err
-	}
-}
-
-// RankThread is a sibling managed thread created by Rank.Go: the same
-// rank (same VM, heap, communicators, world rank) on its own managed
-// thread, so its operations interleave safely with the parent's.
-type RankThread struct {
-	rank   *Rank
-	thread *vm.Thread
-}
-
-// ID returns the world rank (shared with the parent Rank).
-func (rt *RankThread) ID() int { return rt.rank.ID() }
-
-// Size returns the world size.
-func (rt *RankThread) Size() int { return rt.rank.Size() }
-
-// Thread exposes the worker's managed thread.
-func (rt *RankThread) Thread() *vm.Thread { return rt.thread }
-
-// Protect registers Go-held refs as GC roots (see Rank.Protect).
-func (rt *RankThread) Protect(refs ...*Ref) (release func()) {
-	return rt.rank.vm.Protect(refs...)
-}
-
-// NewInt32Array allocates and fills an int32 array on the shared heap.
-func (rt *RankThread) NewInt32Array(vals []int32) (Ref, error) {
-	return rt.rank.vm.Heap.NewInt32Array(vals)
-}
-
-// NewUint8Array allocates and fills a byte array on the shared heap.
-func (rt *RankThread) NewUint8Array(vals []byte) (Ref, error) {
-	return rt.rank.vm.Heap.NewUint8Array(vals)
-}
-
-// Int32s copies out an int32 array.
-func (rt *RankThread) Int32s(ref Ref) []int32 { return rt.rank.vm.Heap.Int32Slice(ref) }
-
-// Uint8s copies out a byte array.
-func (rt *RankThread) Uint8s(ref Ref) []byte { return rt.rank.vm.Heap.Uint8Slice(ref) }
-
-// Send transports a whole object from this worker thread (blocking).
-func (rt *RankThread) Send(obj Ref, dest, tag int) error {
-	return rt.rank.engine.Send(rt.thread, obj, dest, tag)
-}
-
-// Recv receives into a whole object on this worker thread (blocking).
-func (rt *RankThread) Recv(obj Ref, source, tag int) (Status, error) {
-	return rt.rank.engine.Recv(rt.thread, obj, source, tag)
-}
-
-// Isend starts an immediate send on this worker thread.
-func (rt *RankThread) Isend(obj Ref, dest, tag int) (int32, error) {
-	return rt.rank.engine.Isend(rt.thread, obj, dest, tag)
-}
-
-// Irecv starts an immediate receive on this worker thread.
-func (rt *RankThread) Irecv(obj Ref, source, tag int) (int32, error) {
-	return rt.rank.engine.Irecv(rt.thread, obj, source, tag)
-}
-
-// Wait blocks this worker thread until the request completes.
-func (rt *RankThread) Wait(req int32) (Status, error) {
-	return rt.rank.engine.Wait(rt.thread, req)
-}
-
-// Test polls the request once from this worker thread.
-func (rt *RankThread) Test(req int32) (bool, Status, error) {
-	return rt.rank.engine.Test(rt.thread, req)
-}
-
-// OSend transports an object tree from this worker thread.
-func (rt *RankThread) OSend(obj Ref, dest, tag int) error {
-	return rt.rank.engine.OSend(rt.thread, obj, dest, tag)
-}
-
-// ORecv receives an object tree on this worker thread.
-func (rt *RankThread) ORecv(source, tag int) (Ref, Status, error) {
-	return rt.rank.engine.ORecv(rt.thread, source, tag)
-}
-
-// GC forces a collection from this worker thread.
-func (rt *RankThread) GC(full bool) {
-	if full {
-		rt.thread.CollectFull()
-	} else {
-		rt.thread.CollectYoung()
 	}
 }
 

@@ -175,11 +175,12 @@ tier_quicken() {
 # Go-level checks first — watchdog fires on a planted stall, 4-rank
 # stitch schema + straggler attribution, text/JSON metrics parity,
 # flight-recorder duty cycle/dump/overhead budget, per-process Join
-# trace export — then two end-to-end smokes over real processes: the
-# live telemetry endpoint answered over HTTP while a world runs, and
-# the cross-rank merge round-trip through cmd/mtrace in both layouts
-# (one in-process multi-rank file; one file per OS process of a sock
-# world).
+# trace export — then three end-to-end smokes over real processes: the
+# live telemetry endpoint answered over HTTP while a world runs, the
+# cross-rank merge round-trip through cmd/mtrace in both layouts (one
+# in-process multi-rank file; one file per OS process of a sock
+# world), and a trapping guest program whose flight dump must land in
+# MOTOR_FLIGHT_DIR.
 tier_obs() {
 	echo "== obs: watchdog + stitching + parity + flight-recorder tests"
 	go test -count=1 -run 'TestWatchdog|TestStitch|TestMetricsTextJSONParity|TestFlight|TestCycleFlight|TestTelemetryEndpoint|TestMerge' \
@@ -274,6 +275,29 @@ tier_obs() {
 	}
 	if grep -q '(0 flow pairs' "$dir/mtrace2.err"; then
 		echo "verify: multi-process merge paired no edges" >&2
+		exit 1
+	fi
+
+	echo "== obs: MOTOR_FLIGHT_DIR receives a guest trap's flight dump"
+	# main loads index 9 of a 4-element int32[]: it verifies, then traps.
+	cat >"$dir/trap.masm" <<'MASM'
+.method main (0) int32
+  ldc.i4 4
+  newarr int32
+  ldc.i4 9
+  ldelem
+  ret.val
+.end
+MASM
+	mkdir "$dir/flight"
+	if MOTOR_FLIGHT_DIR="$dir/flight" "$dir/motor" -np 1 "$dir/trap.masm" 2>"$dir/trap.err"; then
+		echo "verify: the out-of-range load did not trap" >&2
+		exit 1
+	fi
+	dumps=$(find "$dir/flight" -name 'motor-flight-*-guest-trap.json' | wc -l)
+	if [ "$dumps" -ne 1 ]; then
+		echo "verify: $dumps guest-trap flight dumps in MOTOR_FLIGHT_DIR, want 1" >&2
+		cat "$dir/trap.err" >&2
 		exit 1
 	fi
 
