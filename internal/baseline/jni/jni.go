@@ -22,10 +22,10 @@ package jni
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"motor/internal/mp"
+	"motor/internal/mp/adi"
 	"motor/internal/vm"
 )
 
@@ -187,7 +187,7 @@ func (b *Binding) Send(t *vm.Thread, obj vm.Ref, dest, tag int) error {
 	if err != nil {
 		return err
 	}
-	return b.wait(t, req)
+	return b.wait(req)
 }
 
 // Recv receives into a primitive array (copy-back semantics).
@@ -221,7 +221,7 @@ func (b *Binding) Recv(t *vm.Thread, obj vm.Ref, source, tag int) (mp.Status, er
 	if err != nil {
 		return mp.Status{}, err
 	}
-	st, err := b.waitStatus(t, req)
+	st, err := b.waitStatus(req)
 	if err != nil {
 		return st, err
 	}
@@ -229,19 +229,19 @@ func (b *Binding) Recv(t *vm.Thread, obj vm.Ref, source, tag int) (mp.Status, er
 	return st, nil
 }
 
-func (b *Binding) wait(t *vm.Thread, req mp.Request) error {
-	_, err := b.waitStatus(t, req)
+func (b *Binding) wait(req mp.Request) error {
+	_, err := b.waitStatus(req)
 	return err
 }
 
-func (b *Binding) waitStatus(t *vm.Thread, req mp.Request) (mp.Status, error) {
+func (b *Binding) waitStatus(req mp.Request) (mp.Status, error) {
+	var spin adi.Spin
 	for {
 		done, st, err := b.comm.Test(req)
 		if done {
 			return st, err
 		}
-		t.PollGC()
-		runtime.Gosched()
+		b.comm.Device().Idle(&spin)
 	}
 }
 

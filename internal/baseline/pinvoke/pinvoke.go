@@ -28,7 +28,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"motor/internal/mp"
 	"motor/internal/mp/adi"
@@ -247,7 +246,7 @@ func (b *Binding) Send(t *vm.Thread, obj vm.Ref, dest, tag int) error {
 	if err != nil {
 		return err
 	}
-	return b.wait(t, req)
+	return b.wait(req)
 }
 
 // Recv receives into a simple array, pinning it for the operation.
@@ -264,22 +263,22 @@ func (b *Binding) Recv(t *vm.Thread, obj vm.Ref, source, tag int) (mp.Status, er
 	if err != nil {
 		return mp.Status{}, err
 	}
-	return b.waitStatus(t, req)
+	return b.waitStatus(req)
 }
 
-func (b *Binding) wait(t *vm.Thread, req mp.Request) error {
-	_, err := b.waitStatus(t, req)
+func (b *Binding) wait(req mp.Request) error {
+	_, err := b.waitStatus(req)
 	return err
 }
 
-func (b *Binding) waitStatus(t *vm.Thread, req mp.Request) (mp.Status, error) {
+func (b *Binding) waitStatus(req mp.Request) (mp.Status, error) {
+	var spin adi.Spin
 	for {
 		done, st, err := b.comm.Test(req)
 		if done {
 			return st, err
 		}
-		t.PollGC()
-		runtime.Gosched()
+		b.comm.Device().Idle(&spin)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"motor/internal/mp"
+	"motor/internal/mp/adi"
 	"motor/internal/obs"
 	"motor/internal/serial"
 	"motor/internal/vm"
@@ -135,7 +136,8 @@ func spanStart() int64 {
 // probeYielding polls for the next OO message in a space, yielding to
 // the collector between polls. A dead peer surfaces as a typed error
 // from the probe's progress pass — never a hang.
-func (e *Engine) probeYielding(t *vm.Thread, source int, sp mp.OOSpace, tag int) (mp.Status, error) {
+func (e *Engine) probeYielding(source int, sp mp.OOSpace, tag int) (mp.Status, error) {
+	var spin adi.Spin
 	for {
 		ok, st, err := e.Comm.IprobeOO(source, sp, tag)
 		if err != nil {
@@ -144,7 +146,7 @@ func (e *Engine) probeYielding(t *vm.Thread, source int, sp mp.OOSpace, tag int)
 		if ok {
 			return st, nil
 		}
-		e.idle(t)
+		e.World.Dev.Idle(&spin)
 	}
 }
 
@@ -219,6 +221,7 @@ func (e *Engine) mergeTTStats(sw *serial.StreamWriter) {
 // control packet — ACK (all references resolved) completes the
 // operation; NACK is answered with the stream's full table blob.
 func (e *Engine) awaitTableAck(t *vm.Thread, sw *serial.StreamWriter, dest, tag int) error {
+	var spin adi.Spin
 	for {
 		ok, err := e.Comm.PollCtrlOO(dest, mp.OOSpaceAck, tag)
 		if err != nil {
@@ -248,7 +251,7 @@ func (e *Engine) awaitTableAck(t *vm.Thread, sw *serial.StreamWriter, dest, tag 
 			e.bufs.put(blob)
 			return err
 		}
-		e.idle(t)
+		e.World.Dev.Idle(&spin)
 	}
 }
 
@@ -281,7 +284,7 @@ func (e *Engine) OSend(t *vm.Thread, obj vm.Ref, dest, tag int) error {
 // into the reader's accumulation buffer, incremental parse. useCache
 // engages the receiver side of the type-table cache protocol.
 func (e *Engine) streamIn(t *vm.Thread, source, tag int, sp mp.OOSpace, useCache bool) (vm.Ref, mp.Status, error) {
-	st, err := e.probeYielding(t, source, sp, tag)
+	st, err := e.probeYielding(source, sp, tag)
 	if err != nil {
 		return vm.NullRef, st, err
 	}
@@ -320,7 +323,7 @@ func (e *Engine) streamIn(t *vm.Thread, source, tag int, sp mp.OOSpace, useCache
 		if sr.Ended() {
 			break
 		}
-		st, err = e.probeYielding(t, src, sp, tag)
+		st, err = e.probeYielding(src, sp, tag)
 		if err != nil {
 			return vm.NullRef, st, err
 		}
@@ -344,7 +347,7 @@ func (e *Engine) recvTableBlob(t *vm.Thread, sr *serial.StreamReader, src, tag i
 	if err := e.Comm.SendCtrlOO(src, mp.OOSpaceNack, tag); err != nil {
 		return vm.NullRef, err
 	}
-	bst, err := e.probeYielding(t, src, mp.OOSpaceTable, tag)
+	bst, err := e.probeYielding(src, mp.OOSpaceTable, tag)
 	if err != nil {
 		return vm.NullRef, err
 	}

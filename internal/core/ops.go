@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"motor/internal/mp"
@@ -72,13 +71,6 @@ func (e *Engine) waitBlocking(t *vm.Thread, obj vm.Ref, req mp.Request, op obs.O
 	return st, e.noteErr(err)
 }
 
-// idle is one step of the polling-wait: yield to the collector and
-// release the processor for peer ranks (see adi.Device.idle).
-func (e *Engine) idle(t *vm.Thread) {
-	t.PollGC()
-	runtime.Gosched()
-}
-
 // spinBudget bounds how long a wait drives progress itself before it
 // parks for the background progress engine: about one park/unpark
 // round trip, so a reply that lands within it never pays a wakeup.
@@ -86,26 +78,27 @@ const spinBudget = 50 * time.Microsecond
 
 // await drives req to completion: every core request wait is this
 // loop. The caller drives progress itself (§7.1's polling-wait): Test,
-// then idle, until done. With a background progress engine the spin
-// lasts at most spinBudget, then the thread parks. Inline there is no
-// one to park for, and the loop never reads the clock.
+// then the device's idle step, until done. With a background progress
+// engine the spin lasts about spinBudget, then the thread parks; the
+// clock is read only at the idle steps that yield the processor.
+// Inline there is no one to park for, and the loop never reads it.
 func (e *Engine) await(t *vm.Thread, req mp.Request) (mp.Status, error) {
+	var spin adi.Spin
 	var spinStart time.Time
 	for {
 		done, st, err := req.Test()
 		if done {
 			return st, err
 		}
-		if e.progress != nil {
-			if spinStart.IsZero() {
-				spinStart = time.Now()
-			} else if time.Since(spinStart) >= spinBudget {
-				e.park(t, req)
-				continue
-			}
-		}
 		obs.BeatPulse(e.lane)
-		e.idle(t)
+		if !e.World.Dev.Idle(&spin) || e.progress == nil {
+			continue
+		}
+		if spinStart.IsZero() {
+			spinStart = time.Now()
+		} else if time.Since(spinStart) >= spinBudget {
+			e.park(t, req)
+		}
 	}
 }
 

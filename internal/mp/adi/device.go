@@ -189,7 +189,7 @@ type DeviceStats struct {
 // The lock order is strictly device mutex → channel internals; the
 // device never blocks on anything but the channel while holding its
 // lock, and the embedder yield (Yield, the Motor GC poll) only runs
-// from idle, outside the lock — a GC hook may therefore call
+// from Idle, outside the lock — a GC hook may therefore call
 // Progress without deadlocking.
 type Device struct {
 	mu sync.Mutex //motorlint:lockorder 20 device
@@ -898,8 +898,8 @@ func (d *Device) progressLocked() (bool, error) {
 }
 
 // WaitReq blocks (polling-wait) until the request completes. The
-// embedder yield (idle) runs between fruitless passes, outside the
-// device lock, so a GC triggered from the yield may itself drive
+// idle step (Idle) runs between fruitless passes, outside the device
+// lock, so a GC triggered from the embedder yield may itself drive
 // Progress.
 func (d *Device) WaitReq(req *Request) (Status, error) {
 	if req.Done() {
@@ -910,6 +910,7 @@ func (d *Device) WaitReq(req *Request) (Status, error) {
 	// instead of hanging forever in silence.
 	obs.BeatEnter(d.rank, obs.OpDevWait, req.peer)
 	defer obs.BeatExit(d.rank)
+	var spin Spin
 	for !req.Done() {
 		progressed, err := d.progressFor(req)
 		if err != nil {
@@ -917,25 +918,39 @@ func (d *Device) WaitReq(req *Request) (Status, error) {
 		}
 		obs.BeatPulse(d.rank)
 		if !progressed && !req.Done() {
-			d.idle()
+			d.Idle(&spin)
 		}
 	}
 	return req.status, req.err
 }
 
-// Idle is the exported form of idle for upper layers' polling loops.
-func (d *Device) Idle() { d.idle() }
+// spinPolls is how many fruitless polls a wait makes per processor yield.
+const spinPolls = 16
 
-// idle is called between fruitless progress polls: it runs the
-// embedder's yield (the GC poll point for Motor) and releases the
-// processor so peer ranks sharing this machine can make progress —
-// essential on single-CPU hosts, where a busy spin would otherwise
-// stall the partner until the scheduler preempts.
-func (d *Device) idle() {
+// Spin is one polling-wait's idle state; the zero value begins a wait.
+type Spin struct {
+	polls   int  // fruitless polls so far
+	oversub bool // the world's ranks outnumber GOMAXPROCS
+}
+
+// Idle is every polling-wait's step after a fruitless poll. It runs the
+// embedder's yield (Motor's GC poll) every time. It yields the processor
+// every spinPolls-th time, since with a processor per rank that has
+// nobody to serve, and every time when the world's ranks outnumber
+// GOMAXPROCS, where a peer may need this one. It reports whether it did.
+func (d *Device) Idle(s *Spin) bool {
 	if d.Yield != nil {
 		d.Yield()
 	}
+	if s.polls == 0 { // GOMAXPROCS takes the scheduler lock: once per wait
+		s.oversub = d.Size() > runtime.GOMAXPROCS(0)
+	}
+	s.polls++
+	if !s.oversub && s.polls%spinPolls != 0 {
+		return false
+	}
 	runtime.Gosched()
+	return true
 }
 
 // progressFor is a wait's progress pass, skipped if req is complete
@@ -943,14 +958,21 @@ func (d *Device) idle() {
 // (lentDone) and may move on at once, and a later pass could take a
 // frame its next operation meant for someone else. A fruitless pass
 // over a lent send then copies the half of its payload the receiver
-// has left for it, outside the lock (channel.Loan.Help).
+// has left for it, outside the lock (channel.Loan.Help). Once a
+// receiver has claimed the loan only it completes the send, and the
+// pass takes no lock, lest a tight loop here keep lentDone waiting on
+// it. Only the poster's goroutine writes req.loan.
 func (d *Device) progressFor(req *Request) (progressed bool, err error) {
-	d.mu.Lock()
 	loan := req.loan
-	if progressed = req.Done(); !progressed {
-		progressed, err = d.progressLocked()
+	if loan != nil && loan.Claimed() {
+		progressed = req.Done()
+	} else {
+		d.mu.Lock()
+		if progressed = req.Done(); !progressed {
+			progressed, err = d.progressLocked()
+		}
+		d.unlockNotify()
 	}
-	d.unlockNotify()
 	if loan != nil && !progressed && loan.Help() {
 		d.noteHelped()
 		progressed = true

@@ -182,6 +182,12 @@ func (l *Loan) Revoke() bool { return l.state.CompareAndSwap(loanQueued, loanRev
 // Revoked reports whether the lender has withdrawn the loan.
 func (l *Loan) Revoked() bool { return l.state.Load() == loanRevoked }
 
+// Claimed reports whether a receiver has claimed the loan.
+func (l *Loan) Claimed() bool {
+	s := l.state.Load()
+	return s != loanQueued && s != loanRevoked
+}
+
 // Help copies the second half of the loan into the receiver's
 // destination if the receiver has published it and nobody has claimed
 // that half yet, and reports whether it did. The lender calls it while

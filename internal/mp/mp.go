@@ -347,6 +347,7 @@ func (c *Comm) Iprobe(source, tag int) (bool, Status, error) {
 
 // Probe blocks until a matching message is available.
 func (c *Comm) Probe(source, tag int) (Status, error) {
+	var spin adi.Spin
 	for {
 		ok, s, err := c.Iprobe(source, tag)
 		if err != nil {
@@ -355,7 +356,7 @@ func (c *Comm) Probe(source, tag int) (Status, error) {
 		if ok {
 			return s, nil
 		}
-		c.dev.Idle()
+		c.dev.Idle(&spin)
 	}
 }
 

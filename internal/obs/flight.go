@@ -46,8 +46,12 @@ func FlightRecorder() *Tracer { return flightRec.Load() }
 // session is active; FlightDump writes its dumps into dumpDir (the OS
 // temp dir when empty). Returns nil when another session (full or
 // flight) already owns the process. The recorder starts always-armed;
-// call CycleFlight to switch it to duty-cycle arming.
+// call CycleFlight to switch it to duty-cycle arming. It refuses before
+// it builds the ring; the compare-and-swaps guard against a racing start.
 func StartFlight(dumpDir string) *Tracer {
+	if flightRec.Load() != nil || active.Load() != nil {
+		return nil
+	}
 	t := NewTracer(flightOptions)
 	t.dumpDir = dumpDir
 	if !flightRec.CompareAndSwap(nil, t) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -147,4 +148,39 @@ func TestFlightDump(t *testing.T) {
 
 	lastDumpNS.Store(0)
 	flightDumps.Store(0)
+}
+
+// TestStartFlightRefusesWithoutBuilding: a StartFlight that another
+// session refuses must not build (and drop) a recorder ring first. Both
+// refusals are measured: a flight recorder already running, and a full
+// session owning the process.
+func TestStartFlightRefusesWithoutBuilding(t *testing.T) {
+	if Active() != nil {
+		t.Fatal("tracer already active at test start")
+	}
+	refusedAlloc := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if StartFlight("") != nil {
+			t.Fatal("StartFlight did not refuse")
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	f := StartFlight("")
+	if f == nil {
+		t.Fatal("StartFlight refused on an idle process")
+	}
+	defer Stop(f)
+	if n := refusedAlloc(); n >= 64<<10 {
+		t.Errorf("StartFlight refused by a flight recorder allocated %d bytes", n)
+	}
+	full := Start(Options{Shards: 1})
+	if full == nil {
+		t.Fatal("full session did not start")
+	}
+	defer Stop(full)
+	if n := refusedAlloc(); n >= 64<<10 {
+		t.Errorf("StartFlight refused by a full session allocated %d bytes", n)
+	}
 }

@@ -93,6 +93,9 @@ tier3() {
 # up the use-after-recycle tests (TestStressStaleRequestHandle in mp,
 # TestStressStaleManagedRequest in core): a recycled request reused by
 # a new operation while its old handle or managed id is still used.
+# The last pass runs the core and mp blocking-wait tests on one
+# processor, where a wait's idle step must yield at every poll
+# (adi.Device.Idle) or the peer it waits for never runs.
 tier_stress() {
 	echo "== stress: -race concurrency stress + chaos + progress harness"
 	GORACE=halt_on_error=1 go test -race -timeout 600s \
@@ -100,6 +103,9 @@ tier_stress() {
 		. ./internal/mp/ ./internal/core/ ./internal/vm/
 	echo "== stress: -race shm queue, payload slabs, lent RTS, sock channel, device"
 	GORACE=halt_on_error=1 go test -race -timeout 600s ./internal/mp/channel/ ./internal/mp/adi/
+	echo "== stress: -race blocking waits at GOMAXPROCS=1 (every idle step yields)"
+	GOMAXPROCS=1 GORACE=halt_on_error=1 go test -race -timeout 600s \
+		-run 'Stress|PingPong|Wait' ./internal/core/ ./internal/mp/
 }
 
 # Static tier: go vet plus the MASM bytecode verifier over every
