@@ -10,8 +10,12 @@ import (
 
 // The shm channel: in-process "shared memory" transport. Each ordered
 // rank pair owns a lock-free single-producer/single-consumer frame
-// queue, the software analogue of MPICH2's shm channel queues. A sent
-// payload is copied into a pooled slab and out of it into the
+// queue, the software analogue of MPICH2's shm channel queues. Each
+// slot is published by its own sequence word, as FastForward's cells
+// are, and no index is shared between the two sides. A payload of up
+// to shmInline bytes travels inside the slot, as in MPICH2's nemesis
+// cells, so a small message crosses cores as one cache line; a longer
+// one is copied into a pooled slab and out of it into the
 // sink-designated buffer on poll, without a per-frame allocation. A
 // lent payload (Lend: the device's rendezvous RTS) is not copied on
 // send: the frame references the sender's buffer, and the receiver
@@ -19,11 +23,15 @@ import (
 // matches it, half of it on the lender's goroutine if the lender is
 // waiting (Loan.Help).
 
-// shmFrame is one queued packet. A sent payload lives in slab (nil
-// when empty), whose first hdr.Size bytes are the copy; a lent one is
+// shmInline is the largest payload a slot carries inline.
+const shmInline = 64
+
+// shmFrame is one queued packet. Its payload is the first hdr.Size
+// bytes of inl, or of slab when it did not fit inline; a lent one is
 // loan's, handed back through its release once it has been copied out.
 type shmFrame struct {
 	hdr  Header
+	inl  [shmInline]byte
 	slab *[]byte
 	loan *Loan
 }
@@ -37,11 +45,8 @@ var slabs [bits.UintSize]sync.Pool
 // slabClass is the class of an n-byte payload, n > 0.
 func slabClass(n int) int { return bits.Len(uint(n - 1)) }
 
-// copyToSlab returns a pooled copy of payload (nil if it is empty).
+// copyToSlab returns a pooled copy of payload, len(payload) > 0.
 func copyToSlab(payload []byte) *[]byte {
-	if len(payload) == 0 {
-		return nil
-	}
 	k := slabClass(len(payload))
 	s, _ := slabs[k].Get().(*[]byte)
 	if s == nil {
@@ -57,7 +62,7 @@ func copyToSlab(payload []byte) *[]byte {
 // sink never keeps a reference to either, so the next sender may
 // overwrite the slab, and the lender its buffer, at once. A LoanSink
 // takes a lent frame whole and copies it out itself.
-func (f shmFrame) deliver(sink Sink) {
+func (f *shmFrame) deliver(sink Sink) {
 	if f.loan != nil {
 		if ls, ok := sink.(LoanSink); ok {
 			ls.Borrow(f.hdr, f.loan)
@@ -71,6 +76,8 @@ func (f shmFrame) deliver(sink Sink) {
 	} else if f.slab != nil {
 		copy(dst, (*f.slab)[:f.hdr.Size])
 		slabs[slabClass(int(f.hdr.Size))].Put(f.slab)
+	} else {
+		copy(dst, f.inl[:f.hdr.Size])
 	}
 	sink.Done(f.hdr)
 	if release != nil {
@@ -81,25 +88,43 @@ func (f shmFrame) deliver(sink Sink) {
 // shmSegSlots is the number of frames per queue segment.
 const shmSegSlots = 64
 
+// shmSlot is one 128-byte queue slot: a frame behind the word that
+// publishes it. seq, the header and the first 16 inline bytes share
+// the slot's first cache line, so a small message is one line for the
+// consumer to fetch. seq is t+1 once frame t is written in the slot;
+// values left from an earlier lap of a reused segment are smaller, so
+// they never match.
+type shmSlot struct {
+	seq atomic.Uint64 // producer stores after the frame, consumer loads first
+	shmFrame
+}
+
+// shmSeg leads its slots with 56 bytes: the allocator stores an
+// 8-byte header before an object of this size and starts it in a
+// 64-byte-aligned size class, so the slots start on a line boundary
+// (TestShmSlotLayout checks it).
 type shmSeg struct {
-	slots [shmSegSlots]shmFrame
 	next  *shmSeg // set by the producer before it publishes the last slot
+	_     [48]byte
+	slots [shmSegSlots]shmSlot
 }
 
 // shmRing is an unbounded FIFO for one (sender, receiver) pair: a
 // linked list of fixed-size segments with exactly one producer and
 // one consumer goroutine at a time. The producer writes a slot and
-// then publishes it by storing tail; the consumer compares its
-// private head with tail, so an empty poll is one atomic load. The
-// consumer zeroes each popped slot and, when it leaves a segment,
-// hands it back to the producer as the spare its next segment reuses,
-// so a steady exchange allocates nothing; nothing else links back to
-// a consumed segment, so a drained burst is collectable however deep
-// it was. Producer and consumer state sit on separate cache lines.
+// then publishes it by storing its seq; the consumer compares the seq
+// of the slot at its private head with head+1, so an empty poll is
+// one atomic load, and neither side reads the other's index. The
+// consumer clears the references of each popped slot and, when it
+// leaves a segment, hands it back to the producer as the spare its
+// next segment reuses, so a steady exchange allocates nothing;
+// nothing else links back to a consumed segment, so a drained burst
+// is collectable however deep it was. Producer and consumer state sit
+// on separate cache lines.
 type shmRing struct {
-	tail    atomic.Uint64 // frames published; producer stores, consumer loads
-	tailSeg *shmSeg       // producer only
-	bell    *shmBell      // the consumer's; fixed at creation
+	tail    uint64   // frames published; producer only
+	tailSeg *shmSeg  // producer only
+	bell    *shmBell // the consumer's; fixed at creation
 	_       [40]byte
 
 	head    uint64                 // frames popped; consumer only
@@ -113,10 +138,21 @@ func newShmRing() *shmRing {
 	return &shmRing{tailSeg: seg, headSeg: seg}
 }
 
-func (r *shmRing) push(f shmFrame) {
-	t := r.tail.Load()
+// publish queues one frame: the header, then the payload inline if it
+// fits, else a slab copy of it, or the loan; then the slot's seq.
+func (r *shmRing) publish(hdr Header, payload []byte, loan *Loan) {
+	t := r.tail
 	seg, i := r.tailSeg, t%shmSegSlots
-	seg.slots[i] = f
+	s := &seg.slots[i]
+	s.hdr = hdr
+	switch {
+	case loan != nil:
+		s.loan = loan
+	case len(payload) <= shmInline:
+		copy(s.inl[:], payload)
+	default:
+		s.slab = copyToSlab(payload)
+	}
 	if i == shmSegSlots-1 {
 		next := r.spare.Swap(nil)
 		if next == nil {
@@ -124,22 +160,29 @@ func (r *shmRing) push(f shmFrame) {
 		}
 		seg.next, r.tailSeg = next, next
 	}
-	r.tail.Store(t + 1)
+	s.seq.Store(t + 1)
+	r.tail = t + 1
 }
 
-func (r *shmRing) pop() (shmFrame, bool) {
-	if r.head == r.tail.Load() {
-		return shmFrame{}, false
-	}
+// pop moves the oldest frame into f, its inline bytes copied, so no
+// reference into the slot outlives the call.
+func (r *shmRing) pop(f *shmFrame) bool {
 	seg, i := r.headSeg, r.head%shmSegSlots
-	f := seg.slots[i]
-	seg.slots[i] = shmFrame{}
+	s := &seg.slots[i]
+	if s.seq.Load() != r.head+1 {
+		return false
+	}
+	f.hdr, f.slab, f.loan = s.hdr, s.slab, s.loan
+	if s.slab == nil && s.loan == nil {
+		copy(f.inl[:], s.inl[:s.hdr.Size])
+	}
+	s.slab, s.loan = nil, nil
 	if i == shmSegSlots-1 {
 		r.headSeg, seg.next = seg.next, nil
-		r.spare.Store(seg) // every slot is zeroed and the producer has moved on
+		r.spare.Store(seg) // every slot is cleared and the producer has moved on
 	}
 	r.head++
-	return f, true
+	return true
 }
 
 // shmBell is one rank's doorbell (Doorbell): how many of its waiters
@@ -150,7 +193,7 @@ type shmBell struct {
 }
 
 // ring wakes the bell's rank if a waiter is parked there. The caller
-// has just published a frame: its tail store precedes this load, as
+// has just published a frame: its seq store precedes this load, as
 // the waiter's count increment precedes its last poll.
 func (b *shmBell) ring() {
 	if b.parked.Load() > 0 {
@@ -275,9 +318,10 @@ func (c *ShmChannel) Rank() int { return c.rank }
 // Size implements Channel.
 func (c *ShmChannel) Size() int { return c.fabric.Size() }
 
-// Send implements Channel: copy the payload into a slab and queue it
-// on the pair ring. Self-sends are the device's business (it delivers
-// them locally), as on the sock channel.
+// Send implements Channel: copy the payload into the ring slot, or
+// into a slab if it does not fit, and queue it on the pair ring.
+// Self-sends are the device's business (it delivers them locally), as
+// on the sock channel.
 func (c *ShmChannel) Send(dest int, hdr Header, payload []byte) error {
 	return c.push(dest, hdr, payload, nil)
 }
@@ -287,7 +331,7 @@ func (c *ShmChannel) Lend(dest int, hdr Header, loan *Loan) error {
 	return c.push(dest, hdr, loan.payload, loan)
 }
 
-// push queues a frame for dest: lent if loan is set, else a slab copy.
+// push queues a frame for dest: lent if loan is set, else a copy.
 func (c *ShmChannel) push(dest int, hdr Header, payload []byte, loan *Loan) error {
 	if c.closed {
 		return ErrClosed
@@ -299,12 +343,8 @@ func (c *ShmChannel) push(dest int, hdr Header, payload []byte, loan *Loan) erro
 		return ErrRank
 	}
 	hdr.Size = uint32(len(payload))
-	f := shmFrame{hdr: hdr, loan: loan}
-	if loan == nil {
-		f.slab = copyToSlab(payload)
-	}
 	out := c.out[dest]
-	out.push(f)
+	out.publish(hdr, payload, loan)
 	out.bell.ring()
 	c.stats.framesSent.Add(1)
 	c.stats.bytesSent.Add(uint64(len(payload)))
@@ -323,11 +363,12 @@ func (c *ShmChannel) Poll(sink Sink) (bool, error) {
 	if n := c.fabric.Size(); n > len(c.in) {
 		c.attach(n)
 	}
+	var f shmFrame
 	for _, ring := range c.in {
 		if ring == nil {
 			continue
 		}
-		if f, ok := ring.pop(); ok {
+		if ring.pop(&f) {
 			c.stats.framesRecvd.Add(1)
 			c.stats.bytesRecvd.Add(uint64(f.hdr.Size))
 			if tr := obs.Active(); tr != nil {

@@ -5,18 +5,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // Tests of the shm channel's SPSC segment queue and its payload slabs.
 
-func ringFrame(i int) shmFrame {
-	return shmFrame{hdr: Header{Tag: int32(i), Size: 1}, slab: &[]byte{byte(i)}}
+// publishN queues frame i: tag i, one inline payload byte i.
+func publishN(r *shmRing, i int) {
+	r.publish(Header{Tag: int32(i), Size: 1}, []byte{byte(i)}, nil)
 }
 
 // TestShmRingFIFO checks ordering and emptiness across interleaved
@@ -26,19 +27,19 @@ func TestShmRingFIFO(t *testing.T) {
 	next, expect := 0, 0
 	pushN := func(n int) {
 		for i := 0; i < n; i++ {
-			r.push(ringFrame(next))
+			publishN(r, next)
 			next++
 		}
 	}
 	popN := func(n int) {
 		t.Helper()
+		var f shmFrame
 		for i := 0; i < n; i++ {
-			f, ok := r.pop()
-			if !ok {
+			if !r.pop(&f) {
 				t.Fatalf("pop %d: ring empty, want frame %d", expect, expect)
 			}
-			if int(f.hdr.Tag) != expect || (*f.slab)[0] != byte(expect) {
-				t.Fatalf("pop out of order: got tag %d payload %d, want %d", f.hdr.Tag, (*f.slab)[0], expect)
+			if int(f.hdr.Tag) != expect || f.inl[0] != byte(expect) {
+				t.Fatalf("pop out of order: got tag %d payload %d, want %d", f.hdr.Tag, f.inl[0], expect)
 			}
 			expect++
 		}
@@ -57,7 +58,7 @@ func TestShmRingFIFO(t *testing.T) {
 	if next != expect {
 		t.Fatalf("accounting: pushed %d popped %d", next, expect)
 	}
-	if f, ok := r.pop(); ok {
+	if f := (shmFrame{}); r.pop(&f) {
 		t.Fatalf("pop on empty ring returned frame %d", f.hdr.Tag)
 	}
 	pushN(5)
@@ -65,8 +66,9 @@ func TestShmRingFIFO(t *testing.T) {
 }
 
 // TestShmRingBurstReclaimed queues a 10 000-frame eager burst before
-// the first poll, then drains it: every popped slot is zeroed at
-// once, consumer and producer end on the same single segment, and the
+// the first poll, then drains it: every popped slot drops its slab
+// and loan references at once and can never match the head again,
+// consumer and producer end on the same single segment, and the
 // consumed segments are unreachable, so the collector takes them.
 func TestShmRingBurstReclaimed(t *testing.T) {
 	r := newShmRing()
@@ -76,17 +78,32 @@ func TestShmRingBurstReclaimed(t *testing.T) {
 	runtime.SetFinalizer(first, func(*shmSeg) { close(collected) })
 	first = nil
 
+	big := make([]byte, shmInline+1)
 	for i := 0; i < n; i++ {
-		r.push(ringFrame(i))
+		switch i % 3 {
+		case 0:
+			publishN(r, i)
+		case 1:
+			r.publish(Header{Tag: int32(i), Size: uint32(len(big))}, big, nil)
+		case 2:
+			r.publish(Header{Tag: int32(i)}, nil, NewLoan(big, func() {}))
+		}
 	}
+	var f shmFrame
 	for i := 0; i < n; i++ {
 		seg, slot := r.headSeg, r.head%shmSegSlots
-		f, ok := r.pop()
-		if !ok || int(f.hdr.Tag) != i {
+		if ok := r.pop(&f); !ok || int(f.hdr.Tag) != i {
 			t.Fatalf("pop %d: ok=%v tag=%d", i, ok, f.hdr.Tag)
 		}
-		if !reflect.ValueOf(seg.slots[slot]).IsZero() {
-			t.Fatalf("pop %d: slot still holds its frame", i)
+		if (i%3 == 1) != (f.slab != nil) || (i%3 == 2) != (f.loan != nil) {
+			t.Fatalf("pop %d: slab %v loan %v", i, f.slab != nil, f.loan != nil)
+		}
+		s := &seg.slots[slot]
+		if s.slab != nil || s.loan != nil {
+			t.Fatalf("pop %d: slot still references its payload", i)
+		}
+		if seq := s.seq.Load(); seq > r.head { // every later head+1 is larger
+			t.Fatalf("pop %d: slot's seq %d could match a later head", i, seq)
 		}
 	}
 	if r.headSeg != r.tailSeg || r.headSeg.next != nil {
@@ -107,7 +124,9 @@ func TestShmRingBurstReclaimed(t *testing.T) {
 // against each other. Every frame carries a checksum of its own
 // payload, so a slot read before it was fully published, a frame
 // delivered twice or out of order, or a slab recycled while still
-// queued shows up as a mismatch (and as a report under -race).
+// queued shows up as a mismatch (and as a report under -race). The
+// sizes, 8 to 207 bytes, straddle shmInline, so frames travel both
+// inline and in slabs.
 func TestShmRingConcurrent(t *testing.T) {
 	n := 200_000
 	if testing.Short() {
@@ -122,21 +141,22 @@ func TestShmRingConcurrent(t *testing.T) {
 			for j := 8; j < len(p); j++ {
 				p[j] = byte(i + j)
 			}
-			r.push(shmFrame{
-				hdr:  Header{Tag: int32(i), Size: uint32(len(p)), ReqA: uint64(crc32.ChecksumIEEE(p))},
-				slab: copyToSlab(p),
-			})
+			r.publish(Header{Tag: int32(i), Size: uint32(len(p)), ReqA: uint64(crc32.ChecksumIEEE(p))}, p, nil)
 			if i%1000 == 0 {
 				runtime.Gosched() // let the consumer catch up and run dry
 			}
 		}
 	}()
 	sink := &collectSink{}
+	var f shmFrame
+	inline := 0
 	for i := 0; i < n; {
-		f, ok := r.pop()
-		if !ok {
+		if !r.pop(&f) {
 			runtime.Gosched()
 			continue
+		}
+		if f.slab == nil {
+			inline++
 		}
 		f.deliver(sink)
 		got := sink.payloads[0]
@@ -147,13 +167,39 @@ func TestShmRingConcurrent(t *testing.T) {
 		sink.hdrs, sink.payloads = sink.hdrs[:0], sink.payloads[:0]
 		i++
 	}
-	if _, ok := r.pop(); ok {
+	if r.pop(&f) {
 		t.Fatal("frames left after the last one")
+	}
+	if inline == 0 || inline == n {
+		t.Fatalf("%d of %d frames inline, want some of each", inline, n)
 	}
 }
 
-// TestShmSlabRecycling alternates 1 MiB and 8 B frames in both
-// directions of a pair. Slabs are reused across frames (and across
+// TestShmSlotLayout: a slot is two cache lines, its seq, header and
+// first 16 inline bytes on the first, and every segment's slots start
+// on a line boundary, so one small message is one line.
+func TestShmSlotLayout(t *testing.T) {
+	var s shmSlot
+	if n := unsafe.Sizeof(s); n != 128 {
+		t.Fatalf("shmSlot is %d bytes, want 128", n)
+	}
+	if unsafe.Offsetof(s.seq) != 0 || unsafe.Offsetof(s.hdr)+unsafe.Sizeof(s.hdr) > 64 ||
+		unsafe.Offsetof(s.inl)+16 > 64 {
+		t.Fatalf("first line: seq at %d, hdr at %d, inl at %d",
+			unsafe.Offsetof(s.seq), unsafe.Offsetof(s.hdr), unsafe.Offsetof(s.inl))
+	}
+	segs := make([]*shmSeg, 8)
+	for i := range segs {
+		segs[i] = new(shmSeg)
+		if a := uintptr(unsafe.Pointer(&segs[i].slots[0])); a%64 != 0 {
+			t.Fatalf("segment %d: slots at %#x, not 64-byte aligned", i, a)
+		}
+	}
+}
+
+// TestShmSlabRecycling alternates 1 MiB frames with frames around
+// shmInline (0, 1, 16, 17, 63, 64 and 65 bytes) in both directions of
+// a pair. Slabs and slots are reused across frames (and slabs across
 // the two directions), so each delivered payload is checked in full:
 // a frame must never see a previous frame's bytes, neither inside its
 // own length nor as a longer tail.
@@ -167,9 +213,12 @@ func TestShmSlabRecycling(t *testing.T) {
 		for i := range big {
 			big[i] = byte(round + i)
 		}
-		small := bytes.Repeat([]byte{byte(0xA0 + round)}, 8)
 		odd := bytes.Repeat([]byte{byte(0x50 + round)}, 1<<20-round-1) // same class as big, shorter
-		for _, p := range [][]byte{big, small, odd, small} {
+		frames := [][]byte{big}
+		for _, n := range []int{0, 1, 16, 17, 63, 64, 65} {
+			frames = append(frames, bytes.Repeat([]byte{byte(0xA0 + round + n)}, n), odd)
+		}
+		for _, p := range frames {
 			if err := ep[from].Send(1-from, Header{Type: PktEager, Source: int32(from)}, p); err != nil {
 				t.Fatal(err)
 			}
@@ -177,19 +226,19 @@ func TestShmSlabRecycling(t *testing.T) {
 		// The sender may reuse its buffer as soon as Send returns.
 		clear(big)
 		sink.hdrs, sink.payloads = nil, nil
-		drain(t, ep[1-from], sink, 4)
+		drain(t, ep[1-from], sink, len(frames))
 		for i := range big {
 			big[i] = byte(round + i)
 		}
-		for i, want := range [][]byte{big, small, odd, small} {
-			if !bytes.Equal(sink.payloads[i], want) {
+		for i, want := range frames {
+			if len(sink.payloads[i]) != len(want) || !bytes.Equal(sink.payloads[i], want) {
 				t.Fatalf("round %d frame %d: %d bytes delivered, want %d, content differs",
 					round, i, len(sink.payloads[i]), len(want))
 			}
 		}
 	}
 	s0, s1 := ep[0].TransportStats(), ep[1].TransportStats()
-	if s0.FramesSent != 24 || s1.FramesRecvd != 24 || s0.BytesSent != s1.BytesRecvd || s1.BytesSent != s0.BytesRecvd {
+	if s0.FramesSent != 6*15 || s1.FramesRecvd != 6*15 || s0.BytesSent != s1.BytesRecvd || s1.BytesSent != s0.BytesRecvd {
 		t.Errorf("stats %+v / %+v", s0, s1)
 	}
 }
@@ -435,14 +484,15 @@ func TestShmDoorbell(t *testing.T) {
 func BenchmarkShmRingSteady(b *testing.B) {
 	const backlog = 64
 	r := newShmRing()
-	f := shmFrame{hdr: Header{Tag: 7}}
+	hdr, payload := Header{Tag: 7, Size: 8}, make([]byte, 8)
 	for j := 0; j < backlog; j++ {
-		r.push(f)
+		r.publish(hdr, payload, nil)
 	}
+	var f shmFrame
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.push(f)
-		if _, ok := r.pop(); !ok {
+		r.publish(hdr, payload, nil)
+		if !r.pop(&f) {
 			b.Fatal("ring empty")
 		}
 	}
@@ -450,7 +500,7 @@ func BenchmarkShmRingSteady(b *testing.B) {
 
 // BenchmarkShmPingPong is one goroutine bouncing a payload between
 // the two endpoints of a pair: the channel's own per-frame cost
-// (slab, queue, copy-out) without a second thread.
+// (inline or slab copy, queue, copy-out) without a second thread.
 func BenchmarkShmPingPong(b *testing.B) {
 	for _, size := range []int{8, 128 << 10} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {

@@ -257,7 +257,7 @@ func (v *VM) resolveRetType(md *asmMethodDecl) (Kind, *MethodTable, error) {
 func lexMasm(src string) ([]asmLine, error) {
 	var out []asmLine
 	sc := bufio.NewScanner(strings.NewReader(src))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // grows from 4 KiB as a long line needs it
 	num := 0
 	for sc.Scan() {
 		num++

@@ -1,7 +1,11 @@
 package vm
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -418,5 +422,44 @@ no:
 	out, _ := assembleAndRun(t, src)
 	if out.Int() != 2 {
 		t.Errorf("got %d", out.Int())
+	}
+}
+
+// TestMasmLexAllocation: assembling a module the size of the ping-pong
+// workload allocates a few KiB, not a buffer as large as the lexer's
+// 1 MiB line cap: a 2-rank load used to drop 2 MiB, enough to start
+// the Go collector inside a benchmark child's set-up.
+func TestMasmLexAllocation(t *testing.T) {
+	src, err := os.ReadFile("../../benchmark/workloads/pp.masm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := testVM(t)
+	for _, name := range []string{"mp.send", "mp.recv"} {
+		v.RegisterInternal(InternalFunc{Name: name, NArgs: 3, HasRet: true,
+			Fn: func(*Thread, []Value) (Value, error) { return IntValue(0), nil }})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := v.AssembleModule(string(src)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("assembling %d bytes of source allocated %d bytes", len(src), n)
+	}
+}
+
+// TestMasmLexLineCap: a line up to the 1 MiB cap lexes, a longer one
+// fails with the scanner's error.
+func TestMasmLexLineCap(t *testing.T) {
+	long := "; " + strings.Repeat("x", 600<<10) + "\n.method main (0) int32\n ldc.i4 7\n ret.val\n.end\n"
+	lines, err := lexMasm(long)
+	if err != nil || len(lines) != 4 || lines[0].num != 2 || lines[0].tokens[0] != ".method" {
+		t.Fatalf("600 KiB line: %d lines, err %v", len(lines), err)
+	}
+	v := testVM(t)
+	if _, err := v.AssembleModule("; " + strings.Repeat("x", 1<<20) + "\n"); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line over 1 MiB: err %v, want %v", err, bufio.ErrTooLong)
 	}
 }

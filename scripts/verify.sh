@@ -89,7 +89,9 @@ tier3() {
 # the first race fatal instead of a warning. The channel and device
 # packages run whole: the lock-free shm queue is only as good as its
 # -race record, and a lent rendezvous send is completed by the peer's
-# goroutine under the sender's device lock. The -run regex also picks
+# goroutine under the sender's device lock. The queue's slots publish
+# themselves (a per-slot sequence word, no shared index), so its ring
+# tests run 20 more rounds. The -run regex also picks
 # up the use-after-recycle tests (TestStressStaleRequestHandle in mp,
 # TestStressStaleManagedRequest in core): a recycled request reused by
 # a new operation while its old handle or managed id is still used.
@@ -103,6 +105,9 @@ tier_stress() {
 		. ./internal/mp/ ./internal/core/ ./internal/vm/
 	echo "== stress: -race shm queue, payload slabs, lent RTS, sock channel, device"
 	GORACE=halt_on_error=1 go test -race -timeout 600s ./internal/mp/channel/ ./internal/mp/adi/
+	echo "== stress: -race shm slot protocol, 20 rounds"
+	GORACE=halt_on_error=1 go test -race -timeout 600s -count=20 \
+		-run 'ShmRing|ShmSlot|Slab' ./internal/mp/channel/
 	echo "== stress: -race blocking waits at GOMAXPROCS=1 (every idle step yields)"
 	GOMAXPROCS=1 GORACE=halt_on_error=1 go test -race -timeout 600s \
 		-run 'Stress|PingPong|Wait' ./internal/core/ ./internal/mp/
