@@ -87,6 +87,102 @@ func TestStressVisitedTableCollectBetweenChunks(t *testing.T) {
 	})
 }
 
+// TestStressOOReaderCollectBetweenCommits is the reader's twin of
+// TestStressVisitedTableCollectBetweenChunks: a cyclic graph with
+// shared payloads and an object array over every cell is fed to a
+// pooled reader one chunk at a time, with a scavenge, a full and a
+// compacting collection after each commit, while the graph is
+// partly rewired. It must decode to the graph a one-shot
+// DeserializeStream of the same bytes gives, byte for byte once
+// serialized again.
+func TestStressOOReaderCollectBetweenCommits(t *testing.T) {
+	runRanks(t, 1, nil, func(r *rank) error {
+		mt := registerLinkedArray(r.v)
+		h := r.v.Heap
+		guard := &vm.RefRoots{Refs: make([]vm.Ref, 2)} // [source array, decoded root]
+		r.v.AddRootProvider(guard)
+		defer r.v.RemoveRootProvider(guard)
+		fArr, fNext := mt.FieldByName("array"), mt.FieldByName("next")
+		for round := 0; round < 4; round++ {
+			n := 40 + 7*round
+			head := buildLinkedList(r.v, mt, n, 64)
+			guard.Refs[1] = head
+			arr, err := h.AllocArray(r.v.ArrayType(vm.KindRef, mt, 1), n)
+			if err != nil {
+				return err
+			}
+			guard.Refs[0] = arr
+			cur, i := guard.Refs[1], 0
+			for ; ; i++ {
+				h.SetElemRef(guard.Refs[0], i, cur)
+				next := h.GetRef(cur, fNext)
+				if next == vm.NullRef {
+					break
+				}
+				if i%2 == 0 {
+					h.SetRef(next, fArr, h.GetRef(cur, fArr))
+				}
+				cur = next
+			}
+			h.SetRef(cur, fNext, guard.Refs[1])
+			target := []int{0, 200}[round%2]
+			sw := serial.NewStreamWriter(h, guard.Refs[0], serial.Options{}, target, nil)
+			var chunks [][]byte
+			var whole []byte
+			for !sw.Done() {
+				chunk, err := sw.Next(nil)
+				if err != nil {
+					return err
+				}
+				chunks = append(chunks, chunk)
+				whole = append(whole, chunk...)
+			}
+			if len(chunks) < 3 {
+				return fmt.Errorf("round %d: %d chunks, want several", round, len(chunks))
+			}
+			oneShot, err := serial.DeserializeStream(r.v, whole)
+			if err != nil {
+				return err
+			}
+			want, err := serial.SerializeStream(h, oneShot, serial.Options{}, nil)
+			if err != nil {
+				return err
+			}
+			root, err := func() (vm.Ref, error) {
+				sr := r.e.startReader(nil, 0)
+				defer r.e.dropReader(sr)
+				for k, chunk := range chunks {
+					copy(sr.Grow(len(chunk)), chunk)
+					if err := sr.Commit(len(chunk)); err != nil {
+						return vm.NullRef, err
+					}
+					if _, err := h.NewInt32Array(make([]int32, 256)); err != nil { // garbage among the parsed objects
+						return vm.NullRef, err
+					}
+					r.th.CollectYoung()
+					r.th.CollectFull()
+					r.th.CollectCompact()
+					if err := h.CheckInvariants(); err != nil {
+						return vm.NullRef, fmt.Errorf("round %d, chunk %d: %w", round, k, err)
+					}
+				}
+				return sr.Finish()
+			}()
+			if err != nil {
+				return err
+			}
+			got, err := serial.SerializeStream(h, root, serial.Options{}, nil)
+			if err != nil {
+				return err
+			}
+			if string(got) != string(want) {
+				return fmt.Errorf("round %d: the graph read with collections between commits differs from the one-shot decoding", round)
+			}
+		}
+		return nil
+	})
+}
+
 // TestStressOOScratchTwoThreads: two threads on each rank run OSend /
 // ORecv round trips at once, with a chunk target small enough that
 // every stream yields between chunks, so the two threads' streams

@@ -21,12 +21,16 @@ import (
 
 func TestORecvOversizeRejected(t *testing.T) {
 	// The whole stream fits one chunk whose size exceeds the receiver's
-	// cap: the probe claim is rejected before the buffer is sized.
+	// cap: its one record, a 16 KiB array, is larger than any chunk
+	// target, so the first probe claim is rejected before the buffer is
+	// sized and no chunk is received.
 	runRanks(t, 2, []Option{WithMaxOOMessage(4 << 10)}, func(r *rank) error {
-		mt := registerLinkedArray(r.v)
 		if r.e.Comm.Rank() == 0 {
-			head := buildLinkedList(r.v, mt, 8, 512) // ~16 KiB representation
-			if err := r.e.OSend(r.th, head, 1, 0); err != nil {
+			arr, err := r.v.Heap.NewInt32Array(make([]int32, 4096)) // 16 KiB representation
+			if err != nil {
+				return err
+			}
+			if err := r.e.OSend(r.th, arr, 1, 0); err != nil {
 				return err
 			}
 			// Sync: don't tear the world down before rank 1 probes.
@@ -40,6 +44,9 @@ func TestORecvOversizeRejected(t *testing.T) {
 		_, _, err := r.e.ORecv(r.th, 0, 0)
 		if !errors.Is(err, ErrOversize) {
 			return fmt.Errorf("ORecv err = %v, want ErrOversize", err)
+		}
+		if n := r.e.Stats.OOChunksRecvd; n != 0 {
+			return fmt.Errorf("%d chunks received, want the first claim rejected", n)
 		}
 		if out := r.e.BufferOutstanding(); out != 0 {
 			return fmt.Errorf("%d pooled buffers leaked past the oversize error", out)

@@ -27,14 +27,18 @@ func nowNS() int64 { return int64(time.Since(procStart)) }
 
 // beatSlot is one lane's heartbeat state. Writers are the lane's own
 // threads (shared ranks may have several, hence atomics); the reader
-// is the watchdog goroutine.
+// is the watchdog goroutine. A slot is 128 bytes, its 36 bytes of
+// fields and then padding, so lanes never write one cache line however
+// beats happens to be aligned: a rank's per-poll pulse must not
+// contend with its peer's wait entry and exit.
 type beatSlot struct {
-	depth  atomic.Int32  // nested waits currently open
-	op     atomic.Uint32 // outermost wait's op code
-	peer   atomic.Int32  // outermost wait's peer (-1 none)
 	start  atomic.Int64  // nowNS at outermost entry; 0 = not waiting
 	pulses atomic.Uint64 // heartbeat pulses inside the current wait
 	fired  atomic.Int64  // start value the watchdog already reported
+	depth  atomic.Int32  // nested waits currently open
+	op     atomic.Uint32 // outermost wait's op code
+	peer   atomic.Int32  // outermost wait's peer (-1 none)
+	_      [128 - 36]byte
 }
 
 var beats [maxLanes]beatSlot

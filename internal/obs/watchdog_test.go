@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // waitForStall receives stalls until one matches lane (other tests may
@@ -132,5 +133,23 @@ func TestNoteGCAppearsInDiagnosis(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("diagnosis lacks GC attribution after NoteGC")
+	}
+}
+
+// TestBeatSlotLayout: no two lanes' heartbeat fields share a 64-byte
+// cache line, in the beats array as linked and at any alignment.
+func TestBeatSlotLayout(t *testing.T) {
+	var s beatSlot
+	fields := unsafe.Offsetof(s.peer) + unsafe.Sizeof(s.peer)
+	if n := unsafe.Sizeof(s); n < fields+64 {
+		t.Fatalf("beatSlot is %d bytes with %d of fields; an unaligned array can put two lanes on one line", n, fields)
+	}
+	line := func(p unsafe.Pointer, off uintptr) uintptr { return (uintptr(p) + off) / 64 }
+	for lane := 0; lane+1 < maxLanes; lane++ {
+		last := line(unsafe.Pointer(&beats[lane]), fields-1)
+		first := line(unsafe.Pointer(&beats[lane+1]), 0)
+		if last >= first {
+			t.Fatalf("lanes %d and %d share cache line %#x", lane, lane+1, first*64)
+		}
 	}
 }

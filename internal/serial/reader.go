@@ -13,8 +13,9 @@ import (
 // consumes one record — validating the payload's presence
 // before sizing any managed allocation from wire-claimed lengths,
 // then filling simple payloads and scalar fields immediately — and
-// fillRefs runs once at the end, rewiring only reference slots (ids
-// can point forward, so references cannot be resolved inline).
+// rewire follows each parse, wiring reference slots as far as the
+// objects they name are allocated (ids can point forward, so
+// references cannot be resolved inline).
 
 type wireField struct {
 	name          string
@@ -42,6 +43,11 @@ type reader struct {
 	// provider while deserialization runs (allocation can collect).
 	refs    []vm.Ref
 	records []objRecord
+
+	// The rewiring cursor: records before rewired are wired; slot is
+	// the object-array element to resume the cursor's record at.
+	rewired int
+	slot    int
 }
 
 // VisitRoots implements vm.RootProvider.
@@ -207,12 +213,11 @@ func parseEntry(v *vm.VM, raw []byte) (wireType, error) {
 	return wt, nil
 }
 
-// objRecord remembers where an object's payload starts so fillRefs can
+// objRecord remembers where an object's payload starts so rewire can
 // revisit the reference slots.
 type objRecord struct {
 	wt     *wireType
 	length int
-	dims   []int
 	at     int // data position of the field/element payload
 }
 
@@ -239,18 +244,15 @@ func (r *reader) allocRecord() error {
 		}
 		rec.length = int(n)
 		mt := wt.mt
+		extra, width := 0, mt.ElemSize()
+		if mt.Rank > 1 {
+			extra = 4 * mt.Rank
+		}
 		if mt.Elem == vm.KindRef {
-			if err := r.need(4 * rec.length); err != nil {
-				return err
-			}
-		} else {
-			extra := 0
-			if mt.Rank > 1 {
-				extra = 4 * mt.Rank
-			}
-			if err := r.need(extra + rec.length*mt.ElemSize()); err != nil {
-				return err
-			}
+			width = 4 // element ids
+		}
+		if err := r.need(extra + rec.length*width); err != nil {
+			return err
 		}
 		var ref vm.Ref
 		if mt.Rank > 1 {
@@ -267,7 +269,6 @@ func (r *reader) allocRecord() error {
 			if total != rec.length {
 				return r.fail("dims %v != length %d", dims, rec.length)
 			}
-			rec.dims = dims
 			ref, err = h.AllocMultiDim(mt, dims)
 		} else {
 			ref, err = h.AllocArray(mt, rec.length)
@@ -278,9 +279,9 @@ func (r *reader) allocRecord() error {
 		r.refs = append(r.refs, ref)
 		rec.at = r.pos
 		if mt.Elem == vm.KindRef {
-			r.pos += 4 * rec.length // ids rewired by fillRefs
+			r.pos += 4 * rec.length // element ids, wired by rewire
 		} else {
-			sz := rec.length * mt.ElemSize()
+			sz := rec.length * width
 			copy(h.DataBytes(ref), r.data[rec.at:rec.at+sz])
 			r.pos += sz
 		}
@@ -297,7 +298,7 @@ func (r *reader) allocRecord() error {
 				if err := r.need(4); err != nil {
 					return err
 				}
-				r.pos += 4 // id rewired by fillRefs
+				r.pos += 4 // the id, wired by rewire
 				continue
 			}
 			bits, err := r.scalar(f.kind)
@@ -322,49 +323,65 @@ func (r *reader) resolve(id uint32) (vm.Ref, error) {
 	return r.refs[id-1], nil
 }
 
-// fillRefs is the reference pass: every record's reference slots are
-// rewired from wire-local ids to heap references. Runs after all
-// records are allocated, because ids can point forward.
-func (r *reader) fillRefs() error {
+// rewire is the reference pass: from the cursor on, records have their
+// reference slots rewired from wire-local ids to heap references, in
+// record order. Ids can point forward, so until the stream is final the
+// pass stops at the first slot naming an object not yet allocated and
+// resumes there after the next parse; once final, such an id is an
+// error. allocRecord bounds-checked every slot's bytes.
+func (r *reader) rewire(final bool) error {
 	h := r.v.Heap
-	r.limit = len(r.data)
-	for i := range r.records {
-		rec := &r.records[i]
-		if !rec.wt.hasRefs {
+	for ; r.rewired < len(r.records); r.rewired, r.slot = r.rewired+1, 0 {
+		rec := &r.records[r.rewired]
+		wt := rec.wt
+		if !wt.hasRefs {
 			continue
 		}
-		r.pos = rec.at
-		ref := r.refs[i]
-		if rec.wt.isArray {
-			for e := 0; e < rec.length; e++ {
-				id, err := r.u32()
-				if err != nil {
+		ref := r.refs[r.rewired]
+		if wt.isArray {
+			for ; r.slot < rec.length; r.slot++ {
+				id := binary.LittleEndian.Uint32(r.data[rec.at+4*r.slot:])
+				er, ok, err := r.target(id, wt.mt.ElemMT, final)
+				if !ok {
 					return err
 				}
-				er, err := r.resolve(id)
-				if err != nil {
-					return err
-				}
-				h.SetElemRef(ref, e, er)
+				h.SetElemRef(ref, r.slot, er)
 			}
 			continue
 		}
-		for j := range rec.wt.fields {
-			f := &rec.wt.fields[j]
-			if f.kind == vm.KindRef {
-				id, err := r.u32()
-				if err != nil {
-					return err
-				}
-				fr, err := r.resolve(id)
-				if err != nil {
-					return err
-				}
-				h.SetRef(ref, f.local, fr)
+		at := rec.at
+		for j := range wt.fields {
+			f := &wt.fields[j]
+			if f.kind != vm.KindRef {
+				at += f.kind.Size()
 				continue
 			}
-			r.pos += f.kind.Size()
+			fr, ok, err := r.target(binary.LittleEndian.Uint32(r.data[at:]), f.local.DeclaredType, final)
+			if !ok {
+				return err
+			}
+			h.SetRef(ref, f.local, fr)
+			at += 4
 		}
 	}
 	return nil
+}
+
+// target resolves the id stored in a slot declared as class decl. ok
+// is false when the pass must stop: err is nil if the object is merely
+// not allocated yet. A target that is not decl or a subclass of it is
+// an ErrShape error, since verified code reads the slot as decl without
+// a check; a nil decl or the root object type accepts anything.
+func (r *reader) target(id uint32, decl *vm.MethodTable, final bool) (vm.Ref, bool, error) {
+	if int(id) > len(r.refs) && !final {
+		return vm.NullRef, false, nil
+	}
+	ref, err := r.resolve(id)
+	if err != nil || ref == vm.NullRef || decl == nil || decl == r.v.ObjectMT {
+		return ref, err == nil, err
+	}
+	if mt := r.v.Heap.MT(ref); !mt.IsSubclassOf(decl) {
+		return vm.NullRef, false, fmt.Errorf("%w: object %d is %s, slot declared %s", ErrShape, id, mt, decl)
+	}
+	return ref, true, nil
 }

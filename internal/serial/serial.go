@@ -272,11 +272,10 @@ func (w *writer) typeIndex(mt *vm.MethodTable) uint16 {
 	return i
 }
 
-// emit serializes one object's record into objData.
-func (w *writer) emit(ref vm.Ref) error {
+// emit serializes the record of one object, of type mt with
+// stream-local type index ti, into objData.
+func (w *writer) emit(ref vm.Ref, mt *vm.MethodTable, ti uint16) error {
 	h := w.heap
-	mt := h.MT(ref)
-	ti := w.typeIndex(mt)
 	w.u16(ti)
 	if mt.Kind == vm.TKArray {
 		n := h.Length(ref)

@@ -52,9 +52,17 @@ const (
 	streamHeaderSize = 16
 )
 
-// DefaultChunkTarget is the chunk size streaming serialization aims
-// for when the caller does not specify one.
+// DefaultChunkTarget is the largest chunk streaming serialization
+// aims for when the caller does not specify one.
 const DefaultChunkTarget = 256 << 10
+
+// firstChunk is the size the chunk schedule starts from. A chunk stops
+// at a quarter of the bytes already emitted, clamped to [firstChunk,
+// target]: a small tree still travels as several chunks, so the peer
+// parses chunk k while chunk k+1 is serialized, and chunks then grow
+// x1.25 until they reach the target, so a large tree takes a few dozen
+// chunks rather than thousands.
+const firstChunk = 1 << 10
 
 // ErrStreamDone flags Next being called after the final chunk.
 var ErrStreamDone = errors.New("serial: stream already complete")
@@ -73,6 +81,7 @@ type StreamWriter struct {
 	cache  *PeerCache
 	target int
 
+	emitted int // bytes of the chunks produced so far
 	started bool
 	done    bool
 
@@ -219,6 +228,9 @@ func (sw *StreamWriter) Next(buf []byte) ([]byte, error) {
 		return nil, ErrStreamDone
 	}
 	out := buf
+	// The chunk starts at len(buf): SerializeStream appends every chunk
+	// to one buffer.
+	limit := min(max(sw.emitted/4, firstChunk), sw.target) + len(buf)
 	if !sw.started {
 		sw.started = true
 		out = appendU32(out, streamMagic)
@@ -252,25 +264,27 @@ func (sw *StreamWriter) Next(buf []byte) ([]byte, error) {
 		out = append(out, sw.rootRec...)
 		sw.rootRec = sw.rootRec[:0]
 	}
-	for w.head < len(w.pending) && len(out) < sw.target {
+	for w.head < len(w.pending) && len(out) < limit {
 		ref := w.pending[w.head]
 		w.head++
 		if w.head == len(w.pending) {
 			w.pending, w.head = w.pending[:0], 0
 		}
 		mt := w.heap.MT(ref)
-		if _, known := w.typeIdx[mt]; !known {
+		ti, known := w.typeIdx[mt]
+		if !known {
 			closeData()
 			var err error
 			out, err = sw.tableSection(out, mt)
 			if err != nil {
 				return nil, err
 			}
+			ti = w.typeIndex(mt)
 		}
 		openData()
 		// Emit the record directly into the chunk.
 		w.objData = out
-		err := w.emit(ref)
+		err := w.emit(ref, mt, ti)
 		out = w.objData
 		w.objData = nil
 		if err != nil {
@@ -283,6 +297,7 @@ func (sw *StreamWriter) Next(buf []byte) ([]byte, error) {
 		out = appendU32(out, w.nextID-1)
 		sw.done = true
 	}
+	sw.emitted += len(out) - len(buf)
 	sw.Chunks++
 	return out, nil
 }

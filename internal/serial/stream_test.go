@@ -1,6 +1,7 @@
 package serial
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -152,6 +153,54 @@ func TestStreamChunkedSmallTarget(t *testing.T) {
 		if count != 12 {
 			t.Fatalf("pieceMax %d: %d nodes", pieceMax, count)
 		}
+	}
+}
+
+// TestStreamChunkSchedule: a chunk stops at the first record boundary
+// past a quarter of the bytes already emitted, clamped to [1 KiB,
+// target], and SerializeStream, which appends every chunk to one
+// buffer, completes a stream larger than the default target.
+func TestStreamChunkSchedule(t *testing.T) {
+	src := newVM(t)
+	mt := linkedArrayTypes(src)
+	const cells = 4000
+	head := buildList(src, mt, cells, 32) // ≈ 600 KB
+	const slack = 256                     // a record (the largest is 134 B) and section headers
+	for _, target := range []int{0, 4 << 10} {
+		chunks := collectStream(t, NewStreamWriter(src.Heap, head, Options{}, target, nil))
+		largest := target
+		if largest == 0 {
+			largest = DefaultChunkTarget
+		}
+		emitted := 0
+		for k, c := range chunks[:len(chunks)-1] {
+			limit := min(max(emitted/4, firstChunk), largest)
+			if len(c) < limit || len(c) > limit+slack {
+				t.Fatalf("target %d, chunk %d after %d bytes: %d bytes, want %d to %d", target, k, emitted, len(c), limit, limit+slack)
+			}
+			emitted += len(c)
+		}
+		t.Logf("target %d: %d chunks for %d bytes", target, len(chunks), emitted+len(chunks[len(chunks)-1]))
+	}
+	data, err := SerializeStream(src.Heap, head, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) <= DefaultChunkTarget {
+		t.Fatalf("%d bytes, want a stream past the default target", len(data))
+	}
+	dst := newVM(t)
+	dmt := linkedArrayTypes(dst)
+	out, err := DeserializeStream(dst, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for c := out; c != vm.NullRef; c = dst.Heap.GetRef(c, dmt.FieldByName("next")) {
+		n++
+	}
+	if n != cells {
+		t.Fatalf("%d cells decoded, want %d", n, cells)
 	}
 }
 
@@ -555,5 +604,157 @@ func TestStreamNeverPanics(t *testing.T) {
 			data = append(data[:at], append([]byte{byte(rng.Intn(256))}, data[at:]...)...)
 		}
 		tryOne(data)
+	}
+}
+
+// firstRecord returns the offset of the first record of a
+// self-describing stream whose first section is one full table entry.
+func firstRecord(t testing.TB, data []byte) int {
+	t.Helper()
+	at := streamHeaderSize
+	if data[at] != secTableFull {
+		t.Fatalf("section tag %d, want a full table entry", data[at])
+	}
+	at += 7 + int(binary.LittleEndian.Uint16(data[at+5:]))
+	if data[at] != secData {
+		t.Fatalf("section tag %d, want data", data[at])
+	}
+	return at + 5
+}
+
+// patchID rewrites the u32 id at off from want to to.
+func patchID(t testing.TB, data []byte, off int, want, to uint32) {
+	t.Helper()
+	if got := binary.LittleEndian.Uint32(data[off:]); got != want {
+		t.Fatalf("id at %d is %d, want %d", off, got, want)
+	}
+	binary.LittleEndian.PutUint32(data[off:], to)
+}
+
+// TestStreamRejectsFieldTypeConfusion: a stream whose head cell's next
+// field names the head's own int32[] must not decode, since verified
+// code reads next as a LinkedArray without a check.
+func TestStreamRejectsFieldTypeConfusion(t *testing.T) {
+	src := newVM(t)
+	mt := linkedArrayTypes(src)
+	data, err := SerializeStream(src.Heap, buildList(src, mt, 2, 3), Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Head record: u16 type, then array = 2, next = 3, next2, id.
+	patchID(t, data, firstRecord(t, data)+6, 3, 2)
+	dst := newVM(t)
+	linkedArrayTypes(dst)
+	if _, err := DeserializeStream(dst, data); !errors.Is(err, ErrShape) {
+		t.Fatalf("int32[] in a LinkedArray field: err %v, want ErrShape", err)
+	}
+}
+
+// TestStreamRejectsElementTypeConfusion: the same for an element of a
+// LinkedArray[] that names a cell's int32[].
+func TestStreamRejectsElementTypeConfusion(t *testing.T) {
+	src := newVM(t)
+	mt := linkedArrayTypes(src)
+	guard := &refGuard{refs: make([]vm.Ref, 1)}
+	src.AddRootProvider(guard)
+	defer src.RemoveRootProvider(guard)
+	arr, err := src.Heap.AllocArray(src.ArrayType(vm.KindRef, mt, 1), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard.refs[0] = arr
+	for i := range 2 {
+		cell := buildList(src, mt, 1, 3)
+		src.Heap.SetElemRef(guard.refs[0], i, cell)
+	}
+	data, err := SerializeStream(src.Heap, guard.refs[0], Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Root record: u16 type, u32 length, element ids 2 and 3; cell 2's
+	// int32[] is id 4.
+	patchID(t, data, firstRecord(t, data)+6, 2, 4)
+	dst := newVM(t)
+	linkedArrayTypes(dst)
+	if _, err := DeserializeStream(dst, data); !errors.Is(err, ErrShape) {
+		t.Fatalf("int32[] in a LinkedArray[] element: err %v, want ErrShape", err)
+	}
+}
+
+// TestStreamRewireFollowsCommits: reference slots are rewired as the
+// chunks carrying the objects they name are committed, not at Finish.
+// A list's cursor trails its last parsed record by at most three; a
+// wide object array holds the cursor, wired up to its first element
+// not yet parsed, until its last element arrives. Each graph must
+// serialize again to the stream it was read from, object arrays of
+// several lengths in one stream included.
+func TestStreamRewireFollowsCommits(t *testing.T) {
+	src := newVM(t)
+	mt := linkedArrayTypes(src)
+	guard := &refGuard{refs: make([]vm.Ref, 4)} // list, 64 cells, 16 cells, both arrays
+	src.AddRootProvider(guard)
+	defer src.RemoveRootProvider(guard)
+	guard.refs[0] = buildList(src, mt, 64, 16)
+	for k, n := range []int{64, 16} {
+		arr, err := src.Heap.AllocArray(src.ArrayType(vm.KindRef, mt, 1), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		guard.refs[1+k] = arr
+		for i := range n {
+			cell := buildList(src, mt, 1, 16)
+			src.Heap.SetElemRef(guard.refs[1+k], i, cell)
+		}
+	}
+	both, err := src.Heap.AllocArray(src.ArrayType(vm.KindRef, nil, 1), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard.refs[3] = both
+	src.Heap.SetElemRef(guard.refs[3], 0, guard.refs[1])
+	src.Heap.SetElemRef(guard.refs[3], 1, guard.refs[2])
+	for name, root := range map[string]vm.Ref{"list": guard.refs[0], "array": guard.refs[1], "arrays": guard.refs[3]} {
+		chunks := collectStream(t, NewStreamWriter(src.Heap, root, Options{}, 0, nil))
+		if len(chunks) < 4 {
+			t.Fatalf("%s: %d chunks, want the 1 KiB schedule's several", name, len(chunks))
+		}
+		dst := newVM(t)
+		linkedArrayTypes(dst)
+		sr := NewStreamReader(dst, nil, nil)
+		dst.AddRootProvider(sr)
+		for k, chunk := range chunks[:len(chunks)-1] {
+			copy(sr.Grow(len(chunk)), chunk)
+			if err := sr.Commit(len(chunk)); err != nil {
+				t.Fatal(err)
+			}
+			rd := &sr.rd
+			switch {
+			case name == "list" && len(rd.records)-rd.rewired > 3:
+				t.Fatalf("list, chunk %d: %d of %d records rewired", k, rd.rewired, len(rd.records))
+			case name == "array" && len(rd.records) <= 64 && (rd.rewired != 0 || rd.slot != len(rd.records)-1):
+				t.Fatalf("array, chunk %d: cursor at record %d slot %d with %d records", k, rd.rewired, rd.slot, len(rd.records))
+			}
+		}
+		last := chunks[len(chunks)-1]
+		copy(sr.Grow(len(last)), last)
+		var out vm.Ref
+		err := sr.Commit(len(last))
+		if err == nil {
+			out, err = sr.Finish()
+		}
+		dst.RemoveRootProvider(sr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.rd.rewired != len(sr.rd.records) {
+			t.Fatalf("%s: %d of %d records rewired after Finish", name, sr.rd.rewired, len(sr.rd.records))
+		}
+		again, err := SerializeStream(dst.Heap, out, Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != string(concatChunks(chunks)) {
+			t.Fatalf("%s: the decoded graph serializes differently from its stream", name)
+		}
 	}
 }

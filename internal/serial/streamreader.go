@@ -11,8 +11,9 @@ import (
 // chunk bytes with Grow/Commit, and the reader scans sections and
 // parses (allocates + fills) object records as soon as their bytes are
 // complete — so deserialization overlaps the wire just like the
-// writer side. Reference slots are rewired at Finish, since ids can
-// point forward across chunks.
+// writer side. Each parse is followed by rewiring reference slots in
+// record order while the objects they name are allocated; ids can
+// point forward across chunks, so Finish rewires what is left.
 //
 // When a table reference cannot be resolved against the mirror the
 // reader stalls record parsing (sections are still scanned, so the
@@ -228,7 +229,10 @@ scan:
 	if sr.unresolved > 0 {
 		return nil // stalled: keep draining the wire, parse at Finish
 	}
-	return sr.parseRuns()
+	if err := sr.parseRuns(); err != nil {
+		return err
+	}
+	return sr.rd.rewire(false)
 }
 
 // parseRuns consumes records out of every completed data section.
@@ -302,8 +306,8 @@ func (sr *StreamReader) InstallTable(blob []byte) error {
 }
 
 // Finish completes the stream: any stalled records are parsed, the
-// record count is checked against the end section, and references are
-// rewired. Returns the root.
+// record count is checked against the end section, and the references
+// not yet rewired are. Returns the root.
 func (sr *StreamReader) Finish() (vm.Ref, error) {
 	if !sr.ended {
 		return vm.NullRef, sr.rd.fail("stream truncated (no end section)")
@@ -317,7 +321,7 @@ func (sr *StreamReader) Finish() (vm.Ref, error) {
 	if uint32(len(sr.rd.refs)) != sr.endCount {
 		return vm.NullRef, sr.rd.fail("object count %d != %d records", sr.endCount, len(sr.rd.refs))
 	}
-	if err := sr.rd.fillRefs(); err != nil {
+	if err := sr.rd.rewire(true); err != nil {
 		return vm.NullRef, err
 	}
 	return sr.rd.resolve(sr.rootID)

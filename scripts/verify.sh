@@ -95,9 +95,11 @@ tier3() {
 # up the use-after-recycle tests (TestStressStaleRequestHandle in mp,
 # TestStressStaleManagedRequest in core): a recycled request reused by
 # a new operation while its old handle or managed id is still used.
-# The last pass runs the core and mp blocking-wait tests on one
-# processor, where a wait's idle step must yield at every poll
-# (adi.Device.Idle) or the peer it waits for never runs.
+# A stream reader rewires references between chunk commits, so its
+# partly wired graph must survive collections there; those tests run
+# 10 more rounds. The last pass runs the core and mp blocking-wait
+# tests on one processor, where a wait's idle step must yield at every
+# poll (adi.Device.Idle) or the peer it waits for never runs.
 tier_stress() {
 	echo "== stress: -race concurrency stress + chaos + progress harness"
 	GORACE=halt_on_error=1 go test -race -timeout 600s \
@@ -108,6 +110,9 @@ tier_stress() {
 	echo "== stress: -race shm slot protocol, 20 rounds"
 	GORACE=halt_on_error=1 go test -race -timeout 600s -count=20 \
 		-run 'ShmRing|ShmSlot|Slab' ./internal/mp/channel/
+	echo "== stress: -race OO stream reader, rewiring between commits, 10 rounds"
+	GORACE=halt_on_error=1 go test -race -timeout 600s -count=10 \
+		-run 'StreamReader|Rewire|OOReader' ./internal/serial/ ./internal/core/
 	echo "== stress: -race blocking waits at GOMAXPROCS=1 (every idle step yields)"
 	GOMAXPROCS=1 GORACE=halt_on_error=1 go test -race -timeout 600s \
 		-run 'Stress|PingPong|Wait' ./internal/core/ ./internal/mp/
