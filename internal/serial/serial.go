@@ -280,18 +280,17 @@ func (w *writer) emit(ref vm.Ref, mt *vm.MethodTable, ti uint16) error {
 	if mt.Kind == vm.TKArray {
 		n := h.Length(ref)
 		w.u32(uint32(n))
+		if mt.Rank > 1 {
+			for _, d := range h.Dims(ref) {
+				w.u32(uint32(d))
+			}
+		}
 		if mt.Elem == vm.KindRef {
 			// Arrays travel together with their element objects.
 			for i := 0; i < n; i++ {
 				w.u32(w.assign(h.GetElemRef(ref, i)))
 			}
 			return nil
-		}
-		// Simple arrays: raw element data (including multidim dims).
-		if mt.Rank > 1 {
-			for _, d := range h.Dims(ref) {
-				w.u32(uint32(d))
-			}
 		}
 		w.objData = append(w.objData, h.DataBytes(ref)...)
 		return nil

@@ -758,3 +758,77 @@ func TestStreamRewireFollowsCommits(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamMultiDimObjectArray: a 2 x 3 LinkedArray[,] (one element
+// null) round-trips with its dims, decoded in one commit and in one
+// commit per chunk of a 64-byte target, under both visited modes. The
+// dims precede the element ids in the record, so rewire must address
+// each element id behind them.
+func TestStreamMultiDimObjectArray(t *testing.T) {
+	src := newVM(t)
+	mt := linkedArrayTypes(src)
+	guard := &refGuard{refs: make([]vm.Ref, 1)}
+	src.AddRootProvider(guard)
+	defer src.RemoveRootProvider(guard)
+	arr, err := src.Heap.AllocMultiDim(src.ArrayType(vm.KindRef, mt, 2), []int{2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard.refs[0] = arr
+	fID := mt.FieldByName("id")
+	for i := 0; i < 6; i++ {
+		if i == 4 {
+			continue
+		}
+		cell := buildList(src, mt, 1, 4)
+		src.Heap.SetScalar(cell, fID, uint64(100+i))
+		src.Heap.SetElemRef(guard.refs[0], i, cell)
+	}
+	for _, mode := range []VisitedMode{VisitedMap, VisitedLinear} {
+		sw := NewStreamWriter(src.Heap, guard.refs[0], Options{Visited: mode}, 64, nil)
+		src.AddRootProvider(sw)
+		chunks := collectStream(t, sw)
+		src.RemoveRootProvider(sw)
+		stream := concatChunks(chunks)
+		want, err := SerializeStream(src.Heap, guard.refs[0], Options{Visited: mode}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, perChunk := range []bool{false, true} {
+			dst := newVM(t)
+			dmt := linkedArrayTypes(dst)
+			var out vm.Ref
+			if perChunk {
+				sr, err := feedStream(dst, nil, chunks, 0)
+				if err == nil {
+					out, err = sr.Finish()
+				}
+				if err != nil {
+					t.Fatalf("visited %d, per chunk: %v", mode, err)
+				}
+			} else if out, err = DeserializeStream(dst, stream); err != nil {
+				t.Fatalf("visited %d, one commit: %v", mode, err)
+			}
+			h := dst.Heap
+			if dims := h.Dims(out); len(dims) != 2 || dims[0] != 2 || dims[1] != 3 {
+				t.Fatalf("visited %d, per chunk %v: dims %v, want [2 3]", mode, perChunk, dims)
+			}
+			for i := 0; i < 6; i++ {
+				cell := h.GetElemRef(out, i)
+				switch {
+				case i == 4 && cell != vm.NullRef:
+					t.Fatalf("visited %d, per chunk %v: element 4 not null", mode, perChunk)
+				case i != 4 && (cell == vm.NullRef || h.GetScalar(cell, dmt.FieldByName("id")) != uint64(100+i)):
+					t.Fatalf("visited %d, per chunk %v: element %d wired wrong", mode, perChunk, i)
+				}
+			}
+			again, err := SerializeStream(h, out, Options{Visited: mode}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(again) != string(want) {
+				t.Fatalf("visited %d, per chunk %v: the decoded array serializes differently", mode, perChunk)
+			}
+		}
+	}
+}

@@ -22,9 +22,9 @@ import (
 //     them into dedicated pinned blocks instead (gcpar.go).
 //   - A full collection additionally marks from the roots with
 //     GCWorkers work-stealing workers and sweeps the elder space in
-//     place (gcpar.go). Only the moving policy then slide-compacts it
-//     (gccompact.go); under the §5.2 policy an elder object never
-//     moves.
+//     place (gcpar.go). Only the moving policy may slide-compact it
+//     instead (gccompact.go); under the §5.2 policy an elder object
+//     never moves.
 //
 // Conditional pin requests go through one resolver per cycle
 // (gcpar.go): every request's Active() runs exactly once, when the
@@ -302,7 +302,7 @@ func (sc *scavenger) forward(r Ref) Ref {
 		return r
 	}
 	size := h.objSize(r)
-	newOff, ok := h.elderFit(size)
+	newOff, ok := h.elderFit(size, false)
 	if !ok {
 		rangeSize := h.youngSize * 4
 		if rangeSize < size+HeaderSize {
@@ -313,7 +313,7 @@ func (sc *scavenger) forward(r Ref) Ref {
 			panic(ErrOutOfMemory)
 		}
 		h.addElderRange(start, start+rangeSize)
-		newOff, ok = h.elderFit(size)
+		newOff, ok = h.elderFit(size, false)
 		if !ok {
 			panic(ErrOutOfMemory)
 		}

@@ -117,6 +117,7 @@ type diffWorld struct {
 	pinnedRefs                 []Ref       // refs we have explicitly pinned, in pin order
 	conds                      []worldCond // cond pins, in add order
 	cycles                     int         // collections run, counted by a GC hook
+	activeHook                 func()      // if set, every cond pin's Active() calls it first
 	ops                        chan func(*Thread)
 	ack                        chan struct{}
 	done                       chan struct{}
@@ -248,6 +249,9 @@ func (w *diffWorld) step(t *testing.T, op diffOp) int {
 				c := worldCond{ref: r, hold: int32(op.b), calls: new(int32)}
 				w.conds = append(w.conds, c)
 				h.AddCondPin(r, func() bool {
+					if w.activeHook != nil {
+						w.activeHook()
+					}
 					return atomic.AddInt32(c.calls, 1) <= c.hold
 				})
 			}

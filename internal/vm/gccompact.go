@@ -8,24 +8,22 @@ import (
 // Elder sliding compaction (moving policy only). The §5.2 policy
 // never compacts the elder generation, so long-lived daemons fragment
 // until first-fit allocation falls over. After a full collection's
-// sweep under the moving policy, when the free list is splintered
-// past compactFreeListThreshold (or compaction was requested
-// explicitly), live elder objects slide toward the start of their
-// range, pinned objects stay as islands nothing crosses, and the free
-// list is rebuilt fully coalesced. Forwarding is applied through the
-// same visitor pipeline the scavenger uses (visitAllRoots +
+// mark under the moving policy, when the free fragments are past
+// compactFreeListThreshold (or compaction was requested explicitly),
+// live elder objects slide toward the start of their range instead of
+// being swept, pinned objects stay as islands nothing crosses, and the
+// free list is rebuilt fully coalesced. Forwarding is applied through
+// the same visitor pipeline the scavenger uses (visitAllRoots +
 // scanRefSlots), so every root surface — handles, globals, thread
 // frames, embedder root sets — is covered by construction.
 //
 // Gap-size safety: every object is ≥ HeaderSize and 8-aligned, and
-// after a sweep every free block is ≥ HeaderSize, so the total free
-// space in any run between pinned islands is 0 or ≥ HeaderSize.
-// Sliding packs each such run tight and leaves the whole freed space
-// as one tail gap, which therefore always carries a valid free-block
-// header — exact range coverage (CheckInvariants) is preserved.
+// elder ranges are exactly covered by headers, so every run of dead
+// bytes between live objects is 0 or ≥ HeaderSize. Sliding packs each
+// run between pinned islands tight and leaves the whole freed space as
+// one gap, which therefore always carries a valid free-block header —
+// exact range coverage (CheckInvariants) is preserved.
 const compactFreeListThreshold = 64
-
-type gcMove struct{ old, new, size uint32 }
 
 // mergeElderRanges sorts the elder ranges by address and merges
 // exactly adjacent ones, so compaction can slide across what used to
@@ -45,113 +43,108 @@ func (h *Heap) mergeElderRanges() {
 	h.elderRanges = out
 }
 
-// compactElder slides live elder objects downward, skipping pinned
-// islands, then fixes up every reference and rebuilds a coalesced
-// free list. Runs only when the younger generation is empty (the
-// cycle's scavenge completed), so the only reference slots are in
-// roots and elder objects.
-func (h *Heap) compactElder(v *VM, pinned map[Ref]struct{}) {
-	h.mergeElderRanges()
-
-	// Pass A: plan. For each range, objects pack toward the lowest
-	// free address; a pinned object resets the destination cursor past
-	// itself. layout collects every live object's final position so
-	// pass D can rebuild the free list without re-walking moved memory.
-	var moves []gcMove
-	type placed struct{ off, size uint32 }
-	layouts := make([][]placed, len(h.elderRanges))
-	for i, rg := range h.elderRanges {
-		dst := rg.start
-		pos := rg.start
-		for pos < rg.end {
-			size := h.objSize(Ref(pos))
-			if size < HeaderSize || pos+size > rg.end {
-				break
-			}
-			if h.mtIndex(Ref(pos)) == freeSentinel {
-				pos += size
-				continue
+// planCompaction walks the live elder objects only, stepping by the
+// mark bitmap, and stamps each one's destination into its flags word,
+// which no elder object uses between collections (an 8-aligned stamp
+// never reads as flagMark or flagForwarded). It counts the dead runs
+// between live objects, the fragments a sweep would list, to decide
+// whether to compact, and returns the bytes that would move.
+func (h *Heap) planCompaction(mk *markState, pinned map[Ref]struct{}) (compact bool, moved uint64) {
+	frags := 0
+	for _, rg := range h.elderRanges {
+		dst, end := rg.start, rg.start // end: where the last live object ended
+		for pos := mk.next(rg.start, rg.end); pos < rg.end; pos = mk.next(end, rg.end) {
+			if pos > end {
+				frags++
 			}
 			if _, pin := pinned[Ref(pos)]; pin {
-				// Pinned island: stays put; nothing slides across it.
-				layouts[i] = append(layouts[i], placed{pos, size})
-				dst = pos + size
-				pos += size
-				continue
+				dst = pos // nothing slides across a pinned island
 			}
-			if dst != pos {
-				moves = append(moves, gcMove{pos, dst, size})
-			}
-			layouts[i] = append(layouts[i], placed{dst, size})
-			dst += size
-			pos += size
-		}
-	}
-	if len(moves) == 0 {
-		return
-	}
-
-	// Pass B: fix up every reference slot through the move table,
-	// reading the pre-move layout. moves is ascending in old address
-	// (ranges are sorted and each range is walked in order).
-	fwd := func(r Ref) Ref {
-		i := sort.Search(len(moves), func(i int) bool { return moves[i].old > uint32(r) }) - 1
-		if i >= 0 && uint32(r) == moves[i].old {
-			return Ref(moves[i].new)
-		}
-		return r
-	}
-	for _, rg := range h.elderRanges {
-		pos := rg.start
-		for pos < rg.end {
 			size := h.objSize(Ref(pos))
-			if size < HeaderSize || pos+size > rg.end {
-				break
+			h.setFlags(Ref(pos), dst)
+			if dst != pos {
+				moved += uint64(size)
 			}
-			if h.mtIndex(Ref(pos)) != freeSentinel {
+			dst += size
+			end = pos + size
+		}
+		if rg.end > end {
+			frags++
+		}
+	}
+	return h.compactRequested || frags >= compactFreeListThreshold, moved
+}
+
+// fwd is compaction's forwarding function: a live elder object's
+// flags word holds its planned destination. Anything unstamped (NullRef
+// too: the arena's first 8 bytes are never written) stays as it is.
+func (h *Heap) fwd(r Ref) Ref {
+	if d := h.flags(r); d != 0 {
+		return Ref(d)
+	}
+	return r
+}
+
+// compactElder carries out the plan. Every reference is forwarded in
+// the pre-move layout, by gcWorkers workers (the coordinator one of
+// them) over the objects starting in their slice of the mark bitmap
+// (targets' headers are only read), then the roots; one walk then
+// slides each object, clears its stamp and rebuilds the free list and
+// elderUsed. Runs only when the younger generation is empty (the
+// cycle's scavenge completed), so the only reference slots are in
+// roots and elder objects.
+func (h *Heap) compactElder(v *VM, mk *markState, moved uint64) {
+	if moved > 0 {
+		fix := func(lo, hi uint32) {
+			fwd := h.fwd
+			for pos := mk.next(lo, hi); pos < hi; pos = mk.next(pos+h.objSize(Ref(pos)), hi) {
 				h.scanRefSlots(Ref(pos), fwd)
 			}
-			pos += size
 		}
-	}
-	v.visitAllRoots(fwd)
-	if len(h.remembered) > 0 {
-		// Only possible in degraded corner states; keep the keys honest.
-		moved := make(map[Ref]struct{}, len(h.remembered))
-		for obj := range h.remembered {
-			moved[fwd(obj)] = struct{}{}
+		words, n := uint32(len(mk.bits)), uint32(h.gcWorkers)
+		for k := uint32(1); k < n; k++ {
+			mk.wg.Add(1)
+			go func() {
+				defer mk.wg.Done()
+				fix(k*words/n<<9, (k+1)*words/n<<9)
+			}()
 		}
-		h.remembered = moved
+		fix(0, words/n<<9)
+		mk.wg.Wait()
+		// The remembered set needs none: the scavenge cleared it.
+		v.visitAllRoots(h.fwd)
 	}
 
-	// Pass C: move. Ascending order with dst <= src inside each range
-	// makes the overlapping copies safe.
-	var movedBytes uint64
-	for _, m := range moves {
-		copy(h.mem[m.new:m.new+m.size], h.mem[m.old:m.old+m.size])
-		movedBytes += uint64(m.size)
-	}
-
-	// Pass D: rebuild the free list from the planned layout, fully
-	// coalesced — one free block per gap between live runs.
+	// Ascending order with dst <= src inside each range makes the
+	// overlapping copies safe, and a free block is only ever written
+	// below the object being placed, over memory already vacated.
 	h.freeList = h.freeList[:0]
-	for i, rg := range h.elderRanges {
-		freeStart := rg.start
-		for _, p := range layouts[i] {
-			if p.off > freeStart {
-				size := p.off - freeStart
-				h.writeFreeBlock(freeStart, size)
-				h.freeList = append(h.freeList, freeBlock{freeStart, size})
+	used := h.elderUsed
+	h.elderUsed = 0
+	for _, rg := range h.elderRanges {
+		free := rg.start
+		for pos := mk.next(rg.start, rg.end); pos < rg.end; {
+			size, dst := h.objSize(Ref(pos)), h.flags(Ref(pos))
+			if dst > free { // a pinned island
+				h.writeFreeBlock(free, dst-free)
+				h.freeList = append(h.freeList, freeBlock{free, dst - free})
 			}
-			freeStart = p.off + p.size
+			if dst != pos {
+				copy(h.mem[dst:dst+size], h.mem[pos:pos+size])
+			}
+			h.setFlags(Ref(dst), 0)
+			h.elderUsed += size
+			free = dst + size
+			pos = mk.next(pos+size, rg.end)
 		}
-		if rg.end > freeStart {
-			size := rg.end - freeStart
-			h.writeFreeBlock(freeStart, size)
-			h.freeList = append(h.freeList, freeBlock{freeStart, size})
+		if rg.end > free {
+			h.writeFreeBlock(free, rg.end-free)
+			h.freeList = append(h.freeList, freeBlock{free, rg.end - free})
 		}
 	}
-
-	atomic.AddUint64(&h.Stats.Compactions, 1)
-	atomic.AddUint64(&h.Stats.BytesCompacted, movedBytes)
+	atomic.AddUint64(&h.Stats.BytesSwept, uint64(used-h.elderUsed))
+	if moved > 0 {
+		atomic.AddUint64(&h.Stats.Compactions, 1)
+		atomic.AddUint64(&h.Stats.BytesCompacted, moved)
+	}
 }

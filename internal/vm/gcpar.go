@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -134,9 +135,9 @@ func (r *condPinResolver) pinnedNow(ref Ref) bool {
 	return r.settle(r.take(ref))
 }
 
-// observe is the worker feed: a mark worker that pops ref hands it to
-// the resolver; a held decision injects the object as a mark root
-// (pinned objects are live regardless of managed reachability).
+// observe resolves the requests on ref; a held decision injects it as
+// a mark root (pinned objects are live regardless of managed
+// reachability). Mark workers pass nil: what they pop is marked already.
 func (r *condPinResolver) observe(ref Ref, inject func(Ref)) {
 	if r.settle(r.take(ref)) && inject != nil {
 		inject(ref)
@@ -169,87 +170,105 @@ func (r *condPinResolver) finish() {
 	r.h.condPins = r.kept
 }
 
-// heldRefs returns the objects held pinned this cycle (for the
-// compaction skip set).
-func (r *condPinResolver) heldRefs() []Ref {
-	refs := make([]Ref, 0, len(r.kept))
-	for _, cp := range r.kept {
-		refs = append(refs, cp.Ref)
-	}
-	return refs
-}
-
 // --- work-stealing mark ------------------------------------------------
 
-// markDeque is one worker's mark stack. The owner pops LIFO for
-// locality; thieves steal FIFO from the front. A worker never holds
-// two deque locks at once (pop releases before steal acquires), so a
-// single rank suffices.
+// markDeque is the shared half of one worker's mark work: the owner
+// takes back the newest half, thieves the oldest. A worker never holds
+// two deque locks at once, so a single rank suffices.
 type markDeque struct {
-	mu  sync.Mutex //motorlint:lockorder 40 gcdeque
-	buf []Ref
+	size int32      // atomic: len(buf)-head, read without the lock
+	mu   sync.Mutex //motorlint:lockorder 40 gcdeque
+	buf  []Ref
+	head int // thieves take from buf[head:]
 }
 
-func (d *markDeque) push(r Ref) {
+func (d *markDeque) put(refs ...Ref) {
 	d.mu.Lock()
-	d.buf = append(d.buf, r)
-	d.mu.Unlock()
-}
-
-func (d *markDeque) pop() (Ref, bool) {
-	d.mu.Lock()
-	n := len(d.buf)
-	if n == 0 {
-		d.mu.Unlock()
-		return NullRef, false
+	if d.head >= len(d.buf)/2 { // reclaim the stolen front
+		d.buf, d.head = d.buf[:copy(d.buf, d.buf[d.head:])], 0
 	}
-	r := d.buf[n-1]
-	d.buf = d.buf[:n-1]
+	d.buf = append(d.buf, refs...)
+	atomic.StoreInt32(&d.size, int32(len(d.buf)-d.head))
 	d.mu.Unlock()
-	return r, true
 }
 
-func (d *markDeque) steal() (Ref, bool) {
-	d.mu.Lock()
-	if len(d.buf) == 0 {
-		d.mu.Unlock()
-		return NullRef, false
+// grab moves half the deque, at least one reference, onto dst: the
+// newest half for the owner, the oldest for a thief.
+func (d *markDeque) grab(dst []Ref, thief bool) []Ref {
+	if atomic.LoadInt32(&d.size) == 0 {
+		return dst
 	}
-	r := d.buf[0]
-	d.buf = d.buf[1:]
+	d.mu.Lock()
+	n := len(d.buf) - d.head
+	k := (n + 1) / 2
+	if thief {
+		dst = append(dst, d.buf[d.head:d.head+k]...)
+		d.head += k
+	} else {
+		dst = append(dst, d.buf[len(d.buf)-k:]...)
+		d.buf = d.buf[:len(d.buf)-k]
+	}
+	atomic.StoreInt32(&d.size, int32(n-k))
 	d.mu.Unlock()
-	return r, true
+	return dst
 }
 
 // markState is the shared state of one parallel mark: the side
-// bitmap, the deques, and the termination counter. pending counts
-// marked-but-unscanned objects plus one coordinator token held while
-// roots and drained cond pins are still being injected; the phase is
-// over when it reaches zero.
+// bitmap, the deques, and the termination counter. It lives on the
+// Heap and is reused, so a mark allocates nothing per object.
+//
+// pending counts marked-but-unscanned objects plus one coordinator
+// token held while roots and drained cond pins are still being
+// injected. A worker marks onto a private stack and settles the net
+// of what it marked minus what it scanned into pending in batches:
+// before it publishes half its stack to its deque, and before it goes
+// idle. It exits only with an empty stack, an empty own deque, nothing
+// to steal and pending at zero after its own settle, so the last
+// worker out reads the exact count.
 type markState struct {
 	pending int64 // atomic; first field for 64-bit alignment on 32-bit hosts
 	h       *Heap
 	bits    []uint64
-	deques  []*markDeque
-	cursor  uint32 // atomic round-robin injection cursor
+	deques  []markDeque
+	workers []markWorker
+	cursor  uint32 // coordinator's round-robin injection cursor
+	wg      sync.WaitGroup
 }
 
-func newMarkState(h *Heap, workers int) *markState {
-	words := (len(h.mem)/8 + 63) / 64
-	if cap(h.markBits) < words {
-		h.markBits = make([]uint64, words)
-	} else {
-		h.markBits = h.markBits[:words]
-		for i := range h.markBits {
-			h.markBits[i] = 0
+// markWorker is one mark worker's private state.
+type markWorker struct {
+	m     *markState
+	stack []Ref
+	delta int64         // marked minus scanned since the last settle
+	visit func(Ref) Ref // marks a slot's target and stacks it if new
+}
+
+// startMark readies the Heap's mark state for a cycle: a zeroed bitmap
+// (one bit per 8 arena bytes) and the coordinator's token.
+func (h *Heap) startMark() *markState {
+	m := h.mark
+	if m == nil {
+		m = &markState{h: h, deques: make([]markDeque, h.gcWorkers), workers: make([]markWorker, h.gcWorkers)}
+		for i := range m.workers {
+			w := &m.workers[i]
+			w.m = m
+			w.visit = func(r Ref) Ref {
+				if r != NullRef && m.trySet(uint32(r)) {
+					w.stack = append(w.stack, r)
+					w.delta++
+				}
+				return r
+			}
 		}
+		h.mark = m
 	}
-	m := &markState{h: h, bits: h.markBits, deques: make([]*markDeque, workers)}
-	for i := range m.deques {
-		m.deques[i] = &markDeque{}
+	words := (len(h.mem)/8 + 63) / 64
+	if cap(m.bits) < words {
+		m.bits = make([]uint64, words)
+	} else {
+		m.bits = m.bits[:words]
+		clear(m.bits)
 	}
-	// Coordinator token: workers must not terminate while roots (or
-	// resolver-held objects) are still arriving.
 	atomic.StoreInt64(&m.pending, 1)
 	return m
 }
@@ -278,18 +297,35 @@ func (m *markState) marked(off uint32) bool {
 	return m.bits[i>>6]&(uint64(1)<<(i&63)) != 0
 }
 
-// inject marks ref and, if newly marked, queues it for scanning.
-// Safe from the coordinator and from any worker.
-func (m *markState) inject(ref Ref) {
-	if ref == NullRef {
-		return
+// next returns the offset of the first marked object in [off, end),
+// or end, after the mark phase has joined. It steps a bitmap word (512
+// arena bytes) at a time and never reads the heap, so a walk over live
+// objects touches no dead header.
+func (m *markState) next(off, end uint32) uint32 {
+	for off < end {
+		i := off >> 3
+		if word := m.bits[i>>6] >> (i & 63); word != 0 {
+			if p := off + uint32(bits.TrailingZeros64(word))<<3; p < end {
+				return p
+			}
+			return end
+		}
+		if off = (i>>6 + 1) << 9; off == 0 { // past the last word of a 4 GiB arena
+			return end
+		}
 	}
-	if !m.trySet(uint32(ref)) {
+	return end
+}
+
+// inject marks ref and, if newly marked, queues it round-robin on a
+// deque. Coordinator only: workers stack what they find privately.
+func (m *markState) inject(ref Ref) {
+	if ref == NullRef || !m.trySet(uint32(ref)) {
 		return
 	}
 	atomic.AddInt64(&m.pending, 1)
-	i := atomic.AddUint32(&m.cursor, 1) % uint32(len(m.deques))
-	m.deques[i].push(ref)
+	m.cursor++
+	m.deques[m.cursor%uint32(len(m.deques))].put(ref)
 }
 
 // releaseToken drops the coordinator's injection token.
@@ -297,34 +333,50 @@ func (m *markState) releaseToken() {
 	atomic.AddInt64(&m.pending, -1)
 }
 
-// worker is one mark worker: drain own deque, steal when empty, exit
-// when the termination counter reaches zero. Every popped object is
-// offered to the cond-pin resolver (the feed half of the single-
-// resolver discipline), then its reference slots are scanned.
-func (m *markState) worker(id int, res *condPinResolver) {
-	visit := func(r Ref) Ref {
-		m.inject(r)
-		return r
+// settle adds the worker's unsettled count to pending.
+func (w *markWorker) settle() {
+	if w.delta != 0 {
+		atomic.AddInt64(&w.m.pending, w.delta)
+		w.delta = 0
 	}
+}
+
+// worker is one mark worker: drain the private stack, refill it from
+// the own deque or by stealing, and exit by the termination rule
+// (markState). Every popped object is offered to the cond-pin resolver
+// (the feed half of the single-resolver discipline), then its
+// reference slots are scanned.
+func (m *markState) worker(id int, res *condPinResolver) {
+	w, own := &m.workers[id], &m.deques[id]
 	for {
-		ref, ok := m.deques[id].pop()
-		if !ok {
-			for j := 1; j < len(m.deques) && !ok; j++ {
-				ref, ok = m.deques[(id+j)%len(m.deques)].steal()
+		n := len(w.stack)
+		if n == 0 {
+			w.stack = own.grab(w.stack, false)
+			for j := 1; j < len(m.deques) && len(w.stack) == 0; j++ {
+				w.stack = m.deques[(id+j)%len(m.deques)].grab(w.stack, true)
+			}
+			if n = len(w.stack); n == 0 {
+				w.settle()
+				if atomic.LoadInt64(&m.pending) == 0 {
+					return
+				}
+				runtime.Gosched()
+				continue
 			}
 		}
-		if !ok {
-			if atomic.LoadInt64(&m.pending) == 0 {
-				return
-			}
-			runtime.Gosched()
-			continue
-		}
+		ref := w.stack[n-1]
+		w.stack = w.stack[:n-1]
 		if res != nil {
-			res.observe(ref, m.inject)
+			res.observe(ref, nil) // marked already: nothing to inject
 		}
-		m.h.scanRefSlots(ref, visit)
-		atomic.AddInt64(&m.pending, -1)
+		m.h.scanRefSlots(ref, w.visit)
+		w.delta--
+		if n = len(w.stack); n > 1 && len(m.deques) > 1 && atomic.LoadInt32(&own.size) == 0 {
+			w.settle()
+			half := n / 2
+			own.put(w.stack[:half]...)
+			w.stack = w.stack[:copy(w.stack, w.stack[half:])]
+		}
 	}
 }
 
@@ -459,8 +511,7 @@ func (h *Heap) returnElderSpace(start, end uint32) {
 		return
 	}
 	// Merge with the ranges ending and starting exactly at the gap's
-	// bounds. (Adjacent range ⇔ any adjacent free block: a free block
-	// can only touch the gap from inside such a range.)
+	// bounds. (A free block touching the gap lies inside such a range.)
 	rs, re := start, end
 	li, ri := -1, -1
 	for i, rg := range h.elderRanges {
@@ -492,16 +543,19 @@ func (h *Heap) returnElderSpace(start, end uint32) {
 	h.elderRanges = append(h.elderRanges, rng{rs, re})
 
 	// Absorb free blocks touching the returned span (at most one per
-	// side per pass; chains collapse by restarting).
+	// side per pass; chains collapse by restarting). Only blocks inside
+	// the merged range qualify: a chain can reach the end of the range,
+	// and a free block of the next range, carved there since, starts
+	// exactly where it ends.
 	fs, fe := start, end
 	for i := 0; i < len(h.freeList); {
 		fb := h.freeList[i]
 		switch {
-		case fb.off+fb.size == fs:
+		case fb.off+fb.size == fs && fb.off >= rs:
 			fs = fb.off
 			h.freeList = append(h.freeList[:i], h.freeList[i+1:]...)
 			i = 0
-		case fb.off == fe:
+		case fb.off == fe && fb.off+fb.size <= re:
 			fe = fb.off + fb.size
 			h.freeList = append(h.freeList[:i], h.freeList[i+1:]...)
 			i = 0
@@ -620,8 +674,10 @@ func (h *Heap) recycleNursery() bool {
 }
 
 // fullParallel is the elder phase of a full collection: parallel mark
-// from the root set, parallel sweep, and, under the moving policy
-// only, sliding compaction.
+// from the root set, then, under the moving policy, a compaction plan
+// that visits live objects only. A compacting collection slides the
+// live objects and rebuilds the free list in the same walk, with no
+// sweep; every other one sweeps in parallel.
 func (h *Heap) fullParallel(v *VM, pinned map[Ref]struct{}, res *condPinResolver, canCompact bool) {
 	atomic.AddUint64(&h.Stats.FullGCs, 1)
 	tr := obs.Active()
@@ -629,12 +685,11 @@ func (h *Heap) fullParallel(v *VM, pinned map[Ref]struct{}, res *condPinResolver
 	if tr != nil {
 		tr.Begin(v.traceLane, obs.KGCPhase, uint64(obs.PhaseRoots))
 	}
-	mk := newMarkState(h, h.gcWorkers)
-	var wg sync.WaitGroup
+	mk := h.startMark()
 	for i := 0; i < h.gcWorkers; i++ {
-		wg.Add(1)
+		mk.wg.Add(1)
 		go func(id int) {
-			defer wg.Done()
+			defer mk.wg.Done()
 			mk.worker(id, res)
 		}(i)
 	}
@@ -655,7 +710,7 @@ func (h *Heap) fullParallel(v *VM, pinned map[Ref]struct{}, res *condPinResolver
 	// workers from terminating before this completes.
 	res.drain(mk.inject)
 	mk.releaseToken()
-	wg.Wait()
+	mk.wg.Wait()
 	if tr != nil {
 		tr.End(v.traceLane)
 		tr.Begin(v.traceLane, obs.KGCPhase, uint64(obs.PhaseSweep))
@@ -666,21 +721,25 @@ func (h *Heap) fullParallel(v *VM, pinned map[Ref]struct{}, res *condPinResolver
 	// ranges forever and the heap can never reassemble a block large
 	// enough for promotion reservation or nursery recycling.
 	h.mergeElderRanges()
-	h.sweepParallel(mk)
+	compact, moved := false, uint64(0)
+	if canCompact && h.MovesElder() && h.youngPos == h.youngStart {
+		// Held conditional pins join the compaction skip set.
+		for _, cp := range res.kept {
+			pinned[cp.Ref] = struct{}{}
+		}
+		compact, moved = h.planCompaction(mk, pinned)
+	}
+	if !compact {
+		h.sweepParallel(mk)
+	}
 	if tr != nil {
 		tr.End(v.traceLane)
 	}
-
-	// Held conditional pins join the compaction skip set.
-	for _, r := range res.heldRefs() {
-		pinned[r] = struct{}{}
-	}
-	if canCompact && h.MovesElder() && h.youngPos == h.youngStart &&
-		(h.compactRequested || len(h.freeList) >= compactFreeListThreshold) {
+	if compact {
 		if tr != nil {
 			tr.Begin(v.traceLane, obs.KGCPhase, uint64(obs.PhaseCompact))
 		}
-		h.compactElder(v, pinned)
+		h.compactElder(v, mk, moved)
 		if tr != nil {
 			tr.End(v.traceLane)
 		}
@@ -689,7 +748,8 @@ func (h *Heap) fullParallel(v *VM, pinned map[Ref]struct{}, res *condPinResolver
 	h.sinceFull = 0
 }
 
-// sweepParallel rebuilds the elder free lists from the mark bitmap.
+// sweepParallel rebuilds the elder free lists from the mark bitmap
+// and clears the compaction plan's stamps from the live objects.
 // Workers claim whole ranges; the coordinator concatenates results in
 // range order so the free list is deterministic regardless of worker
 // scheduling.
@@ -726,6 +786,7 @@ func (h *Heap) sweepParallel(mk *markState) {
 				break
 			}
 			if h.mtIndex(Ref(pos)) != freeSentinel && mk.marked(pos) {
+				h.setFlags(Ref(pos), 0)
 				flush(pos)
 				res.used += size
 				freeStart = pos + size

@@ -228,10 +228,9 @@ type Heap struct {
 	// workers; 1 selects the §5.2 policy, >1 the moving one.
 	gcWorkers int
 
-	// markBits is the full collection's side mark bitmap: one bit per
-	// 8 arena bytes, reused (and re-zeroed) across cycles so a full
-	// collection does not allocate.
-	markBits []uint64
+	// mark is the full collection's mark state, reused across cycles
+	// so a full collection does not allocate per object.
+	mark *markState
 
 	// compactRequested forces elder compaction on the next full
 	// collection under the moving policy, regardless of heuristics.
@@ -494,7 +493,7 @@ func (h *Heap) elderAlloc(size uint32) (uint32, error) {
 	if h.sinceFull >= h.fullEvery && !h.inGC {
 		h.vm.collect(true)
 	}
-	if off, ok := h.elderFit(size); ok {
+	if off, ok := h.elderFit(size, true); ok {
 		h.sinceFull += size
 		return off, nil
 	}
@@ -505,7 +504,7 @@ func (h *Heap) elderAlloc(size uint32) (uint32, error) {
 	}
 	if start, err := h.carve(rangeSize); err == nil {
 		h.addElderRange(start, start+rangeSize)
-		if off, ok := h.elderFit(size); ok {
+		if off, ok := h.elderFit(size, true); ok {
 			h.sinceFull += size
 			return off, nil
 		}
@@ -514,7 +513,7 @@ func (h *Heap) elderAlloc(size uint32) (uint32, error) {
 	if !h.inGC {
 		h.vm.collect(true)
 	}
-	if off, ok := h.elderFit(size); ok {
+	if off, ok := h.elderFit(size, true); ok {
 		h.sinceFull += size
 		return off, nil
 	}
@@ -524,8 +523,11 @@ func (h *Heap) elderAlloc(size uint32) (uint32, error) {
 // elderFit finds a first-fit free block, splitting the remainder.
 // Blocks that would leave a remainder too small to carry a free-block
 // header are skipped entirely: every byte of an elder range must be
-// described by some header so linear sweeps can walk it.
-func (h *Heap) elderFit(size uint32) (uint32, bool) {
+// described by some header so linear sweeps can walk it. zero clears
+// the block, because elder memory is recycled and must present the
+// same all-zero guarantee as fresh young memory; promotion, which
+// overwrites every byte of it, passes false.
+func (h *Heap) elderFit(size uint32, zero bool) (uint32, bool) {
 	for i := range h.freeList {
 		fb := h.freeList[i]
 		if fb.size < size {
@@ -541,9 +543,9 @@ func (h *Heap) elderFit(size uint32) (uint32, bool) {
 		} else { // exact fit
 			h.freeList = append(h.freeList[:i], h.freeList[i+1:]...)
 		}
-		// Zero the block: elder memory is recycled and must present
-		// the same all-zero guarantee as fresh young memory.
-		clearBytes(h.mem[fb.off : fb.off+size])
+		if zero {
+			clearBytes(h.mem[fb.off : fb.off+size])
+		}
 		h.elderUsed += size
 		return fb.off, true
 	}

@@ -16,7 +16,9 @@ import "fmt"
 //     object is null or addresses a valid object header;
 //   - every explicitly pinned object is valid;
 //   - elderUsed equals the sum of live object sizes over all elder
-//     ranges (the occupancy counter cannot drift from the walk).
+//     ranges (the occupancy counter cannot drift from the walk);
+//   - every elder object's flags word is zero: no mark, forwarding or
+//     compaction stamp outlives the collection that wrote it.
 func (h *Heap) CheckInvariants() error {
 	valid := make(map[Ref]bool)
 	var elderLive uint32
@@ -71,6 +73,9 @@ func (h *Heap) CheckInvariants() error {
 		pos := rg.start
 		for pos < rg.end {
 			if h.mtIndex(Ref(pos)) != freeSentinel {
+				if fl := h.flags(Ref(pos)); fl != 0 {
+					return fmt.Errorf("vm: elder object %#x carries stale flags %#x", pos, fl)
+				}
 				elderLive += h.objSize(Ref(pos))
 			}
 			pos += h.objSize(Ref(pos))

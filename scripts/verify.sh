@@ -334,10 +334,13 @@ MASM
 # collection (short minimize budget so the smoke stays bounded). Pause
 # times are guarded by the benchmark's gc-churn workload.
 tier_gc() {
-	echo "== gc: model parity + cond-pin race regression + fixed arena (-race)"
+	echo "== gc: model parity + cond-pin race regression + mark stress + fixed arena (-race)"
 	GORACE=halt_on_error=1 go test -race -timeout 600s -count=1 \
-		-run 'TestGCDifferentialParity|TestStressCondPinMidMarkResolution|TestDonationSubHeaderTail|TestArenaNeverMoves' \
+		-run 'TestGCDifferentialParity|TestStressCondPinMidMarkResolution|TestStressMarkWideAndDeep|TestDonationSubHeaderTail|TestArenaNeverMoves|TestAllocsCompaction' \
 		./internal/vm/
+	# The allocation guards are built without -race only.
+	echo "== gc: a scavenge and a compacting full collection allocate nothing per object"
+	go test -count=1 -run 'TestAllocsScavenge|TestAllocsCompaction' ./internal/vm/
 	echo "== gc: heap-ops fuzz smoke"
 	go test -count=1 -run FuzzHeapOps -fuzz FuzzHeapOps \
 		-fuzztime 30s -fuzzminimizetime 5s ./internal/vm/
