@@ -235,8 +235,8 @@ func main() {
 			gs.PinnedSegregated, gs.PinnedBlockBytes, gs.Compactions, gs.BytesCompacted)
 		fmt.Printf("  pins: explicit=%d/%d cond(add/held/drop)=%d/%d/%d\n",
 			gs.Pins, gs.Unpins, gs.CondPinsAdded, gs.CondPinsHeld, gs.CondPinsDropped)
-		fmt.Printf("  policy: skippedElder=%d avoidedFast=%d deferred=%d eager=%d condReq=%d\n",
-			ms.PinSkippedElder, ms.PinAvoidedFast, ms.PinDeferred, ms.PinEager, ms.CondPins)
+		fmt.Printf("  policy: skippedElder=%d heldMoved=%d avoidedFast=%d deferred=%d eager=%d condReq=%d\n",
+			ms.PinSkippedElder, ms.PinHeldMoved, ms.PinAvoidedFast, ms.PinDeferred, ms.PinEager, ms.CondPins)
 		fmt.Printf("  ops: regular=%d oo=%d/%d serialized=%dB buffers(reuse/alloc/collected)=%d/%d/%d\n",
 			ms.Ops, ms.OOSends, ms.OORecvs, ms.SerializedBytes,
 			ms.BufferReuses, ms.BufferAllocs, ms.BuffersCollected)

@@ -84,6 +84,7 @@ type Stats struct {
 	PinDeferred      uint64 // pin taken at polling-wait entry (blocking ops)
 	PinEager         uint64 // pin taken at operation start (PolicyAlwaysPin)
 	CondPins         uint64 // conditional pin requests registered (non-blocking ops)
+	PinHeldMoved     uint64 // elder buffer pinned while pending: the collector moves elder objects
 	OOSends          uint64
 	OORecvs          uint64
 	OOChunksSent     uint64 // v2 stream chunks put on the wire
@@ -116,6 +117,7 @@ func (s *Stats) Snapshot() Stats {
 		PinDeferred:      atomic.LoadUint64(&s.PinDeferred),
 		PinEager:         atomic.LoadUint64(&s.PinEager),
 		CondPins:         atomic.LoadUint64(&s.CondPins),
+		PinHeldMoved:     atomic.LoadUint64(&s.PinHeldMoved),
 		OOSends:          atomic.LoadUint64(&s.OOSends),
 		OORecvs:          atomic.LoadUint64(&s.OORecvs),
 		OOChunksSent:     atomic.LoadUint64(&s.OOChunksSent),

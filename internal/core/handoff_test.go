@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"motor/internal/mp"
+	"motor/internal/obs"
 	"motor/internal/vm"
 )
 
@@ -173,25 +174,82 @@ func TestDetachedRequestsCompleteWhileParked(t *testing.T) {
 
 // TestOOStreamChunkRungInFlight: an OO stream of rendezvous-sized
 // chunks rings the sender's engine for each chunk left in flight while
-// the next is serialized — every chunk but the last, as a rendezvous
-// send cannot complete before the sender next polls — and no side
-// waits for the idle timer.
+// the next is serialized, and no side waits for the idle timer. A lent
+// shm chunk completes when the receiver copies it out, which may come
+// before its sender leaves it in flight, and such a chunk needs no
+// ring. So the first stream's receiver claims each chunk only after the
+// sender has rung for it, or has parked on it (the last chunk is never
+// left in flight): every chunk but the last then rings exactly once.
+// The second stream runs ORecv against OSend freely, with the type-table
+// cache warm, so its ACK wait parks and is rung too.
 func TestOOStreamChunkRungInFlight(t *testing.T) {
+	sender := make(chan *Engine, 1)
 	runHandoffRanks(t, 512, []Option{WithOOChunk(1 << 10)}, func(r *rank) error {
 		mt := registerLinkedArray(r.v)
 		if r.e.Comm.Rank() == 0 {
-			head := buildLinkedList(r.v, mt, 40, 64) // ~14 KiB
-			if err := r.e.OSend(r.th, head, 1, 0); err != nil {
-				return err
+			sender <- r.e
+			for tag := 0; tag < 2; tag++ {
+				head := buildLinkedList(r.v, mt, 40, 64) // ~14 KiB
+				if err := r.e.OSend(r.th, head, 1, tag); err != nil {
+					return err
+				}
+				if tag > 0 {
+					break
+				}
+				chunks := r.e.Stats.Snapshot().OOChunksSent
+				parked := r.e.Stats.Snapshot().WaitsParked
+				if st := r.e.ProgressStats(); chunks < 2 || st.Wakes-parked != chunks-1 {
+					return fmt.Errorf("sender progress %+v, %d parked waits, after %d chunks: want one ring per chunk left in flight",
+						st, parked, chunks)
+				}
 			}
-			chunks := r.e.Stats.Snapshot().OOChunksSent
-			if st := r.e.ProgressStats(); chunks < 2 || st.Wakes < chunks-1 || st.Timeouts != 0 {
-				return fmt.Errorf("sender progress %+v after %d chunks: want a ring per chunk in flight and no idle-timer wake",
-					st, chunks)
+			if st := r.e.ProgressStats(); st.Timeouts != 0 {
+				return fmt.Errorf("sender progress %+v: idle-timer wake", st)
 			}
 			return nil
 		}
-		head, _, err := r.e.ORecv(r.th, 0, 0)
+		send := <-sender
+		sr := r.e.startReader(r.e.mirror(0), 1<<10)
+		defer r.e.dropReader(sr)
+		for k := int64(1); !sr.Ended(); k++ {
+			parked := int64(send.Stats.Snapshot().WaitsParked)
+			st, err := r.e.probe(r.th, 0, mp.OOSpaceData, 0, obs.OpORecv)
+			if err != nil {
+				return err
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			r.th.Park(func() {
+				for time.Now().Before(deadline) {
+					p := int64(send.Stats.Snapshot().WaitsParked)
+					if p > parked || int64(send.ProgressStats().Wakes)-p >= k {
+						return
+					}
+					time.Sleep(20 * time.Microsecond)
+				}
+			})
+			req, err := r.e.Comm.IrecvOO(sr.Grow(st.Count), 0, mp.OOSpaceData, 0)
+			if err != nil {
+				return err
+			}
+			if _, err := r.e.await(r.th, req, obs.OpORecv); err != nil {
+				return err
+			}
+			req.Recycle()
+			if err := sr.Commit(st.Count); err != nil {
+				return err
+			}
+		}
+		if sr.SawRefs() {
+			return fmt.Errorf("first stream carried table references")
+		}
+		head, err := sr.Finish()
+		if err != nil {
+			return err
+		}
+		if err := verifyList(r.v.Heap, mt, head, 40, 64, true); err != nil {
+			return err
+		}
+		head, _, err = r.e.ORecv(r.th, 0, 1)
 		if err != nil {
 			return err
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"motor/internal/mp"
-	"motor/internal/mp/adi"
 	"motor/internal/obs"
 	"motor/internal/serial"
 	"motor/internal/vm"
@@ -33,8 +32,11 @@ import (
 // sender answers with the self-describing table blob (serial/cache.go
 // documents the epoch protocol). A sender that emitted at least one
 // table reference therefore waits for the receiver's single ACK/NACK
-// control packet — symmetric ref-bearing OSends between two ranks can
-// deadlock, exactly like symmetric blocking rendezvous sends.
+// byte — symmetric ref-bearing OSends between two ranks can deadlock,
+// exactly like symmetric blocking rendezvous sends.
+//
+// Every wait here — a chunk, a probe, the ACK — is a request awaited
+// in Engine.await, under the op that waits.
 //
 // The OO message categories travel in reserved tag spaces above
 // MaxUserTag (mp/oo.go), so interleaved OO operations on one comm
@@ -106,16 +108,6 @@ func (l *freeList[T]) put(x *T, keep bool) {
 	}
 }
 
-// pollRooted is the exit safepoint of an op that returns a reference:
-// ref stays rooted across the poll, where a sibling thread may collect.
-func pollRooted(t *vm.Thread, ref vm.Ref) vm.Ref {
-	f := t.PushFrame(ref)
-	t.PollGC()
-	ref = f.Ref(0)
-	f.Pop()
-	return ref
-}
-
 // chunkSpan records one explicit-identity KChunk span (chunk work
 // overlaps other chunk work, so Begin/End stack nesting cannot hold).
 func (e *Engine) chunkSpan(dir uint64, idx int, start int64, bytes int) {
@@ -133,28 +125,25 @@ func spanStart() int64 {
 	return 0
 }
 
-// probeYielding polls for the next OO message in a space, yielding to
-// the collector between polls. A dead peer surfaces as a typed error
-// from the probe's progress pass — never a hang.
-func (e *Engine) probeYielding(source int, sp mp.OOSpace, tag int) (mp.Status, error) {
-	var spin adi.Spin
-	for {
-		ok, st, err := e.Comm.IprobeOO(source, sp, tag)
-		if err != nil {
-			return st, err
-		}
-		if ok {
-			return st, nil
-		}
-		e.World.Dev.Idle(&spin)
+// probe waits for the next OO message in a space and returns its
+// status. A dead peer completes the probe with a typed error — never a
+// hang.
+func (e *Engine) probe(t *vm.Thread, source int, sp mp.OOSpace, tag int, op obs.OpCode) (mp.Status, error) {
+	req, err := e.Comm.ProbeOO(source, sp, tag)
+	if err != nil {
+		return mp.Status{}, err
 	}
+	st, err := e.await(t, req, op)
+	req.Recycle()
+	st.Tag = tag // the wire tag, less its space
+	return st, err
 }
 
 // streamOut pipelines one serialization stream to dest: two pooled
 // chunk buffers rotate so chunk k is on the wire while chunk k+1 is
 // serialized. On error the in-flight request is always drained, so no
 // pooled buffer leaks.
-func (e *Engine) streamOut(t *vm.Thread, sw *serial.StreamWriter, dest, tag int, sp mp.OOSpace) error {
+func (e *Engine) streamOut(t *vm.Thread, sw *serial.StreamWriter, dest, tag int, sp mp.OOSpace, op obs.OpCode) error {
 	var bufs [2][]byte
 	bufs[0] = e.bufs.get(e.ooChunk+512, &e.Stats)
 	bufs[1] = e.bufs.get(e.ooChunk+512, &e.Stats)
@@ -171,14 +160,14 @@ func (e *Engine) streamOut(t *vm.Thread, sw *serial.StreamWriter, dest, tag int,
 		chunk, err := sw.Next(bufs[idx%2][:0])
 		if err != nil {
 			if inflight.Valid() {
-				_, _ = e.await(t, inflight) // drain; serializer error wins
+				_, _ = e.await(t, inflight, op) // drain; serializer error wins
 			}
 			return err
 		}
 		bufs[idx%2] = chunk
 		e.chunkSpan(0, idx, serStart, len(chunk))
 		if inflight.Valid() {
-			if _, err := e.await(t, inflight); err != nil {
+			if _, err := e.await(t, inflight, op); err != nil {
 				return err
 			}
 			inflight.Recycle()
@@ -199,7 +188,7 @@ func (e *Engine) streamOut(t *vm.Thread, sw *serial.StreamWriter, dest, tag int,
 	}
 	bump(&e.Stats.SerializedBytes, uint64(total))
 	if inflight.Valid() {
-		if _, err := e.await(t, inflight); err != nil {
+		if _, err := e.await(t, inflight, op); err != nil {
 			return err
 		}
 		inflight.Recycle()
@@ -216,45 +205,6 @@ func (e *Engine) mergeTTStats(sw *serial.StreamWriter) {
 	bump(&e.TTCache.TableBytes, uint64(sw.TableBytes))
 }
 
-// awaitTableAck is the sender's tail of the cache protocol: having
-// emitted at least one table reference, wait for the receiver's single
-// control packet — ACK (all references resolved) completes the
-// operation; NACK is answered with the stream's full table blob.
-func (e *Engine) awaitTableAck(t *vm.Thread, sw *serial.StreamWriter, dest, tag int) error {
-	var spin adi.Spin
-	for {
-		ok, err := e.Comm.PollCtrlOO(dest, mp.OOSpaceAck, tag)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return nil
-		}
-		ok, err = e.Comm.PollCtrlOO(dest, mp.OOSpaceNack, tag)
-		if err != nil {
-			return err
-		}
-		if ok {
-			bump(&e.TTCache.Nacks, 1)
-			blobBuf := e.bufs.get(1024, &e.Stats)
-			blob, err := sw.TableBlob(blobBuf)
-			if err != nil {
-				e.bufs.put(blobBuf)
-				return err
-			}
-			req, err := e.Comm.IsendOO(blob, dest, mp.OOSpaceTable, tag)
-			if err != nil {
-				e.bufs.put(blob)
-				return err
-			}
-			_, err = e.await(t, req)
-			e.bufs.put(blob)
-			return err
-		}
-		e.World.Dev.Idle(&spin)
-	}
-}
-
 // OSend transports an object tree to dest (blocking).
 func (e *Engine) OSend(t *vm.Thread, obj vm.Ref, dest, tag int) error {
 	f := t.PushFrame(obj)
@@ -266,7 +216,7 @@ func (e *Engine) OSend(t *vm.Thread, obj vm.Ref, dest, tag int) error {
 	defer e.opEnd(tr)
 	sw := e.startWriter(f.Ref(0), e.ooChunkTarget(), e.peerCache(dest))
 	defer e.dropWriter(sw)
-	err := e.streamOut(t, sw, dest, tag, mp.OOSpaceData)
+	err := e.streamOut(t, sw, dest, tag, mp.OOSpaceData, obs.OpOSend)
 	e.mergeTTStats(sw)
 	if err != nil {
 		return e.noteErr(err)
@@ -283,8 +233,8 @@ func (e *Engine) OSend(t *vm.Thread, obj vm.Ref, dest, tag int) error {
 // capped against MaxOOMessage before any allocation), receive directly
 // into the reader's accumulation buffer, incremental parse. useCache
 // engages the receiver side of the type-table cache protocol.
-func (e *Engine) streamIn(t *vm.Thread, source, tag int, sp mp.OOSpace, useCache bool) (vm.Ref, mp.Status, error) {
-	st, err := e.probeYielding(source, sp, tag)
+func (e *Engine) streamIn(t *vm.Thread, source, tag int, sp mp.OOSpace, op obs.OpCode, useCache bool) (vm.Ref, mp.Status, error) {
+	st, err := e.probe(t, source, sp, tag, op)
 	if err != nil {
 		return vm.NullRef, st, err
 	}
@@ -309,7 +259,7 @@ func (e *Engine) streamIn(t *vm.Thread, source, tag int, sp mp.OOSpace, useCache
 		if err != nil {
 			return vm.NullRef, st, err
 		}
-		if _, err := e.await(t, req); err != nil {
+		if _, err := e.await(t, req, op); err != nil {
 			return vm.NullRef, st, err
 		}
 		req.Recycle()
@@ -323,17 +273,13 @@ func (e *Engine) streamIn(t *vm.Thread, source, tag int, sp mp.OOSpace, useCache
 		if sr.Ended() {
 			break
 		}
-		st, err = e.probeYielding(src, sp, tag)
+		st, err = e.probe(t, src, sp, tag, op)
 		if err != nil {
 			return vm.NullRef, st, err
 		}
 	}
 	if useCache && sr.SawRefs() {
-		if sr.MissingTables() > 0 {
-			if ref, err := e.recvTableBlob(t, sr, src, tag); err != nil {
-				return ref, st, err
-			}
-		} else if err := e.Comm.SendCtrlOO(src, mp.OOSpaceAck, tag); err != nil {
+		if err := e.answerTables(t, sr, src, tag, op); err != nil {
 			return vm.NullRef, st, err
 		}
 	}
@@ -341,29 +287,92 @@ func (e *Engine) streamIn(t *vm.Thread, source, tag int, sp mp.OOSpace, useCache
 	return ref, st, err
 }
 
-// recvTableBlob is the receiver's NACK path: ask the sender for the
-// full table and install it, unstalling the parse.
-func (e *Engine) recvTableBlob(t *vm.Thread, sr *serial.StreamReader, src, tag int) (vm.Ref, error) {
-	if err := e.Comm.SendCtrlOO(src, mp.OOSpaceNack, tag); err != nil {
-		return vm.NullRef, err
-	}
-	bst, err := e.probeYielding(src, mp.OOSpaceTable, tag)
+// ackBytes are the receiver's two answers in OOSpaceAck: ACK (0, every
+// table reference resolved) and NACK (1, send the table blob). They
+// are sent from here: an eager send copies its payload when it posts.
+var ackBytes = [2]byte{0, 1}
+
+// awaitTableAck is the sender's tail of the cache protocol: having
+// emitted at least one table reference, wait for the receiver's one
+// byte in OOSpaceAck — ACK completes the operation; NACK is answered
+// with the stream's full table blob.
+func (e *Engine) awaitTableAck(t *vm.Thread, sw *serial.StreamWriter, dest, tag int) error {
+	answer := e.bufs.get(1, &e.Stats)[:1]
+	defer e.bufs.put(answer)
+	req, err := e.Comm.IrecvOO(answer, dest, mp.OOSpaceAck, tag)
 	if err != nil {
-		return vm.NullRef, err
+		return err
+	}
+	_, err = e.await(t, req, obs.OpOSend)
+	req.Recycle()
+	if err != nil || answer[0] == 0 {
+		return err
+	}
+	bump(&e.TTCache.Nacks, 1)
+	blobBuf := e.bufs.get(1024, &e.Stats)
+	blob, err := sw.TableBlob(blobBuf)
+	if err != nil {
+		e.bufs.put(blobBuf)
+		return err
+	}
+	req, err = e.Comm.IsendOO(blob, dest, mp.OOSpaceTable, tag)
+	if err != nil {
+		e.bufs.put(blob)
+		return err
+	}
+	_, err = e.await(t, req, obs.OpOSend)
+	e.bufs.put(blob)
+	return err
+}
+
+// answerTables is the receiver's side of the cache protocol: one byte
+// in OOSpaceAck, ACK if every table reference resolved; otherwise NACK,
+// then receive the sender's full table blob and install it, unstalling
+// the parse.
+func (e *Engine) answerTables(t *vm.Thread, sr *serial.StreamReader, src, tag int, op obs.OpCode) error {
+	missing := sr.MissingTables() > 0
+	answer := ackBytes[:1]
+	if missing {
+		answer = ackBytes[1:]
+	}
+	req, err := e.Comm.IsendOO(answer, src, mp.OOSpaceAck, tag)
+	if err != nil {
+		return err
+	}
+	_, err = e.await(t, req, op)
+	req.Recycle()
+	if err != nil || !missing {
+		return err
+	}
+	bst, err := e.probe(t, src, mp.OOSpaceTable, tag, op)
+	if err != nil {
+		return err
 	}
 	if bst.Count < 0 || bst.Count > e.maxOO {
-		return vm.NullRef, fmt.Errorf("%w: table blob of %d, cap %d", ErrOversize, bst.Count, e.maxOO)
+		return fmt.Errorf("%w: table blob of %d, cap %d", ErrOversize, bst.Count, e.maxOO)
 	}
 	blob := e.bufs.get(bst.Count, &e.Stats)[:bst.Count]
 	defer e.bufs.put(blob)
-	req, err := e.Comm.IrecvOO(blob, src, mp.OOSpaceTable, tag)
+	req, err = e.Comm.IrecvOO(blob, src, mp.OOSpaceTable, tag)
 	if err != nil {
-		return vm.NullRef, err
+		return err
 	}
-	if _, err := e.await(t, req); err != nil {
-		return vm.NullRef, err
+	_, err = e.await(t, req, op)
+	req.Recycle()
+	if err != nil {
+		return err
 	}
-	return vm.NullRef, sr.InstallTable(blob)
+	return sr.InstallTable(blob)
+}
+
+// pollRooted is the exit safepoint of an op that returns a reference:
+// ref stays rooted across the poll, where a sibling thread may collect.
+func pollRooted(t *vm.Thread, ref vm.Ref) vm.Ref {
+	f := t.PushFrame(ref)
+	t.PollGC()
+	ref = f.Ref(0)
+	f.Pop()
+	return ref
 }
 
 // ORecv receives an object tree, reconstructing it on this rank's
@@ -373,7 +382,7 @@ func (e *Engine) ORecv(t *vm.Thread, source, tag int) (vm.Ref, mp.Status, error)
 	bump(&e.Stats.OORecvs, 1)
 	tr := e.opBegin(obs.OpORecv, 0, source)
 	defer e.opEnd(tr)
-	ref, st, err := e.streamIn(t, source, tag, mp.OOSpaceData, true)
+	ref, st, err := e.streamIn(t, source, tag, mp.OOSpaceData, obs.OpORecv, true)
 	return pollRooted(t, ref), st, e.noteErr(err)
 }
 
@@ -501,7 +510,7 @@ func (e *Engine) OScatter(t *vm.Thread, arr vm.Ref, root int) (res vm.Ref, err e
 	seq := e.Comm.NextOOSeq()
 	if e.Comm.Rank() != root {
 		bump(&e.Stats.OORecvs, 1)
-		ref, _, err := e.streamIn(t, root, seq, mp.OOSpaceColl, false)
+		ref, _, err := e.streamIn(t, root, seq, mp.OOSpaceColl, obs.OpOScatter, false)
 		return ref, e.noteErr(err)
 	}
 	bump(&e.Stats.OOSends, 1)
@@ -524,7 +533,7 @@ func (e *Engine) OScatter(t *vm.Thread, arr vm.Ref, root int) (res vm.Ref, err e
 		if err != nil {
 			return vm.NullRef, err // arr is invalid: no part can be produced
 		}
-		err = e.streamOut(t, sw, r, seq, mp.OOSpaceColl)
+		err = e.streamOut(t, sw, r, seq, mp.OOSpaceColl, obs.OpOScatter)
 		e.dropWriter(sw)
 		if err != nil && firstErr == nil {
 			// Keep streaming to the remaining ranks so one dead peer
@@ -569,7 +578,7 @@ func (e *Engine) OGather(t *vm.Thread, arr vm.Ref, root int) (res vm.Ref, err er
 	if e.Comm.Rank() != root {
 		sw := e.startWriter(f.Ref(0), e.ooChunkTarget(), nil)
 		defer e.dropWriter(sw)
-		if err := e.streamOut(t, sw, root, seq, mp.OOSpaceColl); err != nil {
+		if err := e.streamOut(t, sw, root, seq, mp.OOSpaceColl, obs.OpOGather); err != nil {
 			return vm.NullRef, e.noteErr(err)
 		}
 		return vm.NullRef, nil
@@ -591,7 +600,7 @@ func (e *Engine) OGather(t *vm.Thread, arr vm.Ref, root int) (res vm.Ref, err er
 			guard.Refs[r] = ref
 			continue
 		}
-		ref, _, err := e.streamIn(t, r, seq, mp.OOSpaceColl, false)
+		ref, _, err := e.streamIn(t, r, seq, mp.OOSpaceColl, obs.OpOGather, false)
 		if err != nil && firstErr == nil {
 			// Keep draining the remaining senders so their streams
 			// complete; the first error is reported after.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"motor/internal/mp"
+	"motor/internal/obs"
 	"motor/internal/serial"
 	"motor/internal/vm"
 )
@@ -278,7 +279,7 @@ func TestStressOOReaderReuseAfterMalformed(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if _, err := r.e.await(r.th, req); err != nil {
+				if _, err := r.e.await(r.th, req, obs.OpOSend); err != nil {
 					return err
 				}
 			}

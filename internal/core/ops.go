@@ -22,20 +22,6 @@ import (
 // never pin), pinning policy applied only when the operation actually
 // enters its polling-wait, poll on exit.
 
-// noteErr records transport-class completion failures (mp.ErrTransport)
-// in the engine stats so a rank's exposure to peer loss is observable
-// through MPStats / mpstat.
-func (e *Engine) noteErr(err error) error {
-	if err != nil && errors.Is(err, mp.ErrTransport) {
-		bump(&e.Stats.TransportErrors, 1)
-		// A lost peer is exactly the moment the last few milliseconds
-		// of events matter: dump the flight recorder before the error
-		// propagates and the evidence is overwritten.
-		obs.FlightTrip("transport")
-	}
-	return err
-}
-
 // waitBlocking is a blocking operation's polling-wait (§7.4's three
 // polling points are entry — in the callers —, this wait, and the exit
 // poll): a quick completion test, then the pin decision and await.
@@ -62,12 +48,7 @@ func (e *Engine) waitBlocking(t *vm.Thread, obj vm.Ref, req mp.Request, op obs.O
 			}
 		}
 	}()
-	// Watchdog heartbeat for the §7.4 polling-wait. A parked thread
-	// stops pulsing, but the watchdog keys on wait-entry age, so a lost
-	// completion still trips it.
-	obs.BeatEnter(e.lane, op, req.Peer())
-	defer obs.BeatExit(e.lane)
-	st, err = e.await(t, req)
+	st, err = e.await(t, req, op)
 	return st, e.noteErr(err)
 }
 
@@ -82,22 +63,30 @@ const spinBudget = 50 * time.Microsecond
 // engine the spin lasts about spinBudget, then the thread parks; the
 // clock is read only at the idle steps that yield the processor.
 // Inline there is no one to park for, and the loop never reads it.
-func (e *Engine) await(t *vm.Thread, req mp.Request) (mp.Status, error) {
+// A request that is not done at the first Test opens the watchdog
+// heartbeat for op, so the fast path reads no clock either. A parked
+// thread stops pulsing, but the watchdog keys on wait-entry age, so a
+// lost completion still trips it.
+func (e *Engine) await(t *vm.Thread, req mp.Request, op obs.OpCode) (mp.Status, error) {
+	done, st, err := req.Test()
+	if done {
+		return st, err
+	}
+	obs.BeatEnter(e.lane, op, req.Peer())
+	defer obs.BeatExit(e.lane)
 	var spin adi.Spin
 	var spinStart time.Time
 	for {
-		done, st, err := req.Test()
-		if done {
-			return st, err
-		}
 		obs.BeatPulse(e.lane)
-		if !e.World.Dev.Idle(&spin) || e.progress == nil {
-			continue
+		if e.World.Dev.Idle(&spin) && e.progress != nil {
+			if spinStart.IsZero() {
+				spinStart = time.Now()
+			} else if time.Since(spinStart) >= spinBudget {
+				e.park(t, req)
+			}
 		}
-		if spinStart.IsZero() {
-			spinStart = time.Now()
-		} else if time.Since(spinStart) >= spinBudget {
-			e.park(t, req)
+		if done, st, err := req.Test(); done {
+			return st, err
 		}
 	}
 }
@@ -305,7 +294,7 @@ func (e *Engine) Wait(t *vm.Thread, id int32) (mp.Status, error) {
 	if tr != nil {
 		tr.Begin(e.lane, obs.KWait, uint64(obs.OpWait))
 	}
-	st, err := e.await(t, r.req)
+	st, err := e.await(t, r.req, obs.OpWait)
 	if tr != nil {
 		if d := tr.End(e.lane); d > 0 {
 			tr.Record(obs.HistRequestWait, d)
@@ -498,12 +487,26 @@ func (e *Engine) Sendrecv(t *vm.Thread, sendObj vm.Ref, dest, sendTag int, recvO
 		return mp.Status{}, e.noteErr(err)
 	}
 	// Await both halves, whichever fails: the first error wins.
-	_, serr := e.await(t, sreq)
-	st, err := e.await(t, rreq)
+	_, serr := e.await(t, sreq, obs.OpSendrecv)
+	st, err := e.await(t, rreq, obs.OpSendrecv)
 	sreq.Recycle()
 	rreq.Recycle()
 	if serr != nil {
 		err = serr
 	}
 	return st, e.noteErr(err)
+}
+
+// noteErr records transport-class completion failures (mp.ErrTransport)
+// in the engine stats so a rank's exposure to peer loss is observable
+// through MPStats / mpstat.
+func (e *Engine) noteErr(err error) error {
+	if err != nil && errors.Is(err, mp.ErrTransport) {
+		bump(&e.Stats.TransportErrors, 1)
+		// A lost peer is exactly the moment the last few milliseconds
+		// of events matter: dump the flight recorder before the error
+		// propagates and the evidence is overwritten.
+		obs.FlightTrip("transport")
+	}
+	return err
 }

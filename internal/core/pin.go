@@ -43,16 +43,17 @@ type pinCell struct {
 // left out holds and records nothing (all of PolicyNever). An elder
 // buffer never needs the §7.4 pin, but while a compacting collector
 // could slide it the transport's fixed offsets still need it held:
-// holdMoved, recorded as skipped-elder. A request already done when
-// decided lapses every hold but holdPin, and a deferred pin is then
-// recorded as avoided-fast (the blocking fast path), a conditional pin
-// as nothing.
+// holdMoved, recorded as held-moved, or as skipped-elder where nothing
+// is held after all (a collector that never moves elder objects, or a
+// request already done). A request already done when decided lapses
+// every hold but holdPin, and a deferred pin is then recorded as
+// avoided-fast (the blocking fast path), a conditional pin as nothing.
 var pinTable = [...][numShapes][2]pinCell{
 	PolicyMotor: {
 		shapeWait:        {{obs.PinDeferred, holdPending}, {obs.PinSkippedElder, holdNone}},
 		shapePending:     {{}, {0, holdMoved}},
-		shapeNonblocking: {{obs.PinCond, holdCond}, {obs.PinSkippedElder, holdMoved}},
-		shapeCollective:  {{obs.PinDeferred, holdPending}, {obs.PinSkippedElder, holdMoved}},
+		shapeNonblocking: {{obs.PinCond, holdCond}, {obs.PinHeldMoved, holdMoved}},
+		shapeCollective:  {{obs.PinDeferred, holdPending}, {obs.PinHeldMoved, holdMoved}},
 	},
 	PolicyAlwaysPin: {
 		shapeEntry:       {{obs.PinEager, holdPin}, {obs.PinEager, holdPin}},
@@ -84,10 +85,14 @@ func (e *Engine) pinFor(obj vm.Ref, shape pinShape, req mp.Request) pinHold {
 	if c.hold == holdMoved && !h.MovesElder() {
 		c.hold = holdNone
 	}
+	if c.d == obs.PinHeldMoved && c.hold == holdNone {
+		c.d = obs.PinSkippedElder
+	}
 	if c.d != 0 {
 		s := &e.Stats
 		bump([...]*uint64{obs.PinSkippedElder: &s.PinSkippedElder, obs.PinAvoidedFast: &s.PinAvoidedFast,
-			obs.PinDeferred: &s.PinDeferred, obs.PinEager: &s.PinEager, obs.PinCond: &s.CondPins}[c.d], 1)
+			obs.PinDeferred: &s.PinDeferred, obs.PinEager: &s.PinEager, obs.PinCond: &s.CondPins,
+			obs.PinHeldMoved: &s.PinHeldMoved}[c.d], 1)
 		if tr := obs.Active(); tr != nil {
 			tr.Instant(e.lane, obs.KPin, uint64(c.d), uint64(obj))
 		}

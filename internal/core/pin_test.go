@@ -34,8 +34,8 @@ func TestPinTableGrid(t *testing.T) {
 	var (
 		none     = pinWant{}
 		skipped  = pinWant{obs.PinSkippedElder, 0, 0}
-		held     = pinWant{obs.PinSkippedElder, 1, 0} // skipped-elder, held while the collector could move it
-		pinned   = pinWant{0, 1, 0}                   // held, and the wait records the decision
+		held     = pinWant{obs.PinHeldMoved, 1, 0} // held while pending: the collector could move it
+		pinned   = pinWant{0, 1, 0}                // held, and the wait records the decision
 		deferred = pinWant{obs.PinDeferred, 1, 0}
 		fast     = pinWant{obs.PinAvoidedFast, 0, 0}
 		cond     = pinWant{obs.PinCond, 0, 1}
@@ -172,8 +172,8 @@ func TestPinTableGrid(t *testing.T) {
 					t.Errorf("%s: %d pins, %d conditional pins; want %d, %d", name, pins, conds, want.pins, want.cond)
 				}
 				// Indexed by decision: obs numbers them from 1.
-				counts := [...]uint64{0, e.Stats.PinSkippedElder, e.Stats.PinAvoidedFast, e.Stats.PinDeferred, e.Stats.PinEager, e.Stats.CondPins}
-				for d := obs.PinSkippedElder; d <= obs.PinCond; d++ {
+				counts := [...]uint64{0, e.Stats.PinSkippedElder, e.Stats.PinAvoidedFast, e.Stats.PinDeferred, e.Stats.PinEager, e.Stats.CondPins, e.Stats.PinHeldMoved}
+				for d := obs.PinSkippedElder; d <= obs.PinHeldMoved; d++ {
 					w := uint64(0)
 					if d == want.d {
 						w = 1

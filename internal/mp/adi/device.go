@@ -64,6 +64,7 @@ type reqKind uint8
 const (
 	reqSend reqKind = iota
 	reqRecv
+	reqProbe // completes when a matching message is available, takes none
 )
 
 // reqState tracks protocol progress.
@@ -159,16 +160,15 @@ type unexpected struct {
 // DeviceStats counts protocol activity; the Motor pinning-policy
 // tests and cmd/mpstat read these.
 type DeviceStats struct {
-	EagerSent   uint64
-	RndvSent    uint64
-	EagerRecvd  uint64
-	DataRecvd   uint64
-	Unexpected  uint64
-	Polls       uint64
-	Deliveries  uint64
-	BytesSent   uint64
-	BytesRecvd  uint64
-	CtrlPackets uint64
+	EagerSent  uint64
+	RndvSent   uint64
+	EagerRecvd uint64
+	DataRecvd  uint64
+	Unexpected uint64
+	Polls      uint64
+	Deliveries uint64
+	BytesSent  uint64
+	BytesRecvd uint64
 	// TransportErrors counts requests (or operation starts) that
 	// failed with ErrTransport; PeersLost counts peer connections
 	// declared dead by the channel.
@@ -199,7 +199,7 @@ type Device struct {
 
 	eagerMax int
 
-	posted []*Request   // posted receives, FIFO
+	posted []*Request   // posted receives and probes, FIFO
 	unexp  []unexpected // unexpected arrivals, FIFO
 	active map[uint64]*Request
 	nextID uint64
@@ -219,8 +219,6 @@ type Device struct {
 	// deliver state for the in-flight packet between Deliver and Done.
 	curReq   *Request
 	curUnexp bool
-
-	ctrl []channel.Header // control packets (barrier tokens etc.)
 
 	// pendingSelfSyncs are synchronous self-sends awaiting their
 	// local match.
@@ -405,9 +403,9 @@ func (d *Device) complete(req *Request) {
 		return
 	}
 	if tr := obs.Active(); tr != nil {
-		dir := obs.ReqSend
-		if req.kind == reqRecv {
-			dir = obs.ReqRecv
+		dir := obs.ReqRecv
+		if req.kind == reqSend {
+			dir = obs.ReqSend
 		}
 		peer := req.peer
 		if peer < 0 { // AnySource: report the matched sender
@@ -439,8 +437,7 @@ func (d *Device) isendLocked(buf Buffer, dest, tag int, ctx int32, sync bool) (*
 	if dest == d.rank {
 		return d.selfSend(buf, tag, ctx, sync)
 	}
-	if werr, dead := d.lost[dest]; dead {
-		d.Stats.TransportErrors++
+	if werr := d.lostErr(dest); werr != nil {
 		return nil, werr
 	}
 	req := d.newRequest(reqSend, buf, dest, tag, ctx)
@@ -477,17 +474,12 @@ func (d *Device) isendLocked(buf Buffer, dest, tag int, ctx int32, sync bool) (*
 		}
 		req.loan = loan
 		d.Stats.BytesSent += uint64(size)
-	} else if err := d.sendHeaderOnly(dest, hdr); err != nil {
+	} else if err := d.ch.Send(dest, hdr, nil); err != nil {
 		return nil, d.transportErr(err)
 	}
 	d.Stats.RndvSent++
 	d.active[req.id] = req
 	return req, nil
-}
-
-// sendHeaderOnly transmits a payload-free packet (RTS/CTS/control).
-func (d *Device) sendHeaderOnly(dest int, hdr channel.Header) error {
-	return d.ch.Send(dest, hdr, nil)
 }
 
 // stampEdge assigns the next per-destination correlation sequence to
@@ -633,18 +625,29 @@ func (d *Device) irecvLocked(buf Buffer, source, tag int, ctx int32) (*Request, 
 		}
 		return req, nil
 	}
-	// Only after the unexpected queue comes up empty: traffic that
-	// arrived before a peer died is still valid and must stay
-	// receivable.
-	if source != AnySource {
-		if werr, dead := d.lost[source]; dead {
-			d.Stats.TransportErrors++
-			return nil, werr
-		}
+	return d.post(req)
+}
+
+// post queues a receive or probe the unexpected queue did not satisfy.
+// Only then is a dead source's failure reported: traffic that arrived
+// before a peer died is still valid and must stay receivable.
+func (d *Device) post(req *Request) (*Request, error) {
+	if werr := d.lostErr(req.peer); werr != nil {
+		return nil, werr
 	}
 	d.posted = append(d.posted, req)
 	d.active[req.id] = req
 	return req, nil
+}
+
+// lostErr returns, and counts, the failure that killed peer; nil for a
+// live peer or AnySource.
+func (d *Device) lostErr(peer int) error {
+	werr, dead := d.lost[peer]
+	if dead {
+		d.Stats.TransportErrors++
+	}
+	return werr
 }
 
 // maxSpare bounds the device's recycled eager payload buffers.
@@ -714,7 +717,7 @@ func (d *Device) acceptRendezvous(req *Request, rts channel.Header) {
 		Tag: rts.Tag, Context: rts.Context,
 		ReqA: rts.ReqA, ReqB: req.id,
 	}
-	if err := d.sendHeaderOnly(int(rts.Source), cts); err != nil && req.err == nil {
+	if err := d.ch.Send(int(rts.Source), cts, nil); err != nil && req.err == nil {
 		req.err = d.transportErr(err)
 		d.complete(req)
 		delete(d.active, req.id)
@@ -735,15 +738,45 @@ func matches(req *Request, hdr channel.Header) bool {
 }
 
 // matchPosted removes and returns the first posted receive matching
-// hdr.
+// hdr (findPosted), or nil.
 func (d *Device) matchPosted(hdr channel.Header) *Request {
-	for i, req := range d.posted {
-		if matches(req, hdr) {
-			d.posted = append(d.posted[:i], d.posted[i+1:]...)
-			return req
-		}
+	i := d.findPosted(hdr)
+	if i < 0 {
+		return nil
 	}
-	return nil
+	req := d.posted[i]
+	d.posted = append(d.posted[:i], d.posted[i+1:]...)
+	return req
+}
+
+// findPosted returns the index of the first posted receive matching
+// hdr, or -1. Each matching probe it passes completes and leaves the
+// queue: the message goes on to a receive or the unexpected queue.
+func (d *Device) findPosted(hdr channel.Header) int {
+	for i := 0; i < len(d.posted); i++ {
+		req := d.posted[i]
+		if !matches(req, hdr) {
+			continue
+		}
+		if req.kind != reqProbe {
+			return i
+		}
+		d.posted = append(d.posted[:i], d.posted[i+1:]...)
+		i--
+		req.status = probeStatus(hdr)
+		delete(d.active, req.id)
+		d.complete(req)
+	}
+	return -1
+}
+
+// probeStatus is what a probe reports of hdr's message: its whole size.
+func probeStatus(hdr channel.Header) Status {
+	count := int(hdr.Size)
+	if hdr.Type == channel.PktRTS {
+		count = int(hdr.ReqB)
+	}
+	return Status{Source: int(hdr.Source), Tag: int(hdr.Tag), Count: count}
 }
 
 // CancelReq abandons an incomplete request: a posted receive is
@@ -1001,82 +1034,62 @@ func (d *Device) TestReq(req *Request) (bool, Status, error) {
 }
 
 // Iprobe checks (with one progress pass) whether a matching message
-// has arrived without receiving it.
+// has arrived without receiving it. Nothing queued from a dead source
+// can ever arrive, so that fails typed, as Irecv does.
 func (d *Device) Iprobe(source, tag int, ctx int32) (bool, Status, error) {
 	d.mu.Lock()
+	defer d.unlockNotify()
 	if _, err := d.progressLocked(); err != nil {
-		d.unlockNotify()
 		return false, Status{}, err
 	}
-	probe := &Request{peer: source, tag: tag, ctx: ctx}
+	probe := Request{peer: source, tag: tag, ctx: ctx}
+	if st, ok := d.probeUnexp(&probe); ok {
+		return true, st, nil
+	}
+	return false, Status{}, d.lostErr(source)
+}
+
+// Probe posts a probe: a request that completes when a message
+// matching (source, tag, ctx) is available, with its status, and
+// leaves the message to a receive. It completes at once if one is
+// queued unexpected; otherwise it waits among the posted receives,
+// where failPeer, CancelReq and Outstanding see it like any receive.
+func (d *Device) Probe(source, tag int, ctx int32) (*Request, error) {
+	d.mu.Lock()
+	req, err := d.probeLocked(source, tag, ctx)
+	d.unlockNotify()
+	return req, err
+}
+
+func (d *Device) probeLocked(source, tag int, ctx int32) (*Request, error) {
+	if source != AnySource && (source < 0 || source >= d.Size()) {
+		return nil, fmt.Errorf("%w: source %d of %d", ErrRank, source, d.Size())
+	}
+	req := d.newRequest(reqProbe, nil, source, tag, ctx)
+	if st, ok := d.probeUnexp(req); ok {
+		req.status = st
+		d.complete(req)
+		return req, nil
+	}
+	return d.post(req)
+}
+
+// probeUnexp reports the status of the first unexpected message req
+// matches, dropping cancelled lent ones on the way.
+func (d *Device) probeUnexp(req *Request) (Status, bool) {
 	for i := 0; i < len(d.unexp); i++ {
-		if u := d.unexp[i]; matches(probe, u.hdr) {
-			if u.loan != nil && u.loan.Revoked() { // its send was cancelled
-				d.unexp = append(d.unexp[:i], d.unexp[i+1:]...)
-				i--
-				continue
-			}
-			h := u.hdr
-			count := int(h.Size)
-			if h.Type == channel.PktRTS {
-				count = int(h.ReqB)
-			}
-			d.unlockNotify()
-			return true, Status{Source: int(h.Source), Tag: int(h.Tag), Count: count}, nil
+		u := d.unexp[i]
+		if !matches(req, u.hdr) {
+			continue
 		}
-	}
-	// Nothing queued from this source: a probe aimed at a dead peer can
-	// never be satisfied, so surface the failure instead of letting the
-	// caller poll forever (same ordering as Irecv — traffic that arrived
-	// before the peer died stays matchable above).
-	if source != AnySource {
-		if werr, dead := d.lost[source]; dead {
-			d.Stats.TransportErrors++
-			d.unlockNotify()
-			return false, Status{}, werr
+		if u.loan != nil && u.loan.Revoked() {
+			d.unexp = append(d.unexp[:i], d.unexp[i+1:]...)
+			i--
+			continue
 		}
+		return probeStatus(u.hdr), true
 	}
-	d.unlockNotify()
-	return false, Status{}, nil
-}
-
-// SendCtrl transmits a control packet (used by collectives for
-// tokens that bypass matching).
-func (d *Device) SendCtrl(dest int, tag int, ctx int32) error {
-	hdr := channel.Header{Type: channel.PktCtrl, Source: int32(d.rank), Tag: int32(tag), Context: ctx}
-	d.mu.Lock()
-	err := d.sendHeaderOnly(dest, hdr)
-	d.unlockNotify()
-	return err
-}
-
-// PollCtrl removes and returns the first control packet matching
-// (source, tag, ctx), making one progress pass first.
-func (d *Device) PollCtrl(source, tag int, ctx int32) (bool, error) {
-	d.mu.Lock()
-	if _, err := d.progressLocked(); err != nil {
-		d.unlockNotify()
-		return false, err
-	}
-	probe := &Request{peer: source, tag: tag, ctx: ctx}
-	for i := range d.ctrl {
-		if matches(probe, d.ctrl[i]) {
-			d.ctrl = append(d.ctrl[:i], d.ctrl[i+1:]...)
-			d.unlockNotify()
-			return true, nil
-		}
-	}
-	// As with Iprobe: a control packet from a dead peer will never
-	// arrive, so a poll aimed at it must fail typed rather than spin.
-	if source != AnySource {
-		if werr, dead := d.lost[source]; dead {
-			d.Stats.TransportErrors++
-			d.unlockNotify()
-			return false, werr
-		}
-	}
-	d.unlockNotify()
-	return false, nil
+	return Status{}, false
 }
 
 // --- channel.Sink ---------------------------------------------------------------
@@ -1127,7 +1140,7 @@ func (d *Device) Deliver(hdr channel.Header) []byte {
 		}
 		return req.buf[:n]
 	default:
-		// RTS / CTS / control carry no payload.
+		// RTS / CTS carry no payload.
 		return nil
 	}
 }
@@ -1135,21 +1148,20 @@ func (d *Device) Deliver(hdr channel.Header) []byte {
 // Borrow implements channel.LoanSink: a lent RTS. The first posted
 // receive it matches gets its payload copied straight in (takeLoan);
 // with none, it waits unexpected, loan and all, for irecvLocked. If
-// its send was cancelled first, it is dropped.
+// its send was cancelled first, it is dropped, and no probe sees it.
 func (d *Device) Borrow(rts channel.Header, loan *channel.Loan) {
 	d.Stats.Deliveries++
-	for i, req := range d.posted {
-		if matches(req, rts) {
-			if d.takeLoan(req, rts, loan) {
-				d.posted = append(d.posted[:i], d.posted[i+1:]...)
-			}
-			return
+	if loan.Revoked() {
+		return
+	}
+	if i := d.findPosted(rts); i >= 0 {
+		if d.takeLoan(d.posted[i], rts, loan) {
+			d.posted = append(d.posted[:i], d.posted[i+1:]...)
 		}
+		return
 	}
-	if !loan.Revoked() {
-		d.Stats.Unexpected++
-		d.unexp = append(d.unexp, unexpected{hdr: rts, loan: loan})
-	}
+	d.Stats.Unexpected++
+	d.unexp = append(d.unexp, unexpected{hdr: rts, loan: loan})
 }
 
 // lentDone completes a send whose lent payload the peer has copied
@@ -1237,10 +1249,6 @@ func (d *Device) Done(hdr channel.Header) {
 			delete(d.active, req.id)
 			d.Stats.BytesRecvd += uint64(req.status.Count)
 		}
-
-	case channel.PktCtrl:
-		d.Stats.CtrlPackets++
-		d.ctrl = append(d.ctrl, hdr)
 	}
 	d.curReq, d.curUnexp = nil, false
 }

@@ -414,36 +414,6 @@ func TestSelfSyncSend(t *testing.T) {
 	}
 }
 
-func TestControlPackets(t *testing.T) {
-	d0, d1 := devicePair(1024)
-	if err := d0.SendCtrl(1, 42, 7); err != nil {
-		t.Fatal(err)
-	}
-	// Control packets bypass the matching queues entirely.
-	found := false
-	for i := 0; i < 1000 && !found; i++ {
-		var err error
-		found, err = d1.PollCtrl(0, 42, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !found {
-		t.Fatal("control packet not delivered")
-	}
-	// Consumed: a second poll finds nothing.
-	if again, _ := d1.PollCtrl(0, 42, 7); again {
-		t.Error("control packet delivered twice")
-	}
-	// And it never entered the unexpected message queue.
-	if d1.Stats.Unexpected != 0 {
-		t.Errorf("control packet leaked into matching: %d", d1.Stats.Unexpected)
-	}
-	if d1.Stats.CtrlPackets != 1 {
-		t.Errorf("ctrl stat %d", d1.Stats.CtrlPackets)
-	}
-}
-
 func TestIprobeReportsRendezvousSize(t *testing.T) {
 	d0, d1 := devicePair(8) // force rendezvous
 	msg := bytes.Repeat([]byte{5}, 500)

@@ -30,7 +30,6 @@ const (
 	PktRTS                         // rendezvous request-to-send (no payload)
 	PktCTS                         // rendezvous clear-to-send (no payload)
 	PktData                        // rendezvous payload
-	PktCtrl                        // device control (barrier fan-in etc.)
 )
 
 // HeaderSize is the wire size of a packet header.

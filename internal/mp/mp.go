@@ -345,19 +345,28 @@ func (c *Comm) Iprobe(source, tag int) (bool, Status, error) {
 	return true, c.status(s), err
 }
 
-// Probe blocks until a matching message is available.
+// Probe blocks until a matching message is available: it posts a
+// probe request and waits for it like any other.
 func (c *Comm) Probe(source, tag int) (Status, error) {
-	var spin adi.Spin
-	for {
-		ok, s, err := c.Iprobe(source, tag)
-		if err != nil {
-			return Status{}, err
+	return c.waitRecycle(c.probe(source, tag))
+}
+
+// probe posts a probe (adi.Device.Probe): a request that completes
+// when a matching message is available, with its status, and leaves
+// the message to a receive.
+func (c *Comm) probe(source, tag int) (Request, error) {
+	worldSrc := adi.AnySource
+	if source != AnySource {
+		if err := c.checkDest(source); err != nil {
+			return Request{}, err
 		}
-		if ok {
-			return s, nil
-		}
-		c.dev.Idle(&spin)
+		worldSrc = c.ranks[source]
 	}
+	req, err := c.dev.Probe(worldSrc, tag, c.ctx)
+	if err != nil {
+		return Request{}, err
+	}
+	return c.handle(req), nil
 }
 
 // --- communicator management ---------------------------------------------------

@@ -8,9 +8,9 @@ import (
 )
 
 // OO transport tag discipline. The object-oriented operations move
-// several messages per logical operation — data chunks, table-cache
-// control traffic, the NACK-answer table blob, collective part
-// streams — all on the communicator's point-to-point context. To keep
+// several messages per logical operation — data chunks, the
+// table-cache ACK/NACK byte, the NACK-answer table blob, collective
+// part streams — all on the communicator's point-to-point context. To keep
 // interleaved OO operations (and OO traffic vs. regular user traffic)
 // from ever cross-matching, each category gets its own tag space above
 // MaxUserTag: the wire tag is space*(MaxUserTag+1) + userTag, which
@@ -23,13 +23,12 @@ type OOSpace int
 // OO tag spaces.
 const (
 	OOSpaceData  OOSpace = 1 // object stream chunks (OSend/ORecv)
-	OOSpaceAck   OOSpace = 2 // receiver->sender: table references all resolved
-	OOSpaceNack  OOSpace = 3 // receiver->sender: cache miss, send the table
-	OOSpaceTable OOSpace = 4 // sender->receiver: table blob (NACK answer)
-	OOSpaceColl  OOSpace = 5 // collective part streams (OScatter/OGather)
+	OOSpaceAck   OOSpace = 2 // receiver->sender: one byte, 0 all table references resolved (ACK), 1 send the table (NACK)
+	OOSpaceTable OOSpace = 3 // sender->receiver: table blob (NACK answer)
+	OOSpaceColl  OOSpace = 4 // collective part streams (OScatter/OGather)
 
 	ooSpan    = MaxUserTag + 1
-	ooSpaceHi = 5
+	ooSpaceHi = 4
 )
 
 // OOWireTag computes the on-wire tag for an OO message. Exported so
@@ -44,14 +43,6 @@ func (c *Comm) checkOOTag(sp OOSpace, tag int) error {
 		return fmt.Errorf("%w: OO tag %d", errInvalid, tag)
 	}
 	return nil
-}
-
-// ooStatus translates a device status back into communicator terms
-// with the space stripped from the tag.
-func (c *Comm) ooStatus(s adi.Status, sp OOSpace) Status {
-	st := c.status(s)
-	st.Tag -= int(sp) * ooSpan
-	return st
 }
 
 // IsendOO starts an immediate send of one OO message.
@@ -97,49 +88,14 @@ func (c *Comm) IrecvOO(buf []byte, source int, sp OOSpace, tag int) (Request, er
 	return c.handle(req), nil
 }
 
-// IprobeOO reports whether an OO message in the given space is
-// available, with its size. Drives progress, so a dead peer surfaces
-// as a typed error instead of an endless poll.
-func (c *Comm) IprobeOO(source int, sp OOSpace, tag int) (bool, Status, error) {
-	worldSrc := adi.AnySource
-	if source != AnySource {
-		if err := c.checkDest(source); err != nil {
-			return false, Status{}, err
-		}
-		worldSrc = c.ranks[source]
-	}
+// ProbeOO posts a probe for the next OO message in a space (see
+// Comm.probe); its status reports the message's size and the raw wire
+// tag.
+func (c *Comm) ProbeOO(source int, sp OOSpace, tag int) (Request, error) {
 	if err := c.checkOOTag(sp, tag); err != nil {
-		return false, Status{}, err
+		return Request{}, err
 	}
-	ok, s, err := c.dev.Iprobe(worldSrc, OOWireTag(sp, tag), c.ctx)
-	if !ok {
-		return false, Status{}, err
-	}
-	return true, c.ooStatus(s, sp), err
-}
-
-// SendCtrlOO sends a header-only control packet in an OO space (the
-// table-cache ACK/NACK).
-func (c *Comm) SendCtrlOO(dest int, sp OOSpace, tag int) error {
-	if err := c.checkDest(dest); err != nil {
-		return err
-	}
-	if err := c.checkOOTag(sp, tag); err != nil {
-		return err
-	}
-	return c.dev.SendCtrl(c.ranks[dest], OOWireTag(sp, tag), c.ctx)
-}
-
-// PollCtrlOO polls for a control packet in an OO space. Drives
-// progress (dead peers surface as typed errors).
-func (c *Comm) PollCtrlOO(source int, sp OOSpace, tag int) (bool, error) {
-	if err := c.checkDest(source); err != nil {
-		return false, err
-	}
-	if err := c.checkOOTag(sp, tag); err != nil {
-		return false, err
-	}
-	return c.dev.PollCtrl(c.ranks[source], OOWireTag(sp, tag), c.ctx)
+	return c.probe(source, OOWireTag(sp, tag))
 }
 
 // NextOOSeq returns the next OO collective sequence number: OScatter

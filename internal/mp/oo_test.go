@@ -9,7 +9,7 @@ import (
 // TestOOWireTagSpacesDisjoint: every (space, user tag) pair maps to a
 // distinct wire tag, none of which a regular operation can produce.
 func TestOOWireTagSpacesDisjoint(t *testing.T) {
-	spaces := []OOSpace{OOSpaceData, OOSpaceAck, OOSpaceNack, OOSpaceTable, OOSpaceColl}
+	spaces := []OOSpace{OOSpaceData, OOSpaceAck, OOSpaceTable, OOSpaceColl}
 	seen := map[int]bool{}
 	for _, sp := range spaces {
 		for _, tag := range []int{0, 1, 12345, MaxUserTag} {
@@ -53,10 +53,11 @@ func TestOOTagValidation(t *testing.T) {
 	}
 }
 
-// TestOOSpacesNeverCrossMatch sends the same user tag through three
-// different categories at once — a data chunk, a user-level message,
-// and an ACK control — and verifies each arrives only through its own
-// space.
+// TestOOSpacesNeverCrossMatch sends the same user tag through four
+// categories at once — a user-level message, a data chunk, a
+// collective part and a table-cache ACK byte — and verifies each
+// arrives only through its own space: the ACK byte is never matched by
+// a Data, Table or user receive on the same tag.
 func TestOOSpacesNeverCrossMatch(t *testing.T) {
 	worlds, err := NewLocalWorlds(ChannelShm, 2, 0)
 	if err != nil {
@@ -68,7 +69,7 @@ func TestOOSpacesNeverCrossMatch(t *testing.T) {
 		c := worlds[0].Comm
 		defer worlds[0].Close()
 		// Post everything before any receive matches: user payload,
-		// OO data payload, OO collective payload, then the ACK ctrl.
+		// OO data payload, OO collective payload, then the ACK byte.
 		r1, err := c.Isend([]byte("user"), 1, tag)
 		if err != nil {
 			done <- err
@@ -84,11 +85,12 @@ func TestOOSpacesNeverCrossMatch(t *testing.T) {
 			done <- err
 			return
 		}
-		if err := c.SendCtrlOO(1, OOSpaceAck, tag); err != nil {
+		r4, err := c.IsendOO([]byte{0}, 1, OOSpaceAck, tag)
+		if err != nil {
 			done <- err
 			return
 		}
-		done <- c.WaitAll(r1, r2, r3)
+		done <- c.WaitAll(r1, r2, r3, r4)
 	}()
 	go func() {
 		c := worlds[1].Comm
@@ -106,8 +108,7 @@ func TestOOSpacesNeverCrossMatch(t *testing.T) {
 			if got := string(buf[:st.Count]); got != want {
 				return errf("space %d delivered %q, want %q", sp, got, want)
 			}
-			// Wait reports the raw wire tag (space encoded); IprobeOO is
-			// the entry point that strips it.
+			// Wait reports the raw wire tag (space encoded).
 			if st.Tag != OOWireTag(sp, tag) || st.Source != 0 {
 				return errf("space %d status %+v", sp, st)
 			}
@@ -123,25 +124,16 @@ func TestOOSpacesNeverCrossMatch(t *testing.T) {
 			done <- err
 			return
 		}
-		// The ACK control is visible only to PollCtrlOO in its space.
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			ok, err := c.PollCtrlOO(0, OOSpaceAck, tag)
-			if err != nil {
-				done <- err
-				return
-			}
-			if ok {
-				break
-			}
-			if time.Now().After(deadline) {
-				done <- errf("ACK ctrl never arrived")
-				return
-			}
+		// A Data and a Table receive on the same tag, posted while the
+		// ACK byte is on its way or already queued, must not take it.
+		data, err := c.IrecvOO(make([]byte, 16), 0, OOSpaceData, tag)
+		if err != nil {
+			done <- err
+			return
 		}
-		// A NACK poll on the same tag must see nothing.
-		if ok, err := c.PollCtrlOO(0, OOSpaceNack, tag); err != nil || ok {
-			done <- errf("NACK space matched ACK ctrl (ok=%v err=%v)", ok, err)
+		table, err := c.IrecvOO(make([]byte, 16), 0, OOSpaceTable, tag)
+		if err != nil {
+			done <- err
 			return
 		}
 		// The plain user message is still there, untouched by OO drains.
@@ -153,6 +145,31 @@ func TestOOSpacesNeverCrossMatch(t *testing.T) {
 		}
 		if string(buf[:st.Count]) != "user" {
 			done <- errf("user message corrupted: %q", buf[:st.Count])
+			return
+		}
+		// The ACK byte arrives only through its own space.
+		ack := []byte{0xFF}
+		areq, err := c.IrecvOO(ack, 0, OOSpaceAck, tag)
+		if err != nil {
+			done <- err
+			return
+		}
+		if st, err := c.Wait(areq); err != nil || st.Count != 1 || ack[0] != 0 {
+			done <- errf("ACK byte: status %+v, byte %d, err %v", st, ack[0], err)
+			return
+		}
+		for _, r := range []Request{data, table} {
+			if r.Done() {
+				done <- errf("a Data or Table receive matched the ACK byte: %+v", r.Status())
+				return
+			}
+			if err := r.Cancel(); err != nil {
+				done <- err
+				return
+			}
+		}
+		if n := c.Device().Outstanding(); n != 0 {
+			done <- errf("%d requests left posted", n)
 			return
 		}
 		done <- nil

@@ -108,6 +108,10 @@ func TestProgressCompletesWithoutWait(t *testing.T) {
 		if n := w.Dev.Outstanding(); n != 0 {
 			t.Errorf("rank %d: %d requests leaked", i, n)
 		}
+		// Read the counters once the engine has stopped: its loop makes
+		// one pass before it looks at the stop signal, but rank 0's
+		// engine has no work, and its goroutine may not have run yet.
+		engines[i].Stop()
 		st := engines[i].Stats()
 		if st.Passes == 0 {
 			t.Errorf("rank %d: progress engine never ran: %+v", i, st)

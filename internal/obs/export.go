@@ -36,6 +36,7 @@ var pinNames = map[PinDecision]string{
 	PinDeferred:     "deferred",
 	PinEager:        "eager",
 	PinCond:         "cond-pin",
+	PinHeldMoved:    "held-moved",
 }
 
 // PinName returns the display name for a pin decision.

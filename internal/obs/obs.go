@@ -150,6 +150,7 @@ const (
 	PinDeferred                            // pinned at polling-wait entry
 	PinEager                               // pinned at op start (always-pin)
 	PinCond                                // conditional pin request registered
+	PinHeldMoved                           // pinned while pending: the collector moves elder objects
 )
 
 // ReqDir discriminates ADI request direction.

@@ -98,8 +98,10 @@ tier3() {
 # A stream reader rewires references between chunk commits, so its
 # partly wired graph must survive collections there; those tests run
 # 10 more rounds. The last pass runs the core and mp blocking-wait
-# tests on one processor, where a wait's idle step must yield at every
-# poll (adi.Device.Idle) or the peer it waits for never runs.
+# tests, and the probe and OO tests (whose probe, chunk and ACK waits
+# are requests in the same wait), on one processor, where a wait's idle
+# step must yield at every poll (adi.Device.Idle) or the peer it waits
+# for never runs.
 tier_stress() {
 	echo "== stress: -race concurrency stress + chaos + progress harness"
 	GORACE=halt_on_error=1 go test -race -timeout 600s \
@@ -115,7 +117,7 @@ tier_stress() {
 		-run 'StreamReader|Rewire|OOReader' ./internal/serial/ ./internal/core/
 	echo "== stress: -race blocking waits at GOMAXPROCS=1 (every idle step yields)"
 	GOMAXPROCS=1 GORACE=halt_on_error=1 go test -race -timeout 600s \
-		-run 'Stress|PingPong|Wait' ./internal/core/ ./internal/mp/
+		-run 'Stress|PingPong|Wait|Probe|ORecv|OSend' ./internal/core/ ./internal/mp/
 }
 
 # Static tier: go vet plus the MASM bytecode verifier over every
@@ -317,9 +319,9 @@ MASM
 		exit 1
 	fi
 
-	echo "== obs: watchdog fires on an injected stall"
-	go test -count=1 -run 'TestWatchdogDetectsStalledRank|TestWatchdogFiresOnStall' \
-		./internal/mp/ ./internal/obs/
+	echo "== obs: watchdog fires on an injected stall, in every blocking wait"
+	go test -count=1 -run 'TestWatchdogDetectsStalledRank|TestWatchdogFiresOnStall|TestWatchdogReportsEnginePeer|TestWatchdogSeesEveryWait' \
+		./internal/mp/ ./internal/obs/ ./internal/core/
 	rm -rf "$dir"
 	trap - EXIT
 }
